@@ -127,6 +127,7 @@ type queue struct {
 type Device struct {
 	eng     *sim.Engine
 	dom     *xen.Domain
+	cpus    *sim.CPUPool // vCPUs the device runs on: Config.CPUs, else all of dom's
 	bus     *xenbus.Bus
 	reg     *blkif.Registry
 	devid   int
@@ -172,6 +173,12 @@ type Config struct {
 	BackDom  xen.DomID
 	Costs    Costs
 	Pool     *blkpool.Pool // read-buffer pool; private pool when nil
+	// CPUs confines the device to a sub-pool of the guest's vCPUs: request
+	// costs are charged there and queue q's event channel is bound to
+	// CPUs.CPU(q mod Len). Required when other vCPUs of the guest are pinned
+	// to cluster shards the device's engine does not own (a sharded vif's
+	// queue vCPUs); nil means the whole domain, ports unbound.
+	CPUs *sim.CPUPool
 	// Queues requests a hardware-queue count; the handshake negotiates
 	// min(Queues, backend's multi-queue-max-queues). 0 means 1.
 	Queues  int
@@ -189,6 +196,10 @@ func New(eng *sim.Engine, cfg Config) *Device {
 	if bufs == nil {
 		bufs = blkpool.New()
 	}
+	cpus := cfg.CPUs
+	if cpus == nil {
+		cpus = cfg.Dom.CPUs
+	}
 	wantQueues := cfg.Queues
 	if wantQueues < 1 {
 		wantQueues = 1
@@ -197,7 +208,7 @@ func New(eng *sim.Engine, cfg Config) *Device {
 		wantQueues = blkif.MaxQueues
 	}
 	d := &Device{
-		eng: eng, dom: cfg.Dom, bus: cfg.Bus, reg: cfg.Registry,
+		eng: eng, dom: cfg.Dom, cpus: cpus, bus: cfg.Bus, reg: cfg.Registry,
 		devid: cfg.DevID, backDom: cfg.BackDom, costs: costs,
 		frontPath:  xenbus.FrontendPath(xenbus.DomID(cfg.Dom.ID), xenstore.DevVbd, cfg.DevID),
 		backPath:   xenbus.BackendPath(xenbus.DomID(cfg.BackDom), xenstore.DevVbd, xenbus.DomID(cfg.Dom.ID), cfg.DevID),
@@ -250,6 +261,13 @@ func (d *Device) init() {
 		q.port = d.dom.AllocUnbound(d.backDom)
 		if err := d.dom.SetHandler(q.port, q.onEvent); err != nil {
 			panic(fmt.Sprintf("blkfront: %v", err))
+		}
+		if d.cpus != d.dom.CPUs {
+			// Confined to a sub-pool: the upcall must not pick from vCPUs
+			// that belong to other shards.
+			if err := d.dom.BindPortCPU(q.port, d.cpus.CPU(i%d.cpus.Len())); err != nil {
+				panic(fmt.Sprintf("blkfront: %v", err))
+			}
 		}
 		d.queues[i] = q
 	}
@@ -632,7 +650,7 @@ func (q *queue) pushRequest(op blkif.Op, sector int64, size int, writeData []byt
 		req.Segs = part.segs
 	}
 
-	d.dom.CPUs.Charge(cost)
+	d.cpus.Charge(cost)
 	d.stats.RingRequests++
 	if !q.ring.PushRequest(req) {
 		panic("blkfront: ring full despite check")
@@ -697,7 +715,7 @@ func (d *Device) completePart(part *reqPart, status int8) {
 			copy(part.readDst[copied:copied+n], pp.page.Data[:n])
 			copied += n
 		}
-		d.dom.CPUs.Charge(sim.Time(copied) * d.costs.PerKBCopy / 1024)
+		d.cpus.Charge(sim.Time(copied) * d.costs.PerKBCopy / 1024)
 	}
 	for _, pp := range part.pages {
 		q.putPage(pp)

@@ -571,22 +571,25 @@ func (s *System) CreateGuest(cfg GuestConfig) (*Guest, error) {
 		if cache == 0 {
 			cache = 64 << 20
 		}
-		// The cache and filesystem run on shard 0; skip guest vCPUs that a
-		// sharded vif pinned to queue shards.
+		// The vbd, cache and filesystem run on shard 0; skip guest vCPUs
+		// that a sharded vif pinned to queue shards, and bind the vbd's
+		// event channels inside what is left.
 		blkCPUs := dom.CPUs
-		if s.Cluster != nil && cfg.Net != nil {
+		var vbdCPUs *sim.CPUPool
+		if s.Cluster != nil && cfg.Net != nil && (cfg.NetQueues > 1 || cfg.Fleet) {
+			pinned := 1
 			if cfg.NetQueues > 1 {
-				blkCPUs = dom.CPUs.Slice(cfg.NetQueues, dom.CPUs.Len())
-			} else if cfg.Fleet {
-				blkCPUs = dom.CPUs.Slice(1, dom.CPUs.Len())
+				pinned = cfg.NetQueues
 			}
+			blkCPUs = dom.CPUs.Slice(pinned, dom.CPUs.Len())
+			vbdCPUs = blkCPUs
 		}
 		// The filesystem mounts once the vbd handshake reports the disk
 		// size (blkfront learns its sector count from the backend).
 		g.Disk = blkfront.New(s.Eng, blkfront.Config{
 			Dom: dom, Bus: s.Bus, Registry: s.BlkReg, DevID: devid,
 			BackDom: cfg.Storage.Dom.ID, Pool: s.BlkPool,
-			Queues: cfg.BlkQueues,
+			Queues: cfg.BlkQueues, CPUs: vbdCPUs,
 			OnReady: func() {
 				g.Pool = bufpool.New(s.Eng, g.Disk, bufpool.Config{
 					CapacityBytes: cache,

@@ -100,8 +100,9 @@ func TestConcurrencyLintCleanTree(t *testing.T) {
 	}
 }
 
-// TestDeterministicScope pins the simdet contract to the three packages
-// whose byte-identical output the experiment suite depends on. Removing
+// TestDeterministicScope pins the simdet contract to the packages whose
+// byte-identical output the experiment suite depends on — the event core,
+// the rigs, and the control plane whose every store write is an event. Removing
 // the directive would silently shrink the analyzer's scope; this test
 // turns that into a failure.
 func TestDeterministicScope(t *testing.T) {
@@ -109,7 +110,8 @@ func TestDeterministicScope(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
-	for _, path := range []string{"kite/internal/sim", "kite/internal/core", "kite/internal/experiments", "kite/internal/timewheel"} {
+	for _, path := range []string{"kite/internal/sim", "kite/internal/core", "kite/internal/experiments", "kite/internal/timewheel",
+		"kite/internal/xenstore", "kite/internal/xenbus"} {
 		if !pkgHasDirective(mod, path, "//kite:deterministic") {
 			t.Errorf("%s: package doc lost its //kite:deterministic directive", path)
 		}

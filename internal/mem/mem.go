@@ -23,13 +23,15 @@ type Page struct {
 }
 
 // Arena is a domain's memory: an allocator handing out fixed-size pages up
-// to a configured maximum (the domain's RAM assignment).
+// to a configured maximum (the domain's RAM assignment). Fresh pages are
+// carved from exact-size backing slabs — one per growth, as large as the
+// request and no larger — so bringing up a 512-page device costs two heap
+// objects, not a thousand.
 type Arena struct {
 	name     string
 	maxPages int
-	pages    map[PageID]*Page
+	pages    []*Page // every page ever carved; pages[id-1].ID == id
 	free     []*Page
-	nextID   PageID
 
 	allocs uint64
 	frees  uint64
@@ -40,11 +42,7 @@ func NewArena(name string, maxBytes int64) *Arena {
 	if maxBytes < PageSize {
 		panic(fmt.Sprintf("mem: arena %q smaller than one page", name))
 	}
-	return &Arena{
-		name:     name,
-		maxPages: int(maxBytes / PageSize),
-		pages:    make(map[PageID]*Page),
-	}
+	return &Arena{name: name, maxPages: int(maxBytes / PageSize)}
 }
 
 // Name returns the arena's name (the owning domain).
@@ -56,27 +54,21 @@ func (a *Arena) Capacity() int { return a.maxPages }
 // InUse returns the number of currently allocated pages.
 func (a *Arena) InUse() int { return len(a.pages) - len(a.free) }
 
-// Allocs returns the lifetime allocation count.
+// Allocs returns the lifetime allocation count: pages handed out, plus one
+// per request refused for lack of memory.
 func (a *Arena) Allocs() uint64 { return a.allocs }
 
 // Alloc returns a zeroed page, or an error if the arena is exhausted —
 // which models a domain running out of its RAM assignment.
 func (a *Arena) Alloc() (*Page, error) {
 	a.allocs++
-	if n := len(a.free); n > 0 {
-		p := a.free[n-1]
-		a.free = a.free[:n-1]
-		p.freed = false
-		clear(p.Data)
+	if p := a.reuse(); p != nil {
 		return p, nil
 	}
 	if len(a.pages) >= a.maxPages {
-		return nil, fmt.Errorf("mem: arena %q out of memory (%d pages)", a.name, a.maxPages)
+		return nil, a.outOfMemory()
 	}
-	a.nextID++
-	p := &Page{ID: a.nextID, Data: make([]byte, PageSize), arena: a} //kite:alloc-ok arena growth on free-list miss; pages recycle
-	a.pages[p.ID] = p                                                //kite:alloc-ok arena growth on free-list miss
-	return p, nil
+	return &a.grow(1)[0], nil
 }
 
 // MustAlloc is Alloc for paths where exhaustion is a configuration error.
@@ -88,20 +80,65 @@ func (a *Arena) MustAlloc() *Page {
 	return p
 }
 
-// AllocN allocates n pages, freeing any partial allocation on failure.
+// AllocN allocates n zeroed pages: freed pages first, most recently freed
+// first, then the shortfall from one fresh slab, in ascending ID order. A
+// request the arena cannot meet in full takes nothing.
 func (a *Arena) AllocN(n int) ([]*Page, error) {
-	pages := make([]*Page, 0, n)
-	for i := 0; i < n; i++ {
-		p, err := a.Alloc()
-		if err != nil {
-			for _, q := range pages {
-				a.Free(q)
-			}
-			return nil, err
-		}
-		pages = append(pages, p)
+	fresh := n - len(a.free)
+	if fresh > a.maxPages-len(a.pages) {
+		a.allocs++
+		return nil, a.outOfMemory()
 	}
-	return pages, nil
+	a.allocs += uint64(n)
+	out := make([]*Page, 0, n)
+	for len(out) < n {
+		p := a.reuse()
+		if p == nil {
+			break
+		}
+		out = append(out, p)
+	}
+	if fresh > 0 {
+		slab := a.grow(fresh)
+		for i := range slab {
+			out = append(out, &slab[i])
+		}
+	}
+	return out, nil
+}
+
+//kite:coldpath builds the exhaustion error; steady state never runs out
+func (a *Arena) outOfMemory() error {
+	return fmt.Errorf("mem: arena %q out of memory (%d pages)", a.name, a.maxPages)
+}
+
+// reuse pops the most recently freed page and zeroes it; nil if none.
+func (a *Arena) reuse() *Page {
+	n := len(a.free)
+	if n == 0 {
+		return nil
+	}
+	p := a.free[n-1]
+	a.free = a.free[:n-1]
+	p.freed = false
+	clear(p.Data)
+	return p
+}
+
+// grow carves n fresh pages out of one backing slab of exactly n*PageSize
+// bytes. Each Data is capped at its own page, so an append cannot spill into
+// the neighbour.
+func (a *Arena) grow(n int) []Page {
+	data := make([]byte, n*PageSize) //kite:alloc-ok arena growth on free-list miss; pages recycle
+	slab := make([]Page, n)          //kite:alloc-ok arena growth on free-list miss; pages recycle
+	for i := range slab {
+		p := &slab[i]
+		p.ID = PageID(len(a.pages) + 1)
+		p.Data = data[i*PageSize : (i+1)*PageSize : (i+1)*PageSize]
+		p.arena = a
+		a.pages = append(a.pages, p) //kite:alloc-ok arena growth on free-list miss
+	}
+	return slab
 }
 
 // Free returns a page to the arena. Freeing a foreign or already-freed page
@@ -120,11 +157,13 @@ func (a *Arena) Free(p *Page) {
 
 // Lookup returns the live page with the given ID, or nil.
 func (a *Arena) Lookup(id PageID) *Page {
-	p := a.pages[id]
-	if p == nil || p.freed {
+	if id == 0 || id > PageID(len(a.pages)) {
 		return nil
 	}
-	return p
+	if p := a.pages[id-1]; !p.freed {
+		return p
+	}
+	return nil
 }
 
 // Owner returns the arena a page belongs to.

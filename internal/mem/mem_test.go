@@ -163,3 +163,164 @@ func TestArenaAccountingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// allocN is AllocN for tests that expect it to succeed.
+func allocN(t *testing.T, a *Arena, n int) []*Page {
+	t.Helper()
+	pages, err := a.AllocN(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pages) != n {
+		t.Fatalf("AllocN(%d) returned %d pages", n, len(pages))
+	}
+	return pages
+}
+
+// TestAllocNSlabPages: pages carved from one slab are zeroed, exactly one
+// page long with no spare capacity, pairwise disjoint, and numbered in
+// order.
+func TestAllocNSlabPages(t *testing.T) {
+	a := NewArena("d0", 1<<20)
+	first := a.MustAlloc() // a one-page slab ahead of the big one
+	pages := allocN(t, a, 64)
+	for i, p := range pages {
+		if len(p.Data) != PageSize || cap(p.Data) != PageSize {
+			t.Fatalf("page %d: len %d cap %d, want both %d", i, len(p.Data), cap(p.Data), PageSize)
+		}
+		if p.ID != first.ID+PageID(i)+1 {
+			t.Fatalf("page %d has ID %d, want %d", i, p.ID, first.ID+PageID(i)+1)
+		}
+		if p.Owner() != a || p.Freed() || a.Lookup(p.ID) != p {
+			t.Fatalf("page %d: owner/freed/lookup wrong", i)
+		}
+		for j, b := range p.Data {
+			if b != 0 {
+				t.Fatalf("page %d byte %d = %d, want 0", i, j, b)
+			}
+		}
+	}
+	// Fill each page with its own mark, appending past the end too: a
+	// neighbour must never see it.
+	for i, p := range pages {
+		for j := range p.Data {
+			p.Data[j] = byte(i + 1)
+		}
+		_ = append(p.Data, 0xEE)
+	}
+	for i, p := range append([]*Page{first}, pages...) {
+		for j, b := range p.Data {
+			if b != byte(i) {
+				t.Fatalf("page %d byte %d = %#x after neighbours were written, want %#x", i, j, b, byte(i))
+			}
+		}
+	}
+	if a.InUse() != 65 || a.Allocs() != 65 {
+		t.Fatalf("InUse %d Allocs %d, want 65 65", a.InUse(), a.Allocs())
+	}
+}
+
+// TestSlabFreeReuse: freeing every page of a slab and allocating again
+// reuses those pages, re-zeroed, instead of growing the arena.
+func TestSlabFreeReuse(t *testing.T) {
+	a := NewArena("d0", 8*PageSize)
+	pages := allocN(t, a, 8)
+	seen := make(map[*Page]bool)
+	for _, p := range pages {
+		p.Data[PageSize-1] = 0xAB
+		seen[p] = true
+		a.Free(p)
+	}
+	if a.InUse() != 0 {
+		t.Fatalf("InUse after freeing the slab = %d", a.InUse())
+	}
+	// Capacity is 8: any growth here would fail outright.
+	again := allocN(t, a, 5)
+	again = append(again, a.MustAlloc(), a.MustAlloc(), a.MustAlloc())
+	for i, p := range again {
+		if !seen[p] {
+			t.Fatalf("allocation %d is a fresh page, want a recycled one", i)
+		}
+		delete(seen, p)
+		if p.Freed() || p.Data[PageSize-1] != 0 {
+			t.Fatalf("recycled page %d not live and zeroed", i)
+		}
+	}
+	if a.InUse() != 8 {
+		t.Fatalf("InUse = %d, want 8", a.InUse())
+	}
+	if _, err := a.Alloc(); err == nil {
+		t.Fatal("allocation beyond capacity succeeded")
+	}
+}
+
+// TestAllocNMixesFreeListAndSlab: most recently freed pages come first,
+// the shortfall comes from a fresh slab in ID order.
+func TestAllocNMixesFreeListAndSlab(t *testing.T) {
+	a := NewArena("d0", 16*PageSize)
+	old := allocN(t, a, 3)
+	a.Free(old[0])
+	a.Free(old[2])
+	got := allocN(t, a, 5)
+	if got[0] != old[2] || got[1] != old[0] {
+		t.Fatal("AllocN did not take freed pages first, most recent first")
+	}
+	for i, p := range got[2:] {
+		if p.ID != PageID(4+i) {
+			t.Fatalf("fresh page %d has ID %d, want %d", i, p.ID, 4+i)
+		}
+	}
+	if a.InUse() != 6 {
+		t.Fatalf("InUse = %d, want 6", a.InUse())
+	}
+}
+
+// TestAllocNOutOfMemoryTakesNothing: a request the arena cannot meet hands
+// everything back — the free list included — and later requests that fit
+// still succeed.
+func TestAllocNOutOfMemoryTakesNothing(t *testing.T) {
+	a := NewArena("tiny", 4*PageSize)
+	held := allocN(t, a, 3)
+	a.Free(held[1])
+	allocs := a.Allocs()
+	if _, err := a.AllocN(3); err == nil {
+		t.Fatal("AllocN beyond capacity succeeded")
+	} else if want := `mem: arena "tiny" out of memory (4 pages)`; err.Error() != want {
+		t.Fatalf("error = %q, want %q", err, want)
+	}
+	if a.InUse() != 2 || a.Capacity() != 4 {
+		t.Fatalf("after failed AllocN: InUse %d Capacity %d, want 2 4", a.InUse(), a.Capacity())
+	}
+	if a.Allocs() != allocs+1 {
+		t.Fatalf("failed AllocN moved Allocs by %d, want 1", a.Allocs()-allocs)
+	}
+	if a.Lookup(held[1].ID) != nil {
+		t.Fatal("failed AllocN left a freed page looking live")
+	}
+	if got := allocN(t, a, 2); got[0] != held[1] {
+		t.Fatal("the freed page was lost by the failed AllocN")
+	}
+	if a.InUse() != 4 {
+		t.Fatalf("InUse = %d, want 4", a.InUse())
+	}
+}
+
+// TestSlabPageMisusePanics: pages of a slab are as strictly owned as
+// single pages.
+func TestSlabPageMisusePanics(t *testing.T) {
+	a := NewArena("a", 1<<20)
+	b := NewArena("b", 1<<20)
+	pages := allocN(t, a, 4)
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("cross-arena free of a slab page", func() { b.Free(pages[1]) })
+	a.Free(pages[2])
+	mustPanic("double free of a slab page", func() { a.Free(pages[2]) })
+}

@@ -118,7 +118,7 @@ type VIF struct {
 	ch     *netif.Channel
 	br     *bridge.Bridge
 	queues []*vifQueue
-	rss    netpkt.RSS
+	rss    *netpkt.RSS // nil with one queue: nothing to steer
 
 	// brInputF is the cached cross-shard post target handing a matured
 	// guest frame to the bridge on the device shard; brBatchF is its
@@ -278,8 +278,11 @@ func NewVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 		pool:     pool,
 		ch:       ch,
 		br:       br,
-		rss:      netpkt.NewRSS(rssSeed),
 		queues:   make([]*vifQueue, nq),
+	}
+	if nq > 1 {
+		rss := netpkt.NewRSS(rssSeed)
+		v.rss = &rss
 	}
 	v.brInputF = func(a any) { v.br.Input(v, a.(*framepool.Buf)) }
 	v.brBatchF = v.inputBatch
@@ -744,7 +747,10 @@ func (v *VIF) Deliver(frame *framepool.Buf) {
 		frame.Release()
 		return
 	}
-	q := v.queues[v.rss.Queue(frame.Bytes(), len(v.queues))]
+	q := v.queues[0]
+	if v.rss != nil {
+		q = v.queues[v.rss.Queue(frame.Bytes(), len(v.queues))]
+	}
 	if q.sharded {
 		// A flooded frame carries one reference per egress port; refcounts
 		// are shard-local, so cut the sharing with a private copy before the

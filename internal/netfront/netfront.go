@@ -144,7 +144,7 @@ type Device struct {
 
 	wantQueues int
 	hashSeed   uint64
-	rss        netpkt.RSS
+	rss        *netpkt.RSS // nil with one queue: nothing to steer
 	queues     []*queue
 	shards     []*sim.Engine
 	rxAlive    bool
@@ -219,7 +219,6 @@ func New(eng *sim.Engine, cfg Config) *Device {
 		pool:       pool,
 		wantQueues: wantQueues,
 		hashSeed:   seed,
-		rss:        netpkt.NewRSS(seed),
 		shards:     cfg.Shards,
 		onReady:    cfg.OnReady,
 	}
@@ -311,6 +310,10 @@ func (d *Device) initRings() {
 			panic(fmt.Sprintf("netfront: sharded guest needs %d vCPUs, has %d", nq+1, d.dom.CPUs.Len()))
 		}
 	}
+	if nq > 1 {
+		rss := netpkt.NewRSS(d.hashSeed)
+		d.rss = &rss
+	}
 	ch := netif.NewChannel(nq)
 	d.queues = make([]*queue, nq)
 	for i := 0; i < nq; i++ {
@@ -376,8 +379,7 @@ func (d *Device) connect() {
 	// queue shards may read them.
 	for _, q := range d.queues {
 		q.preallocTx()
-		for i := 0; i < netif.RingSize; i++ {
-			page := d.dom.Arena.MustAlloc()
+		for i, page := range d.allocPages(netif.RingSize) {
 			ref := d.dom.GrantAccess(d.backDom, page, false)
 			q.rxBufs[i] = rxBuf{page: page, ref: ref}
 		}
@@ -417,22 +419,33 @@ func (q *queue) postInitialRx() {
 	}
 }
 
+// allocPages takes n pages from the guest arena as one slab; running out of
+// guest memory during device set-up is a configuration error.
+func (d *Device) allocPages(n int) []*mem.Page {
+	pages, err := d.dom.Arena.AllocN(n)
+	if err != nil {
+		panic(fmt.Sprintf("netfront: %v", err))
+	}
+	return pages
+}
+
 // preallocTx allocates and grants every persistent Tx page up front, so the
 // send path never touches the arena, the grant table, or a growing map. The
-// free-id stack is rebuilt each (re)connect, skipping ids still in flight.
+// pages survive a reconnect; the free-id stack is rebuilt each (re)connect,
+// skipping ids still in flight.
 func (q *queue) preallocTx() {
 	d := q.d
 	if q.txFree == nil {
 		q.txFree = make([]uint16, 0, netif.RingSize)
+		for i, page := range d.allocPages(netif.RingSize) {
+			s := &q.txSlots[netif.RingSize-i]
+			s.page = page
+			s.ref = d.dom.GrantAccess(d.backDom, page, true)
+		}
 	}
 	q.txFree = q.txFree[:0]
 	for id := netif.RingSize; id >= 1; id-- {
-		s := &q.txSlots[id]
-		if s.page == nil {
-			s.page = d.dom.Arena.MustAlloc()
-			s.ref = d.dom.GrantAccess(d.backDom, s.page, true)
-		}
-		if !s.inFlight {
+		if !q.txSlots[id].inFlight {
 			q.txFree = append(q.txFree, uint16(id))
 		}
 	}
@@ -474,7 +487,10 @@ func (d *Device) Send(frame *framepool.Buf) bool {
 		frame.Release()
 		return false
 	}
-	q := d.queues[d.rss.Queue(frame.Bytes(), len(d.queues))]
+	q := d.queues[0]
+	if d.rss != nil {
+		q = d.queues[d.rss.Queue(frame.Bytes(), len(d.queues))]
+	}
 	if q.eng != d.eng {
 		// Cross-shard qdisc hand-off: the queue owns the frame from here.
 		// Backpressure is absorbed by the queue's backlog, so the hand-off
@@ -506,7 +522,10 @@ func (d *Device) SendBatch(frames []netstack.TimedFrame) {
 			f.Frame.Release()
 			continue
 		}
-		q := d.queues[d.rss.Queue(f.Frame.Bytes(), len(d.queues))]
+		q := d.queues[0]
+		if d.rss != nil {
+			q = d.queues[d.rss.Queue(f.Frame.Bytes(), len(d.queues))]
+		}
 		if q.eng == d.eng {
 			q.enqueue(f.Frame)
 			continue

@@ -36,8 +36,6 @@ type Tenant struct {
 // subtree (TenantPath) for external observers. A tenant whose last device
 // detaches is removed from both the ledger and the store, so the registry
 // always reflects exactly the live fleet.
-//
-//kite:deterministic
 type TenantRegistry struct {
 	bus  *Bus
 	self DomID

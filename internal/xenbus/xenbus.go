@@ -7,10 +7,16 @@
 // This is the layer Kite had to add to rumprun's HVM mode (Table 1's "HVM
 // extension" row): without it, no backend can discover or pair with a
 // frontend.
+//
+// Every store write made here fires watches, and each fire is a simulation
+// event: the order of writes is part of the timeline.
+//
+//kite:deterministic
 package xenbus
 
 import (
 	"fmt"
+	"sort"
 
 	"kite/internal/xenstore"
 )
@@ -123,22 +129,31 @@ func (b *Bus) AddDevice(spec DeviceSpec) (frontPath, backPath string) {
 	b.store.Writef(frontPath+"/"+xenstore.KeyBackend, "%s", backPath)
 	b.store.Writef(frontPath+"/"+xenstore.KeyBackendID, "%d", spec.BackDom)
 	b.store.Writef(frontPath+"/"+xenstore.KeyState, "%d", int(StateInitialising))
-	for k, v := range spec.FrontExtra {
-		b.store.Write(frontPath+"/"+k, v)
-	}
+	b.writeExtras(frontPath, spec.FrontExtra)
 
 	b.store.Writef(backPath+"/"+xenstore.KeyFrontend, "%s", frontPath)
 	b.store.Writef(backPath+"/"+xenstore.KeyFrontendID, "%d", spec.FrontDom)
 	b.store.Writef(backPath+"/"+xenstore.KeyOnline, "1")
 	b.store.Writef(backPath+"/"+xenstore.KeyState, "%d", int(StateInitialising))
-	for k, v := range spec.BackExtra {
-		b.store.Write(backPath+"/"+k, v)
-	}
+	b.writeExtras(backPath, spec.BackExtra)
 
 	// Device directories belong to their respective domains.
 	b.store.SetPerms(frontPath, spec.FrontDom, nil)
 	b.store.SetPerms(backPath, spec.BackDom, nil)
 	return frontPath, backPath
+}
+
+// writeExtras writes a device directory's extra keys in sorted key order:
+// each write fires watches, so map order would leak into event order.
+func (b *Bus) writeExtras(devPath string, extra map[string]string) {
+	keys := make([]string, 0, len(extra))
+	for k := range extra { //kite:orderok keys are sorted before use
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		b.store.Write(devPath+"/"+k, extra[k])
+	}
 }
 
 // RemoveDevice deletes both ends' directories.

@@ -190,3 +190,23 @@ func TestStateStrings(t *testing.T) {
 		t.Fatal("unknown state string unhelpful")
 	}
 }
+
+// TestAddDeviceWritesExtrasInKeyOrder pins the order of the toolstack's
+// store writes: each one fires watches, so the order is part of the event
+// timeline and may not follow map iteration.
+func TestAddDeviceWritesExtrasInKeyOrder(t *testing.T) {
+	extras := map[string]string{"tenant-lane": "3", "bridge": "xenbr0", "script": "vif-bridge", "handle": "0", "type": "vif"}
+	for round := 0; round < 20; round++ {
+		eng, b := newBus()
+		var seen []string
+		b.Store().Watch(BackendRoot(1, "vif"), "", func(path, _ string) {
+			seen = append(seen, path[strings.LastIndexByte(path, '/')+1:])
+		})
+		b.AddDevice(DeviceSpec{Type: "vif", FrontDom: 3, BackDom: 1, BackExtra: extras})
+		eng.Run()
+		want := "vif frontend frontend-id online state bridge handle script tenant-lane type"
+		if got := strings.Join(seen, " "); got != want {
+			t.Fatalf("round %d: back-end writes fired as %q, want %q", round, got, want)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package xenstore
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Txn is an optimistic transaction (XS_TRANSACTION_START/END). Reads and
 // writes are buffered; Commit re-validates that every path the transaction
@@ -77,7 +80,15 @@ func (t *Txn) Remove(path string) {
 func (t *Txn) Commit() error {
 	t.checkLive()
 	t.done = true
-	for path, sawVersion := range t.reads {
+	// Validate in a fixed order, so the path a conflict names is a function
+	// of the transaction rather than of map iteration.
+	readPaths := make([]string, 0, len(t.reads))
+	for path := range t.reads { //kite:orderok keys are sorted before use
+		readPaths = append(readPaths, path)
+	}
+	sort.Strings(readPaths)
+	for _, path := range readPaths {
+		sawVersion := t.reads[path]
 		n := t.store.lookup(path)
 		var cur uint64
 		if n != nil && n.hasValue {
@@ -88,7 +99,7 @@ func (t *Txn) Commit() error {
 		}
 	}
 	// Paths written must not have changed since the snapshot either.
-	for path := range t.writes {
+	for _, path := range t.order {
 		if n := t.store.lookup(path); n != nil && n.version > t.snapshot {
 			return fmt.Errorf("xenstore: transaction conflict on %s", path)
 		}

@@ -8,11 +8,18 @@
 // once per mutation per registered watch, plus the initial registration
 // fire xenstored performs. Transactions provide optimistic concurrency:
 // commit fails if any path the transaction touched changed underneath it.
+//
+// Every watch fire is a simulation event, so the store is part of the
+// deterministic timeline: watches fire in registration order, never in map
+// order.
+//
+//kite:deterministic
 package xenstore
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"kite/internal/sim"
@@ -38,17 +45,33 @@ type Watch struct {
 	token   string
 	fn      func(path, token string)
 	store   *Store
+	at      *watchNode // trie node the watch is registered on
+	seq     uint64     // registration sequence number: the fire order
 	dead    bool
 	pending int
 	fires   uint64
+}
+
+// watchNode is one path segment of the watch index. The index is a trie of
+// its own rather than a field of the data nodes, so a watch on a path that
+// does not exist yet — or whose node is removed — stays registered.
+type watchNode struct {
+	parent   *watchNode
+	name     string
+	children map[string]*watchNode
+	watches  []*Watch // registered exactly here, in registration order
 }
 
 // Store is the xenstored database.
 type Store struct {
 	eng     *sim.Engine
 	root    *node
-	watches []*Watch
 	version uint64
+
+	watchRoot  watchNode
+	watchSeq   uint64
+	hits       []*Watch // fireWatches scratch; reused, never retained
+	trieVisits uint64   // watch-index nodes examined by fireWatches
 
 	// OpLatency models the round trip to the xenstored daemon in Dom0.
 	// Control-plane only; it never sits on the data path.
@@ -67,7 +90,7 @@ type Store struct {
 func New(eng *sim.Engine) *Store {
 	return &Store{
 		eng:       eng,
-		root:      &node{children: make(map[string]*node)},
+		root:      &node{},
 		OpLatency: 30 * sim.Microsecond,
 		Quota:     1000,
 		owned:     make(map[DomID]int),
@@ -77,38 +100,56 @@ func New(eng *sim.Engine) *Store {
 // Ops returns the number of store operations performed.
 func (s *Store) Ops() uint64 { return s.ops }
 
-func splitPath(path string) []string {
-	parts := strings.Split(path, "/")
-	out := parts[:0]
-	for _, p := range parts {
-		if p != "" {
-			out = append(out, p)
-		}
+// nextSeg returns the first non-empty segment of path and what follows it;
+// seg is "" once the path is exhausted. Walking a path this way allocates
+// nothing and skips empty segments, so "a//b/" and "/a/b" name one node.
+func nextSeg(path string) (seg, rest string) {
+	for len(path) > 0 && path[0] == '/' {
+		path = path[1:]
 	}
-	return out
+	if i := strings.IndexByte(path, '/'); i >= 0 {
+		return path[:i], path[i+1:]
+	}
+	return path, ""
 }
 
-func normalize(path string) string { return "/" + strings.Join(splitPath(path), "/") }
+// normalize returns the canonical "/a/b" spelling of path; a path already
+// spelled that way is returned as is.
+func normalize(path string) string {
+	if path == "/" || (len(path) > 1 && path[0] == '/' && path[len(path)-1] != '/' && !strings.Contains(path, "//")) {
+		return path
+	}
+	var b strings.Builder
+	for seg, rest := nextSeg(path); seg != ""; seg, rest = nextSeg(rest) {
+		b.WriteByte('/')
+		b.WriteString(seg)
+	}
+	if b.Len() == 0 {
+		return "/"
+	}
+	return b.String()
+}
 
 func (s *Store) lookup(path string) *node {
 	n := s.root
-	for _, part := range splitPath(path) {
-		child := n.children[part]
-		if child == nil {
+	for seg, rest := nextSeg(path); seg != ""; seg, rest = nextSeg(rest) {
+		if n = n.children[seg]; n == nil {
 			return nil
 		}
-		n = child
 	}
 	return n
 }
 
 func (s *Store) ensure(path string) *node {
 	n := s.root
-	for _, part := range splitPath(path) {
-		child := n.children[part]
+	for seg, rest := nextSeg(path); seg != ""; seg, rest = nextSeg(rest) {
+		child := n.children[seg]
 		if child == nil {
-			child = &node{children: make(map[string]*node)}
-			n.children[part] = child
+			if n.children == nil {
+				n.children = make(map[string]*node)
+			}
+			child = &node{}
+			n.children[seg] = child
 		}
 		n = child
 	}
@@ -147,11 +188,8 @@ func (s *Store) ReadInt(path string) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	var out int64
-	if _, err := fmt.Sscanf(v, "%d", &out); err != nil {
-		return 0, false
-	}
-	return out, true
+	out, err := strconv.ParseInt(v, 10, 64)
+	return out, err == nil
 }
 
 // Mkdir creates an empty directory node.
@@ -169,20 +207,18 @@ func (s *Store) Exists(path string) bool { return s.lookup(path) != nil }
 // as in xenstored.
 func (s *Store) Remove(path string) error {
 	s.ops++
-	parts := splitPath(path)
-	if len(parts) == 0 {
-		return fmt.Errorf("xenstore: refusing to remove root")
-	}
-	parent := s.root
-	for _, part := range parts[:len(parts)-1] {
-		parent = parent.children[part]
-		if parent == nil {
+	var parent *node
+	var leaf string
+	n := s.root
+	for seg, rest := nextSeg(path); seg != ""; seg, rest = nextSeg(rest) {
+		child := n.children[seg]
+		if child == nil {
 			return fmt.Errorf("xenstore: remove of missing path %s", path)
 		}
+		parent, n, leaf = n, child, seg
 	}
-	leaf := parts[len(parts)-1]
-	if parent.children[leaf] == nil {
-		return fmt.Errorf("xenstore: remove of missing path %s", path)
+	if parent == nil {
+		return fmt.Errorf("xenstore: refusing to remove root")
 	}
 	delete(parent.children, leaf)
 	s.version++
@@ -198,7 +234,7 @@ func (s *Store) List(path string) []string {
 		return nil
 	}
 	out := make([]string, 0, len(n.children))
-	for name := range n.children {
+	for name := range n.children { //kite:orderok names are sorted before return
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -208,32 +244,94 @@ func (s *Store) List(path string) []string {
 // Watch registers fn for changes at or below path. As xenstored does, the
 // watch fires once immediately upon registration.
 func (s *Store) Watch(path, token string, fn func(path, token string)) *Watch {
-	w := &Watch{path: normalize(path), token: token, fn: fn, store: s}
-	s.watches = append(s.watches, w)
+	at := &s.watchRoot
+	for seg, rest := nextSeg(path); seg != ""; seg, rest = nextSeg(rest) {
+		child := at.children[seg]
+		if child == nil {
+			if at.children == nil {
+				at.children = make(map[string]*watchNode)
+			}
+			child = &watchNode{parent: at, name: seg}
+			at.children[seg] = child
+		}
+		at = child
+	}
+	s.watchSeq++
+	w := &Watch{path: normalize(path), token: token, fn: fn, store: s, at: at, seq: s.watchSeq}
+	at.watches = append(at.watches, w)
 	s.fire(w, w.path)
 	return w
 }
 
-// Unwatch removes a watch; in-flight callbacks are suppressed.
+// Unwatch removes a watch; in-flight callbacks are suppressed. Index nodes
+// left with neither watches nor children are pruned, so the trie never
+// outgrows the live watch set.
 func (s *Store) Unwatch(w *Watch) {
+	if w.dead {
+		return
+	}
 	w.dead = true
-	for i, x := range s.watches {
+	at := w.at
+	for i, x := range at.watches {
 		if x == w {
-			s.watches = append(s.watches[:i], s.watches[i+1:]...)
-			return
+			at.watches = append(at.watches[:i], at.watches[i+1:]...)
+			break
 		}
+	}
+	for at.parent != nil && len(at.watches) == 0 && len(at.children) == 0 {
+		delete(at.parent.children, at.name)
+		at = at.parent
 	}
 }
 
 // Fires returns how many times the watch callback actually ran.
 func (w *Watch) Fires() uint64 { return w.fires }
 
+// fireWatches fires every watch at, above or below the changed path, in
+// registration order. Cost is O(depth + hits): the descent collects the
+// watches on each ancestor-or-self node, then the subtree under the changed
+// path (a removed or rewritten directory takes its watchers with it) is
+// collected whole. Registration order is what a flat list would give, and it
+// fixes the order of the eng.After calls — hence every fire's tie-break seq.
 func (s *Store) fireWatches(changed string) {
-	for _, w := range s.watches {
-		if pathWithin(changed, w.path) || pathWithin(w.path, changed) {
-			s.fire(w, changed)
+	hits := s.hits[:0]
+	at := &s.watchRoot
+	for seg, rest := nextSeg(changed); ; seg, rest = nextSeg(rest) {
+		s.trieVisits++
+		hits = append(hits, at.watches...)
+		if seg == "" {
+			hits = s.collectBelow(at, hits)
+			break
+		}
+		if at = at.children[seg]; at == nil {
+			break
 		}
 	}
+	// Insertion sort: each node's watches are already in order and hits are
+	// few, so this is near-linear and allocates nothing.
+	for i := 1; i < len(hits); i++ {
+		w := hits[i]
+		j := i
+		for ; j > 0 && hits[j-1].seq > w.seq; j-- {
+			hits[j] = hits[j-1]
+		}
+		hits[j] = w
+	}
+	for _, w := range hits {
+		s.fire(w, changed)
+	}
+	clear(hits)
+	s.hits = hits[:0]
+}
+
+// collectBelow appends every watch registered strictly beneath at.
+func (s *Store) collectBelow(at *watchNode, hits []*Watch) []*Watch {
+	for _, child := range at.children { //kite:orderok fireWatches sorts the hits by registration seq before firing
+		s.trieVisits++
+		hits = append(hits, child.watches...)
+		hits = s.collectBelow(child, hits)
+	}
+	return hits
 }
 
 func (s *Store) fire(w *Watch, path string) {
@@ -246,17 +344,6 @@ func (s *Store) fire(w *Watch, path string) {
 		w.fires++
 		w.fn(path, w.token)
 	})
-}
-
-// pathWithin reports whether p is equal to or beneath prefix.
-func pathWithin(p, prefix string) bool {
-	if p == prefix {
-		return true
-	}
-	if prefix == "/" {
-		return true
-	}
-	return strings.HasPrefix(p, prefix+"/")
 }
 
 // SetPerms sets the owner and (optionally) restricted reader set of a
@@ -324,8 +411,8 @@ func (s *Store) permsFor(path string) (DomID, map[DomID]bool) {
 	n := s.root
 	var owner DomID
 	var readers map[DomID]bool
-	for _, part := range splitPath(path) {
-		n = n.children[part]
+	for seg, rest := nextSeg(path); seg != ""; seg, rest = nextSeg(rest) {
+		n = n.children[seg]
 		if n == nil {
 			break
 		}

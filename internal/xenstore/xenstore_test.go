@@ -340,3 +340,37 @@ func TestQuotaEnforced(t *testing.T) {
 		t.Fatalf("write after release failed: %v", err)
 	}
 }
+
+// TestTxnConflictNamesAFixedPath: with several conflicting paths, the one
+// the error names follows from the transaction, not from map iteration.
+func TestTxnConflictNamesAFixedPath(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		_, s := newStore()
+		for _, p := range []string{"/r/d", "/r/b", "/r/c", "/r/a"} {
+			s.Write(p, "1")
+		}
+		txn := s.Begin()
+		for _, p := range []string{"/r/d", "/r/b", "/r/c", "/r/a"} {
+			txn.Read(p)
+		}
+		for _, p := range []string{"/r/d", "/r/b", "/r/c", "/r/a"} {
+			s.Write(p, "2")
+		}
+		err := txn.Commit()
+		if err == nil || !strings.HasSuffix(err.Error(), " /r/a") {
+			t.Fatalf("round %d: read conflict = %v, want the first path in sorted order (/r/a)", round, err)
+		}
+
+		txn = s.Begin()
+		for _, p := range []string{"/w/d", "/w/b", "/w/c"} {
+			txn.Write(p, "mine")
+		}
+		for _, p := range []string{"/w/b", "/w/c", "/w/d"} {
+			s.Write(p, "theirs")
+		}
+		err = txn.Commit()
+		if err == nil || !strings.HasSuffix(err.Error(), " /w/d") {
+			t.Fatalf("round %d: write conflict = %v, want the first path written (/w/d)", round, err)
+		}
+	}
+}
