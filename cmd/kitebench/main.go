@@ -130,6 +130,9 @@ func main() {
 		mq := experiments.MQSummary(scale, *queues, *cores)
 		fmt.Println(mq.String())
 		fmt.Println(mq.ShardLine())
+		// Where the windows ran is a fact about this host, not about the
+		// timeline: stderr only, so stdout stays diffable.
+		fmt.Fprintf(os.Stderr, "kitebench: mq dispatch (-cores %d): %s\n", *cores, mq.Dispatch)
 	}
 	if *guests > 0 {
 		// The fleet workload: N single-queue tenants served by one network
@@ -139,6 +142,7 @@ func main() {
 		fl := experiments.FleetSummary(scale, *guests, *cores)
 		fmt.Println(fl.String())
 		fmt.Println(fl.ShardLine())
+		fmt.Fprintf(os.Stderr, "kitebench: fleet dispatch (-cores %d): %s\n", *cores, fl.Dispatch)
 	}
 	fmt.Printf("kitebench: %d experiments, %d simulation events in %.2fs wall (%.2fM events/sec)\n",
 		len(results), events, elapsed.Seconds(),

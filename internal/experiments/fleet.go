@@ -52,6 +52,9 @@ type FleetStats struct {
 	Shards  int
 	Windows uint64
 	Posts   uint64
+
+	// Dispatch is host-dependent and stays out of String and ShardLine.
+	Dispatch Dispatch
 }
 
 // String renders the summary lines exactly as kitebench prints them.
@@ -269,6 +272,7 @@ func FleetSummary(s Scale, guests, cores int) FleetStats {
 	}
 	f.Windows = sys.Cluster.Windows()
 	f.Posts = sys.Cluster.Posted()
+	f.Dispatch = dispatchOf(sys.Cluster)
 	return f
 }
 

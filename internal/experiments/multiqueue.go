@@ -6,7 +6,35 @@ import (
 	"kite/internal/core"
 	"kite/internal/metrics"
 	"kite/internal/netstack"
+	"kite/internal/sim"
 )
+
+// Dispatch records where a cluster's windows ran on this host: how many
+// went to the worker goroutines and what the dispatcher's last probe
+// measured for each way of running them. Unlike every other figure in
+// MQStats and FleetStats these are facts about the host, different on
+// every run: they are reported on stderr and appear in neither String nor
+// ShardLine, the lines CI diffs across -parallel x -cores.
+type Dispatch struct {
+	Windows   uint64  // windows run through the window engine
+	Parallel  uint64  // of those, handed to worker goroutines
+	InlineNs  float64 // last probe: host ns per event, windows run inline
+	WorkersNs float64 // last probe: host ns per event, windows on workers
+}
+
+func dispatchOf(c *sim.Cluster) Dispatch {
+	d := Dispatch{Windows: c.Windows(), Parallel: c.ParallelWindows()}
+	d.InlineNs, d.WorkersNs = c.ProbeNsPerEvent()
+	return d
+}
+
+func (d Dispatch) String() string {
+	s := fmt.Sprintf("%d of %d windows went to worker goroutines", d.Parallel, d.Windows)
+	if d.InlineNs == 0 && d.WorkersNs == 0 {
+		return s + " (run too short for a probe round: windows run inline until one completes)"
+	}
+	return s + fmt.Sprintf("; last probe %.0f ns/event inline, %.0f ns/event on workers", d.InlineNs, d.WorkersNs)
+}
 
 // MQStats summarizes the deterministic multi-queue workload behind
 // kitebench's -queues flag. Every figure is queue-invariant by
@@ -44,6 +72,9 @@ type MQStats struct {
 	// an execution-order-free property of the event timeline, identical at
 	// any worker count and GOMAXPROCS.
 	ShardEvents []uint64
+
+	// Dispatch is host-dependent and stays out of String and ShardLine.
+	Dispatch Dispatch
 }
 
 // String renders the two summary lines exactly as kitebench prints them.
@@ -199,6 +230,7 @@ func MQSummary(s Scale, queues, cores int) MQStats {
 		m.Windows = c.Windows()
 		m.Fused = c.Fused()
 		m.Posts = c.Posted()
+		m.Dispatch = dispatchOf(c)
 		for i := 0; i < c.Shards(); i++ {
 			m.ShardEvents = append(m.ShardEvents, c.Shard(i).ProcessedLocal())
 		}

@@ -26,8 +26,9 @@
 //	                        func doc)  whole function, states its side of
 //	                                   the shard-ownership protocol
 //	//kite:synccore <why>  (func doc)  barrier/worker machinery exempt from
-//	                                   atomicscope: synchronization is its
-//	                                   job
+//	                                   atomicscope (synchronization is its
+//	                                   job) and allowed simdet's two clock
+//	                                   reads, time.Now and time.Since
 //
 // A line directive covers the line it sits on, or — when written on its
 // own line — the line directly below it.

@@ -22,6 +22,12 @@ import (
 // nothing mid-window; the barrier merge totally orders cross-shard posts).
 // sync/atomic stays exempt — commutative counter adds are order-blind.
 //
+// One clock escape exists: time.Now and time.Since inside a function whose
+// doc comment carries //kite:synccore. The synchronization core already
+// decides which goroutine runs what, which no timeline can observe; timing
+// that choice is the same kind of act. One function over, the read is
+// flagged as before.
+//
 // The directive lives in the package doc rather than in the analyzer so
 // the contract is visible where the code is; the clean-tree meta-test
 // asserts that internal/sim, internal/core, and internal/experiments all
@@ -39,6 +45,10 @@ var wallClockFuncs = map[string]bool{
 	"Sleep": true, "After": true, "Tick": true, "NewTicker": true, "NewTimer": true, "AfterFunc": true,
 }
 
+// hostTimingFuncs are the clock reads a //kite:synccore function may make:
+// enough to time a stretch of host execution, nothing that waits.
+var hostTimingFuncs = map[string]bool{"Now": true, "Since": true}
+
 func runSimdet(pass *analysis.Pass) error {
 	if !pkgDirective(pass.Pkg, "deterministic") {
 		return nil
@@ -47,8 +57,14 @@ func runSimdet(pass *analysis.Pass) error {
 	dirs := newDirectiveIndex(pass.Pkg)
 
 	for _, f := range pass.Pkg.Files {
+		var synccore *ast.FuncDecl // the //kite:synccore declaration being walked, if any
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch e := n.(type) {
+			case *ast.FuncDecl:
+				synccore = nil
+				if funcDirective(e, "synccore") {
+					synccore = e
+				}
 			case *ast.SelectorExpr:
 				pkgName, ok := pkgOf(info, e)
 				if !ok {
@@ -56,6 +72,9 @@ func runSimdet(pass *analysis.Pass) error {
 				}
 				switch pkgName {
 				case "time":
+					if hostTimingFuncs[e.Sel.Name] && synccore != nil && e.Pos() < synccore.End() {
+						return true
+					}
 					if wallClockFuncs[e.Sel.Name] {
 						pass.Reportf(e.Pos(), "simdet: time.%s reads the wall clock; use the sim.Engine virtual clock", e.Sel.Name)
 					}

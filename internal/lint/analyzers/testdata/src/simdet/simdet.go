@@ -85,3 +85,30 @@ func runParked(w *parkedWorker, wg *sync.WaitGroup, body func()) {
 		}
 	}()
 }
+
+// timedDispatch mirrors the cluster's window dispatcher: the
+// synchronization core may time a stretch of host execution to pick which
+// goroutine runs the next window, because that choice never reaches the
+// timeline.
+//
+//kite:synccore test fixture: host timing confined to the dispatch decision
+func timedDispatch(run func()) time.Duration {
+	start := time.Now()
+	run()
+	return time.Since(start)
+}
+
+// The escape covers clock reads only — nothing that waits on the clock.
+//
+//kite:synccore test fixture: sleeping is not timing
+func sleepyDispatch() {
+	time.Sleep(time.Millisecond) // want `reads the wall clock`
+}
+
+// One function over, the same read is flagged: the directive does not leak
+// to neighbours or callers.
+func timedShardCode(run func()) time.Duration {
+	start := time.Now() // want `reads the wall clock`
+	run()
+	return time.Since(start) // want `reads the wall clock`
+}

@@ -15,14 +15,17 @@ import (
 // and PriRelease fan-out posts so data posts, barrier-executed releases,
 // free sprints, and fused windows all occur. With declareEdges the same
 // traffic runs under a per-edge lookahead matrix instead of the uniform
-// fallback.
-func barrierStressSummary(t *testing.T, workers int, declareEdges bool) string {
+// fallback. pin overrides the window dispatcher (pinNone leaves it
+// measuring); the summary holds timeline facts only, so it may not depend
+// on it.
+func barrierStressSummary(t *testing.T, workers int, declareEdges bool, pin uint8) string {
 	t.Helper()
 	const (
 		shards = 8
 		maxHop = 400
 	)
 	c := NewCluster(shards, 1, 0xadbeef)
+	c.disp.pin = pin
 	if declareEdges {
 		for i := 0; i < shards; i++ {
 			c.DeclareEdge(i, (i+1)%shards, 1)
@@ -70,6 +73,12 @@ func barrierStressSummary(t *testing.T, workers int, declareEdges bool) string {
 	c.SetWorkers(workers)
 	c.Run()
 	c.SetWorkers(1) // retire workers before the cluster goes out of scope
+	switch par := c.ParallelWindows(); {
+	case (workers == 1 || pin == pinInline) && par != 0:
+		t.Errorf("workers=%d pin=%d: %d windows went to workers, want none", workers, pin, par)
+	case workers > 1 && (pin == pinWorkers || pin == pinFlip) && par == 0:
+		t.Errorf("workers=%d pin=%d: no window went to workers", workers, pin)
+	}
 
 	var sum strings.Builder
 	fmt.Fprintf(&sum, "events=%d windows=%d fused=%d posts=%d\n",
@@ -90,7 +99,11 @@ func barrierStressSummary(t *testing.T, workers int, declareEdges bool) string {
 // same per-shard traces. Run under -race by `make verify`, this is the
 // regression witness for the parked-worker epoch barrier — any mid-window
 // sharing or window-boundary reordering shows up as a trace diff or a
-// race report.
+// race report. The dispatcher is blind to all of it: left measuring, pinned
+// inline, pinned to the workers, or flipping every window, the summary is
+// the same bytes — and the pinned runs keep the worker path under the race
+// detector on every run, whatever the dispatcher would have measured on
+// this host.
 func TestBarrierStressAdversarial(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
@@ -99,15 +112,17 @@ func TestBarrierStressAdversarial(t *testing.T) {
 		if declare {
 			name = "edge-matrix"
 		}
-		serial := barrierStressSummary(t, 1, declare)
+		serial := barrierStressSummary(t, 1, declare, pinNone)
 		if !strings.Contains(serial, "events=") || len(serial) < 1000 {
 			t.Fatalf("%s: implausibly small serial summary:\n%s", name, serial)
 		}
 		for _, workers := range []int{2, 8} {
-			par := barrierStressSummary(t, workers, declare)
-			if par != serial {
-				t.Errorf("%s: workers=%d summary differs from serial run\n--- serial head ---\n%.400s\n--- workers=%d head ---\n%.400s",
-					name, workers, serial, workers, par)
+			for _, pin := range []uint8{pinNone, pinInline, pinWorkers, pinFlip} {
+				par := barrierStressSummary(t, workers, declare, pin)
+				if par != serial {
+					t.Errorf("%s: workers=%d pin=%d summary differs from serial run\n--- serial head ---\n%.400s\n--- workers=%d head ---\n%.400s",
+						name, workers, pin, serial, workers, par)
+				}
 			}
 		}
 	}

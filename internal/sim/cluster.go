@@ -37,7 +37,11 @@ package sim
 // race detector. With SetWorkers(n > 1) the cluster keeps one persistent
 // goroutine per shard range, parked between windows: the per-window cost is
 // an atomic epoch publish and (only when a worker went to sleep) a channel
-// token, instead of goroutine creation + scheduler wakeup per window.
+// token, instead of goroutine creation + scheduler wakeup per window. n is a
+// bound, not a promise: handing a window to another core moves the shards'
+// working set there too, which on many hosts costs more than the overlap
+// buys, so the cluster times both ways of running a window and uses the
+// cheaper one (see dispatcher).
 //
 // Each shard also owns a partitioned RNG (splitmix-derived from the cluster
 // seed and the shard index), so stochastic elements bound to a shard draw
@@ -48,6 +52,7 @@ import (
 	"runtime"
 	"sync"        //kite:shardsafe WaitGroup only joins retiring barrier workers between windows
 	"sync/atomic" //kite:shardsafe epoch/pending publication at the window barrier only
+	"time"
 )
 
 // Cross-shard post priorities: at an equal timestamp, lower runs first.
@@ -138,9 +143,18 @@ type Cluster struct {
 	dist      []Time
 	edgeDirty bool // closure needs recomputing before the next window
 
-	windows uint64 // execution windows run
-	fused   uint64 // windows whose barrier staged nothing (no merge work)
-	posted  uint64 // cross-shard posts merged
+	windows  uint64 // execution windows run
+	fused    uint64 // windows whose barrier staged nothing (no merge work)
+	posted   uint64 // cross-shard posts merged
+	parallel uint64 // windows that went to the persistent workers
+
+	// Merge scratch, recycled across barriers: one run header per source
+	// shard plus one for the displaced inbox tail, and the buffer that tail
+	// moves through.
+	runs    [][]postRec
+	scratch []postRec
+
+	disp dispatcher
 
 	// Window scratch, written by the driving goroutine before each epoch
 	// publish and read-only while shard goroutines run.
@@ -179,7 +193,9 @@ func NewCluster(n int, lookahead Time, seed uint64) *Cluster {
 		workers:   1,
 		nexts:     make([]Time, n),
 		horizons:  make([]Time, n),
+		runs:      make([][]postRec, 0, n+1),
 	}
+	c.disp.reset()
 	for i := 0; i < n; i++ {
 		e := NewEngine()
 		e.cluster = c
@@ -221,6 +237,20 @@ func (c *Cluster) Fused() uint64 { return c.fused }
 
 // Posted returns how many cross-shard posts have been merged.
 func (c *Cluster) Posted() uint64 { return c.posted }
+
+// ParallelWindows returns how many windows were handed to the persistent
+// workers; the rest ran on the driving goroutine. Unlike Windows, Fused and
+// Posted this is a fact about the host, not about the timeline: it varies
+// from run to run and must stay out of anything compared across runs.
+func (c *Cluster) ParallelWindows() uint64 { return c.parallel }
+
+// ProbeNsPerEvent returns the host nanoseconds per executed event the last
+// completed probe measured with windows run inline and with windows handed
+// to the workers (zero before the first probe). Host-dependent, like
+// ParallelWindows.
+func (c *Cluster) ProbeNsPerEvent() (inline, workers float64) {
+	return c.disp.perEvent[dispInline], c.disp.perEvent[dispWorkers]
+}
 
 // DeclareEdge declares that posts from shard src to shard dst always carry
 // a delay of at least min (a physical link/device latency, never below the
@@ -315,13 +345,18 @@ func (c *Cluster) refreshEdges() {
 // SetWorkers bounds the goroutines used per window. n <= 1 executes shards
 // serially in shard order (and retires any parked workers); higher values
 // partition the shards across n-1 persistent worker goroutines plus the
-// driving goroutine. The event timeline is identical either way.
+// driving goroutine, which the cluster uses for a window only while doing so
+// measures cheaper than running it inline. The event timeline is identical
+// either way.
 func (c *Cluster) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
 	}
 	if n > len(c.shards) {
 		n = len(c.shards)
+	}
+	if n != c.workers {
+		c.disp.reset() // a different partition has different costs
 	}
 	c.workers = n
 	if n <= 1 {
@@ -446,21 +481,60 @@ func (c *Cluster) runShardRange(lo, hi int) {
 	}
 }
 
-// runWindowShards executes the current window on every shard — inline when
-// serial, via the persistent workers when parallel. On return every shard's
-// windowDone is visible to the driving goroutine.
+// rangeActive reports whether any shard in [lo, hi) has work this window.
+func (c *Cluster) rangeActive(lo, hi int) bool {
+	for _, h := range c.horizons[lo:hi] {
+		if h != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// runWindowShards executes the current window on every shard: inline on the
+// driving goroutine when serial, when the dispatcher's current block runs
+// inline, or when every active shard sits in one worker's range (nothing
+// to overlap); otherwise through the persistent workers, waking only those
+// whose range has an active shard — the driving goroutine zeroes windowDone
+// for the ranges it leaves asleep, since nobody else will. On return every
+// shard's windowDone is this window's count and visible to the driving
+// goroutine.
 //
 //kite:synccore window dispatch: epoch publish, wake tokens, and the done-channel join
 func (c *Cluster) runWindowShards() {
 	n := len(c.shards)
-	if c.workers <= 1 || n == 1 {
+	if c.workers <= 1 || n == 1 || !c.disp.useWorkers(c.windows) {
 		c.runShardRange(0, n)
 		return
 	}
 	c.ensureWorkers()
-	c.epoch++
-	c.pending.Store(int32(len(c.ws)))
+	busy, woken := 0, 0
+	if c.rangeActive(0, c.mainHi) {
+		busy++
+	}
 	for _, w := range c.ws {
+		if c.rangeActive(w.lo, w.hi) {
+			busy++
+			woken++
+		}
+	}
+	if busy < 2 {
+		c.runShardRange(0, n)
+		return
+	}
+	c.parallel++
+	c.epoch++
+	c.pending.Store(int32(woken))
+	for _, w := range c.ws {
+		if !c.rangeActive(w.lo, w.hi) {
+			// Not woken, so no runShardRange will reset these, and runLoop
+			// sums windowDone over every shard. The worker is idle: its
+			// last window was joined through doneCh.
+			for _, s := range c.shards[w.lo:w.hi] {
+				s.windowDone = 0
+			}
+			continue
+		}
 		w.epoch.Store(c.epoch)
 		select {
 		case w.wake <- struct{}{}:
@@ -469,6 +543,183 @@ func (c *Cluster) runWindowShards() {
 	}
 	c.runShardRange(0, c.mainHi)
 	<-c.doneCh
+}
+
+// Window dispatch modes: who executes a window's shards.
+const (
+	dispInline  = 0 // the driving goroutine, in shard order
+	dispWorkers = 1 // the persistent workers, one shard range each
+)
+
+// The dispatcher alternates probe rounds and exploit blocks, all counted in
+// windows. The sizes come from logging every round of the two cluster
+// workloads of the repository benchmark on the 2-vCPU reference box
+// (DESIGN.md §12.7 has the table):
+const (
+	// probeWindows is the shortest probe whose verdict held still. On
+	// net_mq4 (a window is ~90 events, ~26 us) 32-window probes ranked the
+	// two modes the wrong way round in 7 % of rounds, with the cost ratio
+	// spread over 0.75-4.3 (5th-95th percentile); 128 windows (~3 ms, so a
+	// wake-up or a preemption is a few percent of it) did so in 1 round of
+	// 26 and 1 of 40, ratio 0.97-1.8; 512 never, at four times the price.
+	probeWindows = 128
+	// exploitWindows makes the dearer mode's probe 128/8448 = 1.5 % of the
+	// windows, so at the 1.3-1.5x it measures there the probing costs under
+	// 1 % of the run, and a round still comes by every 0.2 s on net_mq4
+	// (every 3 s on fleet_1024, whose windows are ~700 events).
+	exploitWindows = 8192
+	// flipRounds is the hysteresis: the mode in use is replaced only after
+	// the other one measured cheaper in this many consecutive rounds. One
+	// wrong round in 26-40 is what 128-window probes showed; two in a row
+	// never occurred.
+	flipRounds = 2
+)
+
+// Dispatcher phases, in the order a run goes through them.
+const (
+	phaseExploit = iota
+	phaseProbeInline
+	phaseProbeWorkers
+)
+
+// dispatcher decides, for a cluster allowed more than one goroutine, whether
+// windows run inline or go to the workers. It measures instead of guessing:
+// after every exploitWindows windows run in the mode in use — inline to
+// begin with — it times probeWindows windows in each mode, inline first
+// (merge included — the barrier pays for outboxes written on another
+// core), compares host nanoseconds per executed event, and changes the mode
+// in use once the other one has measured cheaper flipRounds rounds running.
+// The clock is read at the edges of a probe block and where runLoop is
+// entered or left inside one; an exploit block reads no clock at all.
+//
+// Nothing here can reach a shard: the mode only selects which goroutine
+// calls runShardRange, and every timeline is identical either way.
+type dispatcher struct {
+	mode   uint8 // mode of the current block
+	best   uint8 // mode exploit blocks run in
+	phase  uint8
+	losses int // consecutive rounds best measured dearer than the other mode
+	left   int // windows left in the current block
+
+	t0       int64      // clock at the start of the open timed stretch
+	ns       [2]int64   // per mode: host time accumulated in this round's probe
+	events   [2]uint64  // per mode: events executed in this round's probe
+	perEvent [2]float64 // per mode: ns per event from the last completed probe
+
+	base time.Time // origin of the monotonic readings
+	// Test hooks, zero outside tests: clock replaces the host clock, pin
+	// overrides the decision.
+	clock func() int64
+	pin   uint8
+}
+
+// Dispatcher pins (in-package tests only).
+const (
+	pinNone = iota
+	pinInline
+	pinWorkers
+	pinFlip // alternate every window
+)
+
+// reset starts over, as a new cluster or a new worker partition must: with an
+// inline exploit block, so the first probe round comes only once there is
+// enough of a run for it to be a percent of, and on a warm rig. A run under
+// exploitWindows windows spawns no worker, reads no clock and costs what
+// one goroutine costs. The probes cannot come first: while the workers
+// still park between windows a probe's 128 worker windows cost 1-2 ms, as
+// much as a whole 300-window run, and a cold rig's first inline probe
+// reads several times its warm cost. (Tests that need the worker path
+// regardless use pin.)
+func (d *dispatcher) reset() {
+	*d = dispatcher{
+		clock: d.clock, pin: d.pin,
+		mode: dispInline, phase: phaseExploit, left: exploitWindows,
+		best: dispInline,
+	}
+}
+
+// useWorkers reports whether the given window goes to the workers.
+func (d *dispatcher) useWorkers(window uint64) bool {
+	switch d.pin {
+	case pinInline:
+		return false
+	case pinWorkers:
+		return true
+	case pinFlip:
+		return window&1 == 0
+	}
+	return d.mode == dispWorkers
+}
+
+// hostNanos reads the host clock in nanoseconds from an arbitrary origin.
+//
+//kite:synccore the dispatcher's clock: host time picks which goroutine runs a window and never reaches a shard or the timeline
+func (d *dispatcher) hostNanos() int64 {
+	if d.clock != nil {
+		return d.clock()
+	}
+	if d.base == (time.Time{}) {
+		d.base = time.Now()
+	}
+	return int64(time.Since(d.base))
+}
+
+// enter and leave bracket one runLoop call, so a probe block that spans
+// several calls times only the stretches spent inside the cluster.
+func (d *dispatcher) enter() {
+	if d.phase != phaseExploit {
+		d.t0 = d.hostNanos()
+	}
+}
+
+func (d *dispatcher) leave() {
+	if d.phase != phaseExploit {
+		d.ns[d.mode] += d.hostNanos() - d.t0
+	}
+}
+
+// window accounts one finished window (barrier included) that executed done
+// events, and moves to the next block when the current one is used up.
+func (d *dispatcher) window(done uint64) {
+	if d.phase != phaseExploit {
+		d.events[d.mode] += done
+	}
+	if d.left--; d.left > 0 {
+		return
+	}
+	d.leave()
+	switch d.phase {
+	case phaseExploit:
+		d.ns, d.events = [2]int64{}, [2]uint64{}
+		d.phase, d.mode, d.left = phaseProbeInline, dispInline, probeWindows
+	case phaseProbeInline:
+		d.phase, d.mode, d.left = phaseProbeWorkers, dispWorkers, probeWindows
+	case phaseProbeWorkers:
+		d.decide()
+		d.phase, d.mode, d.left = phaseExploit, d.best, exploitWindows
+	}
+	d.enter()
+}
+
+// decide closes a probe round: best is replaced once it has measured dearer
+// in flipRounds consecutive rounds. A round in which either probe executed
+// no events has nothing to compare and changes nothing.
+func (d *dispatcher) decide() {
+	if d.events[dispInline] == 0 || d.events[dispWorkers] == 0 {
+		return
+	}
+	for m := range d.perEvent {
+		d.perEvent[m] = float64(d.ns[m]) / float64(d.events[m])
+	}
+	cheaper := uint8(dispInline)
+	if d.perEvent[dispWorkers] < d.perEvent[dispInline] {
+		cheaper = dispWorkers
+	}
+	if cheaper == d.best {
+		d.losses = 0
+	} else if d.losses++; d.losses == flipRounds {
+		d.best, d.losses = cheaper, 0
+	}
 }
 
 // computeHorizons snapshots every shard's next local event and derives the
@@ -547,6 +798,10 @@ func (c *Cluster) computeHorizons(limit Time) (Time, int) {
 //kite:hotpath
 func (c *Cluster) runLoop(limit Time, budget uint64) uint64 {
 	var total uint64
+	measured := c.workers > 1 && len(c.shards) > 1
+	if measured {
+		c.disp.enter()
+	}
 	for total < budget {
 		earliest, active := c.computeHorizons(limit)
 		if active == 0 || earliest >= limit {
@@ -572,21 +827,36 @@ func (c *Cluster) runLoop(limit Time, budget uint64) uint64 {
 				panic("sim: cluster window made no progress")
 			}
 		}
+		if measured {
+			c.disp.window(done)
+		}
+	}
+	if measured {
+		c.disp.leave()
 	}
 	return total
 }
 
 // merge is the deterministic barrier: every outbox drains into its
-// destination shard's inbox, and each inbox tail is re-sorted by the total
-// (timestamp, priority, source shard, source sequence) key. Keys are unique,
-// so the resulting order does not depend on which shard finished first.
-// Only called when at least one shard staged posts; source shards that
-// staged nothing are skipped wholesale, and runs of data posts are copied
-// with bulk appends (releases execute at the barrier itself, in the same
-// deterministic (dst, src, seq) visit order, and never become events).
+// destination shard's inbox in the total (timestamp, priority, source
+// shard, source sequence) order. Keys are unique, so the resulting order
+// does not depend on which shard finished first. Only called when at least
+// one shard staged posts; source shards that staged nothing are skipped
+// wholesale.
+//
+// Per destination the inbound posts form one sorted run per source: a
+// shard's clock only moves forward, so its outbox is out of order only
+// where two posts carried different delays, and sortRun fixes that in
+// place. Releases execute at the barrier itself, in the deterministic
+// (dst, src, seq) visit order, and never become events. The runs — plus
+// whatever part of the unconsumed inbox tail they interleave with — are
+// then k-way merged straight into the inbox: linear in the records moved,
+// where one insertion sort over the concatenated tail went quadratic as
+// soon as several sources interleaved. The merged order is the sorted
+// order because the key is total.
 func (c *Cluster) merge() {
 	for di, dst := range c.shards {
-		grew := false
+		runs := c.runs[:0]
 		for _, src := range c.shards {
 			if src.stagedPosts == 0 {
 				continue
@@ -595,51 +865,36 @@ func (c *Cluster) merge() {
 			if len(ob) == 0 {
 				continue
 			}
-			if !grew {
-				grew = true
-				// First inbound posts for this destination: recycle the
-				// consumed prefix. Consumed slots were already zeroed by
-				// stepLocal, so a fully drained inbox resets for free; a
-				// long partially-consumed prefix is compacted down.
-				if dst.inboxHead == len(dst.inbox) {
-					dst.inbox = dst.inbox[:0]
-					dst.inboxHead = 0
-				} else if dst.inboxHead >= 64 {
-					n := copy(dst.inbox, dst.inbox[dst.inboxHead:])
-					for i := n; i < len(dst.inbox); i++ {
-						dst.inbox[i] = postRec{} // drop fn/arg refs from vacated slots
-					}
-					dst.inbox = dst.inbox[:n]
-					dst.inboxHead = 0
-				}
-			}
-			start := -1
+			// Compact the data posts to the front of the outbox, running
+			// the resource returns as they are passed; no shard goroutine is
+			// live here, so touching the destination shard's free lists is
+			// race-free.
+			m := 0
 			for i := range ob {
 				p := &ob[i]
-				if p.pri != PriRelease {
-					if start < 0 {
-						start = i
-					}
+				if p.pri == PriRelease {
+					p.fn(p.arg)
 					continue
 				}
-				if start >= 0 {
-					dst.inbox = append(dst.inbox, ob[start:i]...) //kite:alloc-ok inbox grows to the burst high-water mark, then recycles
-					start = -1
+				if m != i {
+					ob[m] = *p
 				}
-				// Resource returns run at the barrier itself; no shard
-				// goroutine is live here, so touching the destination
-				// shard's free lists is race-free.
-				p.fn(p.arg)
+				m++
 			}
-			if start >= 0 {
-				dst.inbox = append(dst.inbox, ob[start:]...) //kite:alloc-ok inbox grows to the burst high-water mark, then recycles
+			if m > 0 {
+				sortRun(ob[:m])
+				runs = append(runs, ob[:m]) //kite:alloc-ok one header per source shard plus the inbox tail: capacity fixed at NewCluster
 			}
 			c.posted += uint64(len(ob))
-			clear(ob)
-			src.outbox[di] = ob[:0]
 		}
-		if grew {
-			sortPosts(dst.inbox[dst.inboxHead:])
+		if len(runs) > 0 {
+			c.mergeRuns(dst, runs)
+		}
+		for _, src := range c.shards {
+			if ob := src.outbox[di]; len(ob) != 0 {
+				clear(ob)
+				src.outbox[di] = ob[:0]
+			}
 		}
 	}
 	for _, s := range c.shards {
@@ -647,12 +902,75 @@ func (c *Cluster) merge() {
 	}
 }
 
-// sortPosts is an allocation-free insertion sort. Inboxes are short (a
-// window's worth of hand-offs) and largely sorted already, which is the
-// regime where insertion sort beats sort.Slice without its closure
-// allocation.
-func sortPosts(ps []postRec) {
+// mergeRuns merges the sorted runs (at least one, all non-empty) into dst's
+// inbox, keeping the inbox sorted from inboxHead on.
+func (c *Cluster) mergeRuns(dst *Engine, runs [][]postRec) {
+	// Recycle the consumed prefix. Consumed slots were already zeroed by
+	// stepLocal, so a fully drained inbox resets for free; a long
+	// partially-consumed prefix is compacted down.
+	if dst.inboxHead == len(dst.inbox) {
+		dst.inbox = dst.inbox[:0]
+		dst.inboxHead = 0
+	} else if dst.inboxHead >= 64 {
+		n := copy(dst.inbox, dst.inbox[dst.inboxHead:])
+		clear(dst.inbox[n:]) // drop fn/arg refs from vacated slots
+		dst.inbox = dst.inbox[:n]
+		dst.inboxHead = 0
+	}
+	in := dst.inbox
+	// Pending posts that sort after the earliest new one have to be
+	// interleaved: they move to the scratch buffer and join the merge as one
+	// more run. Usually there are none — new posts mature later than
+	// everything already queued.
+	first := &runs[0][0]
+	for i := 1; i < len(runs); i++ {
+		if runs[i][0].before(first) {
+			first = &runs[i][0]
+		}
+	}
+	tail := c.scratch[:0]
+	if n := len(in); n > dst.inboxHead && first.before(&in[n-1]) {
+		lo, hi := dst.inboxHead, n-1 // in[hi] sorts after first; find the first such slot
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if first.before(&in[mid]) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		tail = append(tail, in[lo:]...) //kite:alloc-ok scratch grows to the inbox high-water mark, then recycles
+		in = in[:lo]
+		runs = append(runs, tail) //kite:alloc-ok capacity fixed at NewCluster (shards + 1)
+	}
+	for k := len(runs); k > 1; {
+		best := 0
+		for i := 1; i < k; i++ {
+			if runs[i][0].before(&runs[best][0]) {
+				best = i
+			}
+		}
+		in = append(in, runs[best][0]) //kite:alloc-ok inbox grows to the burst high-water mark, then recycles
+		if runs[best] = runs[best][1:]; len(runs[best]) == 0 {
+			k--
+			runs[best] = runs[k]
+		}
+	}
+	dst.inbox = append(in, runs[0]...) //kite:alloc-ok inbox grows to the burst high-water mark, then recycles
+	clear(tail)
+	c.scratch = tail[:0]
+}
+
+// sortRun is an allocation-free insertion sort for one source shard's
+// posts to one destination: appended in clock order, so a record is out of
+// place only when a later post carried a shorter delay, and moves a few
+// slots at most. Across sources that claim does not hold; mergeRuns
+// interleaves those.
+func sortRun(ps []postRec) {
 	for i := 1; i < len(ps); i++ {
+		if !ps[i].before(&ps[i-1]) {
+			continue
+		}
 		p := ps[i]
 		j := i - 1
 		for j >= 0 && p.before(&ps[j]) {

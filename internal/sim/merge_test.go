@@ -1,0 +1,267 @@
+package sim
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+)
+
+// mergeHarness drives Cluster.merge directly with staged outboxes and holds
+// the reference model: per destination, every data post staged and not yet
+// consumed. After each barrier the inbox from inboxHead on must equal the
+// model fully sorted by postRec.before, and the releases the barrier ran
+// must have run in (dst, src, seq) order.
+type mergeHarness struct {
+	t       *testing.T
+	c       *Cluster
+	pending [][]postRec // per destination, unsorted
+	ran     []postRec   // handler log: key of each consumed data post
+	rels    [][3]uint64 // release log of the current barrier: dst, src, seq
+	staged  [][3]uint64 // releases staged since the last barrier
+}
+
+type mergeTag struct {
+	h   *mergeHarness
+	dst int
+	key postRec
+}
+
+func newMergeHarness(t *testing.T, shards int) *mergeHarness {
+	return &mergeHarness{t: t, c: NewCluster(shards, 1, 1), pending: make([][]postRec, shards)}
+}
+
+func onData(a any) {
+	tag := a.(*mergeTag)
+	tag.h.ran = append(tag.h.ran, tag.key)
+}
+
+func onRelease(a any) {
+	tag := a.(*mergeTag)
+	tag.h.rels = append(tag.h.rels, [3]uint64{uint64(tag.dst), uint64(tag.key.src), tag.key.seq})
+}
+
+// post stages one post the way a handler running on src at time now would.
+func (h *mergeHarness) post(src, dst int, now, delay Time, release bool) {
+	e := h.c.Shard(src)
+	if now > e.now {
+		e.now = now // a shard's clock only moves forward
+	}
+	tag := &mergeTag{h: h, dst: dst}
+	pri, fn := PriData, onData
+	if release {
+		pri, fn = PriRelease, onRelease
+	}
+	e.Post(h.c.Shard(dst), delay, pri, fn, tag)
+	tag.key = postRec{at: e.now + delay, pri: pri, src: uint16(src), seq: e.postSeq}
+	if release {
+		h.staged = append(h.staged, [3]uint64{uint64(dst), uint64(src), e.postSeq})
+	} else {
+		h.pending[dst] = append(h.pending[dst], tag.key)
+	}
+}
+
+func sameKey(a, b *postRec) bool {
+	return a.at == b.at && a.pri == b.pri && a.src == b.src && a.seq == b.seq
+}
+
+// barrier merges and checks every inbox against the model.
+func (h *mergeHarness) barrier() {
+	t := h.t
+	t.Helper()
+	h.rels = h.rels[:0]
+	var staged uint64
+	for _, s := range h.c.shards {
+		staged += s.stagedPosts
+	}
+	if staged != 0 { // runLoop's rule: an empty barrier is fused, never merged
+		h.c.merge()
+	}
+	for di, dst := range h.c.shards {
+		want := h.pending[di]
+		sort.Slice(want, func(i, j int) bool { return want[i].before(&want[j]) })
+		got := dst.inbox[dst.inboxHead:]
+		if len(got) != len(want) {
+			t.Fatalf("shard %d inbox holds %d posts, want %d", di, len(got), len(want))
+		}
+		for i := range want {
+			if !sameKey(&got[i], &want[i]) {
+				t.Fatalf("shard %d inbox[%d] = (at %d pri %d src %d seq %d), want (at %d pri %d src %d seq %d)",
+					di, i, got[i].at, got[i].pri, got[i].src, got[i].seq, want[i].at, want[i].pri, want[i].src, want[i].seq)
+			}
+		}
+		for i := 0; i < dst.inboxHead; i++ {
+			if dst.inbox[i].fn != nil || dst.inbox[i].arg != nil {
+				t.Fatalf("shard %d consumed inbox slot %d still holds a reference", di, i)
+			}
+		}
+		for si, src := range h.c.shards {
+			if len(src.outbox[di]) != 0 {
+				t.Fatalf("outbox %d->%d not drained", si, di)
+			}
+		}
+	}
+	sort.Slice(h.staged, func(i, j int) bool {
+		a, b := h.staged[i], h.staged[j]
+		if a[0] != b[0] {
+			return a[0] < b[0]
+		}
+		if a[1] != b[1] {
+			return a[1] < b[1]
+		}
+		return a[2] < b[2]
+	})
+	if fmt.Sprint(h.rels) != fmt.Sprint(h.staged) {
+		t.Fatalf("releases ran as (dst src seq) %v, want %v", h.rels, h.staged)
+	}
+	h.staged = h.staged[:0]
+}
+
+// consume runs up to n merged posts on dst through the real consumer and
+// checks they come off in model order.
+func (h *mergeHarness) consume(dst, n int) {
+	t := h.t
+	t.Helper()
+	e := h.c.Shard(dst)
+	want := h.pending[dst] // sorted by the last barrier
+	if n > len(want) {
+		n = len(want)
+	}
+	h.ran = h.ran[:0]
+	for i := 0; i < n; i++ {
+		if !e.stepLocal(timeMax) {
+			t.Fatalf("shard %d: inbox ran dry after %d of %d posts", dst, i, n)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if !sameKey(&h.ran[i], &want[i]) {
+			t.Fatalf("shard %d consumed post %d out of order", dst, i)
+		}
+	}
+	h.pending[dst] = append(want[:0], want[n:]...)
+}
+
+// runMergeProgram interprets prog as rounds of (posts..., barrier,
+// consumption). Byte layout per round: a post count, three bytes per post
+// (source and destination, clock advance and delay, flags), then one byte
+// saying how much of which inbox to consume.
+func runMergeProgram(t *testing.T, prog []byte) {
+	if len(prog) == 0 {
+		return
+	}
+	shards := 2 + int(prog[0])%5
+	h := newMergeHarness(t, shards)
+	now := Time(0)
+	for pc := 1; pc < len(prog); {
+		posts := int(prog[pc])
+		pc++
+		for i := 0; i < posts && pc+3 <= len(prog); i++ {
+			a, b, f := prog[pc], prog[pc+1], prog[pc+2]
+			pc += 3
+			src := int(a) % shards
+			dst := int(a>>4) % shards
+			if dst == src {
+				dst = (dst + 1) % shards
+			}
+			now += Time(b >> 6)              // 0..3: equal timestamps across sources are common
+			delay := 1 + Time(b&0x3f)>>(f&3) // varied delays put a source's own posts out of order
+			h.post(src, dst, now, delay, f&0x80 != 0)
+		}
+		h.barrier()
+		if pc < len(prog) {
+			k := prog[pc]
+			pc++
+			// Mostly shard 0, so its consumed prefix crosses the 64-slot
+			// compaction threshold in long programs.
+			dst := 0
+			if k&0x80 != 0 {
+				dst = int(k>>4) % shards
+			}
+			h.consume(dst, int(k&0x7f))
+		}
+	}
+	h.barrier()
+}
+
+// mergeSeeds are programs built to reach the barrier's corners; the fuzz
+// corpus in testdata/fuzz/FuzzMergeOrder holds further ones (a reversed
+// single source, all-equal timestamps, releases only, fuzzer finds).
+func mergeSeeds() [][]byte {
+	var seeds [][]byte
+	// Five sources interleaving at equal timestamps into shard 0, releases
+	// mixed in, then partial consumption on either side of 64 slots.
+	for _, eat := range []byte{10, 63, 64, 65, 100} {
+		p := []byte{3} // 5 shards
+		for round := 0; round < 3; round++ {
+			p = append(p, 120)
+			for i := 0; i < 120; i++ {
+				src := byte(1 + i%4)
+				flags := byte(i % 4)
+				if i%7 == 0 {
+					flags |= 0x80
+				}
+				p = append(p, src, byte(i*37), flags)
+			}
+			p = append(p, eat)
+		}
+		seeds = append(seeds, p)
+	}
+	// Pseudo-random programs.
+	r := NewRand(0x6d65726765)
+	for n := 0; n < 8; n++ {
+		p := make([]byte, 200+r.Intn(600))
+		for i := range p {
+			p[i] = byte(r.Uint64())
+		}
+		seeds = append(seeds, p)
+	}
+	return seeds
+}
+
+// TestMergeOrderProperty: whatever the sources staged and however much of
+// the inbox was already consumed, the barrier leaves each inbox exactly as
+// a full sort by postRec.before would, and runs releases in (dst, src, seq)
+// order.
+func TestMergeOrderProperty(t *testing.T) {
+	for i, p := range mergeSeeds() {
+		t.Run(fmt.Sprint(i), func(t *testing.T) { runMergeProgram(t, p) })
+	}
+	r := NewRand(99)
+	for n := 0; n < 200; n++ {
+		p := make([]byte, 1+r.Intn(1500))
+		for i := range p {
+			p[i] = byte(r.Uint64())
+		}
+		runMergeProgram(t, p)
+	}
+}
+
+// FuzzMergeOrder feeds arbitrary programs to the same harness.
+func FuzzMergeOrder(f *testing.F) {
+	for _, p := range mergeSeeds() {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 2048 {
+			prog = prog[:2048]
+		}
+		runMergeProgram(t, prog)
+	})
+}
+
+// TestSortRun: the per-source sort orders any run, including the reversed
+// one its "nearly sorted" expectation is worst at.
+func TestSortRun(t *testing.T) {
+	r := NewRand(5)
+	for n := 0; n < 100; n++ {
+		ps := make([]postRec, r.Intn(40))
+		for i := range ps {
+			ps[i] = postRec{at: Time(r.Intn(8)), pri: PriData, src: 1, seq: uint64(i + 1)}
+		}
+		sortRun(ps)
+		for i := 1; i < len(ps); i++ {
+			if !ps[i-1].before(&ps[i]) {
+				t.Fatalf("run not sorted at %d: %+v", i, ps)
+			}
+		}
+	}
+}
