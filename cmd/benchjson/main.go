@@ -24,9 +24,9 @@ type result struct {
 	SimBytesPerSec  float64 `json:"sim_bytes_per_sec,omitempty"`
 	// NsPerFrame is wall-clock nanoseconds per simulated frame (the
 	// benchmark's own ns/frame metric) — host-machine dependent.
-	NsPerFrame float64 `json:"ns_per_frame,omitempty"`
-	BytesPerOp int64   `json:"bytes_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
+	NsPerFrame  float64 `json:"ns_per_frame,omitempty"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
 	// ParallelSpeedup is the wall-clock ratio of this benchmark's
 	// /queues=1 family baseline to this entry: >1 means the sharded
 	// configuration finished the same wave faster than the serial one.
@@ -34,11 +34,17 @@ type result struct {
 	// NsPerGuestOp is the virtual (simulated) nanoseconds of driver-domain
 	// time one guest operation costs, derived from simframes/sec on
 	// /guests=N sweep entries. Virtual time is deterministic and identical
-	// on every host, so scaling gates compare this, not wall clock: wall
-	// ns/frame across fleet sizes mostly measures the host's cache
-	// hierarchy (a 1024-guest working set misses where 64 guests fit),
-	// which says nothing about the simulated data plane.
+	// on every host, so the scaling gate compares this; the wall ns/frame
+	// ratio across fleet sizes (what the per-tenant working set costs this
+	// program) is reported beside it and not gated yet.
 	NsPerGuestOp float64 `json:"ns_per_guest_op,omitempty"`
+	// PostsPerFrame and EventsPerFrame are the cluster posts and engine
+	// events one delivered frame cost (exact simulated counts);
+	// BytesPerTenant is the heap in use after set-up divided by the guest
+	// count. Reported by the fleet sweep.
+	PostsPerFrame  float64 `json:"posts_per_frame,omitempty"`
+	EventsPerFrame float64 `json:"events_per_frame,omitempty"`
+	BytesPerTenant float64 `json:"bytes_per_tenant,omitempty"`
 }
 
 // fillPerGuest derives ns_per_guest_op for fleet-sweep entries (/guests=N)
@@ -132,6 +138,12 @@ func main() {
 				r.SimBytesPerSec = v
 			case "ns/frame":
 				r.NsPerFrame = v
+			case "posts/frame":
+				r.PostsPerFrame = v
+			case "events/frame":
+				r.EventsPerFrame = v
+			case "B/tenant":
+				r.BytesPerTenant = v
 			case "B/op":
 				r.BytesPerOp = int64(v)
 			case "allocs/op":

@@ -239,7 +239,10 @@ func (b *Bridge) input(from Port, frame *framepool.Buf, at sim.Time, l *Lane) {
 	copy(src[:], pkt[6:12])
 
 	if src != netpkt.Broadcast {
-		if b.fdb.learn(src, from, b.eng.Now()) {
+		// Learn at the frame's own arrival, not the executing event's time:
+		// a carrier replays frames ahead of their stamps, and an entry's
+		// seen time must not depend on how its frame was carried.
+		if b.fdb.learn(src, from, max(at, b.eng.Now())) {
 			b.stats.Learned++
 		}
 	}

@@ -168,3 +168,59 @@ func TestForwardingChargesCPU(t *testing.T) {
 		t.Fatalf("bridge charged %v, want %v", cpus.CPU(0).BusyTotal(), b.PerFrameCost)
 	}
 }
+
+// TestFDBSeenIndependentOfCarriage: frames reach a lane either one event
+// each, or replayed from a carrier event that fires at the first frame's
+// arrival and runs the rest ahead of their stamps. An entry's last-seen
+// time — what aging later compares against — must be the frame's own
+// arrival either way, and delivery times with it.
+func TestFDBSeenIndependentOfCarriage(t *testing.T) {
+	const n = 8
+	arrival := func(i int) sim.Time { return sim.Time(10+3*i) * sim.Microsecond }
+	src := func(i int) netpkt.MAC { return netpkt.MAC{2, 0, 0, 0, 1, byte(i)} }
+
+	run := func(hauls [][]int) (seen [n]sim.Time, delivered int) {
+		eng, b, p1, p2, _ := newBridge()
+		b.Input(p1, frame(netpkt.Broadcast, macA, "hello")) // macA lives behind p1
+		eng.Run()
+		p1.got = nil
+		lane := b.NewLane(sim.NewCPUPool(eng, "fwd", 1).CPU(0))
+		for _, haul := range hauls {
+			haul := haul
+			eng.Schedule(arrival(haul[0]), func() {
+				for _, i := range haul {
+					lane.InputAt(p2, frame(macA, src(i), "x"), arrival(i))
+				}
+			})
+		}
+		eng.Run()
+		for i := range seen {
+			e := b.fdb.entryOf(src(i))
+			if e == nil {
+				t.Fatalf("source %d was never learned", i)
+			}
+			seen[i] = e.lastSeen
+		}
+		return seen, len(p1.got)
+	}
+
+	var oneHaul []int
+	var haulsOfOne [][]int
+	for i := 0; i < n; i++ {
+		oneHaul = append(oneHaul, i)
+		haulsOfOne = append(haulsOfOne, []int{i})
+	}
+	together, d1 := run([][]int{oneHaul})
+	apart, d2 := run(haulsOfOne)
+	if d1 != n || d2 != n {
+		t.Fatalf("delivered %d and %d of %d frames", d1, d2, n)
+	}
+	if together != apart {
+		t.Fatalf("seen times depend on carriage:\none haul of %d:  %v\n%d hauls of one: %v", n, together, n, apart)
+	}
+	for i, at := range together {
+		if at != arrival(i) {
+			t.Fatalf("source %d seen at %v, arrived at %v", i, at, arrival(i))
+		}
+	}
+}

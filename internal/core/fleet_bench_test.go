@@ -11,12 +11,18 @@ import (
 // BenchmarkFleet sweeps the tenant count of a fleet-mode network driver
 // domain: N single-queue guests share four DRR service lanes (one per
 // cluster shard), and every iteration pushes one frame per tenant
-// through its lane to the external client. Wall-clock time per wave
+// through its lane to the external client. Wall-clock time per frame
 // tracks how the shared-lane data plane scales with the fleet size:
-// lanes, demux bitmaps, and flow-table lookups are all O(1) per frame
-// (the residual growth is the event heap and window sync), and the
-// steady state allocates nothing at any scale. `make bench` snapshots
-// the sweep into BENCH_net.json next to the forward-path families.
+// lanes, demux bitmaps, and flow-table lookups are all O(1) per frame and
+// the steady state allocates nothing at any scale, yet wall ns/frame still
+// grows with the fleet, because every frame walks its own tenant's objects
+// (stack, netfront queue and granted pages, rings, VIF, event channels) and
+// a thousand tenants' worth of them do not fit a cache; it is not the event
+// heap and not window sync, which cost the same per frame at any size.
+// posts/frame and events/frame are the exact counts behind that (one round
+// per lane per wave, so they include 1/guests of a round's fixed cost);
+// B/tenant is what a tenant pins at set-up. `make bench` snapshots the
+// sweep into BENCH_net.json next to the forward-path families.
 func BenchmarkFleet(b *testing.B) {
 	for _, guests := range []int{16, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("guests=%d", guests), func(b *testing.B) {
@@ -26,6 +32,10 @@ func BenchmarkFleet(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			heapInuse := ms.HeapInuse
 			sys := rig.Testbed.System
 			if c := sys.Cluster; c != nil {
 				c.SetWorkers(min(c.Shards(), runtime.NumCPU()))
@@ -45,6 +55,7 @@ func BenchmarkFleet(b *testing.B) {
 			}
 			delivered = 0
 			simStart := eng.Now()
+			posts, events := sys.Cluster.Posted(), eng.Processed()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
@@ -58,6 +69,9 @@ func BenchmarkFleet(b *testing.B) {
 			simElapsed := (eng.Now() - simStart).Seconds()
 			b.ReportMetric(float64(b.N*guests)/simElapsed, "simframes/sec")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*guests), "ns/frame")
+			b.ReportMetric(float64(sys.Cluster.Posted()-posts)/float64(b.N*guests), "posts/frame")
+			b.ReportMetric(float64(eng.Processed()-events)/float64(b.N*guests), "events/frame")
+			b.ReportMetric(float64(heapInuse)/float64(guests), "B/tenant")
 		})
 	}
 }

@@ -52,6 +52,12 @@ type FleetStats struct {
 	Shards  int
 	Windows uint64
 	Posts   uint64
+	// What the delivery phase — one datagram per tenant each way, a wave
+	// at a time — cost the event core per datagram delivered: cross-shard
+	// posts and engine events, exact counts taken at window boundaries.
+	DeliveryFrames uint64
+	DeliveryPosts  uint64
+	DeliveryEvents uint64
 
 	// Dispatch is host-dependent and stays out of String and ShardLine.
 	Dispatch Dispatch
@@ -72,8 +78,9 @@ func (f FleetStats) String() string {
 // ShardLine renders the cluster counters (vary with the lane count, never
 // with -cores or GOMAXPROCS).
 func (f FleetStats) ShardLine() string {
-	return fmt.Sprintf("kitebench: fleet shards %d, %d windows, %d cross-shard posts",
-		f.Shards, f.Windows, f.Posts)
+	return fmt.Sprintf("kitebench: fleet shards %d, %d windows, %d cross-shard posts; delivery phase %.3f posts/frame, %.3f events/frame",
+		f.Shards, f.Windows, f.Posts,
+		float64(f.DeliveryPosts)/float64(f.DeliveryFrames), float64(f.DeliveryEvents)/float64(f.DeliveryFrames))
 }
 
 // fleetLanes is the service-lane count the kitebench fleet runs with.
@@ -154,6 +161,7 @@ func FleetSummary(s Scale, guests, cores int) FleetStats {
 		})
 	}
 	payload := make([]byte, 256)
+	posts, events := sys.Cluster.Posted(), sys.Eng.Processed()
 	for w := 0; w < waves; w++ {
 		for lo := 0; lo < guests; lo += fleetWave {
 			hi := lo + fleetWave
@@ -190,6 +198,10 @@ func FleetSummary(s Scale, guests, cores int) FleetStats {
 			}, 20_000_000)
 		}
 	}
+
+	f.DeliveryFrames = uint64(2 * waves * guests)
+	f.DeliveryPosts = sys.Cluster.Posted() - posts
+	f.DeliveryEvents = sys.Eng.Processed() - events
 
 	// --- Storage phase ---
 	buf := make([]byte, 4096)

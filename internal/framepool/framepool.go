@@ -45,10 +45,74 @@ type Buf struct {
 	//
 	//kite:shared
 	stageNext *Buf
-	off       int
-	end       int
-	refs      int
-	data      [Headroom + MaxFrame]byte
+	// next links the buffer on a Chain while a single owner holds it in
+	// transit; nil whenever the buffer is on none. At is that owner's stamp:
+	// the virtual time the frame takes effect at the far end. The pool reads
+	// neither.
+	next *Buf
+	At   sim.Time
+	off  int
+	end  int
+	refs int
+	data [Headroom + MaxFrame]byte
+}
+
+// Chain is an intrusive FIFO of buffers in transit, one reference per link,
+// in hand-off order. A burst of frames crosses a shard boundary as a chain —
+// Take detaches it, its head rides the post, Splice lands it — so the burst
+// travels as its own frames: no carrier object to fill, post back and
+// recycle, and a burst of one is just that frame. Like a Buf, a Chain
+// belongs to one shard at a time.
+type Chain struct{ head, tail *Buf }
+
+// Push links b at the tail, taking over the caller's reference. b must not
+// be on a chain already: linking it twice would fold the chain onto itself.
+//
+//kite:hotpath
+//kite:ringlink link
+func (c *Chain) Push(b *Buf) {
+	if c.tail == nil {
+		c.head = b
+	} else {
+		c.tail.next = b
+	}
+	c.tail = b
+}
+
+// Head returns the oldest buffer without unlinking it, nil when empty.
+func (c *Chain) Head() *Buf { return c.head }
+
+// Pop unlinks and returns the oldest buffer (with its reference), nil when
+// empty.
+//
+//kite:hotpath
+func (c *Chain) Pop() *Buf {
+	b := c.head
+	if b == nil {
+		return nil
+	}
+	if c.head, b.next = b.next, nil; c.head == nil {
+		c.tail = nil
+	}
+	return b
+}
+
+// Take empties the chain and returns its head with every link intact — the
+// form in which a chain crosses a shard boundary as one post argument — or
+// nil when there is nothing to send.
+func (c *Chain) Take() *Buf {
+	head := c.head
+	c.head, c.tail = nil, nil
+	return head
+}
+
+// Splice appends a chain detached by Take (or a single unlinked buffer)
+// behind whatever c already holds.
+func (c *Chain) Splice(head *Buf) {
+	c.Push(head)
+	for c.tail.next != nil {
+		c.tail = c.tail.next
+	}
 }
 
 // Bytes returns the live payload window.

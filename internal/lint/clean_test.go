@@ -40,7 +40,9 @@ func TestLintCleanTree(t *testing.T) {
 // analyzers (shardsafe, relpure, ringlink, atomicscope) and then pins the
 // escape-hatch annotations they hinge on: the barrier machinery must stay
 // declared //kite:synccore, the sanctioned cross-shard writers
-// //kite:shardok, and the intrusive ring operations //kite:ringlink.
+// //kite:shardok, and the intrusive ring operations //kite:ringlink; and
+// the carrier and magazine returns must still be sim.PriRelease posts, or
+// relpure has no handler left to prove pure.
 // Deleting an annotation either breaks the clean run (a finding appears)
 // or fails the pin below (the analyzer silently lost its anchor) — both
 // directions are covered.
@@ -93,10 +95,25 @@ func TestConcurrencyLintCleanTree(t *testing.T) {
 		{"kite/internal/blkback", "link"},
 		{"kite/internal/blkback", "unlink"},
 		{"kite/internal/framepool", "stageRemote"},
+		// The intrusive hand-off chain netfront's bursts travel as.
+		{"kite/internal/framepool", "Push"},
 	}
 	for _, r := range ringlink {
 		if !funcHasDirective(mod, r.pkg, r.fn, "//kite:ringlink") {
 			t.Errorf("%s.%s: no //kite:ringlink-annotated declaration found", r.pkg, r.fn)
+		}
+	}
+	// relpure starts from Engine.Post calls that name sim.PriRelease: the
+	// bridge carrier's way home (one per dedicated queue, one per fleet
+	// lane) and the framepool's staged and unstaged remote frees.
+	release := []struct{ pkg, fn string }{
+		{"kite/internal/netback", "inputBatch"},
+		{"kite/internal/framepool", "stageRemote"},
+		{"kite/internal/framepool", "ReleaseOn"},
+	}
+	for _, r := range release {
+		if !funcMentions(mod, r.pkg, r.fn, "PriRelease") {
+			t.Errorf("%s.%s: no longer posts at sim.PriRelease; relpure lost the handler it proved", r.pkg, r.fn)
 		}
 	}
 }
@@ -130,6 +147,7 @@ func TestHotPathCoverage(t *testing.T) {
 	}
 	roots := []struct{ pkg, fn string }{
 		{"kite/internal/netfront", "Send"},
+		{"kite/internal/netfront", "SendBatch"},
 		{"kite/internal/netfront", "onEvent"},
 		{"kite/internal/netback", "onEvent"},
 		{"kite/internal/netback", "Deliver"},
@@ -159,6 +177,8 @@ func TestHotPathCoverage(t *testing.T) {
 		{"kite/internal/timewheel", "Advance"},
 		{"kite/internal/timewheel", "link"},
 		{"kite/internal/framepool", "stageRemote"},
+		{"kite/internal/framepool", "Push"},
+		{"kite/internal/framepool", "Pop"},
 	}
 	for _, r := range roots {
 		if !funcHasDirective(mod, r.pkg, r.fn, "//kite:hotpath") {
@@ -186,27 +206,56 @@ func pkgHasDirective(mod *analysis.Module, path, directive string) bool {
 	return false
 }
 
-// funcHasDirective reports whether at least one declaration named fn in
-// the package carries the directive in its doc comment (method receivers
-// are not distinguished; any annotated declaration of that name counts).
-func funcHasDirective(mod *analysis.Module, path, fn, directive string) bool {
+// funcDecls returns every function declaration named fn in the package
+// (method receivers are not distinguished).
+func funcDecls(mod *analysis.Module, path, fn string) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
 	for _, pkg := range mod.Pkgs {
 		if pkg.Path != path {
 			continue
 		}
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
-				decl, ok := d.(*ast.FuncDecl)
-				if !ok || decl.Name.Name != fn || decl.Doc == nil {
-					continue
-				}
-				for _, c := range decl.Doc.List {
-					if strings.HasPrefix(c.Text, directive) {
-						return true
-					}
+				if decl, ok := d.(*ast.FuncDecl); ok && decl.Name.Name == fn {
+					out = append(out, decl)
 				}
 			}
 		}
 	}
+	return out
+}
+
+// funcHasDirective reports whether at least one declaration named fn in
+// the package carries the directive in its doc comment; any annotated
+// declaration of that name counts.
+func funcHasDirective(mod *analysis.Module, path, fn, directive string) bool {
+	for _, decl := range funcDecls(mod, path, fn) {
+		if decl.Doc == nil {
+			continue
+		}
+		for _, c := range decl.Doc.List {
+			if strings.HasPrefix(c.Text, directive) {
+				return true
+			}
+		}
+	}
 	return false
+}
+
+// funcMentions reports whether some declaration named fn in the package
+// uses the identifier name in its body.
+func funcMentions(mod *analysis.Module, path, fn, name string) bool {
+	found := false
+	for _, decl := range funcDecls(mod, path, fn) {
+		if decl.Body == nil {
+			continue
+		}
+		ast.Inspect(decl.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == name {
+				found = true
+			}
+			return !found
+		})
+	}
+	return found
 }

@@ -104,7 +104,7 @@ func (d *Driver) SetFleet(shards []*sim.Engine) {
 			fwd = d.dom.CPUs.Len() - 1
 		}
 		d.lanes[i] = NewServiceLane(i, d.dom, sh, d.dom.CPUs.CPU(i),
-			d.br, d.dom.CPUs.CPU(fwd), d.costs)
+			d.br, d.eng, d.dom.CPUs.CPU(fwd), d.costs, d.pool)
 	}
 }
 

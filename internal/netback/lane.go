@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kite/internal/bridge"
+	"kite/internal/framepool"
 	"kite/internal/sim"
 	"kite/internal/xen"
 )
@@ -41,11 +42,13 @@ type ServiceLane struct {
 	id  int
 	eng *sim.Engine // the lane's cluster shard
 	cpu *sim.CPU    // the backend worker vCPU
-	// brLane is the lane's pinned bridge forwarding lane. All members
-	// charge the lane vCPU in execution order, so their stamped bridge
-	// arrival times are monotone — the single-producer contract
-	// bridge.Lane.InputAt requires holds across tenants.
-	brLane *bridge.Lane
+	// ds is the drain state every member drains on: one arena, one set of
+	// scratch slices and one bridge carrier for the lane, so a round makes
+	// one bridge post and its buffers come home in one staged release per
+	// window. All members charge the lane vCPU in execution order, so
+	// their stamped bridge arrival times are monotone — the single-producer
+	// contract bridge.Lane.InputAt requires holds across tenants.
+	ds     *drainState
 	demux  *xen.Demux
 	worker *sim.Task
 
@@ -87,14 +90,14 @@ type laneMember struct {
 const laneQuantum = 16 << 10
 
 // NewServiceLane creates fleet lane id for dom: worker pinned to cpu on
-// shard, forwarding on fwdCPU, doorbells demuxed at the costs' wake
-// latency.
+// shard, frames drawn from pool and handed to br on shard dev, forwarding
+// on fwdCPU, doorbells demuxed at the costs' wake latency.
 func NewServiceLane(id int, dom *xen.Domain, shard *sim.Engine, cpu *sim.CPU,
-	br *bridge.Bridge, fwdCPU *sim.CPU, costs Costs) *ServiceLane {
+	br *bridge.Bridge, dev *sim.Engine, fwdCPU *sim.CPU, costs Costs, pool *framepool.Pool) *ServiceLane {
 
 	l := &ServiceLane{id: id, eng: shard, cpu: cpu, quantum: laneQuantum, head: -1}
 	cpu.SetEngine(shard)
-	l.brLane = br.NewLane(fwdCPU)
+	l.ds = newDrainState(pool, shard, dev, br.NewLane(fwdCPU))
 	l.demux = dom.NewDemux(cpu, costs.WakeLatency)
 	l.worker = sim.NewTask(shard, cpu, fmt.Sprintf("netback/lane%d", id),
 		costs.WakeLatency, l.round)
@@ -201,8 +204,9 @@ func (l *ServiceLane) activate(q *vifQueue) {
 // its Rx backlog against the accumulated deficit, and stays linked only if
 // budget — not work — ran out. Members are visited in activation order;
 // the pass touches exactly the backlogged members plus one owed-doorbell
-// flush per served member at the end, never the full fleet. Another round
-// is scheduled while anyone still has backlog.
+// flush per served member at the end, never the full fleet. Whatever the
+// members' Tx drains staged leaves for the bridge in one carrier post.
+// Another round is scheduled while anyone still has backlog.
 //
 //kite:hotpath
 func (l *ServiceLane) round() {
@@ -235,6 +239,7 @@ func (l *ServiceLane) round() {
 		served = append(served, s) //kite:alloc-ok scratch grows to the round high-water mark
 		s = next
 	}
+	l.ds.postTx()
 	// Flush completion doorbells once per round across members: each served
 	// member raises at most one notification, issued back to back so the
 	// event-channel warm path prices the burst.

@@ -15,10 +15,18 @@
 //
 // A VIF is sharded per negotiated queue, like multi-queue xen-netback: one
 // pusher + one soft_start per queue, pinned to distinct vCPUs of the
-// driver domain, each with its own persistent-grant cache, framepool
-// arena, scratch slices, and pending queues, so queues share nothing on
-// the hot path. Guest-bound frames are steered with the same seeded RSS
-// hash the frontend uses, so both directions of a flow ride one queue.
+// driver domain, each with its own persistent-grant cache, pending queues
+// and drain state (framepool arena, scratch slices, bridge carrier), so
+// dedicated-worker queues share nothing on the hot path. Guest-bound frames
+// are steered with the same seeded RSS hash the frontend uses, so both
+// directions of a flow ride one queue.
+//
+// Fleet mode is the deliberate exception: the single-queue VIFs of one
+// ServiceLane are served one after another by one worker, so they share
+// the lane's drain state by design — one arena, one set of scratch slices
+// and one bridge carrier per lane, however many tenants it serves. Only
+// what is a tenant's by nature (rings, event channel, persistent-grant
+// cache, guest-bound backlog, counters) stays per VIF.
 //
 // Under a sharded cluster each queue additionally runs on its own cluster
 // shard (the same shard as its frontend peer, so the ring pair has a single
@@ -120,19 +128,14 @@ type VIF struct {
 	queues []*vifQueue
 	rss    *netpkt.RSS // nil with one queue: nothing to steer
 
-	// brInputF is the cached cross-shard post target handing a matured
-	// guest frame to the bridge on the device shard; brBatchF is its
-	// one-post-per-haul counterpart carrying a txBatch.
-	brInputF func(any)
-	brBatchF func(any)
-
 	dead bool
 	down bool // administratively down (ifconfig vifX.Y down)
 }
 
 // vifQueue is one queue's shard: its ring pair, event channel, worker
-// threads pinned to one vCPU, persistent-grant cache, framepool arena, and
-// scratch — nothing here is shared with other queues.
+// threads pinned to one vCPU and persistent-grant cache — nothing here is
+// shared with other queues except, between the members of one fleet lane,
+// the drain state.
 type vifQueue struct {
 	v       *VIF
 	id      int
@@ -165,9 +168,44 @@ type vifQueue struct {
 	// duplicate mappings.
 	pgrants map[xen.GrantRef]*xen.Mapping
 
-	// arena partitions the shared frame pool per queue: Tx frames are
-	// grant-copied into arena buffers that recycle back here, so queues
-	// never trade buffers.
+	// ds is the drain state the queue's drains run on: its own for a
+	// dedicated-worker queue, its lane's for a fleet member.
+	ds *drainState
+
+	// txPending holds bridge-bound frames whose hypervisor copy has been
+	// issued; txDone flushes them when the copy matures. One coalesced
+	// event covers a whole pusher burst instead of one event per frame.
+	// Unsharded only: a sharded drain stages into ds's carrier instead.
+	txPending sim.FIFO[timedFrame]
+	txDone    *sim.Batch
+
+	stats Stats
+}
+
+// timedFrame is a frame due for bridge input at a virtual time, holding
+// one buffer reference. from names the source VIF in carrier entries (a
+// lane's carrier mixes tenants); a queue's own txPending leaves it nil.
+type timedFrame struct {
+	at    sim.Time
+	frame *framepool.Buf
+	from  *VIF
+}
+
+// drainState is what a ring drain needs beyond the rings it serves: the
+// framepool arena its Tx buffers come from, the request/op/buffer scratch,
+// and (sharded) the carrier taking matured frames to the bridge. None of it
+// is a tenant's by nature. A dedicated-worker queue owns one; the members
+// of a ServiceLane share their lane's — a DRR round serves them one after
+// another on one vCPU, so no two tenants ever use it at once, and a copy
+// per tenant would only spread the round's working set over as many cache
+// lines (and cross-shard posts) as there are tenants.
+type drainState struct {
+	eng *sim.Engine // owning shard (the VIF engine unsharded)
+	dev *sim.Engine // the bridge's shard
+
+	// arena partitions the shared frame pool: Tx frames are grant-copied
+	// into arena buffers that recycle back here, so drain states never
+	// trade buffers, and a window's remote releases come home in one post.
 	arena *framepool.Arena
 
 	// Reusable batch scratch: request/op/buffer slices grow to the burst
@@ -178,72 +216,132 @@ type vifQueue struct {
 	ops    []xen.CopyOp
 	bufs   []*framepool.Buf
 
-	// txPending holds bridge-bound frames whose hypervisor copy has been
-	// issued; txDone flushes them when the copy matures. One coalesced
-	// event covers a whole pusher burst instead of one event per frame.
-	txPending sim.FIFO[timedFrame]
-	txDone    *sim.Batch
-
-	// Sharded, matured frames ride to the bridge in txBatch carriers
-	// instead: one cross-shard post per pusher haul, each entry stamped
-	// with its true bridge-arrival time (see VIF.inputBatch). txOut is the
-	// carrier being filled; txOutFree recycles consumed carriers, returned
-	// by the barrier via txOutFreeF.
+	// Sharded, matured frames ride to the bridge in txBatch carriers: one
+	// cross-shard post per pusher haul or per lane round, each entry
+	// stamped with its true bridge-arrival time (see inputBatch). txOut is
+	// the carrier being filled; txOutFree recycles consumed carriers,
+	// returned by the barrier via txOutFreeF.
 	txOut      *txBatch
 	txOutFree  []*txBatch
 	txOutFreeF func(any)
+	inputF     func(any)
 
-	// brLane is this queue's pinned forwarding lane on the bridge (one
-	// forwarding vCPU + egress FIFO per source queue), which is what makes
-	// the one-post-per-haul replay time-exact: the lane has a single
-	// producer with monotone arrival times.
+	// brLane is the pinned forwarding lane on the bridge (one forwarding
+	// vCPU + egress FIFO per drain state), which is what makes the
+	// one-post replay time-exact: the lane has a single producer — one
+	// queue, or one lane's members charging one vCPU in execution order —
+	// with monotone arrival times.
 	brLane *bridge.Lane
-
-	stats Stats
 }
 
-// timedFrame is a frame due for bridge input at a virtual time; the FIFO
-// holds one buffer reference per entry.
-type timedFrame struct {
-	at    sim.Time
-	frame *framepool.Buf
+// newDrainState builds the drain state of one queue or lane homed on eng,
+// handing frames to the bridge on dev. Sharded (brLane non-nil), the arena
+// is pinned to eng so remote releases ride the staged return path.
+func newDrainState(pool *framepool.Pool, eng, dev *sim.Engine, brLane *bridge.Lane) *drainState {
+	ds := &drainState{
+		eng: eng, dev: dev, brLane: brLane,
+		arena:  pool.NewArena(),
+		txReqs: make([]netif.TxRequest, 0, netif.RingSize),
+		ops:    make([]xen.CopyOp, 0, netif.RingSize),
+		bufs:   make([]*framepool.Buf, 0, netif.RingSize),
+	}
+	if brLane != nil {
+		ds.arena.SetHome(eng)
+	}
+	ds.inputF = ds.inputBatch
+	ds.txOutFreeF = func(a any) { ds.txOutFree = append(ds.txOutFree, a.(*txBatch)) } //kite:alloc-ok free list grows to the in-flight high-water mark
+	return ds
 }
 
-// txBatch carries one pusher haul's guest frames to the bridge shard as a
-// single conservative post. Entries are stamped with each frame's true
-// bridge-arrival time (copy maturity + hand-off latency, nondecreasing
-// within a haul), and the bridge replays them through InputAt, so the
-// one-post-per-haul execution reproduces the exact per-frame timeline.
-// Consumed carriers ride a PriRelease post home and are reclaimed at the
-// window barrier.
+// txBatch carries one pusher haul's — or one lane round's — guest frames to
+// the bridge shard as a single conservative post. Entries are stamped with
+// each frame's true bridge-arrival time (copy maturity + hand-off latency,
+// nondecreasing within a carrier), and the bridge replays them through
+// InputAt, so the one-post execution reproduces the exact per-frame
+// timeline. Consumed carriers ride a PriRelease post home and are reclaimed
+// at the window barrier.
 type txBatch struct {
-	q       *vifQueue
 	entries []timedFrame
 }
 
-// takeTxBatch draws a carrier from the queue's free list; the steady state
-// recycles the per-haul high-water set and never allocates.
-func (q *vifQueue) takeTxBatch() *txBatch {
-	if n := len(q.txOutFree); n > 0 {
-		bt := q.txOutFree[n-1]
-		q.txOutFree = q.txOutFree[:n-1]
-		return bt
+// stageTx appends one matured frame to the carrier being filled, drawing a
+// carrier from the free list first if none is open; the steady state
+// recycles the in-flight high-water set and never allocates.
+func (ds *drainState) stageTx(from *VIF, at sim.Time, frame *framepool.Buf) {
+	if ds.txOut == nil {
+		if n := len(ds.txOutFree); n > 0 {
+			ds.txOut = ds.txOutFree[n-1]
+			ds.txOutFree = ds.txOutFree[:n-1]
+		} else {
+			ds.txOut = &txBatch{entries: make([]timedFrame, 0, netif.RingSize)} //kite:alloc-ok carrier set grows to the in-flight high-water mark, then recycles
+		}
 	}
-	return &txBatch{q: q, entries: make([]timedFrame, 0, netif.RingSize)} //kite:alloc-ok carrier set grows to the in-flight high-water mark, then recycles
+	ds.txOut.entries = append(ds.txOut.entries, timedFrame{at: at, frame: frame, from: from}) //kite:alloc-ok entries grow to the haul high-water mark, then recycle
 }
 
-// inputBatch replays one haul's frames into the bridge at their stamped
-// arrival times, then sends the carrier home for barrier reclamation.
-// Runs on the device shard.
-func (v *VIF) inputBatch(a any) {
+// postTx sends the open carrier, if any, to the bridge shard: one
+// conservative post maturing at the first frame's arrival; InputAt replays
+// the rest at their stamped times. Every stamp is a charge completion plus
+// shardHandoff, so the delay keeps the lookahead bound.
+func (ds *drainState) postTx() {
+	if ds.txOut == nil {
+		return
+	}
+	ds.eng.Post(ds.dev, ds.txOut.entries[0].at-ds.eng.Now(), sim.PriData, ds.inputF, ds.txOut) //kite:alloc-ok pointer boxing does not allocate
+	ds.txOut = nil
+}
+
+// inputBatch replays one carrier's frames into the bridge at their stamped
+// arrival times, then sends the carrier home for barrier reclamation. A
+// frame whose VIF was torn down while the carrier was in flight is dropped:
+// its port has left the bridge. Runs on the device shard.
+func (ds *drainState) inputBatch(a any) {
 	bt := a.(*txBatch)
 	for i := range bt.entries {
 		e := &bt.entries[i]
-		bt.q.brLane.InputAt(v, e.frame, e.at)
-		bt.entries[i] = timedFrame{}
+		if e.from.dead {
+			e.frame.ReleaseOn(ds.dev)
+		} else {
+			ds.brLane.InputAt(e.from, e.frame, e.at)
+		}
+		*e = timedFrame{}
 	}
 	bt.entries = bt.entries[:0]
-	v.eng.Post(bt.q.eng, shardHandoff, sim.PriRelease, bt.q.txOutFreeF, bt) //kite:alloc-ok pointer boxing does not allocate
+	ds.dev.Post(ds.eng, shardHandoff, sim.PriRelease, ds.txOutFreeF, bt) //kite:alloc-ok pointer boxing does not allocate
+}
+
+// newVIF builds the instance shell shared by both constructors.
+func newVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
+	ch *netif.Channel, br *bridge.Bridge, costs Costs, pool *framepool.Pool) *VIF {
+
+	if pool == nil {
+		pool = framepool.New()
+	}
+	return &VIF{
+		eng:      eng,
+		dom:      dom,
+		frontDom: frontDom,
+		name:     fmt.Sprintf("vif%d.%d", frontDom, devid),
+		costs:    costs,
+		pool:     pool,
+		ch:       ch,
+		br:       br,
+		queues:   make([]*vifQueue, ch.NumQueues()),
+	}
+}
+
+// bindQueue binds queue i's event channel to the frontend's port and wires
+// the queue's handlers; the caller has set the queue's engine.
+func (v *VIF) bindQueue(q *vifQueue, frontPort xen.Port) error {
+	q.rxEnqueueF = func(a any) { q.rxEnqueue(a.(*framepool.Buf)) }
+	port, err := v.dom.BindInterdomain(v.frontDom, frontPort)
+	if err != nil {
+		return fmt.Errorf("netback: %s: %w", v.name, err)
+	}
+	q.port = port
+	q.txDone = sim.NewBatch(q.eng, q.flushTx)
+	v.queues[q.id] = q
+	return v.dom.SetHandler(port, q.onEvent)
 }
 
 // NewVIF creates a connected netback instance. The caller (the backend
@@ -256,9 +354,6 @@ func NewVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 	ch *netif.Channel, frontPorts []xen.Port, br *bridge.Bridge, costs Costs,
 	pool *framepool.Pool, rssSeed uint64, shards []*sim.Engine) (*VIF, error) {
 
-	if pool == nil {
-		pool = framepool.New()
-	}
 	nq := ch.NumQueues()
 	sharded := len(shards) > 0
 	if sharded && (nq > len(shards) || dom.CPUs.Len() < nq+1) {
@@ -269,23 +364,11 @@ func NewVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 		return nil, fmt.Errorf("netback: vif%d.%d: %d event channels for %d queues",
 			frontDom, devid, len(frontPorts), nq)
 	}
-	v := &VIF{
-		eng:      eng,
-		dom:      dom,
-		frontDom: frontDom,
-		name:     fmt.Sprintf("vif%d.%d", frontDom, devid),
-		costs:    costs,
-		pool:     pool,
-		ch:       ch,
-		br:       br,
-		queues:   make([]*vifQueue, nq),
-	}
+	v := newVIF(eng, dom, frontDom, devid, ch, br, costs, pool)
 	if nq > 1 {
 		rss := netpkt.NewRSS(rssSeed)
 		v.rss = &rss
 	}
-	v.brInputF = func(a any) { v.br.Input(v, a.(*framepool.Buf)) }
-	v.brBatchF = v.inputBatch
 	// Map every queue's two ring pages (2 map hypercalls per queue, charged
 	// to the backend; on the misc vCPU when the queue vCPUs are pinned).
 	mapCost := dom.Hypervisor().Costs.Base +
@@ -305,20 +388,6 @@ func NewVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 			tx:      ch.Tx.Queue(i),
 			rx:      ch.Rx.Queue(i),
 			pgrants: make(map[xen.GrantRef]*xen.Mapping),
-			arena:   pool.NewArena(),
-			txReqs:  make([]netif.TxRequest, 0, netif.RingSize),
-			ops:     make([]xen.CopyOp, 0, netif.RingSize),
-			bufs:    make([]*framepool.Buf, 0, netif.RingSize),
-		}
-		q.rxEnqueueF = func(a any) { q.rxEnqueue(a.(*framepool.Buf)) }
-		q.txOutFreeF = func(a any) { q.txOutFree = append(q.txOutFree, a.(*txBatch)) } //kite:alloc-ok free list grows to the in-flight high-water mark
-		port, err := dom.BindInterdomain(frontDom, frontPorts[i])
-		if err != nil {
-			return nil, fmt.Errorf("netback: %s: %w", v.name, err)
-		}
-		q.port = port
-		if err := dom.SetHandler(port, q.onEvent); err != nil {
-			return nil, err
 		}
 		// Per-queue workers spread across the domain's vCPUs (§3.1:
 		// multicore driver domains scale to several guests/NICs; with
@@ -329,14 +398,6 @@ func NewVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 			q.eng = shards[i]
 			q.cpu = dom.CPUs.CPU(i)
 			q.cpu.SetEngine(q.eng)
-			q.arena.SetHome(q.eng)
-			// Remote releases reach this arena a lookahead window late;
-			// a ring's worth of slack keeps the Tx haul allocation-free
-			// through that pipeline (fleet lanes skip this: hundreds of
-			// tenants would pin megabytes each, and their rings drain in
-			// DRR quanta well under a full ring).
-			q.arena.Prealloc(netif.RingSize)
-			dom.BindPortCPU(q.port, q.cpu)
 			// Forwarding thread for this queue: vCPU nq+i of the driver
 			// domain (the width beyond the queue workers), degrading to the
 			// last vCPU when the domain is narrower.
@@ -344,9 +405,21 @@ func NewVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 			if fwd >= dom.CPUs.Len() {
 				fwd = dom.CPUs.Len() - 1
 			}
-			q.brLane = br.NewLane(dom.CPUs.CPU(fwd))
+			q.ds = newDrainState(v.pool, q.eng, eng, br.NewLane(dom.CPUs.CPU(fwd)))
+			// Remote releases reach this arena a lookahead window late;
+			// a ring's worth of slack keeps the Tx haul allocation-free
+			// through that pipeline (a fleet lane's arena instead grows to
+			// its round's high-water mark in warm-up).
+			q.ds.arena.Prealloc(netif.RingSize)
 		} else {
 			q.cpu = dom.CPUs.CPU((int(frontDom) + i) % dom.CPUs.Len())
+			q.ds = newDrainState(v.pool, eng, eng, nil)
+		}
+		if err := v.bindQueue(q, frontPorts[i]); err != nil {
+			return nil, err
+		}
+		if sharded {
+			dom.BindPortCPU(q.port, q.cpu)
 		}
 		name := v.name
 		if nq > 1 {
@@ -354,79 +427,47 @@ func NewVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 		}
 		q.pusher = sim.NewTask(q.eng, q.cpu, name+"/pusher", costs.WakeLatency, q.drainTx)
 		q.softStart = sim.NewTask(q.eng, q.cpu, name+"/soft_start", costs.WakeLatency, q.drainRx)
-		q.txDone = sim.NewBatch(q.eng, q.flushTx)
-		v.queues[i] = q
 	}
 	return v, nil
 }
 
 // NewVIFOnLane creates a single-queue netback instance served by a shared
 // fleet ServiceLane instead of dedicated pusher/soft_start threads: the
-// queue lives on the lane's shard and vCPU, its doorbell joins the lane's
-// demux group, and its rings are drained by the lane's DRR rounds. This is
-// how one driver domain serves hundreds of guests with a fixed number of
-// worker threads.
+// queue lives on the lane's shard and vCPU, drains on the lane's drain
+// state, its doorbell joins the lane's demux group, and its rings are
+// drained by the lane's DRR rounds. This is how one driver domain serves
+// hundreds of guests with a fixed number of worker threads.
 func NewVIFOnLane(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 	ch *netif.Channel, frontPorts []xen.Port, br *bridge.Bridge, costs Costs,
 	pool *framepool.Pool, lane *ServiceLane) (*VIF, error) {
 
-	if pool == nil {
-		pool = framepool.New()
-	}
 	if ch.NumQueues() != 1 || len(frontPorts) != 1 {
 		return nil, fmt.Errorf("netback: vif%d.%d: fleet lanes serve single-queue frontends (%d queues)",
 			frontDom, devid, ch.NumQueues())
 	}
-	v := &VIF{
-		eng:      eng,
-		dom:      dom,
-		frontDom: frontDom,
-		name:     fmt.Sprintf("vif%d.%d", frontDom, devid),
-		costs:    costs,
-		pool:     pool,
-		ch:       ch,
-		br:       br,
-		queues:   make([]*vifQueue, 1),
-	}
-	v.brInputF = func(a any) { v.br.Input(v, a.(*framepool.Buf)) }
-	v.brBatchF = v.inputBatch
+	v := newVIF(eng, dom, frontDom, devid, ch, br, costs, pool)
 	// Both ring pages map on the lane's vCPU (the lane owns this tenant's
 	// hypercall work end to end).
 	lane.cpu.Charge(dom.Hypervisor().Costs.Base + 2*dom.Hypervisor().Costs.GrantMapPage)
 
 	q := &vifQueue{
 		v:       v,
-		id:      0,
 		eng:     lane.eng,
 		sharded: true,
 		tx:      ch.Tx.Queue(0),
 		rx:      ch.Rx.Queue(0),
 		pgrants: make(map[xen.GrantRef]*xen.Mapping),
-		arena:   pool.NewArena(),
-		txReqs:  make([]netif.TxRequest, 0, netif.RingSize),
-		ops:     make([]xen.CopyOp, 0, netif.RingSize),
-		bufs:    make([]*framepool.Buf, 0, netif.RingSize),
+		ds:      lane.ds,
 		lane:    lane,
 		cpu:     lane.cpu,
-		brLane:  lane.brLane,
 	}
-	q.arena.SetHome(q.eng)
-	q.rxEnqueueF = func(a any) { q.rxEnqueue(a.(*framepool.Buf)) }
-	q.txOutFreeF = func(a any) { q.txOutFree = append(q.txOutFree, a.(*txBatch)) } //kite:alloc-ok free list grows to the in-flight high-water mark
-	port, err := dom.BindInterdomain(frontDom, frontPorts[0])
-	if err != nil {
-		return nil, fmt.Errorf("netback: %s: %w", v.name, err)
-	}
-	q.port = port
-	if err := dom.SetHandler(port, q.onEvent); err != nil {
+	if err := v.bindQueue(q, frontPorts[0]); err != nil {
 		return nil, err
 	}
-	if err := lane.demux.Join(port); err != nil {
+	if err := lane.demux.Join(q.port); err != nil {
 		return nil, fmt.Errorf("netback: %s: %w", v.name, err)
 	}
 	q.laneSlot = lane.join(q)
-	q.txDone = sim.NewBatch(q.eng, q.flushTx)
-	v.queues[0] = q
 	return v, nil
 }
 
@@ -508,13 +549,6 @@ func (v *VIF) Shutdown() {
 		for q.txPending.Len() > 0 {
 			q.txPending.Pop().frame.Release()
 		}
-		if q.txOut != nil {
-			for i := range q.txOut.entries {
-				q.txOut.entries[i].frame.Release()
-			}
-			q.txOut.entries = q.txOut.entries[:0]
-			q.txOut = nil
-		}
 		if len(q.pgrants) > 0 {
 			ms := make([]*xen.Mapping, 0, len(q.pgrants))
 			for _, m := range q.pgrants {
@@ -563,25 +597,31 @@ func (q *vifQueue) onEvent() {
 // per-queue workers drain their whole ring, as before fleet mode).
 const unlimited = int(^uint(0) >> 1)
 
-// drainTx is the pusher thread body: move guest frames to the bridge.
-func (q *vifQueue) drainTx() { q.drainTxBudget(unlimited) }
+// drainTx is the pusher thread body: move guest frames to the bridge, one
+// carrier post for the haul when sharded.
+func (q *vifQueue) drainTx() {
+	q.drainTxBudget(unlimited)
+	q.ds.postTx()
+}
 
 // drainTxBudget moves guest frames to the bridge, stopping once budget
 // bytes have been taken from the ring (the last frame may overshoot — DRR
 // serves a packet while credit remains). Each frame is grant-copied once,
 // directly into a pooled buffer that then travels the bridge/NAT/NIC path.
 // Per-frame processing is charged to this queue's pinned vCPU, which is
-// what lets queues overlap in time. Returns the bytes consumed and whether
-// requests remain because the budget — not the ring — ran out.
+// what lets queues overlap in time. Sharded, matured frames are staged in
+// the drain state's carrier, which the caller posts (per haul, or per lane
+// round). Returns the bytes consumed and whether requests remain because
+// the budget — not the ring — ran out.
 func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
-	v := q.v
+	v, ds := q.v, q.ds
 	if v.dead || v.down {
 		return 0, false
 	}
 	hv := v.dom.Hypervisor()
 	for {
 		// Gather a batch of requests into the reusable scratch.
-		reqs := q.txReqs[:0]
+		reqs := ds.txReqs[:0]
 		for used < budget {
 			req, ok := q.tx.TakeRequest()
 			if !ok {
@@ -594,7 +634,7 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 				used++ // malformed requests still consume a slot of credit
 			}
 		}
-		q.txReqs = reqs[:0]
+		ds.txReqs = reqs[:0]
 		if len(reqs) == 0 {
 			if used >= budget {
 				more = q.tx.RequestAvailable()
@@ -608,14 +648,14 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 		// One batched hypervisor copy for the whole run of requests, each
 		// landing in its own pooled buffer. bufs[i] is nil for a request
 		// rejected up front (malformed length).
-		ops := q.ops[:0]
-		bufs := q.bufs[:0]
+		ops := ds.ops[:0]
+		bufs := ds.bufs[:0]
 		for _, req := range reqs {
 			if req.Len < 0 || req.Len > framepool.MaxFrame {
 				bufs = append(bufs, nil)
 				continue
 			}
-			b := q.arena.Get()
+			b := ds.arena.Get()
 			ops = append(ops, xen.CopyOp{
 				Src: xen.CopyPtr{Dom: v.frontDom, Ref: req.Ref, Offset: req.Offset},
 				Dst: xen.CopyPtr{Data: b.Extend(req.Len)},
@@ -628,7 +668,6 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 		// ready after k+1 packet costs, not when the whole batch retires.
 		// Lumping the charge would stall the bridge (and the next upcall,
 		// which waits for the vCPU to drain) behind the full haul.
-		now := q.eng.Now()
 		var firstDone sim.Time
 		for i, req := range reqs {
 			done := q.cpu.Charge(v.costs.PerPacketTx)
@@ -648,29 +687,18 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 				q.stats.TxBytes += uint64(req.Len)
 				metrics.NetQueueTxFrames.Add(1)
 				if q.sharded {
-					// Stage the frame in the haul's carrier, stamped with its
-					// bridge-arrival time; one post moves the whole haul below.
-					if q.txOut == nil {
-						q.txOut = q.takeTxBatch()
-					}
-					q.txOut.entries = append(q.txOut.entries, //kite:alloc-ok entries grow to the haul high-water mark, then recycle
-						timedFrame{at: done + shardHandoff, frame: b})
+					// Stage the frame in the carrier, stamped with its
+					// bridge-arrival time; the caller's one post moves it.
+					ds.stageTx(v, done+shardHandoff, b)
 				} else {
 					q.txPending.Push(timedFrame{at: done, frame: b})
 				}
 			}
 			q.tx.PushResponse(netif.TxResponse{ID: req.ID, Status: status})
 		}
-		q.ops = ops[:0]
-		q.bufs = bufs[:0]
+		ds.ops = ops[:0]
+		ds.bufs = bufs[:0]
 		clearBufs(bufs)
-		// Sharded: one conservative post carries the whole haul, maturing at
-		// the first frame's arrival; InputAt replays the rest at their
-		// stamped times. firstDone >= now keeps the lookahead bound.
-		if q.txOut != nil && len(q.txOut.entries) > 0 {
-			q.eng.Post(v.eng, q.txOut.entries[0].at-now, sim.PriData, v.brBatchF, q.txOut) //kite:alloc-ok pointer boxing does not allocate
-			q.txOut = nil
-		}
 		// Unsharded: wake the bridge hand-off at the first maturity;
 		// flushTx re-arms itself for the rest of the burst as frames ripen.
 		if q.txPending.Len() > 0 {
@@ -714,13 +742,7 @@ func (q *vifQueue) flushTx() {
 	}
 	now := q.eng.Now()
 	for q.txPending.Len() > 0 && q.txPending.Peek().at <= now {
-		frame := q.txPending.Pop().frame
-		if q.sharded {
-			// The bridge lives on the device shard: conservative hand-off.
-			q.eng.Post(v.eng, shardHandoff, sim.PriData, v.brInputF, frame)
-		} else {
-			v.br.Input(v, frame)
-		}
+		v.br.Input(v, q.txPending.Pop().frame)
 	}
 	if p := q.txPending.Peek(); p != nil {
 		q.txDone.Arm(p.at)
@@ -803,15 +825,15 @@ func (q *vifQueue) drainRx() { q.drainRxBudget(unlimited) }
 // buffers is not "more": the frontend's next buffer post raises an event
 // that reactivates the queue.
 func (q *vifQueue) drainRxBudget(budget int) (used int, more bool) {
-	v := q.v
+	v, ds := q.v, q.ds
 	if v.dead {
 		return 0, false
 	}
 	hv := v.dom.Hypervisor()
 	notify := false
 	for q.rxQueue.Len() > 0 && used < budget {
-		batch := q.bufs[:0]
-		reqs := q.rxReqs[:0]
+		batch := ds.bufs[:0]
+		reqs := ds.rxReqs[:0]
 		for q.rxQueue.Len() > 0 && used < budget {
 			req, ok := q.rx.TakeRequest()
 			if !ok {
@@ -826,9 +848,9 @@ func (q *vifQueue) drainRxBudget(budget int) (used int, more bool) {
 				used++
 			}
 		}
-		q.rxReqs = reqs[:0]
+		ds.rxReqs = reqs[:0]
 		if len(reqs) == 0 {
-			q.bufs = batch[:0]
+			ds.bufs = batch[:0]
 			// No posted buffers. Re-arm the request event threshold before
 			// sleeping, or the frontend's next buffer post would suppress
 			// its notification and strand the queued frames forever.
@@ -840,7 +862,7 @@ func (q *vifQueue) drainRxBudget(budget int) (used int, more bool) {
 		// Copy each frame into its guest page: through the persistent
 		// mapping when cached (plain memcpy), falling back to a batched
 		// grant copy for uncached refs.
-		ops := q.ops[:0]
+		ops := ds.ops[:0]
 		var memcpyBytes int
 		for i, frame := range batch {
 			if m := q.rxMapping(reqs[i].Ref); m != nil {
@@ -870,8 +892,8 @@ func (q *vifQueue) drainRxBudget(budget int) (used int, more bool) {
 			q.rx.PushResponse(netif.RxResponse{ID: req.ID, Offset: 0, Len: batch[i].Len(), Status: status})
 			batch[i].ReleaseOn(q.eng)
 		}
-		q.ops = ops[:0]
-		q.bufs = batch[:0]
+		ds.ops = ops[:0]
+		ds.bufs = batch[:0]
 		clearBufs(batch)
 		if q.rx.PushResponsesAndCheckNotify() {
 			notify = true

@@ -5,11 +5,14 @@
 // the frontend is identical in both cases, which is the paper's point:
 // guests need no modification, §2.2).
 //
-// Frames arrive and leave as pooled buffers. Tx grants are persistent:
-// each ring slot lazily allocates one page and grants it to the backend
-// once, then reuses page and grant for the device's lifetime — the same
-// recycling the Rx path always had, and what lets the backend keep
-// persistent mappings of our pages (§3.3).
+// Frames arrive and leave as pooled buffers. Grants are persistent in both
+// directions: at connect every queue allocates one page per ring slot —
+// 256 Tx and 256 Rx, 512 pages = 2 MiB — grants each to the backend once,
+// and reuses page and grant for the device's lifetime, which is what lets
+// the backend keep persistent mappings of our pages (§3.3). None of it is
+// lazy: a tenant that never sends still pins its 2 MiB, and on a fleet
+// those pages are nearly all of the footprint (2.1 of fleet_1024's 2.2 GB
+// heap).
 //
 // The transport is multi-queue (xen-netfront's multi-queue protocol): the
 // frontend reads the backend's "multi-queue-max-queues" advertisement
@@ -24,7 +27,10 @@
 // and Rx buffer arena live entirely on that shard, and the only cross-shard
 // traffic is the qdisc hand-off from the stack (shard 0) to the queue and
 // the delivery of received frames back — both conservative posts riding the
-// guest's softirq dispatch latency.
+// guest's softirq dispatch latency. A hand-off is one post per burst per
+// queue, and the burst travels as its own frames (a framepool.Chain): there
+// is no carrier to fill, send home and recycle, so a burst of one costs
+// exactly one post.
 package netfront
 
 import (
@@ -58,9 +64,11 @@ type Stats struct {
 	TxErrors           uint64
 }
 
-// txSlot is a persistently granted Tx page, reused across frames.
+// txSlot is a persistently granted Tx page, reused across frames. It holds
+// the page's bytes rather than the page, so a send reaches them from the
+// slot itself.
 type txSlot struct {
-	page     *mem.Page
+	data     []byte
 	ref      xen.GrantRef
 	inFlight bool
 }
@@ -97,35 +105,21 @@ type queue struct {
 	// buffers recycle on this queue's shard; nil means the shared pool.
 	rxArena *framepool.Arena
 
-	// enqueueF is the cached cross-shard qdisc hand-off target.
-	enqueueF func(any)
+	// landF is the cached cross-shard qdisc hand-off target (land).
+	landF func(any)
 
-	// pending holds batch-delivered Tx frames, stamped with their qdisc
-	// arrival times, until they mature; replay admits each to the ring at
-	// exactly the time a per-frame hand-off post would have delivered it.
-	pending sim.FIFO[stamped]
+	// pending holds the handed-off Tx frames that have not matured yet, in
+	// hand-off order, stamped (Buf.At) with their qdisc arrival times;
+	// replay admits each to the ring at exactly the time a per-frame
+	// hand-off post would have delivered it.
+	pending framepool.Chain
 	replay  *sim.Batch
 
-	// stage accumulates one SendBatch call's frames bound for this queue
-	// until the carrier is posted. Touched only on the device shard.
-	stage *sendBatch
+	// stage chains one SendBatch call's frames bound for this queue until
+	// its head is posted. Touched only on the device shard.
+	stage framepool.Chain
 
 	stats Stats
-}
-
-// stamped is one batched Tx frame with its maturity on the queue's clock.
-// Each entry holds one buffer reference.
-type stamped struct {
-	at    sim.Time
-	frame *framepool.Buf
-}
-
-// sendBatch carries one flush's worth of frames for one queue across the
-// shard boundary in a single post, then rides a release post back to the
-// device shard's free list.
-type sendBatch struct {
-	q       *queue
-	entries []stamped
 }
 
 // Device is one vif frontend instance.
@@ -155,12 +149,6 @@ type Device struct {
 	onReady func()
 	onDown  func() // carrier loss: the backend disappeared
 	ready   bool
-
-	// Batched-send plumbing: recycled carriers plus the cached post targets
-	// that run a carrier on its queue's shard and return it here.
-	batchFree  []*sendBatch
-	runBatchF  func(any)
-	batchFreeF func(any)
 }
 
 // Config describes a frontend to create.
@@ -226,10 +214,6 @@ func New(eng *sim.Engine, cfg Config) *Device {
 		if d.recv != nil {
 			d.recv(a.(*framepool.Buf))
 		}
-	}
-	d.runBatchF = d.runBatch
-	d.batchFreeF = func(a any) {
-		d.batchFree = append(d.batchFree, a.(*sendBatch)) //kite:alloc-ok free list grows to the in-flight high-water mark
 	}
 	d.frontPath = xenbus.FrontendPath(xenbus.DomID(cfg.Dom.ID), xenstore.DevVif, cfg.DevID)
 	d.backPath = xenbus.BackendPath(xenbus.DomID(cfg.BackDom), xenstore.DevVif, xenbus.DomID(cfg.Dom.ID), cfg.DevID)
@@ -337,7 +321,7 @@ func (d *Device) initRings() {
 			q.rxArena.SetHome(q.eng)
 			q.replay = sim.NewBatch(q.eng, q.replayPending)
 		}
-		q.enqueueF = func(a any) { q.enqueue(a.(*framepool.Buf)) }
+		q.landF = q.land
 		q.port = d.dom.AllocUnbound(d.backDom)
 		if err := d.dom.SetHandler(q.port, q.onEvent); err != nil {
 			panic(fmt.Sprintf("netfront: %v", err))
@@ -439,7 +423,7 @@ func (q *queue) preallocTx() {
 		q.txFree = make([]uint16, 0, netif.RingSize)
 		for i, page := range d.allocPages(netif.RingSize) {
 			s := &q.txSlots[netif.RingSize-i]
-			s.page = page
+			s.data = page.Data
 			s.ref = d.dom.GrantAccess(d.backDom, page, true)
 		}
 	}
@@ -466,8 +450,8 @@ func (d *Device) backendGone() {
 		for q.txBacklog.Len() > 0 {
 			q.txBacklog.Pop().Release()
 		}
-		for q.pending.Len() > 0 {
-			q.pending.Pop().frame.Release()
+		for b := q.pending.Pop(); b != nil; b = q.pending.Pop() {
+			b.Release()
 		}
 	}
 	if d.onDown != nil {
@@ -495,7 +479,8 @@ func (d *Device) Send(frame *framepool.Buf) bool {
 		// Cross-shard qdisc hand-off: the queue owns the frame from here.
 		// Backpressure is absorbed by the queue's backlog, so the hand-off
 		// itself always succeeds.
-		d.eng.Post(q.eng, shardHandoff, sim.PriData, q.enqueueF, frame) //kite:alloc-ok pointer boxing does not allocate
+		frame.At = d.eng.Now() + shardHandoff
+		d.eng.Post(q.eng, shardHandoff, sim.PriData, q.landF, frame) //kite:alloc-ok pointer boxing does not allocate
 		return true
 	}
 	return q.enqueue(frame)
@@ -507,12 +492,15 @@ func (d *Device) Send(frame *framepool.Buf) bool {
 func (d *Device) BatchCapable() bool { return len(d.shards) > 0 }
 
 // SendBatch implements netstack.BatchSender: steer every frame of the burst
-// to its queue, then cross each shard boundary once — one carrier post per
-// queue instead of one qdisc hand-off post per frame. Frames may arrive
-// before their stamps mature; the queue shard replays each into the ring at
-// exactly stamp+shardHandoff, the time its own per-frame post would have
-// landed, so the event timeline is unchanged while the per-frame post and
-// merge traffic disappears. Consumes one reference per frame on every path.
+// to its queue, then cross each shard boundary once — one post per queue
+// instead of one qdisc hand-off post per frame. The burst travels as its own
+// frames, a framepool.Chain stamped in Buf.At, so a burst of one is just
+// that frame and there is no carrier to fill, return and recycle.
+// Frames may arrive before their stamps mature; the queue shard replays each
+// into the ring at exactly stamp+shardHandoff, the time its own per-frame
+// post would have landed, so the event timeline is unchanged while the
+// per-frame post and merge traffic disappears. Consumes one reference per
+// frame on every path.
 //
 //kite:hotpath
 func (d *Device) SendBatch(frames []netstack.TimedFrame) {
@@ -530,50 +518,28 @@ func (d *Device) SendBatch(frames []netstack.TimedFrame) {
 			q.enqueue(f.Frame)
 			continue
 		}
-		if q.stage == nil {
-			q.stage = d.takeBatch(q)
-		}
-		q.stage.entries = append(q.stage.entries, //kite:alloc-ok entries grow to the burst high-water mark, then recycle
-			stamped{at: f.At + shardHandoff, frame: f.Frame})
+		b := f.Frame
+		b.At = f.At + shardHandoff
+		q.stage.Push(b)
 	}
 	for _, q := range d.queues {
-		if q.stage == nil {
+		head := q.stage.Take()
+		if head == nil {
 			continue
 		}
-		delay := q.stage.entries[0].at - d.eng.Now()
+		delay := head.At - d.eng.Now()
 		if delay < shardHandoff {
 			delay = shardHandoff
 		}
-		d.eng.Post(q.eng, delay, sim.PriData, d.runBatchF, q.stage) //kite:alloc-ok pointer boxing does not allocate
-		q.stage = nil
+		d.eng.Post(q.eng, delay, sim.PriData, q.landF, head) //kite:alloc-ok pointer boxing does not allocate
 	}
 }
 
-// takeBatch pops a recycled carrier for q, or builds one with ring-deep
-// entry capacity.
-func (d *Device) takeBatch(q *queue) *sendBatch {
-	if n := len(d.batchFree); n > 0 {
-		bt := d.batchFree[n-1]
-		d.batchFree = d.batchFree[:n-1]
-		bt.q = q
-		return bt
-	}
-	return &sendBatch{q: q, entries: make([]stamped, 0, netif.RingSize)} //kite:alloc-ok carrier set grows to the in-flight high-water mark
-}
-
-// runBatch executes a carrier on its queue's shard: move the stamped frames
-// onto the queue's pending FIFO, send the carrier home, and admit whatever
-// has matured.
-func (d *Device) runBatch(a any) {
-	bt := a.(*sendBatch)
-	q := bt.q
-	for i := range bt.entries {
-		q.pending.Push(bt.entries[i])
-		bt.entries[i] = stamped{}
-	}
-	bt.entries = bt.entries[:0]
-	bt.q = nil
-	q.eng.Post(d.eng, shardHandoff, sim.PriRelease, d.batchFreeF, bt) //kite:alloc-ok pointer boxing does not allocate
+// land runs on the queue's shard when a hand-off post matures: the chain
+// joins the pending frames behind whatever has not matured yet (so
+// hand-offs never overtake each other), and replay admits what has.
+func (q *queue) land(a any) {
+	q.pending.Splice(a.(*framepool.Buf))
 	q.replayPending()
 }
 
@@ -586,11 +552,11 @@ func (d *Device) runBatch(a any) {
 // price is up to one quantum of added queueing latency per frame.
 func (q *queue) replayPending() {
 	now := q.eng.Now()
-	for q.pending.Len() > 0 && q.pending.Peek().at <= now {
-		q.enqueue(q.pending.Pop().frame)
+	for h := q.pending.Head(); h != nil && h.At <= now; h = q.pending.Head() {
+		q.enqueue(q.pending.Pop())
 	}
-	if p := q.pending.Peek(); p != nil {
-		q.replay.Arm(p.at + shardHandoff)
+	if h := q.pending.Head(); h != nil {
+		q.replay.Arm(h.At + shardHandoff)
 	}
 }
 
@@ -630,7 +596,7 @@ func (q *queue) pushTx(frame *framepool.Buf) bool {
 		return false
 	}
 	n := frame.Len()
-	slot.page.CopyInto(0, frame.Bytes())
+	copy(slot.data, frame.Bytes())
 	slot.inFlight = true
 	frame.ReleaseOn(q.eng)
 	q.tx.PushRequest(netif.TxRequest{ID: id, Ref: slot.ref, Offset: 0, Len: n})

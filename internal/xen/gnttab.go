@@ -10,13 +10,17 @@ import (
 // GrantRef names an entry in a domain's grant table.
 type GrantRef uint32
 
+// grantEntry is one grant-table slot, stored by value and indexed by ref.
+// data aliases the granted page's bytes, so resolving a copy pointer is
+// domain -> entry -> bytes with no *mem.Page in between; page is kept for
+// the (cold) mapping path, which hands the page itself to the mapper.
 type grantEntry struct {
-	ref      GrantRef
+	data     []byte
 	page     *mem.Page
+	mapCount int
 	remote   DomID
 	readonly bool
-	mapCount int
-	revoked  bool
+	live     bool // false in never-issued and revoked slots
 }
 
 // GrantAccess publishes page to remote. Writing one's own grant table is
@@ -27,11 +31,9 @@ func (d *Domain) GrantAccess(remote DomID, page *mem.Page, readonly bool) GrantR
 	}
 	d.nextRef++
 	for int(d.nextRef) >= len(d.grants) {
-		d.grants = append(d.grants, nil) //kite:alloc-ok grant table grows once per domain lifetime
+		d.grants = append(d.grants, grantEntry{}) //kite:alloc-ok grant table grows once per domain lifetime
 	}
-	d.grants[d.nextRef] = &grantEntry{ //kite:alloc-ok grant entries persist and are reused (persistent grants)
-		ref: d.nextRef, page: page, remote: remote, readonly: readonly,
-	}
+	d.grants[d.nextRef] = grantEntry{data: page.Data, page: page, remote: remote, readonly: readonly, live: true}
 	d.liveGrants++
 	return d.nextRef
 }
@@ -40,14 +42,13 @@ func (d *Domain) GrantAccess(remote DomID, page *mem.Page, readonly bool) GrantR
 // live, matching gnttab_end_foreign_access semantics.
 func (d *Domain) EndAccess(ref GrantRef) error {
 	g := d.grant(ref)
-	if g == nil || g.revoked {
+	if g == nil {
 		return fmt.Errorf("xen: end access on unknown grant %d in %s", ref, d.Name)
 	}
 	if g.mapCount > 0 {
 		return fmt.Errorf("xen: grant %d in %s still mapped %d times", ref, d.Name, g.mapCount)
 	}
-	g.revoked = true
-	d.grants[ref] = nil
+	*g = grantEntry{}
 	d.liveGrants--
 	return nil
 }
@@ -88,7 +89,7 @@ func (hv *Hypervisor) mapGrantCharged(mapper *Domain, owner DomID, ref GrantRef)
 	}
 	g := od.grant(ref)
 	hv.stats.grantMaps.Add(1)
-	if g == nil || g.revoked {
+	if g == nil {
 		return nil, fmt.Errorf("xen: bad grant ref %d in domain %d", ref, owner)
 	}
 	if g.remote != mapper.ID {
@@ -114,7 +115,7 @@ func (hv *Hypervisor) MapGrantBatch(mapper *Domain, owner DomID, refs []GrantRef
 	for _, ref := range refs {
 		hv.stats.grantMaps.Add(1)
 		g := od.grant(ref)
-		if g == nil || g.revoked || g.remote != mapper.ID {
+		if g == nil || g.remote != mapper.ID {
 			for _, m := range out {
 				hv.unmapLocked(m)
 			}
@@ -248,7 +249,7 @@ func (hv *Hypervisor) resolveCopyPtr(caller *Domain, p CopyPtr, write bool) ([]b
 		return nil, fmt.Errorf("dead domain %d", p.Dom)
 	}
 	g := od.grant(p.Ref)
-	if g == nil || g.revoked {
+	if g == nil {
 		return nil, fmt.Errorf("bad grant %d in domain %d", p.Ref, p.Dom)
 	}
 	if g.remote != caller.ID {
@@ -257,5 +258,5 @@ func (hv *Hypervisor) resolveCopyPtr(caller *Domain, p CopyPtr, write bool) ([]b
 	if write && g.readonly {
 		return nil, fmt.Errorf("write through read-only grant %d of domain %d", p.Ref, p.Dom)
 	}
-	return g.page.Data, nil
+	return g.data, nil
 }

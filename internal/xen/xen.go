@@ -244,23 +244,25 @@ type Domain struct {
 	// grants and ports are indexed by ref/port number: both are allocated
 	// sequentially and never reused, so the per-packet resolutions
 	// (resolveCopyPtr, Notify) are bounds checks instead of map probes.
-	// Revoked grants and closed ports leave nil holes.
-	grants     []*grantEntry
+	// Grant entries are stored by value (revoked ones leave a dead slot);
+	// closed ports leave nil holes.
+	grants     []grantEntry
 	liveGrants int
 	nextRef    GrantRef
 	ports      []*channel
 	nextPort   Port
 }
 
-// grant returns the live-or-revoked grant entry for ref, nil if ref was
-// never issued or has been revoked.
+// grant returns the live grant entry for ref, nil if ref was never issued
+// or has been revoked. The pointer is into the table: it does not survive
+// the next GrantAccess.
 //
 //kite:hotpath
 func (d *Domain) grant(ref GrantRef) *grantEntry {
-	if int(ref) >= len(d.grants) {
+	if int(ref) >= len(d.grants) || !d.grants[ref].live {
 		return nil
 	}
-	return d.grants[ref]
+	return &d.grants[ref]
 }
 
 // port returns the channel on a local port, nil if unknown or closed.

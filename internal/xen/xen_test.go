@@ -334,3 +334,103 @@ func TestDestroyRevokesGrants(t *testing.T) {
 		t.Fatal("mapping a destroyed domain's grant succeeded")
 	}
 }
+
+// TestFlatGrantTableRefusals pins every refusal the pointer-per-entry table
+// made, now that entries live by value: a slot's zero value must read as
+// "no such grant" (never-issued and revoked refs alike), and the checks
+// resolveCopyPtr and the map path share — granted to the caller, writable —
+// must hold through both. A table with holes is the point: refs 1..4 are
+// issued around the ones under test so index arithmetic is exercised.
+func TestFlatGrantTableRefusals(t *testing.T) {
+	_, hv, dom0 := newHV(t)
+	du := hv.CreateDomain(DomainConfig{Name: "domU", VCPUs: 1, MemBytes: 1 << 20})
+	dd := hv.CreateDomain(DomainConfig{Name: "dd", VCPUs: 1, MemBytes: 1 << 20})
+	grant := func(to DomID, readonly bool) GrantRef {
+		return du.GrantAccess(to, du.Arena.MustAlloc(), readonly)
+	}
+	good := grant(dom0.ID, false)
+	revoked := grant(dom0.ID, false)
+	foreign := grant(dd.ID, false) // granted to dd, not the caller
+	readonly := grant(dom0.ID, true)
+	never := readonly + 1 // inside no table yet
+	if err := du.EndAccess(revoked); err != nil {
+		t.Fatal(err)
+	}
+	if err := du.EndAccess(revoked); err == nil {
+		t.Error("second EndAccess of one ref succeeded")
+	}
+	if n := du.LiveGrants(); n != 3 {
+		t.Errorf("LiveGrants = %d after one revoke of four, want 3", n)
+	}
+
+	local := dom0.Arena.MustAlloc()
+	read := func(ref GrantRef) error {
+		return hv.CopyGrant(dom0, []CopyOp{{Src: CopyPtr{Dom: du.ID, Ref: ref}, Dst: CopyPtr{Local: local}, Len: 8}})
+	}
+	write := func(ref GrantRef) error {
+		return hv.CopyGrant(dom0, []CopyOp{{Src: CopyPtr{Local: local}, Dst: CopyPtr{Dom: du.ID, Ref: ref}, Len: 8}})
+	}
+	if err := read(good); err != nil {
+		t.Fatalf("read through a good grant: %v", err)
+	}
+	if err := write(good); err != nil {
+		t.Fatalf("write through a good grant: %v", err)
+	}
+	if err := read(readonly); err != nil {
+		t.Fatalf("read through a read-only grant: %v", err)
+	}
+	if err := write(readonly); err == nil {
+		t.Error("CopyGrant wrote through a read-only grant")
+	}
+	for name, ref := range map[string]GrantRef{"revoked": revoked, "never issued": never, "ref 0": 0, "granted to another domain": foreign} {
+		if err := read(ref); err == nil {
+			t.Errorf("CopyGrant read through a %s ref", name)
+		}
+		if err := write(ref); err == nil {
+			t.Errorf("CopyGrant wrote through a %s ref", name)
+		}
+		if _, err := hv.MapGrant(dom0, du.ID, ref); err == nil {
+			t.Errorf("MapGrant mapped a %s ref", name)
+		}
+		if _, err := hv.MapGrantBatch(dom0, du.ID, []GrantRef{good, ref}); err == nil {
+			t.Errorf("MapGrantBatch mapped a %s ref", name)
+		}
+	}
+
+	// A revoked slot stays dead when the table grows past it, and a ref
+	// issued later does not resurrect it.
+	later := grant(dom0.ID, false)
+	if later == revoked {
+		t.Fatal("a revoked ref was reissued")
+	}
+	if err := read(revoked); err == nil {
+		t.Error("revoked ref readable after the table grew")
+	}
+
+	// Mapped entries count their mappings in place: EndAccess refuses until
+	// the last one is gone (the failed batches above rolled theirs back).
+	m1, err := hv.MapGrant(dom0, du.ID, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := hv.MapGrant(dom0, du.ID, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant(dom0.ID, false) // table growth must not lose the map count
+	if err := hv.UnmapGrant(dom0, m1); err != nil {
+		t.Fatal(err)
+	}
+	if err := du.EndAccess(good); err == nil {
+		t.Fatal("EndAccess succeeded with one mapping still live")
+	}
+	if err := hv.UnmapGrant(dom0, m2); err != nil {
+		t.Fatal(err)
+	}
+	if err := du.EndAccess(good); err != nil {
+		t.Fatalf("EndAccess after the last unmap: %v", err)
+	}
+	if err := read(good); err == nil {
+		t.Error("CopyGrant read through a ref revoked after unmapping")
+	}
+}
