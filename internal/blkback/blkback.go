@@ -28,6 +28,7 @@ import (
 	"kite/internal/blkif"
 	"kite/internal/metrics"
 	"kite/internal/nvme"
+	"kite/internal/pvback"
 	"kite/internal/sim"
 	"kite/internal/xen"
 )
@@ -125,9 +126,9 @@ type ioQueue struct {
 	pmaps  map[xen.GrantRef]*xen.Mapping
 
 	// Fleet mode: the shared DRR worker serving this queue (thread is nil
-	// then) and the queue's slot in the lane's member slab (deficit, ring
-	// links, owed-response flag live there; -1 after detach).
-	lane     *ServiceLane
+	// then; see Serve, Flush) and the queue's slot in the lane's member slab
+	// (deficit, ring links, owed-response flag live there).
+	lane     *pvback.Lane
 	laneSlot int32
 
 	// notify coalesces response publication: every respond in a completion
@@ -168,14 +169,23 @@ type Instance struct {
 // NewInstance creates a connected blkback instance over a sector window of
 // the physical device, one worker shard per channel queue. frontPorts
 // carries the frontend's per-queue event channels (length must match the
-// channel's queue count).
+// channel's queue count). With a nil lane every queue gets a dedicated
+// request thread, pinned round-robin across the domain's vCPUs from the
+// frontend's home CPU. With a fleet lane the (single) queue is served by the
+// lane's DRR rounds instead: it runs on the lane's vCPU and NVMe submission
+// queue — the lane owns this tenant's hypercall work end to end — and its
+// doorbell joins the lane's demux group.
 func NewInstance(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 	ch *blkif.Channel, frontPorts []xen.Port, dev *nvme.Device,
-	baseSector, sectors int64, costs Costs) (*Instance, error) {
+	baseSector, sectors int64, costs Costs, lane *pvback.Lane) (*Instance, error) {
 
 	nq := ch.NumQueues()
 	if len(frontPorts) != nq {
 		return nil, fmt.Errorf("blkback: %d event channels for %d queues", len(frontPorts), nq)
+	}
+	if lane != nil && nq != 1 {
+		return nil, fmt.Errorf("blkback: vbd%d.%d: fleet lanes serve single-queue frontends (%d queues)",
+			frontDom, devid, nq)
 	}
 	inst := &Instance{
 		eng: eng, dom: dom, frontDom: frontDom, devid: devid,
@@ -184,17 +194,25 @@ func NewInstance(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int
 		base: baseSector, size: sectors,
 	}
 	// Map the ring pages (one per queue).
-	dom.CPUs.Charge(dom.Hypervisor().Costs.Base +
-		sim.Time(nq)*dom.Hypervisor().Costs.GrantMapPage)
+	mapCost := dom.Hypervisor().Costs.Base + sim.Time(nq)*dom.Hypervisor().Costs.GrantMapPage
+	if lane != nil {
+		lane.CPU().Charge(mapCost)
+	} else {
+		dom.CPUs.Charge(mapCost)
+	}
 	inst.queues = make([]*ioQueue, nq)
 	for i := 0; i < nq; i++ {
 		cpuIdx := (int(frontDom) + i) % dom.CPUs.Len()
+		if lane != nil {
+			cpuIdx = lane.ID() % dom.CPUs.Len()
+		}
 		q := &ioQueue{
 			inst: inst, id: i,
 			ring:  ch.Rings.Queue(i),
 			cpu:   dom.CPUs.CPU(cpuIdx),
 			sq:    cpuIdx,
 			pmaps: make(map[xen.GrantRef]*xen.Mapping),
+			lane:  lane,
 		}
 		port, err := dom.BindInterdomain(frontDom, frontPorts[i])
 		if err != nil {
@@ -204,67 +222,26 @@ func NewInstance(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int
 		if err := dom.SetHandler(port, q.onEvent); err != nil {
 			return nil, err
 		}
-		name := inst.name + "/req-thread"
-		if nq > 1 {
-			name = fmt.Sprintf("%s/req-thread-q%d", inst.name, i)
+		if lane != nil {
+			if q.laneSlot, err = lane.Join(port, q); err != nil {
+				return nil, fmt.Errorf("blkback: %s: %w", inst.name, err)
+			}
+		} else {
+			name := inst.name + "/req-thread"
+			if nq > 1 {
+				name = fmt.Sprintf("%s/req-thread-q%d", inst.name, i)
+			}
+			q.thread = sim.NewTask(eng, q.cpu, name, costs.WakeLatency, q.drain)
 		}
-		q.thread = sim.NewTask(eng, q.cpu, name, costs.WakeLatency, q.drain)
-		q.notify = sim.NewBatch(eng, q.flushResponses)
+		q.notify = sim.NewBatch(eng, q.Flush)
 		inst.queues[i] = q
 	}
 	return inst, nil
 }
 
-// NewInstanceOnLane creates a single-queue blkback instance served by a
-// shared fleet ServiceLane instead of a dedicated request thread: the
-// queue runs on the lane's vCPU and NVMe submission queue, its doorbell
-// joins the lane's demux group, and its ring is drained by the lane's
-// DRR rounds.
-func NewInstanceOnLane(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
-	ch *blkif.Channel, frontPorts []xen.Port, dev *nvme.Device,
-	baseSector, sectors int64, costs Costs, lane *ServiceLane) (*Instance, error) {
-
-	if ch.NumQueues() != 1 || len(frontPorts) != 1 {
-		return nil, fmt.Errorf("blkback: vbd%d.%d: fleet lanes serve single-queue frontends (%d queues)",
-			frontDom, devid, ch.NumQueues())
-	}
-	inst := &Instance{
-		eng: eng, dom: dom, frontDom: frontDom, devid: devid,
-		name:  fmt.Sprintf("vbd%d.%d", frontDom, devid),
-		costs: costs, dev: dev,
-		base: baseSector, size: sectors,
-	}
-	// The ring page maps on the lane's vCPU (the lane owns this tenant's
-	// hypercall work end to end).
-	lane.cpu.Charge(dom.Hypervisor().Costs.Base + dom.Hypervisor().Costs.GrantMapPage)
-	q := &ioQueue{
-		inst: inst, id: 0,
-		ring:  ch.Rings.Queue(0),
-		cpu:   lane.cpu,
-		sq:    lane.sq,
-		pmaps: make(map[xen.GrantRef]*xen.Mapping),
-		lane:  lane,
-	}
-	port, err := dom.BindInterdomain(frontDom, frontPorts[0])
-	if err != nil {
-		return nil, fmt.Errorf("blkback: %s: %w", inst.name, err)
-	}
-	q.port = port
-	if err := dom.SetHandler(port, q.onEvent); err != nil {
-		return nil, err
-	}
-	if err := lane.demux.Join(port); err != nil {
-		return nil, fmt.Errorf("blkback: %s: %w", inst.name, err)
-	}
-	q.laneSlot = lane.join(q)
-	q.notify = sim.NewBatch(eng, q.flushResponses)
-	inst.queues = []*ioQueue{q}
-	return inst, nil
-}
-
 // Lane returns the fleet service lane serving the instance, or nil for a
 // dedicated-worker instance.
-func (inst *Instance) Lane() *ServiceLane { return inst.queues[0].lane }
+func (inst *Instance) Lane() *pvback.Lane { return inst.queues[0].lane }
 
 // FrontDom returns the tenant guest's domain ID.
 func (inst *Instance) FrontDom() xen.DomID { return inst.frontDom }
@@ -313,7 +290,7 @@ func (inst *Instance) Shutdown() {
 	inst.dead = true
 	for _, q := range inst.queues {
 		if q.lane != nil {
-			q.lane.detach(q)
+			q.lane.Detach(q.port, q.laneSlot)
 		}
 		_ = inst.dom.Close(q.port)
 		maps := make([]*xen.Mapping, 0, len(q.pmaps))
@@ -369,30 +346,25 @@ func (q *ioQueue) onEvent() {
 	if q.inst.dead {
 		return
 	}
-	if q.lane != nil {
-		if q.ring.RequestAvailable() {
-			q.lane.activate(q)
-		}
+	if !q.ring.RequestAvailable() {
 		return
 	}
-	if q.ring.RequestAvailable() {
+	if q.lane != nil {
+		q.lane.Activate(q.laneSlot)
+	} else {
 		q.thread.Wake()
 	}
 }
 
-// unlimited is the drain budget of a dedicated request thread: it always
-// runs the ring dry.
-const unlimited = int(^uint(0) >> 1)
-
 // drain is the request thread body (dedicated-worker mode).
-func (q *ioQueue) drain() { q.drainBudget(unlimited) }
+func (q *ioQueue) drain() { q.Serve(pvback.Unlimited) }
 
-// drainBudget serves up to budget ring requests, reporting how many were
-// consumed and whether work remains beyond the budget. This is the DRR
-// entry point: a fleet lane passes the member's deficit, a dedicated
-// thread passes unlimited. more is true only when budget — not the ring —
-// ended the drain, so a drained member leaves its lane's round list.
-func (q *ioQueue) drainBudget(budget int) (used int, more bool) {
+// Serve serves up to budget ring requests, reporting how many were consumed
+// and whether work remains beyond the budget. It implements pvback.Member —
+// a fleet lane passes the member's request deficit — and a dedicated thread
+// passes pvback.Unlimited. more is true only when budget — not the ring — ended
+// the drain, so a drained member leaves its lane's round.
+func (q *ioQueue) Serve(budget int) (used int, more bool) {
 	inst := q.inst
 	if inst.dead {
 		return 0, false
@@ -663,18 +635,20 @@ func (q *ioQueue) respond(id uint64, status int8) {
 	if !q.ring.PushResponse(blkif.Response{ID: id, Status: status}) {
 		return // protocol violation by frontend; nothing sane to do
 	}
-	if q.lane != nil && q.lane.inRound {
+	if q.lane != nil && q.lane.InRound() {
 		// Mid-round respond (parse error): the round's flush pass publishes
 		// once per member; no per-respond batch event.
-		q.lane.members[q.laneSlot].notify = true
+		q.lane.Owe(q.laneSlot)
 		return
 	}
 	q.notify.Arm(q.inst.eng.Now())
 }
 
-// flushResponses publishes every privately queued response and notifies the
-// frontend at most once per burst.
-func (q *ioQueue) flushResponses() {
+// Flush publishes every privately queued response and notifies the frontend
+// at most once per burst: the notify batch's wake and — implementing
+// pvback.Member — a lane round's one publication per member of what it
+// pushed synchronously.
+func (q *ioQueue) Flush() {
 	if q.inst.dead {
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"kite/internal/blkfront"
 	"kite/internal/blkif"
 	"kite/internal/nvme"
+	"kite/internal/pvback"
 	"kite/internal/sim"
 	"kite/internal/xen"
 	"kite/internal/xenbus"
@@ -17,7 +18,7 @@ type rig struct {
 	eng   *sim.Engine
 	hv    *xen.Hypervisor
 	bus   *xenbus.Bus
-	reg   *blkif.Registry
+	reg   *pvback.Registry
 	dd    *xen.Domain
 	guest *xen.Domain
 	dev   *nvme.Device
@@ -35,7 +36,7 @@ func buildRig(t *testing.T, costs Costs) *rig {
 		IRQLatency: 6 * sim.Microsecond})
 	store := xenstore.New(eng)
 	bus := xenbus.New(store)
-	reg := blkif.NewRegistry()
+	reg := pvback.NewRegistry()
 
 	dd := hv.CreateDomain(xen.DomainConfig{Name: "blk-dd", VCPUs: 1, MemBytes: 64 << 20,
 		IRQLatency: 3 * sim.Microsecond})

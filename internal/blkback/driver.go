@@ -5,217 +5,98 @@ import (
 
 	"kite/internal/blkif"
 	"kite/internal/nvme"
+	"kite/internal/pvback"
 	"kite/internal/sim"
 	"kite/internal/xen"
 	"kite/internal/xenbus"
 	"kite/internal/xenstore"
 )
 
-const scanCost = 5 * sim.Microsecond
-
-// Driver is the storage backend driver: it watches the driver domain's
-// backend/vbd subtree, advertises device properties for each new vbd
-// (§4.4: sectors, sector size, flush, persistent grants, indirect limit),
-// and pairs frontends with blkback instances through the same
-// backend-invocation thread pattern as networking (§4.1). The vbd window
-// on the physical device comes from the toolstack-written "params" key
-// ("<base>:<sectors>").
+// Driver is the storage backend driver: the shared backend-invocation
+// skeleton (pvback.Driver — the same thread pattern as networking, §4.1)
+// over the vbd device class — the receiver's
+// Type/MaxQueues/Advertise/Connect/Detach, which say what is particular to
+// a storage backend: the device properties it advertises for each new vbd
+// (§4.4: sectors, sector size, flush, persistent grants, indirect limit)
+// and the vbd's window on the physical device, from the toolstack-written
+// "params" key ("<base>:<sectors>").
 type Driver struct {
+	*pvback.Driver[*Instance]
+
 	eng   *sim.Engine
 	dom   *xen.Domain
 	bus   *xenbus.Bus
-	reg   *blkif.Registry
 	dev   *nvme.Device
 	costs Costs
-
-	lanes    []*ServiceLane // fleet mode: shared DRR workers
-	laneNext int            // round-robin lane assignment cursor
-	tenants  *xenbus.TenantRegistry
-
-	thread    *sim.Task
-	instances map[string]*Instance
-	order     []*Instance     // live instances in attach order (deterministic walks)
-	watched   map[string]bool // frontend paths already under watch
-
-	// OnInstance is invoked when a new vbd connects (the block status
-	// application uses it).
-	OnInstance func(*Instance)
-
-	invocations uint64
 }
 
 // NewDriver starts the backend driver in dom, exporting windows of dev.
 func NewDriver(eng *sim.Engine, dom *xen.Domain, bus *xenbus.Bus,
-	reg *blkif.Registry, dev *nvme.Device, costs Costs) *Driver {
+	reg *pvback.Registry, dev *nvme.Device, costs Costs) *Driver {
 
-	drv := &Driver{
-		eng: eng, dom: dom, bus: bus, reg: reg, dev: dev, costs: costs,
-		instances: make(map[string]*Instance),
-		watched:   make(map[string]bool),
-	}
-	drv.thread = sim.NewTask(eng, dom.CPUs.CPU(0), dom.Name+"/vbd-invoker",
-		costs.WakeLatency, drv.scan)
-	bus.Store().Watch(xenbus.BackendRoot(xenbus.DomID(dom.ID), xenstore.DevVbd), "blkback",
-		func(string, string) { drv.thread.Wake() })
-	return drv
+	d := &Driver{eng: eng, dom: dom, bus: bus, dev: dev, costs: costs}
+	d.Driver = pvback.NewDriver[*Instance](eng, dom, bus, reg, d, costs.WakeLatency)
+	return d
 }
+
+// laneReqQuantum is the per-tenant request allotment per DRR round.
+const laneReqQuantum = 32
 
 // SetFleet switches the driver into fleet mode with n shared DRR lanes:
-// lane i's worker runs on vCPU i (mod the domain's vCPU count), and
-// connecting single-queue frontends are assigned to lanes round-robin
-// instead of getting dedicated request threads. The backend-invocation
-// thread moves to the domain's last vCPU. Must be called before any
-// frontend connects.
+// lane i's worker runs on vCPU i (mod the domain's vCPU count), which is
+// also the lane's NVMe submission queue, and connecting single-queue
+// frontends are assigned to lanes instead of getting dedicated request
+// threads. Must be called before any frontend connects.
 func (d *Driver) SetFleet(n int) {
-	d.thread = sim.NewTask(d.eng, d.dom.CPUs.CPU(d.dom.CPUs.Len()-1),
-		d.dom.Name+"/vbd-invoker", d.costs.WakeLatency, d.scan)
-	d.lanes = make([]*ServiceLane, n)
-	for i := range d.lanes {
-		d.lanes[i] = NewServiceLane(i, d.dom, d.eng, i%d.dom.CPUs.Len(), d.costs)
+	lanes := make([]*pvback.Lane, n)
+	for i := range lanes {
+		lanes[i] = pvback.NewLane("blkback", i, d.dom, d.eng,
+			d.dom.CPUs.CPU(i%d.dom.CPUs.Len()), d.costs.WakeLatency, laneReqQuantum, nil)
 	}
+	d.Driver.SetFleet(lanes)
 }
 
-// SetTenantRegistry installs the control-plane ledger the driver reports
-// attach/detach events to.
-func (d *Driver) SetTenantRegistry(r *xenbus.TenantRegistry) { d.tenants = r }
+// Type implements pvback.Class.
+func (d *Driver) Type() string { return xenstore.DevVbd }
 
-// Lanes returns the fleet service lanes (nil in dedicated-worker mode).
-func (d *Driver) Lanes() []*ServiceLane { return d.lanes }
+// MaxQueues implements pvback.Class.
+func (d *Driver) MaxQueues() int { return blkif.MaxQueues }
 
-// Instances returns the live blkback instances in attach order.
-func (d *Driver) Instances() []*Instance {
-	out := make([]*Instance, len(d.order))
-	copy(out, d.order)
-	return out
-}
-
-// Invocations counts pairing attempts.
-func (d *Driver) Invocations() uint64 { return d.invocations }
-
-func (d *Driver) scan() {
-	d.dom.CPUs.Charge(scanCost)
-	st := d.bus.Store()
-	root := xenbus.BackendRoot(xenbus.DomID(d.dom.ID), xenstore.DevVbd)
-	for _, frontStr := range st.List(root) {
-		var frontDom int
-		if _, err := fmt.Sscanf(frontStr, "%d", &frontDom); err != nil {
-			continue
-		}
-		for _, devStr := range st.List(root + "/" + frontStr) {
-			var devid int
-			if _, err := fmt.Sscanf(devStr, "%d", &devid); err != nil {
-				continue
-			}
-			backPath := root + "/" + frontStr + "/" + devStr
-			if _, exists := d.instances[backPath]; exists {
-				continue
-			}
-			d.tryPair(backPath, xen.DomID(frontDom), devid)
-		}
-	}
-}
-
-func (d *Driver) tryPair(backPath string, frontDom xen.DomID, devid int) {
-	st := d.bus.Store()
-	frontPath, ok := st.Read(backPath + "/" + xenstore.KeyFrontend)
-	if !ok {
-		return
-	}
-	switch d.bus.State(backPath) {
-	case xenbus.StateClosed, xenbus.StateClosing:
-		return
-	}
-	base, sectors, err := d.window(backPath)
+// Advertise implements pvback.Class: the device properties of §4.4's
+// initialization. A vbd whose window does not fit the device is refused.
+func (d *Driver) Advertise(backPath string) error {
+	_, sectors, err := d.window(backPath)
 	if err != nil {
-		_ = d.bus.SwitchState(backPath, xenbus.StateClosed)
-		return
+		return err
 	}
-
-	if d.bus.State(backPath) == xenbus.StateInitialising {
-		// Advertise device properties (§4.4 initialization), including how
-		// many hardware queues we can serve: one per driver-domain vCPU,
-		// capped like xen-blkback's max_queues module parameter.
-		st.Writef(backPath+"/"+xenstore.KeySectors, "%d", sectors)
-		st.Writef(backPath+"/"+xenstore.KeySectorSize, "%d", blkif.SectorSize)
-		d.bus.WriteFeature(backPath, xenstore.KeyFeatureFlushCache, true)
-		d.bus.WriteFeature(backPath, xenstore.KeyFeaturePersistent, d.costs.Persistent)
-		if d.costs.Indirect {
-			st.Writef(backPath+"/"+xenstore.KeyFeatureMaxIndirect, "%d", blkif.MaxSegsIndirect)
-		}
-		maxq := d.dom.CPUs.Len()
-		if maxq > blkif.MaxQueues {
-			maxq = blkif.MaxQueues
-		}
-		st.Writef(backPath+"/"+xenstore.KeyMultiQueueMaxQueues, "%d", maxq)
-		_ = d.bus.SwitchState(backPath, xenbus.StateInitWait)
+	st := d.bus.Store()
+	st.Writef(backPath+"/"+xenstore.KeySectors, "%d", sectors)
+	st.Writef(backPath+"/"+xenstore.KeySectorSize, "%d", blkif.SectorSize)
+	d.bus.WriteFeature(backPath, xenstore.KeyFeatureFlushCache, true)
+	d.bus.WriteFeature(backPath, xenstore.KeyFeaturePersistent, d.costs.Persistent)
+	if d.costs.Indirect {
+		st.Writef(backPath+"/"+xenstore.KeyFeatureMaxIndirect, "%d", blkif.MaxSegsIndirect)
 	}
-
-	fs := d.bus.State(frontPath)
-	if fs != xenbus.StateInitialised && fs != xenbus.StateConnected {
-		if !d.watched[frontPath] {
-			d.watched[frontPath] = true
-			d.bus.OnStateChange(frontPath, func(xenbus.State) { d.thread.Wake() })
-		}
-		return
-	}
-
-	d.invocations++
-	// Multi-queue frontends publish per-queue event channels under
-	// queue-N/; single-queue ones keep the legacy flat key.
-	nq := d.bus.ReadNumQueues(frontPath, xenstore.KeyMultiQueueNumQueues)
-	ports := make([]xen.Port, nq)
-	if nq == 1 {
-		port, ok := st.ReadInt(frontPath + "/" + xenstore.KeyEventChannel)
-		if !ok {
-			return
-		}
-		ports[0] = xen.Port(port)
-	} else {
-		for i := 0; i < nq; i++ {
-			port, ok := st.ReadInt(xenbus.QueuePath(frontPath, i) + "/" + xenstore.KeyEventChannel)
-			if !ok {
-				return
-			}
-			ports[i] = xen.Port(port)
-		}
-	}
-	ch, ok := d.reg.Claim(frontDom, devid)
-	if !ok {
-		return
-	}
-	if ch.NumQueues() != nq {
-		return // store and registry disagree; a later watch retries
-	}
-	var inst *Instance
-	if d.lanes != nil && nq == 1 {
-		lane := d.lanes[d.laneNext%len(d.lanes)]
-		d.laneNext++
-		inst, err = NewInstanceOnLane(d.eng, d.dom, frontDom, devid, ch, ports,
-			d.dev, base, sectors, d.costs, lane)
-	} else {
-		inst, err = NewInstance(d.eng, d.dom, frontDom, devid, ch, ports,
-			d.dev, base, sectors, d.costs)
-	}
-	if err != nil {
-		_ = d.bus.SwitchState(backPath, xenbus.StateClosed)
-		return
-	}
-	d.instances[backPath] = inst
-	d.order = append(d.order, inst)
-	if d.tenants != nil {
-		d.tenants.AttachVBD(xenbus.DomID(frontDom))
-	}
-	_ = d.bus.SwitchState(backPath, xenbus.StateConnected)
-
-	d.bus.OnStateChange(frontPath, func(s xenbus.State) {
-		if s == xenbus.StateClosing || s == xenbus.StateClosed || s == xenbus.StateUnknown {
-			d.removeInstance(backPath)
-		}
-	})
-	if d.OnInstance != nil {
-		d.OnInstance(inst)
-	}
+	return nil
 }
+
+// Connect implements pvback.Class: build the instance over the vbd's
+// window, on its lane in fleet mode, else on dedicated request threads.
+func (d *Driver) Connect(p pvback.Pairing) (*Instance, error) {
+	ch, ok := p.Channel.(*blkif.Channel)
+	if !ok {
+		return nil, fmt.Errorf("blkback: vbd%d.%d: published rings are not blkif rings", p.FrontDom, p.DevID)
+	}
+	base, sectors, err := d.window(p.BackPath)
+	if err != nil {
+		return nil, err
+	}
+	return NewInstance(d.eng, d.dom, p.FrontDom, p.DevID, ch, p.Ports,
+		d.dev, base, sectors, d.costs, p.Lane)
+}
+
+// Detach implements pvback.Class.
+func (d *Driver) Detach(inst *Instance) { inst.Shutdown() }
 
 // window parses the toolstack's "params" key: "<baseSector>:<sectors>".
 func (d *Driver) window(backPath string) (base, sectors int64, err error) {
@@ -230,38 +111,4 @@ func (d *Driver) window(backPath string) (base, sectors int64, err error) {
 		return 0, 0, fmt.Errorf("blkback: window %d:%d exceeds device", base, sectors)
 	}
 	return base, sectors, nil
-}
-
-func (d *Driver) removeInstance(backPath string) {
-	inst := d.instances[backPath]
-	if inst == nil {
-		return
-	}
-	delete(d.instances, backPath)
-	for i, in := range d.order {
-		if in == inst {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
-		}
-	}
-	inst.Shutdown()
-	if d.tenants != nil {
-		d.tenants.DetachVBD(xenbus.DomID(inst.frontDom))
-	}
-	if d.bus.Store().Exists(backPath) {
-		_ = d.bus.SwitchState(backPath, xenbus.StateClosed)
-	}
-}
-
-// Shutdown tears down every instance in attach order.
-func (d *Driver) Shutdown() {
-	for len(d.order) > 0 {
-		inst := d.order[0]
-		for path, in := range d.instances {
-			if in == inst {
-				d.removeInstance(path)
-				break
-			}
-		}
-	}
 }

@@ -32,6 +32,7 @@ import (
 	"kite/internal/blkif"
 	"kite/internal/blkpool"
 	"kite/internal/mem"
+	"kite/internal/pvback"
 	"kite/internal/sim"
 	"kite/internal/xen"
 	"kite/internal/xenbus"
@@ -129,13 +130,16 @@ type Device struct {
 	dom     *xen.Domain
 	cpus    *sim.CPUPool // vCPUs the device runs on: Config.CPUs, else all of dom's
 	bus     *xenbus.Bus
-	reg     *blkif.Registry
+	reg     *pvback.Registry
 	devid   int
 	backDom xen.DomID
 	costs   Costs
 
 	frontPath string
 	backPath  string
+	// backWatch follows the backend's state for the device's lifetime;
+	// Close cancels it.
+	backWatch *xenstore.Watch
 
 	wantQueues int
 	queues     []*queue
@@ -168,7 +172,7 @@ type Device struct {
 type Config struct {
 	Dom      *xen.Domain
 	Bus      *xenbus.Bus
-	Registry *blkif.Registry
+	Registry *pvback.Registry
 	DevID    int
 	BackDom  xen.DomID
 	Costs    Costs
@@ -217,7 +221,7 @@ func New(eng *sim.Engine, cfg Config) *Device {
 		readBufs:   bufs.NewArena(),
 		onReady:    cfg.OnReady,
 	}
-	d.bus.OnStateChange(d.backPath, func(s xenbus.State) {
+	d.backWatch = d.bus.OnStateChange(d.backPath, func(s xenbus.State) {
 		switch s {
 		case xenbus.StateInitWait:
 			if len(d.queues) == 0 {
@@ -300,6 +304,16 @@ func (d *Device) connect() {
 	if d.onReady != nil {
 		d.onReady()
 	}
+}
+
+// Close detaches the device from the guest's side: it stops accepting I/O,
+// stops following the backend — a closed device must not pin a watch in the
+// store — and announces Closed, on which the backend tears its instance
+// down.
+func (d *Device) Close() {
+	d.ready = false
+	d.bus.Store().Unwatch(d.backWatch)
+	_ = d.bus.SwitchState(d.frontPath, xenbus.StateClosed)
 }
 
 // Ready reports whether the device is connected.

@@ -45,8 +45,7 @@ const numClasses = maxClassShift - minClassShift + 1
 // everything else in a simulation it is owned by the simulation's single
 // goroutine and is not safe for concurrent use.
 type Buf struct {
-	pool  *Pool
-	arena *Arena // nil for buffers owned by the pool's shared free lists
+	arena *Arena // the free lists the buffer returns to, for life
 	data  []byte
 	n     int
 	class int // -1: oversized one-off, returned to the GC on release
@@ -87,23 +86,20 @@ func (b *Buf) Release() {
 	if b.refs < 0 {
 		panic("blkpool: double release")
 	}
-	p := b.pool
-	p.outstanding--
-	p.recycled++
+	a := b.arena
+	a.parent.outstanding--
+	a.parent.recycled++
 	metrics.BlkPoolRecycles.Add(1)
-	if b.class < 0 {
-		return
-	}
-	if b.arena != nil {
-		b.arena.free[b.class] = append(b.arena.free[b.class], b)
-	} else {
-		p.free[b.class] = append(p.free[b.class], b)
+	if b.class >= 0 {
+		a.free[b.class] = append(a.free[b.class], b)
 	}
 }
 
-// Pool is a per-simulation set of size-class free lists.
+// Pool is a per-simulation set of size-class free lists: the counters every
+// arena of the simulation reports to, and a root arena of its own holding
+// the shared lists.
 type Pool struct {
-	free        [numClasses][]*Buf
+	root        Arena
 	outstanding int
 	gets        uint64
 	fresh       uint64
@@ -113,7 +109,9 @@ type Pool struct {
 // New returns an empty pool; buffers are allocated lazily on first Get and
 // recycled forever after.
 func New() *Pool {
-	return &Pool{}
+	p := &Pool{}
+	p.root.parent = p
+	return p
 }
 
 // classFor returns the smallest class index whose capacity holds n bytes,
@@ -129,38 +127,10 @@ func classFor(n int) int {
 	return c
 }
 
-// Get returns a Buf with an n-byte payload window (n must be a positive
-// multiple of SectorSize) holding one reference owned by the caller. The
-// payload is NOT zeroed — recycled buffers carry stale bytes, exactly like
-// a recycled kernel bio; callers must fully overwrite the window.
+// Get returns a Buf from the shared free lists (see Arena.Get).
 //
 //kite:hotpath
-func (p *Pool) Get(n int) *Buf {
-	if n <= 0 || n%SectorSize != 0 {
-		panic(fmt.Sprintf("blkpool: bad buffer size %d", n))
-	}
-	p.gets++
-	p.outstanding++
-	metrics.BlkPoolGets.Add(1)
-	class := classFor(n)
-	if class >= 0 {
-		if l := p.free[class]; len(l) > 0 {
-			b := l[len(l)-1]
-			p.free[class] = l[:len(l)-1]
-			b.n = n
-			b.refs = 1
-			return b
-		}
-	}
-	p.fresh++
-	b := &Buf{pool: p, n: n, class: class, refs: 1} //kite:alloc-ok pool growth on free-list miss; steady state recycles
-	if class >= 0 {
-		b.data = make([]byte, 1<<(minClassShift+class)) //kite:alloc-ok pool growth on free-list miss
-	} else {
-		b.data = make([]byte, n) //kite:alloc-ok pool growth on free-list miss
-	}
-	return b
-}
+func (p *Pool) Get(n int) *Buf { return p.root.Get(n) }
 
 // Outstanding returns the number of buffers currently held by callers. It
 // must be zero at simulation teardown.
@@ -193,9 +163,12 @@ type Arena struct {
 // never perturbs buffer identities elsewhere in the simulation.
 func (p *Pool) NewArena() *Arena { return &Arena{parent: p} }
 
-// Get returns a Buf with an n-byte payload window drawn from (and destined
-// to return to) this arena. Size rules match Pool.Get; oversized one-offs
-// are allocated directly and handed to the GC on release.
+// Get returns a Buf with an n-byte payload window (n must be a positive
+// multiple of SectorSize) holding one reference owned by the caller, drawn
+// from (and destined to return to) this arena; oversized one-offs are
+// allocated directly and handed to the GC on release. The payload is NOT
+// zeroed — recycled buffers carry stale bytes, exactly like a recycled
+// kernel bio; callers must fully overwrite the window.
 //
 //kite:hotpath
 func (a *Arena) Get(n int) *Buf {
@@ -217,7 +190,7 @@ func (a *Arena) Get(n int) *Buf {
 		}
 	}
 	p.fresh++
-	b := &Buf{pool: p, arena: a, n: n, class: class, refs: 1} //kite:alloc-ok pool growth on free-list miss; steady state recycles
+	b := &Buf{arena: a, n: n, class: class, refs: 1} //kite:alloc-ok pool growth on free-list miss; steady state recycles
 	if class >= 0 {
 		b.data = make([]byte, 1<<(minClassShift+class)) //kite:alloc-ok pool growth on free-list miss
 	} else {

@@ -9,6 +9,7 @@ package bridge
 import (
 	"fmt"
 
+	"kite/internal/flowtab"
 	"kite/internal/framepool"
 	"kite/internal/netpkt"
 	"kite/internal/sim"
@@ -51,16 +52,14 @@ type Bridge struct {
 	// O(tenants²) flood storm.
 	trunk []Port
 	iso   map[Port]bool
-	fdb   fdb
+	// fdb is the forwarding database: learned MAC → port, each entry's Seen
+	// the arrival time of the last frame from that MAC.
+	fdb   *flowtab.Table[netpkt.MAC, Port]
 	stats Stats
 
-	// outq holds forwarded frames until their CPU charge completes; one
-	// armed Batch event per burst instead of one closure per frame. lastOut
-	// is the watermark that keeps the FIFO time-ordered even though
-	// CPUPool.Charge completion times are not globally monotonic.
-	outq    sim.FIFO[delivery]
-	deliver *sim.Batch
-	lastOut sim.Time
+	// shared is the lane frames from Input ride: the bridge-wide egress FIFO,
+	// forwarding cost charged to whichever vCPU of cpus is free first.
+	shared *Lane
 }
 
 // delivery is a forwarded frame waiting for its charge to complete. The
@@ -76,9 +75,9 @@ func New(eng *sim.Engine, cpus *sim.CPUPool, name string) *Bridge {
 	b := &Bridge{
 		eng: eng, cpus: cpus, name: name,
 		PerFrameCost: 300 * sim.Nanosecond,
+		fdb:          flowtab.New[netpkt.MAC, Port](fdbSeed),
 	}
-	b.fdb.init()
-	b.deliver = sim.NewBatch(eng, b.flushDeliveries)
+	b.shared = b.NewLane(nil)
 	return b
 }
 
@@ -139,20 +138,60 @@ func (b *Bridge) RemovePort(p Port) {
 	}
 	delete(b.iso, p)
 	b.rebuildTrunk()
-	b.fdb.removePort(p)
+	b.fdb.Each(func(e *flowtab.Entry[netpkt.MAC, Port]) {
+		if e.Val == p {
+			b.fdb.Remove(e)
+		}
+	})
+}
+
+// fdbSeed keys the FDB's Toeplitz tables: independent from the rig's RSS
+// seed on purpose — steering collisions must not imply FDB probe collisions.
+const fdbSeed = 0xFDB0_5EED_0000_0001
+
+// macHash pads the 6-byte MAC into the Toeplitz window.
+//
+//kite:hotpath
+func (b *Bridge) macHash(mac netpkt.MAC) uint32 {
+	var in [12]byte
+	copy(in[0:6], mac[:])
+	return b.fdb.Hash(&in)
+}
+
+// learn records mac behind port, last seen now, and reports whether the
+// entry is new or moved ports (the Learned counter's trigger).
+//
+//kite:hotpath
+func (b *Bridge) learn(mac netpkt.MAC, port Port, now sim.Time) bool {
+	h := b.macHash(mac)
+	if e := b.fdb.Lookup(h, mac); e != nil {
+		moved := e.Val != port
+		e.Val, e.Seen = port, now
+		return moved
+	}
+	e, _ := b.fdb.Insert(h, mac, now)
+	e.Val = port
+	return true
 }
 
 // Lookup returns the port a MAC was learned on, or nil.
-func (b *Bridge) Lookup(mac netpkt.MAC) Port { return b.fdb.lookup(mac) }
+//
+//kite:hotpath
+func (b *Bridge) Lookup(mac netpkt.MAC) Port {
+	if e := b.fdb.Lookup(b.macHash(mac), mac); e != nil {
+		return e.Val
+	}
+	return nil
+}
 
 // FDBLen returns the number of learned MAC entries.
-func (b *Bridge) FDBLen() int { return b.fdb.len() }
+func (b *Bridge) FDBLen() int { return b.fdb.Len() }
 
 // AgeFDB evicts entries idle longer than maxIdle and returns the count —
 // the periodic sweep the network application runs so departed guests do
 // not pin table space (brconfig's address timeout).
 func (b *Bridge) AgeFDB(maxIdle sim.Time) int {
-	n := b.fdb.age(b.eng.Now(), maxIdle)
+	n := b.fdb.Expire(b.eng.Now(), maxIdle, nil)
 	b.stats.Aged += uint64(n)
 	return n
 }
@@ -191,25 +230,31 @@ func (b *Bridge) AttachDevice(name string, dev FrameDevice) Port {
 // Forwarding cost is charged to the driver domain's CPUs and delivery
 // happens at charge completion.
 func (b *Bridge) Input(from Port, frame *framepool.Buf) {
-	b.input(from, frame, b.eng.Now(), nil)
+	b.shared.InputAt(from, frame, b.eng.Now())
 }
 
-// Lane is a pinned forwarding lane: one forwarding thread (vCPU) and one
-// egress FIFO for a single source queue, the way a multi-queue backend
-// pins per-queue forwarding threads feeding per-queue NIC TX rings. A lane
-// has exactly one producer whose arrival times are monotone, so a batched
-// replay through InputAt charges and delivers at the same virtual times
-// one event per frame would have — without the shared pool's work stealing
-// or the global egress watermark serializing lanes against each other.
+// Lane is a forwarding lane: one egress FIFO and the vCPU its forwarding
+// cost is charged to. A pinned lane serves a single source queue, the way a
+// multi-queue backend pins per-queue forwarding threads feeding per-queue
+// NIC TX rings: it has exactly one producer whose arrival times are
+// monotone, so a batched replay through InputAt charges and delivers at the
+// same virtual times one event per frame would have — without the shared
+// pool's work stealing or the bridge-wide egress watermark serializing lanes
+// against each other. The bridge's own lane (cpu nil) is that bridge-wide
+// FIFO, charging the shared pool.
 type Lane struct {
-	b       *Bridge
-	cpu     *sim.CPU
+	b   *Bridge
+	cpu *sim.CPU // nil: whichever vCPU of the bridge's pool is free first
+	// outq holds forwarded frames until their CPU charge completes; one
+	// armed Batch event per burst instead of one closure per frame. lastOut
+	// is the watermark that keeps the FIFO time-ordered even though charge
+	// completion times across different CPUs are not monotonic.
 	outq    sim.FIFO[delivery]
 	deliver *sim.Batch
 	lastOut sim.Time
 }
 
-// NewLane creates a forwarding lane pinned to cpu.
+// NewLane creates a forwarding lane pinned to cpu (nil: the shared pool).
 func (b *Bridge) NewLane(cpu *sim.CPU) *Lane {
 	l := &Lane{b: b, cpu: cpu}
 	l.deliver = sim.NewBatch(b.eng, l.flush)
@@ -219,15 +264,11 @@ func (b *Bridge) NewLane(cpu *sim.CPU) *Lane {
 // InputAt processes one frame arriving on this lane at the virtual time at,
 // which may lie beyond the executing event's timestamp (see CPU.ChargeAt).
 // at must be nondecreasing across calls — the lane models one FIFO queue.
+//
+// It is the learn/forward/flood core: forwarding cost chains on the lane's
+// CPU starting no earlier than at, and delivery rides the lane's FIFO.
 func (l *Lane) InputAt(from Port, frame *framepool.Buf, at sim.Time) {
-	l.b.input(from, frame, at, l)
-}
-
-// input is the shared learn/forward/flood core. With a lane, forwarding
-// cost chains on the lane's pinned CPU starting no earlier than at, and
-// delivery rides the lane's own FIFO; without one, cost goes to the shared
-// pool and delivery to the bridge-wide FIFO.
-func (b *Bridge) input(from Port, frame *framepool.Buf, at sim.Time, l *Lane) {
+	b := l.b
 	pkt := frame.Bytes()
 	if len(pkt) < netpkt.EthHeaderLen {
 		b.stats.Dropped++
@@ -242,26 +283,26 @@ func (b *Bridge) input(from Port, frame *framepool.Buf, at sim.Time, l *Lane) {
 		// Learn at the frame's own arrival, not the executing event's time:
 		// a carrier replays frames ahead of their stamps, and an entry's
 		// seen time must not depend on how its frame was carried.
-		if b.fdb.learn(src, from, max(at, b.eng.Now())) {
+		if b.learn(src, from, max(at, b.eng.Now())) {
 			b.stats.Learned++
 		}
 	}
 
 	var done sim.Time
-	if l != nil {
+	if l.cpu != nil {
 		done = l.cpu.ChargeAt(at, b.PerFrameCost)
 	} else {
 		done = b.cpus.ChargeAt(at, b.PerFrameCost)
 	}
 	if dst != netpkt.Broadcast {
-		if out := b.fdb.lookup(dst); out != nil {
+		if out := b.Lookup(dst); out != nil {
 			if out == from {
 				b.stats.Dropped++ // destination is behind the source port
 				frame.ReleaseOn(b.eng)
 				return
 			}
 			b.stats.Forwarded++
-			b.enqueueOn(l, done, out, frame)
+			l.enqueue(done, out, frame)
 			return
 		}
 	}
@@ -280,7 +321,7 @@ func (b *Bridge) input(from Port, frame *framepool.Buf, at sim.Time, l *Lane) {
 			frame.Retain() // one extra reference per additional flood target
 		}
 		sent = true
-		b.enqueueOn(l, done, p, frame)
+		l.enqueue(done, p, frame)
 	}
 	if sent {
 		b.stats.Flooded++
@@ -290,18 +331,8 @@ func (b *Bridge) input(from Port, frame *framepool.Buf, at sim.Time, l *Lane) {
 	}
 }
 
-// enqueueOn routes one delivery to the lane's egress FIFO, or the
-// bridge-wide one when l is nil.
-func (b *Bridge) enqueueOn(l *Lane, at sim.Time, to Port, frame *framepool.Buf) {
-	if l != nil {
-		l.enqueue(at, to, frame)
-	} else {
-		b.enqueue(at, to, frame)
-	}
-}
-
-// enqueue queues one delivery on the lane's egress FIFO; the watermark
-// clamp mirrors Bridge.enqueue.
+// enqueue queues one delivery for charge-completion time at. The watermark
+// clamp keeps the FIFO ordered and preserves per-lane frame ordering.
 func (l *Lane) enqueue(at sim.Time, to Port, frame *framepool.Buf) {
 	if at < l.lastOut {
 		at = l.lastOut
@@ -321,30 +352,5 @@ func (l *Lane) flush() {
 	}
 	if p := l.outq.Peek(); p != nil {
 		l.deliver.Arm(p.at)
-	}
-}
-
-// enqueue queues one delivery for charge-completion time at. The watermark
-// clamp keeps the FIFO ordered (charge completions across different CPUs
-// are not monotonic) and preserves per-bridge frame ordering.
-func (b *Bridge) enqueue(at sim.Time, to Port, frame *framepool.Buf) {
-	if at < b.lastOut {
-		at = b.lastOut
-	}
-	b.lastOut = at
-	b.outq.Push(delivery{at: at, to: to, frame: frame})
-	b.deliver.Arm(at)
-}
-
-// flushDeliveries hands every matured frame to its egress port and re-arms
-// for the next pending one.
-func (b *Bridge) flushDeliveries() {
-	now := b.eng.Now()
-	for b.outq.Len() > 0 && b.outq.Peek().at <= now {
-		d := b.outq.Pop()
-		d.to.Deliver(d.frame)
-	}
-	if p := b.outq.Peek(); p != nil {
-		b.deliver.Arm(p.at)
 	}
 }

@@ -195,11 +195,11 @@ func TestFDBSeenIndependentOfCarriage(t *testing.T) {
 		}
 		eng.Run()
 		for i := range seen {
-			e := b.fdb.entryOf(src(i))
+			e := b.fdb.Lookup(b.macHash(src(i)), src(i))
 			if e == nil {
 				t.Fatalf("source %d was never learned", i)
 			}
-			seen[i] = e.lastSeen
+			seen[i] = e.Seen
 		}
 		return seen, len(p1.got)
 	}

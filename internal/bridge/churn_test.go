@@ -69,15 +69,9 @@ func TestFDBChurnAgingEvictsIdle(t *testing.T) {
 	}
 }
 
-// fdbSlotTotal reports the summed slot capacity across shards — the
-// memory footprint of the table, as opposed to its live entry count.
-func fdbSlotTotal(b *Bridge) int {
-	total := 0
-	for si := range b.fdb.shards {
-		total += len(b.fdb.shards[si].slots)
-	}
-	return total
-}
+// fdbSlotTotal reports the record capacity across shards — the memory
+// footprint of the table, as opposed to its live entry count.
+func fdbSlotTotal(b *Bridge) int { return b.fdb.Cap() }
 
 // TestFDBChurnSteadyStateCapacity cycles a full fleet of MACs through
 // learn-then-evict rounds and asserts the table's slot capacity stops

@@ -215,4 +215,45 @@ func TestFleetTenantChurnMidTraffic(t *testing.T) {
 	if n := sys.Pool.Outstanding(); n != 0 {
 		t.Fatalf("%d frame buffers leaked across the churn cycle", n)
 	}
+
+	// A departure leaves nothing behind in the control plane either: once
+	// warm, further detach/reattach cycles of the same tenants must not grow
+	// the store's watch index (the backend's retry and teardown watches, the
+	// frontend's backend watch), the ring registries (a dead frontend's
+	// rings) or the driver's retry map by anything per cycle.
+	cycle := func() {
+		for _, i := range churned {
+			rig.Guests[i].CloseNet(sys)
+		}
+		sys.Eng.Run()
+		for _, i := range churned {
+			if err := rig.Guests[i].ReattachNet(sys, nd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !sys.RunReady(ready, uint64(guests+1)*500000) {
+			t.Fatal("reattached tenants never reconnected")
+		}
+	}
+	for warm := 0; warm < 3; warm++ {
+		cycle()
+	}
+	st := sys.Bus.Store()
+	watches, netRings, blkRings, watched := st.Watches(), sys.NetReg.Len(), sys.BlkReg.Len(), nd.Driver.Watched()
+	for c := 0; c < 16; c++ {
+		cycle()
+	}
+	if n := st.Watches(); n != watches {
+		t.Errorf("store holds %d live watches after 16 more churn cycles, %d before", n, watches)
+	}
+	if n, b := sys.NetReg.Len(), sys.BlkReg.Len(); n != netRings || b != blkRings {
+		t.Errorf("ring registries hold %d net and %d blk publications after 16 more churn cycles, %d and %d before",
+			n, b, netRings, blkRings)
+	}
+	if n := nd.Driver.Watched(); n != watched {
+		t.Errorf("driver holds %d retry watches after 16 more churn cycles, %d before", n, watched)
+	}
+	if n := laneMembers(rig); n != guests {
+		t.Fatalf("lane demux members = %d after the churn cycles, want %d", n, guests)
+	}
 }

@@ -42,6 +42,7 @@ import (
 	"kite/internal/netstack"
 	"kite/internal/nic"
 	"kite/internal/nvme"
+	"kite/internal/pvback"
 	"kite/internal/sim"
 	"kite/internal/xen"
 	"kite/internal/xenbus"
@@ -74,8 +75,8 @@ type System struct {
 	HV     *xen.Hypervisor
 	Store  *xenstore.Store
 	Bus    *xenbus.Bus
-	NetReg *netif.Registry
-	BlkReg *blkif.Registry
+	NetReg *pvback.Registry
+	BlkReg *pvback.Registry
 	Dom0   *xen.Domain
 
 	// Pool is the system-wide frame buffer pool every network component
@@ -144,7 +145,7 @@ func newSystem(seed uint64, cluster *sim.Cluster) *System {
 	store := xenstore.New(eng)
 	s := &System{
 		Eng: eng, HV: hv, Store: store, Bus: xenbus.New(store),
-		NetReg: netif.NewRegistry(), BlkReg: blkif.NewRegistry(),
+		NetReg: pvback.NewRegistry(), BlkReg: pvback.NewRegistry(),
 		Dom0: dom0, Pool: framepool.New(), BlkPool: blkpool.New(),
 		Cluster: cluster, seed: seed, nextVbdBase: 2048,
 	}
@@ -315,7 +316,7 @@ func (s *System) CreateNetworkDomain(cfg NetworkDomainConfig) (*NetworkDomain, e
 			if cfg.Fleet {
 				nd.Driver.SetFleet(qs)
 				nd.Tenants = xenbus.NewTenantRegistry(s.Bus, xenbus.DomID(dom.ID))
-				nd.Driver.SetTenantRegistry(nd.Tenants)
+				nd.Driver.SetTenants(nd.Tenants)
 			} else {
 				nd.Driver.SetShards(qs)
 			}
@@ -403,7 +404,7 @@ func (s *System) CreateStorageDomain(cfg StorageDomainConfig) (*StorageDomain, e
 		if cfg.FleetLanes > 0 {
 			sd.Driver.SetFleet(cfg.FleetLanes)
 			sd.Tenants = xenbus.NewTenantRegistry(s.Bus, xenbus.DomID(dom.ID))
-			sd.Driver.SetTenantRegistry(sd.Tenants)
+			sd.Driver.SetTenants(sd.Tenants)
 		}
 		sd.ready = true
 	}
@@ -606,11 +607,9 @@ func (s *System) CreateGuest(cfg GuestConfig) (*Guest, error) {
 
 // CloseNet detaches the guest's vif (frontend-initiated close).
 func (g *Guest) CloseNet(s *System) {
-	if g.Net == nil {
-		return
+	if g.Net != nil {
+		g.Net.Close()
 	}
-	fp := xenbus.FrontendPath(xenbus.DomID(g.Dom.ID), xenstore.DevVif, g.netDevID)
-	_ = s.Bus.SwitchState(fp, xenbus.StateClosed)
 }
 
 // ReattachNet replugs the guest's network onto a (new) driver domain —

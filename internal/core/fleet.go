@@ -11,8 +11,7 @@ import (
 // tenant VMs through shared DRR service lanes. This is the "hundreds of
 // guests per driver domain" configuration the paper's lightweight domains
 // make practical — per-tenant dedicated worker threads would not survive
-// the scale, so the backends run in fleet mode (netback.ServiceLane,
-// blkback.ServiceLane).
+// the scale, so the backends run in fleet mode (pvback.Lane).
 type FleetConfig struct {
 	Guests int
 	// Lanes is the service-lane count (= cluster shards); default 4.

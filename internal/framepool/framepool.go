@@ -37,8 +37,7 @@ const (
 // concurrent use — like everything else in a simulation, it is owned by the
 // simulation's single goroutine.
 type Buf struct {
-	pool  *Pool
-	arena *Arena // nil for buffers owned by the pool's shared free list
+	arena *Arena // the free list the buffer returns to, for life
 	// stageNext is the intrusive link while parked on a remote-release
 	// stage: written by the releasing shard (stageRemote) and unspliced by
 	// the barrier-side flush, never by the home shard mid-window.
@@ -204,26 +203,13 @@ func (b *Buf) ReleaseOn(local *sim.Engine) {
 	if b.refs < 0 {
 		panic("framepool: double release")
 	}
-	home := b.home()
-	if home == nil || home == local {
+	a := b.arena
+	if a.home == nil || a.home == local {
 		b.recycle()
 		return
 	}
-	var stages []releaseStage
-	if b.arena != nil {
-		stages = b.arena.stages
-	} else {
-		stages = b.pool.stages
-	}
-	if stages != nil && local.Cluster() != nil {
-		stageRemote(stages, local, home, b)
-		return
-	}
-	local.Post(home, local.Cluster().Lookahead(), sim.PriRelease, recycleArg, b) //kite:alloc-ok pointer boxing does not allocate
+	stageRemote(local, b)
 }
-
-// recycleArg is the long-lived post target for cross-shard recycling.
-var recycleArg = func(a any) { a.(*Buf).recycle() }
 
 // releaseStage batches one releasing shard's remote frees for one free list
 // into a single cross-shard post per window. Staged buffers chain through
@@ -256,10 +242,11 @@ func newStages(home *sim.Engine) []releaseStage {
 // chain onto itself, which is why the call sites are ringlink-checked.
 //
 //kite:hotpath
-//kite:ringlink link 3
+//kite:ringlink link 1
 //kite:shardok stage [local.ShardID()] is owned by the releasing shard mid-window; the flush closure runs at the barrier with every shard goroutine parked
-func stageRemote(stages []releaseStage, local, home *sim.Engine, b *Buf) {
-	st := &stages[local.ShardID()]
+func stageRemote(local *sim.Engine, b *Buf) {
+	a := b.arena
+	st := &a.stages[local.ShardID()]
 	b.stageNext = st.head
 	st.head = b
 	if st.armed {
@@ -273,60 +260,41 @@ func stageRemote(stages []releaseStage, local, home *sim.Engine, b *Buf) {
 			// three atomic adds per buffer — the bulk path must stay cheaper
 			// than the per-frame recycle an unsharded run pays inline.
 			var n int64
-			var p *Pool
 			for b := st.head; b != nil; {
 				next := b.stageNext
 				b.stageNext = nil
-				if b.arena != nil {
-					b.arena.free = append(b.arena.free, b)
-				} else {
-					b.pool.free = append(b.pool.free, b)
-				}
-				p = b.pool
+				a.free = append(a.free, b)
 				n++
 				b = next
 			}
 			st.head = nil
 			st.armed = false
-			p.outstanding.Add(-n)
-			p.recycled.Add(uint64(n))
+			a.parent.outstanding.Add(-n)
+			a.parent.recycled.Add(uint64(n))
 			metrics.FramePoolRecycles.Add(uint64(n))
 		}
 	}
-	local.Post(home, local.Cluster().Lookahead(), sim.PriRelease, st.flush, nil)
-}
-
-// home returns the engine owning the buffer's destination free list (nil
-// when unpinned).
-func (b *Buf) home() *sim.Engine {
-	if b.arena != nil {
-		return b.arena.home
-	}
-	return b.pool.home
+	local.Post(a.home, local.Cluster().Lookahead(), sim.PriRelease, st.flush, nil)
 }
 
 // recycle parks the buffer on its free list. It must run on the list's
 // home shard (or in an unsharded simulation).
 func (b *Buf) recycle() {
-	p := b.pool
-	if b.arena != nil {
-		b.arena.free = append(b.arena.free, b)
-	} else {
-		p.free = append(p.free, b)
-	}
-	p.outstanding.Add(-1)
-	p.recycled.Add(1)
+	a := b.arena
+	a.free = append(a.free, b)
+	a.parent.outstanding.Add(-1)
+	a.parent.recycled.Add(1)
 	metrics.FramePoolRecycles.Add(1)
 }
 
-// Pool is a per-simulation free list of Bufs. Counters are atomic because
-// in a sharded simulation arenas on different shards draw and recycle
-// concurrently within a window; the free list itself is single-shard (its
-// home), which ReleaseOn enforces by routing remote releases back.
+// Pool is a per-simulation free list of Bufs: the counters every arena of
+// the simulation reports to, and a root arena of its own holding the shared
+// free list. Counters are atomic because in a sharded simulation arenas on
+// different shards draw and recycle concurrently within a window; a free
+// list itself is single-shard (its home), which ReleaseOn enforces by
+// routing remote releases back.
 type Pool struct {
-	free        []*Buf
-	home        *sim.Engine    // shard owning the shared free list; nil = unpinned
-	stages      []releaseStage // per-releasing-shard remote free batches
+	root        Arena
 	outstanding atomic.Int64
 	gets        atomic.Uint64
 	recycled    atomic.Uint64
@@ -335,47 +303,23 @@ type Pool struct {
 // New returns an empty pool; buffers are allocated lazily on first Get and
 // recycled forever after.
 func New() *Pool {
-	return &Pool{}
+	p := &Pool{}
+	p.root.parent = p
+	return p
 }
 
-// Get returns an empty Buf (full headroom, zero length) holding one
-// reference owned by the caller.
+// Get returns an empty Buf from the shared free list (see Arena.Get).
 //
 //kite:hotpath
-func (p *Pool) Get() *Buf {
-	var b *Buf
-	if n := len(p.free); n > 0 {
-		b = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		b = &Buf{pool: p} //kite:alloc-ok pool growth on free-list miss; steady state recycles
-	}
-	b.refs = 1
-	b.Reset()
-	p.gets.Add(1)
-	p.outstanding.Add(1)
-	metrics.FramePoolGets.Add(1)
-	return b
-}
+func (p *Pool) Get() *Buf { return p.root.Get() }
 
-// SetHome pins the pool's shared free list to a shard engine. Buffers whose
-// last reference dies elsewhere are staged and posted back rather than
-// recycled in place.
-func (p *Pool) SetHome(e *sim.Engine) {
-	p.home = e
-	p.stages = newStages(e)
-}
+// SetHome pins the pool's shared free list to a shard engine (see
+// Arena.SetHome).
+func (p *Pool) SetHome(e *sim.Engine) { p.root.SetHome(e) }
 
-// Prealloc parks n fresh buffers on the free list up front. Sharded
-// simulations stage remote releases and post them home a lookahead
-// window later, so the free list can be transiently short of the true
-// working set; pre-sizing absorbs those window-crossing misses instead
-// of letting the data path allocate through them.
-func (p *Pool) Prealloc(n int) {
-	for i := 0; i < n; i++ {
-		p.free = append(p.free, &Buf{pool: p})
-	}
-}
+// Prealloc parks n fresh buffers on the shared free list up front (see
+// Arena.Prealloc).
+func (p *Pool) Prealloc(n int) { p.root.Prealloc(n) }
 
 // From returns a Buf whose payload is a copy of pkt. Convenience for tests
 // and cold paths (ARP, control traffic).
@@ -417,8 +361,9 @@ type Arena struct {
 // never perturbs buffer identities elsewhere in the simulation.
 func (p *Pool) NewArena() *Arena { return &Arena{parent: p} }
 
-// Get returns an empty Buf owned by the caller, drawn from (and destined to
-// return to) this arena.
+// Get returns an empty Buf (full headroom, zero length) holding one
+// reference owned by the caller, drawn from (and destined to return to)
+// this arena.
 //
 //kite:hotpath
 func (a *Arena) Get() *Buf {
@@ -427,7 +372,7 @@ func (a *Arena) Get() *Buf {
 		b = a.free[n-1]
 		a.free = a.free[:n-1]
 	} else {
-		b = &Buf{pool: a.parent, arena: a} //kite:alloc-ok pool growth on free-list miss; steady state recycles
+		b = &Buf{arena: a} //kite:alloc-ok pool growth on free-list miss; steady state recycles
 	}
 	b.refs = 1
 	b.Reset()
@@ -437,18 +382,23 @@ func (a *Arena) Get() *Buf {
 	return b
 }
 
-// SetHome pins this arena's free list to a shard engine (see Pool.SetHome).
+// SetHome pins this arena's free list to a shard engine. Buffers whose last
+// reference dies elsewhere are staged and posted back rather than recycled
+// in place.
 func (a *Arena) SetHome(e *sim.Engine) {
 	a.home = e
 	a.stages = newStages(e)
 }
 
-// Prealloc parks n fresh buffers on this arena's free list up front
-// (see Pool.Prealloc). Preallocated buffers count toward nothing until
-// first handed out.
+// Prealloc parks n fresh buffers on this arena's free list up front.
+// Sharded simulations stage remote releases and post them home a lookahead
+// window later, so the free list can be transiently short of the true
+// working set; pre-sizing absorbs those window-crossing misses instead of
+// letting the data path allocate through them. Preallocated buffers count
+// toward nothing until first handed out.
 func (a *Arena) Prealloc(n int) {
 	for i := 0; i < n; i++ {
-		a.free = append(a.free, &Buf{pool: a.parent, arena: a})
+		a.free = append(a.free, &Buf{arena: a})
 	}
 }
 

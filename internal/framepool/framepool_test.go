@@ -128,9 +128,9 @@ func TestArenaPartitioning(t *testing.T) {
 	if p.Outstanding() != 0 {
 		t.Fatalf("Outstanding = %d after arena releases, want 0", p.Outstanding())
 	}
-	if a0.Free() != 1 || a1.Free() != 1 || len(p.free) != 0 {
+	if a0.Free() != 1 || a1.Free() != 1 || p.root.Free() != 0 {
 		t.Fatalf("buffers not parked in their own arenas: a0=%d a1=%d shared=%d",
-			a0.Free(), a1.Free(), len(p.free))
+			a0.Free(), a1.Free(), p.root.Free())
 	}
 	// A buffer stays bound to its arena across reuse.
 	if got := a0.Get(); got != b0 {

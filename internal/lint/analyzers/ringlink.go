@@ -11,7 +11,7 @@ import (
 )
 
 // Ringlink proves the link discipline of the intrusive structures the
-// fleet data plane runs on (PRs 7/9): ServiceLane laneMember active rings,
+// fleet data plane runs on (PRs 7/9): the pvback.Lane member active ring,
 // timewheel bucket chains and freelist slabs, framepool remote-free
 // magazines. These structures have no redundancy — a node's membership IS
 // its next/prev words — so a double-link silently merges two rings, a

@@ -90,10 +90,8 @@ func TestConcurrencyLintCleanTree(t *testing.T) {
 		{"kite/internal/timewheel", "alloc"},
 		{"kite/internal/timewheel", "link"},
 		{"kite/internal/timewheel", "release"},
-		{"kite/internal/netback", "link"},
-		{"kite/internal/netback", "unlink"},
-		{"kite/internal/blkback", "link"},
-		{"kite/internal/blkback", "unlink"},
+		{"kite/internal/pvback", "link"},
+		{"kite/internal/pvback", "unlink"},
 		{"kite/internal/framepool", "stageRemote"},
 		// The intrusive hand-off chain netfront's bursts travel as.
 		{"kite/internal/framepool", "Push"},
@@ -105,11 +103,10 @@ func TestConcurrencyLintCleanTree(t *testing.T) {
 	}
 	// relpure starts from Engine.Post calls that name sim.PriRelease: the
 	// bridge carrier's way home (one per dedicated queue, one per fleet
-	// lane) and the framepool's staged and unstaged remote frees.
+	// lane) and the framepool's staged remote frees.
 	release := []struct{ pkg, fn string }{
 		{"kite/internal/netback", "inputBatch"},
 		{"kite/internal/framepool", "stageRemote"},
-		{"kite/internal/framepool", "ReleaseOn"},
 	}
 	for _, r := range release {
 		if !funcMentions(mod, r.pkg, r.fn, "PriRelease") {
@@ -160,16 +157,16 @@ func TestHotPathCoverage(t *testing.T) {
 		{"kite/internal/framepool", "Release"},
 		{"kite/internal/blkpool", "Get"},
 		{"kite/internal/blkpool", "Release"},
-		// Fleet O(active) fast paths: the shared-lane active ring, the
+		// Fleet O(active) fast paths: the shared lane's active ring (its
+		// round reaches both classes' Serve and Flush through the Member
+		// interface), the keyed table under the FDB and the NAT flows, the
 		// two-level doorbell bitmap, and the idle-aging timer wheel.
-		{"kite/internal/netback", "activate"},
-		{"kite/internal/netback", "link"},
-		{"kite/internal/netback", "unlink"},
-		{"kite/internal/netback", "round"},
-		{"kite/internal/blkback", "activate"},
-		{"kite/internal/blkback", "link"},
-		{"kite/internal/blkback", "unlink"},
-		{"kite/internal/blkback", "round"},
+		{"kite/internal/pvback", "Activate"},
+		{"kite/internal/pvback", "link"},
+		{"kite/internal/pvback", "unlink"},
+		{"kite/internal/pvback", "round"},
+		{"kite/internal/flowtab", "Lookup"},
+		{"kite/internal/flowtab", "Insert"},
 		{"kite/internal/xen", "mark"},
 		{"kite/internal/xen", "scan"},
 		{"kite/internal/xen", "nextPending"},

@@ -13,15 +13,9 @@ func churnIP(i int) netpkt.IP {
 	return netpkt.IPv4(10, 1, byte(i>>8), byte(i))
 }
 
-// slabTotal reports the summed slab capacity across flow-table shards —
-// the record memory footprint, as opposed to the live flow count.
-func slabTotal(tr *Translator) int {
-	total := 0
-	for si := range tr.flows.shards {
-		total += len(tr.flows.shards[si].slab)
-	}
-	return total
-}
+// slabTotal reports the record capacity across flow-table shards — the
+// record memory footprint, as opposed to the live flow count.
+func slabTotal(tr *Translator) int { return tr.flows.Cap() }
 
 // TestPortExhaustionAndRecovery drives the translator to dynamic-port
 // exhaustion (every one of the portSpan external ports claimed by a
@@ -103,7 +97,7 @@ func TestDropGuestMidTrafficReleasesPorts(t *testing.T) {
 			t.Fatalf("flow %d refused", i)
 		}
 		if i == 0 {
-			extA, extB = fa.extPort, fb.extPort
+			extA, extB = fa.Val.extPort, fb.Val.extPort
 		}
 	}
 	if tr.Flows() != 2*flowsEach {

@@ -16,16 +16,40 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"kite/internal/flowtab"
 	"kite/internal/netpkt"
 	"kite/internal/sim"
 )
 
-// proto keys for the flow table.
+const (
+	// portBase is the first dynamic external port; everything below is
+	// reserved for static forwards and well-known services.
+	portBase = 20000
+	// portSpan is the size of the dynamic port space — the hard capacity
+	// of the translator (per L4 protocol space merged).
+	portSpan = 1<<16 - portBase
+)
+
+// flowKey keys the flow table.
 type flowKey struct {
 	proto   uint8
 	guestIP netpkt.IP
 	guestPt uint16 // ICMP: echo ID
 }
+
+// binding is a flow's translation: its external port and whether that port
+// was dynamically allocated (vs a static forward's).
+type binding struct {
+	extPort uint16
+	dyn     bool
+}
+
+// flow is one translation record; Seen is its last use.
+type flow = flowtab.Entry[flowKey, binding]
+
+// natSeed keys the flow table's Toeplitz tables (fixed: deterministic
+// spreading, independent of the rig RSS seed).
+const natSeed = 0x0A10_5EED_0000_0002
 
 // Stats counts translator activity.
 type Stats struct {
@@ -47,11 +71,11 @@ type Translator struct {
 	// PerPacketCost models the translation work.
 	PerPacketCost sim.Time
 
-	flows flowTable
+	flows *flowtab.Table[flowKey, binding]
 	// reverse maps an external port straight to its flow record: a flat
-	// array of packed (shard, slab-index) references — O(1) inbound match
+	// array of the table's stable record references — O(1) inbound match
 	// with no second hash table to keep consistent.
-	reverse  [1 << 16]flowRef
+	reverse  [1 << 16]flowtab.Ref
 	forwards []forwardEnt // sorted by extPort; control-plane sized
 	nextPort uint16
 	dynPorts int // dynamic ports currently allocated
@@ -72,8 +96,8 @@ func New(eng *sim.Engine, cpus *sim.CPUPool, gateway netpkt.IP) *Translator {
 		eng: eng, cpus: cpus, Gateway: gateway,
 		PerPacketCost: 350 * sim.Nanosecond,
 		nextPort:      portBase,
+		flows:         flowtab.New[flowKey, binding](natSeed),
 	}
-	t.flows.init()
 	return t
 }
 
@@ -81,7 +105,7 @@ func New(eng *sim.Engine, cpus *sim.CPUPool, gateway netpkt.IP) *Translator {
 func (t *Translator) Stats() Stats { return t.stats }
 
 // Flows returns the number of active translations.
-func (t *Translator) Flows() int { return t.flows.count }
+func (t *Translator) Flows() int { return t.flows.Len() }
 
 // AddForward installs a static inbound mapping (gateway:extPort ->
 // guest:guestPort), the rdr rule servers behind NAT need.
@@ -149,10 +173,16 @@ func (t *Translator) allocPort() (uint16, bool) {
 // exhausted — the caller drops the packet.
 //
 //kite:hotpath
-func (t *Translator) flowFor(proto uint8, guest netpkt.IP, guestPort uint16) *flowEnt {
+func (t *Translator) flowFor(proto uint8, guest netpkt.IP, guestPort uint16) *flow {
 	key := flowKey{proto: proto, guestIP: guest, guestPt: guestPort}
-	if f := t.flows.lookup(key); f != nil {
-		f.lastUse = t.eng.Now()
+	// Pad the flow key into the Toeplitz window.
+	var in [12]byte
+	copy(in[0:4], guest[:])
+	in[4] = proto
+	binary.BigEndian.PutUint16(in[8:10], guestPort)
+	h := t.flows.Hash(&in)
+	if f := t.flows.Lookup(h, key); f != nil {
+		f.Seen = t.eng.Now()
 		return f
 	}
 	ext := uint16(0)
@@ -173,9 +203,8 @@ func (t *Translator) flowFor(proto uint8, guest netpkt.IP, guestPort uint16) *fl
 		t.dynPorts++
 		dyn = true
 	}
-	f, ref := t.flows.insert(key, t.eng.Now())
-	f.extPort = ext
-	f.dyn = dyn
+	f, ref := t.flows.Insert(h, key, t.eng.Now())
+	f.Val = binding{extPort: ext, dyn: dyn}
 	t.reverse[ext] = ref
 	t.stats.FlowsAlloc++
 	return f
@@ -194,8 +223,12 @@ func (t *Translator) RewriteOutbound(pkt []byte) bool {
 		return false
 	}
 	switch h.Proto {
-	case netpkt.ProtoTCP:
-		if len(payload) < netpkt.TCPHeaderLen {
+	case netpkt.ProtoTCP, netpkt.ProtoUDP:
+		hdrLen := netpkt.TCPHeaderLen
+		if h.Proto == netpkt.ProtoUDP {
+			hdrLen = netpkt.UDPHeaderLen
+		}
+		if len(payload) < hdrLen {
 			t.stats.Dropped++
 			return false
 		}
@@ -204,18 +237,7 @@ func (t *Translator) RewriteOutbound(pkt []byte) bool {
 			t.stats.Dropped++
 			return false
 		}
-		binary.BigEndian.PutUint16(payload[0:2], f.extPort)
-	case netpkt.ProtoUDP:
-		if len(payload) < netpkt.UDPHeaderLen {
-			t.stats.Dropped++
-			return false
-		}
-		f := t.flowFor(h.Proto, h.Src, binary.BigEndian.Uint16(payload[0:2]))
-		if f == nil {
-			t.stats.Dropped++
-			return false
-		}
-		binary.BigEndian.PutUint16(payload[0:2], f.extPort)
+		binary.BigEndian.PutUint16(payload[0:2], f.Val.extPort)
 	case netpkt.ProtoICMP:
 		eh, _, ok := netpkt.DecodeICMPEcho(payload)
 		if !ok || eh.Type != netpkt.ICMPEchoRequest {
@@ -227,7 +249,7 @@ func (t *Translator) RewriteOutbound(pkt []byte) bool {
 			t.stats.Dropped++
 			return false
 		}
-		binary.BigEndian.PutUint16(payload[4:6], f.extPort)
+		binary.BigEndian.PutUint16(payload[4:6], f.Val.extPort)
 		reICMPChecksum(payload)
 	default:
 		t.stats.Dropped++
@@ -272,14 +294,14 @@ func (t *Translator) RewriteInbound(pkt []byte) (netpkt.IP, bool) {
 			t.stats.Dropped++
 			return netpkt.IP{}, false
 		}
-		f := t.flows.get(t.reverse[eh.ID])
-		if f == nil || f.key.proto != netpkt.ProtoICMP {
+		f := t.flows.Get(t.reverse[eh.ID])
+		if f == nil || f.Key.proto != netpkt.ProtoICMP {
 			t.stats.Dropped++
 			return netpkt.IP{}, false
 		}
-		binary.BigEndian.PutUint16(payload[4:6], f.key.guestPt)
+		binary.BigEndian.PutUint16(payload[4:6], f.Key.guestPt)
 		reICMPChecksum(payload)
-		dst = f.key.guestIP
+		dst = f.Key.guestIP
 	default:
 		t.stats.Dropped++
 		return netpkt.IP{}, false
@@ -331,9 +353,9 @@ func (t *Translator) TranslateInbound(pkt []byte) ([]byte, netpkt.IP) {
 //
 //kite:hotpath
 func (t *Translator) matchInbound(proto uint8, extPort uint16) (netpkt.IP, uint16, bool) {
-	if f := t.flows.get(t.reverse[extPort]); f != nil && f.key.proto == proto {
-		f.lastUse = t.eng.Now()
-		return f.key.guestIP, f.key.guestPt, true
+	if f := t.flows.Get(t.reverse[extPort]); f != nil && f.Key.proto == proto {
+		f.Seen = t.eng.Now()
+		return f.Key.guestIP, f.Key.guestPt, true
 	}
 	if fwd, ok := t.lookupForward(extPort); ok {
 		return fwd.ip, fwd.port, true
@@ -341,17 +363,20 @@ func (t *Translator) matchInbound(proto uint8, extPort uint16) (netpkt.IP, uint1
 	return netpkt.IP{}, 0, false
 }
 
+// release returns a dying flow's external port: the reverse entry clears
+// and a dynamic port becomes allocatable again.
+func (t *Translator) release(f *flow) {
+	t.reverse[f.Val.extPort] = 0
+	if f.Val.dyn {
+		t.dynPorts--
+	}
+}
+
 // Expire drops flows idle for longer than maxIdle (the translator's GC,
-// called periodically by the network application). The walk is in
-// deterministic shard/slab order; records return to their shard's
-// free-list and dynamic ports become allocatable again.
+// called periodically by the network application), in the table's
+// deterministic aging order.
 func (t *Translator) Expire(maxIdle sim.Time) int {
-	dropped := t.flows.expire(t.eng.Now(), maxIdle, func(f *flowEnt) {
-		t.reverse[f.extPort] = 0
-		if f.dyn {
-			t.dynPorts--
-		}
-	})
+	dropped := t.flows.Expire(t.eng.Now(), maxIdle, t.release)
 	t.stats.FlowsExpired += uint64(dropped)
 	return dropped
 }
@@ -362,20 +387,13 @@ func (t *Translator) Expire(maxIdle sim.Time) int {
 // out the idle timer.
 func (t *Translator) DropGuest(guest netpkt.IP) int {
 	dropped := 0
-	for si := range t.flows.shards {
-		s := &t.flows.shards[si]
-		for idx := range s.slab {
-			f := &s.slab[idx]
-			if f.used && f.key.guestIP == guest {
-				t.reverse[f.extPort] = 0
-				if f.dyn {
-					t.dynPorts--
-				}
-				t.flows.remove(f.key)
-				dropped++
-			}
+	t.flows.Each(func(f *flow) {
+		if f.Key.guestIP == guest {
+			t.release(f)
+			t.flows.Remove(f)
+			dropped++
 		}
-	}
+	})
 	t.stats.FlowsExpired += uint64(dropped)
 	return dropped
 }

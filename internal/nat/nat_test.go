@@ -211,11 +211,9 @@ func TestPortAllocationSkipsForwards(t *testing.T) {
 	tr.nextPort = 29999
 	tr.AddForward(30000, guestIP, 80)
 	tr.TranslateOutbound(udpPacket(guestIP, remoteIP, 1, 53, "x"))
-	for si := range tr.flows.shards {
-		for _, f := range tr.flows.shards[si].slab {
-			if f.used && f.extPort == 30000 {
-				t.Fatal("flow allocated a forwarded port")
-			}
+	tr.flows.Each(func(f *flow) {
+		if f.Val.extPort == 30000 {
+			t.Fatal("flow allocated a forwarded port")
 		}
-	}
+	})
 }

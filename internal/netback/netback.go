@@ -22,8 +22,8 @@
 // directions of a flow ride one queue.
 //
 // Fleet mode is the deliberate exception: the single-queue VIFs of one
-// ServiceLane are served one after another by one worker, so they share
-// the lane's drain state by design — one arena, one set of scratch slices
+// service lane (pvback.Lane) are served one after another by one worker, so
+// they share the lane's drain state by design — one arena, one set of scratch slices
 // and one bridge carrier per lane, however many tenants it serves. Only
 // what is a tenant's by nature (rings, event channel, persistent-grant
 // cache, guest-bound backlog, counters) stays per VIF.
@@ -44,6 +44,7 @@ import (
 	"kite/internal/metrics"
 	"kite/internal/netif"
 	"kite/internal/netpkt"
+	"kite/internal/pvback"
 	"kite/internal/sim"
 	"kite/internal/xen"
 )
@@ -154,10 +155,10 @@ type vifQueue struct {
 	softStart *sim.Task
 
 	// lane is non-nil in fleet mode: the queue has no dedicated worker
-	// threads and is served by its ServiceLane's DRR rounds instead.
+	// threads and is served by its lane's DRR rounds instead (Serve, Flush).
 	// laneSlot addresses the queue's round state (deficit, ring links,
-	// owed doorbell) in the lane's member slab; -1 after detach.
-	lane     *ServiceLane
+	// owed doorbell) in the lane's member slab.
+	lane     *pvback.Lane
 	laneSlot int32
 
 	rxQueue sim.FIFO[*framepool.Buf]
@@ -195,7 +196,7 @@ type timedFrame struct {
 // framepool arena its Tx buffers come from, the request/op/buffer scratch,
 // and (sharded) the carrier taking matured frames to the bridge. None of it
 // is a tenant's by nature. A dedicated-worker queue owns one; the members
-// of a ServiceLane share their lane's — a DRR round serves them one after
+// of a service lane share their lane's — a DRR round serves them one after
 // another on one vCPU, so no two tenants ever use it at once, and a copy
 // per tenant would only spread the round's working set over as many cache
 // lines (and cross-shard posts) as there are tenants.
@@ -282,7 +283,11 @@ func (ds *drainState) stageTx(from *VIF, at sim.Time, frame *framepool.Buf) {
 // postTx sends the open carrier, if any, to the bridge shard: one
 // conservative post maturing at the first frame's arrival; InputAt replays
 // the rest at their stamped times. Every stamp is a charge completion plus
-// shardHandoff, so the delay keeps the lookahead bound.
+// shardHandoff, so the delay keeps the lookahead bound. A lane calls it as
+// its end-of-round hook, through a function value the analyzer does not
+// follow — hence a hot root of its own.
+//
+//kite:hotpath
 func (ds *drainState) postTx() {
 	if ds.txOut == nil {
 		return
@@ -432,14 +437,14 @@ func NewVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 }
 
 // NewVIFOnLane creates a single-queue netback instance served by a shared
-// fleet ServiceLane instead of dedicated pusher/soft_start threads: the
-// queue lives on the lane's shard and vCPU, drains on the lane's drain
-// state, its doorbell joins the lane's demux group, and its rings are
+// fleet service lane instead of dedicated pusher/soft_start threads: the
+// queue lives on the lane's shard and vCPU, drains on ds (the lane's drain
+// state), its doorbell joins the lane's demux group, and its rings are
 // drained by the lane's DRR rounds. This is how one driver domain serves
 // hundreds of guests with a fixed number of worker threads.
 func NewVIFOnLane(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 	ch *netif.Channel, frontPorts []xen.Port, br *bridge.Bridge, costs Costs,
-	pool *framepool.Pool, lane *ServiceLane) (*VIF, error) {
+	pool *framepool.Pool, lane *pvback.Lane, ds *drainState) (*VIF, error) {
 
 	if ch.NumQueues() != 1 || len(frontPorts) != 1 {
 		return nil, fmt.Errorf("netback: vif%d.%d: fleet lanes serve single-queue frontends (%d queues)",
@@ -448,32 +453,32 @@ func NewVIFOnLane(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid in
 	v := newVIF(eng, dom, frontDom, devid, ch, br, costs, pool)
 	// Both ring pages map on the lane's vCPU (the lane owns this tenant's
 	// hypercall work end to end).
-	lane.cpu.Charge(dom.Hypervisor().Costs.Base + 2*dom.Hypervisor().Costs.GrantMapPage)
+	lane.CPU().Charge(dom.Hypervisor().Costs.Base + 2*dom.Hypervisor().Costs.GrantMapPage)
 
 	q := &vifQueue{
 		v:       v,
-		eng:     lane.eng,
+		eng:     ds.eng,
 		sharded: true,
 		tx:      ch.Tx.Queue(0),
 		rx:      ch.Rx.Queue(0),
 		pgrants: make(map[xen.GrantRef]*xen.Mapping),
-		ds:      lane.ds,
+		ds:      ds,
 		lane:    lane,
-		cpu:     lane.cpu,
+		cpu:     lane.CPU(),
 	}
 	if err := v.bindQueue(q, frontPorts[0]); err != nil {
 		return nil, err
 	}
-	if err := lane.demux.Join(q.port); err != nil {
+	var err error
+	if q.laneSlot, err = lane.Join(q.port, q); err != nil {
 		return nil, fmt.Errorf("netback: %s: %w", v.name, err)
 	}
-	q.laneSlot = lane.join(q)
 	return v, nil
 }
 
 // Lane returns the fleet service lane serving the VIF, or nil for a
 // dedicated-worker instance.
-func (v *VIF) Lane() *ServiceLane { return v.queues[0].lane }
+func (v *VIF) Lane() *pvback.Lane { return v.queues[0].lane }
 
 // FrontDom returns the tenant guest's domain ID.
 func (v *VIF) FrontDom() xen.DomID { return v.frontDom }
@@ -540,7 +545,7 @@ func (v *VIF) Shutdown() {
 	v.dead = true
 	for _, q := range v.queues {
 		if q.lane != nil {
-			q.lane.detach(q)
+			q.lane.Detach(q.port, q.laneSlot)
 		}
 		_ = v.dom.Close(q.port)
 		for q.rxQueue.Len() > 0 {
@@ -576,7 +581,7 @@ func (q *vifQueue) onEvent() {
 		// Fleet mode: no dedicated threads — put the queue into its lane's
 		// DRR round if the doorbell brought actionable work.
 		if q.tx.RequestAvailable() || (q.rxQueue.Len() > 0 && q.rx.RequestAvailable()) {
-			q.lane.activate(q)
+			q.lane.Activate(q.laneSlot)
 		}
 		return
 	}
@@ -593,16 +598,24 @@ func (q *vifQueue) onEvent() {
 	}
 }
 
-// unlimited is the drain budget that disables DRR accounting (dedicated
-// per-queue workers drain their whole ring, as before fleet mode).
-const unlimited = int(^uint(0) >> 1)
-
 // drainTx is the pusher thread body: move guest frames to the bridge, one
 // carrier post for the haul when sharded.
 func (q *vifQueue) drainTx() {
-	q.drainTxBudget(unlimited)
+	q.drainTxBudget(pvback.Unlimited)
 	q.ds.postTx()
 }
+
+// Serve implements pvback.Member: a lane round serves the queue's Tx ring,
+// then its Rx backlog against whatever byte deficit Tx left.
+func (q *vifQueue) Serve(deficit int) (used int, more bool) {
+	used, more = q.drainTxBudget(deficit)
+	rxUsed, rxMore := q.drainRxBudget(max(deficit-used, 0))
+	return used + rxUsed, more || rxMore
+}
+
+// Flush implements pvback.Member: the one completion doorbell a round owes
+// the frontend, however many drain calls asked for it (notifyFront).
+func (q *vifQueue) Flush() { q.v.dom.Notify(q.port) }
 
 // drainTxBudget moves guest frames to the bridge, stopping once budget
 // bytes have been taken from the ring (the last frame may overshoot — DRR
@@ -610,8 +623,8 @@ func (q *vifQueue) drainTx() {
 // directly into a pooled buffer that then travels the bridge/NAT/NIC path.
 // Per-frame processing is charged to this queue's pinned vCPU, which is
 // what lets queues overlap in time. Sharded, matured frames are staged in
-// the drain state's carrier, which the caller posts (per haul, or per lane
-// round). Returns the bytes consumed and whether requests remain because
+// the drain state's carrier, which the caller posts (per haul, or — the
+// lane's end-of-round hook — per round). Returns the bytes consumed and whether requests remain because
 // the budget — not the ring — ran out.
 func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 	v, ds := q.v, q.ds
@@ -719,7 +732,7 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 //kite:hotpath
 func (q *vifQueue) notifyFront() {
 	if q.lane != nil {
-		q.lane.members[q.laneSlot].notify = true
+		q.lane.Owe(q.laneSlot)
 		return
 	}
 	q.v.dom.Notify(q.port)
@@ -804,7 +817,7 @@ func (q *vifQueue) rxEnqueue(frame *framepool.Buf) {
 	}
 	q.rxQueue.Push(frame)
 	if q.lane != nil {
-		q.lane.activate(q)
+		q.lane.Activate(q.laneSlot)
 		return
 	}
 	if v.costs.InHandler {
@@ -816,7 +829,7 @@ func (q *vifQueue) rxEnqueue(frame *framepool.Buf) {
 
 // drainRx is the soft_start thread body: copy queued frames into posted
 // guest Rx buffers, preferring the persistent mapping cache.
-func (q *vifQueue) drainRx() { q.drainRxBudget(unlimited) }
+func (q *vifQueue) drainRx() { q.drainRxBudget(pvback.Unlimited) }
 
 // drainRxBudget copies queued guest-bound frames into posted Rx buffers,
 // stopping once budget bytes have been delivered (last frame may

@@ -11,6 +11,7 @@ import (
 	"kite/internal/netpkt"
 	"kite/internal/netstack"
 	"kite/internal/nic"
+	"kite/internal/pvback"
 	"kite/internal/sim"
 	"kite/internal/xen"
 	"kite/internal/xenbus"
@@ -24,7 +25,7 @@ type rig struct {
 	eng    *sim.Engine
 	hv     *xen.Hypervisor
 	bus    *xenbus.Bus
-	reg    *netif.Registry
+	reg    *pvback.Registry
 	dd     *xen.Domain
 	guest  *xen.Domain
 	br     *bridge.Bridge
@@ -42,7 +43,7 @@ func buildRig(t *testing.T, costs Costs) *rig {
 		IRQLatency: 6 * sim.Microsecond})
 	store := xenstore.New(eng)
 	bus := xenbus.New(store)
-	reg := netif.NewRegistry()
+	reg := pvback.NewRegistry()
 
 	dd := hv.CreateDomain(xen.DomainConfig{Name: "net-dd", VCPUs: 1, MemBytes: 64 << 20,
 		IRQLatency: 3 * sim.Microsecond})
@@ -228,7 +229,7 @@ func TestEventCoalescingUnderLoad(t *testing.T) {
 	}
 	_, _, reqSaved, _ := func() (a, b, c, d uint64) {
 		ch, _ := r.reg.Claim(r.guest.ID, 0)
-		return ch.Tx.Stats()
+		return ch.(*netif.Channel).Tx.Stats()
 	}()
 	if reqSaved == 0 {
 		t.Fatal("no notifications were suppressed under bulk load")

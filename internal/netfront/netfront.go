@@ -41,6 +41,7 @@ import (
 	"kite/internal/netif"
 	"kite/internal/netpkt"
 	"kite/internal/netstack"
+	"kite/internal/pvback"
 	"kite/internal/sim"
 	"kite/internal/xen"
 	"kite/internal/xenbus"
@@ -127,7 +128,7 @@ type Device struct {
 	eng     *sim.Engine
 	dom     *xen.Domain
 	bus     *xenbus.Bus
-	reg     *netif.Registry
+	reg     *pvback.Registry
 	devID   int
 	backDom xen.DomID
 	mac     netpkt.MAC
@@ -135,6 +136,9 @@ type Device struct {
 
 	frontPath string
 	backPath  string
+	// backWatch follows the backend's state for the device's lifetime;
+	// Close cancels it.
+	backWatch *xenstore.Watch
 
 	wantQueues int
 	hashSeed   uint64
@@ -155,7 +159,7 @@ type Device struct {
 type Config struct {
 	Dom      *xen.Domain
 	Bus      *xenbus.Bus
-	Registry *netif.Registry
+	Registry *pvback.Registry
 	DevID    int
 	BackDom  xen.DomID
 	MAC      netpkt.MAC
@@ -259,7 +263,7 @@ func (d *Device) Ready() bool { return d.ready }
 // queue-count advertisement is readable (the same ordering real netfront
 // follows, and what blkfront here always did).
 func (d *Device) start() {
-	d.bus.OnStateChange(d.backPath, func(s xenbus.State) {
+	d.backWatch = d.bus.OnStateChange(d.backPath, func(s xenbus.State) {
 		switch s {
 		case xenbus.StateInitWait:
 			if !d.started {
@@ -457,6 +461,16 @@ func (d *Device) backendGone() {
 	if d.onDown != nil {
 		d.onDown()
 	}
+}
+
+// Close detaches the device from the guest's side (ifconfig down + unplug):
+// it quiesces as for a lost backend, stops following the backend — a closed
+// device must not pin a watch in the store — and announces Closed, on which
+// the backend tears its instance down.
+func (d *Device) Close() {
+	d.backendGone()
+	d.bus.Store().Unwatch(d.backWatch)
+	_ = d.bus.SwitchState(d.frontPath, xenbus.StateClosed)
 }
 
 // Send implements netstack.NetIf: steer the frame to its queue by RSS flow

@@ -9,6 +9,7 @@ import (
 	"kite/internal/netif"
 	"kite/internal/netpkt"
 	"kite/internal/netstack"
+	"kite/internal/pvback"
 	"kite/internal/sim"
 	"kite/internal/xen"
 	"kite/internal/xenbus"
@@ -57,7 +58,7 @@ func newRig(t *testing.T) *rig {
 	guest := hv.CreateDomain(xen.DomainConfig{Name: "guest", VCPUs: 2, MemBytes: 16 << 20,
 		IRQLatency: 6 * sim.Microsecond})
 	bus := xenbus.New(xenstore.New(eng))
-	reg := netif.NewRegistry()
+	reg := pvback.NewRegistry()
 	pool := framepool.New()
 	pool.SetHome(eng)
 
@@ -81,10 +82,11 @@ func newRig(t *testing.T) *rig {
 	if !ok {
 		t.Fatal("frontend never published its event channel")
 	}
-	ch, err := reg.Claim(guest.ID, 0)
-	if err != nil {
-		t.Fatal(err)
+	claimed, ok := reg.Claim(guest.ID, 0)
+	if !ok {
+		t.Fatal("frontend never published its rings")
 	}
+	ch := claimed.(*netif.Channel)
 	cpu := back.CPUs.CPU(0)
 	cpu.SetEngine(cl.Shard(1)) // the ring pair has one owning shard
 	port, err := back.BindInterdomain(guest.ID, xen.Port(frontPort))

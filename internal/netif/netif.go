@@ -6,8 +6,6 @@
 package netif
 
 import (
-	"fmt"
-
 	"kite/internal/ring"
 	"kite/internal/xen"
 )
@@ -94,38 +92,3 @@ func NewChannel(n int) *Channel {
 
 // NumQueues returns the channel's queue count.
 func (c *Channel) NumQueues() int { return c.Tx.NumQueues() }
-
-// Registry stands in for the grant-mapping of ring pages: the frontend
-// publishes its rings under (frontend domain, device id); the backend
-// claims them after reading the ring references from xenstore and paying
-// the map hypercalls.
-type Registry struct {
-	channels map[string]*Channel
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{channels: make(map[string]*Channel)}
-}
-
-func key(dom xen.DomID, devid int) string { return fmt.Sprintf("%d/%d", dom, devid) }
-
-// Publish registers a frontend's rings.
-func (r *Registry) Publish(dom xen.DomID, devid int, ch *Channel) {
-	r.channels[key(dom, devid)] = ch
-}
-
-// Claim returns the rings for (dom, devid) or an error if the frontend has
-// not published them (bad ring-ref).
-func (r *Registry) Claim(dom xen.DomID, devid int) (*Channel, error) {
-	ch := r.channels[key(dom, devid)]
-	if ch == nil {
-		return nil, fmt.Errorf("netif: no rings published for domain %d device %d", dom, devid)
-	}
-	return ch, nil
-}
-
-// Drop removes a publication (frontend teardown).
-func (r *Registry) Drop(dom xen.DomID, devid int) {
-	delete(r.channels, key(dom, devid))
-}

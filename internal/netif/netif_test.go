@@ -1,23 +1,27 @@
 package netif
 
-import "testing"
+import (
+	"testing"
+
+	"kite/internal/pvback"
+)
 
 func TestRegistryPublishClaimDrop(t *testing.T) {
-	r := NewRegistry()
+	r := pvback.NewRegistry()
 	ch := NewChannel(1)
 	r.Publish(3, 0, ch)
-	got, err := r.Claim(3, 0)
-	if err != nil || got != ch {
-		t.Fatalf("claim = %v, %v", got, err)
+	got, ok := r.Claim(3, 0)
+	if !ok || got != ch {
+		t.Fatalf("claim = %v, %v", got, ok)
 	}
-	if _, err := r.Claim(3, 1); err == nil {
+	if _, ok := r.Claim(3, 1); ok {
 		t.Fatal("claim of unpublished device succeeded")
 	}
-	if _, err := r.Claim(4, 0); err == nil {
+	if _, ok := r.Claim(4, 0); ok {
 		t.Fatal("claim of wrong domain succeeded")
 	}
 	r.Drop(3, 0)
-	if _, err := r.Claim(3, 0); err == nil {
+	if _, ok := r.Claim(3, 0); ok {
 		t.Fatal("claim after drop succeeded")
 	}
 }
@@ -43,7 +47,7 @@ func TestChannelQueues(t *testing.T) {
 }
 
 func TestRegistryDistinctKeys(t *testing.T) {
-	r := NewRegistry()
+	r := pvback.NewRegistry()
 	a := NewChannel(1)
 	b := NewChannel(2)
 	r.Publish(1, 0, a)

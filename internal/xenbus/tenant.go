@@ -87,11 +87,19 @@ func (r *TenantRegistry) drop(dom DomID) {
 	_ = r.bus.Store().Remove(TenantPath(r.self, dom))
 }
 
-// AttachVIF records one VIF pairing for dom on fleet lane lane (-1 for a
-// dedicated-worker VIF).
-func (r *TenantRegistry) AttachVIF(dom DomID, lane int) {
+// devices returns the tenant's live-instance counter for a device type.
+func (t *Tenant) devices(typ string) *int {
+	if typ == xenstore.DevVbd {
+		return &t.Vbds
+	}
+	return &t.Vifs
+}
+
+// Attach records one pairing of a typ device (xenstore.DevVif, DevVbd) for
+// dom, served by fleet lane lane (-1 for a dedicated-worker instance).
+func (r *TenantRegistry) Attach(typ string, dom DomID, lane int) {
 	t := r.tenant(dom)
-	t.Vifs++
+	*t.devices(typ)++
 	if lane >= 0 {
 		t.Lane = lane
 	}
@@ -99,36 +107,13 @@ func (r *TenantRegistry) AttachVIF(dom DomID, lane int) {
 	r.publish(t)
 }
 
-// DetachVIF records one VIF teardown for dom.
-func (r *TenantRegistry) DetachVIF(dom DomID) {
+// Detach records one teardown of a typ device for dom.
+func (r *TenantRegistry) Detach(typ string, dom DomID) {
 	t := r.byDom[dom]
 	if t == nil {
 		return
 	}
-	t.Vifs--
-	r.detaches++
-	if t.Vifs <= 0 && t.Vbds <= 0 {
-		r.drop(dom)
-		return
-	}
-	r.publish(t)
-}
-
-// AttachVBD records one VBD pairing for dom.
-func (r *TenantRegistry) AttachVBD(dom DomID) {
-	t := r.tenant(dom)
-	t.Vbds++
-	r.attaches++
-	r.publish(t)
-}
-
-// DetachVBD records one VBD teardown for dom.
-func (r *TenantRegistry) DetachVBD(dom DomID) {
-	t := r.byDom[dom]
-	if t == nil {
-		return
-	}
-	t.Vbds--
+	*t.devices(typ)--
 	r.detaches++
 	if t.Vifs <= 0 && t.Vbds <= 0 {
 		r.drop(dom)

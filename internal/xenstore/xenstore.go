@@ -70,6 +70,7 @@ type Store struct {
 
 	watchRoot  watchNode
 	watchSeq   uint64
+	watches    int      // live (registered, not yet cancelled) watches
 	hits       []*Watch // fireWatches scratch; reused, never retained
 	trieVisits uint64   // watch-index nodes examined by fireWatches
 
@@ -259,9 +260,14 @@ func (s *Store) Watch(path, token string, fn func(path, token string)) *Watch {
 	s.watchSeq++
 	w := &Watch{path: normalize(path), token: token, fn: fn, store: s, at: at, seq: s.watchSeq}
 	at.watches = append(at.watches, w)
+	s.watches++
 	s.fire(w, w.path)
 	return w
 }
+
+// Watches returns the number of live watches: what a departed device must
+// not leave behind.
+func (s *Store) Watches() int { return s.watches }
 
 // Unwatch removes a watch; in-flight callbacks are suppressed. Index nodes
 // left with neither watches nor children are pruned, so the trie never
@@ -271,6 +277,7 @@ func (s *Store) Unwatch(w *Watch) {
 		return
 	}
 	w.dead = true
+	s.watches--
 	at := w.at
 	for i, x := range at.watches {
 		if x == w {
