@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test race vet lint race-stress zeroalloc bench
+.PHONY: verify build test race vet lint zeroalloc bench
 
 # verify is the tree-must-be-green gate: vet, build everything, kitelint
 # (the repo's own invariant analyzers), the zero-allocation forward-path
@@ -19,13 +19,6 @@ vet:
 # for the invariants each analyzer proves.
 lint:
 	$(GO) run ./cmd/kitelint .
-
-# race-stress is the dynamic counterpart of the shardsafe/atomicscope
-# static proof: the cluster barrier tests under the race detector at a
-# starved and an oversubscribed GOMAXPROCS, repeated to vary schedules.
-race-stress:
-	GOMAXPROCS=2 $(GO) test -race -count=3 ./internal/sim
-	GOMAXPROCS=8 $(GO) test -race -count=3 ./internal/sim
 
 build:
 	$(GO) build ./...

@@ -27,10 +27,6 @@ type result struct {
 	NsPerFrame  float64 `json:"ns_per_frame,omitempty"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	// ParallelSpeedup is the wall-clock ratio of this benchmark's
-	// /queues=1 family baseline to this entry: >1 means the sharded
-	// configuration finished the same wave faster than the serial one.
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
 	// NsPerGuestOp is the virtual (simulated) nanoseconds of driver-domain
 	// time one guest operation costs, derived from simframes/sec on
 	// /guests=N sweep entries. Virtual time is deterministic and identical
@@ -57,37 +53,6 @@ func fillPerGuest(results []result) {
 	}
 }
 
-// fillSpeedups computes ParallelSpeedup for every /queues=N entry from the
-// /queues=1 entry of the same benchmark family (the name prefix up to
-// "/queues=").
-func fillSpeedups(results []result) {
-	base := make(map[string]float64)
-	for _, r := range results {
-		fam, q, ok := splitQueues(r.Name)
-		if ok && q == "1" && r.NsPerOp > 0 {
-			base[fam] = r.NsPerOp
-		}
-	}
-	for i := range results {
-		fam, _, ok := splitQueues(results[i].Name)
-		if !ok || results[i].NsPerOp <= 0 {
-			continue
-		}
-		if b, found := base[fam]; found {
-			results[i].ParallelSpeedup = b / results[i].NsPerOp
-		}
-	}
-}
-
-// splitQueues splits "Family/queues=N" into the family prefix and N.
-func splitQueues(name string) (fam, q string, ok bool) {
-	i := strings.LastIndex(name, "/queues=")
-	if i < 0 {
-		return "", "", false
-	}
-	return name[:i], name[i+len("/queues="):], true
-}
-
 // benchName strips the trailing -N GOMAXPROCS suffix go test appends, and
 // only that: sub-benchmark names (Benchmark/queues=4-8) may themselves
 // contain dashes, so cut at the LAST dash and only when digits follow.
@@ -101,9 +66,7 @@ func benchName(field string) string {
 }
 
 func main() {
-	gate := flag.String("gate", "", "comma-separated benchmark entries (e.g. BenchmarkForwardPathMQ/queues=4) that must keep parallel_speedup >= 1 against their /queues=1 family baseline; a NAME@MIN suffix lowers the bar (BenchmarkBlockPathMQ/queues=8@0.9). Exit 1 on any miss")
 	gateAllocs := flag.String("gate-allocs", "", "comma-separated benchmark entries that must report 0 allocs/op; exit 1 otherwise")
-	gateSpeedup := flag.String("gate-speedup", "", "comma-separated FAMILY=MIN pairs (e.g. ForwardPathMQ=1.0); each family's /queues=4 entry must keep parallel_speedup >= MIN. A full entry name on the left (BlockPathMQ/queues=8=0.9) gates that entry instead. Exit 1 on any miss")
 	gateFlat := flag.String("gate-flat", "", "comma-separated BIG:SMALL@MAX entries (e.g. Fleet/guests=1024:Fleet/guests=64@1.25); the BIG entry's ns_per_guest_op must stay <= MAX x the SMALL entry's. Compares virtual per-guest cost, which is deterministic across hosts. Exit 1 on any miss")
 	flag.Parse()
 	var results []result
@@ -160,7 +123,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
-	fillSpeedups(results)
 	fillPerGuest(results)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -168,19 +130,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
-	if *gate != "" {
-		for _, g := range strings.Split(*gate, ",") {
-			checkGate(results, strings.TrimSpace(g))
-		}
-	}
 	if *gateAllocs != "" {
 		for _, g := range strings.Split(*gateAllocs, ",") {
 			checkGateAllocs(results, strings.TrimSpace(g))
-		}
-	}
-	if *gateSpeedup != "" {
-		for _, g := range strings.Split(*gateSpeedup, ",") {
-			checkGateSpeedup(results, strings.TrimSpace(g))
 		}
 	}
 	if *gateFlat != "" {
@@ -239,84 +191,8 @@ func checkGateFlat(results []result, gate string) {
 	}
 }
 
-// checkGateSpeedup fails the run if a family's canonical parallel entry
-// (its /queues=4 sub-benchmark, unless the gate names a specific entry)
-// reports parallel_speedup below the given minimum. Unlike -gate, the bar
-// is explicit per family, so CI can hold the multi-queue configurations to
-// a floor that a regressing scheduler or barrier change would fall through.
-func checkGateSpeedup(results []result, gate string) {
-	i := strings.LastIndex(gate, "=")
-	if i <= 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: bad -gate-speedup entry %q (want FAMILY=MIN)\n", gate)
-		os.Exit(1)
-	}
-	min, err := strconv.ParseFloat(gate[i+1:], 64)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: bad -gate-speedup threshold %q\n", gate)
-		os.Exit(1)
-	}
-	name := gate[:i]
-	if !strings.Contains(name, "/queues=") {
-		name += "/queues=4"
-	}
-	if !strings.HasPrefix(name, "Benchmark") {
-		name = "Benchmark" + name
-	}
-	for _, r := range results {
-		if r.Name != name {
-			continue
-		}
-		if r.ParallelSpeedup == 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: speedup gate %s has no /queues=1 family baseline\n", name)
-			os.Exit(1)
-		}
-		if r.ParallelSpeedup < min {
-			fmt.Fprintf(os.Stderr, "benchjson: speedup gate %s failed: measured parallel_speedup=%.3f, required >= %.2f (tolerances documented in EXPERIMENTS.md)\n",
-				name, r.ParallelSpeedup, min)
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: speedup gate %s not found in benchmark output\n", name)
-	os.Exit(1)
-}
-
-// checkGate fails the run if the gated entry's parallel_speedup against
-// its /queues=1 family baseline is below the gate's threshold (1 by
-// default; a NAME@MIN suffix lowers it for families whose parallel win
-// is real but shy of break-even at the gated point).
-func checkGate(results []result, gate string) {
-	min := 1.0
-	if i := strings.LastIndex(gate, "@"); i >= 0 {
-		v, err := strconv.ParseFloat(gate[i+1:], 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: bad gate threshold %q\n", gate)
-			os.Exit(1)
-		}
-		min, gate = v, gate[:i]
-	}
-	for _, r := range results {
-		if r.Name != gate {
-			continue
-		}
-		if r.ParallelSpeedup == 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: gate %s has no /queues=1 family baseline\n", gate)
-			os.Exit(1)
-		}
-		if r.ParallelSpeedup < min {
-			fmt.Fprintf(os.Stderr, "benchjson: gate %s failed: measured parallel_speedup=%.3f against its /queues=1 family baseline, required >= %.2f (tolerances documented in EXPERIMENTS.md)\n",
-				gate, r.ParallelSpeedup, min)
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: gate %s not found in benchmark output\n", gate)
-	os.Exit(1)
-}
-
-// checkGateAllocs fails the run if the gated entry allocates: families
-// like BenchmarkFleet have no /queues=1 wall-clock baseline, but their
-// steady state must stay allocation-free at every scale.
+// checkGateAllocs fails the run if the gated entry allocates: steady state
+// must stay allocation-free at every scale.
 func checkGateAllocs(results []result, gate string) {
 	for _, r := range results {
 		if r.Name != gate {

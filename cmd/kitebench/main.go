@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	kitebench [-full] [-only FIG7,FIG11] [-parallel N] [-ablations] [-blk] [-queues N] [-cores N]
+//	kitebench [-full] [-only FIG7,FIG11] [-parallel N] [-ablations] [-blk] [-queues N] [-guests N]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // -full runs paper-scale workloads (more virtual seconds; wall-clock
@@ -16,9 +16,9 @@
 // its summary prints only queue-invariant totals and checksums, so the
 // whole output stays byte-identical for any -parallel x -queues choice
 // (scaling numbers live in the MQ benchmarks and BENCH_*.json instead).
-// -cores N runs the sharded network leg's per-queue cluster shards on up
-// to N worker goroutines; conservative lookahead windows make every line
-// bit-identical to -cores 1 at any GOMAXPROCS.
+// -guests N runs the fleet workload: N single-queue tenants on shared DRR
+// service lanes; every line it prints is a timeline fact, byte-identical for
+// any -parallel.
 package main
 
 import (
@@ -41,7 +41,6 @@ func main() {
 	blk := flag.Bool("blk", false, "also run the deterministic block-path workload and print its summary")
 	queues := flag.Int("queues", 0, "also run the deterministic multi-queue workload with this many queues per device")
 	guests := flag.Int("guests", 0, "also run the fleet workload: this many single-queue tenants on shared DRR service lanes")
-	cores := flag.Int("cores", 1, "worker goroutines for the multi-queue and fleet workloads' cluster shards")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit (after a final GC)")
 	flag.Parse()
@@ -127,22 +126,17 @@ func main() {
 		// across queues but never change what arrives. The same lines print
 		// for -queues 1 and -queues 8 — scaling shows up in the MQ
 		// benchmarks, not here.
-		mq := experiments.MQSummary(scale, *queues, *cores)
+		mq := experiments.MQSummary(scale, *queues)
 		fmt.Println(mq.String())
 		fmt.Println(mq.ShardLine())
-		// Where the windows ran is a fact about this host, not about the
-		// timeline: stderr only, so stdout stays diffable.
-		fmt.Fprintf(os.Stderr, "kitebench: mq dispatch (-cores %d): %s\n", *cores, mq.Dispatch)
 	}
 	if *guests > 0 {
 		// The fleet workload: N single-queue tenants served by one network
 		// and one storage driver domain through shared DRR service lanes.
-		// Every line is a timeline fact, byte-identical for any
-		// -parallel x -cores choice.
-		fl := experiments.FleetSummary(scale, *guests, *cores)
+		// Every line is a timeline fact, byte-identical for any -parallel.
+		fl := experiments.FleetSummary(scale, *guests)
 		fmt.Println(fl.String())
 		fmt.Println(fl.ShardLine())
-		fmt.Fprintf(os.Stderr, "kitebench: fleet dispatch (-cores %d): %s\n", *cores, fl.Dispatch)
 	}
 	fmt.Printf("kitebench: %d experiments, %d simulation events in %.2fs wall (%.2fM events/sec)\n",
 		len(results), events, elapsed.Seconds(),

@@ -111,8 +111,8 @@ func NewSystem(seed uint64) *System { return newSystem(seed, nil) }
 // NewShardedSystem boots a system whose discrete-event core is split into
 // 1+queues cluster shards: shard 0 carries the hypervisor, Dom0, bridges,
 // stacks and devices; shard 1+i is reserved for queue i of the PV
-// transports. Runs are bit-identical to any worker count (and to the same
-// topology at workers=1); wall clock drops as workers are added.
+// transports. The cluster runs on the caller's goroutine, like the single
+// engine of NewSystem.
 func NewShardedSystem(seed uint64, queues int) *System {
 	return newSystem(seed, sim.NewCluster(1+queues, ShardLookahead, seed))
 }

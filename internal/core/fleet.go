@@ -42,8 +42,8 @@ func (r *FleetRig) GuestIPOf(i int) netpkt.IP { return fleetGuestIP(i) }
 
 // NewFleetRig builds the fleet on a sharded event core (one cluster shard
 // per service lane) and drives every handshake to completion. Tenant i is
-// pinned to lane i mod Lanes on both ring ends, so runs are bit-identical
-// at any cluster worker count.
+// pinned to lane i mod Lanes on both ring ends, so ring events never cross
+// shards.
 func NewFleetRig(cfg FleetConfig) (*FleetRig, error) {
 	lanes := cfg.Lanes
 	if lanes == 0 {

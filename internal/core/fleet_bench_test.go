@@ -37,9 +37,6 @@ func BenchmarkFleet(b *testing.B) {
 			runtime.ReadMemStats(&ms)
 			heapInuse := ms.HeapInuse
 			sys := rig.Testbed.System
-			if c := sys.Cluster; c != nil {
-				c.SetWorkers(min(c.Shards(), runtime.NumCPU()))
-			}
 			delivered := 0
 			rig.Client.Stack.BindUDP(9000, func(p netstack.UDPPacket) { delivered++ })
 			payload := pattern(128)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"kite/internal/netstack"
@@ -12,12 +11,9 @@ import (
 // wall-clock time per 512-frame wave and SIMULATED frames per simulated
 // second. The simulated-time throughput scales with the queue count
 // because per-queue pushers burn their per-frame CPU cost on distinct
-// vCPUs in parallel inside the simulation. The wall-clock number tracks
-// the parallel event core: sharded configurations run one goroutine per
-// cluster shard (capped at the host's core count, so a single-core host
-// measures the serial fallback), and benchjson derives each entry's
-// parallel_speedup against the queues=1 baseline. `make bench` snapshots
-// the sweep into BENCH_net.json.
+// vCPUs in parallel inside the simulation; the wall-clock number is what
+// one goroutine pays to compute that timeline. `make bench` snapshots the
+// sweep into BENCH_net.json.
 func BenchmarkForwardPathMQ(b *testing.B) {
 	for _, queues := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("queues=%d", queues), func(b *testing.B) {
@@ -26,9 +22,6 @@ func BenchmarkForwardPathMQ(b *testing.B) {
 			})
 			if err != nil {
 				b.Fatal(err)
-			}
-			if c := rig.System.Cluster; c != nil {
-				c.SetWorkers(min(c.Shards(), runtime.NumCPU()))
 			}
 			delivered := 0
 			rig.Client.Stack.BindUDP(9000, func(p netstack.UDPPacket) { delivered++ })

@@ -258,58 +258,3 @@ func TestBlkMQScaling(t *testing.T) {
 		t.Fatalf("4-queue speedup %.2fx, want >= 2x", ratio)
 	}
 }
-
-// TestNetMQOnWorkersMatchesSerial runs the 4-queue vif long enough for the
-// cluster's window dispatcher to get to its first probe round, so a stretch
-// of windows of a real rig — guest, four queue shards, bridge, client, the
-// frame pools' cross-shard releases — executes on the worker goroutines,
-// under the race detector in `make verify`; then runs the same waves on one
-// goroutine and requires the same timeline. The cluster starts inline and
-// probes only after some thousands of windows, so no shorter rig test ever
-// reaches the workers.
-func TestNetMQOnWorkersMatchesSerial(t *testing.T) {
-	// Small waves keep a window cheap: what the test needs is windows, some
-	// thousands of them before the first probe, not frames.
-	const perWave, maxWaves, wantParallel = 32, 5000, 64
-	type outcome struct {
-		waves, delivered                 int
-		sum                              uint64
-		now                              sim.Time
-		windows, fused, posts, processed uint64
-	}
-	run := func(workers, waves int) (o outcome) {
-		rig, err := NewNetworkRigCfg(NetworkRigConfig{Kind: KindKite, Seed: 0x3a9, Queues: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := rig.System.Cluster
-		c.SetWorkers(workers)
-		defer c.SetWorkers(1)
-		rig.Client.Stack.BindUDP(9000, func(p netstack.UDPPacket) {
-			o.delivered++
-			for _, b := range p.Data {
-				o.sum = o.sum*31 + uint64(b)
-			}
-		})
-		payload := pattern(128)
-		// waves == 0: as many as it takes for windows to go to the workers.
-		for ; o.waves < waves || (waves == 0 && c.ParallelWindows() < wantParallel && o.waves < maxWaves); o.waves++ {
-			for i := 0; i < perWave; i++ {
-				rig.Guest.Stack.SendUDP(rig.ClientIP, 9000, uint16(9001+i%64), payload)
-			}
-			rig.System.Eng.Run()
-		}
-		if workers > 1 && c.ParallelWindows() < wantParallel {
-			t.Fatalf("%d windows went to the workers in %d waves (%d windows), want %d", c.ParallelWindows(), o.waves, c.Windows(), wantParallel)
-		}
-		if o.delivered != o.waves*perWave {
-			t.Fatalf("workers=%d: delivered %d of %d", workers, o.delivered, o.waves*perWave)
-		}
-		o.now, o.windows, o.fused, o.posts, o.processed = rig.System.Eng.Now(), c.Windows(), c.Fused(), c.Posted(), c.Processed()
-		return o
-	}
-	par := run(4, 0)
-	if serial := run(1, par.waves); serial != par {
-		t.Fatalf("4 workers: %+v\n1 worker:  %+v", par, serial)
-	}
-}

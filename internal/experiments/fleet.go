@@ -13,7 +13,7 @@ import (
 // single-queue tenants through shared DRR service lanes. Every printed
 // figure is a timeline fact — counts, checksums over per-tenant counters
 // in attach order, lane/demux totals — so the whole summary is
-// byte-identical for any -parallel and -cores choice.
+// byte-identical for any -parallel choice.
 type FleetStats struct {
 	Guests int
 	Lanes  int
@@ -48,7 +48,7 @@ type FleetStats struct {
 	DemuxScans uint64
 	DemuxMarks uint64
 
-	// Cluster counters (timeline facts, identical at any -cores).
+	// Cluster counters (timeline facts).
 	Shards  int
 	Windows uint64
 	Posts   uint64
@@ -58,9 +58,6 @@ type FleetStats struct {
 	DeliveryFrames uint64
 	DeliveryPosts  uint64
 	DeliveryEvents uint64
-
-	// Dispatch is host-dependent and stays out of String and ShardLine.
-	Dispatch Dispatch
 }
 
 // String renders the summary lines exactly as kitebench prints them.
@@ -76,7 +73,7 @@ func (f FleetStats) String() string {
 }
 
 // ShardLine renders the cluster counters (vary with the lane count, never
-// with -cores or GOMAXPROCS).
+// with -parallel or GOMAXPROCS).
 func (f FleetStats) ShardLine() string {
 	return fmt.Sprintf("kitebench: fleet shards %d, %d windows, %d cross-shard posts; delivery phase %.3f posts/frame, %.3f events/frame",
 		f.Shards, f.Windows, f.Posts,
@@ -92,7 +89,7 @@ const fleetLanes = 4
 const fleetWave = 32
 
 // FleetSummary drives the fleet workload: guests tenants on fleetLanes
-// service lanes, cores cluster workers.
+// service lanes.
 //
 // Delivery phase: tenants send one tagged datagram to the client and get
 // one back, in waves of fleetWave so nothing drops; totals and checksums
@@ -102,7 +99,7 @@ const fleetWave = 32
 // delivery counts are snapshotted when half the offered frames are
 // through — the DRR lanes keep every well-behaved tenant at its fair
 // share while the adversary is clamped to its own.
-func FleetSummary(s Scale, guests, cores int) FleetStats {
+func FleetSummary(s Scale, guests int) FleetStats {
 	if guests <= 0 {
 		guests = 64
 	}
@@ -117,7 +114,6 @@ func FleetSummary(s Scale, guests, cores int) FleetStats {
 		panic(fmt.Sprintf("experiments: fleet rig: %v", err))
 	}
 	sys := rig.Testbed.System
-	sys.Cluster.SetWorkers(cores)
 	f.Shards = sys.Cluster.Shards()
 
 	// --- Delivery phase ---
@@ -133,8 +129,7 @@ func FleetSummary(s Scale, guests, cores int) FleetStats {
 	// Fairness-phase snapshot state: armed once the overload burst is
 	// offered, the snapshot is taken inside the delivery callback the
 	// moment the adversary's deliveries reach twice a well-behaved
-	// burst — an exact event boundary, so it is identical at any worker
-	// count.
+	// burst — an exact event boundary.
 	var fairArmed bool
 	var fairAdv int
 	var fairSnap []int
@@ -238,8 +233,7 @@ func FleetSummary(s Scale, guests, cores int) FleetStats {
 	// to one quantum per round, so by the time it has been served two
 	// bursts' worth (the snapshot taken in the delivery callback above)
 	// every well-behaved tenant's whole burst is through. The backlog
-	// then drains to quiesce through Cluster.Run — full parallel windows
-	// when cores > 1, same timeline either way — so the per-tenant
+	// then drains to quiesce through Cluster.Run, so the per-tenant
 	// counters below are end-state facts.
 	base := append([]int(nil), gotClient...)
 	fairArmed = true
@@ -284,7 +278,6 @@ func FleetSummary(s Scale, guests, cores int) FleetStats {
 	}
 	f.Windows = sys.Cluster.Windows()
 	f.Posts = sys.Cluster.Posted()
-	f.Dispatch = dispatchOf(sys.Cluster)
 	return f
 }
 

@@ -1,13 +1,16 @@
 package experiments
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestFleetSummary checks the fleet workload end to end at a small
 // scale: traffic and storage totals are nonzero, nothing drops, and the
 // DRR lanes hold every well-behaved tenant at its full share under a
 // 10x adversary.
 func TestFleetSummary(t *testing.T) {
-	f := FleetSummary(Quick(), 16, 2)
+	f := FleetSummary(Quick(), 16)
 	t.Log("\n" + f.String() + "\n" + f.ShardLine())
 	if f.TenantTxFrames == 0 || f.TenantBlkBytes == 0 {
 		t.Fatalf("empty fleet summary: %+v", f)
@@ -25,17 +28,18 @@ func TestFleetSummary(t *testing.T) {
 
 // TestFleetSummaryDeterministicAcrossCores checks every printed line —
 // totals, checksums, fairness, lane and cluster counters — is
-// byte-identical at any cluster worker count.
+// byte-identical however many host cores the process may use.
 func TestFleetSummaryDeterministicAcrossCores(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full fleet runs")
 	}
-	run := func(cores int) string {
-		f := FleetSummary(Quick(), 24, cores)
+	run := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		f := FleetSummary(Quick(), 24)
 		return f.String() + "\n" + f.ShardLine()
 	}
 	s1, s4 := run(1), run(4)
 	if s1 != s4 {
-		t.Fatalf("fleet summary differs across cores:\n-- cores=1 --\n%s\n-- cores=4 --\n%s", s1, s4)
+		t.Fatalf("fleet summary differs across GOMAXPROCS:\n-- 1 --\n%s\n-- 4 --\n%s", s1, s4)
 	}
 }

@@ -6,35 +6,7 @@ import (
 	"kite/internal/core"
 	"kite/internal/metrics"
 	"kite/internal/netstack"
-	"kite/internal/sim"
 )
-
-// Dispatch records where a cluster's windows ran on this host: how many
-// went to the worker goroutines and what the dispatcher's last probe
-// measured for each way of running them. Unlike every other figure in
-// MQStats and FleetStats these are facts about the host, different on
-// every run: they are reported on stderr and appear in neither String nor
-// ShardLine, the lines CI diffs across -parallel x -cores.
-type Dispatch struct {
-	Windows   uint64  // windows run through the window engine
-	Parallel  uint64  // of those, handed to worker goroutines
-	InlineNs  float64 // last probe: host ns per event, windows run inline
-	WorkersNs float64 // last probe: host ns per event, windows on workers
-}
-
-func dispatchOf(c *sim.Cluster) Dispatch {
-	d := Dispatch{Windows: c.Windows(), Parallel: c.ParallelWindows()}
-	d.InlineNs, d.WorkersNs = c.ProbeNsPerEvent()
-	return d
-}
-
-func (d Dispatch) String() string {
-	s := fmt.Sprintf("%d of %d windows went to worker goroutines", d.Parallel, d.Windows)
-	if d.InlineNs == 0 && d.WorkersNs == 0 {
-		return s + " (run too short for a probe round: windows run inline until one completes)"
-	}
-	return s + fmt.Sprintf("; last probe %.0f ns/event inline, %.0f ns/event on workers", d.InlineNs, d.WorkersNs)
-}
 
 // MQStats summarizes the deterministic multi-queue workload behind
 // kitebench's -queues flag. Every figure is queue-invariant by
@@ -58,23 +30,19 @@ type MQStats struct {
 	BlkChecksum uint64 // sum of FNV-1a hashes of the data read back, in issue order
 
 	// Shard-cluster counters for the network leg (zero when unsharded).
-	// Windows and posts are properties of the event timeline, not of the
-	// execution, so they are identical at any worker count and GOMAXPROCS —
-	// but they do depend on the queue count, so they print on their own
-	// line, separate from the queue-invariant summary above.
+	// Windows and posts are properties of the event timeline, identical on
+	// any host at any GOMAXPROCS — but they do depend on the queue count, so
+	// they print on their own line, separate from the queue-invariant
+	// summary above.
 	Shards  int    // cluster shards (1 + queues when sharded)
 	Windows uint64 // lookahead windows the cluster ran
 	Fused   uint64 // barriers skipped because no shard staged posts
 	Posts   uint64 // cross-shard posts merged at window barriers
 
 	// ShardEvents is the per-shard event count — how the timeline's work
-	// actually distributes over the shards. Like windows and posts, it is
-	// an execution-order-free property of the event timeline, identical at
-	// any worker count and GOMAXPROCS.
+	// actually distributes over the shards. Like windows and posts, it is a
+	// property of the event timeline.
 	ShardEvents []uint64
-
-	// Dispatch is host-dependent and stays out of String and ShardLine.
-	Dispatch Dispatch
 }
 
 // String renders the two summary lines exactly as kitebench prints them.
@@ -87,7 +55,7 @@ func (m MQStats) String() string {
 }
 
 // ShardLine renders the cluster counters. The line is byte-identical for
-// any -cores, -parallel, and GOMAXPROCS (windows and posts are timeline
+// any -parallel and GOMAXPROCS (windows and posts are timeline
 // facts), but varies with -queues, so kitebench prints it separately from
 // the queue-invariant summary.
 func (m MQStats) ShardLine() string {
@@ -127,10 +95,7 @@ const mqFlows = 32
 // stripe-aligned, so the request count does not depend on striping), then
 // a flush, then read-back with verification, one op in flight at a time
 // so completion order is issue order at any queue count.
-// cores > 1 additionally spreads the sharded network leg's per-queue
-// shards over that many worker goroutines (cluster.SetWorkers); the
-// conservative lookahead windows make the result bit-identical to cores=1.
-func MQSummary(s Scale, queues, cores int) MQStats {
+func MQSummary(s Scale, queues int) MQStats {
 	var m MQStats
 	qtx0, qrx0 := metrics.NetQueueTxFrames.Load(), metrics.NetQueueRxFrames.Load()
 	qreq0 := metrics.BlkQueueRequests.Load()
@@ -140,7 +105,6 @@ func MQSummary(s Scale, queues, cores int) MQStats {
 	sys := nrig.Testbed.System
 	m.Shards = 1
 	if c := sys.Cluster; c != nil {
-		c.SetWorkers(cores)
 		m.Shards = c.Shards()
 	}
 	payload := make([]byte, 256)
@@ -230,7 +194,6 @@ func MQSummary(s Scale, queues, cores int) MQStats {
 		m.Windows = c.Windows()
 		m.Fused = c.Fused()
 		m.Posts = c.Posted()
-		m.Dispatch = dispatchOf(c)
 		for i := 0; i < c.Shards(); i++ {
 			m.ShardEvents = append(m.ShardEvents, c.Shard(i).ProcessedLocal())
 		}

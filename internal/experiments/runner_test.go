@@ -84,7 +84,7 @@ func TestMQSummaryByteIdenticalAcrossParallelAndQueues(t *testing.T) {
 			for _, r := range RunAll(specs, s, par) {
 				b.WriteString(render(r))
 			}
-			b.WriteString(MQSummary(s, q, 1).String())
+			b.WriteString(MQSummary(s, q).String())
 			out := b.String()
 			if base == "" {
 				base = out
@@ -96,30 +96,27 @@ func TestMQSummaryByteIdenticalAcrossParallelAndQueues(t *testing.T) {
 	}
 }
 
-// TestMQDeterminismMatrix is the parallel event core's bit-reproducibility
+// TestMQDeterminismMatrix is the sharded event core's bit-reproducibility
 // witness: for each queue count, the full mq summary INCLUDING the shard
-// counters is byte-identical across every GOMAXPROCS x cluster-worker
-// combination. Windows and cross-shard posts are timeline facts, so even
-// they may not vary with execution parallelism. Run under -race by `make
-// verify`, this doubles as the proof that shards share nothing mid-window.
+// counters is byte-identical at every GOMAXPROCS. Windows and cross-shard
+// posts are timeline facts; nothing about the host may reach them. Run
+// under -race by `make verify`.
 func TestMQDeterminismMatrix(t *testing.T) {
 	s := Quick()
 	for _, q := range []int{1, 4, 8} {
 		var base string
 		var baseCfg string
 		for _, procs := range []int{1, 2, 8} {
-			for _, cores := range []int{1, 4} {
-				prev := runtime.GOMAXPROCS(procs)
-				m := MQSummary(s, q, cores)
-				runtime.GOMAXPROCS(prev)
-				out := m.String() + "\n" + m.ShardLine()
-				cfg := fmt.Sprintf("queues=%d procs=%d cores=%d", q, procs, cores)
-				if base == "" {
-					base, baseCfg = out, cfg
-				} else if out != base {
-					t.Errorf("%s differs from %s:\n--- got ---\n%s\n--- want ---\n%s",
-						cfg, baseCfg, out, base)
-				}
+			prev := runtime.GOMAXPROCS(procs)
+			m := MQSummary(s, q)
+			runtime.GOMAXPROCS(prev)
+			out := m.String() + "\n" + m.ShardLine()
+			cfg := fmt.Sprintf("queues=%d procs=%d", q, procs)
+			if base == "" {
+				base, baseCfg = out, cfg
+			} else if out != base {
+				t.Errorf("%s differs from %s:\n--- got ---\n%s\n--- want ---\n%s",
+					cfg, baseCfg, out, base)
 			}
 		}
 	}

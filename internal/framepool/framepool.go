@@ -16,8 +16,6 @@
 package framepool
 
 import (
-	"sync/atomic"
-
 	"kite/internal/metrics"
 	"kite/internal/sim"
 )
@@ -40,9 +38,7 @@ type Buf struct {
 	arena *Arena // the free list the buffer returns to, for life
 	// stageNext is the intrusive link while parked on a remote-release
 	// stage: written by the releasing shard (stageRemote) and unspliced by
-	// the barrier-side flush, never by the home shard mid-window.
-	//
-	//kite:shared
+	// the barrier-side flush.
 	stageNext *Buf
 	// next links the buffer on a Chain while a single owner holds it in
 	// transit; nil whenever the buffer is on none. At is that owner's stamp:
@@ -191,8 +187,11 @@ func (b *Buf) Release() {
 // buffer parks on the releasing shard's stage for that free list and rides
 // home in the stage's single cross-shard release post — the barrier recycles
 // every buffer a shard freed during the window in one merge visit instead of
-// one post per buffer. Free lists are only ever touched by their home shard
-// (or the barrier, where no shard goroutine is live).
+// one post per buffer. On the one goroutine a simulation runs on, recycling
+// in place would be just as safe; the stage stays because dropping it drops
+// the release posts from the cluster's post count, which the committed sim
+// digests pin. So a free list is still only touched by its home shard or the
+// barrier.
 //
 //kite:hotpath
 func (b *Buf) ReleaseOn(local *sim.Engine) {
@@ -216,10 +215,7 @@ func (b *Buf) ReleaseOn(local *sim.Engine) {
 // their intrusive stageNext links, so steady-state batching allocates
 // nothing; the stage's flush runs as a PriRelease at the barrier of the
 // window that staged it, draining the chain into the home free list in one
-// visit. Each stage is touched only by its releasing shard mid-window and by
-// the barrier, so no lock is needed.
-//
-//kite:shared
+// visit.
 type releaseStage struct {
 	head  *Buf
 	armed bool
@@ -243,7 +239,6 @@ func newStages(home *sim.Engine) []releaseStage {
 //
 //kite:hotpath
 //kite:ringlink link 1
-//kite:shardok stage [local.ShardID()] is owned by the releasing shard mid-window; the flush closure runs at the barrier with every shard goroutine parked
 func stageRemote(local *sim.Engine, b *Buf) {
 	a := b.arena
 	st := &a.stages[local.ShardID()]
@@ -256,10 +251,10 @@ func stageRemote(local *sim.Engine, b *Buf) {
 	if st.flush == nil {
 		st.flush = func(any) { //kite:alloc-ok one closure per (free list, releasing shard), cached forever
 			// Every buffer on one stage belongs to the same free list, so
-			// the chain splices with one counter update per batch instead of
-			// three atomic adds per buffer — the bulk path must stay cheaper
-			// than the per-frame recycle an unsharded run pays inline.
-			var n int64
+			// the chain splices with one counter update per batch — the bulk
+			// path must stay cheaper than the per-frame recycle an unsharded
+			// run pays inline.
+			var n int
 			for b := st.head; b != nil; {
 				next := b.stageNext
 				b.stageNext = nil
@@ -269,8 +264,8 @@ func stageRemote(local *sim.Engine, b *Buf) {
 			}
 			st.head = nil
 			st.armed = false
-			a.parent.outstanding.Add(-n)
-			a.parent.recycled.Add(uint64(n))
+			a.parent.outstanding -= n
+			a.parent.recycled += uint64(n)
 			metrics.FramePoolRecycles.Add(uint64(n))
 		}
 	}
@@ -282,22 +277,20 @@ func stageRemote(local *sim.Engine, b *Buf) {
 func (b *Buf) recycle() {
 	a := b.arena
 	a.free = append(a.free, b)
-	a.parent.outstanding.Add(-1)
-	a.parent.recycled.Add(1)
+	a.parent.outstanding--
+	a.parent.recycled++
 	metrics.FramePoolRecycles.Add(1)
 }
 
 // Pool is a per-simulation free list of Bufs: the counters every arena of
 // the simulation reports to, and a root arena of its own holding the shared
-// free list. Counters are atomic because in a sharded simulation arenas on
-// different shards draw and recycle concurrently within a window; a free
-// list itself is single-shard (its home), which ReleaseOn enforces by
-// routing remote releases back.
+// free list. A free list belongs to one shard (its home), which ReleaseOn
+// enforces by routing remote releases back.
 type Pool struct {
 	root        Arena
-	outstanding atomic.Int64
-	gets        atomic.Uint64
-	recycled    atomic.Uint64
+	outstanding int
+	gets        uint64
+	recycled    uint64
 }
 
 // New returns an empty pool; buffers are allocated lazily on first Get and
@@ -333,13 +326,13 @@ func (p *Pool) From(pkt []byte) *Buf {
 
 // Outstanding returns the number of buffers currently held by callers. It
 // must be zero at simulation teardown.
-func (p *Pool) Outstanding() int { return int(p.outstanding.Load()) }
+func (p *Pool) Outstanding() int { return p.outstanding }
 
 // Gets returns the total number of buffers handed out.
-func (p *Pool) Gets() uint64 { return p.gets.Load() }
+func (p *Pool) Gets() uint64 { return p.gets }
 
 // Recycled returns the total number of buffers returned to the free list.
-func (p *Pool) Recycled() uint64 { return p.recycled.Load() }
+func (p *Pool) Recycled() uint64 { return p.recycled }
 
 // Arena is a per-queue partition of a Pool: it has its own LIFO free list,
 // so multi-queue workers recycling frames never touch a shared list, but
@@ -376,8 +369,8 @@ func (a *Arena) Get() *Buf {
 	}
 	b.refs = 1
 	b.Reset()
-	a.parent.gets.Add(1)
-	a.parent.outstanding.Add(1)
+	a.parent.gets++
+	a.parent.outstanding++
 	metrics.FramePoolGets.Add(1)
 	return b
 }

@@ -9,19 +9,19 @@ import (
 )
 
 // Atomicscope keeps determinism from eroding one "harmless" atomic at a
-// time: inside a //kite:deterministic package, shard-executed code must
-// not use sync/atomic, sync locks, or channel operations AT ALL. The
-// parallel core's whole determinism argument (DESIGN §12) is that shard
-// state is confined and windows are merged at a barrier in a total order;
-// an atomic or a lock inside shard code is a back-channel whose observed
-// interleaving depends on the host scheduler — it may look benign (a
-// counter, a "just in case" mutex) while quietly making output
-// GOMAXPROCS-dependent.
+// time: inside a //kite:deterministic package, simulation code must not use
+// sync/atomic, sync locks, or channel operations AT ALL. A simulation runs
+// on one goroutine (DESIGN §12), so none of them can be needed; what one
+// could do is couple a simulation to whatever else shares the process — a
+// concurrent experiment leg, a test's helper goroutine — through a
+// back-channel whose observed interleaving depends on the host scheduler.
+// It may look benign (a counter, a "just in case" mutex) while quietly
+// making output GOMAXPROCS-dependent.
 //
-// The only exception is the synchronization core itself: the barrier,
-// worker parking, and experiment fan-out machinery whose job IS
-// cross-goroutine synchronization. Those functions carry //kite:synccore
-// on their doc comment; everything they protect stays plain code.
+// The only exception is the synchronization core: the experiment fan-out
+// machinery whose job IS cross-goroutine synchronization of whole
+// simulations. Those functions carry //kite:synccore on their doc comment;
+// everything they run stays plain code.
 //
 // Goroutine launches are simdet's business (//kite:shardsafe escape);
 // atomicscope covers the data-level primitives: atomic calls, sync.*

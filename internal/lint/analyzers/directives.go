@@ -18,17 +18,12 @@
 //	                                   an optional handle arg index, or
 //	                                   alloc for a handle-returning
 //	                                   function
-//	//kite:shared          (decl)      a package var, struct type, or field
-//	                                   is a sanctioned cross-shard
-//	                                   structure; shardsafe then audits its
-//	                                   writers
-//	//kite:shardok <why>   (line or    one write to shared state, or one
-//	                        func doc)  whole function, states its side of
-//	                                   the shard-ownership protocol
-//	//kite:synccore <why>  (func doc)  barrier/worker machinery exempt from
-//	                                   atomicscope (synchronization is its
-//	                                   job) and allowed simdet's two clock
-//	                                   reads, time.Now and time.Since
+//	//kite:shardsafe <why> (line)      a `go` statement or a `sync` import in
+//	                                   a deterministic package: why host
+//	                                   scheduling cannot reach a timeline
+//	//kite:synccore <why>  (func doc)  experiment fan-out machinery exempt
+//	                                   from atomicscope (synchronizing whole
+//	                                   simulations is its job)
 //
 // A line directive covers the line it sits on, or — when written on its
 // own line — the line directly below it.

@@ -51,21 +51,16 @@ var extAllowlist = map[string]bool{
 }
 
 // extAllowed reports whether one non-module callee is allocation-vetted:
-// an allowlisted package, encoding/binary's fixed-width byte-order
+// an allowlisted package, or encoding/binary's fixed-width byte-order
 // accessors (Uint16/PutUint64/...; not Read/Write/Append*, which allocate
-// or grow), or the two clock reads time.Now and time.Since (values, no
-// allocation; whether a package may read the clock at all is simdet's
-// question, not this analyzer's).
+// or grow).
 func extAllowed(fn *types.Func) bool {
 	if extAllowlist[fn.Pkg().Path()] {
 		return true
 	}
-	name := fn.Name()
-	switch fn.Pkg().Path() {
-	case "encoding/binary":
+	if fn.Pkg().Path() == "encoding/binary" {
+		name := fn.Name()
 		return strings.HasPrefix(name, "Uint") || strings.HasPrefix(name, "PutUint")
-	case "time":
-		return name == "Now" || name == "Since"
 	}
 	return false
 }

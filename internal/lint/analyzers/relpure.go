@@ -10,9 +10,9 @@ import (
 )
 
 // Relpure proves the PriRelease purity contract from PR 6: a cross-shard
-// post carrying sim.PriRelease runs AT THE BARRIER, in merge order, with
-// no shard goroutine live — the cluster executes `p.fn(p.arg)` directly
-// instead of queueing an inbox event. That is only sound if the handler
+// post carrying sim.PriRelease runs AT THE BARRIER, in merge order,
+// between windows — the cluster executes `p.fn(p.arg)` directly instead of
+// queueing an inbox event. That is only sound if the handler
 // is pure local bookkeeping: returning a resource one window early must
 // only ever add availability. A release handler that schedules, posts,
 // wakes a task, or touches device state would perturb the event timeline
@@ -29,8 +29,8 @@ import (
 //
 //   - any call into kite/internal/sim (scheduling, posting, waking: the
 //     barrier must not re-enter the scheduler)
-//   - goroutine launches, channel operations, select (the barrier runs
-//     single-threaded by design)
+//   - goroutine launches, channel operations, select (a simulation is one
+//     goroutine)
 //   - calls outside the module other than sync/atomic, math, math/bits
 //     (everything else is unvetted side effects)
 //   - indirect calls through func values or interfaces (an unresolvable
@@ -217,7 +217,7 @@ func (w *relWalk) checkBody(b handlerBody) {
 	ast.Inspect(b.body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.GoStmt:
-			w.pass.Reportf(x.Pos(), "relpure: PriRelease handler %s launches a goroutine; the barrier runs single-threaded", b.name)
+			w.pass.Reportf(x.Pos(), "relpure: PriRelease handler %s launches a goroutine; a simulation is one goroutine", b.name)
 		case *ast.SendStmt:
 			w.pass.Reportf(x.Pos(), "relpure: PriRelease handler %s sends on a channel", b.name)
 		case *ast.SelectStmt:

@@ -2,7 +2,6 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"kite/internal/lint/analysis"
@@ -10,19 +9,20 @@ import (
 )
 
 // Shardsafe proves shard confinement, the load-bearing assumption of the
-// parallel event core (DESIGN §12): code running on one shard never
-// mutates state owned by another shard except through the sanctioned
-// channels — Engine.Post and the staged release outbox built on it.
-// GOMAXPROCS=1 runs hide every violation of that rule, which is exactly
-// why it needs a static proof. Three rules:
+// sharded event core (DESIGN §12): code running on one shard never reaches
+// into state owned by another shard, or by another simulation, except
+// through the sanctioned channel — Engine.Post and the staged release
+// outbox built on it. A whole simulation runs on one goroutine, so what a
+// violation breaks is not memory safety but the two things determinism
+// rests on: `-parallel` legs share the process, and a shard's window is
+// only valid if nothing is scheduled into it from outside. Two rules, with
+// no escape hatch:
 //
 //  1. Code reachable from a shard-executed handler (anything registered
 //     on the event machinery, including Post handlers themselves) must
-//     not write a package-level variable: a global written by N shards
-//     is an unsynchronized race. The variable's declaration can carry
-//     //kite:shared to mark it a sanctioned cross-shard structure with
-//     its own discipline, or the write site //kite:shardok with a
-//     justification.
+//     not write a package-level variable: concurrent experiment legs
+//     would race on it, and one leg's timeline would read another's
+//     leftovers.
 //
 //  2. Shard code must not schedule work on another component's engine by
 //     reaching through the component graph. The heuristic: a scheduling
@@ -30,23 +30,13 @@ import (
 //     through two or more engine-bearing components (module structs
 //     holding a *sim.Engine/CPU/CPUPool field) crosses an ownership
 //     boundary — `p.eng.Schedule` is self-scheduling, but
-//     `p.peer.eng.Schedule` drives a foreign timeline and, under fleet
-//     sharding, a foreign goroutine's heap. Cross-shard work goes
-//     through Engine.Post, which stages into the outbox and is fired at
-//     the window barrier.
-//
-//  3. A struct type (or single field) declared //kite:shared — the
-//     framepool remote-free magazines, the demux pending bitmaps — is by
-//     definition touched from more than one shard, so EVERY write to its
-//     fields must carry //kite:shardok (on the line or the enclosing
-//     function's doc) naming why that write is safe: executed at the
-//     barrier, guarded by the outbox protocol, or owner-side only.
-//
-// Rules 1–2 are reachability-scoped; rule 3 is global, because a shared
-// structure's discipline must hold everywhere it is touched.
+//     `p.peer.eng.Schedule` drives a foreign timeline and, under
+//     sharding, lands an event inside a window whose horizon was computed
+//     without it. Cross-shard work goes through Engine.Post, which stages
+//     into the outbox and is merged at the window barrier.
 var Shardsafe = &analysis.Analyzer{
 	Name: "shardsafe",
-	Doc:  "shard-executed code may cross shard ownership only via Engine.Post and //kite:shared structures with //kite:shardok writers",
+	Doc:  "shard-executed code may not write package-level variables or schedule on a foreign component's engine; cross-shard work goes through Engine.Post",
 	Run:  runShardsafe,
 }
 
@@ -62,129 +52,19 @@ var shardSched = map[string]bool{
 }
 
 func runShardsafe(pass *analysis.Pass) error {
-	sh := newSharedIndex(pass.Module)
 	w := &shardWalk{
 		pass:    pass,
-		shared:  sh,
-		indexes: map[*loader.Package]*directiveIndex{},
 		checked: map[*types.Func]bool{},
 		seenLit: map[*ast.BlockStmt]bool{},
 	}
-	w.checkSharedWrites()
 	w.checkShardRoots()
 	return nil
 }
 
-// sharedIndex records every //kite:shared declaration in the module:
-// package-level vars, whole struct types, and individual fields.
-type sharedIndex struct {
-	vars   map[*types.Var]bool // sanctioned shared globals
-	fields map[*types.Var]bool // fields whose writes need //kite:shardok
-}
-
-func newSharedIndex(mod *analysis.Module) *sharedIndex {
-	sh := &sharedIndex{vars: map[*types.Var]bool{}, fields: map[*types.Var]bool{}}
-	for _, pkg := range mod.Pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				gd, ok := d.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				declShared := commentGroupHas(gd.Doc, "shared")
-				for _, spec := range gd.Specs {
-					switch s := spec.(type) {
-					case *ast.ValueSpec:
-						if gd.Tok == token.VAR && (declShared ||
-							commentGroupHas(s.Doc, "shared") || commentGroupHas(s.Comment, "shared")) {
-							for _, name := range s.Names {
-								if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-									sh.vars[v] = true
-								}
-							}
-						}
-					case *ast.TypeSpec:
-						st, ok := s.Type.(*ast.StructType)
-						if !ok {
-							continue
-						}
-						typeShared := declShared ||
-							commentGroupHas(s.Doc, "shared") || commentGroupHas(s.Comment, "shared")
-						for _, field := range st.Fields.List {
-							if !typeShared && !commentGroupHas(field.Doc, "shared") &&
-								!commentGroupHas(field.Comment, "shared") {
-								continue
-							}
-							for _, name := range field.Names {
-								if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-									sh.fields[v] = true
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return sh
-}
-
 type shardWalk struct {
 	pass    *analysis.Pass
-	shared  *sharedIndex
-	indexes map[*loader.Package]*directiveIndex
 	checked map[*types.Func]bool
 	seenLit map[*ast.BlockStmt]bool
-}
-
-func (w *shardWalk) indexFor(pkg *loader.Package) *directiveIndex {
-	idx, ok := w.indexes[pkg]
-	if !ok {
-		idx = newDirectiveIndex(pkg)
-		w.indexes[pkg] = idx
-	}
-	return idx
-}
-
-// sanctioned reports whether a finding at pos inside decl (nil for a
-// handler literal's own body) is covered by //kite:shardok.
-func (w *shardWalk) sanctioned(pkg *loader.Package, decl *ast.FuncDecl, pos token.Pos) bool {
-	if decl != nil && funcDirective(decl, "shardok") {
-		return true
-	}
-	return w.indexFor(pkg).suppressed(pos, "shardok")
-}
-
-// checkSharedWrites enforces rule 3 over every function body in the
-// package under analysis.
-func (w *shardWalk) checkSharedWrites() {
-	if len(w.shared.fields) == 0 {
-		return
-	}
-	pkg := w.pass.Pkg
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				for _, t := range writeTargets(n) {
-					fv := fieldWritten(pkg.Info, t)
-					if fv == nil || !w.shared.fields[fv] {
-						continue
-					}
-					if w.sanctioned(pkg, fd, n.Pos()) {
-						continue
-					}
-					w.pass.Reportf(n.Pos(),
-						"shardsafe: write to field %s of a //kite:shared structure; cross-shard writes need a //kite:shardok justification",
-						fv.Name())
-				}
-				return true
-			})
-		}
-	}
 }
 
 // writeTargets returns the lvalues a statement mutates.
@@ -196,29 +76,6 @@ func writeTargets(n ast.Node) []ast.Expr {
 		return []ast.Expr{s.X}
 	}
 	return nil
-}
-
-// fieldWritten resolves an lvalue to the struct field it mutates, seeing
-// through index and dereference wrappers (d.pending[w] |= bit mutates the
-// slice reached via field pending).
-func fieldWritten(info *types.Info, e ast.Expr) *types.Var {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-				if v, ok := sel.Obj().(*types.Var); ok {
-					return v
-				}
-			}
-			return nil
-		default:
-			return nil
-		}
-	}
 }
 
 // globalWritten resolves an lvalue to a package-level variable, either a
@@ -293,7 +150,7 @@ func (w *shardWalk) checkRootExpr(arg ast.Expr) {
 			return
 		}
 		w.seenLit[a.Body] = true
-		w.scanShardBody(w.pass.Pkg, nil, a.Body)
+		w.scanShardBody(w.pass.Pkg, a.Body)
 		for _, c := range calleesOf(w.pass.Module, w.pass.Pkg, a.Body, nil) {
 			if c.fn.Pkg() != nil && w.pass.Module.InModule(c.fn.Pkg()) {
 				w.checkRootFunc(c.fn)
@@ -319,30 +176,25 @@ func (w *shardWalk) checkRootFunc(root *types.Func) {
 				return true
 			}
 			w.checked[fn] = true
-			w.scanShardBody(fd.Pkg, fd.Decl, fd.Decl.Body)
+			w.scanShardBody(fd.Pkg, fd.Decl.Body)
 			return true
 		},
 		nil, nil)
 }
 
 // scanShardBody applies rules 1 and 2 to one shard-reachable body.
-func (w *shardWalk) scanShardBody(pkg *loader.Package, decl *ast.FuncDecl, body ast.Node) {
+func (w *shardWalk) scanShardBody(pkg *loader.Package, body ast.Node) {
 	if body == nil {
 		return
 	}
 	info := pkg.Info
 	ast.Inspect(body, func(n ast.Node) bool {
 		for _, t := range writeTargets(n) {
-			v := globalWritten(info, t)
-			if v == nil || w.shared.vars[v] {
-				continue
+			if v := globalWritten(info, t); v != nil {
+				w.pass.Reportf(n.Pos(),
+					"shardsafe: shard-reachable code writes package-level var %s; keep the state on the component that owns it",
+					v.Name())
 			}
-			if w.sanctioned(pkg, decl, n.Pos()) {
-				continue
-			}
-			w.pass.Reportf(n.Pos(),
-				"shardsafe: shard-reachable code writes package-level var %s; mark the variable //kite:shared or the site //kite:shardok",
-				v.Name())
 		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -357,11 +209,9 @@ func (w *shardWalk) scanShardBody(pkg *loader.Package, decl *ast.FuncDecl, body 
 			return true
 		}
 		if hops := pinnedHops(w.pass.Module, info, sel.X); hops >= 2 {
-			if !w.sanctioned(pkg, decl, call.Pos()) {
-				w.pass.Reportf(call.Pos(),
-					"shardsafe: %s reaches through %d engine-bearing components; cross-shard scheduling must go through Engine.Post",
-					fn.Name(), hops)
-			}
+			w.pass.Reportf(call.Pos(),
+				"shardsafe: %s reaches through %d engine-bearing components; cross-shard scheduling must go through Engine.Post",
+				fn.Name(), hops)
 		}
 		return true
 	})

@@ -14,19 +14,13 @@ import (
 // friends), the process-global math/rand source, or iterate over a map
 // (whose order varies run to run) without a //kite:orderok justification.
 //
-// Sharded execution adds a concurrency face to the same contract: real
-// goroutines may only appear where the lookahead-window protocol already
-// orders their effects. A `go` statement or a `sync` import in a
+// Concurrency is the same contract's other face: a simulation runs on one
+// goroutine, and real goroutines appear only where whole simulations fan
+// out (the experiment runner). A `go` statement or a `sync` import in a
 // deterministic package therefore requires a //kite:shardsafe directive
-// stating why scheduling cannot leak into the timeline (shards share
-// nothing mid-window; the barrier merge totally orders cross-shard posts).
-// sync/atomic stays exempt — commutative counter adds are order-blind.
-//
-// One clock escape exists: time.Now and time.Since inside a function whose
-// doc comment carries //kite:synccore. The synchronization core already
-// decides which goroutine runs what, which no timeline can observe; timing
-// that choice is the same kind of act. One function over, the read is
-// flagged as before.
+// stating why host scheduling cannot leak into a timeline. sync/atomic
+// stays exempt here — commutative counter adds are order-blind — and is
+// atomicscope's business.
 //
 // The directive lives in the package doc rather than in the analyzer so
 // the contract is visible where the code is; the clean-tree meta-test
@@ -45,10 +39,6 @@ var wallClockFuncs = map[string]bool{
 	"Sleep": true, "After": true, "Tick": true, "NewTicker": true, "NewTimer": true, "AfterFunc": true,
 }
 
-// hostTimingFuncs are the clock reads a //kite:synccore function may make:
-// enough to time a stretch of host execution, nothing that waits.
-var hostTimingFuncs = map[string]bool{"Now": true, "Since": true}
-
 func runSimdet(pass *analysis.Pass) error {
 	if !pkgDirective(pass.Pkg, "deterministic") {
 		return nil
@@ -57,14 +47,8 @@ func runSimdet(pass *analysis.Pass) error {
 	dirs := newDirectiveIndex(pass.Pkg)
 
 	for _, f := range pass.Pkg.Files {
-		var synccore *ast.FuncDecl // the //kite:synccore declaration being walked, if any
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch e := n.(type) {
-			case *ast.FuncDecl:
-				synccore = nil
-				if funcDirective(e, "synccore") {
-					synccore = e
-				}
 			case *ast.SelectorExpr:
 				pkgName, ok := pkgOf(info, e)
 				if !ok {
@@ -72,9 +56,6 @@ func runSimdet(pass *analysis.Pass) error {
 				}
 				switch pkgName {
 				case "time":
-					if hostTimingFuncs[e.Sel.Name] && synccore != nil && e.Pos() < synccore.End() {
-						return true
-					}
 					if wallClockFuncs[e.Sel.Name] {
 						pass.Reportf(e.Pos(), "simdet: time.%s reads the wall clock; use the sim.Engine virtual clock", e.Sel.Name)
 					}
@@ -93,12 +74,12 @@ func runSimdet(pass *analysis.Pass) error {
 				}
 			case *ast.GoStmt:
 				if !dirs.suppressed(e.Pos(), "shardsafe") {
-					pass.Reportf(e.Pos(), "simdet: goroutines can leak scheduling into the timeline; prove window isolation with //kite:shardsafe")
+					pass.Reportf(e.Pos(), "simdet: goroutines can leak scheduling into the timeline; prove isolation with //kite:shardsafe")
 				}
 			case *ast.ImportSpec:
 				if p, err := strconv.Unquote(e.Path.Value); err == nil && p == "sync" {
 					if !dirs.suppressed(e.Pos(), "shardsafe") {
-						pass.Reportf(e.Pos(), "simdet: sync primitives order goroutines outside the window barrier; justify with //kite:shardsafe (sync/atomic is exempt)")
+						pass.Reportf(e.Pos(), "simdet: sync primitives order goroutines by host scheduling; justify with //kite:shardsafe (sync/atomic is exempt)")
 					}
 				}
 			}

@@ -39,9 +39,9 @@ func (s *shard) reset() {
 	close(s.wake)                   // want `channel close in deterministic shard code`
 }
 
-// park is the barrier machinery itself: synchronization is its job.
+// park is fan-out machinery: synchronization is its job.
 //
-//kite:synccore worker parking; runs between windows, not inside one
+//kite:synccore test fixture: joins whole legs, never runs inside a simulation
 func (s *shard) park() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,10 +3,7 @@
 // and the directive escapes.
 package hotpath
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 type pool struct {
 	free    []*buf
@@ -66,15 +63,3 @@ func warm(p *pool) {
 
 // neverMarked is not reachable from a hot root; it may allocate freely.
 func neverMarked() []byte { return make([]byte, 1) }
-
-// timed reads the clock on a hot path: time.Now and time.Since are vetted
-// (values, no allocation); the rest of package time is not.
-//
-//kite:hotpath
-func timed(run func()) time.Duration {
-	start := time.Now()
-	run()
-	d := time.Since(start)
-	_ = d.String() // want `call to time.String, outside the module`
-	return d
-}

@@ -1,7 +1,6 @@
 // Package shardsafe exercises the kitelint shard-confinement check:
-// shard-executed handlers must not write globals, must not schedule
-// through foreign components, and //kite:shared structures demand
-// //kite:shardok writers.
+// shard-executed handlers must not write globals and must not schedule
+// through foreign components.
 package shardsafe
 
 import "kite/internal/sim"
@@ -19,21 +18,15 @@ type peer struct {
 	q   *queue
 }
 
-// stats is a sanctioned cross-shard structure; writes to it are exempt
-// from rule 1 by declaration.
-//
-//kite:shared
-var stats = map[string]int{}
-
-// hits is an ordinary global: any shard-reachable write is a race.
+// hits is a global: any shard-reachable write is shared with every other
+// simulation in the process.
 var hits int
 
 func onEvent(e *sim.Engine, p *peer) {
 	e.Schedule(0, func() {
-		hits++         // want `shard-reachable code writes package-level var hits`
-		stats["rx"]++  // shared by declaration: clean
-		p.depth()      // descend into a named helper
-		p.eng.Schedule(1, func() {}) // one hop: self-scheduling, clean
+		hits++                         // want `shard-reachable code writes package-level var hits`
+		p.depth()                      // descend into a named helper
+		p.eng.Schedule(1, func() {})   // one hop: self-scheduling, clean
 		p.q.eng.Schedule(1, func() {}) // want `Schedule reaches through 2 engine-bearing components`
 	})
 }
@@ -43,56 +36,12 @@ func (p *peer) depth() {
 	hits = p.q.depth // want `shard-reachable code writes package-level var hits`
 }
 
-// testHook shows a site-level escape: the write is justified in place.
-func testHook(e *sim.Engine) {
-	e.After(1, func() {
-		hits++ //kite:shardok fixture-only instrumentation counter
-	})
-}
-
-// remoteBox is a shared magazine: every field write must be justified.
-//
-//kite:shared
-type remoteBox struct {
-	head *node
-	n    int
-}
-
-type node struct{ next *node }
-
-func (m *remoteBox) push(b *node) {
-	b.next = m.head // node is not shared: clean
-	m.head = b      // want `write to field head of a //kite:shared structure`
-	m.n++           // want `write to field n of a //kite:shared structure`
-}
-
-// drain runs at the barrier with every shard goroutine parked, so its
-// writes are sanctioned wholesale.
-//
-//kite:shardok barrier-side drain; no shard goroutine is live
-func (m *remoteBox) drain() *node {
-	h := m.head
-	m.head = nil
-	m.n = 0
-	return h
-}
-
-// cursor has exactly one shared field; its sibling stays unconstrained.
-type cursor struct {
-	// remote is spliced by other shards' release handlers.
-	//
-	//kite:shared
-	remote *node
-	local  int
-}
-
-func (c *cursor) advance() {
-	c.local++       // unshared sibling field: clean
-	c.remote = nil  // want `write to field remote of a //kite:shared structure`
-}
+// setup is not registered on the event machinery: what it writes before
+// the simulation starts is nobody's race.
+func setup() { hits = 0 }
 
 // postHandlers are shard roots too: the handler runs on the destination
-// shard's goroutine.
+// shard.
 func postSide(local, dst *sim.Engine) {
 	local.Post(dst, 1, sim.PriData, func(any) {
 		hits++ // want `shard-reachable code writes package-level var hits`

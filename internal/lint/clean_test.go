@@ -38,9 +38,8 @@ func TestLintCleanTree(t *testing.T) {
 
 // TestConcurrencyLintCleanTree runs just the four concurrency-contract
 // analyzers (shardsafe, relpure, ringlink, atomicscope) and then pins the
-// escape-hatch annotations they hinge on: the barrier machinery must stay
-// declared //kite:synccore, the sanctioned cross-shard writers
-// //kite:shardok, and the intrusive ring operations //kite:ringlink; and
+// annotations they hinge on: the experiment fan-out must stay declared
+// //kite:synccore and the intrusive ring operations //kite:ringlink; and
 // the carrier and magazine returns must still be sim.PriRelease posts, or
 // relpure has no handler left to prove pure.
 // Deleting an annotation either breaks the clean run (a finding appears)
@@ -63,27 +62,12 @@ func TestConcurrencyLintCleanTree(t *testing.T) {
 	}
 
 	synccore := []struct{ pkg, fn string }{
-		{"kite/internal/sim", "ensureWorkers"},
-		{"kite/internal/sim", "stopWorkers"},
-		{"kite/internal/sim", "workerLoop"},
-		{"kite/internal/sim", "runWindowShards"},
-		{"kite/internal/sim", "hostNanos"}, // simdet's one clock escape hangs on this annotation
 		{"kite/internal/experiments", "RunAll"},
 		{"kite/internal/experiments", "tryGo"},
 	}
 	for _, r := range synccore {
 		if !funcHasDirective(mod, r.pkg, r.fn, "//kite:synccore") {
 			t.Errorf("%s.%s: no //kite:synccore-annotated declaration found", r.pkg, r.fn)
-		}
-	}
-	shardok := []struct{ pkg, fn string }{
-		{"kite/internal/framepool", "stageRemote"},
-		{"kite/internal/xen", "mark"},
-		{"kite/internal/xen", "scan"},
-	}
-	for _, r := range shardok {
-		if !funcHasDirective(mod, r.pkg, r.fn, "//kite:shardok") {
-			t.Errorf("%s.%s: no //kite:shardok-annotated declaration found", r.pkg, r.fn)
 		}
 	}
 	ringlink := []struct{ pkg, fn string }{

@@ -2,30 +2,29 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 )
 
-// barrierStressSummary runs an adversarial 8-shard workload — lookahead 1,
-// so nearly every event opens its own window — and returns a byte-exact
-// summary of everything observable: per-shard event traces with
-// timestamps, event totals, window/fusion counts, and cross-shard post
-// counts. The workload mixes local schedule churn, PriData ring posts,
-// and PriRelease fan-out posts so data posts, barrier-executed releases,
-// free sprints, and fused windows all occur. With declareEdges the same
-// traffic runs under a per-edge lookahead matrix instead of the uniform
-// fallback. pin overrides the window dispatcher (pinNone leaves it
-// measuring); the summary holds timeline facts only, so it may not depend
-// on it.
-func barrierStressSummary(t *testing.T, workers int, declareEdges bool, pin uint8) string {
-	t.Helper()
+// barrierStress builds an adversarial 8-shard workload — lookahead 1, so
+// nearly every event opens its own window — and returns the cluster with a
+// function rendering a byte-exact summary of everything observable:
+// per-shard event traces with timestamps, event totals, cross-shard post
+// counts, and what the barrier-executed releases delivered. The workload
+// mixes local schedule churn, PriData ring posts, PriData side posts that
+// land on a shard at the same instant as the ring's, and PriRelease fan-out
+// posts, so same-timestamp merges across sources, barrier-executed
+// releases, and fused windows all occur. With declareEdges the same traffic runs under a
+// per-edge lookahead matrix instead of the uniform fallback.
+//
+// Window and fusion counts stay out of the summary: they say how a run was
+// cut up, and the two drivers compared below cut it differently on purpose.
+func barrierStress(declareEdges bool) (*Cluster, func() string) {
 	const (
 		shards = 8
 		maxHop = 400
 	)
 	c := NewCluster(shards, 1, 0xadbeef)
-	c.disp.pin = pin
 	if declareEdges {
 		for i := 0; i < shards; i++ {
 			c.DeclareEdge(i, (i+1)%shards, 1)
@@ -34,7 +33,9 @@ func barrierStressSummary(t *testing.T, workers int, declareEdges bool, pin uint
 	}
 	traces := make([]*strings.Builder, shards)
 	handlers := make([]func(any), shards)
+	sides := make([]func(any), shards)
 	releases := make([]func(any), shards)
+	relCount, relSum := make([]int, shards), make([]int, shards)
 	for i := 0; i < shards; i++ {
 		traces[i] = &strings.Builder{}
 	}
@@ -42,10 +43,18 @@ func barrierStressSummary(t *testing.T, workers int, declareEdges bool, pin uint
 		i := i
 		e := c.Shard(i)
 		tr := traces[i]
-		// Terminal sink for PriRelease fan-out: executes at the barrier,
-		// records, and spawns nothing (keeps the token population bounded).
+		// Terminal sink for PriRelease fan-out. It keeps the release
+		// contract: pure bookkeeping, commutative, blind to the clock and to
+		// when in the window it runs — which is why a count and a sum, not
+		// a trace line, are what it leaves behind.
 		releases[i] = func(a any) {
-			fmt.Fprintf(tr, "s%d t%d rel h%d;", i, e.Now(), a.(int))
+			relCount[i]++
+			relSum[i] += a.(int)
+		}
+		// Terminal sink for the PriData side posts (spawns nothing, so the
+		// token population stays bounded).
+		sides[i] = func(a any) {
+			fmt.Fprintf(tr, "s%d t%d side h%d;", i, e.Now(), a.(int))
 		}
 		handlers[i] = func(a any) {
 			hop := a.(int)
@@ -58,9 +67,11 @@ func barrierStressSummary(t *testing.T, workers int, declareEdges bool, pin uint
 				return
 			}
 			e.Post(c.Shard((i+1)%shards), 1, PriData, handlers[(i+1)%shards], hop+1)
+			j := (i*3 + 1) % shards
 			if hop%3 == 0 {
-				j := (i*3 + 1) % shards
 				e.Post(c.Shard(j), 2, PriRelease, releases[j], hop)
+			} else {
+				e.Post(c.Shard(j), 2, PriData, sides[j], hop)
 			}
 		}
 	}
@@ -70,60 +81,51 @@ func barrierStressSummary(t *testing.T, workers int, declareEdges bool, pin uint
 		i := i
 		c.Shard(i).Schedule(Time(i%3), func() { handlers[i](0) })
 	}
-	c.SetWorkers(workers)
-	c.Run()
-	c.SetWorkers(1) // retire workers before the cluster goes out of scope
-	switch par := c.ParallelWindows(); {
-	case (workers == 1 || pin == pinInline) && par != 0:
-		t.Errorf("workers=%d pin=%d: %d windows went to workers, want none", workers, pin, par)
-	case workers > 1 && (pin == pinWorkers || pin == pinFlip) && par == 0:
-		t.Errorf("workers=%d pin=%d: no window went to workers", workers, pin)
+	return c, func() string {
+		var sum strings.Builder
+		fmt.Fprintf(&sum, "events=%d posts=%d\n", c.Processed(), c.Posted())
+		for i := 0; i < shards; i++ {
+			fmt.Fprintf(&sum, "shard%d=%d releases=%d/%d\n", i, c.Shard(i).ProcessedLocal(), relCount[i], relSum[i])
+		}
+		for i := 0; i < shards; i++ {
+			sum.WriteString(traces[i].String())
+			sum.WriteByte('\n')
+		}
+		return sum.String()
 	}
-
-	var sum strings.Builder
-	fmt.Fprintf(&sum, "events=%d windows=%d fused=%d posts=%d\n",
-		c.Processed(), c.Windows(), c.Fused(), c.Posted())
-	for i := 0; i < shards; i++ {
-		fmt.Fprintf(&sum, "shard%d=%d\n", i, c.Shard(i).ProcessedLocal())
-	}
-	for i := 0; i < shards; i++ {
-		sum.WriteString(traces[i].String())
-		sum.WriteByte('\n')
-	}
-	return sum.String()
 }
 
-// TestBarrierStressAdversarial drives the persistent-worker barrier with
-// lookahead-1 window sizes and asserts the 8-worker run is byte-identical
-// to the serial run: same event totals, same window and fusion counts,
-// same per-shard traces. Run under -race by `make verify`, this is the
-// regression witness for the parked-worker epoch barrier — any mid-window
-// sharing or window-boundary reordering shows up as a trace diff or a
-// race report. The dispatcher is blind to all of it: left measuring, pinned
-// inline, pinned to the workers, or flipping every window, the summary is
-// the same bytes — and the pinned runs keep the worker path under the race
-// detector on every run, whatever the dispatcher would have measured on
-// this host.
+// TestBarrierStressAdversarial drives the window engine with lookahead-1
+// window sizes and asserts the run is byte-identical to the Step-driven
+// replay of the same workload — one globally earliest event at a time, the
+// barrier merged after each, no horizon anywhere: same event totals, same
+// posts, same per-shard traces, same releases. A horizon one tick too
+// generous, a sprint that outlives a data post, or a merge that reorders a
+// window boundary shows up as a trace diff.
 func TestBarrierStressAdversarial(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
 	for _, declare := range []bool{false, true} {
 		name := "uniform"
 		if declare {
 			name = "edge-matrix"
 		}
-		serial := barrierStressSummary(t, 1, declare, pinNone)
-		if !strings.Contains(serial, "events=") || len(serial) < 1000 {
-			t.Fatalf("%s: implausibly small serial summary:\n%s", name, serial)
+		oracle, render := barrierStress(declare)
+		for oracle.Step() {
 		}
-		for _, workers := range []int{2, 8} {
-			for _, pin := range []uint8{pinNone, pinInline, pinWorkers, pinFlip} {
-				par := barrierStressSummary(t, workers, declare, pin)
-				if par != serial {
-					t.Errorf("%s: workers=%d pin=%d summary differs from serial run\n--- serial head ---\n%.400s\n--- workers=%d head ---\n%.400s",
-						name, workers, pin, serial, workers, par)
-				}
-			}
+		want := render()
+		if !strings.Contains(want, "events=") || len(want) < 1000 {
+			t.Fatalf("%s: implausibly small replay summary:\n%s", name, want)
+		}
+		c, render := barrierStress(declare)
+		c.Run()
+		if got := render(); got != want {
+			t.Errorf("%s: windowed summary differs from the stepped replay\n--- stepped head ---\n%.400s\n--- windowed head ---\n%.400s",
+				name, want, got)
+		}
+		// The windowed run has to have been one: many events per window
+		// somewhere, and barriers with nothing staged fused away.
+		if c.Windows() == 0 || c.Windows() >= c.Processed() || c.Fused() == 0 {
+			t.Errorf("%s: %d windows (%d fused) for %d events; want fewer windows than events and some fused",
+				name, c.Windows(), c.Fused(), c.Processed())
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package sim
 
-// This file is the parallel deterministic event core: a Cluster partitions
+// This file is the sharded deterministic event core: a Cluster partitions
 // one simulation into per-shard Engines (one heap each), executes them in
 // conservative lookahead windows, and merges cross-shard effects at a
-// deterministic barrier. The design is classic conservative parallel DES
+// deterministic barrier. The design is classic conservative DES
 // (Chandy-Misra-Bryant specialized to fixed minimum link latencies):
 //
 //   - Every cross-shard interaction travels as a *post* with an explicit
@@ -17,43 +17,32 @@ package sim
 //     next(j) + dist(j, i), where dist is the min-plus closure of the edge
 //     matrix (the cheapest chain of posts that could carry an effect from
 //     j to i). Any post created inside the window matures at or beyond the
-//     destination's horizon, so shards never observe each other mid-window:
-//     the parallel execution is race-free *by construction* and
-//     bit-identical to the serial execution of the same windows.
+//     destination's horizon, so shards never observe each other mid-window
+//     and running them one after another, in shard order, yields the same
+//     per-shard timelines as the global-order replay Step performs.
 //   - A shard no active shard can reach (dist == infinity, or nothing else
 //     active) runs *free* — no horizon at all — until it stages a data
 //     post, at which point the destination gains a future event that could
-//     boomerang back, so the sprint ends at the next barrier. This
-//     subsumes the old sole-active express path.
+//     boomerang back, so the sprint ends at the next barrier.
 //   - At the barrier, outboxes are merged into per-shard inboxes ordered by
-//     the total (timestamp, priority, source shard, source sequence) key,
-//     so merge order never depends on goroutine scheduling. Barriers that
-//     staged no posts are *fused*: the next window starts immediately with
-//     no merge work at all.
+//     the total (timestamp, priority, source shard, source sequence) key.
+//     Barriers that staged no posts are *fused*: the next window starts
+//     immediately with no merge work at all.
 //
-// Worker goroutines are an execution detail, not a semantic one: a Cluster
-// produces the same event timeline at any worker count and any GOMAXPROCS,
-// which the determinism matrix in internal/experiments locks in under the
-// race detector. With SetWorkers(n > 1) the cluster keeps one persistent
-// goroutine per shard range, parked between windows: the per-window cost is
-// an atomic epoch publish and (only when a worker went to sleep) a channel
-// token, instead of goroutine creation + scheduler wakeup per window. n is a
-// bound, not a promise: handing a window to another core moves the shards'
-// working set there too, which on many hosts costs more than the overlap
-// buys, so the cluster times both ways of running a window and uses the
-// cheaper one (see dispatcher).
+// A whole Cluster runs on the one goroutine that drives it, like a
+// standalone Engine: spreading a window's shards over cores measured slower
+// than running them in turn on every host tried, because a stage-partitioned
+// pipeline drags each frame's working set across cores once per hand-off
+// (DESIGN.md §12.7 has the numbers and what would reopen the question).
+// What sharding buys is the model: per-edge lookahead, free sprints and
+// fused windows are what make a multi-queue simulation's virtual timeline
+// cheap to compute.
 //
 // Each shard also owns a partitioned RNG (splitmix-derived from the cluster
 // seed and the shard index), so stochastic elements bound to a shard draw
 // from a stream that is independent of how other shards interleave.
 
-import (
-	"fmt"
-	"runtime"
-	"sync"        //kite:shardsafe WaitGroup only joins retiring barrier workers between windows
-	"sync/atomic" //kite:shardsafe epoch/pending publication at the window barrier only
-	"time"
-)
+import "fmt"
 
 // Cross-shard post priorities: at an equal timestamp, lower runs first.
 // Data hand-offs outrank buffer recycling so a frame is always delivered
@@ -66,7 +55,11 @@ import (
 // early only ever *adds* availability, so the event timeline is unchanged
 // while the per-frame recycle traffic costs no shard events at all. A
 // release fn must therefore be pure local bookkeeping: it may not read the
-// clock, schedule, or post.
+// clock, schedule, or post (kitelint's relpure proves it). With one
+// goroutine nothing races here; purity is what keeps barrier-time release
+// timeline-neutral. Releasing inline instead would drop these posts from
+// Posted and the events they save from Processed — counts the committed sim
+// digests pin — so the post-and-barrier form stays.
 const (
 	PriData    uint8 = 100
 	PriRelease uint8 = 200
@@ -104,25 +97,6 @@ func (p *postRec) before(o *postRec) bool {
 // free-sprint horizon.
 const timeMax = Time(1<<63 - 1)
 
-// barrierSpins bounds how long a persistent worker busy-waits (yielding to
-// the scheduler each spin) for the next window before parking on its wake
-// channel. Small on purpose: with more runnable workers than cores, parking
-// promptly is what keeps the barrier from degrading into a Gosched storm.
-const barrierSpins = 32
-
-// shardWorker is one persistent barrier worker owning a fixed contiguous
-// shard range. The epoch word each worker spins on sits alone on its cache
-// line so the publisher's stores never collide with another worker's spin.
-type shardWorker struct {
-	_     [64]byte
-	epoch atomic.Uint64 // latest window epoch published to this worker
-	_     [56]byte
-	wake  chan struct{} // one-token semaphore reviving a parked worker
-	lo    int           // shard range [lo, hi) this worker executes
-	hi    int
-	_     [64]byte
-}
-
 // Cluster coordinates a set of shard Engines under conservative lookahead
 // windows. Shard 0 is the "home" shard by convention (setup, devices, and
 // anything not pinned elsewhere); calling Run/Step/RunUntil on any shard
@@ -131,7 +105,6 @@ type Cluster struct {
 	shards    []*Engine
 	rngs      []*Rand
 	lookahead Time
-	workers   int // max goroutines per window; <=1 means serial
 
 	// Per-edge lookahead (flattened n x n, src-major). edge holds the
 	// declared minimum direct post delay per (src,dst) pair — timeMax for
@@ -143,10 +116,9 @@ type Cluster struct {
 	dist      []Time
 	edgeDirty bool // closure needs recomputing before the next window
 
-	windows  uint64 // execution windows run
-	fused    uint64 // windows whose barrier staged nothing (no merge work)
-	posted   uint64 // cross-shard posts merged
-	parallel uint64 // windows that went to the persistent workers
+	windows uint64 // execution windows run
+	fused   uint64 // windows whose barrier staged nothing (no merge work)
+	posted  uint64 // cross-shard posts merged
 
 	// Merge scratch, recycled across barriers: one run header per source
 	// shard plus one for the displaced inbox tail, and the buffer that tail
@@ -154,33 +126,14 @@ type Cluster struct {
 	runs    [][]postRec
 	scratch []postRec
 
-	disp dispatcher
-
-	// Window scratch, written by the driving goroutine before each epoch
-	// publish and read-only while shard goroutines run.
-	nexts     []Time // per-shard next local event (timeMax = idle)
-	horizons  []Time // per-shard exclusive horizon (0 = idle, timeMax = run free)
-	winLimit  Time   // exclusive upper bound for the window (RunUntil)
-	winBudget uint64 // per-shard event budget for the window
-
-	// Persistent barrier workers (spawned lazily at the first parallel
-	// window, re-partitioned when SetWorkers changes, parked in between).
-	ws         []*shardWorker
-	spawnedFor int // worker count ws was partitioned for
-	mainHi     int // the driving goroutine runs shards [0, mainHi)
-	epoch      uint64
-	retire     atomic.Bool
-	wg         sync.WaitGroup
-	_          [64]byte
-	pending    atomic.Int32 // workers still running the current window
-	_          [60]byte
-	doneCh     chan struct{}
+	// Window scratch, recomputed by computeHorizons before each window.
+	nexts    []Time // per-shard next local event (timeMax = idle)
+	horizons []Time // per-shard exclusive horizon (0 = idle, timeMax = run free)
 }
 
 // NewCluster builds n shard engines sharing one virtual clock, with the
 // given conservative lookahead (the minimum cross-shard post delay) and a
-// seed for the partitioned per-shard RNGs. Workers defaults to 1 (serial);
-// SetWorkers raises it.
+// seed for the partitioned per-shard RNGs.
 func NewCluster(n int, lookahead Time, seed uint64) *Cluster {
 	if n < 1 {
 		panic("sim: cluster needs at least one shard")
@@ -190,28 +143,21 @@ func NewCluster(n int, lookahead Time, seed uint64) *Cluster {
 	}
 	c := &Cluster{
 		lookahead: lookahead,
-		workers:   1,
 		nexts:     make([]Time, n),
 		horizons:  make([]Time, n),
 		runs:      make([][]postRec, 0, n+1),
 	}
-	c.disp.reset()
 	for i := 0; i < n; i++ {
 		e := NewEngine()
 		e.cluster = c
 		e.shard = i
-		// The outbox header array is written by its shard mid-window; the
-		// guard slots at both ends keep one shard's append bookkeeping off
-		// any cache line another shard's headers live on.
-		const guard = 3 // 3 slice headers = 72 B >= one cache line
-		e.outbox = make([][]postRec, n+2*guard)[guard : guard+n]
+		e.outbox = make([][]postRec, n)
 		c.shards = append(c.shards, e)
 		// Partitioned RNG: each shard's stream is derived from (seed, shard)
 		// through the splitmix increment, so streams are decorrelated and
 		// stable no matter how many shards run or in what order.
 		c.rngs = append(c.rngs, NewRand(seed^(uint64(i+1)*0x9e3779b97f4a7c15)))
 	}
-	c.mainHi = n
 	return c
 }
 
@@ -237,20 +183,6 @@ func (c *Cluster) Fused() uint64 { return c.fused }
 
 // Posted returns how many cross-shard posts have been merged.
 func (c *Cluster) Posted() uint64 { return c.posted }
-
-// ParallelWindows returns how many windows were handed to the persistent
-// workers; the rest ran on the driving goroutine. Unlike Windows, Fused and
-// Posted this is a fact about the host, not about the timeline: it varies
-// from run to run and must stay out of anything compared across runs.
-func (c *Cluster) ParallelWindows() uint64 { return c.parallel }
-
-// ProbeNsPerEvent returns the host nanoseconds per executed event the last
-// completed probe measured with windows run inline and with windows handed
-// to the workers (zero before the first probe). Host-dependent, like
-// ParallelWindows.
-func (c *Cluster) ProbeNsPerEvent() (inline, workers float64) {
-	return c.disp.perEvent[dispInline], c.disp.perEvent[dispWorkers]
-}
 
 // DeclareEdge declares that posts from shard src to shard dst always carry
 // a delay of at least min (a physical link/device latency, never below the
@@ -307,9 +239,9 @@ func (c *Cluster) EdgeDist(src, dst int) Time {
 }
 
 // refreshEdges recomputes the min-plus closure of the edge matrix
-// (Floyd-Warshall; shard counts are single digits in practice). All edge
-// weights are positive, so self-distances stay at timeMax and are never
-// consulted — a shard's horizon comes only from *other* shards.
+// (Floyd-Warshall; shard counts are single digits in practice).
+// Self-distances come out as the shortest cycle through the shard and are
+// never consulted — a shard's horizon comes only from *other* shards.
 //
 //kite:coldpath runs only after DeclareEdge dirtied the matrix, i.e. during topology setup
 func (c *Cluster) refreshEdges() {
@@ -342,385 +274,11 @@ func (c *Cluster) refreshEdges() {
 	c.edgeDirty = false
 }
 
-// SetWorkers bounds the goroutines used per window. n <= 1 executes shards
-// serially in shard order (and retires any parked workers); higher values
-// partition the shards across n-1 persistent worker goroutines plus the
-// driving goroutine, which the cluster uses for a window only while doing so
-// measures cheaper than running it inline. The event timeline is identical
-// either way.
-func (c *Cluster) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(c.shards) {
-		n = len(c.shards)
-	}
-	if n != c.workers {
-		c.disp.reset() // a different partition has different costs
-	}
-	c.workers = n
-	if n <= 1 {
-		c.stopWorkers()
-	}
-}
-
-// Workers returns the configured per-window worker bound.
-func (c *Cluster) Workers() int { return c.workers }
-
-// ensureWorkers (re)spawns the persistent workers to match the configured
-// worker count: the shards are split into `workers` contiguous ranges, the
-// driving goroutine keeps range 0 (which always contains shard 0) and each
-// remaining range gets one parked goroutine for the cluster's lifetime.
-//
-//kite:coldpath runs only when SetWorkers changed the worker count since the last window
-//kite:synccore worker (re)spawn: channel and WaitGroup plumbing for the barrier itself
-func (c *Cluster) ensureWorkers() {
-	if c.spawnedFor == c.workers {
-		return
-	}
-	c.stopWorkers()
-	n := len(c.shards)
-	k := c.workers
-	c.doneCh = make(chan struct{}, 1)
-	lo := 0
-	for r := 0; r < k; r++ {
-		size := n / k
-		if r < n%k {
-			size++
-		}
-		hi := lo + size
-		if r == 0 {
-			c.mainHi = hi
-		} else {
-			w := &shardWorker{wake: make(chan struct{}, 1), lo: lo, hi: hi}
-			c.ws = append(c.ws, w)
-			c.wg.Add(1)
-			go c.workerLoop(w) //kite:shardsafe persistent barrier worker: runs disjoint shard ranges between epoch publishes; all cross-shard effects are ordered by the merge
-		}
-		lo = hi
-	}
-	c.spawnedFor = c.workers
-}
-
-// stopWorkers retires the persistent workers (SetWorkers shrink or
-// re-partition) and waits for them to exit.
-//
-//kite:synccore worker retirement: epoch publish + wake + join are the barrier protocol
-func (c *Cluster) stopWorkers() {
-	if len(c.ws) == 0 {
-		c.spawnedFor = 0
-		c.mainHi = len(c.shards)
-		return
-	}
-	c.retire.Store(true)
-	c.epoch++
-	for _, w := range c.ws {
-		w.epoch.Store(c.epoch)
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
-	c.wg.Wait()
-	c.retire.Store(false)
-	c.ws = nil
-	c.spawnedFor = 0
-	c.mainHi = len(c.shards)
-}
-
-// workerLoop is the persistent barrier worker: spin briefly for the next
-// epoch, park on the wake channel if it does not arrive, run the owned
-// shard range, then check in at the barrier. The epoch store (publisher)
-// and load (here) carry the happens-before edge for the window inputs; the
-// pending count and done channel carry it back for the window's results.
-//
-// The wake channel holds at most one token and the publisher always
-// deposits one after advancing the epoch, so a worker that re-parks after a
-// stale token can never miss a window.
-//
-//kite:synccore the parking/epoch handshake IS the synchronization core; shard code runs inside runShardRange
-func (c *Cluster) workerLoop(w *shardWorker) {
-	defer c.wg.Done()
-	var last uint64
-	for {
-		spins := 0
-		for w.epoch.Load() == last {
-			if spins < barrierSpins {
-				spins++
-				runtime.Gosched()
-				continue
-			}
-			<-w.wake
-			spins = 0
-		}
-		last = w.epoch.Load()
-		if c.retire.Load() {
-			return
-		}
-		c.runShardRange(w.lo, w.hi)
-		if c.pending.Add(-1) == 0 {
-			c.doneCh <- struct{}{}
-		}
-	}
-}
-
-// runShardRange executes one window for shards [lo, hi): each runs to its
-// own horizon (or sprints free when nothing active can reach it), recording
-// its event count in windowDone for the barrier to collect.
-func (c *Cluster) runShardRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := c.shards[i]
-		switch h := c.horizons[i]; {
-		case h == 0:
-			s.windowDone = 0
-		case h == timeMax:
-			s.windowDone = s.runFree(c.winLimit, c.winBudget)
-		default:
-			s.windowDone = s.runTo(h, c.winBudget)
-		}
-	}
-}
-
-// rangeActive reports whether any shard in [lo, hi) has work this window.
-func (c *Cluster) rangeActive(lo, hi int) bool {
-	for _, h := range c.horizons[lo:hi] {
-		if h != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// runWindowShards executes the current window on every shard: inline on the
-// driving goroutine when serial, when the dispatcher's current block runs
-// inline, or when every active shard sits in one worker's range (nothing
-// to overlap); otherwise through the persistent workers, waking only those
-// whose range has an active shard — the driving goroutine zeroes windowDone
-// for the ranges it leaves asleep, since nobody else will. On return every
-// shard's windowDone is this window's count and visible to the driving
-// goroutine.
-//
-//kite:synccore window dispatch: epoch publish, wake tokens, and the done-channel join
-func (c *Cluster) runWindowShards() {
-	n := len(c.shards)
-	if c.workers <= 1 || n == 1 || !c.disp.useWorkers(c.windows) {
-		c.runShardRange(0, n)
-		return
-	}
-	c.ensureWorkers()
-	busy, woken := 0, 0
-	if c.rangeActive(0, c.mainHi) {
-		busy++
-	}
-	for _, w := range c.ws {
-		if c.rangeActive(w.lo, w.hi) {
-			busy++
-			woken++
-		}
-	}
-	if busy < 2 {
-		c.runShardRange(0, n)
-		return
-	}
-	c.parallel++
-	c.epoch++
-	c.pending.Store(int32(woken))
-	for _, w := range c.ws {
-		if !c.rangeActive(w.lo, w.hi) {
-			// Not woken, so no runShardRange will reset these, and runLoop
-			// sums windowDone over every shard. The worker is idle: its
-			// last window was joined through doneCh.
-			for _, s := range c.shards[w.lo:w.hi] {
-				s.windowDone = 0
-			}
-			continue
-		}
-		w.epoch.Store(c.epoch)
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
-	c.runShardRange(0, c.mainHi)
-	<-c.doneCh
-}
-
-// Window dispatch modes: who executes a window's shards.
-const (
-	dispInline  = 0 // the driving goroutine, in shard order
-	dispWorkers = 1 // the persistent workers, one shard range each
-)
-
-// The dispatcher alternates probe rounds and exploit blocks, all counted in
-// windows. The sizes come from logging every round of the two cluster
-// workloads of the repository benchmark on the 2-vCPU reference box
-// (DESIGN.md §12.7 has the table):
-const (
-	// probeWindows is the shortest probe whose verdict held still. On
-	// net_mq4 (a window is ~90 events, ~26 us) 32-window probes ranked the
-	// two modes the wrong way round in 7 % of rounds, with the cost ratio
-	// spread over 0.75-4.3 (5th-95th percentile); 128 windows (~3 ms, so a
-	// wake-up or a preemption is a few percent of it) did so in 1 round of
-	// 26 and 1 of 40, ratio 0.97-1.8; 512 never, at four times the price.
-	probeWindows = 128
-	// exploitWindows makes the dearer mode's probe 128/8448 = 1.5 % of the
-	// windows, so at the 1.3-1.5x it measures there the probing costs under
-	// 1 % of the run, and a round still comes by every 0.2 s on net_mq4
-	// (every 3 s on fleet_1024, whose windows are ~700 events).
-	exploitWindows = 8192
-	// flipRounds is the hysteresis: the mode in use is replaced only after
-	// the other one measured cheaper in this many consecutive rounds. One
-	// wrong round in 26-40 is what 128-window probes showed; two in a row
-	// never occurred.
-	flipRounds = 2
-)
-
-// Dispatcher phases, in the order a run goes through them.
-const (
-	phaseExploit = iota
-	phaseProbeInline
-	phaseProbeWorkers
-)
-
-// dispatcher decides, for a cluster allowed more than one goroutine, whether
-// windows run inline or go to the workers. It measures instead of guessing:
-// after every exploitWindows windows run in the mode in use — inline to
-// begin with — it times probeWindows windows in each mode, inline first
-// (merge included — the barrier pays for outboxes written on another
-// core), compares host nanoseconds per executed event, and changes the mode
-// in use once the other one has measured cheaper flipRounds rounds running.
-// The clock is read at the edges of a probe block and where runLoop is
-// entered or left inside one; an exploit block reads no clock at all.
-//
-// Nothing here can reach a shard: the mode only selects which goroutine
-// calls runShardRange, and every timeline is identical either way.
-type dispatcher struct {
-	mode   uint8 // mode of the current block
-	best   uint8 // mode exploit blocks run in
-	phase  uint8
-	losses int // consecutive rounds best measured dearer than the other mode
-	left   int // windows left in the current block
-
-	t0       int64      // clock at the start of the open timed stretch
-	ns       [2]int64   // per mode: host time accumulated in this round's probe
-	events   [2]uint64  // per mode: events executed in this round's probe
-	perEvent [2]float64 // per mode: ns per event from the last completed probe
-
-	base time.Time // origin of the monotonic readings
-	// Test hooks, zero outside tests: clock replaces the host clock, pin
-	// overrides the decision.
-	clock func() int64
-	pin   uint8
-}
-
-// Dispatcher pins (in-package tests only).
-const (
-	pinNone = iota
-	pinInline
-	pinWorkers
-	pinFlip // alternate every window
-)
-
-// reset starts over, as a new cluster or a new worker partition must: with an
-// inline exploit block, so the first probe round comes only once there is
-// enough of a run for it to be a percent of, and on a warm rig. A run under
-// exploitWindows windows spawns no worker, reads no clock and costs what
-// one goroutine costs. The probes cannot come first: while the workers
-// still park between windows a probe's 128 worker windows cost 1-2 ms, as
-// much as a whole 300-window run, and a cold rig's first inline probe
-// reads several times its warm cost. (Tests that need the worker path
-// regardless use pin.)
-func (d *dispatcher) reset() {
-	*d = dispatcher{
-		clock: d.clock, pin: d.pin,
-		mode: dispInline, phase: phaseExploit, left: exploitWindows,
-		best: dispInline,
-	}
-}
-
-// useWorkers reports whether the given window goes to the workers.
-func (d *dispatcher) useWorkers(window uint64) bool {
-	switch d.pin {
-	case pinInline:
-		return false
-	case pinWorkers:
-		return true
-	case pinFlip:
-		return window&1 == 0
-	}
-	return d.mode == dispWorkers
-}
-
-// hostNanos reads the host clock in nanoseconds from an arbitrary origin.
-//
-//kite:synccore the dispatcher's clock: host time picks which goroutine runs a window and never reaches a shard or the timeline
-func (d *dispatcher) hostNanos() int64 {
-	if d.clock != nil {
-		return d.clock()
-	}
-	if d.base == (time.Time{}) {
-		d.base = time.Now()
-	}
-	return int64(time.Since(d.base))
-}
-
-// enter and leave bracket one runLoop call, so a probe block that spans
-// several calls times only the stretches spent inside the cluster.
-func (d *dispatcher) enter() {
-	if d.phase != phaseExploit {
-		d.t0 = d.hostNanos()
-	}
-}
-
-func (d *dispatcher) leave() {
-	if d.phase != phaseExploit {
-		d.ns[d.mode] += d.hostNanos() - d.t0
-	}
-}
-
-// window accounts one finished window (barrier included) that executed done
-// events, and moves to the next block when the current one is used up.
-func (d *dispatcher) window(done uint64) {
-	if d.phase != phaseExploit {
-		d.events[d.mode] += done
-	}
-	if d.left--; d.left > 0 {
-		return
-	}
-	d.leave()
-	switch d.phase {
-	case phaseExploit:
-		d.ns, d.events = [2]int64{}, [2]uint64{}
-		d.phase, d.mode, d.left = phaseProbeInline, dispInline, probeWindows
-	case phaseProbeInline:
-		d.phase, d.mode, d.left = phaseProbeWorkers, dispWorkers, probeWindows
-	case phaseProbeWorkers:
-		d.decide()
-		d.phase, d.mode, d.left = phaseExploit, d.best, exploitWindows
-	}
-	d.enter()
-}
-
-// decide closes a probe round: best is replaced once it has measured dearer
-// in flipRounds consecutive rounds. A round in which either probe executed
-// no events has nothing to compare and changes nothing.
-func (d *dispatcher) decide() {
-	if d.events[dispInline] == 0 || d.events[dispWorkers] == 0 {
-		return
-	}
-	for m := range d.perEvent {
-		d.perEvent[m] = float64(d.ns[m]) / float64(d.events[m])
-	}
-	cheaper := uint8(dispInline)
-	if d.perEvent[dispWorkers] < d.perEvent[dispInline] {
-		cheaper = dispWorkers
-	}
-	if cheaper == d.best {
-		d.losses = 0
-	} else if d.losses++; d.losses == flipRounds {
-		d.best, d.losses = cheaper, 0
-	}
-}
+// SetWorkers does nothing: a cluster runs on the goroutine that drives it.
+// It remains only because benchmark/ — frozen while this was removed —
+// still calls it; no other caller exists, and the method goes when those
+// calls do (ROADMAP, Housekeeping).
+func (c *Cluster) SetWorkers(int) {}
 
 // computeHorizons snapshots every shard's next local event and derives the
 // per-shard horizons for the next window: shard i may run to the minimum
@@ -728,8 +286,7 @@ func (d *dispatcher) decide() {
 // limit. Shards no active shard can reach get the free-sprint marker
 // (timeMax); idle shards get 0. It returns the globally earliest event time
 // and the number of active shards. The horizons are a pure function of the
-// pre-window event state, so serial and parallel execution see identical
-// windows.
+// pre-window event state.
 func (c *Cluster) computeHorizons(limit Time) (Time, int) {
 	if c.edgeDirty {
 		c.refreshEdges()
@@ -789,6 +346,23 @@ func (c *Cluster) computeHorizons(limit Time) (Time, int) {
 	return earliest, active
 }
 
+// runWindow executes one window: every shard, in shard order, runs to its
+// own horizon (or sprints free when nothing active can reach it) with the
+// whole of budget to itself. It returns the events executed.
+func (c *Cluster) runWindow(limit Time, budget uint64) uint64 {
+	var done uint64
+	for i, s := range c.shards {
+		switch h := c.horizons[i]; {
+		case h == 0:
+		case h == timeMax:
+			done += s.runFree(limit, budget)
+		default:
+			done += s.runTo(h, budget)
+		}
+	}
+	return done
+}
+
 // runLoop is the window engine behind Run/RunUntil/RunCapped: compute
 // horizons, run the window, merge if anything was staged (fuse the barrier
 // if not), repeat until the cluster drains past limit or the budget is
@@ -798,26 +372,15 @@ func (c *Cluster) computeHorizons(limit Time) (Time, int) {
 //kite:hotpath
 func (c *Cluster) runLoop(limit Time, budget uint64) uint64 {
 	var total uint64
-	measured := c.workers > 1 && len(c.shards) > 1
-	if measured {
-		c.disp.enter()
-	}
 	for total < budget {
 		earliest, active := c.computeHorizons(limit)
 		if active == 0 || earliest >= limit {
 			break
 		}
 		c.windows++
-		c.winLimit = limit
-		c.winBudget = budget - total
-		c.runWindowShards()
-		var done, staged uint64
-		for _, s := range c.shards {
-			done += s.windowDone
-			staged += s.stagedPosts
-		}
+		done := c.runWindow(limit, budget-total)
 		total += done
-		if staged != 0 {
+		if c.staged() {
 			c.merge()
 		} else {
 			c.fused++
@@ -827,21 +390,25 @@ func (c *Cluster) runLoop(limit Time, budget uint64) uint64 {
 				panic("sim: cluster window made no progress")
 			}
 		}
-		if measured {
-			c.disp.window(done)
-		}
-	}
-	if measured {
-		c.disp.leave()
 	}
 	return total
+}
+
+// staged reports whether any shard has posts waiting for the barrier.
+func (c *Cluster) staged() bool {
+	for _, s := range c.shards {
+		if s.stagedPosts != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // merge is the deterministic barrier: every outbox drains into its
 // destination shard's inbox in the total (timestamp, priority, source
 // shard, source sequence) order. Keys are unique, so the resulting order
-// does not depend on which shard finished first. Only called when at least
-// one shard staged posts; source shards that staged nothing are skipped
+// depends on nothing but the posts themselves. Only called when at least one
+// shard staged posts; source shards that staged nothing are skipped
 // wholesale.
 //
 // Per destination the inbound posts form one sorted run per source: a
@@ -866,9 +433,7 @@ func (c *Cluster) merge() {
 				continue
 			}
 			// Compact the data posts to the front of the outbox, running
-			// the resource returns as they are passed; no shard goroutine is
-			// live here, so touching the destination shard's free lists is
-			// race-free.
+			// the resource returns as they are passed.
 			m := 0
 			for i := range ob {
 				p := &ob[i]
@@ -981,18 +546,6 @@ func sortRun(ps []postRec) {
 	}
 }
 
-// nextTime returns the globally earliest pending event time.
-func (c *Cluster) nextTime() (Time, bool) {
-	var best Time
-	found := false
-	for _, s := range c.shards {
-		if t, ok := s.nextLocal(); ok && (!found || t < best) {
-			best, found = t, true
-		}
-	}
-	return best, found
-}
-
 // Run executes windows until no events remain anywhere.
 func (c *Cluster) Run() {
 	c.runLoop(timeMax, ^uint64(0))
@@ -1013,11 +566,7 @@ func (c *Cluster) Step() bool {
 		return false
 	}
 	best.stepLocal(bt + 1)
-	var staged uint64
-	for _, s := range c.shards {
-		staged += s.stagedPosts
-	}
-	if staged != 0 {
+	if c.staged() {
 		c.merge()
 	}
 	return true
@@ -1026,7 +575,11 @@ func (c *Cluster) Step() bool {
 // RunUntil executes every event with timestamp <= t, then advances all
 // shard clocks to exactly t.
 func (c *Cluster) RunUntil(t Time) {
-	c.runLoop(t+1, ^uint64(0))
+	limit := timeMax // exclusive; t+1 would wrap at the top of the range
+	if t < timeMax {
+		limit = t + 1
+	}
+	c.runLoop(limit, ^uint64(0))
 	for _, s := range c.shards {
 		if s.now < t {
 			s.now = t
@@ -1039,8 +592,7 @@ func (c *Cluster) RunUntil(t Time) {
 // guard, not a precise budget: windows may overshoot slightly.
 func (c *Cluster) RunCapped(maxEvents uint64) bool {
 	c.runLoop(timeMax, maxEvents)
-	_, ok := c.nextTime()
-	return !ok
+	return c.Pending() == 0
 }
 
 // Pending sums scheduled-but-unexecuted events across all shards.
@@ -1083,7 +635,7 @@ func (e *Engine) Post(dst *Engine, delay Time, pri uint8, fn func(any), arg any)
 		}
 	}
 	if delay < min {
-		panic(fmt.Sprintf("sim: post delay %v below cluster lookahead %v", delay, min))
+		panic(fmt.Sprintf("sim: post delay %v below shard %d→%d minimum %v", delay, e.shard, dst.shard, min))
 	}
 	e.postSeq++
 	e.stagedPosts++

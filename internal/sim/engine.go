@@ -86,16 +86,11 @@ const arity = 4
 // state at all, so independent simulations may run on concurrent goroutines
 // (the parallel experiment runner relies on exactly this).
 //
-// An Engine may also be one shard of a Cluster (see cluster.go): it then
-// keeps its single-goroutine-per-window discipline, and all cross-shard
-// traffic flows through Post and the barrier-merged inbox. Run/Step and
-// friends on a clustered engine drive the whole cluster.
+// An Engine may also be one shard of a Cluster (see cluster.go): the whole
+// cluster then runs on that one goroutine, and all cross-shard traffic flows
+// through Post and the barrier-merged inbox. Run/Step and friends on a
+// clustered engine drive the whole cluster.
 type Engine struct {
-	// Shard engines of one cluster are mutated concurrently mid-window (by
-	// design they share nothing logically); the guard pads keep one
-	// engine's hot fields from sharing a boundary cache line with whatever
-	// object the allocator placed next to it — typically a sibling shard.
-	_         [64]byte
 	now       Time
 	heap      []event // slice-backed 4-ary min-heap, values not pointers
 	seq       uint64
@@ -110,8 +105,6 @@ type Engine struct {
 	stagedPosts uint64      // posts staged since the last merge (skip empty barriers)
 	inbox       []postRec   // barrier-merged posts, consumed front to back
 	inboxHead   int
-	windowDone  uint64 // events run in the current window (collected at the barrier)
-	_           [64]byte
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.

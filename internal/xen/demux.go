@@ -30,10 +30,8 @@ type Demux struct {
 	members []*channel
 	// pending has one bit per member, indexed by join order. It is the
 	// group-wide doorbell surface — the moral equivalent of xen's shared-
-	// info pending bitsel — so every writer must state which side of the
-	// ownership protocol it is on.
-	//
-	//kite:shared
+	// info pending bitsel. Every writer runs on the group's own shard: a
+	// cross-shard notify arrives as an event there before it marks.
 	pending []uint64
 	// summary is the second bitmap level: bit w of summary[w>>6] is set
 	// exactly when pending[w] != 0. A scan walks only summary words with
@@ -41,8 +39,6 @@ type Demux struct {
 	// cost of a scan is proportional to the number of signalled members,
 	// not the fleet size — a 1024-member group with one doorbell touches
 	// two words, not seventeen.
-	//
-	//kite:shared
 	summary []uint64
 
 	scanF    func()
@@ -70,8 +66,6 @@ func (d *Domain) NewDemux(cpu *sim.CPU, quantum sim.Time) *Demux {
 // replaced by a bit in the group bitmap and delivery happens during the
 // group scan, on the group's vCPU, in join order. Join order is driver
 // control flow, so scans are deterministic.
-//
-//kite:shardok control plane: runs as driver-domain setup on the group's own shard
 func (g *Demux) Join(port Port) error {
 	ch := g.dom.port(port)
 	if ch == nil {
@@ -99,8 +93,6 @@ func (g *Demux) Join(port Port) error {
 // to match, so join-order scanning stays deterministic; without this, a
 // fleet churning tenants would pin one dead member slot per departure
 // forever.
-//
-//kite:shardok control plane: teardown executes on the group's own shard, never mid-scan on another
 func (g *Demux) Leave(port Port) {
 	ch := g.dom.port(port)
 	if ch == nil || ch.demux != g {
@@ -166,7 +158,6 @@ func (g *Demux) Stats() (scans, marks uint64) { return g.scans, g.marks }
 // latency.
 //
 //kite:hotpath
-//kite:shardok doorbell side: a cross-shard notify arrives as an event on the group's shard before marking, so the bit set is shard-local by the time it executes
 func (g *Demux) mark(idx int) {
 	w := idx >> 6
 	g.pending[w] |= 1 << (uint(idx) & 63)
@@ -204,7 +195,6 @@ func (g *Demux) mark(idx int) {
 // count.
 //
 //kite:hotpath
-//kite:shardok owner side: the scan runs on the group's vCPU shard and drains bits set by events already ordered onto it
 func (g *Demux) scan() {
 	g.armed = false
 	g.scans++

@@ -125,7 +125,7 @@ func (d *Domain) Notify(port Port) {
 	if ch == nil {
 		panic(fmt.Sprintf("xen: notify on unknown port %d in %s", port, d.Name))
 	}
-	d.hv.stats.eventSends.Add(1)
+	d.hv.stats.EventSends++
 	if ch.cpu != nil {
 		d.chargeOn(ch.cpu, d.hv.Costs.Base+d.hv.Costs.EventSend)
 	} else {

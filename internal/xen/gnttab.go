@@ -88,7 +88,7 @@ func (hv *Hypervisor) mapGrantCharged(mapper *Domain, owner DomID, ref GrantRef)
 		return nil, fmt.Errorf("xen: map grant from dead domain %d", owner)
 	}
 	g := od.grant(ref)
-	hv.stats.grantMaps.Add(1)
+	hv.stats.GrantMaps++
 	if g == nil {
 		return nil, fmt.Errorf("xen: bad grant ref %d in domain %d", ref, owner)
 	}
@@ -113,7 +113,7 @@ func (hv *Hypervisor) MapGrantBatch(mapper *Domain, owner DomID, refs []GrantRef
 	mapper.charge(hv.Costs.Base + sim.Time(len(refs))*hv.Costs.GrantMapPage)
 	out := make([]*Mapping, 0, len(refs))
 	for _, ref := range refs {
-		hv.stats.grantMaps.Add(1)
+		hv.stats.GrantMaps++
 		g := od.grant(ref)
 		if g == nil || g.remote != mapper.ID {
 			for _, m := range out {
@@ -152,7 +152,7 @@ func (hv *Hypervisor) unmapLocked(m *Mapping) error {
 		return fmt.Errorf("xen: unmap of dead mapping (ref %d)", m.ref)
 	}
 	m.live = false
-	hv.stats.grantUnmaps.Add(1)
+	hv.stats.GrantUnmaps++
 	od := hv.domainAt(m.owner) // owner may be dead; entry may be gone
 	if od != nil {
 		if g := od.grant(m.ref); g != nil {
@@ -231,8 +231,8 @@ func (hv *Hypervisor) copyCharged(caller *Domain, ops []CopyOp) error {
 			return fmt.Errorf("xen: copy op %d overflows a buffer", i)
 		}
 		copy(dst[op.Dst.Offset:op.Dst.Offset+op.Len], src[op.Src.Offset:op.Src.Offset+op.Len])
-		hv.stats.grantCopies.Add(1)
-		hv.stats.copiedBytes.Add(uint64(op.Len))
+		hv.stats.GrantCopies++
+		hv.stats.CopiedBytes += uint64(op.Len)
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ package xen
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"kite/internal/mem"
 	"kite/internal/sim"
@@ -54,20 +53,6 @@ type Stats struct {
 	DomainsBuilt uint64
 }
 
-// atomicStats is the hypervisor's live counter set. Counters are atomic
-// because hypercalls issue from every cluster shard concurrently within a
-// lookahead window; totals are exact and deterministic, and snapshots are
-// only taken between runs.
-type atomicStats struct {
-	eventSends   atomic.Uint64
-	grantMaps    atomic.Uint64
-	grantUnmaps  atomic.Uint64
-	grantCopies  atomic.Uint64
-	copiedBytes  atomic.Uint64
-	hypercallNS  atomic.Int64
-	domainsBuilt atomic.Uint64
-}
-
 // Hypervisor is the single trusted component (paper §3.1). It owns the
 // domain table and implements the hypercall surface the drivers use.
 type Hypervisor struct {
@@ -79,7 +64,7 @@ type Hypervisor struct {
 	// a bounds check instead of a map probe.
 	domains []*Domain
 	nextDom DomID
-	stats   atomicStats
+	stats   Stats
 
 	pci map[string]DomID // BDF -> owning domain
 }
@@ -94,20 +79,10 @@ func New(eng *sim.Engine) *Hypervisor {
 }
 
 // Stats returns a snapshot of hypercall counters.
-func (hv *Hypervisor) Stats() Stats {
-	return Stats{
-		EventSends:   hv.stats.eventSends.Load(),
-		GrantMaps:    hv.stats.grantMaps.Load(),
-		GrantUnmaps:  hv.stats.grantUnmaps.Load(),
-		GrantCopies:  hv.stats.grantCopies.Load(),
-		CopiedBytes:  hv.stats.copiedBytes.Load(),
-		HypercallNS:  sim.Time(hv.stats.hypercallNS.Load()),
-		DomainsBuilt: hv.stats.domainsBuilt.Load(),
-	}
-}
+func (hv *Hypervisor) Stats() Stats { return hv.stats }
 
 // ResetStats zeroes the hypercall counters (used between experiment phases).
-func (hv *Hypervisor) ResetStats() { hv.stats = atomicStats{} }
+func (hv *Hypervisor) ResetStats() { hv.stats = Stats{} }
 
 // DomainConfig describes a domain to be built.
 type DomainConfig struct {
@@ -139,7 +114,7 @@ func (hv *Hypervisor) CreateDomain(cfg DomainConfig) *Domain {
 		IRQLatency: cfg.IRQLatency,
 	}
 	hv.domains = append(hv.domains, d)
-	hv.stats.domainsBuilt.Add(1)
+	hv.stats.DomainsBuilt++
 	return d
 }
 
@@ -293,7 +268,7 @@ func (d *Domain) Dead() bool { return d.dead }
 // charge bills a hypercall of the given cost to one of the domain's vCPUs
 // and returns completion time.
 func (d *Domain) charge(cost sim.Time) sim.Time {
-	d.hv.stats.hypercallNS.Add(int64(cost))
+	d.hv.stats.HypercallNS += cost
 	return d.CPUs.Charge(cost)
 }
 
@@ -301,6 +276,6 @@ func (d *Domain) charge(cost sim.Time) sim.Time {
 // per-queue data path uses once queues are pinned to cluster shards, since
 // picking from the shared pool would race across shards.
 func (d *Domain) chargeOn(cpu *sim.CPU, cost sim.Time) sim.Time {
-	d.hv.stats.hypercallNS.Add(int64(cost))
+	d.hv.stats.HypercallNS += cost
 	return cpu.Charge(cost)
 }
