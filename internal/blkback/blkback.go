@@ -596,7 +596,7 @@ func (q *ioQueue) submit(op *deviceOp) {
 			for i := range io.segs {
 				s := &io.segs[i]
 				start := s.firstSect * blkif.SectorSize
-				op.iov = append(op.iov, s.mapping.Page.Data[start:start+s.bytes])
+				op.iov = append(op.iov, s.mapping.Page.Bytes()[start:start+s.bytes])
 			}
 		}
 		if op.op == blkif.OpWrite {

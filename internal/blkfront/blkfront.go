@@ -726,7 +726,7 @@ func (d *Device) completePart(part *reqPart, status int8) {
 			if n > mem.PageSize {
 				n = mem.PageSize
 			}
-			copy(part.readDst[copied:copied+n], pp.page.Data[:n])
+			copy(part.readDst[copied:copied+n], pp.page.Bytes()[:n])
 			copied += n
 		}
 		d.cpus.Charge(sim.Time(copied) * d.costs.PerKBCopy / 1024)

@@ -135,7 +135,7 @@ func (r *rig) serve() {
 		}
 		off := int(req.Sector) * blkif.SectorSize
 		for _, s := range segs {
-			data := r.page(s.Ref).Data[s.FirstSect*blkif.SectorSize:][:s.Bytes()]
+			data := r.page(s.Ref).Bytes()[s.FirstSect*blkif.SectorSize:][:s.Bytes()]
 			if op == blkif.OpWrite {
 				copy(r.disk[off:], data)
 			} else if op == blkif.OpRead {

@@ -72,19 +72,19 @@ const segDescSize = 8
 // PutSegment serializes a descriptor into an indirect page at index i —
 // the frontend writes real bytes the backend parses, as on real Xen.
 func PutSegment(p *mem.Page, i int, s Segment) {
-	off := i * segDescSize
-	binary.LittleEndian.PutUint32(p.Data[off:], uint32(s.Ref))
-	p.Data[off+4] = byte(s.FirstSect)
-	p.Data[off+5] = byte(s.LastSect)
+	d := p.Bytes()[i*segDescSize:]
+	binary.LittleEndian.PutUint32(d, uint32(s.Ref))
+	d[4] = byte(s.FirstSect)
+	d[5] = byte(s.LastSect)
 }
 
 // GetSegment parses descriptor i from an indirect page.
 func GetSegment(p *mem.Page, i int) Segment {
-	off := i * segDescSize
+	d := p.Bytes()[i*segDescSize:]
 	return Segment{
-		Ref:       xen.GrantRef(binary.LittleEndian.Uint32(p.Data[off:])),
-		FirstSect: int(p.Data[off+4]),
-		LastSect:  int(p.Data[off+5]),
+		Ref:       xen.GrantRef(binary.LittleEndian.Uint32(d)),
+		FirstSect: int(d[4]),
+		LastSect:  int(d[5]),
 	}
 }
 

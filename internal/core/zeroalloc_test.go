@@ -53,6 +53,9 @@ func TestForwardPathZeroAlloc(t *testing.T) {
 		rig.Client.Stack.SendUDP(rig.GuestIP, 9001, 9000, payload)
 		eng.Run()
 	}
+	// 300 > 256: the frontend cycles its posted Rx buffers round-robin, so
+	// the warm-up wraps the ring once and every Rx page has had its first
+	// touch (guest pages are demand-zero) before anything is measured.
 	for i := 0; i < 300; i++ {
 		tx()
 		rx()
@@ -94,7 +97,9 @@ func TestForwardPathZeroAllocMQ(t *testing.T) {
 			// populating each queue's Tx slots, arenas, and persistent
 			// mappings. The frontend cycles its 256 posted Rx buffers
 			// round-robin, so each queue needs >256 Rx frames before the
-			// backend's persistent-grant cache stops missing.
+			// backend's persistent-grant cache stops missing — and before
+			// every Rx page has had its first touch (guest pages are
+			// demand-zero; a first touch is a 4 KiB allocation).
 			warm := 1300
 			if queues == 8 {
 				warm = 2500

@@ -2,6 +2,14 @@
 // simulation owns an Arena of 4 KiB pages; grant-table operations move real
 // bytes between pages of different arenas, so data integrity through the
 // split-driver path is checkable end to end.
+//
+// Pages are demand-zero, as the machine frames under a Xen guest are with
+// populate-on-demand: allocating a page carves its header — its ID, its
+// place in the arena's accounting, something a grant can name — and the
+// 4 KiB behind it come into being at the first Bytes() call. A device that
+// allocates and grants 512 ring buffers at connect and then uses two of
+// them holds two pages of host memory, not 2 MiB; nothing the simulation
+// models (IDs, allocation order, InUse, exhaustion) can tell the difference.
 package mem
 
 import "fmt"
@@ -15,18 +23,20 @@ type PageID uint64
 
 // Page is one 4 KiB frame of simulated guest memory.
 type Page struct {
-	ID   PageID
-	Data []byte // always PageSize long
+	ID PageID
 
+	data  []byte // nil until the first Bytes(); then PageSize long, for good
 	arena *Arena
 	freed bool
 }
 
 // Arena is a domain's memory: an allocator handing out fixed-size pages up
-// to a configured maximum (the domain's RAM assignment). Fresh pages are
-// carved from exact-size backing slabs — one per growth, as large as the
-// request and no larger — so bringing up a 512-page device costs two heap
-// objects, not a thousand.
+// to a configured maximum (the domain's RAM assignment). Growth carves page
+// headers only, one exact-size slab of them per request, so bringing up a
+// 512-page device costs one heap object per AllocN. A page's bytes are
+// allocated at its first touch and then stay with it: Free keeps the
+// backing, so a driver that recycles pages per request (blkfront) allocates
+// nothing in steady state, and reuse has only ever-touched pages to clear.
 type Arena struct {
 	name     string
 	maxPages int
@@ -58,6 +68,29 @@ func (a *Arena) InUse() int { return len(a.pages) - len(a.free) }
 // per request refused for lack of memory.
 func (a *Arena) Allocs() uint64 { return a.allocs }
 
+// Backed returns how many of the arena's pages, allocated or free, have
+// been touched and so hold 4 KiB of host memory. It walks the arena; it is
+// for tests and footprint reports.
+func (a *Arena) Backed() int {
+	n := 0
+	for _, p := range a.pages {
+		if p.data != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Release gives up every page when the owning domain is destroyed: the
+// arena forgets its pages, so only what a third party still holds (a
+// backend's live mapping) stays reachable, and its capacity drops to zero,
+// so it hands out no more. Lookup finds nothing afterwards, and a Free that
+// arrives late is counted and dropped.
+func (a *Arena) Release() {
+	a.pages, a.free = nil, nil
+	a.maxPages = 0
+}
+
 // Alloc returns a zeroed page, or an error if the arena is exhausted —
 // which models a domain running out of its RAM assignment.
 func (a *Arena) Alloc() (*Page, error) {
@@ -81,8 +114,8 @@ func (a *Arena) MustAlloc() *Page {
 }
 
 // AllocN allocates n zeroed pages: freed pages first, most recently freed
-// first, then the shortfall from one fresh slab, in ascending ID order. A
-// request the arena cannot meet in full takes nothing.
+// first, then the shortfall from one fresh slab of headers, in ascending ID
+// order. A request the arena cannot meet in full takes nothing.
 func (a *Arena) AllocN(n int) ([]*Page, error) {
 	fresh := n - len(a.free)
 	if fresh > a.maxPages-len(a.pages) {
@@ -112,7 +145,8 @@ func (a *Arena) outOfMemory() error {
 	return fmt.Errorf("mem: arena %q out of memory (%d pages)", a.name, a.maxPages)
 }
 
-// reuse pops the most recently freed page and zeroes it; nil if none.
+// reuse pops the most recently freed page and zeroes it; nil if none. A
+// page that was never touched has nothing to clear.
 func (a *Arena) reuse() *Page {
 	n := len(a.free)
 	if n == 0 {
@@ -121,20 +155,16 @@ func (a *Arena) reuse() *Page {
 	p := a.free[n-1]
 	a.free = a.free[:n-1]
 	p.freed = false
-	clear(p.Data)
+	clear(p.data)
 	return p
 }
 
-// grow carves n fresh pages out of one backing slab of exactly n*PageSize
-// bytes. Each Data is capped at its own page, so an append cannot spill into
-// the neighbour.
+// grow carves n fresh page headers out of one slab; no page is backed yet.
 func (a *Arena) grow(n int) []Page {
-	data := make([]byte, n*PageSize) //kite:alloc-ok arena growth on free-list miss; pages recycle
-	slab := make([]Page, n)          //kite:alloc-ok arena growth on free-list miss; pages recycle
+	slab := make([]Page, n) //kite:alloc-ok arena growth on free-list miss; pages recycle
 	for i := range slab {
 		p := &slab[i]
 		p.ID = PageID(len(a.pages) + 1)
-		p.Data = data[i*PageSize : (i+1)*PageSize : (i+1)*PageSize]
 		p.arena = a
 		a.pages = append(a.pages, p) //kite:alloc-ok arena growth on free-list miss
 	}
@@ -152,6 +182,9 @@ func (a *Arena) Free(p *Page) {
 	}
 	p.freed = true
 	a.frees++
+	if a.maxPages == 0 { // released: nothing to recycle into
+		return
+	}
 	a.free = append(a.free, p)
 }
 
@@ -172,12 +205,31 @@ func (p *Page) Owner() *Arena { return p.arena }
 // Freed reports whether the page has been returned to its arena.
 func (p *Page) Freed() bool { return p.freed }
 
+// Bytes returns the page's PageSize bytes — the same slice on every call,
+// zeroed and allocated at the first. Its capacity is its length, so an
+// append cannot spill into whatever the allocator put next to it.
+func (p *Page) Bytes() []byte {
+	if p.data == nil {
+		p.back()
+	}
+	return p.data
+}
+
+// back is the first touch. It is kept out of line so that Bytes inlines to
+// a nil check and a call at every call site.
+//
+//kite:coldpath once per page lifetime; hot paths are warmed past every page they use
+//go:noinline
+func (p *Page) back() {
+	p.data = make([]byte, PageSize)
+}
+
 // CopyInto copies len(src) bytes into the page at off.
 func (p *Page) CopyInto(off int, src []byte) {
 	if off < 0 || off+len(src) > PageSize {
 		panic(fmt.Sprintf("mem: copy of %d bytes at offset %d overflows page", len(src), off))
 	}
-	copy(p.Data[off:], src)
+	copy(p.Bytes()[off:], src)
 }
 
 // CopyFrom copies n bytes out of the page starting at off.
@@ -186,6 +238,6 @@ func (p *Page) CopyFrom(off, n int) []byte {
 		panic(fmt.Sprintf("mem: read of %d bytes at offset %d overflows page", n, off))
 	}
 	out := make([]byte, n)
-	copy(out, p.Data[off:])
+	copy(out, p.Bytes()[off:])
 	return out
 }

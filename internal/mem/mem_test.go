@@ -12,13 +12,13 @@ func TestAllocZeroed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range p.Data {
+	for i, b := range p.Bytes() {
 		if b != 0 {
 			t.Fatalf("fresh page byte %d = %d, want 0", i, b)
 		}
 	}
-	if len(p.Data) != PageSize {
-		t.Fatalf("page size %d, want %d", len(p.Data), PageSize)
+	if len(p.Bytes()) != PageSize {
+		t.Fatalf("page size %d, want %d", len(p.Bytes()), PageSize)
 	}
 }
 
@@ -38,10 +38,10 @@ func TestAllocExhaustion(t *testing.T) {
 func TestFreeAndReuseZeroes(t *testing.T) {
 	a := NewArena("d0", PageSize)
 	p := a.MustAlloc()
-	p.Data[0] = 0xAB
+	p.Bytes()[0] = 0xAB
 	a.Free(p)
 	q := a.MustAlloc()
-	if q.Data[0] != 0 {
+	if q.Bytes()[0] != 0 {
 		t.Fatal("recycled page not zeroed")
 	}
 }
@@ -177,16 +177,16 @@ func allocN(t *testing.T, a *Arena, n int) []*Page {
 	return pages
 }
 
-// TestAllocNSlabPages: pages carved from one slab are zeroed, exactly one
-// page long with no spare capacity, pairwise disjoint, and numbered in
-// order.
+// TestAllocNSlabPages: pages whose headers share one slab are zeroed,
+// exactly one page long with no spare capacity, pairwise disjoint, and
+// numbered in order.
 func TestAllocNSlabPages(t *testing.T) {
 	a := NewArena("d0", 1<<20)
 	first := a.MustAlloc() // a one-page slab ahead of the big one
 	pages := allocN(t, a, 64)
 	for i, p := range pages {
-		if len(p.Data) != PageSize || cap(p.Data) != PageSize {
-			t.Fatalf("page %d: len %d cap %d, want both %d", i, len(p.Data), cap(p.Data), PageSize)
+		if len(p.Bytes()) != PageSize || cap(p.Bytes()) != PageSize {
+			t.Fatalf("page %d: len %d cap %d, want both %d", i, len(p.Bytes()), cap(p.Bytes()), PageSize)
 		}
 		if p.ID != first.ID+PageID(i)+1 {
 			t.Fatalf("page %d has ID %d, want %d", i, p.ID, first.ID+PageID(i)+1)
@@ -194,7 +194,7 @@ func TestAllocNSlabPages(t *testing.T) {
 		if p.Owner() != a || p.Freed() || a.Lookup(p.ID) != p {
 			t.Fatalf("page %d: owner/freed/lookup wrong", i)
 		}
-		for j, b := range p.Data {
+		for j, b := range p.Bytes() {
 			if b != 0 {
 				t.Fatalf("page %d byte %d = %d, want 0", i, j, b)
 			}
@@ -203,13 +203,13 @@ func TestAllocNSlabPages(t *testing.T) {
 	// Fill each page with its own mark, appending past the end too: a
 	// neighbour must never see it.
 	for i, p := range pages {
-		for j := range p.Data {
-			p.Data[j] = byte(i + 1)
+		for j := range p.Bytes() {
+			p.Bytes()[j] = byte(i + 1)
 		}
-		_ = append(p.Data, 0xEE)
+		_ = append(p.Bytes(), 0xEE)
 	}
 	for i, p := range append([]*Page{first}, pages...) {
-		for j, b := range p.Data {
+		for j, b := range p.Bytes() {
 			if b != byte(i) {
 				t.Fatalf("page %d byte %d = %#x after neighbours were written, want %#x", i, j, b, byte(i))
 			}
@@ -227,7 +227,7 @@ func TestSlabFreeReuse(t *testing.T) {
 	pages := allocN(t, a, 8)
 	seen := make(map[*Page]bool)
 	for _, p := range pages {
-		p.Data[PageSize-1] = 0xAB
+		p.Bytes()[PageSize-1] = 0xAB
 		seen[p] = true
 		a.Free(p)
 	}
@@ -242,7 +242,7 @@ func TestSlabFreeReuse(t *testing.T) {
 			t.Fatalf("allocation %d is a fresh page, want a recycled one", i)
 		}
 		delete(seen, p)
-		if p.Freed() || p.Data[PageSize-1] != 0 {
+		if p.Freed() || p.Bytes()[PageSize-1] != 0 {
 			t.Fatalf("recycled page %d not live and zeroed", i)
 		}
 	}
@@ -323,4 +323,110 @@ func TestSlabPageMisusePanics(t *testing.T) {
 	mustPanic("cross-arena free of a slab page", func() { b.Free(pages[1]) })
 	a.Free(pages[2])
 	mustPanic("double free of a slab page", func() { a.Free(pages[2]) })
+}
+
+// TestFirstTouch: allocating a page does not back it; the first Bytes()
+// does, with a zeroed slice of exactly one page that every later call
+// returns again.
+func TestFirstTouch(t *testing.T) {
+	a := NewArena("d0", 1<<20)
+	pages := append([]*Page{a.MustAlloc()}, allocN(t, a, 8)...)
+	if a.Backed() != 0 {
+		t.Fatalf("Backed after allocating %d pages = %d, want 0", len(pages), a.Backed())
+	}
+	for i, p := range pages[:3] {
+		b := p.Bytes()
+		if len(b) != PageSize || cap(b) != PageSize {
+			t.Fatalf("page %d: len %d cap %d, want both %d", i, len(b), cap(b), PageSize)
+		}
+		if !bytes.Equal(b, make([]byte, PageSize)) {
+			t.Fatalf("page %d not zeroed at first touch", i)
+		}
+		b[17] = 0xC3
+		if again := p.Bytes(); &again[0] != &b[0] || again[17] != 0xC3 {
+			t.Fatalf("page %d: second Bytes() is a different slice", i)
+		}
+		if a.Backed() != i+1 {
+			t.Fatalf("Backed after touching %d pages = %d", i+1, a.Backed())
+		}
+	}
+	if a.InUse() != 9 || a.Allocs() != 9 {
+		t.Fatalf("InUse %d Allocs %d, want 9 9: touching a page is not an allocation", a.InUse(), a.Allocs())
+	}
+}
+
+// TestCopyBacksOnDemand: CopyInto and CopyFrom work on a page nobody has
+// touched, and a read of one sees zeroes.
+func TestCopyBacksOnDemand(t *testing.T) {
+	a := NewArena("d0", 1<<20)
+	p, q := a.MustAlloc(), a.MustAlloc()
+	p.CopyInto(PageSize-4, []byte("tail"))
+	if got := p.CopyFrom(PageSize-4, 4); string(got) != "tail" {
+		t.Fatalf("CopyFrom after CopyInto = %q", got)
+	}
+	if got := q.CopyFrom(0, PageSize); !bytes.Equal(got, make([]byte, PageSize)) {
+		t.Fatal("CopyFrom of an untouched page is not zero")
+	}
+	if a.Backed() != 2 {
+		t.Fatalf("Backed = %d, want 2", a.Backed())
+	}
+}
+
+// TestRecycleKeepsBacking: a page that goes through Free and Alloc reads
+// zero either way; one that was backed keeps the same bytes (so recycling
+// allocates nothing), one that was not stays unbacked.
+func TestRecycleKeepsBacking(t *testing.T) {
+	a := NewArena("d0", 2*PageSize)
+	touched, untouched := a.MustAlloc(), a.MustAlloc()
+	b := touched.Bytes()
+	b[0], b[PageSize-1] = 0xAB, 0xCD
+	a.Free(touched)
+	a.Free(untouched)
+	if a.Backed() != 1 {
+		t.Fatalf("Backed after Free = %d, want 1: Free keeps the backing", a.Backed())
+	}
+	if got := allocN(t, a, 2); got[0] != untouched || got[1] != touched {
+		t.Fatal("recycled pages are not the freed ones, most recent first")
+	}
+	if a.Backed() != 1 {
+		t.Fatalf("Backed after recycling = %d, want 1: reuse must not back a page to clear it", a.Backed())
+	}
+	if again := touched.Bytes(); &again[0] != &b[0] {
+		t.Fatal("recycled page lost its backing")
+	} else if again[0] != 0 || again[PageSize-1] != 0 {
+		t.Fatal("recycled backed page not zeroed")
+	}
+	if !bytes.Equal(untouched.Bytes(), make([]byte, PageSize)) {
+		t.Fatal("recycled unbacked page not zero")
+	}
+}
+
+// TestRelease: a released arena holds no pages and hands out none; a page
+// someone still holds stays usable, and freeing it late is harmless.
+func TestRelease(t *testing.T) {
+	a := NewArena("gone", 1<<20)
+	pages := allocN(t, a, 4)
+	held := pages[1]
+	held.CopyInto(0, []byte("mapped"))
+	a.Free(pages[3])
+	a.Release()
+	if a.Backed() != 0 || a.InUse() != 0 {
+		t.Fatalf("after Release: Backed %d InUse %d, want 0 0", a.Backed(), a.InUse())
+	}
+	if a.Lookup(held.ID) != nil {
+		t.Fatal("Lookup on a released arena returned a page")
+	}
+	if _, err := a.Alloc(); err == nil {
+		t.Fatal("Alloc on a released arena succeeded")
+	}
+	if _, err := a.AllocN(2); err == nil {
+		t.Fatal("AllocN on a released arena succeeded")
+	}
+	if got := held.CopyFrom(0, 6); string(got) != "mapped" {
+		t.Fatalf("held page reads %q after Release", got)
+	}
+	a.Free(held)
+	if !held.Freed() || a.InUse() != 0 || a.Backed() != 0 {
+		t.Fatalf("late Free: Freed %v InUse %d Backed %d, want true 0 0", held.Freed(), a.InUse(), a.Backed())
+	}
 }

@@ -879,7 +879,7 @@ func (q *vifQueue) drainRxBudget(budget int) (used int, more bool) {
 		var memcpyBytes int
 		for i, frame := range batch {
 			if m := q.rxMapping(reqs[i].Ref); m != nil {
-				copy(m.Page.Data[:frame.Len()], frame.Bytes())
+				copy(m.Page.Bytes()[:frame.Len()], frame.Bytes())
 				memcpyBytes += frame.Len()
 				continue
 			}

@@ -9,10 +9,14 @@
 // directions: at connect every queue allocates one page per ring slot —
 // 256 Tx and 256 Rx, 512 pages = 2 MiB — grants each to the backend once,
 // and reuses page and grant for the device's lifetime, which is what lets
-// the backend keep persistent mappings of our pages (§3.3). None of it is
-// lazy: a tenant that never sends still pins its 2 MiB, and on a fleet
-// those pages are nearly all of the footprint (2.1 of fleet_1024's 2.2 GB
-// heap).
+// the backend keep persistent mappings of our pages (§3.3). That is what
+// Linux's xennet_alloc_rx_buffers and NetBSD's xennet_alloc_rx_buffer do
+// for Rx — fill the ring up front — and the model keeps it: every grant and
+// every posted Rx request exists from connect. What is lazy is one layer
+// down: mem pages are demand-zero, so a page costs 4 KiB of host memory only
+// once a frame has been through it. The Tx free stack is LIFO, so a tenant
+// that sends one frame per wave keeps reusing one Tx page of its 256; an
+// idle tenant's 512 grants name 512 unbacked pages.
 //
 // The transport is multi-queue (xen-netfront's multi-queue protocol): the
 // frontend reads the backend's "multi-queue-max-queues" advertisement
@@ -65,11 +69,12 @@ type Stats struct {
 	TxErrors           uint64
 }
 
-// txSlot is a persistently granted Tx page, reused across frames. It holds
-// the page's bytes rather than the page, so a send reaches them from the
-// slot itself.
+// txSlot is a persistently granted Tx page, reused across frames. data
+// aliases the page's bytes, so a send reaches them from the slot itself; it
+// is filled by the slot's first send, which is what first touches the page.
 type txSlot struct {
 	data     []byte
+	page     *mem.Page
 	ref      xen.GrantRef
 	inFlight bool
 }
@@ -407,8 +412,9 @@ func (q *queue) postInitialRx() {
 	}
 }
 
-// allocPages takes n pages from the guest arena as one slab; running out of
-// guest memory during device set-up is a configuration error.
+// allocPages takes n pages from the guest arena in one AllocN (headers only;
+// nothing is backed yet); running out of guest memory during device set-up
+// is a configuration error.
 func (d *Device) allocPages(n int) []*mem.Page {
 	pages, err := d.dom.Arena.AllocN(n)
 	if err != nil {
@@ -418,16 +424,17 @@ func (d *Device) allocPages(n int) []*mem.Page {
 }
 
 // preallocTx allocates and grants every persistent Tx page up front, so the
-// send path never touches the arena, the grant table, or a growing map. The
-// pages survive a reconnect; the free-id stack is rebuilt each (re)connect,
-// skipping ids still in flight.
+// send path never touches the arena, the grant table, or a growing map; a
+// page's bytes wait for the slot's first send (pushTx). The pages survive a
+// reconnect; the free-id stack is rebuilt each (re)connect, skipping ids
+// still in flight.
 func (q *queue) preallocTx() {
 	d := q.d
 	if q.txFree == nil {
 		q.txFree = make([]uint16, 0, netif.RingSize)
 		for i, page := range d.allocPages(netif.RingSize) {
 			s := &q.txSlots[netif.RingSize-i]
-			s.data = page.Data
+			s.page = page
 			s.ref = d.dom.GrantAccess(d.backDom, page, true)
 		}
 	}
@@ -610,6 +617,9 @@ func (q *queue) pushTx(frame *framepool.Buf) bool {
 		return false
 	}
 	n := frame.Len()
+	if slot.data == nil {
+		slot.data = slot.page.Bytes()
+	}
 	copy(slot.data, frame.Bytes())
 	slot.inFlight = true
 	frame.ReleaseOn(q.eng)
@@ -684,7 +694,7 @@ func (q *queue) reapRx() {
 			q.stats.RxBytes += uint64(rsp.Len)
 			if d.recv != nil {
 				b := q.getRxBuf()
-				copy(b.Extend(rsp.Len), buf.page.Data[rsp.Offset:rsp.Offset+rsp.Len])
+				copy(b.Extend(rsp.Len), buf.page.Bytes()[rsp.Offset:rsp.Offset+rsp.Len])
 				if q.eng != d.eng {
 					// Deliver to the stack's shard (softirq dispatch).
 					q.eng.Post(d.eng, shardHandoff, sim.PriData, d.recvF, b) //kite:alloc-ok pointer boxing does not allocate

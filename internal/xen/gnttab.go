@@ -12,8 +12,11 @@ type GrantRef uint32
 
 // grantEntry is one grant-table slot, stored by value and indexed by ref.
 // data aliases the granted page's bytes, so resolving a copy pointer is
-// domain -> entry -> bytes with no *mem.Page in between; page is kept for
-// the (cold) mapping path, which hands the page itself to the mapper.
+// domain -> entry -> bytes with no *mem.Page in between. It is filled by
+// the first copy the grant admits, not by GrantAccess: granting a page does
+// not touch it, so a granted page nobody copies to or from stays unbacked.
+// page serves that first resolve and the (cold) mapping path, which hands
+// the page itself to the mapper.
 type grantEntry struct {
 	data     []byte
 	page     *mem.Page
@@ -33,7 +36,7 @@ func (d *Domain) GrantAccess(remote DomID, page *mem.Page, readonly bool) GrantR
 	for int(d.nextRef) >= len(d.grants) {
 		d.grants = append(d.grants, grantEntry{}) //kite:alloc-ok grant table grows once per domain lifetime
 	}
-	d.grants[d.nextRef] = grantEntry{data: page.Data, page: page, remote: remote, readonly: readonly, live: true}
+	d.grants[d.nextRef] = grantEntry{page: page, remote: remote, readonly: readonly, live: true}
 	d.liveGrants++
 	return d.nextRef
 }
@@ -57,7 +60,7 @@ func (d *Domain) EndAccess(ref GrantRef) error {
 func (d *Domain) LiveGrants() int { return d.liveGrants }
 
 // Mapping is a foreign page mapped into a backend's address space. The
-// backend reads and writes Page.Data directly — the same aliasing a real
+// backend reads and writes Page.Bytes() directly — the same aliasing a real
 // mapping provides.
 type Mapping struct {
 	Page   *mem.Page
@@ -242,7 +245,7 @@ func (hv *Hypervisor) resolveCopyPtr(caller *Domain, p CopyPtr, write bool) ([]b
 		return p.Data, nil
 	}
 	if p.Local != nil {
-		return p.Local.Data, nil
+		return p.Local.Bytes(), nil
 	}
 	od := hv.Domain(p.Dom)
 	if od == nil {
@@ -257,6 +260,9 @@ func (hv *Hypervisor) resolveCopyPtr(caller *Domain, p CopyPtr, write bool) ([]b
 	}
 	if write && g.readonly {
 		return nil, fmt.Errorf("write through read-only grant %d of domain %d", p.Ref, p.Dom)
+	}
+	if g.data == nil {
+		g.data = g.page.Bytes()
 	}
 	return g.data, nil
 }

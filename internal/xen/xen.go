@@ -152,8 +152,9 @@ func (hv *Hypervisor) Domains() []*Domain {
 }
 
 // DestroyDomain tears a domain down: all its event channels close (peers
-// see the close), grants are revoked, and the domain stops receiving
-// events. Other domains are untouched — the isolation property driver
+// see the close), grants are revoked, its memory goes back (the arena drops
+// its pages; a backend's live mapping keeps the one page it holds), and the
+// domain stops receiving events. Other domains are untouched — the isolation property driver
 // domains exist to provide.
 func (hv *Hypervisor) DestroyDomain(id DomID) error {
 	d := hv.domainAt(id)
@@ -171,6 +172,7 @@ func (hv *Hypervisor) DestroyDomain(id DomID) error {
 	}
 	d.grants = nil
 	d.liveGrants = 0
+	d.Arena.Release()
 	for bdf, owner := range hv.pci {
 		if owner == id {
 			delete(hv.pci, bdf)

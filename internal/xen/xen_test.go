@@ -1,8 +1,10 @@
 package xen
 
 import (
+	"runtime"
 	"testing"
 
+	"kite/internal/mem"
 	"kite/internal/sim"
 )
 
@@ -432,5 +434,128 @@ func TestFlatGrantTableRefusals(t *testing.T) {
 	}
 	if err := read(good); err == nil {
 		t.Error("CopyGrant read through a ref revoked after unmapping")
+	}
+}
+
+// TestGrantDoesNotBackPage: granting a page does not touch it. The first
+// copy a grant admits backs the page and delivers the bytes; a copy the
+// grant refuses — wrong caller, write through read-only — backs nothing.
+func TestGrantDoesNotBackPage(t *testing.T) {
+	_, hv, dom0 := newHV(t)
+	du := hv.CreateDomain(DomainConfig{Name: "domU", VCPUs: 1, MemBytes: 1 << 20})
+	dd := hv.CreateDomain(DomainConfig{Name: "dd", VCPUs: 1, MemBytes: 1 << 20})
+	pages, err := du.Arena.AllocN(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writable := du.GrantAccess(dom0.ID, pages[0], false)
+	readonly := du.GrantAccess(dom0.ID, pages[1], true)
+	foreign := du.GrantAccess(dd.ID, pages[2], false)
+	du.GrantAccess(dom0.ID, pages[3], false) // granted, never copied
+	if n := du.Arena.Backed(); n != 0 {
+		t.Fatalf("Backed after four grants = %d, want 0", n)
+	}
+	payload := []byte("first touch")
+	write := func(ref GrantRef) error {
+		return hv.CopyGrant(dom0, []CopyOp{{Src: CopyPtr{Data: payload}, Dst: CopyPtr{Dom: du.ID, Ref: ref, Offset: 64}, Len: len(payload)}})
+	}
+	if err := write(readonly); err == nil {
+		t.Error("CopyGrant wrote through a read-only grant")
+	}
+	if err := write(foreign); err == nil {
+		t.Error("CopyGrant wrote through a grant to another domain")
+	}
+	got := make([]byte, len(payload))
+	if err := hv.CopyGrant(dom0, []CopyOp{{Src: CopyPtr{Dom: du.ID, Ref: foreign}, Dst: CopyPtr{Data: got}, Len: len(got)}}); err == nil {
+		t.Error("CopyGrant read through a grant to another domain")
+	}
+	if n := du.Arena.Backed(); n != 0 {
+		t.Fatalf("Backed after three refused copies = %d, want 0", n)
+	}
+	if err := write(writable); err != nil {
+		t.Fatal(err)
+	}
+	if n := du.Arena.Backed(); n != 1 {
+		t.Fatalf("Backed after one admitted copy = %d, want 1", n)
+	}
+	if string(pages[0].CopyFrom(64, len(payload))) != string(payload) {
+		t.Fatal("copy into a never-touched granted page lost the bytes")
+	}
+	// The entry now aliases the page: a second copy lands in the same bytes.
+	if err := hv.CopyGrant(dom0, []CopyOp{{Src: CopyPtr{Dom: du.ID, Ref: writable, Offset: 64}, Dst: CopyPtr{Data: got}, Len: len(got)}}); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(payload) || du.Arena.Backed() != 1 {
+		t.Fatalf("read back %q, Backed %d", got, du.Arena.Backed())
+	}
+}
+
+// TestDestroyReleasesPages: a destroyed domain's memory goes back to the
+// host. Tenants come and go 64 times, each touching 1 MiB; the heap must
+// not keep it (the dead *Domain stays in the hypervisor's table, its pages
+// must not). A mapping the backend still holds keeps its one page usable,
+// and a Free that arrives after the destroy is harmless.
+func TestDestroyReleasesPages(t *testing.T) {
+	_, hv, dom0 := newHV(t)
+	const pagesPer = 256
+	heapInuse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	var dead []*Domain
+	var held []*Mapping
+	var early uint64
+	for cycle := 0; cycle < 64; cycle++ {
+		du := hv.CreateDomain(DomainConfig{Name: "tenant", VCPUs: 1, MemBytes: pagesPer * mem.PageSize})
+		pages, err := du.Arena.AllocN(pagesPer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pages {
+			ref := du.GrantAccess(dom0.ID, p, false)
+			err := hv.CopyGrant(dom0, []CopyOp{{Src: CopyPtr{Data: []byte{byte(cycle)}}, Dst: CopyPtr{Dom: du.ID, Ref: ref}, Len: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := hv.MapGrant(dom0, du.ID, GrantRef(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := du.Arena.Backed(); n != pagesPer {
+			t.Fatalf("cycle %d: Backed = %d before destroy, want %d", cycle, n, pagesPer)
+		}
+		if err := hv.DestroyDomain(du.ID); err != nil {
+			t.Fatal(err)
+		}
+		if du.Arena.Lookup(pages[0].ID) != nil {
+			t.Fatalf("cycle %d: Lookup on a destroyed domain's arena returned a page", cycle)
+		}
+		du.Arena.Free(pages[pagesPer-1]) // late: a backend finishing up
+		dead, held = append(dead, du), append(held, m)
+		if cycle == 7 {
+			early = heapInuse()
+		}
+	}
+	for i, m := range held {
+		if got := m.Page.CopyFrom(0, 1)[0]; got != byte(i) {
+			t.Fatalf("mapping held across destroy %d reads %d, want %d", i, got, i)
+		}
+		if err := hv.UnmapGrant(dom0, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, d := range dead {
+		if n := d.Arena.Backed(); n != 0 {
+			t.Fatalf("dead domain %d: Backed = %d, want 0", i, n)
+		}
+	}
+	// 56 more tenants came and went since the early reading; pinned, they
+	// would be 56 MiB. What legitimately grew is 56 tombstones and held
+	// mappings, a page each.
+	if late := heapInuse(); late > early+4<<20 {
+		t.Fatalf("HeapInuse grew %d KiB over 56 create/destroy cycles, want flat", (late-early)>>10)
 	}
 }
