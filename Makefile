@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test race vet lint zeroalloc bench
+.PHONY: verify build test race vet lint audit zeroalloc bench
 
 # verify is the tree-must-be-green gate: vet, build everything, kitelint
 # (the repo's own invariant analyzers), the zero-allocation forward-path
@@ -13,12 +13,19 @@ verify: vet build lint zeroalloc race
 vet:
 	$(GO) vet ./...
 
-# lint runs the kitelint analyzer suite (hotpath, poolref, simdet,
-# xskeys, evblock, shardsafe, relpure, ringlink, atomicscope) over the
-# whole module; any finding fails the build. See DESIGN.md §11 and §15
-# for the invariants each analyzer proves.
+# lint runs the kitelint analyzer suite (hotpath, poolref, relpure,
+# simdet) over the whole module; any finding fails the build. See
+# DESIGN.md §11 for what each analyzer catches that no test does.
 lint:
 	$(GO) run ./cmd/kitelint .
+
+# audit is the slow half of kitelint's mutation audit (DESIGN.md §11): each
+# row of internal/lint/mutations_test.go is seeded alone in a scratch copy
+# of the module and the whole test suite runs on it, under -race too where
+# the row asks. Tens of minutes; run it by hand when an analyzer, a rule or
+# a row changes. It is not part of verify or CI.
+audit:
+	$(GO) test -tags audit -count=1 -timeout 4h -run TestAuditMutations -v ./internal/lint
 
 build:
 	$(GO) build ./...

@@ -1,7 +1,6 @@
 // Command kitelint runs the repository's invariant analyzers (hotpath,
-// poolref, simdet, xskeys, evblock, shardsafe, relpure, ringlink,
-// atomicscope) over the whole module and prints any findings in go-vet
-// style. It exits non-zero when a finding exists, so `make lint` and CI
+// poolref, relpure, simdet) over the whole module and prints any findings
+// in go-vet style. It exits non-zero when a finding exists, so `make lint` and CI
 // fail the build on a violated invariant.
 //
 // Usage:

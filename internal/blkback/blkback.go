@@ -294,7 +294,7 @@ func (inst *Instance) Shutdown() {
 		}
 		_ = inst.dom.Close(q.port)
 		maps := make([]*xen.Mapping, 0, len(q.pmaps))
-		for _, m := range q.pmaps {
+		for _, m := range q.pmaps { //kite:orderok one batched unmap charged by count; per-mapping effects commute
 			maps = append(maps, m)
 		}
 		_ = inst.dom.Hypervisor().UnmapGrantBatch(inst.dom, maps)

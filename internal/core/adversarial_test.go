@@ -201,4 +201,18 @@ func TestNetbackSurvivesHostileTxRequests(t *testing.T) {
 	if !tb.System.RunReady(func() bool { return rtt >= 0 }, 500000) {
 		t.Fatal("honest ping failed after the attack")
 	}
+
+	// The buffer staged for the bad-ref request went back to the pool when
+	// its grant copy failed. The hostile frontend never posted an Rx buffer,
+	// so the broadcast ARP flooded to its vif waits in the guest-bound queue
+	// until that vif is torn down.
+	tb.System.Eng.Run()
+	for _, v := range nd.Driver.VIFs() {
+		if v.FrontDom() == evil.ID {
+			v.Shutdown()
+		}
+	}
+	if n := tb.System.Pool.Outstanding(); n != 0 {
+		t.Fatalf("%d frame buffers leaked", n)
+	}
 }

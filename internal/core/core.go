@@ -15,8 +15,6 @@
 // A System owns one simulation; CreateNetworkDomain / CreateStorageDomain
 // / CreateGuest / CreateDaemonVM assemble the paper's testbed piece by
 // piece.
-//
-//kite:deterministic
 package core
 
 import (

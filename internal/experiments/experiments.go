@@ -7,14 +7,13 @@
 // Scale selects run sizes: Quick keeps virtual durations and request
 // counts small enough for CI benchmarks; Full approaches the paper's
 // parameters (minutes of virtual time — still seconds of wall clock).
-//
-//kite:deterministic
 package experiments
 
 import (
 	"fmt"
 
 	"kite/internal/core"
+	"kite/internal/fanout"
 	"kite/internal/metrics"
 	"kite/internal/sim"
 )
@@ -40,7 +39,7 @@ type Scale struct {
 
 	// pool, when set by RunAll, lets an experiment fan its Linux/Kite rig
 	// pair over spare workers (see bothKinds). Nil means fully sequential.
-	pool *Pool
+	pool *fanout.Pool
 }
 
 // Quick returns the CI-friendly scale.
@@ -165,12 +164,10 @@ func mustStorRig(cfg core.StorageRigConfig) *core.StorageRig {
 // drive runs a rig's engine until done() or the cap; panics on livelock so
 // experiments fail loudly. Retired events feed the process-wide telemetry
 // behind EventsProcessed.
-//
-//kite:synccore one atomic telemetry add after the run completes; nothing inside the simulation
 func drive(sys *core.System, done func() bool, cap uint64) {
 	start := sys.Eng.Processed()
 	ok := sys.RunReady(done, cap)
-	totalEvents.Add(sys.Eng.Processed() - start)
+	fanout.Count(sys.Eng.Processed() - start)
 	if !ok {
 		panic("experiments: workload did not complete (event cap)")
 	}

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync" //kite:shardsafe WaitGroup joins whole-simulation legs, never mid-window state
-	"sync/atomic"
 
 	"kite/internal/core"
+	"kite/internal/fanout"
 )
 
 // This file is the parallel experiment runner. Every experiment builds its
@@ -16,7 +15,10 @@ import (
 // experiments, and the Linux/Kite rig pair inside each, are embarrassingly
 // parallel: each leg is single-threaded and bit-for-bit deterministic on
 // its own goroutine, and a bounded worker pool only decides how many legs
-// run at once, never what any leg computes.
+// run at once, never what any leg computes. The goroutines themselves live
+// in internal/fanout, which cannot import a simulation; this package, like
+// every other under internal/, has no `go`, channel or sync of its own
+// (kitelint's simdet).
 
 // Spec names one runnable experiment of the evaluation suite.
 type Spec struct {
@@ -83,96 +85,30 @@ func Lookup(only string) ([]Spec, error) {
 	return specs, nil
 }
 
-// Pool bounds how many experiment legs (whole experiments or one side of a
-// Linux/Kite pair) run concurrently.
-type Pool struct {
-	tokens chan struct{}
-}
-
-// NewPool returns a pool admitting up to workers concurrent legs (min 1).
-//
-//kite:synccore experiment fan-out setup; no simulation state exists yet
-func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Pool{tokens: make(chan struct{}, workers)}
-}
-
-// tryGo runs fn on a spare worker if one is free right now, returning a
-// channel that closes when fn finishes. It never blocks: when the pool is
-// saturated the caller simply runs the work inline, which is what makes
-// nested use (pair inside experiment) deadlock-free.
-//
-//kite:synccore token admission around legs that each own a whole simulation
-func (p *Pool) tryGo(fn func()) (<-chan struct{}, bool) {
-	select {
-	case p.tokens <- struct{}{}:
-	default:
-		return nil, false
-	}
-	done := make(chan struct{})
-	go func() { //kite:shardsafe each leg owns its entire simulation; no state crosses until the join
-		defer close(done)
-		defer func() { <-p.tokens }()
-		fn()
-	}()
-	return done, true
-}
-
 // RunAll executes the specs across a pool of workers goroutines and
 // returns results in spec order. The scale handed to each experiment
 // carries the pool, so the Linux/Kite pair inside an experiment also
 // spreads over spare workers. workers <= 1 degenerates to a sequential
 // run; any worker count produces byte-identical results because every leg
 // owns its whole simulation.
-//
-//kite:synccore experiment fan-out/join; synchronizes whole legs, never shard state
 func RunAll(specs []Spec, s Scale, workers int) []*Result {
-	pool := NewPool(workers)
-	s.pool = pool
-	results := make([]*Result, len(specs))
-	var wg sync.WaitGroup
-	for i, sp := range specs {
-		i, sp := i, sp
-		// Blocking acquire: at most `workers` experiments in flight.
-		pool.tokens <- struct{}{}
-		wg.Add(1)
-		go func() { //kite:shardsafe each leg owns its entire simulation; results land in distinct slots
-			defer wg.Done()
-			defer func() { <-pool.tokens }()
-			results[i] = sp.Run(s)
-		}()
-	}
-	wg.Wait()
-	return results
+	s.pool = fanout.NewPool(workers)
+	return fanout.Each(s.pool, len(specs), func(i int) *Result { return specs[i].Run(s) })
 }
 
-// totalEvents counts simulation events retired by drive() across all
-// experiments. It is telemetry only — an atomic counter shared between
-// runner goroutines never feeds back into any simulation, so it cannot
-// perturb determinism — and powers kitebench's events/sec summary line.
-var totalEvents atomic.Uint64
-
 // EventsProcessed returns the simulation events retired by workloads so
-// far in this process (rig handshakes excluded).
-//
-//kite:synccore telemetry read; the counter never feeds back into a simulation
-func EventsProcessed() uint64 { return totalEvents.Load() }
+// far in this process (rig handshakes excluded): drive() adds each run's
+// count to fanout's tally. Telemetry only — it powers kitebench's
+// events/sec summary line and never feeds back into a simulation.
+func EventsProcessed() uint64 { return fanout.Counted() }
 
 // bothKinds evaluates fn for the Linux baseline and the Kite domain,
 // concurrently when the scale's pool has a spare worker, and returns both
 // results. Each invocation of fn builds and drives a private rig, so the
 // two sides share nothing.
-//
-//kite:synccore pair join; each side owns a private rig until the receive
 func bothKinds[T any](s Scale, fn func(kind core.DriverKind) T) (linux, kite T) {
-	if s.pool != nil {
-		if done, ok := s.pool.tryGo(func() { linux = fn(core.KindLinux) }); ok {
-			kite = fn(core.KindKite)
-			<-done
-			return linux, kite
-		}
-	}
-	return fn(core.KindLinux), fn(core.KindKite)
+	s.pool.Pair(
+		func() { linux = fn(core.KindLinux) },
+		func() { kite = fn(core.KindKite) })
+	return linux, kite
 }

@@ -64,7 +64,6 @@ type Chain struct{ head, tail *Buf }
 // be on a chain already: linking it twice would fold the chain onto itself.
 //
 //kite:hotpath
-//kite:ringlink link
 func (c *Chain) Push(b *Buf) {
 	if c.tail == nil {
 		c.head = b
@@ -235,10 +234,10 @@ func newStages(home *sim.Engine) []releaseStage {
 // stageRemote parks b on the releasing shard's stage and arms the stage's
 // once-per-window flush post. Linking b onto the magazine chain consumes
 // the caller's reference — staging the same buffer twice would fold the
-// chain onto itself, which is why the call sites are ringlink-checked.
+// chain onto itself; the one call site sits behind Release's refcount
+// check, which panics on a second release.
 //
 //kite:hotpath
-//kite:ringlink link 1
 func stageRemote(local *sim.Engine, b *Buf) {
 	a := b.arena
 	st := &a.stages[local.ShardID()]

@@ -192,7 +192,7 @@ func (fs *FS) Stat(name string) (int64, bool) {
 func (fs *FS) List() []string {
 	fs.charge()
 	out := make([]string, 0, len(fs.files))
-	for name := range fs.files {
+	for name := range fs.files { //kite:orderok names are sorted before return
 		out = append(out, name)
 	}
 	sort.Strings(out)

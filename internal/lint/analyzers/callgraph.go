@@ -80,6 +80,23 @@ func calleesOf(mod *analysis.Module, pkg *loader.Package, node ast.Node, dyn fun
 	return out
 }
 
+// staticCallee resolves a call to its static *types.Func target (method or
+// package function), or nil for builtins, conversions, and dynamic calls.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[f].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[f]; ok && sel.Kind() == types.MethodVal {
+			return sel.Obj().(*types.Func)
+		}
+		fn, _ := info.Uses[f.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
 // interfaceOf returns the interface to dispatch on when t is an interface
 // or a type parameter (whose constraint carries the method set), else nil.
 func interfaceOf(t types.Type) *types.Interface {

@@ -6,24 +6,11 @@
 //	                                   only during warmup or on error paths,
 //	                                   as proven by the runtime zero-alloc
 //	                                   tests
-//	//kite:deterministic   (pkg doc)   package promises bit-for-bit
-//	                                   deterministic output; simdet applies
 //	//kite:alloc-ok <why>  (line)      one statement may allocate (pool
 //	                                   growth, high-water scratch, cache
 //	                                   fill); the reason is mandatory
 //	//kite:orderok <why>   (line)      a map range whose effect is order-
 //	                                   insensitive or explicitly sorted
-//	//kite:ringlink <op>   (func doc)  declares an intrusive-ring operation
-//	                                   for ringlink: link|unlink|free with
-//	                                   an optional handle arg index, or
-//	                                   alloc for a handle-returning
-//	                                   function
-//	//kite:shardsafe <why> (line)      a `go` statement or a `sync` import in
-//	                                   a deterministic package: why host
-//	                                   scheduling cannot reach a timeline
-//	//kite:synccore <why>  (func doc)  experiment fan-out machinery exempt
-//	                                   from atomicscope (synchronizing whole
-//	                                   simulations is its job)
 //
 // A line directive covers the line it sits on, or — when written on its
 // own line — the line directly below it.
@@ -106,17 +93,6 @@ func (idx *directiveIndex) fileFor(pos token.Pos) *ast.File {
 // carries the named directive.
 func funcDirective(decl *ast.FuncDecl, name string) bool {
 	return commentGroupHas(decl.Doc, name)
-}
-
-// pkgDirective reports whether any file's package doc carries the named
-// directive.
-func pkgDirective(pkg *loader.Package, name string) bool {
-	for _, f := range pkg.Files {
-		if commentGroupHas(f.Doc, name) {
-			return true
-		}
-	}
-	return false
 }
 
 func commentGroupHas(doc *ast.CommentGroup, name string) bool {

@@ -5,35 +5,25 @@ import (
 	"go/token"
 )
 
-// This file is the dataflow layer shared by the path-sensitive analyzers
-// (poolref, ringlink): a small abstract interpreter over one function body.
-// The abstract state is a bitset of client-defined facts ("owned",
-// "released", "linked", ...); branches fork the set, merges union it, and
-// loops run to a two-iteration fixpoint, so the interpretation is a sound
-// over-approximation of every acyclic path plus one loop back edge.
-// Functions using goto or labeled branches are skipped by the callers
-// (none exist in this module); hasJumps detects them.
+// This file is poolref's control-flow half: a small abstract interpreter
+// over one function body. The abstract state is a bitset of ownership
+// facts (poolref.go's st* constants); branches fork the set, merges union
+// it, and loops run to a two-iteration fixpoint, so the interpretation is a
+// sound over-approximation of every acyclic path plus one loop back edge.
+// Functions using goto or labeled branches are skipped by the caller (none
+// exist in this module); hasJumps detects them.
 //
-// The engine owns control flow only. Everything domain-specific lives in a
-// flowClient:
-//
-//   - stmt gets first crack at every statement; returning done=true means
-//     the client fully handled it (e.g. poolref's tracked acquisition or a
-//     deferred Release).
-//   - scan folds the straight-line effects of a node into the state
-//     (method calls on the tracked value, escapes, ...).
-//   - exit observes each function-exit state set (an explicit return or
-//     falling off the end), where leak-style obligations are checked.
-type flowClient interface {
-	stmt(s ast.Stmt, in int) (out int, done bool)
-	scan(n ast.Node, in int) int
-	exit(states int, pos token.Pos)
-}
+// The engine owns control flow only. Everything about buffers lives in
+// ownerWalk: stmt gets first crack at every statement (returning done=true
+// means it fully handled it — the tracked acquisition, a deferred
+// Release), scan folds the straight-line effects of a node into the state
+// (Release, Retain, escapes), and exit observes each function-exit state
+// set (an explicit return or falling off the end), where a leak shows.
 
-// flowExec interprets one function body for one flowClient. A state of 0
+// flowExec interprets one function body for one ownerWalk. A state of 0
 // means "path terminated" (return, panic); the engine stops propagating it.
 type flowExec struct {
-	client flowClient
+	client *ownerWalk
 }
 
 // run interprets body from state in and checks the fall-off-the-end exit.

@@ -21,9 +21,9 @@ import (
 //
 // Forbidden operations: make, new, &T{...}, slice/map composite literals,
 // closures, string concatenation and string<->[]byte conversions, map
-// inserts, appends that can grow, boxing a concrete value into an
-// interface, and calls into packages outside the module (which cannot be
-// vetted) other than a small pure allowlist.
+// inserts, appends that can grow, boxing a concrete value that is not
+// pointer-shaped into an interface, and calls into packages outside the
+// module (which cannot be vetted) other than a small pure allowlist.
 //
 // Three escapes keep the rule honest rather than unusable:
 //
@@ -285,7 +285,7 @@ func scanHotCall(info *types.Info, call *ast.CallExpr, report func(token.Pos, st
 				if allocatingConversion(src.Type, dst) {
 					report(call.Pos(), "allocating conversion "+types.TypeString(dst, nil)+"(...)")
 				}
-				if isInterface(dst) && !isInterface(src.Type) && src.Type != types.Typ[types.UntypedNil] {
+				if boxes(dst, src.Type) {
 					report(call.Pos(), "interface boxing (conversion)")
 				}
 			}
@@ -330,11 +330,7 @@ func scanHotCall(info *types.Info, call *ast.CallExpr, report func(token.Pos, st
 		} else {
 			continue
 		}
-		at, ok := info.Types[arg]
-		if !ok || at.Type == types.Typ[types.UntypedNil] {
-			continue
-		}
-		if isInterface(pt) && !isInterface(at.Type) {
+		if at, ok := info.Types[arg]; ok && boxes(pt, at.Type) {
 			report(arg.Pos(), "interface boxing (argument)")
 		}
 	}
@@ -343,6 +339,22 @@ func scanHotCall(info *types.Info, call *ast.CallExpr, report func(token.Pos, st
 func isInterface(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Interface)
 	return ok
+}
+
+// boxes reports whether storing a src value in a dst location allocates an
+// interface box. A pointer-shaped value (pointer, map, channel, func,
+// unsafe.Pointer) does not: it is the interface's data word as it stands.
+func boxes(dst, src types.Type) bool {
+	if !isInterface(dst) || isInterface(src) || src == types.Typ[types.UntypedNil] {
+		return false
+	}
+	switch u := src.Underlying().(type) {
+	case *types.Pointer, *types.Map, *types.Chan, *types.Signature:
+		return false
+	case *types.Basic:
+		return u.Kind() != types.UnsafePointer
+	}
+	return true
 }
 
 // allocatingConversion reports conversions that copy memory: string <->
@@ -372,11 +384,7 @@ func scanBoxing(info *types.Info, lhs, rhs []ast.Expr, report func(token.Pos, st
 		if !ok {
 			continue
 		}
-		rt, ok := info.Types[rhs[i]]
-		if !ok || rt.Type == types.Typ[types.UntypedNil] {
-			continue
-		}
-		if isInterface(lt.Type) && !isInterface(rt.Type) {
+		if rt, ok := info.Types[rhs[i]]; ok && boxes(lt.Type, rt.Type) {
 			report(rhs[i].Pos(), "interface boxing (assignment)")
 		}
 	}
@@ -394,11 +402,7 @@ func scanReturnBoxing(pkg *loader.Package, decl *ast.FuncDecl, ret *ast.ReturnSt
 		return
 	}
 	for i, res := range ret.Results {
-		rt, ok := pkg.Info.Types[res]
-		if !ok || rt.Type == types.Typ[types.UntypedNil] {
-			continue
-		}
-		if isInterface(sig.Results().At(i).Type()) && !isInterface(rt.Type) {
+		if rt, ok := pkg.Info.Types[res]; ok && boxes(sig.Results().At(i).Type(), rt.Type) {
 			report(res.Pos(), "interface boxing (return)")
 		}
 	}

@@ -8,17 +8,26 @@ import (
 	"kite/internal/lint/analysis"
 )
 
-// Poolref proves the framepool/blkpool ownership discipline that the
-// zero-copy pipeline (PRs 2–4) depends on: every buffer obtained from a
-// pool Get must, on every control-flow path, end in exactly one ownership
-// transfer — a Release back to the pool, or an escape that hands the
-// reference to someone else (passed to a function, stored, returned,
-// Retained). A path that drops the last reference leaks the frame forever
-// (the pools never garbage-collect); a second Release corrupts the
-// free list and resurfaces as cross-flow data corruption.
+// Poolref checks the first hop of the framepool/blkpool ownership
+// discipline the zero-copy pipeline depends on. What it tracks is exactly
+// this: a pool Get whose result is bound to a local variable, from that
+// statement to that function's exits. On every control-flow path in
+// between the buffer must see exactly one ownership transfer — a Release
+// back to the pool, or an escape that hands the reference to someone else
+// (passed to a function, stored, returned, Retained). A path that drops
+// the last reference leaks the frame forever (the pools never
+// garbage-collect); a second Release corrupts the free list and
+// resurfaces as cross-flow data corruption.
 //
-// The analysis is path-sensitive over the AST, built on the shared flow
-// engine (flow.go): each acquisition site is abstract-interpreted through
+// A buffer a function receives as a parameter is not tracked: whether
+// Deliver, rxEnqueue or a Tx error path releases the frame it was handed
+// is the business of the leak tests, which drive each drop branch and
+// assert Pool.Outstanding() == 0 (internal/core's
+// TestRxDropBranchesReleaseFrames, TestFleetBroadcastFloodLeaksNothing and
+// TestNetbackSurvivesHostileTxRequests).
+//
+// The analysis is path-sensitive over the AST, built on the flow engine in
+// flow.go: each acquisition site is abstract-interpreted through
 // the enclosing function with a small state set {owned, released,
 // escaped}. Branches fork the set, merges union it, loops run to a
 // two-iteration fixpoint. Functions using goto or labeled branches are
@@ -106,8 +115,7 @@ func checkPoolOwnership(pass *analysis.Pass, body *ast.BlockStmt) {
 	}
 }
 
-// ownerWalk interprets one function body for one acquisition site; it is
-// the poolref flowClient.
+// ownerWalk interprets one function body for one acquisition site.
 type ownerWalk struct {
 	pass *analysis.Pass
 	info *types.Info

@@ -2,7 +2,6 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"kite/internal/lint/analysis"
@@ -29,18 +28,19 @@ import (
 //
 //   - any call into kite/internal/sim (scheduling, posting, waking: the
 //     barrier must not re-enter the scheduler)
-//   - goroutine launches, channel operations, select (a simulation is one
-//     goroutine)
 //   - calls outside the module other than sync/atomic, math, math/bits
 //     (everything else is unvetted side effects)
 //   - indirect calls through func values or interfaces (an unresolvable
 //     callee cannot be proven pure)
 //
+// Goroutines and channels need no clause here: simdet forbids them in
+// every package such a handler can live in or walk into. sync/atomic stays
+// on the allowlist for the metrics counters the framepool flush bumps.
 // Pool free-list pushes, magazine splices, and counter increments — the
 // sanctioned bookkeeping — all pass these rules without escapes.
 var Relpure = &analysis.Analyzer{
 	Name: "relpure",
-	Doc:  "sim.PriRelease handlers must be pure local bookkeeping: no scheduling, posting, concurrency, or unvetted calls",
+	Doc:  "sim.PriRelease handlers must be pure local bookkeeping: no scheduling, posting, or unvetted calls",
 	Run:  runRelpure,
 }
 
@@ -215,19 +215,8 @@ func (w *relWalk) checkBody(b handlerBody) {
 	w.seenBody[b.body] = true
 	info := b.pkg.Info
 	ast.Inspect(b.body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.GoStmt:
-			w.pass.Reportf(x.Pos(), "relpure: PriRelease handler %s launches a goroutine; a simulation is one goroutine", b.name)
-		case *ast.SendStmt:
-			w.pass.Reportf(x.Pos(), "relpure: PriRelease handler %s sends on a channel", b.name)
-		case *ast.SelectStmt:
-			w.pass.Reportf(x.Pos(), "relpure: PriRelease handler %s selects on channels", b.name)
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				w.pass.Reportf(x.Pos(), "relpure: PriRelease handler %s receives from a channel", b.name)
-			}
-		case *ast.CallExpr:
-			w.checkCall(b, x, info)
+		if call, ok := n.(*ast.CallExpr); ok {
+			w.checkCall(b, call, info)
 		}
 		return true
 	})

@@ -2,34 +2,57 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
-	"strconv"
+	"strings"
 
 	"kite/internal/lint/analysis"
 )
 
-// Simdet enforces the determinism contract behind byte-identical
-// `-parallel` × `-queues` summaries: a package whose doc comment carries
-// //kite:deterministic may not consult wall-clock time (time.Now and
-// friends), the process-global math/rand source, or iterate over a map
-// (whose order varies run to run) without a //kite:orderok justification.
+// Simdet is the determinism contract behind byte-identical `-parallel` ×
+// `-queues` summaries, said once and flat: a simulation is one goroutine
+// computing a function of its seed, so a package under internal/ has
 //
-// Concurrency is the same contract's other face: a simulation runs on one
-// goroutine, and real goroutines appear only where whole simulations fan
-// out (the experiment runner). A `go` statement or a `sync` import in a
-// deterministic package therefore requires a //kite:shardsafe directive
-// stating why host scheduling cannot leak into a timeline. sync/atomic
-// stays exempt here — commutative counter adds are order-blind — and is
-// atomicscope's business.
+//   - no wall clock (time.Now and friends) and no process-global math/rand;
+//   - no `go` statement, no channel type or operation, no use of sync or
+//     sync/atomic — host scheduling has no way into a timeline;
+//   - no assignment to a package-level variable — one `-parallel` leg's
+//     leftovers have no way into another's;
+//   - no range over a map (whose order varies run to run) without a
+//     //kite:orderok line saying why the order cannot be observed.
 //
-// The directive lives in the package doc rather than in the analyzer so
-// the contract is visible where the code is; the clean-tree meta-test
-// asserts that internal/sim, internal/core, and internal/experiments all
-// carry it, so the scope cannot silently shrink.
+// There is no call graph and, bar orderok, no escape hatch. The scope is
+// every package under internal/ except hostSide below: the rule is on by
+// default, so a new package is covered the day it is created. The host
+// concurrency the experiment runner needs lives in internal/fanout, which
+// imports nothing of the simulator — the import graph, not an annotation,
+// keeps it out of a simulation's sight. The assignment rule is syntactic: a
+// method call on a package-level value (metrics' counters) is not an
+// assignment.
 var Simdet = &analysis.Analyzer{
 	Name: "simdet",
-	Doc:  "//kite:deterministic packages may not use wall-clock time, global math/rand, unordered map iteration, or unjustified goroutines/sync",
+	Doc:  "packages under internal/ have no wall clock, global math/rand, goroutines, channels, sync, package-level writes or unjustified map ranges",
 	Run:  runSimdet,
+}
+
+// hostSide lists what simdet leaves alone under internal/: the analyzers
+// themselves (host tools: they walk directories and time their passes),
+// the fan-out package (see Simdet), and metrics, whose process-global
+// atomic counters stay until ROADMAP 3(a) makes them per-simulation.
+var hostSide = []string{"lint", "fanout", "metrics"}
+
+// simdetApplies reports whether path is a simulator package of the module.
+func simdetApplies(modPath, path string) bool {
+	rel, ok := strings.CutPrefix(path, modPath+"/internal/")
+	if !ok {
+		return false
+	}
+	for _, h := range hostSide {
+		if rel == h || strings.HasPrefix(rel, h+"/") {
+			return false
+		}
+	}
+	return true
 }
 
 // wallClockFuncs are the time package entry points that read the host
@@ -40,11 +63,20 @@ var wallClockFuncs = map[string]bool{
 }
 
 func runSimdet(pass *analysis.Pass) error {
-	if !pkgDirective(pass.Pkg, "deterministic") {
+	if !simdetApplies(pass.Module.Path, pass.Pkg.Path) {
 		return nil
 	}
 	info := pass.Pkg.Info
 	dirs := newDirectiveIndex(pass.Pkg)
+	// host reports a construct that exists to order goroutines.
+	host := func(pos token.Pos, what string) {
+		pass.Reportf(pos, "simdet: %s: a simulation is one goroutine; host concurrency lives in internal/fanout", what)
+	}
+	write := func(lhs ast.Expr) {
+		if v := pkgLevelRoot(info, lhs); v != nil {
+			pass.Reportf(lhs.Pos(), "simdet: assignment to package-level %s.%s is shared by every simulation in the process; keep state in the System", v.Pkg().Name(), v.Name())
+		}
+	}
 
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -61,32 +93,72 @@ func runSimdet(pass *analysis.Pass) error {
 					}
 				case "math/rand", "math/rand/v2":
 					pass.Reportf(e.Pos(), "simdet: global %s.%s is seeded per-process; use kite/internal/sim.Rand", pkgName, e.Sel.Name)
+				case "sync", "sync/atomic":
+					host(e.Pos(), pkgName+"."+e.Sel.Name)
 				}
 			case *ast.RangeStmt:
-				tv, ok := info.Types[e.X]
-				if !ok {
-					return true
-				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					if !dirs.suppressed(e.Pos(), "orderok") {
-						pass.Reportf(e.Pos(), "simdet: map iteration order is nondeterministic; sort the keys or justify with //kite:orderok")
+				if tv, ok := info.Types[e.X]; ok {
+					switch tv.Type.Underlying().(type) {
+					case *types.Map:
+						if !dirs.suppressed(e.Pos(), "orderok") {
+							pass.Reportf(e.Pos(), "simdet: map iteration order is nondeterministic; sort the keys or justify with //kite:orderok")
+						}
+					case *types.Chan:
+						host(e.Pos(), "channel receive")
 					}
 				}
 			case *ast.GoStmt:
-				if !dirs.suppressed(e.Pos(), "shardsafe") {
-					pass.Reportf(e.Pos(), "simdet: goroutines can leak scheduling into the timeline; prove isolation with //kite:shardsafe")
+				host(e.Pos(), "go statement")
+			case *ast.ChanType:
+				host(e.Pos(), "channel type")
+			case *ast.SendStmt:
+				host(e.Pos(), "channel send")
+			case *ast.SelectStmt:
+				host(e.Pos(), "select")
+			case *ast.UnaryExpr:
+				if e.Op == token.ARROW {
+					host(e.Pos(), "channel receive")
 				}
-			case *ast.ImportSpec:
-				if p, err := strconv.Unquote(e.Path.Value); err == nil && p == "sync" {
-					if !dirs.suppressed(e.Pos(), "shardsafe") {
-						pass.Reportf(e.Pos(), "simdet: sync primitives order goroutines by host scheduling; justify with //kite:shardsafe (sync/atomic is exempt)")
+			case *ast.AssignStmt:
+				if e.Tok != token.DEFINE {
+					for _, l := range e.Lhs {
+						write(l)
 					}
 				}
+			case *ast.IncDecStmt:
+				write(e.X)
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// pkgLevelRoot resolves an lvalue — through field selections, indexing and
+// dereferences — to the package-level variable it is rooted at (of this or
+// an imported package), or nil.
+func pkgLevelRoot(info *types.Info, e ast.Expr) *types.Var {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if _, qualified := pkgOf(info, x); qualified {
+				e = x.Sel
+			} else {
+				e = x.X
+			}
+		case *ast.Ident:
+			if v, ok := info.Uses[x].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+				return v
+			}
+			return nil
+		default:
+			return nil
+		}
+	}
 }
 
 // pkgOf resolves a selector whose X is a package name, returning the

@@ -7,6 +7,8 @@ import (
 	"kite/internal/lint/analyzers"
 )
 
+// The fixture is registered under internal/: simdet's scope is the import
+// path, not an annotation.
 func TestSimdet(t *testing.T) {
-	analysistest.Run(t, "kite/fixtures/simdet", "testdata/src/simdet", analyzers.Simdet)
+	analysistest.Run(t, "kite/internal/fixtures/simdet", "testdata/src/simdet", analyzers.Simdet)
 }

@@ -24,6 +24,7 @@ func hot(p *pool, s sink, v int) *buf {
 	cb := func() { p.scratch = nil } // want `closure allocation`
 	cb()
 	s.accept(v)                      // want `interface boxing \(argument\)`
+	s.accept(p)                      // a pointer is the interface's data word: clean
 	p.scratch = append(p.scratch, v) // high-water scratch: clean
 	ok := p.get()
 	helper(p, v)

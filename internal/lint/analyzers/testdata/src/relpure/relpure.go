@@ -1,7 +1,6 @@
 // Package relpure exercises the kitelint PriRelease purity check: handlers
 // posted at sim.PriRelease run at the cluster barrier and must be pure
-// local bookkeeping — no scheduling, no posting, no concurrency, no
-// unvetted calls.
+// local bookkeeping — no scheduling, no posting, no unvetted calls.
 package relpure
 
 import (
@@ -54,9 +53,9 @@ func releaseSchedules(local, home *sim.Engine) {
 
 // bindField stores a dirty handler in a struct field; the Post site names
 // only the field, so resolution must find this assignment.
-func bindField(p *pool, local, home *sim.Engine, done chan struct{}) {
+func bindField(p *pool, local, home *sim.Engine) {
 	p.freeF = func(a any) {
-		done <- struct{}{} // want `sends on a channel`
+		home.After(0, func() {}) // want `re-enters the scheduler via sim\.After`
 	}
 	local.Post(home, 1, sim.PriRelease, p.freeF, nil)
 }

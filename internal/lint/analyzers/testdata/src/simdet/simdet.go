@@ -1,14 +1,12 @@
-// Package simdet exercises the kitelint determinism analyzer: wall-clock
-// reads, the process-global math/rand source, unordered map iteration, and
-// unjustified goroutines or sync imports inside a //kite:deterministic
-// package.
-//
-//kite:deterministic
+// Package simdet exercises the kitelint determinism analyzer. The test
+// loads it under an internal/ import path, so the flat rule applies: no
+// wall clock, no global math/rand, no goroutines, channels, sync or
+// sync/atomic, no package-level writes, no unjustified map range.
 package simdet
 
 import (
 	"math/rand"
-	"sync" // want `sync primitives order goroutines by host scheduling`
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -41,18 +39,41 @@ func iterateJustified(m map[string]int) int {
 func window(d time.Duration) time.Duration { return 2 * d }
 
 func spawn(fn func()) {
-	go fn() // want `goroutines can leak scheduling into the timeline`
+	go fn() // want `go statement: a simulation is one goroutine`
 }
 
-func spawnJustified(fn func()) {
-	var wg sync.WaitGroup
+func join(fn func()) {
+	var wg sync.WaitGroup // want `sync\.WaitGroup: a simulation is one goroutine`
 	wg.Add(1)
-	go func() { //kite:shardsafe test fixture: joined before anything reads its result
-		defer wg.Done()
-		fn()
-	}()
+	fn()
 	wg.Wait()
 }
 
-// Atomic counter adds commute, so sync/atomic stays exempt.
-func count(c *atomic.Uint64) { c.Add(1) }
+func count(c *atomic.Uint64) { c.Add(1) } // want `sync/atomic\.Uint64`
+
+func channels(in chan int) int { // want `channel type`
+	in <- 1  // want `channel send`
+	select { // want `select`
+	default:
+	}
+	n := <-in           // want `channel receive`
+	for v := range in { // want `channel receive`
+		n += v
+	}
+	return n
+}
+
+var (
+	seen  uint64
+	table = map[string]int{}
+	conf  struct{ depth int }
+)
+
+func globals(local []int) {
+	seen++           // want `assignment to package-level simdet\.seen`
+	table["k"] = 1   // want `assignment to package-level simdet\.table`
+	conf.depth = 2   // want `assignment to package-level simdet\.conf`
+	rand.Seed(1)     // want `seeded per-process`
+	seen := seen + 1 // a local that shadows: clean
+	local[0] = int(seen)
+}

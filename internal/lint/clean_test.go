@@ -8,7 +8,6 @@ import (
 
 	"kite/internal/lint"
 	"kite/internal/lint/analysis"
-	"kite/internal/lint/analyzers"
 )
 
 // loadOnce shares one whole-module typecheck across the meta-tests; a
@@ -19,9 +18,10 @@ var loadOnce = sync.OnceValues(func() (*analysis.Module, error) {
 
 // TestLintCleanTree is the suite's own acceptance test: every analyzer
 // over every package of the module must report nothing. A regression that
-// reintroduces an allocation on a hot path, a leaked pool buffer, a raw
-// xenstore key, wall-clock time in the simulator, or a blocking event
-// handler fails here (and in `make lint`, which runs the same code).
+// reintroduces an allocation on a hot path, a leaked pool buffer, a
+// scheduling call in a release handler, or wall-clock time, a goroutine or
+// a package-level write in the simulator fails here (and in `make lint`,
+// which runs the same code). TestMutationsCaught is the other direction.
 func TestLintCleanTree(t *testing.T) {
 	mod, err := loadOnce()
 	if err != nil {
@@ -36,85 +36,26 @@ func TestLintCleanTree(t *testing.T) {
 	}
 }
 
-// TestConcurrencyLintCleanTree runs just the four concurrency-contract
-// analyzers (shardsafe, relpure, ringlink, atomicscope) and then pins the
-// annotations they hinge on: the experiment fan-out must stay declared
-// //kite:synccore and the intrusive ring operations //kite:ringlink; and
-// the carrier and magazine returns must still be sim.PriRelease posts, or
-// relpure has no handler left to prove pure.
-// Deleting an annotation either breaks the clean run (a finding appears)
-// or fails the pin below (the analyzer silently lost its anchor) — both
-// directions are covered.
-func TestConcurrencyLintCleanTree(t *testing.T) {
+// TestFanoutSeesNoSimulation pins what lets simdet be flat: the one
+// package under internal/ allowed goroutines imports nothing of the
+// module, so no simulation state is reachable from where they meet.
+func TestFanoutSeesNoSimulation(t *testing.T) {
 	mod, err := loadOnce()
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
-	suite := []*analysis.Analyzer{
-		analyzers.Shardsafe, analyzers.Relpure, analyzers.Ringlink, analyzers.Atomicscope,
-	}
-	diags, err := lint.Run(mod, suite)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, d := range diags {
-		t.Errorf("%s", lint.Format(mod, d))
-	}
-
-	synccore := []struct{ pkg, fn string }{
-		{"kite/internal/experiments", "RunAll"},
-		{"kite/internal/experiments", "tryGo"},
-	}
-	for _, r := range synccore {
-		if !funcHasDirective(mod, r.pkg, r.fn, "//kite:synccore") {
-			t.Errorf("%s.%s: no //kite:synccore-annotated declaration found", r.pkg, r.fn)
+	for _, pkg := range mod.Pkgs {
+		if pkg.Path != "kite/internal/fanout" {
+			continue
 		}
-	}
-	ringlink := []struct{ pkg, fn string }{
-		{"kite/internal/timewheel", "alloc"},
-		{"kite/internal/timewheel", "link"},
-		{"kite/internal/timewheel", "release"},
-		{"kite/internal/pvback", "link"},
-		{"kite/internal/pvback", "unlink"},
-		{"kite/internal/framepool", "stageRemote"},
-		// The intrusive hand-off chain netfront's bursts travel as.
-		{"kite/internal/framepool", "Push"},
-	}
-	for _, r := range ringlink {
-		if !funcHasDirective(mod, r.pkg, r.fn, "//kite:ringlink") {
-			t.Errorf("%s.%s: no //kite:ringlink-annotated declaration found", r.pkg, r.fn)
+		for _, imp := range pkg.Types.Imports() {
+			if mod.InModule(imp) {
+				t.Errorf("internal/fanout imports %s", imp.Path())
+			}
 		}
+		return
 	}
-	// relpure starts from Engine.Post calls that name sim.PriRelease: the
-	// bridge carrier's way home (one per dedicated queue, one per fleet
-	// lane) and the framepool's staged remote frees.
-	release := []struct{ pkg, fn string }{
-		{"kite/internal/netback", "inputBatch"},
-		{"kite/internal/framepool", "stageRemote"},
-	}
-	for _, r := range release {
-		if !funcMentions(mod, r.pkg, r.fn, "PriRelease") {
-			t.Errorf("%s.%s: no longer posts at sim.PriRelease; relpure lost the handler it proved", r.pkg, r.fn)
-		}
-	}
-}
-
-// TestDeterministicScope pins the simdet contract to the packages whose
-// byte-identical output the experiment suite depends on — the event core,
-// the rigs, and the control plane whose every store write is an event. Removing
-// the directive would silently shrink the analyzer's scope; this test
-// turns that into a failure.
-func TestDeterministicScope(t *testing.T) {
-	mod, err := loadOnce()
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
-	for _, path := range []string{"kite/internal/sim", "kite/internal/core", "kite/internal/experiments", "kite/internal/timewheel",
-		"kite/internal/xenstore", "kite/internal/xenbus"} {
-		if !pkgHasDirective(mod, path, "//kite:deterministic") {
-			t.Errorf("%s: package doc lost its //kite:deterministic directive", path)
-		}
-	}
+	t.Error("kite/internal/fanout not loaded")
 }
 
 // TestHotPathCoverage asserts that the PV data paths stay annotated: the
@@ -168,25 +109,6 @@ func TestHotPathCoverage(t *testing.T) {
 	}
 }
 
-func pkgHasDirective(mod *analysis.Module, path, directive string) bool {
-	for _, pkg := range mod.Pkgs {
-		if pkg.Path != path {
-			continue
-		}
-		for _, f := range pkg.Files {
-			if f.Doc == nil {
-				continue
-			}
-			for _, c := range f.Doc.List {
-				if strings.HasPrefix(c.Text, directive) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // funcDecls returns every function declaration named fn in the package
 // (method receivers are not distinguished).
 func funcDecls(mod *analysis.Module, path, fn string) []*ast.FuncDecl {
@@ -221,22 +143,4 @@ func funcHasDirective(mod *analysis.Module, path, fn, directive string) bool {
 		}
 	}
 	return false
-}
-
-// funcMentions reports whether some declaration named fn in the package
-// uses the identifier name in its body.
-func funcMentions(mod *analysis.Module, path, fn, name string) bool {
-	found := false
-	for _, decl := range funcDecls(mod, path, fn) {
-		if decl.Body == nil {
-			continue
-		}
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && id.Name == name {
-				found = true
-			}
-			return !found
-		})
-	}
-	return found
 }

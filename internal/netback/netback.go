@@ -292,7 +292,7 @@ func (ds *drainState) postTx() {
 	if ds.txOut == nil {
 		return
 	}
-	ds.eng.Post(ds.dev, ds.txOut.entries[0].at-ds.eng.Now(), sim.PriData, ds.inputF, ds.txOut) //kite:alloc-ok pointer boxing does not allocate
+	ds.eng.Post(ds.dev, ds.txOut.entries[0].at-ds.eng.Now(), sim.PriData, ds.inputF, ds.txOut)
 	ds.txOut = nil
 }
 
@@ -312,7 +312,7 @@ func (ds *drainState) inputBatch(a any) {
 		*e = timedFrame{}
 	}
 	bt.entries = bt.entries[:0]
-	ds.dev.Post(ds.eng, shardHandoff, sim.PriRelease, ds.txOutFreeF, bt) //kite:alloc-ok pointer boxing does not allocate
+	ds.dev.Post(ds.eng, shardHandoff, sim.PriRelease, ds.txOutFreeF, bt)
 }
 
 // newVIF builds the instance shell shared by both constructors.
@@ -556,7 +556,7 @@ func (v *VIF) Shutdown() {
 		}
 		if len(q.pgrants) > 0 {
 			ms := make([]*xen.Mapping, 0, len(q.pgrants))
-			for _, m := range q.pgrants {
+			for _, m := range q.pgrants { //kite:orderok one batched unmap charged by count; per-mapping effects commute
 				if m.Live() {
 					ms = append(ms, m)
 				}
@@ -796,7 +796,7 @@ func (v *VIF) Deliver(frame *framepool.Buf) {
 			frame.Release()
 			frame = c
 		}
-		v.eng.Post(q.eng, shardHandoff, sim.PriData, q.rxEnqueueF, frame) //kite:alloc-ok pointer boxing does not allocate
+		v.eng.Post(q.eng, shardHandoff, sim.PriData, q.rxEnqueueF, frame)
 		return
 	}
 	q.rxEnqueue(frame)

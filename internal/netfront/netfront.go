@@ -501,7 +501,7 @@ func (d *Device) Send(frame *framepool.Buf) bool {
 		// Backpressure is absorbed by the queue's backlog, so the hand-off
 		// itself always succeeds.
 		frame.At = d.eng.Now() + shardHandoff
-		d.eng.Post(q.eng, shardHandoff, sim.PriData, q.landF, frame) //kite:alloc-ok pointer boxing does not allocate
+		d.eng.Post(q.eng, shardHandoff, sim.PriData, q.landF, frame)
 		return true
 	}
 	return q.enqueue(frame)
@@ -552,7 +552,7 @@ func (d *Device) SendBatch(frames []netstack.TimedFrame) {
 		if delay < shardHandoff {
 			delay = shardHandoff
 		}
-		d.eng.Post(q.eng, delay, sim.PriData, q.landF, head) //kite:alloc-ok pointer boxing does not allocate
+		d.eng.Post(q.eng, delay, sim.PriData, q.landF, head)
 	}
 }
 
@@ -697,7 +697,7 @@ func (q *queue) reapRx() {
 				copy(b.Extend(rsp.Len), buf.page.Bytes()[rsp.Offset:rsp.Offset+rsp.Len])
 				if q.eng != d.eng {
 					// Deliver to the stack's shard (softirq dispatch).
-					q.eng.Post(d.eng, shardHandoff, sim.PriData, d.recvF, b) //kite:alloc-ok pointer boxing does not allocate
+					q.eng.Post(d.eng, shardHandoff, sim.PriData, d.recvF, b)
 				} else {
 					d.recv(b)
 				}

@@ -223,7 +223,7 @@ func (s *Stack) setLinkDown(dev NetIf) {
 // the old link are stale on whatever replaces it.
 func (s *Stack) linkDown() {
 	s.arp = make(map[netpkt.IP]netpkt.MAC)
-	for _, queued := range s.arpPending {
+	for _, queued := range s.arpPending { //kite:orderok every parked frame is released; pooled buffers are interchangeable
 		for _, b := range queued {
 			b.ReleaseOn(s.eng)
 		}

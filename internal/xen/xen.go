@@ -173,7 +173,7 @@ func (hv *Hypervisor) DestroyDomain(id DomID) error {
 	d.grants = nil
 	d.liveGrants = 0
 	d.Arena.Release()
-	for bdf, owner := range hv.pci {
+	for bdf, owner := range hv.pci { //kite:orderok deletes every entry of the dead domain
 		if owner == id {
 			delete(hv.pci, bdf)
 		}

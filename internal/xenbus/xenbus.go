@@ -10,8 +10,6 @@
 //
 // Every store write made here fires watches, and each fire is a simulation
 // event: the order of writes is part of the timeline.
-//
-//kite:deterministic
 package xenbus
 
 import (

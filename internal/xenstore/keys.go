@@ -2,11 +2,11 @@ package xenstore
 
 // This file is the single registry of xenstore key names used by the
 // device negotiation protocol. Every path or key argument handed to a
-// Store or xenbus.Bus method must be assembled from these constants (plus
-// bare "/" separators and computed path segments); the kitelint xskeys
-// analyzer rejects raw string literals at those call sites. The point is
-// typo immunity: "event-chanel" in a literal compiles and silently stalls
-// the handshake, while a misspelled constant name fails the build.
+// Store or xenbus.Bus method is assembled from these constants (plus bare
+// "/" separators and computed path segments). The point is typo immunity:
+// "event-chanel" in a literal compiles and stalls the handshake — which
+// every rig test then fails on — while a misspelled constant name fails
+// the build.
 //
 // Names mirror xen/io/xenbus.h, netif.h and blkif.h so traces read like
 // real xenstore dumps.

@@ -12,8 +12,6 @@
 // Every watch fire is a simulation event, so the store is part of the
 // deterministic timeline: watches fire in registration order, never in map
 // order.
-//
-//kite:deterministic
 package xenstore
 
 import (
