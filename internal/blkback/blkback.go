@@ -123,7 +123,7 @@ type ioQueue struct {
 	sq   int // NVMe submission queue (the pinned vCPU's, like nvme's per-CPU SQs)
 
 	thread *sim.Task
-	pmaps  map[xen.GrantRef]*xen.Mapping
+	pmaps  pvback.GrantCache // persistent mappings of the frontend's pool pages
 
 	// Fleet mode: the shared DRR worker serving this queue (thread is nil
 	// then; see Serve, Flush) and the queue's slot in the lane's member slab
@@ -208,11 +208,10 @@ func NewInstance(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int
 		}
 		q := &ioQueue{
 			inst: inst, id: i,
-			ring:  ch.Rings.Queue(i),
-			cpu:   dom.CPUs.CPU(cpuIdx),
-			sq:    cpuIdx,
-			pmaps: make(map[xen.GrantRef]*xen.Mapping),
-			lane:  lane,
+			ring: ch.Rings.Queue(i),
+			cpu:  dom.CPUs.CPU(cpuIdx),
+			sq:   cpuIdx,
+			lane: lane,
 		}
 		port, err := dom.BindInterdomain(frontDom, frontPorts[i])
 		if err != nil {
@@ -293,12 +292,7 @@ func (inst *Instance) Shutdown() {
 			q.lane.Detach(q.port, q.laneSlot)
 		}
 		_ = inst.dom.Close(q.port)
-		maps := make([]*xen.Mapping, 0, len(q.pmaps))
-		for _, m := range q.pmaps { //kite:orderok one batched unmap charged by count; per-mapping effects commute
-			maps = append(maps, m)
-		}
-		_ = inst.dom.Hypervisor().UnmapGrantBatch(inst.dom, maps)
-		q.pmaps = map[xen.GrantRef]*xen.Mapping{}
+		q.pmaps.Drain(inst.dom)
 	}
 }
 
@@ -486,7 +480,7 @@ func (q *ioQueue) parseIndirect(req blkif.Request) ([]blkif.Segment, error) {
 func (q *ioQueue) mapRef(ref xen.GrantRef) (m *xen.Mapping, cacheHit bool, err error) {
 	inst := q.inst
 	if inst.costs.Persistent {
-		if m := q.pmaps[ref]; m != nil && m.Live() {
+		if m := q.pmaps.Lookup(ref); m != nil {
 			return m, true, nil
 		}
 	}
@@ -495,7 +489,7 @@ func (q *ioQueue) mapRef(ref xen.GrantRef) (m *xen.Mapping, cacheHit bool, err e
 		return nil, false, err
 	}
 	if inst.costs.Persistent {
-		q.pmaps[ref] = m //kite:alloc-ok persistent-grant cache fill on first touch; steady state hits
+		q.pmaps.Fill(m)
 	}
 	return m, false, nil
 }

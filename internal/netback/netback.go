@@ -164,10 +164,8 @@ type vifQueue struct {
 	rxQueue sim.FIFO[*framepool.Buf]
 
 	// pgrants caches mappings of the frontend's Rx grant refs (which the
-	// frontend recycles for the device's lifetime), keyed by ref. The
-	// frontend posts each ref on one queue only, so per-queue caches never
-	// duplicate mappings.
-	pgrants map[xen.GrantRef]*xen.Mapping
+	// frontend recycles for the device's lifetime).
+	pgrants pvback.GrantCache
 
 	// ds is the drain state the queue's drains run on: its own for a
 	// dedicated-worker queue, its lane's for a fleet member.
@@ -392,7 +390,6 @@ func NewVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 			sharded: sharded,
 			tx:      ch.Tx.Queue(i),
 			rx:      ch.Rx.Queue(i),
-			pgrants: make(map[xen.GrantRef]*xen.Mapping),
 		}
 		// Per-queue workers spread across the domain's vCPUs (§3.1:
 		// multicore driver domains scale to several guests/NICs; with
@@ -461,7 +458,6 @@ func NewVIFOnLane(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid in
 		sharded: true,
 		tx:      ch.Tx.Queue(0),
 		rx:      ch.Rx.Queue(0),
-		pgrants: make(map[xen.GrantRef]*xen.Mapping),
 		ds:      ds,
 		lane:    lane,
 		cpu:     lane.CPU(),
@@ -554,16 +550,7 @@ func (v *VIF) Shutdown() {
 		for q.txPending.Len() > 0 {
 			q.txPending.Pop().frame.Release()
 		}
-		if len(q.pgrants) > 0 {
-			ms := make([]*xen.Mapping, 0, len(q.pgrants))
-			for _, m := range q.pgrants { //kite:orderok one batched unmap charged by count; per-mapping effects commute
-				if m.Live() {
-					ms = append(ms, m)
-				}
-			}
-			_ = v.dom.Hypervisor().UnmapGrantBatch(v.dom, ms)
-			q.pgrants = make(map[xen.GrantRef]*xen.Mapping)
-		}
+		q.pgrants.Drain(v.dom)
 	}
 }
 
@@ -929,7 +916,7 @@ func (q *vifQueue) rxMapping(ref xen.GrantRef) *xen.Mapping {
 	if !v.costs.PersistentRx {
 		return nil
 	}
-	if m := q.pgrants[ref]; m != nil && m.Live() {
+	if m := q.pgrants.Lookup(ref); m != nil {
 		q.stats.RxPersistHits++
 		metrics.NetRxPersistHits.Add(1)
 		return m
@@ -946,6 +933,6 @@ func (q *vifQueue) rxMapping(ref xen.GrantRef) *xen.Mapping {
 	}
 	q.stats.RxPersistMisses++
 	metrics.NetRxPersistMisses.Add(1)
-	q.pgrants[ref] = m //kite:alloc-ok persistent-grant cache fill; hits dominate steady state
+	q.pgrants.Fill(m)
 	return m
 }

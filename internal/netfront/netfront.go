@@ -369,7 +369,16 @@ func (d *Device) initRings() {
 func (d *Device) connect() {
 	// Page and grant setup touches the guest arena and grant table, both
 	// owned by the device shard; after connect the tables are frozen, so
-	// queue shards may read them.
+	// queue shards may read them. The table is sized once for every grant
+	// the loop below takes: a queue's Rx set, and its Tx set the first time.
+	grants := 0
+	for _, q := range d.queues {
+		grants += netif.RingSize
+		if q.txFree == nil {
+			grants += netif.RingSize
+		}
+	}
+	d.dom.ReserveGrants(grants)
 	for _, q := range d.queues {
 		q.preallocTx()
 		for i, page := range d.allocPages(netif.RingSize) {

@@ -9,9 +9,12 @@
 // device copies between those views and its sparse store directly, with no
 // intermediate flattened buffer. The device itself allocates nothing in
 // steady state: store blocks are carved from a slab (one allocation per 64
-// blocks, first touch only), partial-block writes stage through a single
-// reusable scratch block, and completion callbacks ride pooled pending
-// structs whose timer closures are created once and recycled forever.
+// first-touched blocks), found through an extent directory (one map entry
+// per 256 KiB of LBA space, a block pointer per 4 KiB inside it, and a
+// cursor on the last extent resolved, so a merged command or a sequential
+// stream pays one lookup and then indexes), and completion callbacks ride
+// pooled pending structs whose timer closures are created once and
+// recycled forever.
 package nvme
 
 import (
@@ -24,12 +27,27 @@ import (
 // SectorSize is the logical block size.
 const SectorSize = 512
 
-// blockSize is the sparse-store granularity.
+// blockSize is the sparse-store granularity: what one first-touched sector
+// makes resident.
 const blockSize = 4096
 
 // slabBlocks is how many store blocks one slab allocation carves into:
 // first-touch writes cost one make per 64 blocks instead of one per block.
 const slabBlocks = 64
+
+// extentBlocks is how many consecutive blocks share one directory: 256 KiB
+// of LBA space, the span of one full indirect request, so a merged command
+// resolves its directory once and indexes from there.
+const extentBlocks = 64
+
+// block is one resident 4 KiB of the store.
+type block = [blockSize]byte
+
+// extent is the directory of one extentBlocks-aligned run of LBA space: a
+// pointer per block, nil where nothing was ever written. Residency stays
+// per block — a lone sector written at a far LBA costs one block and one
+// 512-byte directory, not the extent's 256 KiB.
+type extent [extentBlocks]*block
 
 // Op is a device command type.
 type Op int
@@ -83,6 +101,9 @@ type Stats struct {
 	ReadOps, WriteOps, FlushOps uint64
 	VecReads, VecWrites         uint64 // scatter-gather commands
 	ReadBytes, WriteBytes       uint64
+	// DirLookups counts extent-directory map probes: the store's cursor
+	// misses. A sequential stream pays one per extent, not one per block.
+	DirLookups uint64
 }
 
 // Device is the simulated SSD.
@@ -91,13 +112,14 @@ type Device struct {
 	cfg Config
 	bdf string
 
-	blocks map[int64][]byte // sparse store
-	slab   []byte           // spare capacity carved into store blocks
-	// scratch is the single reusable staging block for partial-block
-	// writes into not-yet-resident blocks: the merged full-block image is
-	// assembled here, then committed to a freshly carved block. It
-	// replaces the old per-write `make([]byte, blockSize)` staging.
-	scratch [blockSize]byte
+	// blocks is the sparse store: extent number (block / extentBlocks) to
+	// that extent's directory. cur/curExt cache the last extent resolved
+	// (cur is nil when that extent has no directory yet); curExt starts at
+	// -1, which no LBA maps to.
+	blocks map[int64]*extent
+	cur    *extent
+	curExt int64
+	slab   []byte // spare capacity carved into store blocks
 
 	// pendFree recycles in-flight command records; each carries a timer
 	// closure created once, so issuing a command never allocates.
@@ -130,7 +152,8 @@ func New(eng *sim.Engine, cfg Config, bdf string) *Device {
 		eng:    eng,
 		cfg:    cfg,
 		bdf:    bdf,
-		blocks: make(map[int64][]byte),
+		blocks: make(map[int64]*extent),
+		curExt: -1,
 	}
 }
 
@@ -357,66 +380,75 @@ func (d *Device) PeekBytes(sector int64, n int) []byte {
 	return out
 }
 
+// extentAt resolves extent number ext to its directory, nil if nothing in
+// the extent was ever written: the cursor when it already points there,
+// one map probe otherwise.
+func (d *Device) extentAt(ext int64) *extent {
+	if ext != d.curExt {
+		d.stats.DirLookups++
+		d.cur, d.curExt = d.blocks[ext], ext
+	}
+	return d.cur
+}
+
+// newExtent installs an empty directory for ext, which the cursor has just
+// resolved to nil.
+//
+//kite:coldpath once per 256 KiB of LBA space first written; steady state rewrites resident extents
+func (d *Device) newExtent(ext int64) *extent {
+	e := new(extent)
+	d.blocks[ext] = e
+	d.cur = e
+	return e
+}
+
 // readRange copies stored bytes at byte offset off into dst; unwritten
 // regions read as zeros (and must overwrite recycled destination buffers,
 // hence the explicit clear).
 func (d *Device) readRange(off int64, dst []byte) {
-	n := len(dst)
-	for i := 0; i < n; {
-		blk := (off + int64(i)) / blockSize
-		in := int((off + int64(i)) % blockSize)
-		run := blockSize - in
-		if run > n-i {
-			run = n - i
-		}
-		if b := d.blocks[blk]; b != nil {
-			copy(dst[i:i+run], b[in:in+run])
+	for len(dst) > 0 {
+		blk := off / blockSize
+		in := int(off % blockSize)
+		run := min(blockSize-in, len(dst))
+		if e := d.extentAt(blk / extentBlocks); e != nil && e[blk%extentBlocks] != nil {
+			copy(dst[:run], e[blk%extentBlocks][in:])
 		} else {
-			clear(dst[i : i+run])
+			clear(dst[:run])
 		}
-		i += run
+		dst = dst[run:]
+		off += int64(run)
 	}
 }
 
-// carveBlock takes one store block from the slab, refilling it when empty.
-func (d *Device) carveBlock() []byte {
+// carveBlock takes one zeroed store block from the slab, refilling it when
+// empty.
+func (d *Device) carveBlock() *block {
 	if len(d.slab) < blockSize {
 		d.slab = make([]byte, slabBlocks*blockSize) //kite:alloc-ok slab refill, amortized over slabBlocks carves
 	}
-	b := d.slab[:blockSize:blockSize]
+	b := (*block)(d.slab)
 	d.slab = d.slab[blockSize:]
 	return b
 }
 
-// writeBytesAt stores data at byte offset off. A partial write into a
-// block with no resident store yet stages the merged full-block image
-// (zeros plus the written run) in the device's single scratch block, then
-// commits it to a freshly carved block — the commit must copy because the
-// scratch is reused by the very next partial write.
+// writeBytesAt stores data at byte offset off. A block's first write carves
+// it from the slab; slab memory is fresh from make, so the part of the
+// block a partial write leaves uncovered already reads as zeros.
 func (d *Device) writeBytesAt(off int64, data []byte) {
-	for i := 0; i < len(data); {
-		blk := (off + int64(i)) / blockSize
-		in := int((off + int64(i)) % blockSize)
-		run := blockSize - in
-		if run > len(data)-i {
-			run = len(data) - i
+	for len(data) > 0 {
+		blk := off / blockSize
+		in := int(off % blockSize)
+		run := min(blockSize-in, len(data))
+		ext, slot := blk/extentBlocks, blk%extentBlocks
+		e := d.extentAt(ext)
+		if e == nil {
+			e = d.newExtent(ext)
 		}
-		b := d.blocks[blk]
-		if b == nil {
-			if run == blockSize {
-				b = d.carveBlock()
-			} else {
-				clear(d.scratch[:])
-				copy(d.scratch[in:in+run], data[i:i+run])
-				b = d.carveBlock()
-				copy(b, d.scratch[:])
-				d.blocks[blk] = b //kite:alloc-ok block table fill on first write to a block; steady state rewrites in place
-				i += run
-				continue
-			}
-			d.blocks[blk] = b //kite:alloc-ok block table fill on first write to a block; steady state rewrites in place
+		if e[slot] == nil {
+			e[slot] = d.carveBlock()
 		}
-		copy(b[in:in+run], data[i:i+run])
-		i += run
+		copy(e[slot][in:in+run], data)
+		data = data[run:]
+		off += int64(run)
 	}
 }

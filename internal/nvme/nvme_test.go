@@ -2,7 +2,9 @@ package nvme
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"kite/internal/sim"
 )
@@ -229,17 +231,16 @@ func TestVecRejectsBadRange(t *testing.T) {
 }
 
 func TestReadAfterPartialWriteIntegrity(t *testing.T) {
-	// Regression test for the scratch-block staging of partial-block
-	// writes: consecutive partial writes into different fresh blocks must
-	// not alias each other (a naive implementation sharing the scratch as
-	// the store would), and the uncovered regions must read as zeros.
+	// Consecutive partial writes into different fresh blocks must not alias
+	// each other (a store that staged them through one shared buffer and
+	// kept it would), and the uncovered regions must read as zeros.
 	eng := sim.NewEngine()
 	d := newDev(eng)
 	a := bytes.Repeat([]byte{0xAA}, 512)
 	b := bytes.Repeat([]byte{0xBB}, 512)
 	done := 0
-	d.Write(1, a, func(error) { done++ })  // partial write, block 0
-	d.Write(9, b, func(error) { done++ })  // partial write, block 1
+	d.Write(1, a, func(error) { done++ }) // partial write, block 0
+	d.Write(9, b, func(error) { done++ }) // partial write, block 1
 	eng.Run()
 	if done != 2 {
 		t.Fatal("writes incomplete")
@@ -278,5 +279,192 @@ func TestCrossBlockBoundaryData(t *testing.T) {
 	eng.Run()
 	if !bytes.Equal(got, data) {
 		t.Fatal("cross-boundary write corrupted")
+	}
+}
+
+// splitVec cuts b into an iovec of uneven sector-multiple segments.
+func splitVec(rng *sim.Rand, b []byte) [][]byte {
+	var iov [][]byte
+	for len(b) > 0 {
+		n := (1 + rng.Intn(16)) * SectorSize
+		if n > len(b) {
+			n = len(b)
+		}
+		iov = append(iov, b[:n])
+		b = b[n:]
+	}
+	return iov
+}
+
+func TestStoreMatchesFlatModel(t *testing.T) {
+	// The extent-indexed store against a flat byte array, through all four
+	// data entry points. The window is twelve extents; the last four are
+	// never written, so reads that wander there bounce the cursor onto
+	// extents with no directory and back. Lengths run from one sector to
+	// past an extent, starts are biased onto block and extent boundaries.
+	const (
+		extentBytes = extentBlocks * blockSize
+		window      = 12 * extentBytes
+		writable    = 8 * extentBytes
+		base        = int64(37) * extentBytes // the window's first byte on the device
+	)
+	eng := sim.NewEngine()
+	d := newDev(eng)
+	ref := make([]byte, window)
+	rng := sim.NewRand(0x5eed)
+
+	pick := func(limit int) (off, n int) {
+		switch rng.Intn(4) {
+		case 0: // anywhere, any sector count up to 1.25 extents
+			n = (1 + rng.Intn(extentBytes*5/4/SectorSize)) * SectorSize
+			off = rng.Intn(limit/SectorSize) * SectorSize
+		case 1: // a few sectors straddling a block boundary
+			n = (2 + rng.Intn(6)) * SectorSize
+			off = (1+rng.Intn(limit/blockSize-1))*blockSize - SectorSize*(1+rng.Intn(n/SectorSize-1))
+		case 2: // straddling an extent boundary
+			n = (2 + rng.Intn(extentBytes/SectorSize)) * SectorSize
+			off = (1+rng.Intn(limit/extentBytes-1))*extentBytes - SectorSize*(1+rng.Intn(n/SectorSize-1))
+		default: // one sector inside a block: the partial-write case
+			n = SectorSize
+			off = rng.Intn(limit/SectorSize) * SectorSize
+		}
+		if off+n > limit {
+			n = limit - off
+		}
+		return off, n
+	}
+	fail := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for step := 0; step < 600; step++ {
+		if rng.Intn(2) == 0 {
+			off, n := pick(writable)
+			data := make([]byte, n)
+			rng.Bytes(data)
+			copy(ref[off:], data)
+			sector := (base + int64(off)) / SectorSize
+			if rng.Intn(2) == 0 {
+				d.WriteVec(sector, splitVec(rng, data), fail)
+			} else {
+				d.Write(sector, data, fail)
+			}
+			eng.Run()
+			continue
+		}
+		off, n := pick(window)
+		sector := (base + int64(off)) / SectorSize
+		var got []byte
+		if rng.Intn(2) == 0 {
+			got = bytes.Repeat([]byte{0xEE}, n) // stale bytes a read must overwrite
+			d.ReadVec(sector, splitVec(rng, got), fail)
+		} else {
+			d.Read(sector, n, func(b []byte, err error) { fail(err); got = b })
+		}
+		eng.Run()
+		if !bytes.Equal(got, ref[off:off+n]) {
+			t.Fatalf("step %d: read of %d bytes at window offset %d differs from the model", step, n, off)
+		}
+	}
+	if got := d.PeekBytes(base/SectorSize, window); !bytes.Equal(got, ref) {
+		t.Fatal("final store image differs from the model")
+	}
+	if len(d.blocks) > writable/extentBytes {
+		t.Fatalf("%d directories for %d written extents: a read made one", len(d.blocks), writable/extentBytes)
+	}
+}
+
+func TestDirectoryLookupsPerCommand(t *testing.T) {
+	// What the extent directory is for: a merged 256 KiB command resolves
+	// its directory once (twice if it straddles two extents) and indexes
+	// the other 63 segments; 64 scattered 4 KiB writes pay one probe each,
+	// never more.
+	eng := sim.NewEngine()
+	d := newDev(eng)
+	ok := func(error) {}
+	iov := make([][]byte, extentBlocks)
+	for i := range iov {
+		iov[i] = make([]byte, blockSize)
+	}
+	const extentSectors = extentBlocks * blockSize / SectorSize
+	for _, sector := range []int64{0, extentSectors, 2 * extentSectors} {
+		d.WriteVec(sector, iov, ok)
+	}
+	eng.Run()
+
+	lookups := func(f func()) uint64 {
+		before := d.Stats().DirLookups
+		f()
+		eng.Run()
+		return d.Stats().DirLookups - before
+	}
+	d.PeekBytes(9*extentSectors, SectorSize) // park the cursor elsewhere
+	if n := lookups(func() { d.ReadVec(extentSectors, iov, ok) }); n != 1 {
+		t.Errorf("aligned 256 KiB ReadVec = %d directory lookups, want 1", n)
+	}
+	if n := lookups(func() { d.ReadVec(extentSectors/2, iov, ok) }); n > 2 {
+		t.Errorf("straddling 256 KiB ReadVec = %d directory lookups, want <= 2", n)
+	}
+	rng := sim.NewRand(11)
+	if n := lookups(func() {
+		for i := 0; i < 64; i++ {
+			blk := rng.Int63n(3 * extentBlocks)
+			d.WriteVec(blk*blockSize/SectorSize, iov[:1], ok)
+		}
+	}); n > 64 {
+		t.Errorf("64 random 4 KiB writes = %d directory lookups, want <= 64", n)
+	}
+}
+
+func TestFarSectorFootprint(t *testing.T) {
+	// Residency is per 4 KiB block, not per extent: one sector written at
+	// the device's last LBA makes one block resident under one directory,
+	// and allocates one slab plus that directory (plus the map's first
+	// bucket and the command record, the slack below) — not 256 KiB per
+	// extent touched, and nothing proportional to the 500 GB below it.
+	eng := sim.NewEngine()
+	d := newDev(eng)
+	sector := bytes.Repeat([]byte{0x5A}, SectorSize)
+	last := d.CapacitySectors() - 1
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d.Write(last, sector, func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	eng.Run()
+	runtime.ReadMemStats(&after)
+
+	const slack = 4096
+	budget := uint64(slabBlocks*blockSize) + uint64(unsafe.Sizeof(extent{})) + slack
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("far single-sector write allocated %d bytes, budget %d", got, budget)
+	}
+	resident := 0
+	for _, e := range d.blocks {
+		for _, b := range e {
+			if b != nil {
+				resident++
+			}
+		}
+	}
+	if len(d.blocks) != 1 || resident != 1 {
+		t.Errorf("%d directories, %d resident blocks; want 1 and 1", len(d.blocks), resident)
+	}
+	if got := d.PeekBytes(last, SectorSize); !bytes.Equal(got, sector) {
+		t.Error("far sector did not read back")
+	}
+	// A second far sector in the same slab's reach costs a directory, not a
+	// second slab.
+	runtime.ReadMemStats(&before)
+	d.Write(last/2, sector, func(error) {})
+	eng.Run()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(unsafe.Sizeof(extent{}))+slack {
+		t.Errorf("second far write allocated %d bytes: it should carve from the first slab", got)
 	}
 }

@@ -3,10 +3,11 @@
 // deficit-round-robin worker serving many tenants' queues), the
 // backend-invocation Driver that pairs waiting frontends with instances
 // over a small device-class interface (§4.1, and §4.4's "same
-// backend-invocation thread pattern"), and the Registry standing in for the
-// grant-mapping of ring pages. What differs per class — what serving a
-// queue means, which features a backend advertises, how an instance is
-// built — stays in netback and blkback.
+// backend-invocation thread pattern"), the Registry standing in for the
+// grant-mapping of ring pages, and the GrantCache of persistent mappings
+// (§3.3). What differs per class — what serving a queue means, which
+// features a backend advertises, how an instance is built — stays in
+// netback and blkback.
 package pvback
 
 import (

@@ -2,6 +2,7 @@ package xen
 
 import (
 	"fmt"
+	"slices"
 
 	"kite/internal/mem"
 	"kite/internal/sim"
@@ -39,6 +40,14 @@ func (d *Domain) GrantAccess(remote DomID, page *mem.Page, readonly bool) GrantR
 	d.grants[d.nextRef] = grantEntry{page: page, remote: remote, readonly: readonly, live: true}
 	d.liveGrants++
 	return d.nextRef
+}
+
+// ReserveGrants sizes the grant table for n more GrantAccess calls, so a
+// caller that knows how many pages it is about to grant (a frontend's ring
+// buffers at connect) pays one table allocation instead of append's
+// doubling ladder and its doubled final capacity.
+func (d *Domain) ReserveGrants(n int) {
+	d.grants = slices.Grow(d.grants, int(d.nextRef)+1+n-len(d.grants))
 }
 
 // EndAccess revokes a grant. It fails while a foreign mapping is still

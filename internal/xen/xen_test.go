@@ -559,3 +559,32 @@ func TestDestroyReleasesPages(t *testing.T) {
 		t.Fatalf("HeapInuse grew %d KiB over 56 create/destroy cycles, want flat", (late-early)>>10)
 	}
 }
+
+// TestReserveGrantsSizesTableOnce: after ReserveGrants(n) the next n grants
+// land in the reserved table — no reallocation, no doubled capacity — and a
+// second reservation on a part-filled table counts from the next free ref.
+func TestReserveGrantsSizesTableOnce(t *testing.T) {
+	_, hv, dom0 := newHV(t)
+	du := hv.CreateDomain(DomainConfig{Name: "domU", VCPUs: 1, MemBytes: 8 << 20})
+	const n = 512
+	pages, err := du.Arena.AllocN(2 * n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		du.ReserveGrants(n)
+		reserved := cap(du.grants)
+		if want := (round+1)*n + 1; reserved < want || reserved >= 2*want {
+			t.Fatalf("round %d: cap %d after reserving up to ref %d", round, reserved, want-1)
+		}
+		for _, p := range pages[round*n : (round+1)*n] {
+			du.GrantAccess(dom0.ID, p, false)
+		}
+		if cap(du.grants) != reserved {
+			t.Fatalf("round %d: table reallocated (%d -> %d) inside its reservation", round, reserved, cap(du.grants))
+		}
+	}
+	if du.LiveGrants() != 2*n {
+		t.Fatalf("LiveGrants = %d, want %d", du.LiveGrants(), 2*n)
+	}
+}
