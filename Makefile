@@ -13,8 +13,8 @@ verify: vet build lint zeroalloc race
 vet:
 	$(GO) vet ./...
 
-# lint runs the kitelint analyzer suite (hotpath, poolref, relpure,
-# simdet) over the whole module; any finding fails the build. See
+# lint runs the kitelint analyzer suite (hotpath, poolref, simdet) over
+# the whole module; any finding fails the build. See
 # DESIGN.md §11 for what each analyzer catches that no test does.
 lint:
 	$(GO) run ./cmd/kitelint .

@@ -1,7 +1,7 @@
 // Command kitelint runs the repository's invariant analyzers (hotpath,
-// poolref, relpure, simdet) over the whole module and prints any findings
-// in go-vet style. It exits non-zero when a finding exists, so `make lint` and CI
-// fail the build on a violated invariant.
+// poolref, simdet) over the whole module and prints any findings in
+// go-vet style. It exits non-zero when a finding exists, so `make lint` and
+// CI fail the build on a violated invariant.
 //
 // Usage:
 //

@@ -149,8 +149,7 @@ type Device struct {
 	sectors     int64
 	flushOK     bool
 
-	bufs     *blkpool.Pool
-	readBufs *blkpool.Arena // device-private partition for read staging
+	bufs *blkpool.Pool // read staging
 	// inflight is a slot-indexed shadow table (like Linux blkfront's):
 	// request IDs are slot+1 and recycle through freeIDs, so the table
 	// grows to the in-flight high-water mark (bounded by ring capacity)
@@ -218,7 +217,6 @@ func New(eng *sim.Engine, cfg Config) *Device {
 		backPath:   xenbus.BackendPath(xenbus.DomID(cfg.BackDom), xenstore.DevVbd, xenbus.DomID(cfg.Dom.ID), cfg.DevID),
 		wantQueues: wantQueues,
 		bufs:       bufs,
-		readBufs:   bufs.NewArena(),
 		onReady:    cfg.OnReady,
 	}
 	d.backWatch = d.bus.OnStateChange(d.backPath, func(s xenbus.State) {
@@ -436,7 +434,7 @@ func (d *Device) ReadSectors(sector int64, n int, cb func(data []byte, err error
 	d.stats.Reads++
 	d.stats.ReadBytes += uint64(n)
 	op := d.getCaller()
-	op.buf = d.readBufs.Get(n)
+	op.buf = d.bufs.Get(n)
 	op.readBuf = op.buf.Bytes()
 	op.doneRead = cb
 	d.split(blkif.OpRead, sector, nil, op)

@@ -45,7 +45,7 @@ const numClasses = maxClassShift - minClassShift + 1
 // everything else in a simulation it is owned by the simulation's single
 // goroutine and is not safe for concurrent use.
 type Buf struct {
-	arena *Arena // the free lists the buffer returns to, for life
+	pool  *Pool // the free lists the buffer returns to, for life
 	data  []byte
 	n     int
 	class int // -1: oversized one-off, returned to the GC on release
@@ -86,20 +86,19 @@ func (b *Buf) Release() {
 	if b.refs < 0 {
 		panic("blkpool: double release")
 	}
-	a := b.arena
-	a.parent.outstanding--
-	a.parent.recycled++
+	p := b.pool
+	p.outstanding--
+	p.recycled++
 	metrics.BlkPoolRecycles.Add(1)
 	if b.class >= 0 {
-		a.free[b.class] = append(a.free[b.class], b)
+		p.free[b.class] = append(p.free[b.class], b)
 	}
 }
 
-// Pool is a per-simulation set of size-class free lists: the counters every
-// arena of the simulation reports to, and a root arena of its own holding
-// the shared lists.
+// Pool is a per-simulation set of LIFO free lists, one per size class, and
+// its leak counters.
 type Pool struct {
-	root        Arena
+	free        [numClasses][]*Buf
 	outstanding int
 	gets        uint64
 	fresh       uint64
@@ -108,11 +107,7 @@ type Pool struct {
 
 // New returns an empty pool; buffers are allocated lazily on first Get and
 // recycled forever after.
-func New() *Pool {
-	p := &Pool{}
-	p.root.parent = p
-	return p
-}
+func New() *Pool { return &Pool{} }
 
 // classFor returns the smallest class index whose capacity holds n bytes,
 // or -1 when n exceeds the largest class.
@@ -126,11 +121,6 @@ func classFor(n int) int {
 	}
 	return c
 }
-
-// Get returns a Buf from the shared free lists (see Arena.Get).
-//
-//kite:hotpath
-func (p *Pool) Get(n int) *Buf { return p.root.Get(n) }
 
 // Outstanding returns the number of buffers currently held by callers. It
 // must be zero at simulation teardown.
@@ -146,51 +136,33 @@ func (p *Pool) Recycled() uint64 { return p.recycled }
 // buffer; Gets-Fresh over Gets is the pool hit rate.
 func (p *Pool) Fresh() uint64 { return p.fresh }
 
-// Arena is a partition of a Pool with its own per-class free lists — the
-// storage sibling of framepool.Arena. Frontends (and, under multi-queue,
-// per-queue workers) draw staging buffers from their own arena so working
-// sets stay disjoint and recycling order per partition is deterministic,
-// while gets/fresh/recycled/outstanding accounting still lands on the
-// parent pool. A buffer obtained from an arena returns to that arena when
-// its last reference drops, wherever that happens.
-type Arena struct {
-	parent *Pool
-	free   [numClasses][]*Buf
-}
-
-// NewArena returns an empty partition of p. Arenas allocate fresh buffers
-// rather than stealing from the parent's shared lists, so creating one
-// never perturbs buffer identities elsewhere in the simulation.
-func (p *Pool) NewArena() *Arena { return &Arena{parent: p} }
-
 // Get returns a Buf with an n-byte payload window (n must be a positive
-// multiple of SectorSize) holding one reference owned by the caller, drawn
-// from (and destined to return to) this arena; oversized one-offs are
-// allocated directly and handed to the GC on release. The payload is NOT
-// zeroed — recycled buffers carry stale bytes, exactly like a recycled
-// kernel bio; callers must fully overwrite the window.
+// multiple of SectorSize) holding one reference owned by the caller;
+// oversized one-offs are allocated directly and handed to the GC on
+// release. The payload is NOT zeroed — recycled buffers carry stale bytes,
+// exactly like a recycled kernel bio; callers must fully overwrite the
+// window.
 //
 //kite:hotpath
-func (a *Arena) Get(n int) *Buf {
+func (p *Pool) Get(n int) *Buf {
 	if n <= 0 || n%SectorSize != 0 {
 		panic(fmt.Sprintf("blkpool: bad buffer size %d", n))
 	}
-	p := a.parent
 	p.gets++
 	p.outstanding++
 	metrics.BlkPoolGets.Add(1)
 	class := classFor(n)
 	if class >= 0 {
-		if l := a.free[class]; len(l) > 0 {
+		if l := p.free[class]; len(l) > 0 {
 			b := l[len(l)-1]
-			a.free[class] = l[:len(l)-1]
+			p.free[class] = l[:len(l)-1]
 			b.n = n
 			b.refs = 1
 			return b
 		}
 	}
 	p.fresh++
-	b := &Buf{arena: a, n: n, class: class, refs: 1} //kite:alloc-ok pool growth on free-list miss; steady state recycles
+	b := &Buf{pool: p, n: n, class: class, refs: 1} //kite:alloc-ok pool growth on free-list miss; steady state recycles
 	if class >= 0 {
 		b.data = make([]byte, 1<<(minClassShift+class)) //kite:alloc-ok pool growth on free-list miss
 	} else {

@@ -103,48 +103,3 @@ func TestBadSizePanics(t *testing.T) {
 	}()
 	p.Get(100)
 }
-
-func TestArenaPartitioning(t *testing.T) {
-	p := New()
-	a0, a1 := p.NewArena(), p.NewArena()
-	b0, b1 := a0.Get(4096), a1.Get(4096)
-	if p.Outstanding() != 2 {
-		t.Fatalf("Outstanding = %d, want 2 (arena gets must hit parent accounting)", p.Outstanding())
-	}
-	b0.Release()
-	b1.Release()
-	if p.Outstanding() != 0 {
-		t.Fatalf("Outstanding = %d after arena releases, want 0", p.Outstanding())
-	}
-	// Each buffer returned to its own arena, not the shared lists.
-	if got := a0.Get(4096); got != b0 {
-		t.Fatal("arena 0 did not recycle its own buffer")
-	} else {
-		got.Release()
-	}
-	if got := a1.Get(4096); got != b1 {
-		t.Fatal("arena 1 did not recycle its own buffer")
-	} else {
-		got.Release()
-	}
-	if got := p.Get(4096); got == b0 || got == b1 {
-		t.Fatal("shared pool handed out an arena-owned buffer")
-	} else {
-		got.Release()
-	}
-}
-
-func TestArenaOversizedFallsBack(t *testing.T) {
-	p := New()
-	a := p.NewArena()
-	b := a.Get(8 << 20)
-	b.Release()
-	if p.Outstanding() != 0 {
-		t.Fatal("oversized arena release not accounted")
-	}
-	if c := a.Get(8 << 20); c == b {
-		t.Fatal("oversized arena buffer must not be pooled")
-	} else {
-		c.Release()
-	}
-}

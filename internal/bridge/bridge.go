@@ -272,7 +272,7 @@ func (l *Lane) InputAt(from Port, frame *framepool.Buf, at sim.Time) {
 	pkt := frame.Bytes()
 	if len(pkt) < netpkt.EthHeaderLen {
 		b.stats.Dropped++
-		frame.ReleaseOn(b.eng)
+		frame.Release()
 		return
 	}
 	var dst, src netpkt.MAC
@@ -298,7 +298,7 @@ func (l *Lane) InputAt(from Port, frame *framepool.Buf, at sim.Time) {
 		if out := b.Lookup(dst); out != nil {
 			if out == from {
 				b.stats.Dropped++ // destination is behind the source port
-				frame.ReleaseOn(b.eng)
+				frame.Release()
 				return
 			}
 			b.stats.Forwarded++
@@ -327,7 +327,7 @@ func (l *Lane) InputAt(from Port, frame *framepool.Buf, at sim.Time) {
 		b.stats.Flooded++
 	} else {
 		b.stats.Dropped++
-		frame.ReleaseOn(b.eng)
+		frame.Release()
 	}
 }
 

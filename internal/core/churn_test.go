@@ -28,10 +28,9 @@ func laneMembers(rig *FleetRig) int {
 //
 // The traffic is a steady stream, so every lane is between rounds with a
 // carrier on its way to the bridge when the vifs go: a departing tenant
-// has frames staged in a carrier it shares with its lane-mates, in buffers
-// of the lane's arena. Those frames must be dropped at the bridge shard —
-// the port has left the bridge — and their buffers must find their way
-// back to the lane's arena, not to an arena that died with the tenant.
+// has frames staged in a carrier it shares with its lane-mates. Those
+// frames must be dropped at the bridge shard — the port has left the
+// bridge — and their buffers must go back to the pool.
 func TestFleetTenantChurnMidTraffic(t *testing.T) {
 	const guests = 16
 	rig, err := NewFleetRig(FleetConfig{Guests: guests, Lanes: 4, Seed: 0xc4a2})

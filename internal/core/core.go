@@ -35,7 +35,6 @@ import (
 	"kite/internal/nat"
 	"kite/internal/netback"
 	"kite/internal/netfront"
-	"kite/internal/netif"
 	"kite/internal/netpkt"
 	"kite/internal/netstack"
 	"kite/internal/nic"
@@ -141,21 +140,12 @@ func newSystem(seed uint64, cluster *sim.Cluster) *System {
 		IRQLatency: 6 * sim.Microsecond,
 	})
 	store := xenstore.New(eng)
-	s := &System{
+	return &System{
 		Eng: eng, HV: hv, Store: store, Bus: xenbus.New(store),
 		NetReg: pvback.NewRegistry(), BlkReg: pvback.NewRegistry(),
 		Dom0: dom0, Pool: framepool.New(), BlkPool: blkpool.New(),
 		Cluster: cluster, seed: seed, nextVbdBase: 2048,
 	}
-	if cluster != nil {
-		// Free lists live on shard 0; remote releases post back home.
-		// Releases staged on queue shards arrive a lookahead window late,
-		// so pre-size the shared list: stacks and NICs must never allocate
-		// just because a recycled frame is still in flight between shards.
-		s.Pool.SetHome(eng)
-		s.Pool.Prealloc(2 * netif.RingSize)
-	}
-	return s
 }
 
 // QueueShards returns the engines reserved for PV queue pinning (shard 1

@@ -36,8 +36,8 @@ func BenchmarkForwardPathMQ(b *testing.B) {
 			}
 			const perWave = 512 // under every per-queue ring/qdisc cap
 			// Warm at wave scale too: a full wave's in-flight peak is far
-			// above the single-frame working set, and the framepool arenas
-			// (plus ring-haul scratch) grow to their high-water mark on the
+			// above the single-frame working set, and the frame pool (plus
+			// ring-haul scratch) grows to its high-water mark on the
 			// first few waves. Growing inside the timed loop would smear
 			// kilobytes per op across the measurement; after these waves the
 			// steady state allocates nothing.

@@ -17,7 +17,7 @@ import (
 // heapBytesPerRun reports the average heap bytes allocated per call to f,
 // with the collector paused so TotalAlloc deltas are exact. AllocsPerRun
 // counts objects; this counts bytes, which catches amortized growth
-// (free-list doubling, arena high-water creep) that rounds to zero
+// (free-list doubling, high-water creep) that rounds to zero
 // objects per op but still bleeds kilobytes across a sweep.
 func heapBytesPerRun(runs int, f func()) float64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -73,8 +73,8 @@ func TestForwardPathZeroAlloc(t *testing.T) {
 }
 
 // TestForwardPathZeroAllocMQ asserts the multi-queue variant of the same
-// property at EVERY negotiable queue count: per-queue cluster shards,
-// framepool arenas, preallocated Tx slot tables, and grant caches must keep
+// property at EVERY negotiable queue count: per-queue cluster shards, the
+// frame pool, preallocated Tx slot tables, and grant caches must keep
 // the steady-state forwarded frame at exactly zero heap allocations in both
 // directions — one stray byte per op fails the sweep.
 func TestForwardPathZeroAllocMQ(t *testing.T) {
@@ -94,10 +94,10 @@ func TestForwardPathZeroAllocMQ(t *testing.T) {
 			eng := rig.System.Eng
 
 			// Warm every queue: 64 source ports hash across all queues,
-			// populating each queue's Tx slots, arenas, and persistent
-			// mappings. The frontend cycles its 256 posted Rx buffers
-			// round-robin, so each queue needs >256 Rx frames before the
-			// backend's persistent-grant cache stops missing — and before
+			// populating each queue's Tx slots and persistent mappings. The
+			// frontend cycles its 256 posted Rx buffers round-robin, so each
+			// queue needs >256 Rx frames before the backend's
+			// persistent-grant cache stops missing — and before
 			// every Rx page has had its first touch (guest pages are
 			// demand-zero; a first touch is a 4 KiB allocation).
 			warm := 1300
@@ -128,11 +128,11 @@ func TestForwardPathZeroAllocMQ(t *testing.T) {
 				}
 			}
 			// Byte invariant at wave scale: a 512-frame burst holds far
-			// more buffers in flight than one frame, and remote releases
-			// reach their free lists a lookahead window late — the
-			// preallocated pools and arenas must absorb that pipeline, not
-			// grow through it. Bytes, not just objects: high-water creep
-			// rounds to 0 allocs/op while still leaking kilobytes per sweep.
+			// more buffers in flight than one frame; the free list the
+			// warm-up waves left — nothing pre-sizes it — must cover that
+			// pipeline, not grow through it. Bytes, not just objects:
+			// high-water creep rounds to 0 allocs/op while still leaking
+			// kilobytes per sweep.
 			wave := func() {
 				for i := 0; i < 512; i++ {
 					rig.Guest.Stack.SendUDP(rig.ClientIP, 9000, uint16(9001+i%64), payload)

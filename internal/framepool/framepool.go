@@ -35,11 +35,7 @@ const (
 // concurrent use — like everything else in a simulation, it is owned by the
 // simulation's single goroutine.
 type Buf struct {
-	arena *Arena // the free list the buffer returns to, for life
-	// stageNext is the intrusive link while parked on a remote-release
-	// stage: written by the releasing shard (stageRemote) and unspliced by
-	// the barrier-side flush.
-	stageNext *Buf
+	pool *Pool // the free list the buffer returns to, for life
 	// next links the buffer on a Chain while a single owner holds it in
 	// transit; nil whenever the buffer is on none. At is that owner's stamp:
 	// the virtual time the frame takes effect at the far end. The pool reads
@@ -164,10 +160,11 @@ func (b *Buf) Retain() *Buf {
 	return b
 }
 
-// Release drops one reference; at zero the buffer returns to its pool.
-// Releasing below zero panics — it means an ownership rule was violated.
-// In a sharded simulation, use ReleaseOn wherever the last reference may be
-// dropped on a shard other than the free list's home.
+// Release drops one reference; at zero the buffer goes back on its pool's
+// free list, there and then, on whichever shard the last reference died: a
+// simulation runs on one goroutine, so the very next Get may hand it out
+// again. Releasing below zero panics — it means an ownership rule was
+// violated.
 //
 //kite:hotpath
 func (b *Buf) Release() {
@@ -178,115 +175,16 @@ func (b *Buf) Release() {
 	if b.refs < 0 {
 		panic("framepool: double release")
 	}
-	b.recycle()
-}
-
-// ReleaseOn drops one reference from code running on shard engine local.
-// If the final reference dies away from the free list's home shard, the
-// buffer parks on the releasing shard's stage for that free list and rides
-// home in the stage's single cross-shard release post — the barrier recycles
-// every buffer a shard freed during the window in one merge visit instead of
-// one post per buffer. On the one goroutine a simulation runs on, recycling
-// in place would be just as safe; the stage stays because dropping it drops
-// the release posts from the cluster's post count, which the committed sim
-// digests pin. So a free list is still only touched by its home shard or the
-// barrier.
-//
-//kite:hotpath
-func (b *Buf) ReleaseOn(local *sim.Engine) {
-	b.refs--
-	if b.refs > 0 {
-		return
-	}
-	if b.refs < 0 {
-		panic("framepool: double release")
-	}
-	a := b.arena
-	if a.home == nil || a.home == local {
-		b.recycle()
-		return
-	}
-	stageRemote(local, b)
-}
-
-// releaseStage batches one releasing shard's remote frees for one free list
-// into a single cross-shard post per window. Staged buffers chain through
-// their intrusive stageNext links, so steady-state batching allocates
-// nothing; the stage's flush runs as a PriRelease at the barrier of the
-// window that staged it, draining the chain into the home free list in one
-// visit.
-type releaseStage struct {
-	head  *Buf
-	armed bool
-	flush func(any)
-}
-
-// newStages sizes the per-releasing-shard stage table for a free list homed
-// on a cluster shard (nil when the home engine is standalone).
-func newStages(home *sim.Engine) []releaseStage {
-	c := home.Cluster()
-	if c == nil {
-		return nil
-	}
-	return make([]releaseStage, c.Shards())
-}
-
-// stageRemote parks b on the releasing shard's stage and arms the stage's
-// once-per-window flush post. Linking b onto the magazine chain consumes
-// the caller's reference — staging the same buffer twice would fold the
-// chain onto itself; the one call site sits behind Release's refcount
-// check, which panics on a second release.
-//
-//kite:hotpath
-func stageRemote(local *sim.Engine, b *Buf) {
-	a := b.arena
-	st := &a.stages[local.ShardID()]
-	b.stageNext = st.head
-	st.head = b
-	if st.armed {
-		return
-	}
-	st.armed = true
-	if st.flush == nil {
-		st.flush = func(any) { //kite:alloc-ok one closure per (free list, releasing shard), cached forever
-			// Every buffer on one stage belongs to the same free list, so
-			// the chain splices with one counter update per batch — the bulk
-			// path must stay cheaper than the per-frame recycle an unsharded
-			// run pays inline.
-			var n int
-			for b := st.head; b != nil; {
-				next := b.stageNext
-				b.stageNext = nil
-				a.free = append(a.free, b)
-				n++
-				b = next
-			}
-			st.head = nil
-			st.armed = false
-			a.parent.outstanding -= n
-			a.parent.recycled += uint64(n)
-			metrics.FramePoolRecycles.Add(uint64(n))
-		}
-	}
-	local.Post(a.home, local.Cluster().Lookahead(), sim.PriRelease, st.flush, nil)
-}
-
-// recycle parks the buffer on its free list. It must run on the list's
-// home shard (or in an unsharded simulation).
-func (b *Buf) recycle() {
-	a := b.arena
-	a.free = append(a.free, b)
-	a.parent.outstanding--
-	a.parent.recycled++
+	p := b.pool
+	p.free = append(p.free, b)
+	p.outstanding--
+	p.recycled++
 	metrics.FramePoolRecycles.Add(1)
 }
 
-// Pool is a per-simulation free list of Bufs: the counters every arena of
-// the simulation reports to, and a root arena of its own holding the shared
-// free list. A free list belongs to one shard (its home), which ReleaseOn
-// enforces by routing remote releases back.
+// Pool is a per-simulation LIFO free list of Bufs and its leak counters.
 type Pool struct {
-	root        Arena
+	free        []*Buf
 	outstanding int
 	gets        uint64
 	recycled    uint64
@@ -294,24 +192,27 @@ type Pool struct {
 
 // New returns an empty pool; buffers are allocated lazily on first Get and
 // recycled forever after.
-func New() *Pool {
-	p := &Pool{}
-	p.root.parent = p
-	return p
-}
+func New() *Pool { return &Pool{} }
 
-// Get returns an empty Buf from the shared free list (see Arena.Get).
+// Get returns an empty Buf (full headroom, zero length) holding one
+// reference owned by the caller.
 //
 //kite:hotpath
-func (p *Pool) Get() *Buf { return p.root.Get() }
-
-// SetHome pins the pool's shared free list to a shard engine (see
-// Arena.SetHome).
-func (p *Pool) SetHome(e *sim.Engine) { p.root.SetHome(e) }
-
-// Prealloc parks n fresh buffers on the shared free list up front (see
-// Arena.Prealloc).
-func (p *Pool) Prealloc(n int) { p.root.Prealloc(n) }
+func (p *Pool) Get() *Buf {
+	var b *Buf
+	if n := len(p.free); n > 0 {
+		b = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		b = &Buf{pool: p} //kite:alloc-ok pool growth on free-list miss; steady state recycles
+	}
+	b.refs = 1
+	b.Reset()
+	p.gets++
+	p.outstanding++
+	metrics.FramePoolGets.Add(1)
+	return b
+}
 
 // From returns a Buf whose payload is a copy of pkt. Convenience for tests
 // and cold paths (ARP, control traffic).
@@ -333,66 +234,22 @@ func (p *Pool) Gets() uint64 { return p.gets }
 // Recycled returns the total number of buffers returned to the free list.
 func (p *Pool) Recycled() uint64 { return p.recycled }
 
-// Arena is a per-queue partition of a Pool: it has its own LIFO free list,
-// so multi-queue workers recycling frames never touch a shared list, but
-// every counter (gets, recycles, outstanding leak accounting) still lands
-// on the parent pool. A buffer first obtained from an Arena belongs to that
-// arena for life — Release returns it there no matter which pipeline stage
-// drops the last reference — so queue working sets stay disjoint and
-// per-queue recycling order stays deterministic regardless of how queues
-// interleave.
-type Arena struct {
-	parent *Pool
-	home   *sim.Engine    // shard owning this arena's free list; nil = unpinned
-	stages []releaseStage // per-releasing-shard remote free batches
-	free   []*Buf
-}
+// Shims for benchmark/, which was frozen while the release stages, free-list
+// homes and pre-sizing were removed: a pool is one free list that Release
+// fills wherever it is called. Nothing else may call them, and they go when
+// benchmark/ stops doing so (ROADMAP, Housekeeping).
 
-// NewArena returns an empty partition of p. Arenas allocate fresh buffers
-// rather than stealing from the parent's shared free list, so creating one
-// never perturbs buffer identities elsewhere in the simulation.
-func (p *Pool) NewArena() *Arena { return &Arena{parent: p} }
-
-// Get returns an empty Buf (full headroom, zero length) holding one
-// reference owned by the caller, drawn from (and destined to return to)
-// this arena.
+// SetHome does nothing.
 //
-//kite:hotpath
-func (a *Arena) Get() *Buf {
-	var b *Buf
-	if n := len(a.free); n > 0 {
-		b = a.free[n-1]
-		a.free = a.free[:n-1]
-	} else {
-		b = &Buf{arena: a} //kite:alloc-ok pool growth on free-list miss; steady state recycles
-	}
-	b.refs = 1
-	b.Reset()
-	a.parent.gets++
-	a.parent.outstanding++
-	metrics.FramePoolGets.Add(1)
-	return b
-}
+// Deprecated: remains only because benchmark/ was frozen.
+func (p *Pool) SetHome(*sim.Engine) {}
 
-// SetHome pins this arena's free list to a shard engine. Buffers whose last
-// reference dies elsewhere are staged and posted back rather than recycled
-// in place.
-func (a *Arena) SetHome(e *sim.Engine) {
-	a.home = e
-	a.stages = newStages(e)
-}
+// Prealloc does nothing.
+//
+// Deprecated: remains only because benchmark/ was frozen.
+func (p *Pool) Prealloc(int) {}
 
-// Prealloc parks n fresh buffers on this arena's free list up front.
-// Sharded simulations stage remote releases and post them home a lookahead
-// window later, so the free list can be transiently short of the true
-// working set; pre-sizing absorbs those window-crossing misses instead of
-// letting the data path allocate through them. Preallocated buffers count
-// toward nothing until first handed out.
-func (a *Arena) Prealloc(n int) {
-	for i := 0; i < n; i++ {
-		a.free = append(a.free, &Buf{arena: a})
-	}
-}
-
-// Free returns the number of buffers parked in this arena's free list.
-func (a *Arena) Free() int { return len(a.free) }
+// ReleaseOn is Release.
+//
+// Deprecated: remains only because benchmark/ was frozen.
+func (b *Buf) ReleaseOn(*sim.Engine) { b.Release() }

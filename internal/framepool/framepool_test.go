@@ -3,6 +3,8 @@ package framepool
 import (
 	"bytes"
 	"testing"
+
+	"kite/internal/sim"
 )
 
 func TestGetReleaseRecycles(t *testing.T) {
@@ -116,40 +118,36 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestArenaPartitioning(t *testing.T) {
+// A buffer goes home where it dies: the last reference of a buffer taken on
+// shard 0 is dropped by an event on shard 1, and the next Get of that same
+// event — no barrier in between — hands the buffer out again.
+func TestReleaseRecyclesInPlaceAcrossShards(t *testing.T) {
+	c := sim.NewCluster(2, sim.Microsecond, 1)
+	home, far := c.Shard(0), c.Shard(1)
 	p := New()
-	a0, a1 := p.NewArena(), p.NewArena()
-	b0, b1 := a0.Get(), a1.Get()
-	if p.Outstanding() != 2 {
-		t.Fatalf("Outstanding = %d, want 2 (arena gets must hit parent accounting)", p.Outstanding())
-	}
-	b0.Release()
-	b1.Release()
-	if p.Outstanding() != 0 {
-		t.Fatalf("Outstanding = %d after arena releases, want 0", p.Outstanding())
-	}
-	if a0.Free() != 1 || a1.Free() != 1 || p.root.Free() != 0 {
-		t.Fatalf("buffers not parked in their own arenas: a0=%d a1=%d shared=%d",
-			a0.Free(), a1.Free(), p.root.Free())
-	}
-	// A buffer stays bound to its arena across reuse.
-	if got := a0.Get(); got != b0 {
-		t.Fatal("arena did not recycle its own buffer LIFO")
-	} else {
-		got.Release()
-	}
-}
-
-func TestArenaSteadyStateZeroAlloc(t *testing.T) {
-	p := New()
-	a := p.NewArena()
-	a.Get().Release()
-	allocs := testing.AllocsPerRun(100, func() {
-		b := a.Get()
-		copy(b.Extend(64), "x")
+	held := p.Get() // keeps Outstanding off zero so the check below is not vacuous
+	ran := false
+	drop := func(a any) {
+		ran = true
+		b := a.(*Buf)
+		before := p.Outstanding()
 		b.Release()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state arena Get/Release allocates %.1f/op, want 0", allocs)
+		if got := p.Outstanding(); got != before-1 {
+			t.Errorf("Outstanding = %d right after the remote release, want %d", got, before-1)
+		}
+		if again := p.Get(); again != b {
+			t.Error("Get after a remote release allocated instead of recycling the buffer just released")
+		} else {
+			again.Release()
+		}
+	}
+	home.After(sim.Microsecond, func() { home.Post(far, sim.Microsecond, sim.PriData, drop, p.Get()) })
+	c.Run()
+	if !ran {
+		t.Fatal("the shard-1 event never ran")
+	}
+	held.Release()
+	if p.Outstanding() != 0 || p.Gets() != p.Recycled() {
+		t.Fatalf("Outstanding = %d, gets %d, recycled %d after the run", p.Outstanding(), p.Gets(), p.Recycled())
 	}
 }

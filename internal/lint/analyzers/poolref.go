@@ -44,9 +44,7 @@ var Poolref = &analysis.Analyzer{
 var poolGetFuncs = map[string]bool{
 	"(*kite/internal/framepool.Pool).Get":  true,
 	"(*kite/internal/framepool.Pool).From": true,
-	"(*kite/internal/framepool.Arena).Get": true,
 	"(*kite/internal/blkpool.Pool).Get":    true,
-	"(*kite/internal/blkpool.Arena).Get":   true,
 }
 
 func runPoolref(pass *analysis.Pass) error {

@@ -18,9 +18,9 @@ var loadOnce = sync.OnceValues(func() (*analysis.Module, error) {
 
 // TestLintCleanTree is the suite's own acceptance test: every analyzer
 // over every package of the module must report nothing. A regression that
-// reintroduces an allocation on a hot path, a leaked pool buffer, a
-// scheduling call in a release handler, or wall-clock time, a goroutine or
-// a package-level write in the simulator fails here (and in `make lint`,
+// reintroduces an allocation on a hot path, a leaked pool buffer, or
+// wall-clock time, a goroutine or a package-level write in the simulator
+// fails here (and in `make lint`,
 // which runs the same code). TestMutationsCaught is the other direction.
 func TestLintCleanTree(t *testing.T) {
 	mod, err := loadOnce()
@@ -98,7 +98,6 @@ func TestHotPathCoverage(t *testing.T) {
 		{"kite/internal/timewheel", "Add"},
 		{"kite/internal/timewheel", "Advance"},
 		{"kite/internal/timewheel", "link"},
-		{"kite/internal/framepool", "stageRemote"},
 		{"kite/internal/framepool", "Push"},
 		{"kite/internal/framepool", "Pop"},
 	}

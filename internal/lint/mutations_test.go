@@ -76,28 +76,21 @@ var mutations = []mutation{
 	// A frame received as a parameter is outside what poolref tracks; the
 	// leak tests hold these four branches.
 	{id: "P2-leak-rx-full", edit: edit{netbackGo,
-		"\t\tq.stats.RxQueueDrops++\n\t\tframe.ReleaseOn(q.eng)\n",
+		"\t\tq.stats.RxQueueDrops++\n\t\tframe.Release()\n",
 		"\t\tq.stats.RxQueueDrops++\n"},
 		caught: []string{"TestRxDropBranchesReleaseFrames/queue_full"}},
 	{id: "P3-leak-dead-down", edit: edit{netbackGo,
-		"\tif v.dead || v.down {\n\t\tframe.ReleaseOn(q.eng)\n",
-		"\tif v.dead || v.down {\n"},
+		"\tv := q.v\n\tif v.dead || v.down {\n\t\tframe.Release()\n",
+		"\tv := q.v\n\tif v.dead || v.down {\n"},
 		caught: []string{"TestRxDropBranchesReleaseFrames/down_before_the_hand-off_lands", "TestRxDropBranchesReleaseFrames/dead_before_the_hand-off_lands"}},
 	{id: "P4-leak-flood-copy", edit: edit{netbackGo,
 		"\t\t\tcopy(c.Extend(frame.Len()), frame.Bytes())\n\t\t\tframe.Release()\n",
 		"\t\t\tcopy(c.Extend(frame.Len()), frame.Bytes())\n"},
 		caught: []string{"TestFleetBroadcastFloodLeaksNothing"}},
 	{id: "P5-leak-tx-error", edit: edit{netbackGo,
-		"\t\t\t\tif b != nil {\n\t\t\t\t\tb.ReleaseOn(q.eng)\n\t\t\t\t}\n",
+		"\t\t\t\tif b != nil {\n\t\t\t\t\tb.Release()\n\t\t\t\t}\n",
 		""},
 		caught: []string{"TestNetbackSurvivesHostileTxRequests"}},
-
-	// relpure: a PriRelease handler that schedules. Only sim.events moves.
-	{id: "R1-release-schedules", edit: edit{netbackGo,
-		"ds.txOutFree = append(ds.txOutFree, a.(*txBatch)) }",
-		"ds.txOutFree = append(ds.txOutFree, a.(*txBatch)); ds.eng.After(0, func() {}) }"},
-		fires: []string{"relpure: PriRelease handler func literal re-enters the scheduler via sim.After"},
-		race:  true},
 
 	// simdet, one row per clause. D1-D4 sit in code no determinism test runs
 	// twice (the suite diffs FIG4/6/7/11 and the fleet; these are FIG8/10/14).
@@ -155,10 +148,6 @@ var mutations = []mutation{
 		"\t\t\tl.unlink(s)\n\t\t\tm.deficit = 0",
 		"\t\t\tl.unlink(s)\n\t\t\tl.unlink(s)\n\t\t\tm.deficit = 0"},
 		caught: []string{"TestLaneAgainstModel"}},
-	{id: "RL5-stage-twice", edit: edit{"internal/framepool/framepool.go",
-		"\tstageRemote(local, b)\n}",
-		"\tstageRemote(local, b)\n\tstageRemote(local, b)\n}"},
-		caught: []string{"TestHandOffFormsAdmitAlike", "TestFleetSummary"}},
 	// evblock:
 	{id: "E1-step-in-handler", edit: edit{netbackGo, onEvent, onEvent + "\tq.eng.Step()\n"},
 		caught: []string{"TestFleetFootprint"}},

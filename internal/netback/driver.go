@@ -75,11 +75,11 @@ const laneQuantum = 16 << 10
 // pusher/soft_start threads per VIF, it creates one service lane per shard
 // (lane i pinned to vCPU i on shards[i], forwarding on the vCPUs after the
 // lane block) and connecting single-queue frontends are assigned to lanes.
-// Each lane owns one drain state — one arena, one set of scratch slices and
-// one bridge carrier however many tenants it serves: its members charge the
-// lane vCPU in execution order, so their stamped bridge arrival times are
-// monotone and the single-producer contract bridge.Lane.InputAt requires
-// holds across tenants. Whatever a round's Tx drains staged leaves for the
+// Each lane owns one drain state — one set of scratch slices and one bridge
+// carrier however many tenants it serves: its members charge the lane vCPU
+// in execution order, so their stamped bridge arrival times are monotone
+// and the single-producer contract bridge.Lane.InputAt requires holds
+// across tenants. Whatever a round's Tx drains staged leaves for the
 // bridge in one carrier post at the end of the round. Must be called before
 // any frontend connects.
 func (d *Driver) SetFleet(shards []*sim.Engine) {
@@ -90,7 +90,7 @@ func (d *Driver) SetFleet(shards []*sim.Engine) {
 		fwd := min(len(shards)+i, d.dom.CPUs.Len()-1)
 		cpu := d.dom.CPUs.CPU(i)
 		cpu.SetEngine(sh)
-		ds := newDrainState(d.pool, sh, d.eng, d.br.NewLane(d.dom.CPUs.CPU(fwd)))
+		ds := newDrainState(sh, d.eng, d.br.NewLane(d.dom.CPUs.CPU(fwd)))
 		d.laneDS[i] = ds
 		lanes[i] = pvback.NewLane("netback", i, d.dom, sh, cpu, d.costs.WakeLatency, laneQuantum, ds.postTx)
 	}

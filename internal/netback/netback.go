@@ -16,24 +16,24 @@
 // A VIF is sharded per negotiated queue, like multi-queue xen-netback: one
 // pusher + one soft_start per queue, pinned to distinct vCPUs of the
 // driver domain, each with its own persistent-grant cache, pending queues
-// and drain state (framepool arena, scratch slices, bridge carrier), so
-// dedicated-worker queues share nothing on the hot path. Guest-bound frames
-// are steered with the same seeded RSS hash the frontend uses, so both
-// directions of a flow ride one queue.
+// and drain state (scratch slices, bridge carrier), so dedicated-worker
+// queues share nothing but the frame pool on the hot path. Guest-bound
+// frames are steered with the same seeded RSS hash the frontend uses, so
+// both directions of a flow ride one queue.
 //
 // Fleet mode is the deliberate exception: the single-queue VIFs of one
 // service lane (pvback.Lane) are served one after another by one worker, so
-// they share the lane's drain state by design — one arena, one set of scratch slices
+// they share the lane's drain state by design — one set of scratch slices
 // and one bridge carrier per lane, however many tenants it serves. Only
 // what is a tenant's by nature (rings, event channel, persistent-grant
 // cache, guest-bound backlog, counters) stays per VIF.
 //
 // Under a sharded cluster each queue additionally runs on its own cluster
 // shard (the same shard as its frontend peer, so the ring pair has a single
-// owner): workers, event channel, grant copies, and the Tx arena all live
-// there, and the only cross-shard traffic is the matured-frame hand-off to
-// the bridge and the bridge's guest-bound delivery — conservative posts at
-// the bridge hand-off latency.
+// owner): workers, event channel and grant copies all live there, and the
+// only cross-shard traffic is the matured-frame hand-off to the bridge and
+// the bridge's guest-bound delivery — conservative posts at the bridge
+// hand-off latency.
 package netback
 
 import (
@@ -191,21 +191,16 @@ type timedFrame struct {
 }
 
 // drainState is what a ring drain needs beyond the rings it serves: the
-// framepool arena its Tx buffers come from, the request/op/buffer scratch,
-// and (sharded) the carrier taking matured frames to the bridge. None of it
-// is a tenant's by nature. A dedicated-worker queue owns one; the members
-// of a service lane share their lane's — a DRR round serves them one after
-// another on one vCPU, so no two tenants ever use it at once, and a copy
-// per tenant would only spread the round's working set over as many cache
-// lines (and cross-shard posts) as there are tenants.
+// request/op/buffer scratch and (sharded) the carrier taking matured frames
+// to the bridge. None of it is a tenant's by nature. A dedicated-worker
+// queue owns one; the members of a service lane share their lane's — a DRR
+// round serves them one after another on one vCPU, so no two tenants ever
+// use it at once, and a copy per tenant would only spread the round's
+// working set over as many cache lines (and cross-shard posts) as there are
+// tenants.
 type drainState struct {
 	eng *sim.Engine // owning shard (the VIF engine unsharded)
 	dev *sim.Engine // the bridge's shard
-
-	// arena partitions the shared frame pool: Tx frames are grant-copied
-	// into arena buffers that recycle back here, so drain states never
-	// trade buffers, and a window's remote releases come home in one post.
-	arena *framepool.Arena
 
 	// Reusable batch scratch: request/op/buffer slices grow to the burst
 	// high-water mark and are then reused forever (zero steady-state
@@ -218,12 +213,11 @@ type drainState struct {
 	// Sharded, matured frames ride to the bridge in txBatch carriers: one
 	// cross-shard post per pusher haul or per lane round, each entry
 	// stamped with its true bridge-arrival time (see inputBatch). txOut is
-	// the carrier being filled; txOutFree recycles consumed carriers,
-	// returned by the barrier via txOutFreeF.
-	txOut      *txBatch
-	txOutFree  []*txBatch
-	txOutFreeF func(any)
-	inputF     func(any)
+	// the carrier being filled; txOutFree recycles the carriers inputBatch
+	// has consumed.
+	txOut     *txBatch
+	txOutFree []*txBatch
+	inputF    func(any)
 
 	// brLane is the pinned forwarding lane on the bridge (one forwarding
 	// vCPU + egress FIFO per drain state), which is what makes the
@@ -234,21 +228,15 @@ type drainState struct {
 }
 
 // newDrainState builds the drain state of one queue or lane homed on eng,
-// handing frames to the bridge on dev. Sharded (brLane non-nil), the arena
-// is pinned to eng so remote releases ride the staged return path.
-func newDrainState(pool *framepool.Pool, eng, dev *sim.Engine, brLane *bridge.Lane) *drainState {
+// handing frames to the bridge on dev (sharded when brLane is non-nil).
+func newDrainState(eng, dev *sim.Engine, brLane *bridge.Lane) *drainState {
 	ds := &drainState{
 		eng: eng, dev: dev, brLane: brLane,
-		arena:  pool.NewArena(),
 		txReqs: make([]netif.TxRequest, 0, netif.RingSize),
 		ops:    make([]xen.CopyOp, 0, netif.RingSize),
 		bufs:   make([]*framepool.Buf, 0, netif.RingSize),
 	}
-	if brLane != nil {
-		ds.arena.SetHome(eng)
-	}
 	ds.inputF = ds.inputBatch
-	ds.txOutFreeF = func(a any) { ds.txOutFree = append(ds.txOutFree, a.(*txBatch)) } //kite:alloc-ok free list grows to the in-flight high-water mark
 	return ds
 }
 
@@ -257,8 +245,8 @@ func newDrainState(pool *framepool.Pool, eng, dev *sim.Engine, brLane *bridge.La
 // each frame's true bridge-arrival time (copy maturity + hand-off latency,
 // nondecreasing within a carrier), and the bridge replays them through
 // InputAt, so the one-post execution reproduces the exact per-frame
-// timeline. Consumed carriers ride a PriRelease post home and are reclaimed
-// at the window barrier.
+// timeline. A consumed carrier goes straight back on the drain state's free
+// list.
 type txBatch struct {
 	entries []timedFrame
 }
@@ -295,7 +283,7 @@ func (ds *drainState) postTx() {
 }
 
 // inputBatch replays one carrier's frames into the bridge at their stamped
-// arrival times, then sends the carrier home for barrier reclamation. A
+// arrival times, then puts the emptied carrier back on the free list. A
 // frame whose VIF was torn down while the carrier was in flight is dropped:
 // its port has left the bridge. Runs on the device shard.
 func (ds *drainState) inputBatch(a any) {
@@ -303,14 +291,14 @@ func (ds *drainState) inputBatch(a any) {
 	for i := range bt.entries {
 		e := &bt.entries[i]
 		if e.from.dead {
-			e.frame.ReleaseOn(ds.dev)
+			e.frame.Release()
 		} else {
 			ds.brLane.InputAt(e.from, e.frame, e.at)
 		}
 		*e = timedFrame{}
 	}
 	bt.entries = bt.entries[:0]
-	ds.dev.Post(ds.eng, shardHandoff, sim.PriRelease, ds.txOutFreeF, bt)
+	ds.txOutFree = append(ds.txOutFree, bt)
 }
 
 // newVIF builds the instance shell shared by both constructors.
@@ -407,15 +395,10 @@ func NewVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 			if fwd >= dom.CPUs.Len() {
 				fwd = dom.CPUs.Len() - 1
 			}
-			q.ds = newDrainState(v.pool, q.eng, eng, br.NewLane(dom.CPUs.CPU(fwd)))
-			// Remote releases reach this arena a lookahead window late;
-			// a ring's worth of slack keeps the Tx haul allocation-free
-			// through that pipeline (a fleet lane's arena instead grows to
-			// its round's high-water mark in warm-up).
-			q.ds.arena.Prealloc(netif.RingSize)
+			q.ds = newDrainState(q.eng, eng, br.NewLane(dom.CPUs.CPU(fwd)))
 		} else {
 			q.cpu = dom.CPUs.CPU((int(frontDom) + i) % dom.CPUs.Len())
-			q.ds = newDrainState(v.pool, eng, eng, nil)
+			q.ds = newDrainState(eng, eng, nil)
 		}
 		if err := v.bindQueue(q, frontPorts[i]); err != nil {
 			return nil, err
@@ -655,7 +638,7 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 				bufs = append(bufs, nil)
 				continue
 			}
-			b := ds.arena.Get()
+			b := v.pool.Get()
 			ops = append(ops, xen.CopyOp{
 				Src: xen.CopyPtr{Dom: v.frontDom, Ref: req.Ref, Offset: req.Offset},
 				Dst: xen.CopyPtr{Data: b.Extend(req.Len)},
@@ -680,7 +663,7 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 				status = netif.StatusError
 				q.stats.TxErrors++
 				if b != nil {
-					b.ReleaseOn(q.eng)
+					b.Release()
 				}
 			} else {
 				q.stats.TxFrames++
@@ -794,12 +777,12 @@ func (v *VIF) Deliver(frame *framepool.Buf) {
 func (q *vifQueue) rxEnqueue(frame *framepool.Buf) {
 	v := q.v
 	if v.dead || v.down {
-		frame.ReleaseOn(q.eng)
+		frame.Release()
 		return
 	}
 	if q.rxQueue.Len() >= v.costs.RxQueueFrames {
 		q.stats.RxQueueDrops++
-		frame.ReleaseOn(q.eng)
+		frame.Release()
 		return
 	}
 	q.rxQueue.Push(frame)
@@ -890,7 +873,7 @@ func (q *vifQueue) drainRxBudget(budget int) (used int, more bool) {
 				metrics.NetQueueRxFrames.Add(1)
 			}
 			q.rx.PushResponse(netif.RxResponse{ID: req.ID, Offset: 0, Len: batch[i].Len(), Status: status})
-			batch[i].ReleaseOn(q.eng)
+			batch[i].Release()
 		}
 		ds.ops = ops[:0]
 		ds.bufs = batch[:0]

@@ -27,14 +27,14 @@
 // on one queue and in order; non-IP traffic rides queue 0.
 //
 // When the rig runs a sharded cluster (Config.Shards), each queue is pinned
-// to one cluster shard and one guest vCPU: its ring work, event channel,
-// and Rx buffer arena live entirely on that shard, and the only cross-shard
-// traffic is the qdisc hand-off from the stack (shard 0) to the queue and
-// the delivery of received frames back — both conservative posts riding the
-// guest's softirq dispatch latency. A hand-off is one post per burst per
-// queue, and the burst travels as its own frames (a framepool.Chain): there
-// is no carrier to fill, send home and recycle, so a burst of one costs
-// exactly one post.
+// to one cluster shard and one guest vCPU: its ring work and event channel
+// live entirely on that shard, and the only cross-shard traffic is the
+// qdisc hand-off from the stack (shard 0) to the queue and the delivery of
+// received frames back — both conservative posts riding the guest's
+// softirq dispatch latency. A hand-off is one post per burst per queue, and
+// the burst travels as its own frames (a framepool.Chain): there is no
+// carrier to fill, send home and recycle, so a burst of one costs exactly
+// one post.
 package netfront
 
 import (
@@ -106,10 +106,6 @@ type queue struct {
 	// one buffer reference.
 	txBacklog sim.FIFO[*framepool.Buf]
 	rxBufs    [netif.RingSize]rxBuf
-
-	// rxArena partitions the frame pool per queue when sharded, so Rx
-	// buffers recycle on this queue's shard; nil means the shared pool.
-	rxArena *framepool.Arena
 
 	// landF is the cached cross-shard qdisc hand-off target (land).
 	landF func(any)
@@ -319,15 +315,13 @@ func (d *Device) initRings() {
 		}
 		if sharded {
 			// Queue i lives on shard i's engine, on guest vCPU i; the stack
-			// keeps the last vCPU. The Rx arena recycles on the same shard.
-			// Every stack<->queue dispatch models at least shardHandoff of
-			// latency: declare it as the edge bound for the pair.
+			// keeps the last vCPU. Every stack<->queue dispatch models at
+			// least shardHandoff of latency: declare it as the edge bound for
+			// the pair.
 			q.eng = d.shards[i]
 			sim.DeclareLink(d.eng, q.eng, shardHandoff)
 			q.cpu = d.dom.CPUs.CPU(i)
 			q.cpu.SetEngine(q.eng)
-			q.rxArena = d.pool.NewArena()
-			q.rxArena.SetHome(q.eng)
 			q.replay = sim.NewBatch(q.eng, q.replayPending)
 		}
 		q.landF = q.land
@@ -595,13 +589,13 @@ func (q *queue) replayPending() {
 func (q *queue) enqueue(frame *framepool.Buf) bool {
 	if frame.Len() > mem.PageSize {
 		q.stats.TxErrors++
-		frame.ReleaseOn(q.eng)
+		frame.Release()
 		return false
 	}
 	if q.tx.Full() {
 		if q.txBacklog.Len() >= txBacklogCap {
 			q.stats.TxRingFull++
-			frame.ReleaseOn(q.eng)
+			frame.Release()
 			return false
 		}
 		q.txBacklog.Push(frame)
@@ -631,7 +625,7 @@ func (q *queue) pushTx(frame *framepool.Buf) bool {
 	}
 	copy(slot.data, frame.Bytes())
 	slot.inFlight = true
-	frame.ReleaseOn(q.eng)
+	frame.Release()
 	q.tx.PushRequest(netif.TxRequest{ID: id, Ref: slot.ref, Offset: 0, Len: n})
 	q.stats.TxFrames++
 	q.stats.TxBytes += uint64(n)
@@ -702,7 +696,7 @@ func (q *queue) reapRx() {
 			q.stats.RxFrames++
 			q.stats.RxBytes += uint64(rsp.Len)
 			if d.recv != nil {
-				b := q.getRxBuf()
+				b := d.pool.Get()
 				copy(b.Extend(rsp.Len), buf.page.Bytes()[rsp.Offset:rsp.Offset+rsp.Len])
 				if q.eng != d.eng {
 					// Deliver to the stack's shard (softirq dispatch).
@@ -720,15 +714,6 @@ func (q *queue) reapRx() {
 	if posted > 0 && q.rx.PushRequestsAndCheckNotify() {
 		d.dom.Notify(q.port)
 	}
-}
-
-// getRxBuf draws a delivery buffer from the queue's shard-local arena, or
-// the shared pool when unsharded.
-func (q *queue) getRxBuf() *framepool.Buf {
-	if q.rxArena != nil {
-		return q.rxArena.Get()
-	}
-	return q.d.pool.Get()
 }
 
 // EventPort returns queue 0's event channel port (read by the backend from

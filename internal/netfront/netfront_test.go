@@ -60,7 +60,6 @@ func newRig(t *testing.T) *rig {
 	bus := xenbus.New(xenstore.New(eng))
 	reg := pvback.NewRegistry()
 	pool := framepool.New()
-	pool.SetHome(eng)
 
 	r := &rig{t: t, cl: cl, eng: eng, pool: pool, bus: bus, consume: true}
 	mac := netpkt.XenMAC(uint16(guest.ID), 0)

@@ -225,7 +225,7 @@ func (s *Stack) linkDown() {
 	s.arp = make(map[netpkt.IP]netpkt.MAC)
 	for _, queued := range s.arpPending { //kite:orderok every parked frame is released; pooled buffers are interchangeable
 		for _, b := range queued {
-			b.ReleaseOn(s.eng)
+			b.Release()
 		}
 	}
 	s.arpPending = make(map[netpkt.IP][]*framepool.Buf)
@@ -418,9 +418,7 @@ func (s *Stack) flushRx() {
 	for s.rxq.Len() > 0 && s.rxq.Peek().at <= now {
 		b := s.rxq.Pop().buf
 		s.handleFrame(b.Bytes())
-		// Delivered frames may live in a queue-shard arena (netfront Rx,
-		// netback Tx): route the last reference back to its home shard.
-		b.ReleaseOn(s.eng)
+		b.Release()
 	}
 	if p := s.rxq.Peek(); p != nil {
 		s.rxFlush.Arm(p.at)

@@ -135,7 +135,7 @@ func (n *NIC) Send(frame *framepool.Buf) bool {
 	}
 	if n.QueuedBytes() > n.cfg.TxQueueBytes {
 		n.stats.TxDrops++
-		frame.ReleaseOn(n.eng)
+		frame.Release()
 		return false
 	}
 	start := n.eng.Now()
@@ -163,7 +163,7 @@ func (n *NIC) deliverArrived() {
 		if n.recv != nil {
 			n.recv(frame)
 		} else {
-			frame.ReleaseOn(n.eng)
+			frame.Release()
 		}
 	}
 	if p := n.inbound.Peek(); p != nil {

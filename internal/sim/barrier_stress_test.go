@@ -9,13 +9,13 @@ import (
 // barrierStress builds an adversarial 8-shard workload — lookahead 1, so
 // nearly every event opens its own window — and returns the cluster with a
 // function rendering a byte-exact summary of everything observable:
-// per-shard event traces with timestamps, event totals, cross-shard post
-// counts, and what the barrier-executed releases delivered. The workload
-// mixes local schedule churn, PriData ring posts, PriData side posts that
-// land on a shard at the same instant as the ring's, and PriRelease fan-out
-// posts, so same-timestamp merges across sources, barrier-executed
-// releases, and fused windows all occur. With declareEdges the same traffic runs under a
-// per-edge lookahead matrix instead of the uniform fallback.
+// per-shard event traces with timestamps, event totals and cross-shard post
+// counts. The workload mixes local schedule churn, PriData ring posts, and
+// side posts — every third at priLate — that land on a shard at the same
+// instant as the ring's, so same-timestamp merges across sources and
+// priorities and fused windows all occur. With declareEdges the same
+// traffic runs under a per-edge lookahead matrix instead of the uniform
+// fallback.
 //
 // Window and fusion counts stay out of the summary: they say how a run was
 // cut up, and the two drivers compared below cut it differently on purpose.
@@ -34,8 +34,6 @@ func barrierStress(declareEdges bool) (*Cluster, func() string) {
 	traces := make([]*strings.Builder, shards)
 	handlers := make([]func(any), shards)
 	sides := make([]func(any), shards)
-	releases := make([]func(any), shards)
-	relCount, relSum := make([]int, shards), make([]int, shards)
 	for i := 0; i < shards; i++ {
 		traces[i] = &strings.Builder{}
 	}
@@ -43,16 +41,8 @@ func barrierStress(declareEdges bool) (*Cluster, func() string) {
 		i := i
 		e := c.Shard(i)
 		tr := traces[i]
-		// Terminal sink for PriRelease fan-out. It keeps the release
-		// contract: pure bookkeeping, commutative, blind to the clock and to
-		// when in the window it runs — which is why a count and a sum, not
-		// a trace line, are what it leaves behind.
-		releases[i] = func(a any) {
-			relCount[i]++
-			relSum[i] += a.(int)
-		}
-		// Terminal sink for the PriData side posts (spawns nothing, so the
-		// token population stays bounded).
+		// Terminal sink for the side posts (spawns nothing, so the token
+		// population stays bounded).
 		sides[i] = func(a any) {
 			fmt.Fprintf(tr, "s%d t%d side h%d;", i, e.Now(), a.(int))
 		}
@@ -68,11 +58,11 @@ func barrierStress(declareEdges bool) (*Cluster, func() string) {
 			}
 			e.Post(c.Shard((i+1)%shards), 1, PriData, handlers[(i+1)%shards], hop+1)
 			j := (i*3 + 1) % shards
+			pri := PriData
 			if hop%3 == 0 {
-				e.Post(c.Shard(j), 2, PriRelease, releases[j], hop)
-			} else {
-				e.Post(c.Shard(j), 2, PriData, sides[j], hop)
+				pri = priLate
 			}
+			e.Post(c.Shard(j), 2, pri, sides[j], hop)
 		}
 	}
 	// Seed several shards at staggered times so windows start with real
@@ -85,7 +75,7 @@ func barrierStress(declareEdges bool) (*Cluster, func() string) {
 		var sum strings.Builder
 		fmt.Fprintf(&sum, "events=%d posts=%d\n", c.Processed(), c.Posted())
 		for i := 0; i < shards; i++ {
-			fmt.Fprintf(&sum, "shard%d=%d releases=%d/%d\n", i, c.Shard(i).ProcessedLocal(), relCount[i], relSum[i])
+			fmt.Fprintf(&sum, "shard%d=%d\n", i, c.Shard(i).ProcessedLocal())
 		}
 		for i := 0; i < shards; i++ {
 			sum.WriteString(traces[i].String())
@@ -99,9 +89,9 @@ func barrierStress(declareEdges bool) (*Cluster, func() string) {
 // window sizes and asserts the run is byte-identical to the Step-driven
 // replay of the same workload — one globally earliest event at a time, the
 // barrier merged after each, no horizon anywhere: same event totals, same
-// posts, same per-shard traces, same releases. A horizon one tick too
-// generous, a sprint that outlives a data post, or a merge that reorders a
-// window boundary shows up as a trace diff.
+// posts, same per-shard traces. A horizon one tick too generous, a sprint
+// that outlives a post, or a merge that reorders a window boundary shows up
+// as a trace diff.
 func TestBarrierStressAdversarial(t *testing.T) {
 	for _, declare := range []bool{false, true} {
 		name := "uniform"

@@ -21,9 +21,9 @@ package sim
 //     and running them one after another, in shard order, yields the same
 //     per-shard timelines as the global-order replay Step performs.
 //   - A shard no active shard can reach (dist == infinity, or nothing else
-//     active) runs *free* — no horizon at all — until it stages a data
-//     post, at which point the destination gains a future event that could
-//     boomerang back, so the sprint ends at the next barrier.
+//     active) runs *free* — no horizon at all — until it stages a post, at
+//     which point the destination gains a future event that could boomerang
+//     back, so the sprint ends at the next barrier.
 //   - At the barrier, outboxes are merged into per-shard inboxes ordered by
 //     the total (timestamp, priority, source shard, source sequence) key.
 //     Barriers that staged no posts are *fused*: the next window starts
@@ -44,26 +44,10 @@ package sim
 
 import "fmt"
 
-// Cross-shard post priorities: at an equal timestamp, lower runs first.
-// Data hand-offs outrank buffer recycling so a frame is always delivered
-// before the pool slot it vacated is reused.
-//
-// PriRelease posts are resource returns (buffer recycling, carrier
-// reclamation): order-insensitive among themselves and free of timeline
-// effects. The barrier executes them directly in merge order instead of
-// queueing one inbox event per return — returning a resource one window
-// early only ever *adds* availability, so the event timeline is unchanged
-// while the per-frame recycle traffic costs no shard events at all. A
-// release fn must therefore be pure local bookkeeping: it may not read the
-// clock, schedule, or post (kitelint's relpure proves it). With one
-// goroutine nothing races here; purity is what keeps barrier-time release
-// timeline-neutral. Releasing inline instead would drop these posts from
-// Posted and the events they save from Processed — counts the committed sim
-// digests pin — so the post-and-barrier form stays.
-const (
-	PriData    uint8 = 100
-	PriRelease uint8 = 200
-)
+// PriData is the equal-timestamp merge rank every post in the tree carries
+// (lower runs first). The rank stays in Post's signature and in the merge
+// key because benchmark/ — frozen — passes it (ROADMAP, Housekeeping).
+const PriData uint8 = 100
 
 // postRec is one staged cross-shard event. Records live in outbox/inbox
 // slices whose spare capacity is recycled, so steady-state posting does not
@@ -169,9 +153,6 @@ func (c *Cluster) Shard(i int) *Engine { return c.shards[i] }
 
 // Rand returns shard i's partitioned RNG.
 func (c *Cluster) Rand(i int) *Rand { return c.rngs[i] }
-
-// Lookahead returns the minimum cross-shard post delay.
-func (c *Cluster) Lookahead() Time { return c.lookahead }
 
 // Windows returns how many execution windows have run.
 func (c *Cluster) Windows() uint64 { return c.windows }
@@ -414,13 +395,11 @@ func (c *Cluster) staged() bool {
 // Per destination the inbound posts form one sorted run per source: a
 // shard's clock only moves forward, so its outbox is out of order only
 // where two posts carried different delays, and sortRun fixes that in
-// place. Releases execute at the barrier itself, in the deterministic
-// (dst, src, seq) visit order, and never become events. The runs — plus
-// whatever part of the unconsumed inbox tail they interleave with — are
-// then k-way merged straight into the inbox: linear in the records moved,
-// where one insertion sort over the concatenated tail went quadratic as
-// soon as several sources interleaved. The merged order is the sorted
-// order because the key is total.
+// place. The runs — plus whatever part of the unconsumed inbox tail they
+// interleave with — are then k-way merged straight into the inbox: linear
+// in the records moved, where one insertion sort over the concatenated tail
+// went quadratic as soon as several sources interleaved. The merged order
+// is the sorted order because the key is total.
 func (c *Cluster) merge() {
 	for di, dst := range c.shards {
 		runs := c.runs[:0]
@@ -432,24 +411,8 @@ func (c *Cluster) merge() {
 			if len(ob) == 0 {
 				continue
 			}
-			// Compact the data posts to the front of the outbox, running
-			// the resource returns as they are passed.
-			m := 0
-			for i := range ob {
-				p := &ob[i]
-				if p.pri == PriRelease {
-					p.fn(p.arg)
-					continue
-				}
-				if m != i {
-					ob[m] = *p
-				}
-				m++
-			}
-			if m > 0 {
-				sortRun(ob[:m])
-				runs = append(runs, ob[:m]) //kite:alloc-ok one header per source shard plus the inbox tail: capacity fixed at NewCluster
-			}
+			sortRun(ob)
+			runs = append(runs, ob) //kite:alloc-ok one header per source shard plus the inbox tail: capacity fixed at NewCluster
 			c.posted += uint64(len(ob))
 		}
 		if len(runs) > 0 {
@@ -639,20 +602,9 @@ func (e *Engine) Post(dst *Engine, delay Time, pri uint8, fn func(any), arg any)
 	}
 	e.postSeq++
 	e.stagedPosts++
-	if pri != PriRelease {
-		e.dataPosts++
-	}
 	e.outbox[dst.shard] = append(e.outbox[dst.shard], //kite:alloc-ok outbox grows to the burst high-water mark, then recycles
 		postRec{at: e.now + delay, pri: pri, src: uint16(e.shard), seq: e.postSeq, fn: fn, arg: arg})
 }
-
-// Cluster returns the cluster this engine belongs to, or nil for a
-// standalone engine.
-func (e *Engine) Cluster() *Cluster { return e.cluster }
-
-// ShardID returns this engine's shard index within its cluster (0 for a
-// standalone engine).
-func (e *Engine) ShardID() int { return e.shard }
 
 // ProcessedLocal returns the events executed by this engine alone — the
 // per-shard view of Processed, which reports the whole cluster.
@@ -733,22 +685,22 @@ func (e *Engine) runTo(horizon Time, budget uint64) uint64 {
 }
 
 // runFree executes local events with timestamps strictly before limit, up
-// to budget, stopping after any event that stages a data post. Only shards
+// to budget, stopping after any event that stages a post. Only shards
 // with the free-sprint horizon run it: the no-peeking guarantee shards
 // normally get from the lookahead horizon instead comes from no *active*
 // shard having a post path to this one — and the sprint ends at the first
-// data post because the destination then holds a future event that could
-// chain back.
+// post because the destination then holds a future event that could chain
+// back.
 func (e *Engine) runFree(limit Time, budget uint64) uint64 {
 	var done uint64
-	seq := e.dataPosts
+	seq := e.postSeq
 	for e.inboxHead < len(e.inbox) {
-		if done >= budget || e.dataPosts != seq || !e.stepLocal(limit) {
+		if done >= budget || e.postSeq != seq || !e.stepLocal(limit) {
 			return done
 		}
 		done++
 	}
-	for done < budget && e.dataPosts == seq && len(e.heap) > 0 && e.heap[0].at < limit {
+	for done < budget && e.postSeq == seq && len(e.heap) > 0 && e.heap[0].at < limit {
 		e.stepHeap()
 		done++
 	}

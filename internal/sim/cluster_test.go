@@ -40,10 +40,7 @@ func buildPingPong(shards, tokens int, declareEdges bool) (*Cluster, [][]string)
 			}
 			t.hops--
 			next := (i + 1) % shards
-			// Vary the delay deterministically from the shard RNG. Hops are
-			// always PriData: they carry timeline effects (they re-post), which
-			// PriRelease posts — executed as pure bookkeeping at the barrier —
-			// are not allowed to do.
+			// Vary the delay deterministically from the shard RNG.
 			delay := lookahead + Time(c.Rand(i).Intn(3))*50*Nanosecond
 			e.Post(c.Shard(next), delay, PriData, hop(next), t)
 		}
@@ -127,7 +124,9 @@ func TestClusterSerialParallelIdentical(t *testing.T) {
 // buildEcho is the free sprint's test: shard 0 ticks alone — nothing else is
 // active, so it runs without a horizon — and twice asks idle shard 1 for an
 // echo that lands back between two of its later ticks. The sprint has to end
-// at each request, or the echo arrives in shard 0's past.
+// at each request — whatever its rank: the second is the only post shard 0
+// stages in that sprint and goes out at priLate — or the echo arrives in
+// shard 0's past.
 func buildEcho() (*Cluster, *[]string) {
 	const lookahead = 5 * Nanosecond
 	c := NewCluster(2, lookahead, 1)
@@ -139,8 +138,11 @@ func buildEcho() (*Cluster, *[]string) {
 	var tick func()
 	tick = func() {
 		trace = append(trace, fmt.Sprintf("tick%d @%d", n, s0.Now()))
-		if n++; n == 10 || n == 40 {
+		switch n++; n {
+		case 10:
 			s0.Post(s1, lookahead, PriData, reflect, n)
+		case 40:
+			s0.Post(s1, lookahead, priLate, reflect, n)
 		}
 		if n < 100 {
 			s0.After(3*Nanosecond, tick)
@@ -189,27 +191,24 @@ func TestClusterPostBelowLookaheadPanics(t *testing.T) {
 	c.Shard(0).Post(c.Shard(1), 200*Nanosecond, PriData, func(any) {}, nil)
 }
 
-// TestClusterMergeOrdering: data posts landing at one timestamp on one
-// shard run in (source shard, source seq) order regardless of post order,
-// while PriRelease posts are executed as bookkeeping at the barrier of the
-// window that staged them — ahead of next-window data events, and never as
-// destination-shard events.
+// TestClusterMergeOrdering: posts landing at one timestamp on one shard run
+// in (priority, source shard, source seq) order regardless of post order,
+// each as an event of the destination shard.
 func TestClusterMergeOrdering(t *testing.T) {
 	c := NewCluster(3, 100*Nanosecond, 1)
 	var got []string
 	rec := func(tag string) func(any) {
 		return func(any) { got = append(got, tag) }
 	}
-	// Both data posts mature at t=100 on shard 0; post them in an order that
-	// differs from the deterministic key order. The release is staged with
-	// the same maturity but runs at the first barrier instead.
-	c.Shard(2).Post(c.Shard(0), 100*Nanosecond, PriRelease, rec("s2-release"), nil)
+	// All three posts mature at t=100 on shard 0; post them in an order that
+	// differs from the deterministic key order.
+	c.Shard(2).Post(c.Shard(0), 100*Nanosecond, priLate, rec("s2-late"), nil)
 	c.Shard(2).Post(c.Shard(0), 100*Nanosecond, PriData, rec("s2-data"), nil)
 	c.Shard(1).Post(c.Shard(0), 100*Nanosecond, PriData, rec("s1-data"), nil)
 	// A local heap event in the first window runs before the barrier.
 	c.Shard(0).Schedule(100*Nanosecond, func() { got = append(got, "s0-local") })
 	c.Shard(0).Run()
-	want := []string{"s0-local", "s2-release", "s1-data", "s2-data"}
+	want := []string{"s0-local", "s1-data", "s2-data", "s2-late"}
 	if len(got) != len(want) {
 		t.Fatalf("ran %v, want %v", got, want)
 	}
@@ -218,12 +217,11 @@ func TestClusterMergeOrdering(t *testing.T) {
 			t.Fatalf("order %v, want %v", got, want)
 		}
 	}
-	// Releases count as posts but not as destination events: shard 0 executed
-	// only its own local event plus the two merged data posts.
+	// Shard 0 executed its own local event plus the three merged posts.
 	if got, want := c.Posted(), uint64(3); got != want {
 		t.Fatalf("posted %d, want %d", got, want)
 	}
-	if got, want := c.Shard(0).Processed(), uint64(3); got != want {
+	if got, want := c.Shard(0).Processed(), uint64(4); got != want {
 		t.Fatalf("shard 0 processed %d events, want %d", got, want)
 	}
 }

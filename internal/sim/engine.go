@@ -98,8 +98,7 @@ type Engine struct {
 	cluster     *Cluster
 	shard       int
 	outbox      [][]postRec // staged posts, indexed by destination shard
-	postSeq     uint64      // deterministic per-shard post tie-break
-	dataPosts   uint64      // non-release posts staged (ends a free sprint)
+	postSeq     uint64      // posts staged, ever: the merge tie-break, and a free sprint ends when it moves
 	stagedPosts uint64      // posts staged since the last merge (skip empty barriers)
 	inbox       []postRec   // barrier-merged posts, consumed front to back
 	inboxHead   int

@@ -6,23 +6,24 @@ import (
 	"testing"
 )
 
+// priLate is a second merge rank, used by tests only: the tree posts
+// PriData everywhere, but priority is still part of the merge key, so the
+// tests keep posting at two ranks to hold its place in the order.
+const priLate uint8 = 200
+
 // mergeHarness drives Cluster.merge directly with staged outboxes and holds
-// the reference model: per destination, every data post staged and not yet
+// the reference model: per destination, every post staged and not yet
 // consumed. After each barrier the inbox from inboxHead on must equal the
-// model fully sorted by postRec.before, and the releases the barrier ran
-// must have run in (dst, src, seq) order.
+// model fully sorted by postRec.before.
 type mergeHarness struct {
 	t       *testing.T
 	c       *Cluster
 	pending [][]postRec // per destination, unsorted
-	ran     []postRec   // handler log: key of each consumed data post
-	rels    [][3]uint64 // release log of the current barrier: dst, src, seq
-	staged  [][3]uint64 // releases staged since the last barrier
+	ran     []postRec   // handler log: key of each consumed post
 }
 
 type mergeTag struct {
 	h   *mergeHarness
-	dst int
 	key postRec
 }
 
@@ -35,29 +36,20 @@ func onData(a any) {
 	tag.h.ran = append(tag.h.ran, tag.key)
 }
 
-func onRelease(a any) {
-	tag := a.(*mergeTag)
-	tag.h.rels = append(tag.h.rels, [3]uint64{uint64(tag.dst), uint64(tag.key.src), tag.key.seq})
-}
-
 // post stages one post the way a handler running on src at time now would.
-func (h *mergeHarness) post(src, dst int, now, delay Time, release bool) {
+func (h *mergeHarness) post(src, dst int, now, delay Time, late bool) {
 	e := h.c.Shard(src)
 	if now > e.now {
 		e.now = now // a shard's clock only moves forward
 	}
-	tag := &mergeTag{h: h, dst: dst}
-	pri, fn := PriData, onData
-	if release {
-		pri, fn = PriRelease, onRelease
+	tag := &mergeTag{h: h}
+	pri := PriData
+	if late {
+		pri = priLate
 	}
-	e.Post(h.c.Shard(dst), delay, pri, fn, tag)
+	e.Post(h.c.Shard(dst), delay, pri, onData, tag)
 	tag.key = postRec{at: e.now + delay, pri: pri, src: uint16(src), seq: e.postSeq}
-	if release {
-		h.staged = append(h.staged, [3]uint64{uint64(dst), uint64(src), e.postSeq})
-	} else {
-		h.pending[dst] = append(h.pending[dst], tag.key)
-	}
+	h.pending[dst] = append(h.pending[dst], tag.key)
 }
 
 func sameKey(a, b *postRec) bool {
@@ -68,7 +60,6 @@ func sameKey(a, b *postRec) bool {
 func (h *mergeHarness) barrier() {
 	t := h.t
 	t.Helper()
-	h.rels = h.rels[:0]
 	var staged uint64
 	for _, s := range h.c.shards {
 		staged += s.stagedPosts
@@ -100,20 +91,6 @@ func (h *mergeHarness) barrier() {
 			}
 		}
 	}
-	sort.Slice(h.staged, func(i, j int) bool {
-		a, b := h.staged[i], h.staged[j]
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return a[2] < b[2]
-	})
-	if fmt.Sprint(h.rels) != fmt.Sprint(h.staged) {
-		t.Fatalf("releases ran as (dst src seq) %v, want %v", h.rels, h.staged)
-	}
-	h.staged = h.staged[:0]
 }
 
 // consume runs up to n merged posts on dst through the real consumer and
@@ -142,8 +119,8 @@ func (h *mergeHarness) consume(dst, n int) {
 
 // runMergeProgram interprets prog as rounds of (posts..., barrier,
 // consumption). Byte layout per round: a post count, three bytes per post
-// (source and destination, clock advance and delay, flags), then one byte
-// saying how much of which inbox to consume.
+// (source and destination, clock advance and delay, flags — the top flag bit
+// posts at priLate), then one byte saying how much of which inbox to consume.
 func runMergeProgram(t *testing.T, prog []byte) {
 	if len(prog) == 0 {
 		return
@@ -184,11 +161,11 @@ func runMergeProgram(t *testing.T, prog []byte) {
 
 // mergeSeeds are programs built to reach the barrier's corners; the fuzz
 // corpus in testdata/fuzz/FuzzMergeOrder holds further ones (a reversed
-// single source, all-equal timestamps, releases only, fuzzer finds).
+// single source, all-equal timestamps, priLate posts only, fuzzer finds).
 func mergeSeeds() [][]byte {
 	var seeds [][]byte
-	// Five sources interleaving at equal timestamps into shard 0, releases
-	// mixed in, then partial consumption on either side of 64 slots.
+	// Five sources interleaving at equal timestamps into shard 0, priLate
+	// posts mixed in, then partial consumption on either side of 64 slots.
 	for _, eat := range []byte{10, 63, 64, 65, 100} {
 		p := []byte{3} // 5 shards
 		for round := 0; round < 3; round++ {
@@ -219,8 +196,7 @@ func mergeSeeds() [][]byte {
 
 // TestMergeOrderProperty: whatever the sources staged and however much of
 // the inbox was already consumed, the barrier leaves each inbox exactly as
-// a full sort by postRec.before would, and runs releases in (dst, src, seq)
-// order.
+// a full sort by postRec.before would.
 func TestMergeOrderProperty(t *testing.T) {
 	for i, p := range mergeSeeds() {
 		t.Run(fmt.Sprint(i), func(t *testing.T) { runMergeProgram(t, p) })
