@@ -120,11 +120,9 @@ func newSystem(seed uint64, cluster *sim.Cluster) *System {
 		eng = cluster.Shard(0)
 		// The PV transports form a star: every cross-shard hand-off runs
 		// between the home shard (devices, bridge, stacks) and a queue
-		// shard, never queue-to-queue. Declaring exactly those edges lets
-		// the cluster derive per-shard horizons — a queue shard is bounded
-		// by the home shard at one hop but by its sibling queues only at
-		// two (2·ShardLookahead via the closure) — and turns any
-		// undeclared queue-to-queue post into an immediate panic. The
+		// shard, never queue-to-queue. Declaring exactly those edges turns
+		// any undeclared queue-to-queue post into an immediate panic (a
+		// check only: horizons use ShardLookahead for every pair). The
 		// drivers refine these edges with their own hand-off latencies at
 		// pinning time (netback.SetShards/SetFleet, netfront queue setup).
 		for i := 1; i < cluster.Shards(); i++ {

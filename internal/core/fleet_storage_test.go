@@ -3,7 +3,7 @@ package core
 import "testing"
 
 // TestFleetStorageUnderClusterRun drives fleet tenants' vbds with the
-// cluster's own Run loop (windows and barriers) rather than RunReady's
+// cluster's own Run loop (windows and horizons) rather than RunReady's
 // Step: every tenant writes a block and reads it back, and both buffer
 // pools drain.
 func TestFleetStorageUnderClusterRun(t *testing.T) {

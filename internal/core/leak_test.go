@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"kite/internal/framepool"
@@ -72,20 +73,27 @@ func TestRxDropBranchesReleaseFrames(t *testing.T) {
 }
 
 // TestFleetBroadcastFloodLeaksNothing sends one client broadcast into a
-// fleet. The bridge floods it with one reference per tenant port; lane
-// queues live on other shards than the bridge, so each VIF cuts the sharing
-// with a private copy and gives its reference back. Every tenant must see
-// the datagram and the pool must count nothing outstanding.
+// fleet. The bridge floods it as one buffer with a reference per tenant
+// port; lane queues live on other shards than the bridge, and every
+// reference crosses to its shard as is — the Rx path only reads a shared
+// buffer, and whichever tenant finishes last recycles it. Every tenant must
+// see the datagram intact and the pool must count nothing outstanding.
 func TestFleetBroadcastFloodLeaksNothing(t *testing.T) {
 	rig, err := NewFleetRig(FleetConfig{Guests: 4, Lanes: 2, Seed: 0xb0ca57})
 	if err != nil {
 		t.Fatal(err)
 	}
+	payload := pattern(128)
 	got := 0
-	for _, g := range rig.Guests {
-		g.Stack.BindUDP(9000, func(netstack.UDPPacket) { got++ })
+	for i, g := range rig.Guests {
+		g.Stack.BindUDP(9000, func(p netstack.UDPPacket) {
+			if !bytes.Equal(p.Data, payload) {
+				t.Errorf("tenant %d read a corrupted broadcast", i)
+			}
+			got++
+		})
 	}
-	rig.Client.Stack.SendUDP(netpkt.BroadcastIP, 9000, 9001, pattern(128))
+	rig.Client.Stack.SendUDP(netpkt.BroadcastIP, 9000, 9001, payload)
 	rig.System.Eng.Run()
 	if got != len(rig.Guests) {
 		t.Fatalf("broadcast reached %d of %d tenants", got, len(rig.Guests))

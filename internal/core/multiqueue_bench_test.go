@@ -104,7 +104,7 @@ func BenchmarkBlockPathMQ(b *testing.B) {
 				eng.Run()
 			}
 			// Warm at full depth too: the first 128-deep waves grow ring
-			// free lists and merge scratch to their high-water marks, which
+			// free lists and shard inboxes to their high-water marks, which
 			// must not bleed bytes into the timed loop.
 			for w := 0; w < 8; w++ {
 				for i := 0; i < depth; i++ {

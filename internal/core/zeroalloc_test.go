@@ -257,7 +257,7 @@ func TestBlockPathZeroAllocMQ(t *testing.T) {
 				t.Errorf("striped read: %.1f allocs per 256 KiB read, want 0", allocs)
 			}
 			// Byte invariant at depth: a 128-deep stripe-major wave keeps
-			// every queue's rings and merge scratch at their high-water
+			// every queue's rings and shard inboxes at their high-water
 			// marks; once warm, the whole wave must not allocate a byte.
 			wave := func() {
 				for i := 0; i < 128; i++ {

@@ -36,8 +36,8 @@ type MQStats struct {
 	// summary above.
 	Shards  int    // cluster shards (1 + queues when sharded)
 	Windows uint64 // lookahead windows the cluster ran
-	Fused   uint64 // barriers skipped because no shard staged posts
-	Posts   uint64 // cross-shard posts merged at window barriers
+	Fused   uint64 // windows in which no shard posted
+	Posts   uint64 // cross-shard posts made
 
 	// ShardEvents is the per-shard event count — how the timeline's work
 	// actually distributes over the shards. Like windows and posts, it is a

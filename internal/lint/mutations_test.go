@@ -74,7 +74,7 @@ var mutations = []mutation{
 		"\tb := s.pool.Get()\n\tif target == s.ip {\n\t\treturn\n\t}\n\ta := netpkt.ARP{Op: netpkt.ARPRequest, SenderMAC: s.ifc.MAC(), SenderIP: s.ip, TargetIP: target}\n"},
 		fires: []string{"poolref: buffer acquired here is not released"}},
 	// A frame received as a parameter is outside what poolref tracks; the
-	// leak tests hold these four branches.
+	// leak tests hold these three branches.
 	{id: "P2-leak-rx-full", edit: edit{netbackGo,
 		"\t\tq.stats.RxQueueDrops++\n\t\tframe.Release()\n",
 		"\t\tq.stats.RxQueueDrops++\n"},
@@ -83,10 +83,6 @@ var mutations = []mutation{
 		"\tv := q.v\n\tif v.dead || v.down {\n\t\tframe.Release()\n",
 		"\tv := q.v\n\tif v.dead || v.down {\n"},
 		caught: []string{"TestRxDropBranchesReleaseFrames/down_before_the_hand-off_lands", "TestRxDropBranchesReleaseFrames/dead_before_the_hand-off_lands"}},
-	{id: "P4-leak-flood-copy", edit: edit{netbackGo,
-		"\t\t\tcopy(c.Extend(frame.Len()), frame.Bytes())\n\t\t\tframe.Release()\n",
-		"\t\t\tcopy(c.Extend(frame.Len()), frame.Bytes())\n"},
-		caught: []string{"TestFleetBroadcastFloodLeaksNothing"}},
 	{id: "P5-leak-tx-error", edit: edit{netbackGo,
 		"\t\t\t\tif b != nil {\n\t\t\t\t\tb.Release()\n\t\t\t\t}\n",
 		""},
@@ -179,8 +175,8 @@ var mutations = []mutation{
 		caught: []string{"TestForwardPathZeroAllocMQ"}},
 	// atomicscope:
 	{id: "A1-atomic-in-run-loop", edit: edit{"internal/sim/cluster.go",
-		"\t\tc.windows++\n\t\tdone := c.runWindow(limit, budget-total)",
-		"\t\tatomic.AddUint64(&c.windows, 1)\n\t\tdone := c.runWindow(limit, budget-total)"},
+		"\t\tc.windows++\n\t\tposted := c.posted",
+		"\t\tatomic.AddUint64(&c.windows, 1)\n\t\tposted := c.posted"},
 		also:  []edit{{"internal/sim/cluster.go", "import \"fmt\"\n", "import (\n\t\"fmt\"\n\t\"sync/atomic\"\n)\n"}},
 		fires: []string{"simdet: sync/atomic.AddUint64"}},
 }

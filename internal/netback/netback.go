@@ -733,7 +733,9 @@ func (q *vifQueue) flushTx() {
 }
 
 // copyGrant issues the batched hypervisor copy, charging the queue's pinned
-// vCPU when sharded (the pool-level pick would race across shards).
+// vCPU when sharded: the pool-level pick compares every vCPU's busy-until
+// mark, other shards' included, and mid-window those are not where the Step
+// replay has them — the windowed run would stop equalling it.
 func (q *vifQueue) copyGrant(hv *xen.Hypervisor, ops []xen.CopyOp) error {
 	if q.sharded {
 		return hv.CopyGrantOn(q.v.dom, q.cpu, ops)
@@ -757,15 +759,10 @@ func (v *VIF) Deliver(frame *framepool.Buf) {
 		q = v.queues[v.rss.Queue(frame.Bytes(), len(v.queues))]
 	}
 	if q.sharded {
-		// A flooded frame carries one reference per egress port; refcounts
-		// are shard-local, so cut the sharing with a private copy before the
-		// frame leaves this shard (flooding is cold: ARP/broadcast only).
-		if frame.Refs() > 1 {
-			c := v.pool.Get()
-			copy(c.Extend(frame.Len()), frame.Bytes())
-			frame.Release()
-			frame = c
-		}
+		// A flooded frame crosses with its sharing intact, one reference
+		// per egress port: the Rx path only reads it (§7.3 — a shared
+		// buffer is read-only) and the last Release recycles it on
+		// whichever shard that happens.
 		v.eng.Post(q.eng, shardHandoff, sim.PriData, q.rxEnqueueF, frame)
 		return
 	}

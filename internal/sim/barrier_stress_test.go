@@ -12,10 +12,9 @@ import (
 // per-shard event traces with timestamps, event totals and cross-shard post
 // counts. The workload mixes local schedule churn, PriData ring posts, and
 // side posts — every third at priLate — that land on a shard at the same
-// instant as the ring's, so same-timestamp merges across sources and
-// priorities and fused windows all occur. With declareEdges the same
-// traffic runs under a per-edge lookahead matrix instead of the uniform
-// fallback.
+// instant as the ring's, so same-timestamp inbox ties across sources and
+// priorities and windows without a post all occur. With declareEdges the
+// same traffic runs with every edge declared, Post's check armed.
 //
 // Window and fusion counts stay out of the summary: they say how a run was
 // cut up, and the two drivers compared below cut it differently on purpose.
@@ -87,16 +86,15 @@ func barrierStress(declareEdges bool) (*Cluster, func() string) {
 
 // TestBarrierStressAdversarial drives the window engine with lookahead-1
 // window sizes and asserts the run is byte-identical to the Step-driven
-// replay of the same workload — one globally earliest event at a time, the
-// barrier merged after each, no horizon anywhere: same event totals, same
-// posts, same per-shard traces. A horizon one tick too generous, a sprint
-// that outlives a post, or a merge that reorders a window boundary shows up
-// as a trace diff.
+// replay of the same workload — one globally earliest event at a time, no
+// horizon anywhere: same event totals, same posts, same per-shard traces. A
+// horizon one tick too generous, a sprint that outlives a post, or an
+// insertion that misplaces a post shows up as a trace diff.
 func TestBarrierStressAdversarial(t *testing.T) {
 	for _, declare := range []bool{false, true} {
 		name := "uniform"
 		if declare {
-			name = "edge-matrix"
+			name = "edges-declared"
 		}
 		oracle, render := barrierStress(declare)
 		for oracle.Step() {
@@ -112,7 +110,7 @@ func TestBarrierStressAdversarial(t *testing.T) {
 				name, want, got)
 		}
 		// The windowed run has to have been one: many events per window
-		// somewhere, and barriers with nothing staged fused away.
+		// somewhere, and some windows in which nothing was posted.
 		if c.Windows() == 0 || c.Windows() >= c.Processed() || c.Fused() == 0 {
 			t.Errorf("%s: %d windows (%d fused) for %d events; want fewer windows than events and some fused",
 				name, c.Windows(), c.Fused(), c.Processed())

@@ -11,8 +11,8 @@ import (
 // delays and priorities. Each shard records its own trace (shards must not
 // share mutable state mid-window — the same rule the real data paths obey);
 // the flattened per-shard traces are the determinism witness. With
-// declareEdges the ring runs under a per-edge lookahead matrix instead of
-// the uniform fallback: same posts, wider windows.
+// declareEdges the ring's hops are declared edges, which arms Post's check
+// and must change nothing else.
 func buildPingPong(shards, tokens int, declareEdges bool) (*Cluster, [][]string) {
 	const lookahead = 100 * Nanosecond
 	c := NewCluster(shards, lookahead, 42)
@@ -80,7 +80,7 @@ func flatten(traces [][]string) []string {
 
 // runTrace drives the ping-pong through the window engine; stepTrace
 // replays it one globally earliest event at a time — the oracle: no window,
-// no horizon, nothing to get wrong but the merge.
+// no horizon, nothing to get wrong but the inbox order.
 func runTrace(shards, tokens int, declareEdges bool) []string {
 	c, traces := buildPingPong(shards, tokens, declareEdges)
 	c.Shard(0).Run()
@@ -109,23 +109,22 @@ func diffTraces(t *testing.T, what string, got, want []string) {
 // TestClusterSerialParallelIdentical is the core determinism property: the
 // windowed run, in which shards advance side by side through lookahead
 // windows, leaves every shard the timeline the serial global-order replay
-// leaves it — under the uniform lookahead and under a declared edge matrix,
-// whose wider windows change how the work is cut up and nothing else.
+// leaves it — with and without declared edges.
 func TestClusterSerialParallelIdentical(t *testing.T) {
 	want := stepTrace(4, 8, false)
 	if len(want) == 0 {
 		t.Fatal("empty trace")
 	}
-	diffTraces(t, "windowed, uniform lookahead", runTrace(4, 8, false), want)
-	diffTraces(t, "stepped, edge matrix", stepTrace(4, 8, true), want)
-	diffTraces(t, "windowed, edge matrix", runTrace(4, 8, true), want)
+	diffTraces(t, "windowed, no edges declared", runTrace(4, 8, false), want)
+	diffTraces(t, "stepped, edges declared", stepTrace(4, 8, true), want)
+	diffTraces(t, "windowed, edges declared", runTrace(4, 8, true), want)
 }
 
 // buildEcho is the free sprint's test: shard 0 ticks alone — nothing else is
 // active, so it runs without a horizon — and twice asks idle shard 1 for an
 // echo that lands back between two of its later ticks. The sprint has to end
 // at each request — whatever its rank: the second is the only post shard 0
-// stages in that sprint and goes out at priLate — or the echo arrives in
+// makes in that sprint and goes out at priLate — or the echo arrives in
 // shard 0's past.
 func buildEcho() (*Cluster, *[]string) {
 	const lookahead = 5 * Nanosecond
@@ -205,7 +204,7 @@ func TestClusterMergeOrdering(t *testing.T) {
 	c.Shard(2).Post(c.Shard(0), 100*Nanosecond, priLate, rec("s2-late"), nil)
 	c.Shard(2).Post(c.Shard(0), 100*Nanosecond, PriData, rec("s2-data"), nil)
 	c.Shard(1).Post(c.Shard(0), 100*Nanosecond, PriData, rec("s1-data"), nil)
-	// A local heap event in the first window runs before the barrier.
+	// At the same instant a shard's own heap event runs before any post.
 	c.Shard(0).Schedule(100*Nanosecond, func() { got = append(got, "s0-local") })
 	c.Shard(0).Run()
 	want := []string{"s0-local", "s1-data", "s2-data", "s2-late"}
@@ -217,7 +216,7 @@ func TestClusterMergeOrdering(t *testing.T) {
 			t.Fatalf("order %v, want %v", got, want)
 		}
 	}
-	// Shard 0 executed its own local event plus the three merged posts.
+	// Shard 0 executed its own local event plus the three posts.
 	if got, want := c.Posted(), uint64(3); got != want {
 		t.Fatalf("posted %d, want %d", got, want)
 	}
@@ -267,99 +266,48 @@ func TestClusterPartitionedRand(t *testing.T) {
 	}
 }
 
-// TestEdgeClosure covers what the edge matrix is for. EdgeDist is the
-// shortest chain of declared edges (checked against a brute-force
-// relaxation over random edge sets); a pair with no declared edge cannot be
-// posted on; and a shard no active shard can reach is not held to anybody's
-// horizon — it runs to the end of its work inside the first window.
+// TestEdgeClosure covers what declared edges are for — a check, nothing the
+// horizons read. A pair with no declared edge cannot be posted on, a declared
+// pair not under its minimum (TestClusterPostBelowLookaheadPanics), no shard
+// posts to itself whether or not edges are declared, and a run with its
+// edges declared is cut into exactly the windows of the same run without.
 func TestEdgeClosure(t *testing.T) {
 	const lookahead = 10 * Nanosecond
-	rng := NewRand(0xed6e)
-	for round := 0; round < 200; round++ {
-		n := 2 + rng.Intn(6)
-		c := NewCluster(n, lookahead, 1)
-		want := make([]Time, n*n)
-		for i := range want {
-			want[i] = timeMax
-		}
-		for k := 1 + rng.Intn(2*n); k > 0; k-- {
-			src, dst := rng.Intn(n), rng.Intn(n)
-			if src == dst {
-				continue
+	wantPanic := func(what, msg string, post func()) {
+		t.Helper()
+		defer func() {
+			if got := fmt.Sprint(recover()); !strings.Contains(got, msg) {
+				t.Errorf("%s: recovered %q, want a panic saying %q", what, got, msg)
 			}
-			w := lookahead + Time(rng.Intn(50))
-			c.DeclareEdge(src, dst, w)
-			want[src*n+dst] = min(want[src*n+dst], w)
+		}()
+		post()
+	}
+	for _, declare := range []bool{false, true} {
+		c := NewCluster(3, lookahead, 1)
+		if declare {
+			c.DeclareEdge(0, 1, lookahead)
+			c.DeclareEdge(1, 0, lookahead)
+			wantPanic("post on an undeclared pair", "without a declared edge", func() {
+				c.Shard(0).Post(c.Shard(2), lookahead, PriData, func(any) {}, nil)
+			})
 		}
-		if c.edge == nil {
-			continue // every draw was a self-pair: still uniform mode
-		}
-		// A shortest path has at most n-1 edges: relax every (i, k, j)
-		// triple that many times.
-		for pass := 1; pass < n; pass++ {
-			for i := 0; i < n; i++ {
-				for k := 0; k < n; k++ {
-					for j := 0; j < n; j++ {
-						if ik, kj := want[i*n+k], want[k*n+j]; ik != timeMax && kj != timeMax {
-							want[i*n+j] = min(want[i*n+j], ik+kj)
-						}
-					}
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if got := c.EdgeDist(i, j); i != j && got != want[i*n+j] {
-					t.Fatalf("round %d, %d shards: EdgeDist(%d, %d) = %d, want %d (edges %v)", round, n, i, j, got, want[i*n+j], c.edge)
-				}
-			}
+		// With direct insertion a self-post would write the inbox it is
+		// being consumed from; After is how a shard reaches itself.
+		wantPanic(fmt.Sprintf("self-post, edges declared: %v", declare), "post to own shard; use After", func() {
+			c.Shard(1).Post(c.Shard(1), lookahead, PriData, func(any) {}, nil)
+		})
+		if c.Posted() != 0 || c.Pending() != 0 {
+			t.Errorf("refused posts left a trace: posted %d, pending %d", c.Posted(), c.Pending())
 		}
 	}
 
-	// Shards 0 and 1 exchange a token; shard 2 has a long local chain and no
-	// edge leading to it.
-	c := NewCluster(3, lookahead, 1)
-	c.DeclareEdge(0, 1, lookahead)
-	c.DeclareEdge(1, 0, lookahead)
-	func() {
-		defer func() {
-			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "without a declared edge") {
-				t.Errorf("post on an undeclared pair: recovered %q, want the no-edge panic", msg)
-			}
-		}()
-		c.Shard(0).Post(c.Shard(2), lookahead, PriData, func(any) {}, nil)
-	}()
-	var bounce func(any)
-	hops := 0
-	bounce = func(any) {
-		if hops++; hops < 50 {
-			from := c.Shard(hops % 2)
-			from.Post(c.Shard(1-hops%2), lookahead, PriData, bounce, nil)
-		}
-	}
-	c.Shard(0).Schedule(0, func() { c.Shard(0).Post(c.Shard(1), lookahead, PriData, bounce, nil) })
-	c.Shard(1).Schedule(0, func() {})
-	const ticks, period = 1000, 7 * Nanosecond
-	left := ticks
-	var tick func()
-	tick = func() {
-		if left--; left > 0 {
-			c.Shard(2).After(period, tick)
-			return
-		}
-		// The last tick, far beyond every horizon shards 0 and 1 will see
-		// for dozens of windows.
-		if w, now0 := c.Windows(), c.Shard(0).Now(); w != 1 || now0 > lookahead {
-			t.Errorf("unreachable shard finished at %v in window %d with shard 0 at %v; want window 1, shard 0 within one lookahead of zero", c.Shard(2).Now(), w, now0)
-		}
-	}
-	c.Shard(2).Schedule(0, tick)
-	c.Run()
-	if hops != 50 || left != 0 {
-		t.Fatalf("ran %d hops and left %d ticks, want 50 and 0", hops, left)
-	}
-	if c.Windows() < 50 {
-		t.Fatalf("%d windows for 50 lookahead-spaced hops; the reachable pair should need one each", c.Windows())
+	plain, _ := buildPingPong(4, 8, false)
+	plain.Run()
+	declared, _ := buildPingPong(4, 8, true)
+	declared.Run()
+	if plain.Windows() == 0 || declared.Windows() != plain.Windows() || declared.Fused() != plain.Fused() {
+		t.Fatalf("%d windows (%d fused) with edges declared, %d (%d fused) without; declaring edges must not move a horizon",
+			declared.Windows(), declared.Fused(), plain.Windows(), plain.Fused())
 	}
 }
 
@@ -392,7 +340,7 @@ func TestClusterRunCapped(t *testing.T) {
 	}
 	// Window 1 runs 100 ticks on each of shards 0 and 2 — their horizons,
 	// not the budget, end it. Window 2 has 50 events of budget left and
-	// gives that to both. The posts staged so far mature later.
+	// gives that to both. The posts made so far mature later.
 	if drained := c.RunCapped(budget); drained || c.Processed() != 300 || c.Windows() != 2 {
 		t.Fatalf("RunCapped(%d): drained=%v after %d events in %d windows; want not drained, 300 events, 2 windows",
 			budget, drained, c.Processed(), c.Windows())

@@ -86,8 +86,8 @@ const arity = 4
 //
 // An Engine may also be one shard of a Cluster (see cluster.go): the whole
 // cluster then runs on that one goroutine, and all cross-shard traffic flows
-// through Post and the barrier-merged inbox. Run/Step and friends on a
-// clustered engine drive the whole cluster.
+// through Post, which puts it straight into the destination's inbox.
+// Run/Step and friends on a clustered engine drive the whole cluster.
 type Engine struct {
 	now       Time
 	heap      []event // slice-backed 4-ary min-heap, values not pointers
@@ -95,13 +95,11 @@ type Engine struct {
 	processed uint64
 
 	// Sharding state (nil/zero for a standalone engine; see cluster.go).
-	cluster     *Cluster
-	shard       int
-	outbox      [][]postRec // staged posts, indexed by destination shard
-	postSeq     uint64      // posts staged, ever: the merge tie-break, and a free sprint ends when it moves
-	stagedPosts uint64      // posts staged since the last merge (skip empty barriers)
-	inbox       []postRec   // barrier-merged posts, consumed front to back
-	inboxHead   int
+	cluster   *Cluster
+	shard     int
+	postSeq   uint64    // posts made, ever: the order's last tie-break, and a free sprint ends when it moves
+	inbox     []postRec // posts from other shards, kept in postRec.before order, consumed front to back
+	inboxHead int
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.

@@ -6,19 +6,20 @@ import (
 	"testing"
 )
 
-// priLate is a second merge rank, used by tests only: the tree posts
-// PriData everywhere, but priority is still part of the merge key, so the
-// tests keep posting at two ranks to hold its place in the order.
+// priLate is a second rank, used by tests only: the tree posts PriData
+// everywhere, but priority is still part of the order's key, so the tests
+// keep posting at two ranks to hold its place in the order.
 const priLate uint8 = 200
 
-// mergeHarness drives Cluster.merge directly with staged outboxes and holds
-// the reference model: per destination, every post staged and not yet
-// consumed. After each barrier the inbox from inboxHead on must equal the
-// model fully sorted by postRec.before.
+// mergeHarness posts through Engine.Post and holds the reference model: per
+// destination, every post made and not yet consumed. There is no barrier to
+// wait for — a post lands in its destination's inbox as it is made — so after
+// every post each inbox from inboxHead on must equal the model fully sorted
+// by postRec.before.
 type mergeHarness struct {
 	t       *testing.T
 	c       *Cluster
-	pending [][]postRec // per destination, unsorted
+	pending [][]postRec // per destination, in post order until check sorts it
 	ran     []postRec   // handler log: key of each consumed post
 }
 
@@ -36,8 +37,10 @@ func onData(a any) {
 	tag.h.ran = append(tag.h.ran, tag.key)
 }
 
-// post stages one post the way a handler running on src at time now would.
+// post makes one post the way a handler running on src at time now would,
+// then checks every inbox.
 func (h *mergeHarness) post(src, dst int, now, delay Time, late bool) {
+	h.t.Helper()
 	e := h.c.Shard(src)
 	if now > e.now {
 		e.now = now // a shard's clock only moves forward
@@ -50,23 +53,18 @@ func (h *mergeHarness) post(src, dst int, now, delay Time, late bool) {
 	e.Post(h.c.Shard(dst), delay, pri, onData, tag)
 	tag.key = postRec{at: e.now + delay, pri: pri, src: uint16(src), seq: e.postSeq}
 	h.pending[dst] = append(h.pending[dst], tag.key)
+	h.check()
 }
 
 func sameKey(a, b *postRec) bool {
 	return a.at == b.at && a.pri == b.pri && a.src == b.src && a.seq == b.seq
 }
 
-// barrier merges and checks every inbox against the model.
-func (h *mergeHarness) barrier() {
+// check holds every inbox to the model: the unconsumed part in full-sort
+// order, the consumed prefix holding no reference.
+func (h *mergeHarness) check() {
 	t := h.t
 	t.Helper()
-	var staged uint64
-	for _, s := range h.c.shards {
-		staged += s.stagedPosts
-	}
-	if staged != 0 { // runLoop's rule: an empty barrier is fused, never merged
-		h.c.merge()
-	}
 	for di, dst := range h.c.shards {
 		want := h.pending[di]
 		sort.Slice(want, func(i, j int) bool { return want[i].before(&want[j]) })
@@ -85,21 +83,16 @@ func (h *mergeHarness) barrier() {
 				t.Fatalf("shard %d consumed inbox slot %d still holds a reference", di, i)
 			}
 		}
-		for si, src := range h.c.shards {
-			if len(src.outbox[di]) != 0 {
-				t.Fatalf("outbox %d->%d not drained", si, di)
-			}
-		}
 	}
 }
 
-// consume runs up to n merged posts on dst through the real consumer and
+// consume runs up to n posts of dst's inbox through the real consumer and
 // checks they come off in model order.
 func (h *mergeHarness) consume(dst, n int) {
 	t := h.t
 	t.Helper()
 	e := h.c.Shard(dst)
-	want := h.pending[dst] // sorted by the last barrier
+	want := h.pending[dst] // sorted by the last check
 	if n > len(want) {
 		n = len(want)
 	}
@@ -117,8 +110,7 @@ func (h *mergeHarness) consume(dst, n int) {
 	h.pending[dst] = append(want[:0], want[n:]...)
 }
 
-// runMergeProgram interprets prog as rounds of (posts..., barrier,
-// consumption). Byte layout per round: a post count, three bytes per post
+// runMergeProgram interprets prog as rounds of (posts..., consumption). Byte layout per round: a post count, three bytes per post
 // (source and destination, clock advance and delay, flags — the top flag bit
 // posts at priLate), then one byte saying how much of which inbox to consume.
 func runMergeProgram(t *testing.T, prog []byte) {
@@ -143,7 +135,6 @@ func runMergeProgram(t *testing.T, prog []byte) {
 			delay := 1 + Time(b&0x3f)>>(f&3) // varied delays put a source's own posts out of order
 			h.post(src, dst, now, delay, f&0x80 != 0)
 		}
-		h.barrier()
 		if pc < len(prog) {
 			k := prog[pc]
 			pc++
@@ -154,12 +145,12 @@ func runMergeProgram(t *testing.T, prog []byte) {
 				dst = int(k>>4) % shards
 			}
 			h.consume(dst, int(k&0x7f))
+			h.check()
 		}
 	}
-	h.barrier()
 }
 
-// mergeSeeds are programs built to reach the barrier's corners; the fuzz
+// mergeSeeds are programs built to reach the insertion's corners; the fuzz
 // corpus in testdata/fuzz/FuzzMergeOrder holds further ones (a reversed
 // single source, all-equal timestamps, priLate posts only, fuzzer finds).
 func mergeSeeds() [][]byte {
@@ -191,12 +182,23 @@ func mergeSeeds() [][]byte {
 		}
 		seeds = append(seeds, p)
 	}
+	// A post that sorts before every unconsumed entry lands at inboxHead: a
+	// hundred posts from shard 1 mature at t=64, part of them is consumed
+	// (short of the compaction threshold, then past it), and shard 2, whose
+	// clock is still at zero, posts for t=1.
+	for _, eat := range []byte{10, 70} {
+		p := []byte{3, 100} // 5 shards
+		for i := 0; i < 100; i++ {
+			p = append(p, 1, 0x3f, 0)
+		}
+		seeds = append(seeds, append(p, eat, 1, 2, 0, 0, 0))
+	}
 	return seeds
 }
 
-// TestMergeOrderProperty: whatever the sources staged and however much of
-// the inbox was already consumed, the barrier leaves each inbox exactly as
-// a full sort by postRec.before would.
+// TestMergeOrderProperty: whatever the sources posted and however much of
+// an inbox was already consumed, every post leaves each inbox exactly as a
+// full sort by postRec.before would.
 func TestMergeOrderProperty(t *testing.T) {
 	for i, p := range mergeSeeds() {
 		t.Run(fmt.Sprint(i), func(t *testing.T) { runMergeProgram(t, p) })
@@ -222,22 +224,4 @@ func FuzzMergeOrder(f *testing.F) {
 		}
 		runMergeProgram(t, prog)
 	})
-}
-
-// TestSortRun: the per-source sort orders any run, including the reversed
-// one its "nearly sorted" expectation is worst at.
-func TestSortRun(t *testing.T) {
-	r := NewRand(5)
-	for n := 0; n < 100; n++ {
-		ps := make([]postRec, r.Intn(40))
-		for i := range ps {
-			ps[i] = postRec{at: Time(r.Intn(8)), pri: PriData, src: 1, seq: uint64(i + 1)}
-		}
-		sortRun(ps)
-		for i := 1; i < len(ps); i++ {
-			if !ps[i-1].before(&ps[i]) {
-				t.Fatalf("run not sorted at %d: %+v", i, ps)
-			}
-		}
-	}
 }

@@ -275,8 +275,10 @@ func (d *Domain) charge(cost sim.Time) sim.Time {
 }
 
 // chargeOn bills a hypercall to a specific (pinned) vCPU — the form every
-// per-queue data path uses once queues are pinned to cluster shards, since
-// picking from the shared pool would race across shards.
+// per-queue data path uses once queues are pinned to cluster shards: picking
+// from the shared pool compares every vCPU's busy-until mark, and the marks
+// other shards advance are not, mid-window, where the Step replay has them,
+// so the windowed run would stop equalling that replay.
 func (d *Domain) chargeOn(cpu *sim.CPU, cost sim.Time) sim.Time {
 	d.hv.stats.HypercallNS += cost
 	return cpu.Charge(cost)
