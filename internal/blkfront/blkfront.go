@@ -21,9 +21,13 @@
 // handed to a ReadSectors callback is valid only for the duration of the
 // callback and is recycled afterwards (DESIGN.md §8). Callers that need
 // the data longer either copy it or use ReadSectorsInto with their own
-// destination. Caller ops, ring-request parts, and the ring-full backlog
-// are all pooled/struct-based so the steady-state data path performs no
-// heap allocation.
+// destination. Every whole page of a read's destination is lent to the
+// granted page that carries it (xen.Domain.LendGrant) from submission to
+// completion, so the backend's device lands the data in its final place
+// and the persistent-grant bounce copy is charged but not performed.
+// Caller ops, ring-request parts, and the ring-full backlog are all
+// pooled/struct-based so the steady-state data path performs no heap
+// allocation.
 package blkfront
 
 import (
@@ -48,7 +52,7 @@ const stripeSectors = 1024
 // Costs models the guest-side software path per request.
 type Costs struct {
 	PerRequest sim.Time // block layer + driver work per ring request
-	PerKBCopy  sim.Time // memcpy per KiB for persistent-grant staging
+	PerKBCopy  sim.Time // memcpy per KiB for persistent-grant staging (modelled; reads lend instead)
 }
 
 // GuestCosts returns the Ubuntu DomU profile.
@@ -68,6 +72,9 @@ type Stats struct {
 type poolPage struct {
 	page *mem.Page
 	ref  xen.GrantRef
+	// own is the page's own backing while its grant carries a page of a
+	// read's destination on loan, kept to hand back when the loan ends.
+	own []byte
 }
 
 // reqPart tracks one in-flight ring request belonging to a caller op.
@@ -82,7 +89,10 @@ type reqPart struct {
 	segs     []blkif.Segment
 	indRefs  []xen.GrantRef
 	readDst  []byte // for reads: destination slice for this part
-	parent   *callerOp
+	// lent counts the leading pages whose grant carries their page of readDst
+	// on loan (every whole page of a read); 0 once the loans end.
+	lent   int
+	parent *callerOp
 }
 
 // callerOp is one ReadSectors/WriteSectors/Flush invocation. Pooled.
@@ -308,8 +318,17 @@ func (d *Device) connect() {
 // stops following the backend — a closed device must not pin a watch in the
 // store — and announces Closed, on which the backend tears its instance
 // down.
+//
+// Reads still in flight take their loans back first: the backend being
+// torn down keeps its mappings of the granted pages, and through them it
+// reaches only those pages' own bytes from here on, never the caller's.
 func (d *Device) Close() {
 	d.ready = false
+	for _, part := range d.inflight {
+		if part != nil {
+			d.endLoans(part)
+		}
+	}
 	d.bus.Store().Unwatch(d.backWatch)
 	_ = d.bus.SwitchState(d.frontPath, xenbus.StateClosed)
 }
@@ -372,8 +391,8 @@ func (q *queue) getPage() poolPage {
 	return poolPage{page: page, ref: ref}
 }
 
-// putPage returns a page after response: to the queue's pool (persistent)
-// or revoked and freed.
+// putPage returns a page after response — its loan, if any, already
+// ended — to the queue's pool (persistent) or revoked and freed.
 func (q *queue) putPage(p poolPage) {
 	d := q.d
 	if d.persistent {
@@ -477,6 +496,11 @@ func (d *Device) WriteSectors(sector int64, data []byte, cb func(err error)) {
 // every hardware queue, so one barrier request suffices — blk-mq flushes
 // through a single hctx the same way).
 func (d *Device) Flush(cb func(err error)) {
+	if !d.ready {
+		err := d.notConnected()
+		d.eng.After(0, func() { cb(err) })
+		return
+	}
 	d.stats.Flushes++
 	op := d.getCaller()
 	op.remaining = 1
@@ -486,7 +510,7 @@ func (d *Device) Flush(cb func(err error)) {
 
 func (d *Device) validate(sector int64, n int) error {
 	if !d.ready {
-		return fmt.Errorf("blkfront: device %d not connected", d.devid)
+		return d.notConnected()
 	}
 	if n%blkif.SectorSize != 0 || n <= 0 {
 		return fmt.Errorf("blkfront: unaligned or empty i/o (%d bytes)", n)
@@ -495,6 +519,13 @@ func (d *Device) validate(sector int64, n int) error {
 		return fmt.Errorf("blkfront: i/o beyond device (sector %d + %d bytes)", sector, n)
 	}
 	return nil
+}
+
+// notConnected is the error I/O gets before negotiation and after Close.
+//
+//kite:coldpath builds the refusal; a connected device never takes it
+func (d *Device) notConnected() error {
+	return fmt.Errorf("blkfront: device %d not connected", d.devid)
 }
 
 // chunkBytes returns how many bytes the request starting at byte offset
@@ -577,8 +608,6 @@ func (q *queue) pumpPending() {
 	}
 }
 
-// pushRequest builds and pushes one ring request; false if the ring is
-// full.
 // allocID parks part in the shadow table and returns its request ID
 // (slot+1; 0 never appears on the ring, so a zero response ID is noise).
 func (d *Device) allocID(part *reqPart) uint64 {
@@ -606,6 +635,9 @@ func (d *Device) takeInflight(id uint64) *reqPart {
 	return part
 }
 
+// pushRequest builds and pushes one ring request; false if the ring is
+// full. A read lends each whole page of its destination to the granted
+// page that carries it before the request goes on the ring.
 func (q *queue) pushRequest(op blkif.Op, sector int64, size int, writeData []byte, readOff int, caller *callerOp) bool {
 	d := q.d
 	nsegs := (size + mem.PageSize - 1) / mem.PageSize
@@ -635,6 +667,11 @@ func (q *queue) pushRequest(op blkif.Op, sector int64, size int, writeData []byt
 	}
 	if op == blkif.OpRead {
 		part.readDst = caller.readBuf[readOff : readOff+size]
+		part.lent = size / mem.PageSize
+		for i := range part.pages[:part.lent] {
+			pp := &part.pages[i]
+			pp.own = d.dom.LendGrant(pp.ref, part.readDst[i*mem.PageSize:(i+1)*mem.PageSize])
+		}
 	}
 
 	req := blkif.Request{ID: id, Op: op, Sector: sector}
@@ -711,23 +748,41 @@ func (q *queue) onEvent() {
 	q.pumpPending()
 }
 
+// endLoans takes back every page of a read's destination lent to its
+// granted pages. After it no view the backend holds of those pages
+// reaches the caller's bytes.
+func (d *Device) endLoans(part *reqPart) {
+	for i := range part.pages[:part.lent] {
+		pp := &part.pages[i]
+		d.dom.EndLoan(pp.ref, pp.own)
+		pp.own = nil
+	}
+	part.lent = 0
+}
+
+// completePart answers one ring request. The read's loans end before
+// anything else — before its pages go back and before the caller's
+// callback can reuse the destination — and only the pages that were not
+// lent (a sub-page tail) are copied out; a read answered after Close
+// fails. The model's bounce copy is charged in full on every OK read.
 func (d *Device) completePart(part *reqPart, status int8) {
 	caller := part.parent
 	q := part.q
-	if status != blkif.StatusOK {
+	lent := part.lent
+	d.endLoans(part)
+	switch {
+	case status != blkif.StatusOK:
 		caller.err = fmt.Errorf("blkfront: backend reported error %d", status) //kite:alloc-ok backend-error path
-	} else if part.op == blkif.OpRead {
-		// Copy data out of the (persistent) pages into the caller buffer.
-		copied := 0
-		for _, pp := range part.pages {
-			n := len(part.readDst) - copied
-			if n > mem.PageSize {
-				n = mem.PageSize
-			}
-			copy(part.readDst[copied:copied+n], pp.page.Bytes()[:n])
-			copied += n
+	case part.op == blkif.OpRead && !d.ready:
+		// Close took the loans back: the destination may already hold
+		// what the device gathered into it, and the pages' own bytes are
+		// the backend's to write. Deliver neither.
+		caller.err = d.notConnected()
+	case part.op == blkif.OpRead:
+		for i, pp := range part.pages[lent:] {
+			copy(part.readDst[(lent+i)*mem.PageSize:], pp.page.Bytes())
 		}
-		d.cpus.Charge(sim.Time(copied) * d.costs.PerKBCopy / 1024)
+		d.cpus.Charge(sim.Time(len(part.readDst)) * d.costs.PerKBCopy / 1024)
 	}
 	for _, pp := range part.pages {
 		q.putPage(pp)

@@ -31,13 +31,27 @@ type rig struct {
 	ring  *blkif.Ring
 	port  xen.Port // the backend's end of the event channel
 
+	reg      *pvback.Registry
+	backPath string
+
 	disk    []byte
 	maps    map[xen.GrantRef]*xen.Mapping
 	consume bool
 	taken   []blkif.Request // every request served, in ring order
 }
 
+const rigDevID = 51712
+
 func newRig(t *testing.T) *rig {
+	t.Helper()
+	r := newUnconnectedRig(t)
+	r.handshake()
+	return r
+}
+
+// newUnconnectedRig creates the domains and the frontend; the backend has
+// not yet said a word, so the device has no queues.
+func newUnconnectedRig(t *testing.T) *rig {
 	t.Helper()
 	r := &rig{t: t, eng: sim.NewEngine(), consume: true,
 		disk: make([]byte, testSectors*blkif.SectorSize), maps: map[xen.GrantRef]*xen.Mapping{}}
@@ -48,14 +62,19 @@ func newRig(t *testing.T) *rig {
 	r.guest = r.hv.CreateDomain(xen.DomainConfig{Name: "guest", VCPUs: 1, MemBytes: 64 << 20,
 		IRQLatency: 6 * sim.Microsecond})
 	r.bus = xenbus.New(xenstore.New(r.eng))
-	reg := pvback.NewRegistry()
-	const devid = 51712
-	frontPath, backPath := r.bus.AddDevice(xenbus.DeviceSpec{
-		Type: xenstore.DevVbd, FrontDom: xenbus.DomID(r.guest.ID), BackDom: xenbus.DomID(r.back.ID), DevID: devid,
+	r.reg = pvback.NewRegistry()
+	_, r.backPath = r.bus.AddDevice(xenbus.DeviceSpec{
+		Type: xenstore.DevVbd, FrontDom: xenbus.DomID(r.guest.ID), BackDom: xenbus.DomID(r.back.ID), DevID: rigDevID,
 	})
-	r.dev = New(r.eng, Config{Dom: r.guest, Bus: r.bus, Registry: reg, DevID: devid, BackDom: r.back.ID})
+	r.dev = New(r.eng, Config{Dom: r.guest, Bus: r.bus, Registry: r.reg, DevID: rigDevID, BackDom: r.back.ID})
+	return r
+}
 
-	// The backend's half of the handshake, as blkback's driver does it.
+// handshake plays the backend's half of negotiation, as blkback's driver
+// does it, and binds the event channel to serve.
+func (r *rig) handshake() {
+	t, backPath, reg := r.t, r.backPath, r.reg
+	t.Helper()
 	st := r.bus.Store()
 	st.Writef(backPath+"/"+xenstore.KeySectors, "%d", testSectors)
 	r.bus.WriteFeature(backPath, xenstore.KeyFeatureFlushCache, true)
@@ -66,11 +85,11 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	r.eng.Run()
-	frontPort, ok := st.ReadInt(frontPath + "/" + xenstore.KeyEventChannel)
+	frontPort, ok := st.ReadInt(r.dev.frontPath + "/" + xenstore.KeyEventChannel)
 	if !ok {
 		t.Fatal("frontend never published its event channel")
 	}
-	claimed, ok := reg.Claim(r.guest.ID, devid)
+	claimed, ok := reg.Claim(r.guest.ID, rigDevID)
 	if !ok {
 		t.Fatal("frontend never published its ring")
 	}
@@ -89,7 +108,6 @@ func newRig(t *testing.T) *rig {
 	if !r.dev.Ready() {
 		t.Fatal("frontend never connected")
 	}
-	return r
 }
 
 // page returns the backend's mapping of one granted guest page.
@@ -125,14 +143,7 @@ func (r *rig) serve() {
 		kept.IndirectRefs = append([]xen.GrantRef(nil), req.IndirectRefs...)
 		r.taken = append(r.taken, kept)
 
-		op, segs := req.Op, req.Segs
-		if op == blkif.OpIndirect {
-			op, segs = req.Imm, nil
-			for i := 0; i < req.IndirectSegs; i++ {
-				desc := r.page(req.IndirectRefs[i/blkif.SegsPerIndirectPage])
-				segs = append(segs, blkif.GetSegment(desc, i%blkif.SegsPerIndirectPage))
-			}
-		}
+		op, segs := r.resolve(req)
 		off := int(req.Sector) * blkif.SectorSize
 		for _, s := range segs {
 			data := r.page(s.Ref).Bytes()[s.FirstSect*blkif.SectorSize:][:s.Bytes()]
@@ -148,6 +159,20 @@ func (r *rig) serve() {
 	if r.ring.PushResponsesAndCheckNotify() {
 		r.back.Notify(r.port)
 	}
+}
+
+// resolve returns the operation a request carries and its data segments,
+// reading an indirect request's descriptors through the backend's mappings.
+func (r *rig) resolve(req blkif.Request) (blkif.Op, []blkif.Segment) {
+	if req.Op != blkif.OpIndirect {
+		return req.Op, req.Segs
+	}
+	var segs []blkif.Segment
+	for i := 0; i < req.IndirectSegs; i++ {
+		desc := r.page(req.IndirectRefs[i/blkif.SegsPerIndirectPage])
+		segs = append(segs, blkif.GetSegment(desc, i%blkif.SegsPerIndirectPage))
+	}
+	return req.Imm, segs
 }
 
 // pattern fills n bytes so that every sector differs from its neighbours and
@@ -418,5 +443,218 @@ func TestCloseCancelsBackendWatch(t *testing.T) {
 	r.eng.Run()
 	if r.dev.Ready() {
 		t.Fatal("closed device came back")
+	}
+}
+
+// TestWholePageReadCopiesNothing: a read of whole pages lands in the
+// caller's buffer without touching the persistent-grant pages' own bytes —
+// the backend wrote straight into the loan and the frontend copied
+// nothing — and every loan has ended by the time the caller hears.
+func TestWholePageReadCopiesNothing(t *testing.T) {
+	r := newRig(t)
+	copy(r.disk, pattern(0x5a, len(r.disk)))
+	const n = 8 * mem.PageSize
+	want := r.disk[:n]
+	r.dev.ReadSectorsInto(0, make([]byte, n), func(error) {}) // fills the page pool
+	r.eng.Run()
+	pool := r.dev.queues[0].pool
+	if len(pool) != n/mem.PageSize {
+		t.Fatalf("pool holds %d pages after an %d-page read", len(pool), n/mem.PageSize)
+	}
+	for _, pp := range pool {
+		for i := range pp.page.Bytes() {
+			pp.page.Bytes()[i] = 0xA5
+		}
+	}
+	untouched := bytes.Repeat([]byte{0xA5}, mem.PageSize)
+	check := func(how string, got []byte) {
+		t.Helper()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: read returned other bytes than the disk holds", how)
+		}
+		for _, pp := range pool {
+			if pp.page.Lent() {
+				t.Fatalf("%s: page %d still lent when the caller heard", how, pp.page.ID)
+			}
+		}
+	}
+	dst := make([]byte, n)
+	r.dev.ReadSectorsInto(0, dst, func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("ReadSectorsInto", dst)
+	})
+	r.eng.Run()
+	r.dev.ReadSectors(0, n, func(got []byte, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("ReadSectors", got)
+	})
+	r.eng.Run()
+	for _, pp := range pool {
+		if !bytes.Equal(pp.page.Bytes(), untouched) {
+			t.Fatalf("page %d's own bytes changed: the read was copied through it", pp.page.ID)
+		}
+	}
+}
+
+// TestReadSizesByteExact: reads smaller than a page, a page and a sector,
+// and two requests' worth with a sub-page tail all land byte-exact, both
+// into the caller's buffer and a pooled one, and nothing spills past dst.
+func TestReadSizesByteExact(t *testing.T) {
+	r := newRig(t)
+	copy(r.disk, pattern(0x3c, len(r.disk)))
+	const sector = 24
+	for _, n := range []int{blkif.SectorSize, mem.PageSize + blkif.SectorSize, 44*mem.PageSize + 1024} {
+		want := r.disk[sector*blkif.SectorSize:][:n]
+		guard := bytes.Repeat([]byte{0xC3}, n+2*mem.PageSize)
+		dst := guard[mem.PageSize : mem.PageSize+n]
+		calls := 0
+		r.dev.ReadSectorsInto(sector, dst, func(err error) {
+			calls++
+			if err != nil {
+				t.Errorf("%d bytes: %v", n, err)
+			}
+		})
+		r.dev.ReadSectors(sector, n, func(got []byte, err error) {
+			calls++
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%d bytes: pooled read err=%v, equal=%v", n, err, bytes.Equal(got, want))
+			}
+		})
+		r.eng.Run()
+		if calls != 2 {
+			t.Fatalf("%d bytes: %d completions, want 2", n, calls)
+		}
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("%d bytes: ReadSectorsInto returned other bytes than the disk holds", n)
+		}
+		for i, b := range guard {
+			if (i < mem.PageSize || i >= mem.PageSize+n) && b != 0xC3 {
+				t.Fatalf("%d bytes: byte %d outside dst changed", n, i-mem.PageSize)
+			}
+		}
+		if out := r.dev.BufPool().Outstanding(); out != 0 {
+			t.Fatalf("%d bytes: %d read buffers outstanding", n, out)
+		}
+	}
+}
+
+// TestHostileBackendAfterLoan: a backend that keeps its mappings of a
+// read's granted pages reaches the caller's bytes while the read is in
+// flight — that is the loan — and never afterwards: not after it answered,
+// not after it answered with an error, and not after the frontend closed
+// with the read still in flight, even when it answers that read late.
+func TestHostileBackendAfterLoan(t *testing.T) {
+	const sector, n = 40, 3*mem.PageSize + blkif.SectorSize
+	for _, end := range []string{"response", "error response", "close"} {
+		r := newRig(t)
+		r.consume = false
+		copy(r.disk, pattern(0x77, len(r.disk)))
+		want := r.disk[sector*blkif.SectorSize:][:n]
+		dst := make([]byte, n)
+		var pooled []byte // the pooled read's buffer, kept past its callback
+		var errs []error
+		r.dev.ReadSectorsInto(sector, dst, func(err error) { errs = append(errs, err) })
+		r.dev.ReadSectors(sector, n, func(got []byte, err error) { pooled, errs = got, append(errs, err) })
+		r.eng.Run()
+		for _, part := range r.dev.inflight {
+			if part != nil && part.parent.buf != nil {
+				pooled = part.parent.readBuf
+			}
+		}
+
+		// Serve both reads through kept mappings, as a device would.
+		var ids []uint64
+		for {
+			req, ok := r.ring.TakeRequest()
+			if !ok {
+				break
+			}
+			ids = append(ids, req.ID)
+			_, segs := r.resolve(req)
+			off := int(req.Sector) * blkif.SectorSize
+			for _, s := range segs {
+				off += copy(r.page(s.Ref).Bytes()[s.FirstSect*blkif.SectorSize:][:s.Bytes()], r.disk[off:])
+			}
+		}
+		if len(ids) != 2 {
+			t.Fatalf("%s: %d requests on the ring, want 2", end, len(ids))
+		}
+		if !bytes.Equal(dst[:3*mem.PageSize], want[:3*mem.PageSize]) {
+			t.Fatalf("%s: the backend's writes did not land in the lent destination", end)
+		}
+
+		respond := func(status int8) {
+			for _, id := range ids {
+				r.ring.PushResponse(blkif.Response{ID: id, Status: status})
+			}
+			if r.ring.PushResponsesAndCheckNotify() {
+				r.back.Notify(r.port)
+			}
+			r.eng.Run()
+		}
+		switch end {
+		case "close":
+			r.dev.Close()
+			r.eng.Run()
+		case "error response":
+			respond(blkif.StatusError)
+		default:
+			respond(blkif.StatusOK)
+		}
+		if end == "response" && (!bytes.Equal(dst, want) || !bytes.Equal(pooled, want)) {
+			t.Fatalf("%s: read returned other bytes than the disk holds", end)
+		}
+		dstWas, pooledWas := bytes.Clone(dst), bytes.Clone(pooled)
+		for _, m := range r.maps {
+			for i := range m.Page.Bytes() {
+				m.Page.Bytes()[i] = 0xEE
+			}
+		}
+		if !bytes.Equal(dst, dstWas) || !bytes.Equal(pooled, pooledWas) {
+			t.Fatalf("after the %s, a write through the backend's kept mappings reached the caller's buffer", end)
+		}
+		if end == "close" {
+			// A late OK answer delivers none of the pages' bytes: both
+			// reads fail and the caller's buffers stay as they were.
+			respond(blkif.StatusOK)
+			if !bytes.Equal(dst, dstWas) || !bytes.Equal(pooled, pooledWas) {
+				t.Fatal("a read answered after Close copied the backend's bytes into the caller's buffer")
+			}
+		}
+		if wantErr := end != "response"; len(errs) != 2 || (errs[0] != nil) != wantErr || (errs[1] != nil) != wantErr {
+			t.Fatalf("%s: callers heard %v", end, errs)
+		}
+	}
+}
+
+// TestFlushNeedsConnection: a flush before negotiation or after Close
+// fails its caller through the engine, as refused reads and writes do, and
+// never reaches a ring.
+func TestFlushNeedsConnection(t *testing.T) {
+	for _, when := range []string{"before negotiation", "after close"} {
+		var r *rig
+		if when == "before negotiation" {
+			r = newUnconnectedRig(t)
+		} else {
+			r = newRig(t)
+			r.dev.Close()
+			r.eng.Run()
+		}
+		var errs []error
+		r.dev.Flush(func(err error) { errs = append(errs, err) })
+		if len(errs) != 0 {
+			t.Fatalf("%s: flush failed its caller synchronously", when)
+		}
+		r.eng.Run()
+		if len(errs) != 1 || errs[0] == nil {
+			t.Fatalf("%s: flush caller heard %v", when, errs)
+		}
+		if st := r.dev.Stats(); st.Flushes != 0 || st.RingRequests != 0 || len(r.taken) != 0 {
+			t.Fatalf("%s: refused flush moved the counters or reached a ring: %+v", when, st)
+		}
 	}
 }

@@ -25,9 +25,15 @@ type PageID uint64
 type Page struct {
 	ID PageID
 
-	data  []byte // nil until the first Bytes(); then PageSize long, for good
+	// data is what Bytes returns: the page's own backing (nil until the
+	// first Bytes(), then PageSize long for good), or, while lent is set,
+	// a loan standing in for it; the lender holds the backing meanwhile.
+	// Page headers are carved by the hundred thousand (fleet guests), so
+	// the loan adds one flag beside freed and no other field.
+	data  []byte
 	arena *Arena
 	freed bool
+	lent  bool
 }
 
 // Arena is a domain's memory: an allocator handing out fixed-size pages up
@@ -69,12 +75,13 @@ func (a *Arena) InUse() int { return len(a.pages) - len(a.free) }
 func (a *Arena) Allocs() uint64 { return a.allocs }
 
 // Backed returns how many of the arena's pages, allocated or free, have
-// been touched and so hold 4 KiB of host memory. It walks the arena; it is
-// for tests and footprint reports.
+// been touched and so hold 4 KiB of host memory. A lent page is not
+// counted: its lender holds its backing for the loan's life. It walks the
+// arena; it is for tests and footprint reports.
 func (a *Arena) Backed() int {
 	n := 0
 	for _, p := range a.pages {
-		if p.data != nil {
+		if p.data != nil && !p.lent {
 			n++
 		}
 	}
@@ -171,14 +178,18 @@ func (a *Arena) grow(n int) []Page {
 	return slab
 }
 
-// Free returns a page to the arena. Freeing a foreign or already-freed page
-// panics: both indicate memory-safety bugs in a driver.
+// Free returns a page to the arena. Freeing a foreign, already-freed or
+// lent page panics: all three indicate memory-safety bugs in a driver (the
+// last would let reuse clear, and the next owner write, the lender's bytes).
 func (a *Arena) Free(p *Page) {
 	if p.arena != a {
 		panic(fmt.Sprintf("mem: page %d freed to wrong arena %q", p.ID, a.name))
 	}
 	if p.freed {
 		panic(fmt.Sprintf("mem: double free of page %d in arena %q", p.ID, a.name))
+	}
+	if p.lent {
+		panic(fmt.Sprintf("mem: page %d of arena %q freed while lent", p.ID, a.name))
 	}
 	p.freed = true
 	a.frees++
@@ -206,8 +217,9 @@ func (p *Page) Owner() *Arena { return p.arena }
 func (p *Page) Freed() bool { return p.freed }
 
 // Bytes returns the page's PageSize bytes — the same slice on every call,
-// zeroed and allocated at the first. Its capacity is its length, so an
-// append cannot spill into whatever the allocator put next to it.
+// zeroed and allocated at the first — or, while the page is lent, the
+// loan. Its capacity is its length, so an append cannot spill into
+// whatever the allocator put next to it.
 func (p *Page) Bytes() []byte {
 	if p.data == nil {
 		p.back()
@@ -223,6 +235,33 @@ func (p *Page) Bytes() []byte {
 func (p *Page) back() {
 	p.data = make([]byte, PageSize)
 }
+
+// Lend puts b, which must be PageSize long, in place of the page's
+// backing and returns the backing it displaced (nil for a page never
+// touched), which the lender keeps and hands to Restore to end the loan.
+// While the loan lasts, Bytes — and through it every view of the page
+// another domain holds — reads and writes b; the page's own bytes are
+// untouched by it. Lending a lent or freed page panics.
+func (p *Page) Lend(b []byte) (own []byte) {
+	if len(b) != PageSize || p.freed || p.lent {
+		panic(fmt.Sprintf("mem: loan of %d bytes to page %d (freed %v, lent %v)", len(b), p.ID, p.freed, p.lent))
+	}
+	own, p.data, p.lent = p.data, b[:PageSize:PageSize], true
+	return own
+}
+
+// Restore ends a loan: own, the backing Lend returned, is the page's
+// again. On a page not lent it does nothing. Restore(nil) on a page lent
+// with its backing lost (its domain destroyed) leaves it unbacked, to be
+// zeroed at its next touch.
+func (p *Page) Restore(own []byte) {
+	if p.lent {
+		p.data, p.lent = own, false
+	}
+}
+
+// Lent reports whether a loan stands in for the page's own bytes.
+func (p *Page) Lent() bool { return p.lent }
 
 // CopyInto copies len(src) bytes into the page at off.
 func (p *Page) CopyInto(off int, src []byte) {

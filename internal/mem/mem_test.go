@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAllocZeroed(t *testing.T) {
@@ -428,5 +429,72 @@ func TestRelease(t *testing.T) {
 	a.Free(held)
 	if !held.Freed() || a.InUse() != 0 || a.Backed() != 0 {
 		t.Fatalf("late Free: Freed %v InUse %d Backed %d, want true 0 0", held.Freed(), a.InUse(), a.Backed())
+	}
+}
+
+// TestLend: a loan stands in for the page's bytes and leaves its own
+// untouched; Restore brings them back, an unbacked page stays unbacked
+// across one, and a lent page can be neither lent again nor freed.
+func TestLend(t *testing.T) {
+	a := NewArena("d0", 1<<20)
+	backed, unbacked := a.MustAlloc(), a.MustAlloc()
+	own := backed.Bytes()
+	own[0] = 0x11
+	loan := make([]byte, 2*PageSize)
+	owns := make([][]byte, 2)
+	for i, p := range []*Page{backed, unbacked} {
+		owns[i] = p.Lend(loan[i*PageSize : (i+1)*PageSize])
+		if !p.Lent() {
+			t.Fatal("Lent false during a loan")
+		}
+		b := p.Bytes()
+		if &b[0] != &loan[i*PageSize] || cap(b) != PageSize {
+			t.Fatalf("page %d: Bytes during a loan is not the loan, capped at a page", p.ID)
+		}
+		b[0] = 0x22
+	}
+	if &owns[0][0] != &own[0] || owns[1] != nil {
+		t.Fatal("Lend did not return the displaced backing")
+	}
+	if own[0] != 0x11 || a.Backed() != 0 {
+		t.Fatalf("loan touched the page's own bytes (%#x) or counts as backed (Backed %d)", own[0], a.Backed())
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("Free of a lent page", func() { a.Free(backed) })
+	mustPanic("a second loan", func() { backed.Lend(loan[PageSize:]) })
+	for i, p := range []*Page{backed, unbacked} {
+		p.Restore(owns[i])
+		p.Restore(nil) // ending no loan does nothing
+		if p.Lent() {
+			t.Fatal("Lent true after the loan ended")
+		}
+	}
+	if b := backed.Bytes(); &b[0] != &own[0] || b[0] != 0x11 {
+		t.Fatal("ending the loan did not bring the page's own bytes back")
+	}
+	if a.Backed() != 1 {
+		t.Fatalf("Backed after the loans = %d, want 1", a.Backed())
+	}
+	a.Free(backed)
+	if got := a.MustAlloc(); got != backed || loan[0] != 0x22 {
+		t.Fatal("reuse of a page lent earlier cleared the loaned bytes")
+	}
+	mustPanic("a loan shorter than a page", func() { unbacked.Lend(loan[:PageSize-1]) })
+}
+
+// TestPageHeaderSize: page headers are carved by the hundred thousand, so
+// the loan flag must fit beside freed; a field more shows in every fleet
+// guest's heap.
+func TestPageHeaderSize(t *testing.T) {
+	if got := unsafe.Sizeof(Page{}); got != 48 {
+		t.Fatalf("sizeof(Page) = %d, want 48", got)
 	}
 }

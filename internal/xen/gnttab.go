@@ -16,8 +16,9 @@ type GrantRef uint32
 // domain -> entry -> bytes with no *mem.Page in between. It is filled by
 // the first copy the grant admits, not by GrantAccess: granting a page does
 // not touch it, so a granted page nobody copies to or from stays unbacked.
-// page serves that first resolve and the (cold) mapping path, which hands
-// the page itself to the mapper.
+// A loan (LendGrant, EndLoan) swaps the bytes behind the page and so
+// drops data, to be filled afresh. page serves that resolve and the (cold)
+// mapping path, which hands the page itself to the mapper.
 type grantEntry struct {
 	data     []byte
 	page     *mem.Page
@@ -63,6 +64,35 @@ func (d *Domain) EndAccess(ref GrantRef) error {
 	*g = grantEntry{}
 	d.liveGrants--
 	return nil
+}
+
+// LendGrant lends b (PageSize bytes of the granting domain's own memory)
+// to the page behind the live grant ref and returns the backing it
+// displaced, which the caller keeps for EndLoan: every path to the granted
+// page's bytes — Page.Bytes(), so every Mapping of it, and a grant copy —
+// reaches b while the loan lasts and the page's own bytes after it. A
+// frontend lends the final destination of a read to the page it grants
+// for it, so the backend's device lands the data there and the frontend
+// copies nothing. The grant's access mode is unchanged: lend only to a
+// grant whose holder is meant to write b (or read it) for the loan's life.
+func (d *Domain) LendGrant(ref GrantRef, b []byte) (own []byte) {
+	g := d.grant(ref)
+	if g == nil {
+		panic(fmt.Sprintf("xen: %s lending to unknown grant %d", d.Name, ref))
+	}
+	g.data = nil
+	return g.page.Lend(b)
+}
+
+// EndLoan ends a loan LendGrant made on ref, handing the page back own,
+// the backing LendGrant returned; a grant with no loan, or one no longer
+// live, is left as it is. It must run before the page goes back to a pool
+// or an arena, and before the lender hands the loaned bytes on.
+func (d *Domain) EndLoan(ref GrantRef, own []byte) {
+	if g := d.grant(ref); g != nil {
+		g.page.Restore(own)
+		g.data = nil
+	}
 }
 
 // LiveGrants returns the number of outstanding (unrevoked) grant entries.

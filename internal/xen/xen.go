@@ -152,8 +152,9 @@ func (hv *Hypervisor) Domains() []*Domain {
 }
 
 // DestroyDomain tears a domain down: all its event channels close (peers
-// see the close), grants are revoked, its memory goes back (the arena drops
-// its pages; a backend's live mapping keeps the one page it holds), and the
+// see the close), grants are revoked and their loans end, its memory goes
+// back (the arena drops its pages; a backend's live mapping keeps the one
+// page it holds, and a page lent at the time comes back zeroed), and the
 // domain stops receiving events. Other domains are untouched — the isolation property driver
 // domains exist to provide.
 func (hv *Hypervisor) DestroyDomain(id DomID) error {
@@ -168,6 +169,11 @@ func (hv *Hypervisor) DestroyDomain(id DomID) error {
 	for p := range d.ports {
 		if d.ports[p] != nil {
 			d.closePort(Port(p))
+		}
+	}
+	for i := range d.grants {
+		if g := &d.grants[i]; g.live {
+			g.page.Restore(nil) // its own backing is with the lender, which died here
 		}
 	}
 	d.grants = nil

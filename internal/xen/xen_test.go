@@ -588,3 +588,91 @@ func TestReserveGrantsSizesTableOnce(t *testing.T) {
 		t.Fatalf("LiveGrants = %d, want %d", du.LiveGrants(), 2*n)
 	}
 }
+
+// TestLendGrant: while a grant's page is lent, every path to its bytes —
+// Page.Bytes(), a Mapping taken before the loan, a grant copy either way —
+// reaches the loan; after it, the page's own bytes. A grant copy made
+// before the loan leaves no cached view that outlives the swap.
+func TestLendGrant(t *testing.T) {
+	_, hv, dom0 := newHV(t)
+	du := hv.CreateDomain(DomainConfig{Name: "domU", VCPUs: 1, MemBytes: 1 << 20})
+	page := du.Arena.MustAlloc()
+	page.CopyInto(0, []byte("own"))
+	ref := du.GrantAccess(dom0.ID, page, false)
+	m, err := hv.MapGrant(dom0, du.ID, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyIn := func(s string) {
+		t.Helper()
+		if err := hv.CopyGrant(dom0, []CopyOp{{Src: CopyPtr{Data: []byte(s)}, Dst: CopyPtr{Dom: du.ID, Ref: ref}, Len: len(s)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyOut := func() string {
+		t.Helper()
+		got := make([]byte, 3)
+		if err := hv.CopyGrant(dom0, []CopyOp{{Src: CopyPtr{Dom: du.ID, Ref: ref}, Dst: CopyPtr{Data: got}, Len: 3}}); err != nil {
+			t.Fatal(err)
+		}
+		return string(got)
+	}
+	if copyOut() != "own" { // caches the entry's view of the page's own bytes
+		t.Fatal("grant copy before the loan")
+	}
+
+	loan := make([]byte, mem.PageSize)
+	copy(loan, "lnt")
+	own := du.LendGrant(ref, loan)
+	if string(page.Bytes()[:3]) != "lnt" || string(m.Page.Bytes()[:3]) != "lnt" || copyOut() != "lnt" {
+		t.Fatal("during the loan, Bytes, the mapping or a grant copy misses the loan")
+	}
+	m.Page.CopyInto(0, []byte("map"))
+	if string(loan[:3]) != "map" || copyOut() != "map" {
+		t.Fatal("a write through the mapping did not land in the loan")
+	}
+	copyIn("cpy")
+	if string(loan[:3]) != "cpy" {
+		t.Fatal("a grant copy into the lent page did not land in the loan")
+	}
+
+	du.EndLoan(ref, own)
+	if string(page.Bytes()[:3]) != "own" || string(m.Page.Bytes()[:3]) != "own" || copyOut() != "own" {
+		t.Fatal("after the loan, Bytes, the mapping or a grant copy does not see the page's own bytes")
+	}
+	m.Page.CopyInto(0, []byte("MAP"))
+	copyIn("CPY")
+	if string(loan[:3]) != "cpy" {
+		t.Fatalf("after the loan, a write through the mapping or a grant copy reached the loan: %q", loan[:3])
+	}
+	du.EndLoan(ref, nil) // no loan: nothing to do
+	if string(page.Bytes()[:3]) != "CPY" {
+		t.Fatalf("page reads %q, want the last grant copy", page.Bytes()[:3])
+	}
+}
+
+// TestDestroyEndsLoans: a backend mapping that outlives the granting
+// domain reaches a zeroed page, not a loan the domain never ended (the
+// page's own backing died with the lender that held it).
+func TestDestroyEndsLoans(t *testing.T) {
+	_, hv, dom0 := newHV(t)
+	du := hv.CreateDomain(DomainConfig{Name: "domU", VCPUs: 1, MemBytes: 1 << 20})
+	page := du.Arena.MustAlloc()
+	ref := du.GrantAccess(dom0.ID, page, false)
+	m, err := hv.MapGrant(dom0, du.ID, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loan := make([]byte, mem.PageSize)
+	du.LendGrant(ref, loan)
+	if err := hv.DestroyDomain(du.ID); err != nil {
+		t.Fatal(err)
+	}
+	if page.Lent() || m.Page.Bytes()[0] != 0 {
+		t.Fatal("the destroyed domain's lent page is not a zeroed page of its own")
+	}
+	m.Page.CopyInto(0, []byte("late"))
+	if loan[0] != 0 {
+		t.Fatal("a mapping kept past the destroy still reaches the loan")
+	}
+}
