@@ -172,9 +172,21 @@ func TestNetbackSurvivesHostileTxRequests(t *testing.T) {
 		t.Fatal("evil vif never paired")
 	}
 
-	// Bad grant ref and oversized length.
-	tx.PushRequest(netif.TxRequest{ID: 1, Ref: 0xbad, Offset: 0, Len: 100})
-	tx.PushRequest(netif.TxRequest{ID: 2, Ref: 0xbad, Offset: 4000, Len: 5000})
+	// Bad grant ref and oversized length; then, through a real grant, the
+	// widest length the 16-bit field holds, alone and with an offset that
+	// wraps Offset+Len to 0 in 16 bits — a bound computed there would pass
+	// it and stage a 64 KiB copy into a 4 KiB frame buffer.
+	page := evil.Arena.MustAlloc()
+	ref := evil.GrantAccess(nd.Dom.ID, page, true)
+	hostile := []netif.TxRequest{
+		{ID: 1, Ref: 0xbad, Offset: 0, Len: 100},
+		{ID: 2, Ref: 0xbad, Offset: 4000, Len: 5000},
+		{ID: 3, Ref: ref, Offset: 0, Len: 0xffff},
+		{ID: 4, Ref: ref, Offset: 1, Len: 0xffff},
+	}
+	for _, req := range hostile {
+		tx.PushRequest(req)
+	}
 	if tx.PushRequestsAndCheckNotify() {
 		evil.Notify(port)
 	}
@@ -190,9 +202,17 @@ func TestNetbackSurvivesHostileTxRequests(t *testing.T) {
 			}
 			answered++
 		}
-		return answered >= 2
+		return answered >= len(hostile)
 	}, 1_000_000) {
-		t.Fatalf("netback answered only %d hostile requests", answered)
+		t.Fatalf("netback answered only %d of %d hostile requests", answered, len(hostile))
+	}
+	for _, v := range nd.Driver.VIFs() {
+		if v.FrontDom() == evil.ID {
+			if st := v.Stats(); st.TxErrors != uint64(len(hostile)) || st.TxFrames != 0 {
+				t.Fatalf("evil vif counted %d Tx errors and forwarded %d frames, want %d and 0",
+					st.TxErrors, st.TxFrames, len(hostile))
+			}
+		}
 	}
 
 	// The honest guest's data path still works.
@@ -213,6 +233,90 @@ func TestNetbackSurvivesHostileTxRequests(t *testing.T) {
 		}
 	}
 	if n := tb.System.Pool.Outstanding(); n != 0 {
+		t.Fatalf("%d frame buffers leaked", n)
+	}
+}
+
+// TestNetfrontSurvivesHostileRxResponses plays a hostile backend against a
+// guest's netfront: Rx responses whose offset and length leave the posted
+// page — one, Offset 0xffff and Len 2, only in arithmetic that does not
+// wrap, as a 16-bit sum reads it as 1 — must be refused and counted, with
+// no panic, no buffer leaked, and every refused page posted again.
+func TestNetfrontSurvivesHostileRxResponses(t *testing.T) {
+	tb := NewTestbed(33)
+	sys := tb.System
+	back := sys.HV.CreateDomain(xen.DomainConfig{Name: "evilback", VCPUs: 1,
+		MemBytes: 64 << 20, IRQLatency: 3 * sim.Microsecond})
+	victim, err := sys.CreateGuest(GuestConfig{
+		Name: "victim", IP: tb.GuestIP, Net: &NetworkDomain{Dom: back}, Seed: 33,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The backend's half of the handshake, by hand (netback.Driver.tryPair).
+	fp := xenbus.FrontendPath(xenbus.DomID(victim.Dom.ID), "vif", 0)
+	bp := xenbus.BackendPath(xenbus.DomID(back.ID), "vif", xenbus.DomID(victim.Dom.ID), 0)
+	sys.Store.Writef(bp+"/multi-queue-max-queues", "%d", 1)
+	if err := sys.Bus.SwitchState(bp, xenbus.StateInitWait); err != nil {
+		t.Fatal(err)
+	}
+	if !sys.RunReady(func() bool { return sys.Bus.State(fp) == xenbus.StateInitialised }, 500000) {
+		t.Fatal("victim never published its rings")
+	}
+	frontPort, ok := sys.Store.ReadInt(fp + "/event-channel")
+	if !ok {
+		t.Fatal("victim published no event channel")
+	}
+	claimed, ok := sys.NetReg.Claim(victim.Dom.ID, 0)
+	if !ok {
+		t.Fatal("victim's rings are not in the registry")
+	}
+	rx := claimed.(*netif.Channel).Rx.Queue(0)
+	port, err := back.BindInterdomain(victim.Dom.ID, xen.Port(frontPort))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back.SetHandler(port, func() {})
+	if err := sys.Bus.SwitchState(bp, xenbus.StateConnected); err != nil {
+		t.Fatal(err)
+	}
+	if !sys.RunReady(victim.Ready, 500000) {
+		t.Fatal("victim never connected")
+	}
+	sys.Eng.Run()
+
+	hostile := []netif.RxResponse{
+		{Offset: 0xffff, Len: 2, Status: netif.StatusOK},
+		{Offset: 0, Len: 0xffff, Status: netif.StatusOK},
+		{Offset: 4000, Len: 200, Status: netif.StatusOK},
+	}
+	for i := range hostile {
+		req, ok := rx.TakeRequest()
+		if !ok {
+			t.Fatal("victim posted too few Rx buffers")
+		}
+		hostile[i].ID = req.ID
+		rx.PushResponse(hostile[i])
+	}
+	posted := rx.UnconsumedRequests()
+	if rx.PushResponsesAndCheckNotify() {
+		back.Notify(port)
+	}
+	sys.Eng.Run()
+
+	st := victim.Net.Stats()
+	if st.RxErrors != uint64(len(hostile)) || st.RxFrames != 0 {
+		t.Fatalf("victim counted %d Rx errors and accepted %d frames, want %d and 0",
+			st.RxErrors, st.RxFrames, len(hostile))
+	}
+	if got := rx.UnconsumedRequests(); got != posted+len(hostile) {
+		t.Fatalf("victim has %d Rx buffers posted, want %d: a refused page was not posted again",
+			got, posted+len(hostile))
+	}
+	victim.Net.Close()
+	sys.Eng.Run()
+	if n := sys.Pool.Outstanding(); n != 0 {
 		t.Fatalf("%d frame buffers leaked", n)
 	}
 }

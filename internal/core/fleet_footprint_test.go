@@ -33,16 +33,24 @@ func fleetHeapAfterWave(t *testing.T, guests int) (*FleetRig, uint64) {
 }
 
 // TestFleetFootprint holds the per-tenant footprint where demand-zero pages
-// put it. Every tenant allocates and grants 512 ring pages at connect (2 MiB
-// if they were backed: 2.18 GB of heap at 1024 tenants); after a wave it has
-// touched one Tx slot — the free stack is LIFO — and the Rx buffer its ARP
-// reply landed in.
+// and Xen-width tables put it. Every tenant allocates and grants 512 ring
+// pages at connect (2 MiB if they were backed: 2.18 GB of heap at 1024
+// tenants); after a wave it has touched one Tx slot — the free stack is
+// LIFO — and the Rx buffer its ARP reply landed in. What it holds besides
+// is headers and tables: 24 B page headers and grant entries, netif ring
+// entries at netif.h widths. The 1024-tenant fleet reads 87 MiB, the
+// 8192-tenant one 695 MiB; the gates sit about 10 % above.
 func TestFleetFootprint(t *testing.T) {
 	t.Run("guests=1024", func(t *testing.T) {
 		rig, heap := fleetHeapAfterWave(t, 1024)
 		t.Logf("HeapInuse %d MiB after one wave", heap>>20)
-		if heap > 256<<20 {
-			t.Errorf("HeapInuse above 256 MiB")
+		// A race-detector build holds about a tenth more (97 MiB).
+		limit := uint64(96 << 20)
+		if raceEnabled {
+			limit = 108 << 20
+		}
+		if heap > limit {
+			t.Errorf("HeapInuse above %d MiB", limit>>20)
 		}
 		for i, g := range rig.Guests {
 			if in := g.Dom.Arena.InUse(); in != 512 {
@@ -55,12 +63,12 @@ func TestFleetFootprint(t *testing.T) {
 	})
 	t.Run("guests=8192", func(t *testing.T) {
 		if testing.Short() || raceEnabled {
-			t.Skip("brings up 8192 tenants: seconds and ~1 GiB")
+			t.Skip("brings up 8192 tenants: seconds and ~700 MiB")
 		}
 		_, heap := fleetHeapAfterWave(t, 8192)
 		t.Logf("HeapInuse %d MiB after one wave", heap>>20)
-		if heap > 1228<<20 {
-			t.Errorf("HeapInuse above 1.2 GiB")
+		if heap > 765<<20 {
+			t.Errorf("HeapInuse above 765 MiB")
 		}
 	})
 }

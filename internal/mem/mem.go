@@ -12,26 +12,32 @@
 // models (IDs, allocation order, InUse, exhaustion) can tell the difference.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // PageSize is the x86 page size used throughout Xen's grant interface.
 const PageSize = 4096
 
 // PageID identifies a page within one arena (a pseudo physical frame
-// number).
-type PageID uint64
+// number). Thirty-two bits name 16 TiB of 4 KiB pages, more than any
+// domain's RAM assignment; NewArena refuses an arena they cannot number.
+type PageID uint32
 
 // Page is one 4 KiB frame of simulated guest memory.
+//
+// Page headers are carved by the hundred thousand (fleet guests), so the
+// header is held to 24 B: the bytes as an array pointer, not a slice
+// header, and the fields ordered so nothing pads. The loan adds one flag
+// beside freed and no other field.
 type Page struct {
-	ID PageID
-
 	// data is what Bytes returns: the page's own backing (nil until the
-	// first Bytes(), then PageSize long for good), or, while lent is set,
-	// a loan standing in for it; the lender holds the backing meanwhile.
-	// Page headers are carved by the hundred thousand (fleet guests), so
-	// the loan adds one flag beside freed and no other field.
-	data  []byte
+	// first Bytes(), then for good), or, while lent is set, a loan standing
+	// in for it; the lender holds the backing meanwhile.
+	data  *[PageSize]byte
 	arena *Arena
+	ID    PageID
 	freed bool
 	lent  bool
 }
@@ -54,9 +60,14 @@ type Arena struct {
 }
 
 // NewArena creates an arena able to hold maxBytes of page-granular memory.
+// It panics on an arena smaller than one page, or with more pages than a
+// PageID can number.
 func NewArena(name string, maxBytes int64) *Arena {
 	if maxBytes < PageSize {
 		panic(fmt.Sprintf("mem: arena %q smaller than one page", name))
+	}
+	if maxBytes/PageSize > math.MaxUint32 {
+		panic(fmt.Sprintf("mem: arena %q of %d pages overflows a PageID", name, maxBytes/PageSize))
 	}
 	return &Arena{name: name, maxPages: int(maxBytes / PageSize)}
 }
@@ -162,7 +173,9 @@ func (a *Arena) reuse() *Page {
 	p := a.free[n-1]
 	a.free = a.free[:n-1]
 	p.freed = false
-	clear(p.data)
+	if p.data != nil {
+		*p.data = [PageSize]byte{}
+	}
 	return p
 }
 
@@ -224,7 +237,7 @@ func (p *Page) Bytes() []byte {
 	if p.data == nil {
 		p.back()
 	}
-	return p.data
+	return p.data[:]
 }
 
 // back is the first touch. It is kept out of line so that Bytes inlines to
@@ -233,7 +246,7 @@ func (p *Page) Bytes() []byte {
 //kite:coldpath once per page lifetime; hot paths are warmed past every page they use
 //go:noinline
 func (p *Page) back() {
-	p.data = make([]byte, PageSize)
+	p.data = new([PageSize]byte)
 }
 
 // Lend puts b, which must be PageSize long, in place of the page's
@@ -241,22 +254,34 @@ func (p *Page) back() {
 // touched), which the lender keeps and hands to Restore to end the loan.
 // While the loan lasts, Bytes — and through it every view of the page
 // another domain holds — reads and writes b; the page's own bytes are
-// untouched by it. Lending a lent or freed page panics.
+// untouched by it. Lending a lent or freed page, or a b of another
+// length, panics.
 func (p *Page) Lend(b []byte) (own []byte) {
 	if len(b) != PageSize || p.freed || p.lent {
 		panic(fmt.Sprintf("mem: loan of %d bytes to page %d (freed %v, lent %v)", len(b), p.ID, p.freed, p.lent))
 	}
-	own, p.data, p.lent = p.data, b[:PageSize:PageSize], true
+	if p.data != nil {
+		own = p.data[:]
+	}
+	p.data, p.lent = (*[PageSize]byte)(b), true
 	return own
 }
 
 // Restore ends a loan: own, the backing Lend returned, is the page's
 // again. On a page not lent it does nothing. Restore(nil) on a page lent
 // with its backing lost (its domain destroyed) leaves it unbacked, to be
-// zeroed at its next touch.
+// zeroed at its next touch; a non-nil own that is not PageSize long
+// panics rather than unback the page.
 func (p *Page) Restore(own []byte) {
+	var data *[PageSize]byte
+	if own != nil {
+		if len(own) != PageSize {
+			panic(fmt.Sprintf("mem: restore of %d bytes to page %d", len(own), p.ID))
+		}
+		data = (*[PageSize]byte)(own)
+	}
 	if p.lent {
-		p.data, p.lent = own, false
+		p.data, p.lent = data, false
 	}
 }
 

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -129,6 +130,21 @@ func TestArenaTooSmallPanics(t *testing.T) {
 		}
 	}()
 	NewArena("bad", 100)
+}
+
+// TestArenaPageIDRange: an arena whose pages a PageID cannot number is
+// refused at creation; the largest one it can number is not.
+func TestArenaPageIDRange(t *testing.T) {
+	const most = int64(math.MaxUint32) * PageSize
+	if got := NewArena("widest", most).Capacity(); got != math.MaxUint32 {
+		t.Fatalf("Capacity = %d, want %d", got, uint32(math.MaxUint32))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an arena of 2^32 pages did not panic")
+		}
+	}()
+	NewArena("too wide", most+PageSize)
 }
 
 // Property: alloc/free sequences never exceed capacity, never lose pages,
@@ -488,13 +504,54 @@ func TestLend(t *testing.T) {
 		t.Fatal("reuse of a page lent earlier cleared the loaned bytes")
 	}
 	mustPanic("a loan shorter than a page", func() { unbacked.Lend(loan[:PageSize-1]) })
+	mustPanic("a loan longer than a page", func() { unbacked.Lend(loan) })
 }
 
-// TestPageHeaderSize: page headers are carved by the hundred thousand, so
-// the loan flag must fit beside freed; a field more shows in every fleet
+// TestRestoreChecksLength: Restore(nil) ends a loan leaving the page
+// unbacked; a non-nil backing of any length but a page's panics rather
+// than unback the page, whether or not the page is lent.
+func TestRestoreChecksLength(t *testing.T) {
+	a := NewArena("d0", 1<<20)
+	p := a.MustAlloc()
+	p.Bytes()[0] = 0x33
+	loan := make([]byte, PageSize)
+	own := p.Lend(loan)
+	for _, bad := range [][]byte{{}, own[:PageSize-1], make([]byte, PageSize+1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Restore of %d bytes did not panic", len(bad))
+				}
+			}()
+			p.Restore(bad)
+		}()
+		if !p.Lent() || &p.Bytes()[0] != &loan[0] {
+			t.Fatalf("a refused Restore of %d bytes ended the loan", len(bad))
+		}
+	}
+	p.Restore(nil) // the backing was lost: the page comes back unbacked
+	if p.Lent() || a.Backed() != 0 {
+		t.Fatalf("after Restore(nil): Lent %v Backed %d, want false 0", p.Lent(), a.Backed())
+	}
+	if !bytes.Equal(p.Bytes(), make([]byte, PageSize)) {
+		t.Fatal("a page restored unbacked is not zero at its next touch")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Restore of a short backing to a page not lent did not panic")
+			}
+		}()
+		p.Restore(own[:1])
+	}()
+}
+
+// TestPageHeaderSize: page headers are carved by the hundred thousand (512
+// per fleet tenant), so the header is an array pointer, the arena, a 32-bit
+// ID and two flags, with no padding; a field more shows in every fleet
 // guest's heap.
 func TestPageHeaderSize(t *testing.T) {
-	if got := unsafe.Sizeof(Page{}); got != 48 {
-		t.Fatalf("sizeof(Page) = %d, want 48", got)
+	if got := unsafe.Sizeof(Page{}); got != 24 {
+		t.Fatalf("sizeof(Page) = %d, want 24", got)
 	}
 }

@@ -41,6 +41,7 @@ import (
 
 	"kite/internal/bridge"
 	"kite/internal/framepool"
+	"kite/internal/mem"
 	"kite/internal/metrics"
 	"kite/internal/netif"
 	"kite/internal/netpkt"
@@ -53,6 +54,10 @@ import (
 // pinned to cluster shards; it doubles as the posts' conservative lookahead
 // bound, so it must be at least the cluster's lookahead.
 const shardHandoff = 2 * sim.Microsecond
+
+// A Tx request that stays inside its granted page fits a frame buffer: the
+// Tx bound check relies on it, and this fails to compile if it stops holding.
+const _ uint = framepool.MaxFrame - mem.PageSize
 
 // Costs parameterizes the backend's software path per OS.
 type Costs struct {
@@ -612,7 +617,7 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 			}
 			reqs = append(reqs, req)
 			if req.Len > 0 {
-				used += req.Len
+				used += int(req.Len)
 			} else {
 				used++ // malformed requests still consume a slot of credit
 			}
@@ -630,19 +635,22 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 		}
 		// One batched hypervisor copy for the whole run of requests, each
 		// landing in its own pooled buffer. bufs[i] is nil for a request
-		// rejected up front (malformed length).
+		// rejected up front: one whose bytes leave its granted page, which
+		// netif.h forbids and which also bounds it by a frame buffer. The
+		// bound is computed in int, where a hostile Offset+Len cannot wrap.
 		ops := ds.ops[:0]
 		bufs := ds.bufs[:0]
 		for _, req := range reqs {
-			if req.Len < 0 || req.Len > framepool.MaxFrame {
+			off, n := int(req.Offset), int(req.Len)
+			if off+n > mem.PageSize {
 				bufs = append(bufs, nil)
 				continue
 			}
 			b := v.pool.Get()
 			ops = append(ops, xen.CopyOp{
-				Src: xen.CopyPtr{Dom: v.frontDom, Ref: req.Ref, Offset: req.Offset},
-				Dst: xen.CopyPtr{Data: b.Extend(req.Len)},
-				Len: req.Len,
+				Src: xen.CopyPtr{Dom: v.frontDom, Ref: req.Ref, Offset: off},
+				Dst: xen.CopyPtr{Data: b.Extend(n)},
+				Len: n,
 			})
 			bufs = append(bufs, b)
 		}
@@ -869,7 +877,8 @@ func (q *vifQueue) drainRxBudget(budget int) (used int, more bool) {
 				q.stats.RxBytes += uint64(batch[i].Len())
 				metrics.NetQueueRxFrames.Add(1)
 			}
-			q.rx.PushResponse(netif.RxResponse{ID: req.ID, Offset: 0, Len: batch[i].Len(), Status: status})
+			// A frame is at most framepool.MaxFrame long, so its length fits.
+			q.rx.PushResponse(netif.RxResponse{ID: req.ID, Offset: 0, Len: uint16(batch[i].Len()), Status: status})
 			batch[i].Release()
 		}
 		ds.ops = ops[:0]

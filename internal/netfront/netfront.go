@@ -67,13 +67,18 @@ type Stats struct {
 	TxBytes, RxBytes   uint64
 	TxRingFull         uint64
 	TxErrors           uint64
+	// RxErrors counts Rx responses refused: an error status, or a frame
+	// that does not fit its page or a frame buffer.
+	RxErrors uint64
 }
 
 // txSlot is a persistently granted Tx page, reused across frames. data
 // aliases the page's bytes, so a send reaches them from the slot itself; it
 // is filled by the slot's first send, which is what first touches the page.
+// An array pointer rather than a slice keeps the slot at 24 B: every tenant
+// holds 256 of them.
 type txSlot struct {
-	data     []byte
+	data     *[mem.PageSize]byte
 	page     *mem.Page
 	ref      xen.GrantRef
 	inFlight bool
@@ -249,6 +254,7 @@ func (d *Device) Stats() Stats {
 		s.RxBytes += q.stats.RxBytes
 		s.TxRingFull += q.stats.TxRingFull
 		s.TxErrors += q.stats.TxErrors
+		s.RxErrors += q.stats.RxErrors
 	}
 	return s
 }
@@ -619,14 +625,14 @@ func (q *queue) pushTx(frame *framepool.Buf) bool {
 		frame.Release()
 		return false
 	}
-	n := frame.Len()
+	n := frame.Len() // at most mem.PageSize: enqueue checked
 	if slot.data == nil {
-		slot.data = slot.page.Bytes()
+		slot.data = (*[mem.PageSize]byte)(slot.page.Bytes())
 	}
-	copy(slot.data, frame.Bytes())
+	copy(slot.data[:], frame.Bytes())
 	slot.inFlight = true
 	frame.Release()
-	q.tx.PushRequest(netif.TxRequest{ID: id, Ref: slot.ref, Offset: 0, Len: n})
+	q.tx.PushRequest(netif.TxRequest{ID: id, Ref: slot.ref, Offset: 0, Len: uint16(n)})
 	q.stats.TxFrames++
 	q.stats.TxBytes += uint64(n)
 	return true
@@ -690,14 +696,17 @@ func (q *queue) reapRx() {
 			break
 		}
 		buf := q.rxBufs[rsp.ID%netif.RingSize]
-		if rsp.Status == netif.StatusOK && rsp.Len > 0 &&
-			rsp.Offset >= 0 && rsp.Len <= framepool.MaxFrame &&
-			rsp.Offset+rsp.Len <= mem.PageSize {
+		// The backend is untrusted: bound its offset and length in int,
+		// where Offset+Len cannot wrap as it would in 16 bits.
+		off, n := int(rsp.Offset), int(rsp.Len)
+		if rsp.Status != netif.StatusOK || n == 0 || n > framepool.MaxFrame || off+n > mem.PageSize {
+			q.stats.RxErrors++
+		} else {
 			q.stats.RxFrames++
-			q.stats.RxBytes += uint64(rsp.Len)
+			q.stats.RxBytes += uint64(n)
 			if d.recv != nil {
 				b := d.pool.Get()
-				copy(b.Extend(rsp.Len), buf.page.Bytes()[rsp.Offset:rsp.Offset+rsp.Len])
+				copy(b.Extend(n), buf.page.Bytes()[off:off+n])
 				if q.eng != d.eng {
 					// Deliver to the stack's shard (softirq dispatch).
 					q.eng.Post(d.eng, shardHandoff, sim.PriData, d.recvF, b)

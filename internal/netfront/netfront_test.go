@@ -107,7 +107,7 @@ func newRig(t *testing.T) *rig {
 				break
 			}
 			op := []xen.CopyOp{{
-				Src: xen.CopyPtr{Dom: guest.ID, Ref: req.Ref, Offset: req.Offset},
+				Src: xen.CopyPtr{Dom: guest.ID, Ref: req.Ref, Offset: int(req.Offset)},
 				Dst: xen.CopyPtr{Data: buf}, Len: len(buf),
 			}}
 			if err := hv.CopyGrantOn(back, cpu, op); err != nil {

@@ -24,12 +24,19 @@ const (
 	StatusDropped = -2
 )
 
-// TxRequest asks the backend to transmit a frame stored in a granted page.
+// The ring entries keep netif.h's widths, so each ring's 256 requests and
+// 256 responses fill one 4 KiB page, as Xen's shared ring does: a Tx ring
+// is 256 × (12 + 4) B, an Rx ring 256 × (8 + 8) B. Offsets and lengths are
+// 16 bits wide on the wire; whoever checks one against a page or a buffer
+// computes in int, so a hostile Offset+Len cannot wrap past the check.
+
+// TxRequest asks the backend to transmit Len bytes at Offset in a granted
+// page (netif_tx_request, less its flags).
 type TxRequest struct {
-	ID     uint16
 	Ref    xen.GrantRef
-	Offset int
-	Len    int
+	Offset uint16
+	ID     uint16
+	Len    uint16
 }
 
 // TxResponse reports completion of a TxRequest.
@@ -45,11 +52,12 @@ type RxRequest struct {
 	Ref xen.GrantRef
 }
 
-// RxResponse reports a filled Rx buffer.
+// RxResponse reports a filled Rx buffer: Len bytes at Offset in the page
+// its ID posted.
 type RxResponse struct {
 	ID     uint16
-	Offset int
-	Len    int
+	Offset uint16
+	Len    uint16
 	Status int8
 }
 

@@ -1,6 +1,9 @@
 package netif
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestRingConstructorsSize(t *testing.T) {
 	if NewTxRing().Size() != RingSize || NewRxRing().Size() != RingSize {
@@ -19,5 +22,29 @@ func TestChannelQueues(t *testing.T) {
 				t.Fatalf("queue %d has wrong ring sizes", i)
 			}
 		}
+	}
+}
+
+// TestEntrySizes pins the ring entries at netif.h's widths: each ring's
+// 256 requests and 256 responses fill one 4 KiB page, as in Xen, and every
+// fleet tenant holds a Tx and an Rx ring.
+func TestEntrySizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"TxRequest", unsafe.Sizeof(TxRequest{}), 12},
+		{"TxResponse", unsafe.Sizeof(TxResponse{}), 4},
+		{"RxRequest", unsafe.Sizeof(RxRequest{}), 8},
+		{"RxResponse", unsafe.Sizeof(RxResponse{}), 8},
+	} {
+		if c.got != c.want {
+			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	tx := RingSize * (unsafe.Sizeof(TxRequest{}) + unsafe.Sizeof(TxResponse{}))
+	rx := RingSize * (unsafe.Sizeof(RxRequest{}) + unsafe.Sizeof(RxResponse{}))
+	if tx != 4096 || rx != 4096 {
+		t.Errorf("Tx ring entries take %d B, Rx %d B; want one 4 KiB page each", tx, rx)
 	}
 }

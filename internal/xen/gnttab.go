@@ -19,10 +19,14 @@ type GrantRef uint32
 // A loan (LendGrant, EndLoan) swaps the bytes behind the page and so
 // drops data, to be filled afresh. page serves that resolve and the (cold)
 // mapping path, which hands the page itself to the mapper.
+//
+// Every tenant's table holds an entry per ring page, so the entry is held
+// to 24 B: data is an array pointer, not a slice header, and mapCount
+// counts the mappings of one page in 32 bits.
 type grantEntry struct {
-	data     []byte
+	data     *[mem.PageSize]byte
 	page     *mem.Page
-	mapCount int
+	mapCount int32
 	remote   DomID
 	readonly bool
 	live     bool // false in never-issued and revoked slots
@@ -301,7 +305,7 @@ func (hv *Hypervisor) resolveCopyPtr(caller *Domain, p CopyPtr, write bool) ([]b
 		return nil, fmt.Errorf("write through read-only grant %d of domain %d", p.Ref, p.Dom)
 	}
 	if g.data == nil {
-		g.data = g.page.Bytes()
+		g.data = (*[mem.PageSize]byte)(g.page.Bytes())
 	}
-	return g.data, nil
+	return g.data[:], nil
 }

@@ -3,6 +3,7 @@ package xen
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"kite/internal/mem"
 	"kite/internal/sim"
@@ -674,5 +675,14 @@ func TestDestroyEndsLoans(t *testing.T) {
 	m.Page.CopyInto(0, []byte("late"))
 	if loan[0] != 0 {
 		t.Fatal("a mapping kept past the destroy still reaches the loan")
+	}
+}
+
+// TestGrantEntrySize: a fleet tenant's grant table holds an entry per ring
+// page (513 of them), so the entry is two pointers, a 32-bit map count and
+// a remote domain and two flags beside it: 24 B, with no padding.
+func TestGrantEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(grantEntry{}); got != 24 {
+		t.Fatalf("sizeof(grantEntry) = %d, want 24", got)
 	}
 }
