@@ -95,10 +95,10 @@ type System struct {
 	nextVbdBase int64
 }
 
-// ShardLookahead is the conservative lookahead window of sharded systems:
-// every cross-shard hand-off in the PV data paths (qdisc dispatch, softirq
-// delivery, bridge input) models at least this much latency, so shards can
-// safely run that far apart within a window.
+// ShardLookahead is the cluster lookahead of sharded systems: every
+// cross-shard hand-off in the PV data paths (qdisc dispatch, softirq
+// delivery, bridge input) models at least this much latency, and Post
+// refuses a shorter one.
 const ShardLookahead = 2 * sim.Microsecond
 
 // NewSystem boots the hypervisor and Dom0 (which hosts xenstored; per §5,
@@ -122,7 +122,7 @@ func newSystem(seed uint64, cluster *sim.Cluster) *System {
 		// between the home shard (devices, bridge, stacks) and a queue
 		// shard, never queue-to-queue. Declaring exactly those edges turns
 		// any undeclared queue-to-queue post into an immediate panic (a
-		// check only: horizons use ShardLookahead for every pair). The
+		// check only: the scheduler reads no edge). The
 		// drivers refine these edges with their own hand-off latencies at
 		// pinning time (netback.SetShards/SetFleet, netfront queue setup).
 		for i := 1; i < cluster.Shards(); i++ {
@@ -516,7 +516,7 @@ func (s *System) CreateGuest(cfg GuestConfig) (*Guest, error) {
 			stackCPUs = dom.CPUs.Slice(cfg.NetQueues, dom.CPUs.Len())
 		} else if qs != nil && cfg.Fleet {
 			// Fleet tenant: the single queue lives on its service lane's
-			// shard so ring events never cross shards mid-window.
+			// shard so ring events never cross shards.
 			netShards = []*sim.Engine{qs[cfg.FleetLane%len(qs)]}
 			stackCPUs = dom.CPUs.Slice(1, dom.CPUs.Len())
 		}
@@ -624,7 +624,7 @@ func (g *Guest) ReattachNet(s *System, nd *NetworkDomain) error {
 	var netShards []*sim.Engine
 	if qs := s.QueueShards(); qs != nil && g.fleet {
 		// Fleet tenant: keep the single queue on its lane's shard (see
-		// CreateGuest) so ring events never cross shards mid-window.
+		// CreateGuest) so ring events never cross shards.
 		netShards = []*sim.Engine{qs[g.fleetLane%len(qs)]}
 	}
 	g.Net = netfront.New(s.Eng, netfront.Config{

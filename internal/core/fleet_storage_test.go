@@ -3,8 +3,8 @@ package core
 import "testing"
 
 // TestFleetStorageUnderClusterRun drives fleet tenants' vbds with the
-// cluster's own Run loop (windows and horizons) rather than RunReady's
-// Step: every tenant writes a block and reads it back, and both buffer
+// cluster's own Run loop (a shard's events run in batches) rather than
+// RunReady's one-event Step: every tenant writes a block and reads it back, and both buffer
 // pools drain.
 func TestFleetStorageUnderClusterRun(t *testing.T) {
 	rig, err := NewFleetRig(FleetConfig{Guests: 16, Lanes: 4, Seed: 1, Storage: true})

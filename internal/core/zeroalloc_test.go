@@ -23,6 +23,10 @@ func heapBytesPerRun(runs int, f func()) float64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f() // settle any first-call growth outside the measured window
 	var before, after runtime.MemStats
+	// Restarting the world after ReadMemStats may start an OS thread, whose
+	// ~5 KB of runtime records would count as the workload's: one stop
+	// before the measured one lets the runtime do that outside the window.
+	runtime.ReadMemStats(&before)
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		f()

@@ -49,12 +49,11 @@ type FleetStats struct {
 	DemuxMarks uint64
 
 	// Cluster counters (timeline facts).
-	Shards  int
-	Windows uint64
-	Posts   uint64
+	Shards int
+	Posts  uint64
 	// What the delivery phase — one datagram per tenant each way, a wave
 	// at a time — cost the event core per datagram delivered: cross-shard
-	// posts and engine events, exact counts taken at window boundaries.
+	// posts and engine events, exact counts.
 	DeliveryFrames uint64
 	DeliveryPosts  uint64
 	DeliveryEvents uint64
@@ -75,8 +74,8 @@ func (f FleetStats) String() string {
 // ShardLine renders the cluster counters (vary with the lane count, never
 // with -parallel or GOMAXPROCS).
 func (f FleetStats) ShardLine() string {
-	return fmt.Sprintf("kitebench: fleet shards %d, %d windows, %d cross-shard posts; delivery phase %.3f posts/frame, %.3f events/frame",
-		f.Shards, f.Windows, f.Posts,
+	return fmt.Sprintf("kitebench: fleet shards %d, %d cross-shard posts; delivery phase %.3f posts/frame, %.3f events/frame",
+		f.Shards, f.Posts,
 		float64(f.DeliveryPosts)/float64(f.DeliveryFrames), float64(f.DeliveryEvents)/float64(f.DeliveryFrames))
 }
 
@@ -276,7 +275,6 @@ func FleetSummary(s Scale, guests int) FleetStats {
 		f.DemuxScans += scans
 		f.DemuxMarks += marks
 	}
-	f.Windows = sys.Cluster.Windows()
 	f.Posts = sys.Cluster.Posted()
 	return f
 }

@@ -30,18 +30,15 @@ type MQStats struct {
 	BlkChecksum uint64 // sum of FNV-1a hashes of the data read back, in issue order
 
 	// Shard-cluster counters for the network leg (zero when unsharded).
-	// Windows and posts are properties of the event timeline, identical on
-	// any host at any GOMAXPROCS — but they do depend on the queue count, so
-	// they print on their own line, separate from the queue-invariant
-	// summary above.
-	Shards  int    // cluster shards (1 + queues when sharded)
-	Windows uint64 // lookahead windows the cluster ran
-	Fused   uint64 // windows in which no shard posted
-	Posts   uint64 // cross-shard posts made
+	// Posts are a property of the event timeline, identical on any host at
+	// any GOMAXPROCS — but they do depend on the queue count, so they print
+	// on their own line, separate from the queue-invariant summary above.
+	Shards int    // cluster shards (1 + queues when sharded)
+	Posts  uint64 // cross-shard posts made
 
 	// ShardEvents is the per-shard event count — how the timeline's work
-	// actually distributes over the shards. Like windows and posts, it is a
-	// property of the event timeline.
+	// actually distributes over the shards. Like posts, it is a property of
+	// the event timeline.
 	ShardEvents []uint64
 }
 
@@ -55,12 +52,12 @@ func (m MQStats) String() string {
 }
 
 // ShardLine renders the cluster counters. The line is byte-identical for
-// any -parallel and GOMAXPROCS (windows and posts are timeline
-// facts), but varies with -queues, so kitebench prints it separately from
+// any -parallel and GOMAXPROCS (posts and events are timeline facts), but
+// varies with -queues, so kitebench prints it separately from
 // the queue-invariant summary.
 func (m MQStats) ShardLine() string {
-	return fmt.Sprintf("kitebench: mq shards %d, %d windows (%d fused), %d cross-shard posts, events per shard %d",
-		m.Shards, m.Windows, m.Fused, m.Posts, m.ShardEvents)
+	return fmt.Sprintf("kitebench: mq shards %d, %d cross-shard posts, events per shard %d",
+		m.Shards, m.Posts, m.ShardEvents)
 }
 
 // fnv1a hashes b with FNV-1a, folding in a leading tag so datagrams that
@@ -191,8 +188,6 @@ func MQSummary(s Scale, queues int) MQStats {
 	m.QueueRx = metrics.NetQueueRxFrames.Load() - qrx0
 	m.QueueReqs = metrics.BlkQueueRequests.Load() - qreq0
 	if c := sys.Cluster; c != nil {
-		m.Windows = c.Windows()
-		m.Fused = c.Fused()
 		m.Posts = c.Posted()
 		for i := 0; i < c.Shards(); i++ {
 			m.ShardEvents = append(m.ShardEvents, c.Shard(i).ProcessedLocal())

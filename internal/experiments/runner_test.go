@@ -98,9 +98,9 @@ func TestMQSummaryByteIdenticalAcrossParallelAndQueues(t *testing.T) {
 
 // TestMQDeterminismMatrix is the sharded event core's bit-reproducibility
 // witness: for each queue count, the full mq summary INCLUDING the shard
-// counters is byte-identical at every GOMAXPROCS. Windows and cross-shard
-// posts are timeline facts; nothing about the host may reach them. Run
-// under -race by `make verify`.
+// counters is byte-identical at every GOMAXPROCS. Cross-shard posts and
+// per-shard event counts are timeline facts; nothing about the host may
+// reach them. Run under -race by `make verify`.
 func TestMQDeterminismMatrix(t *testing.T) {
 	s := Quick()
 	for _, q := range []int{1, 4, 8} {

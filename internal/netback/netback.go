@@ -741,9 +741,9 @@ func (q *vifQueue) flushTx() {
 }
 
 // copyGrant issues the batched hypervisor copy, charging the queue's pinned
-// vCPU when sharded: the pool-level pick compares every vCPU's busy-until
-// mark, other shards' included, and mid-window those are not where the Step
-// replay has them — the windowed run would stop equalling it.
+// vCPU when sharded. The cluster runs in exact global order, so a pool-level
+// pick would see every vCPU's busy-until mark where the timeline has it; the
+// pinned charge stays because the pool pick would move the model.
 func (q *vifQueue) copyGrant(hv *xen.Hypervisor, ops []xen.CopyOp) error {
 	if q.sharded {
 		return hv.CopyGrantOn(q.v.dom, q.cpu, ops)

@@ -149,7 +149,7 @@ func newRig(t *testing.T) *rig {
 }
 
 // at runs fn as an event on the stack's shard at virtual time t: hand-offs
-// are posts, and posts only leave a shard from inside its window.
+// are posts, and posts only leave a shard from one of its own events.
 func (r *rig) at(t sim.Time, fn func()) { r.eng.Schedule(t, fn) }
 
 // frame returns a pooled 64-byte frame whose first word is id.

@@ -1,45 +1,40 @@
 package sim
 
 // This file is the sharded deterministic event core: a Cluster partitions
-// one simulation into per-shard Engines (one heap each) and executes them in
-// conservative lookahead windows. The design is classic conservative DES
-// (Chandy-Misra-Bryant specialized to one fixed minimum hand-off latency):
+// one simulation into per-shard Engines (one heap and one inbox each) and
+// executes them in one exact global order — the cluster's earliest pending
+// event next, ties going to the lowest shard, and within a shard the heap
+// before the inbox:
 //
 //   - Every cross-shard interaction travels as a *post* with an explicit
 //     delay >= the cluster lookahead. Physical latencies (NIC wire +
 //     propagation delay, event-channel upcall latency, NVMe command fetch)
 //     give every hand-off a natural lower bound, so posts model real
-//     hand-off delays rather than artificial slack.
+//     hand-off delays rather than artificial slack; the scheduler does not
+//     need the bound, Post checks it.
 //   - A post lands where it is going: Post puts the record straight into the
 //     destination shard's inbox, at its place in the total (timestamp,
 //     priority, source shard, source sequence) order. The key is unique, so
 //     an inbox's order depends on nothing but the posts themselves. Nothing
 //     is staged and no barrier merges: one goroutine runs the whole cluster,
 //     so the destination is never running while a post arrives.
-//   - A window runs every shard, one after another in shard order, up to its
-//     *own* exclusive horizon: the minimum over all other active shards j of
-//     next(j) + lookahead. Any post made inside the window matures at or
-//     beyond the destination's horizon, so no shard executes an event
-//     another shard created in the same window, and each shard is left the
-//     timeline the global-order replay Step performs leaves it.
-//   - A shard that is the only active one runs *free* — no horizon at all —
-//     until it posts, at which point the destination holds a future event
-//     that could boomerang back, so the sprint ends there and the next
-//     window gives both shards a horizon. The sprint is the one mechanism
-//     here with a measured cost of removal (DESIGN.md §12.4).
+//   - One loop (runLoop) runs the shard holding the earliest event until
+//     another shard's next event comes first, so shard-local stretches run
+//     as one batch on a heap-only inner loop, and Step is the same loop
+//     with a budget of one. A shard alone with pending events runs to the
+//     end of the run (DESIGN.md §12.4).
 //   - Declared edges (DeclareEdge, DeclareLink) are a check, not an
 //     optimisation: once a cluster declares any, Post panics on an
 //     undeclared pair and on a delay under the pair's declared minimum.
-//     Horizons do not read them (DESIGN.md §12.6: what a closure bought).
+//     The scheduler does not read them (DESIGN.md §12.6).
 //
 // A whole Cluster runs on the one goroutine that drives it, like a
-// standalone Engine: spreading a window's shards over cores measured slower
+// standalone Engine: spreading shards over cores measured slower
 // than running them in turn on every host tried, because a stage-partitioned
 // pipeline drags each frame's working set across cores once per hand-off
 // (DESIGN.md §12.7 has the numbers and what would reopen the question).
-// What sharding buys is the model: every shard advances through its own
-// stretch of virtual time on a heap a fraction of the size, and hand-offs
-// carry their physical latency.
+// What sharding buys is the model: every shard keeps its own clock and a
+// heap a fraction of the size, and hand-offs carry their physical latency.
 //
 // Each shard also owns a partitioned RNG (splitmix-derived from the cluster
 // seed and the shard index), so stochastic elements bound to a shard draw
@@ -80,14 +75,14 @@ func (p *postRec) before(o *postRec) bool {
 	return p.seq < o.seq
 }
 
-// timeMax is the "no bound" sentinel: an undeclared edge's minimum, an idle
-// shard's next event and the free-sprint horizon.
+// timeMax is the "no bound" sentinel: an undeclared edge's minimum and the
+// limit of a run that goes until nothing is pending.
 const timeMax = Time(1<<63 - 1)
 
-// Cluster coordinates a set of shard Engines under conservative lookahead
-// windows. Shard 0 is the "home" shard by convention (setup, devices, and
-// anything not pinned elsewhere); calling Run/Step/RunUntil on any shard
-// engine drives the whole cluster.
+// Cluster coordinates a set of shard Engines in one global event order.
+// Shard 0 is the "home" shard by convention (setup, devices, and anything
+// not pinned elsewhere); calling Run/Step/RunUntil on any shard engine
+// drives the whole cluster.
 type Cluster struct {
 	shards    []*Engine
 	rngs      []*Rand
@@ -100,13 +95,13 @@ type Cluster struct {
 	// cluster lookahead.
 	edge []Time
 
-	windows uint64 // execution windows run
-	fused   uint64 // windows in which no shard posted
-	posted  uint64 // cross-shard posts made
+	// horizon bounds the running shard, exclusive: runLoop sets it from the
+	// other shards' next events, and Post lowers it.
+	horizon Time
 
-	// Window scratch, recomputed by computeHorizons before each window.
-	nexts    []Time // per-shard next local event (timeMax = idle)
-	horizons []Time // per-shard exclusive horizon (0 = idle, timeMax = run free)
+	windows uint64 // uninterrupted runs of one shard
+	fused   uint64 // runs in which the shard posted nothing
+	posted  uint64 // cross-shard posts made
 }
 
 // NewCluster builds n shard engines sharing one virtual clock, with the
@@ -119,11 +114,7 @@ func NewCluster(n int, lookahead Time, seed uint64) *Cluster {
 	if lookahead <= 0 {
 		panic("sim: cluster lookahead must be positive")
 	}
-	c := &Cluster{
-		lookahead: lookahead,
-		nexts:     make([]Time, n),
-		horizons:  make([]Time, n),
-	}
+	c := &Cluster{lookahead: lookahead}
 	for i := 0; i < n; i++ {
 		e := NewEngine()
 		e.cluster = c
@@ -146,11 +137,12 @@ func (c *Cluster) Shard(i int) *Engine { return c.shards[i] }
 // Rand returns shard i's partitioned RNG.
 func (c *Cluster) Rand(i int) *Rand { return c.rngs[i] }
 
-// Windows returns how many execution windows have run.
+// Windows returns how many windows have run, a window being one
+// uninterrupted run of one shard.
 func (c *Cluster) Windows() uint64 { return c.windows }
 
-// Fused returns how many of those windows no shard posted in. A statistic
-// (benchmark/ reports its share), not a code path: no window ends in work.
+// Fused returns how many of those windows posted nothing. A statistic
+// (benchmark/ reports its share), not a code path.
 func (c *Cluster) Fused() uint64 { return c.fused }
 
 // Posted returns how many cross-shard posts have been made.
@@ -202,122 +194,71 @@ func DeclareLink(a, b *Engine, min Time) {
 // calls do (ROADMAP, Housekeeping).
 func (c *Cluster) SetWorkers(int) {}
 
-// computeHorizons snapshots every shard's next local event and derives the
-// per-shard horizons for the next window: shard i may run to the minimum
-// over other active shards j of next(j) + lookahead, exclusive, capped at
-// limit. A shard with no other active shard gets the free-sprint marker
-// (timeMax); idle shards get 0. It returns the globally earliest event time
-// and the number of active shards. The horizons are a pure function of the
-// pre-window event state.
-func (c *Cluster) computeHorizons(limit Time) (Time, int) {
-	earliest := timeMax
-	active := 0
-	for i, s := range c.shards {
-		if t, ok := s.nextLocal(); ok {
-			c.nexts[i] = t
-			active++
-			if t < earliest {
-				earliest = t
-			}
-		} else {
-			c.nexts[i] = timeMax
-		}
-	}
-	if active == 0 || earliest >= limit {
-		return earliest, active
-	}
-	for i := range c.shards {
-		if c.nexts[i] == timeMax {
-			c.horizons[i] = 0
-			continue
-		}
-		h := timeMax
-		for j, t := range c.nexts {
-			if j == i || t == timeMax {
-				continue
-			}
-			if v := t + c.lookahead; v < h {
-				h = v
-			}
-		}
-		if h != timeMax && h > limit {
-			h = limit
-		}
-		c.horizons[i] = h
-	}
-	return earliest, active
-}
-
-// runWindow executes one window: every shard, in shard order, runs to its
-// own horizon (or sprints free when nothing else is active) with the whole
-// of budget to itself. It returns the events executed.
-func (c *Cluster) runWindow(limit Time, budget uint64) uint64 {
-	var done uint64
-	for i, s := range c.shards {
-		switch h := c.horizons[i]; {
-		case h == 0:
-		case h == timeMax:
-			done += s.runFree(limit, budget)
-		default:
-			done += s.runTo(h, budget)
-		}
-	}
-	return done
-}
-
-// runLoop is the window engine behind Run/RunUntil/RunCapped: compute
-// horizons, run the window, repeat until the cluster drains past limit or
-// the budget is spent. The posts a window made are in their inboxes when it
-// ends, pending events like any other to the next computeHorizons. budget
-// caps the events executed approximately: each shard sees the full
-// remaining budget within a window.
+// runLoop is the one scheduler behind Run, RunUntil, RunCapped and Step: it
+// executes up to budget events timestamped before limit, in the global order,
+// and returns how many ran. Each pass picks the shard holding the earliest
+// pending event, ties going to the lowest index, and runs it up to an
+// exclusive horizon set by the runner-up: an event at t on a lower shard
+// bounds it at t, on a higher shard at t+1, so one integer carries the tie
+// rule. While it runs, only its own posts can give another shard an earlier
+// event, and Post lowers the horizon when one does. A shard alone with
+// pending events runs to limit.
 //
 //kite:hotpath
 func (c *Cluster) runLoop(limit Time, budget uint64) uint64 {
-	var total uint64
-	for total < budget {
-		earliest, active := c.computeHorizons(limit)
-		if active == 0 || earliest >= limit {
+	var done uint64
+	for done < budget {
+		run, next := -1, -1
+		var rt, nt Time
+		for i, s := range c.shards {
+			t, ok := s.nextLocal()
+			switch {
+			case !ok:
+			case run < 0 || t < rt:
+				next, nt = run, rt
+				run, rt = i, t
+			case next < 0 || t < nt:
+				next, nt = i, t
+			}
+		}
+		if run < 0 || rt >= limit {
 			break
+		}
+		c.horizon = limit
+		if next >= 0 && nt < limit {
+			c.horizon = nt
+			if next > run {
+				c.horizon++
+			}
 		}
 		c.windows++
 		posted := c.posted
-		done := c.runWindow(limit, budget-total)
-		total += done
-		if done == 0 {
-			// The earliest shard's horizon always lies beyond its next
-			// event, so an empty window means the horizon math broke.
-			panic("sim: cluster window made no progress")
+		s := c.shards[run]
+		// No shard posts to itself, so the inbox cannot grow while its shard
+		// runs: once it is drained the loop is a heap-only one, as tight as
+		// the standalone engine's.
+		for done < budget && s.inboxHead < len(s.inbox) && s.stepLocal(c.horizon) {
+			done++
+		}
+		for done < budget && len(s.heap) > 0 && s.heap[0].at < c.horizon {
+			s.stepHeap()
+			done++
 		}
 		if c.posted == posted {
 			c.fused++
 		}
 	}
-	return total
+	return done
 }
 
-// Run executes windows until no events remain anywhere.
+// Run executes events until none remain anywhere.
 func (c *Cluster) Run() {
 	c.runLoop(timeMax, ^uint64(0))
 }
 
-// Step executes the single globally earliest pending event — the window
-// protocol with a one-event window and no horizon to get wrong, hence the
-// tests' oracle. Setup code (RunReady) uses it; same timeline as Run.
-func (c *Cluster) Step() bool {
-	var best *Engine
-	var bt Time
-	for _, s := range c.shards {
-		if t, ok := s.nextLocal(); ok && (best == nil || t < bt) {
-			best, bt = s, t
-		}
-	}
-	if best == nil {
-		return false
-	}
-	best.stepLocal(bt + 1)
-	return true
-}
+// Step executes the single globally earliest pending event: runLoop with a
+// budget of one. Setup code (RunReady) uses it; same timeline as Run.
+func (c *Cluster) Step() bool { return c.runLoop(timeMax, 1) == 1 }
 
 // RunUntil executes every event with timestamp <= t, then advances all
 // shard clocks to exactly t.
@@ -334,9 +275,9 @@ func (c *Cluster) RunUntil(t Time) {
 	}
 }
 
-// RunCapped runs until the cluster drains or ~maxEvents have been executed,
-// reporting whether it drained. Like Engine.RunCapped it is a livelock
-// guard, not a precise budget: windows may overshoot slightly.
+// RunCapped runs until the cluster drains or maxEvents events have run,
+// reporting whether it drained — a livelock guard, exact like
+// Engine.RunCapped.
 func (c *Cluster) RunCapped(maxEvents uint64) bool {
 	c.runLoop(timeMax, maxEvents)
 	return c.Pending() == 0
@@ -363,9 +304,9 @@ func (c *Cluster) Processed() uint64 {
 // Post queues fn(arg) to run on dst — another shard; a shard reaches itself
 // with After — after delay, carrying pri as the equal-timestamp rank: the
 // whole cross-shard mechanism. delay must be at least the declared (src,dst)
-// edge latency — the cluster lookahead when no edges are declared — and
-// that bound is exactly what lets shards run a window without peeking at
-// each other. Posting is allocation-free in steady state: the record is a
+// edge latency — the cluster lookahead when no edges are declared — so a
+// hand-off carries its physical latency. Posting is allocation-free in
+// steady state: the record is a
 // value in a recycled inbox slice, fn should be a long-lived func value,
 // and arg a pointer (pointer-to-interface conversions do not allocate).
 //
@@ -391,6 +332,14 @@ func (e *Engine) Post(dst *Engine, delay Time, pri uint8, fn func(any), arg any)
 	e.postSeq++
 	c.posted++
 	p := postRec{at: e.now + delay, pri: pri, src: uint16(e.shard), seq: e.postSeq, fn: fn, arg: arg}
+	// e is the running shard: dst's new event bounds it like any other
+	// shard's next event (runLoop's tie rule).
+	if p.at < c.horizon {
+		c.horizon = p.at
+		if dst.shard > e.shard {
+			c.horizon++
+		}
+	}
 
 	// Recycle dst's consumed prefix before growing the inbox. stepLocal
 	// zeroed the consumed slots, so a drained inbox resets for free; a long
@@ -473,47 +422,4 @@ func (e *Engine) stepLocal(horizon Time) bool {
 		return false
 	}
 	return true
-}
-
-// runTo executes local events strictly before horizon, up to budget, and
-// returns how many ran. Once the inbox is drained — almost immediately: it
-// rarely holds more than last window's hand-offs, and only shards that are
-// not running now can add to it — the loop drops into a heap-only fast path
-// as tight as the standalone engine's, so shard execution pays the
-// heap-or-inbox choice only while posts remain.
-func (e *Engine) runTo(horizon Time, budget uint64) uint64 {
-	var done uint64
-	for e.inboxHead < len(e.inbox) {
-		if done >= budget || !e.stepLocal(horizon) {
-			return done
-		}
-		done++
-	}
-	for done < budget && len(e.heap) > 0 && e.heap[0].at < horizon {
-		e.stepHeap()
-		done++
-	}
-	return done
-}
-
-// runFree executes local events with timestamps strictly before limit, up
-// to budget, stopping after any event that posts. Only a shard with the
-// free-sprint horizon runs it: the no-peeking guarantee shards normally get
-// from the lookahead horizon instead comes from no other shard being active
-// — and the sprint ends at the first post because the destination then
-// holds a future event that could chain back.
-func (e *Engine) runFree(limit Time, budget uint64) uint64 {
-	var done uint64
-	seq := e.postSeq
-	for e.inboxHead < len(e.inbox) {
-		if done >= budget || e.postSeq != seq || !e.stepLocal(limit) {
-			return done
-		}
-		done++
-	}
-	for done < budget && e.postSeq == seq && len(e.heap) > 0 && e.heap[0].at < limit {
-		e.stepHeap()
-		done++
-	}
-	return done
 }

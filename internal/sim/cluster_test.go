@@ -2,18 +2,62 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
 
+// logEntry is one executed event: its timestamp, its shard and its place
+// in that shard's own sequence.
+type logEntry struct {
+	at    Time
+	shard int
+	seq   uint64
+}
+
+// eventLog records every event a run executes, in execution order. It is the
+// independent reference the scheduler is held to: the global order is a
+// brute-force stable sort of the log by (timestamp, shard), and the log must
+// already be in it.
+type eventLog []logEntry
+
+// note records the event shard e is executing now; every event of a
+// workload under test calls it once.
+func (l *eventLog) note(e *Engine) {
+	*l = append(*l, logEntry{at: e.Now(), shard: e.shard, seq: e.ProcessedLocal()})
+}
+
+// checkGlobalOrder fails unless the log holds every event c executed and
+// equals its own stable sort by (timestamp, shard).
+func checkGlobalOrder(t *testing.T, what string, c *Cluster, log eventLog) {
+	t.Helper()
+	if uint64(len(log)) != c.Processed() || len(log) == 0 {
+		t.Fatalf("%s: %d events logged, %d executed", what, len(log), c.Processed())
+	}
+	want := slices.Clone(log)
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].shard < want[j].shard
+	})
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("%s: event %d ran at %d on shard %d (its #%d); the global order puts shard %d's #%d at %d there",
+				what, i, log[i].at, log[i].shard, log[i].seq, want[i].shard, want[i].seq, want[i].at)
+		}
+	}
+}
+
 // buildPingPong wires a deterministic cross-shard workload: each shard runs
 // a local event chain and posts tokens to the next shard with varying
-// delays and priorities. Each shard records its own trace (shards must not
-// share mutable state mid-window — the same rule the real data paths obey);
-// the flattened per-shard traces are the determinism witness. With
-// declareEdges the ring's hops are declared edges, which arms Post's check
-// and must change nothing else.
-func buildPingPong(shards, tokens int, declareEdges bool) (*Cluster, [][]string) {
+// delays and priorities. Each shard records its own trace (shards share no
+// mutable state but by posts — the same rule the real data paths obey);
+// the flattened per-shard traces are the determinism witness, and every
+// event is noted in the returned log. With declareEdges the ring's hops are
+// declared edges, which arms Post's check and must change nothing else.
+func buildPingPong(shards, tokens int, declareEdges bool) (*Cluster, [][]string, *eventLog) {
 	const lookahead = 100 * Nanosecond
 	c := NewCluster(shards, lookahead, 42)
 	if declareEdges {
@@ -22,6 +66,7 @@ func buildPingPong(shards, tokens int, declareEdges bool) (*Cluster, [][]string)
 		}
 	}
 	traces := make([][]string, shards)
+	log := &eventLog{}
 
 	type token struct {
 		id   int
@@ -34,6 +79,7 @@ func buildPingPong(shards, tokens int, declareEdges bool) (*Cluster, [][]string)
 		hops[i] = func(a any) {
 			t := a.(*token)
 			e := c.Shard(i)
+			log.note(e)
 			traces[i] = append(traces[i], fmt.Sprintf("s%d tok%d hop%d @%d", i, t.id, t.hops, e.Now()))
 			if t.hops <= 0 {
 				return
@@ -59,6 +105,7 @@ func buildPingPong(shards, tokens int, declareEdges bool) (*Cluster, [][]string)
 		n := 0
 		var tick func()
 		tick = func() {
+			log.note(c.Shard(i))
 			traces[i] = append(traces[i], fmt.Sprintf("s%d tick%d @%d", i, n, c.Shard(i).Now()))
 			n++
 			if n < 20 {
@@ -67,7 +114,7 @@ func buildPingPong(shards, tokens int, declareEdges bool) (*Cluster, [][]string)
 		}
 		c.Shard(i).Schedule(5*Nanosecond, tick)
 	}
-	return c, traces
+	return c, traces, log
 }
 
 func flatten(traces [][]string) []string {
@@ -78,19 +125,13 @@ func flatten(traces [][]string) []string {
 	return out
 }
 
-// runTrace drives the ping-pong through the window engine; stepTrace
-// replays it one globally earliest event at a time — the oracle: no window,
-// no horizon, nothing to get wrong but the inbox order.
-func runTrace(shards, tokens int, declareEdges bool) []string {
-	c, traces := buildPingPong(shards, tokens, declareEdges)
+// runTrace drives the ping-pong through Run and holds its event log to the
+// global order.
+func runTrace(t *testing.T, shards, tokens int, declareEdges bool) []string {
+	t.Helper()
+	c, traces, log := buildPingPong(shards, tokens, declareEdges)
 	c.Shard(0).Run()
-	return flatten(traces)
-}
-
-func stepTrace(shards, tokens int, declareEdges bool) []string {
-	c, traces := buildPingPong(shards, tokens, declareEdges)
-	for c.Step() {
-	}
+	checkGlobalOrder(t, fmt.Sprintf("ping-pong, edges declared: %v", declareEdges), c, *log)
 	return flatten(traces)
 }
 
@@ -106,26 +147,20 @@ func diffTraces(t *testing.T, what string, got, want []string) {
 	}
 }
 
-// TestClusterSerialParallelIdentical is the core determinism property: the
-// windowed run, in which shards advance side by side through lookahead
-// windows, leaves every shard the timeline the serial global-order replay
-// leaves it — with and without declared edges.
+// TestClusterSerialParallelIdentical is the core determinism property: Run
+// executes every event in the global (timestamp, shard) order, checked
+// against a sort of its own event log, and declaring edges changes nothing
+// a shard sees.
 func TestClusterSerialParallelIdentical(t *testing.T) {
-	want := stepTrace(4, 8, false)
-	if len(want) == 0 {
-		t.Fatal("empty trace")
-	}
-	diffTraces(t, "windowed, no edges declared", runTrace(4, 8, false), want)
-	diffTraces(t, "stepped, edges declared", stepTrace(4, 8, true), want)
-	diffTraces(t, "windowed, edges declared", runTrace(4, 8, true), want)
+	want := runTrace(t, 4, 8, false)
+	diffTraces(t, "edges declared", runTrace(t, 4, 8, true), want)
 }
 
-// buildEcho is the free sprint's test: shard 0 ticks alone — nothing else is
-// active, so it runs without a horizon — and twice asks idle shard 1 for an
-// echo that lands back between two of its later ticks. The sprint has to end
-// at each request — whatever its rank: the second is the only post shard 0
-// makes in that sprint and goes out at priLate — or the echo arrives in
-// shard 0's past.
+// buildEcho is the lone shard's test: shard 0 ticks alone — nothing else is
+// pending, so it runs with no other shard to bound it — and twice asks idle
+// shard 1 for an echo that lands back between two of its later ticks. Each
+// request has to bound shard 0 at once — whatever its rank: the second goes
+// out at priLate — or the echo arrives in shard 0's past.
 func buildEcho() (*Cluster, *[]string) {
 	const lookahead = 5 * Nanosecond
 	c := NewCluster(2, lookahead, 1)
@@ -151,12 +186,12 @@ func buildEcho() (*Cluster, *[]string) {
 	return c, &trace
 }
 
-// TestClusterStepMatchesRun: the one-event-window Step mode used during
-// setup produces the same timeline as full windows — also when a run
-// alternates between the two, and across a free sprint.
+// TestClusterStepMatchesRun: the one-event Step used during setup produces
+// the same timeline as Run — also when a run alternates between Step and
+// RunCapped, and while a shard runs alone.
 func TestClusterStepMatchesRun(t *testing.T) {
-	want := runTrace(3, 5, false)
-	c, traces := buildPingPong(3, 5, false)
+	want := runTrace(t, 3, 5, false)
+	c, traces, _ := buildPingPong(3, 5, false)
 	for i := 0; c.Step(); i++ {
 		if i%7 == 3 {
 			c.RunCapped(5)
@@ -167,11 +202,11 @@ func TestClusterStepMatchesRun(t *testing.T) {
 	stepped, wantEcho := buildEcho()
 	for stepped.Step() {
 	}
-	windowed, gotEcho := buildEcho()
-	windowed.Run()
-	diffTraces(t, "free sprint", *gotEcho, *wantEcho)
-	if w := windowed.Windows(); w > 10 {
-		t.Fatalf("%d windows for 100 ticks and two echoes: shard 0 is not sprinting", w)
+	run, gotEcho := buildEcho()
+	run.Run()
+	diffTraces(t, "lone shard", *gotEcho, *wantEcho)
+	if w := run.Windows(); w > 10 {
+		t.Fatalf("%d windows for 100 ticks and two echoes: the lone shard is switched out between its own events", w)
 	}
 }
 
@@ -267,7 +302,7 @@ func TestClusterPartitionedRand(t *testing.T) {
 }
 
 // TestEdgeClosure covers what declared edges are for — a check, nothing the
-// horizons read. A pair with no declared edge cannot be posted on, a declared
+// scheduler reads. A pair with no declared edge cannot be posted on, a declared
 // pair not under its minimum (TestClusterPostBelowLookaheadPanics), no shard
 // posts to itself whether or not edges are declared, and a run with its
 // edges declared is cut into exactly the windows of the same run without.
@@ -301,25 +336,24 @@ func TestEdgeClosure(t *testing.T) {
 		}
 	}
 
-	plain, _ := buildPingPong(4, 8, false)
+	plain, _, _ := buildPingPong(4, 8, false)
 	plain.Run()
-	declared, _ := buildPingPong(4, 8, true)
+	declared, _, _ := buildPingPong(4, 8, true)
 	declared.Run()
 	if plain.Windows() == 0 || declared.Windows() != plain.Windows() || declared.Fused() != plain.Fused() {
-		t.Fatalf("%d windows (%d fused) with edges declared, %d (%d fused) without; declaring edges must not move a horizon",
+		t.Fatalf("%d windows (%d fused) with edges declared, %d (%d fused) without; declaring edges must not change how a run is cut",
 			declared.Windows(), declared.Fused(), plain.Windows(), plain.Fused())
 	}
 }
 
-// TestClusterRunCapped: the event budget is a livelock guard that stops a
-// run within one window of the budget. Two of five shards tick a hundred
-// times per lookahead, a third hears from them now and then, two never run.
-// Inside a window every shard may spend all of what is left of the budget;
-// across windows what is left shrinks.
+// TestClusterRunCapped: the event budget is exact. Two of five shards tick
+// a hundred times per lookahead, a third hears from them now and then, two
+// never run; every call that does not drain runs exactly the budget, the
+// one that drains runs at most that.
 func TestClusterRunCapped(t *testing.T) {
 	const (
 		lookahead = 1000 * Nanosecond
-		period    = 10 * Nanosecond // 100 ticks per shard per window
+		period    = 10 * Nanosecond
 		ticks     = 1000
 		budget    = 250
 	)
@@ -338,24 +372,59 @@ func TestClusterRunCapped(t *testing.T) {
 		}
 		e.Schedule(0, tick)
 	}
-	// Window 1 runs 100 ticks on each of shards 0 and 2 — their horizons,
-	// not the budget, end it. Window 2 has 50 events of budget left and
-	// gives that to both. The posts made so far mature later.
-	if drained := c.RunCapped(budget); drained || c.Processed() != 300 || c.Windows() != 2 {
-		t.Fatalf("RunCapped(%d): drained=%v after %d events in %d windows; want not drained, 300 events, 2 windows",
-			budget, drained, c.Processed(), c.Windows())
-	}
-	const windowMax = 2*100 + 2 // both tickers' events in one window, plus what shard 4 can receive
-	for prev, drained := c.Processed(), false; !drained; prev = c.Processed() {
+	for prev, drained := uint64(0), false; !drained; prev = c.Processed() {
 		drained = c.RunCapped(budget)
 		switch ran := c.Processed() - prev; {
-		case !drained && (ran < budget || ran >= budget+windowMax):
-			t.Fatalf("RunCapped(%d) executed %d events without draining, want within one window (%d events) over the budget", budget, ran, windowMax)
-		case drained && c.Pending() != 0:
-			t.Fatalf("reported drained with %d events pending", c.Pending())
+		case !drained && ran != budget:
+			t.Fatalf("RunCapped(%d) executed %d events without draining, want exactly the budget", budget, ran)
+		case drained && (ran > budget || c.Pending() != 0):
+			t.Fatalf("RunCapped(%d) executed %d events and reported drained with %d pending", budget, ran, c.Pending())
 		}
 	}
 	if want := uint64(2*ticks + 2*ticks/100); c.Processed() != want {
 		t.Fatalf("executed %d events in all, want %d", c.Processed(), want)
+	}
+}
+
+// TestRunCappedBoundary: a standalone engine and a cluster holding the same
+// n events report drained exactly when the budget covers all n — also when
+// the budget's last event is the one that empties the queue — and run
+// exactly min(budget, n) events.
+func TestRunCappedBoundary(t *testing.T) {
+	const n = 6
+	build := map[string]func() *Engine{
+		"engine": func() *Engine {
+			e := NewEngine()
+			for i := 0; i < n; i++ {
+				e.Schedule(Time(i), func() {})
+			}
+			return e
+		},
+		// Shard 0 runs n-1 events, the last of which posts the n-th to shard 1.
+		"cluster": func() *Engine {
+			c := NewCluster(2, 1, 1)
+			s0 := c.Shard(0)
+			for i := 0; i < n-1; i++ {
+				last := i == n-2
+				s0.Schedule(Time(i), func() {
+					if last {
+						s0.Post(c.Shard(1), 1, PriData, func(any) {}, nil)
+					}
+				})
+			}
+			return s0
+		},
+	}
+	for _, form := range []string{"engine", "cluster"} {
+		for _, budget := range []uint64{n - 1, n, n + 1} {
+			e := build[form]()
+			drained := e.RunCapped(budget)
+			if want := budget >= n; drained != want || drained != (e.Pending() == 0) {
+				t.Errorf("%s RunCapped(%d) on %d events: drained=%v with %d pending, want %v", form, budget, n, drained, e.Pending(), want)
+			}
+			if got, want := e.Processed(), min(budget, uint64(n)); got != want {
+				t.Errorf("%s RunCapped(%d) on %d events ran %d, want %d", form, budget, n, got, want)
+			}
+		}
 	}
 }

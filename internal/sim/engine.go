@@ -97,7 +97,7 @@ type Engine struct {
 	// Sharding state (nil/zero for a standalone engine; see cluster.go).
 	cluster   *Cluster
 	shard     int
-	postSeq   uint64    // posts made, ever: the order's last tie-break, and a free sprint ends when it moves
+	postSeq   uint64    // posts made, ever: the inbox order's last tie-break
 	inbox     []postRec // posts from other shards, kept in postRec.before order, consumed front to back
 	inboxHead int
 }
@@ -258,16 +258,13 @@ func (e *Engine) RunUntil(t Time) {
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
 // RunCapped runs until the queue drains or maxEvents have been processed,
-// reporting whether the queue drained. It guards tests against livelock.
+// reporting whether the queue drained (Pending()==0, also when the last
+// event the budget allows empties it). It guards tests against livelock.
 func (e *Engine) RunCapped(maxEvents uint64) bool {
 	if e.cluster != nil {
 		return e.cluster.RunCapped(maxEvents)
 	}
-	start := e.processed
-	for e.Step() {
-		if e.processed-start >= maxEvents {
-			return false
-		}
+	for n := uint64(0); n < maxEvents && e.Step(); n++ {
 	}
-	return true
+	return len(e.heap) == 0
 }

@@ -281,10 +281,10 @@ func (d *Domain) charge(cost sim.Time) sim.Time {
 }
 
 // chargeOn bills a hypercall to a specific (pinned) vCPU — the form every
-// per-queue data path uses once queues are pinned to cluster shards: picking
-// from the shared pool compares every vCPU's busy-until mark, and the marks
-// other shards advance are not, mid-window, where the Step replay has them,
-// so the windowed run would stop equalling that replay.
+// per-queue data path uses once queues are pinned to cluster shards. The
+// cluster runs in exact global order, so a pick from the shared pool would
+// read every vCPU's busy-until mark where the timeline has it; the pinned
+// charge stays because switching to the pool pick would move the model.
 func (d *Domain) chargeOn(cpu *sim.CPU, cost sim.Time) sim.Time {
 	d.hv.stats.HypercallNS += cost
 	return cpu.Charge(cost)
