@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"kite/internal/experiments"
-	"kite/internal/metrics"
 )
 
 func main() {
@@ -102,15 +101,6 @@ func main() {
 	}
 
 	events := experiments.EventsProcessed()
-	// Counter totals are order-independent (atomic adds commute), so this
-	// line is byte-identical for any -parallel. Gets and recycles differ by
-	// the buffers still held when each simulation stops mid-flight.
-	fmt.Printf("kitebench: framepool %d gets / %d recycles, persistent-rx %d hits / %d misses\n",
-		metrics.FramePoolGets.Load(), metrics.FramePoolRecycles.Load(),
-		metrics.NetRxPersistHits.Load(), metrics.NetRxPersistMisses.Load())
-	fmt.Printf("kitebench: blkpool %d gets / %d recycles, nvme vectored %d reads / %d writes\n",
-		metrics.BlkPoolGets.Load(), metrics.BlkPoolRecycles.Load(),
-		metrics.NVMeVecReads.Load(), metrics.NVMeVecWrites.Load())
 
 	if *blk {
 		// A single self-contained simulation: the figures come from

@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"kite/internal/blkif"
-	"kite/internal/metrics"
 	"kite/internal/nvme"
 	"kite/internal/pvback"
 	"kite/internal/sim"
@@ -372,7 +371,6 @@ func (q *ioQueue) Serve(budget int) (used int, more bool) {
 			}
 			used++
 			q.stats.RingRequests++
-			metrics.BlkQueueRequests.Add(1)
 			io, err := q.parse(req)
 			if err != nil {
 				q.stats.Errors++
@@ -599,7 +597,7 @@ func (q *ioQueue) submit(op *deviceOp) {
 			inst.dev.ReadVecQ(q.sq, op.sector, op.iov, op.onDone)
 		}
 	default:
-		q.complete(op, fmt.Errorf("blkback: unknown op %d", op.op)) //kite:alloc-ok defensive arm; handleRequest only merges validated ops
+		q.complete(op, fmt.Errorf("blkback: unknown op %d", op.op)) //kite:alloc-ok error arm: parse passes any op code through, so only a frontend that sends an unknown one takes it
 	}
 }
 

@@ -197,12 +197,12 @@ func TestPersistentGrantsReduceMapTraffic(t *testing.T) {
 				}
 			})
 		}
-		r.hv.ResetStats()
+		maps0 := r.hv.Stats().GrantMaps
 		loop()
 		if !r.eng.RunCapped(2_000_000) {
 			t.Fatal("livelock")
 		}
-		return r.hv.Stats().GrantMaps, r.drv.Instances()[0].Stats().PersistentHits
+		return r.hv.Stats().GrantMaps - maps0, r.drv.Instances()[0].Stats().PersistentHits
 	}
 	mapsOn, hitsOn := run(true)
 	mapsOff, hitsOff := run(false)

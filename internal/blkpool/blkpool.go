@@ -22,8 +22,6 @@ package blkpool
 import (
 	"fmt"
 	"math/bits"
-
-	"kite/internal/metrics"
 )
 
 // SectorSize is the alignment quantum: every class capacity is a multiple
@@ -89,7 +87,6 @@ func (b *Buf) Release() {
 	p := b.pool
 	p.outstanding--
 	p.recycled++
-	metrics.BlkPoolRecycles.Add(1)
 	if b.class >= 0 {
 		p.free[b.class] = append(p.free[b.class], b)
 	}
@@ -150,7 +147,6 @@ func (p *Pool) Get(n int) *Buf {
 	}
 	p.gets++
 	p.outstanding++
-	metrics.BlkPoolGets.Add(1)
 	class := classFor(n)
 	if class >= 0 {
 		if l := p.free[class]; len(l) > 0 {
@@ -166,7 +162,7 @@ func (p *Pool) Get(n int) *Buf {
 	if class >= 0 {
 		b.data = make([]byte, 1<<(minClassShift+class)) //kite:alloc-ok pool growth on free-list miss
 	} else {
-		b.data = make([]byte, n) //kite:alloc-ok pool growth on free-list miss
+		b.data = make([]byte, n) //kite:alloc-ok oversized one-off: no class holds n, so it is never pooled
 	}
 	return b
 }

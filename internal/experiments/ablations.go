@@ -32,13 +32,14 @@ func ddThroughput(knobs core.TuningKnobs, bytes int64, bs int) (mbps float64, gr
 	rig := mustStorRig(core.StorageRigConfig{
 		Kind: core.KindKite, Seed: 0xAB1, DiskBytes: 4 << 30, Tuning: &knobs,
 	})
-	rig.Testbed.System.HV.ResetStats()
+	hv := rig.Testbed.System.HV
+	maps0 := hv.Stats().GrantMaps
 	var out workload.DDResult
 	got := false
 	workload.DDWrite(rig.Guest.Disk, bytes, bs, func(r workload.DDResult) { out = r; got = true })
 	drive(rig.Testbed.System, func() bool { return got }, 60_000_000)
 	inst := rig.SD.Driver.Instances()[0]
-	return out.MBps, rig.Testbed.System.HV.Stats().GrantMaps,
+	return out.MBps, hv.Stats().GrantMaps - maps0,
 		inst.Stats().DeviceOps, inst.Stats().RingRequests
 }
 

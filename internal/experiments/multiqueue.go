@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kite/internal/core"
-	"kite/internal/metrics"
 	"kite/internal/netstack"
 )
 
@@ -19,14 +18,14 @@ type MQStats struct {
 	// Network leg: UDP datagrams pushed both ways over a Kite vif.
 	NetFrames   uint64
 	NetBytes    uint64
-	QueueTx     uint64 // per-queue Tx counter total (metrics.NetQueueTxFrames delta)
-	QueueRx     uint64 // per-queue Rx counter total (metrics.NetQueueRxFrames delta)
+	QueueTx     uint64 // per-queue Tx counters, summed over the rig's VIFs
+	QueueRx     uint64 // per-queue Rx counters, summed over the rig's VIFs
 	NetChecksum uint64 // order-invariant sum of per-datagram FNV-1a hashes
 
 	// Block leg: 4 KiB ops striped across a Kite vbd's queues.
 	BlkOps      uint64
 	BlkBytes    uint64
-	QueueReqs   uint64 // per-queue ring-request counter total (metrics.BlkQueueRequests delta)
+	QueueReqs   uint64 // per-queue ring-request counters, summed over the rig's vbds
 	BlkChecksum uint64 // sum of FNV-1a hashes of the data read back, in issue order
 
 	// Shard-cluster counters for the network leg (zero when unsharded).
@@ -94,8 +93,6 @@ const mqFlows = 32
 // so completion order is issue order at any queue count.
 func MQSummary(s Scale, queues int) MQStats {
 	var m MQStats
-	qtx0, qrx0 := metrics.NetQueueTxFrames.Load(), metrics.NetQueueRxFrames.Load()
-	qreq0 := metrics.BlkQueueRequests.Load()
 
 	// --- Network leg ---
 	nrig := mustNetRigCfg(core.NetworkRigConfig{Kind: core.KindKite, Seed: 0x30b, Queues: queues})
@@ -184,9 +181,14 @@ func MQSummary(s Scale, queues int) MQStats {
 		})
 	}
 
-	m.QueueTx = metrics.NetQueueTxFrames.Load() - qtx0
-	m.QueueRx = metrics.NetQueueRxFrames.Load() - qrx0
-	m.QueueReqs = metrics.BlkQueueRequests.Load() - qreq0
+	for _, v := range nrig.ND.Driver.Instances() {
+		st := v.Stats()
+		m.QueueTx += st.TxFrames
+		m.QueueRx += st.RxFrames
+	}
+	for _, inst := range brig.SD.Driver.Instances() {
+		m.QueueReqs += inst.Stats().RingRequests
+	}
 	if c := sys.Cluster; c != nil {
 		m.Posts = c.Posted()
 		for i := 0; i < c.Shards(); i++ {

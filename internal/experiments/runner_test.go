@@ -20,25 +20,36 @@ func render(r *Result) string {
 	return b.String()
 }
 
-// TestSameExperimentConcurrentAndSequential runs one workload experiment
-// twice at the same time on separate goroutines and once more sequentially,
-// asserting all three produce byte-identical tables. Run under -race this
-// also proves the rigs share no mutable state.
+// TestSameExperimentConcurrentAndSequential runs each workload twice at the
+// same time on separate goroutines and once more sequentially, asserting all
+// three print byte-identical output. Run under -race this also proves the
+// rigs share no mutable state; the mq case proves its queue totals are the
+// rig's own, not counts another simulation in the process added to.
 func TestSameExperimentConcurrentAndSequential(t *testing.T) {
 	s := Quick()
-	var a, b *Result
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); a = Fig7Latency(s) }()
-	go func() { defer wg.Done(); b = Fig7Latency(s) }()
-	wg.Wait()
-	seq := Fig7Latency(s)
+	for _, tc := range []struct {
+		name string
+		run  func() string
+	}{
+		{"Fig7Latency", func() string { return render(Fig7Latency(s)) }},
+		{"MQSummary", func() string { m := MQSummary(s, 2); return m.String() + "\n" + m.ShardLine() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var a, b string
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { defer wg.Done(); a = tc.run() }()
+			go func() { defer wg.Done(); b = tc.run() }()
+			wg.Wait()
+			seq := tc.run()
 
-	if got, want := render(a), render(seq); got != want {
-		t.Errorf("concurrent run A differs from sequential:\n--- A ---\n%s--- seq ---\n%s", got, want)
-	}
-	if got, want := render(b), render(seq); got != want {
-		t.Errorf("concurrent run B differs from sequential:\n--- B ---\n%s--- seq ---\n%s", got, want)
+			if a != seq {
+				t.Errorf("concurrent run A differs from sequential:\n--- A ---\n%s\n--- seq ---\n%s", a, seq)
+			}
+			if b != seq {
+				t.Errorf("concurrent run B differs from sequential:\n--- B ---\n%s\n--- seq ---\n%s", b, seq)
+			}
+		})
 	}
 }
 

@@ -1,11 +1,11 @@
-// Package fanout is the only place under internal/ (outside the lint suite
-// and metrics' counters) where goroutines meet: a bounded pool that spreads
-// independent closures over host threads and joins them. It imports
-// nothing of the simulator, so what it runs concurrently is opaque to it —
-// whole simulations, each on the goroutine it was handed — and Go's import
-// graph, not an annotation, is what keeps host scheduling out of a
-// timeline. kitelint's simdet rule forbids `go`, channels, sync and
-// sync/atomic everywhere else under internal/.
+// Package fanout is the only place under internal/ (outside the lint suite)
+// where goroutines meet: a bounded pool that spreads independent closures
+// over host threads and joins them. It imports nothing of the simulator, so
+// what it runs concurrently is opaque to it — whole simulations, each on
+// the goroutine it was handed — and Go's import graph, not an annotation,
+// is what keeps host scheduling out of a timeline. kitelint's simdet rule
+// forbids `go`, channels, sync and sync/atomic everywhere else under
+// internal/.
 package fanout
 
 import (

@@ -15,10 +15,7 @@
 // output byte-identical for any -parallel worker count.
 package framepool
 
-import (
-	"kite/internal/metrics"
-	"kite/internal/sim"
-)
+import "kite/internal/sim"
 
 const (
 	// Headroom is the spare capacity before the payload start, sized so a
@@ -179,7 +176,6 @@ func (b *Buf) Release() {
 	p.free = append(p.free, b)
 	p.outstanding--
 	p.recycled++
-	metrics.FramePoolRecycles.Add(1)
 }
 
 // Pool is a per-simulation LIFO free list of Bufs and its leak counters.
@@ -210,7 +206,6 @@ func (p *Pool) Get() *Buf {
 	b.Reset()
 	p.gets++
 	p.outstanding++
-	metrics.FramePoolGets.Add(1)
 	return b
 }
 

@@ -27,8 +27,8 @@ import (
 // concurrency the experiment runner needs lives in internal/fanout, which
 // imports nothing of the simulator — the import graph, not an annotation,
 // keeps it out of a simulation's sight. The assignment rule is syntactic: a
-// method call on a package-level value (metrics' counters) is not an
-// assignment.
+// method call on a package-level value is not an assignment; the sync rule
+// catches the atomic a package-level counter would need.
 var Simdet = &analysis.Analyzer{
 	Name: "simdet",
 	Doc:  "packages under internal/ have no wall clock, global math/rand, goroutines, channels, sync, package-level writes or unjustified map ranges",
@@ -36,10 +36,10 @@ var Simdet = &analysis.Analyzer{
 }
 
 // hostSide lists what simdet leaves alone under internal/: the analyzers
-// themselves (host tools: they walk directories and time their passes),
-// the fan-out package (see Simdet), and metrics, whose process-global
-// atomic counters stay until ROADMAP 3(a) makes them per-simulation.
-var hostSide = []string{"lint", "fanout", "metrics"}
+// themselves (host tools: they walk directories and time their passes) and
+// the fan-out package (see Simdet). Counts live with what they count — a
+// pool, a queue, a device — so no simulator package needs an exemption.
+var hostSide = []string{"lint", "fanout"}
 
 // simdetApplies reports whether path is a simulator package of the module.
 func simdetApplies(modPath, path string) bool {

@@ -42,7 +42,6 @@ import (
 	"kite/internal/bridge"
 	"kite/internal/framepool"
 	"kite/internal/mem"
-	"kite/internal/metrics"
 	"kite/internal/netif"
 	"kite/internal/netpkt"
 	"kite/internal/pvback"
@@ -676,7 +675,6 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 			} else {
 				q.stats.TxFrames++
 				q.stats.TxBytes += uint64(req.Len)
-				metrics.NetQueueTxFrames.Add(1)
 				if q.sharded {
 					// Stage the frame in the carrier, stamped with its
 					// bridge-arrival time; the caller's one post moves it.
@@ -875,7 +873,6 @@ func (q *vifQueue) drainRxBudget(budget int) (used int, more bool) {
 			} else {
 				q.stats.RxFrames++
 				q.stats.RxBytes += uint64(batch[i].Len())
-				metrics.NetQueueRxFrames.Add(1)
 			}
 			// A frame is at most framepool.MaxFrame long, so its length fits.
 			q.rx.PushResponse(netif.RxResponse{ID: req.ID, Offset: 0, Len: uint16(batch[i].Len()), Status: status})
@@ -907,7 +904,6 @@ func (q *vifQueue) rxMapping(ref xen.GrantRef) *xen.Mapping {
 	}
 	if m := q.pgrants.Lookup(ref); m != nil {
 		q.stats.RxPersistHits++
-		metrics.NetRxPersistHits.Add(1)
 		return m
 	}
 	var m *xen.Mapping
@@ -921,7 +917,6 @@ func (q *vifQueue) rxMapping(ref xen.GrantRef) *xen.Mapping {
 		return nil
 	}
 	q.stats.RxPersistMisses++
-	metrics.NetRxPersistMisses.Add(1)
 	q.pgrants.Fill(m)
 	return m
 }

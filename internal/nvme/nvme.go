@@ -20,7 +20,6 @@ package nvme
 import (
 	"fmt"
 
-	"kite/internal/metrics"
 	"kite/internal/sim"
 )
 
@@ -277,7 +276,6 @@ func (d *Device) ReadVecQ(queue int, sector int64, iov [][]byte, cb func(err err
 	d.stats.ReadOps++
 	d.stats.VecReads++
 	d.stats.ReadBytes += uint64(n)
-	metrics.NVMeVecReads.Add(1)
 	d.complete(queue, OpRead, sector, n, iov, cb)
 }
 
@@ -299,7 +297,6 @@ func (d *Device) WriteVecQ(queue int, sector int64, iov [][]byte, cb func(err er
 	d.stats.WriteOps++
 	d.stats.VecWrites++
 	d.stats.WriteBytes += uint64(n)
-	metrics.NVMeVecWrites.Add(1)
 	off := sector * SectorSize
 	for _, seg := range iov {
 		d.writeBytesAt(off, seg)

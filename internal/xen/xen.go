@@ -78,11 +78,9 @@ func New(eng *sim.Engine) *Hypervisor {
 	}
 }
 
-// Stats returns a snapshot of hypercall counters.
+// Stats returns a snapshot of hypercall counters. They only grow: a phase
+// reads its own counts as the difference of two snapshots.
 func (hv *Hypervisor) Stats() Stats { return hv.stats }
-
-// ResetStats zeroes the hypercall counters (used between experiment phases).
-func (hv *Hypervisor) ResetStats() { hv.stats = Stats{} }
 
 // DomainConfig describes a domain to be built.
 type DomainConfig struct {
