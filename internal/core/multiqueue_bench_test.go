@@ -104,8 +104,8 @@ func BenchmarkBlockPathMQ(b *testing.B) {
 				eng.Run()
 			}
 			// Warm at full depth too: the first 128-deep waves grow ring
-			// free lists and shard inboxes to their high-water marks, which
-			// must not bleed bytes into the timed loop.
+			// free lists, shard heaps and post slots to their high-water
+			// marks, which must not bleed bytes into the timed loop.
 			for w := 0; w < 8; w++ {
 				for i := 0; i < depth; i++ {
 					rig.Guest.Disk.WriteSectors(sectorOf(w*depth+i), payload, wcb)

@@ -261,8 +261,9 @@ func TestBlockPathZeroAllocMQ(t *testing.T) {
 				t.Errorf("striped read: %.1f allocs per 256 KiB read, want 0", allocs)
 			}
 			// Byte invariant at depth: a 128-deep stripe-major wave keeps
-			// every queue's rings and shard inboxes at their high-water
-			// marks; once warm, the whole wave must not allocate a byte.
+			// every queue's rings, shard heaps and post slots at their
+			// high-water marks; once warm, the whole wave must not allocate
+			// a byte.
 			wave := func() {
 				for i := 0; i < 128; i++ {
 					base := int64(i/16%queues)*1024 + int64(i%16)*8

@@ -175,8 +175,8 @@ var mutations = []mutation{
 		caught: []string{"TestForwardPathZeroAllocMQ"}},
 	// atomicscope:
 	{id: "A1-atomic-in-run-loop", edit: edit{"internal/sim/cluster.go",
-		"\t\tc.windows++\n\t\tposted := c.posted\n\t\ts := c.shards[run]\n",
-		"\t\tatomic.AddUint64(&c.windows, 1)\n\t\tposted := c.posted\n\t\ts := c.shards[run]\n"},
+		"\t\tc.windows++\n\t\tposted := c.posted\n\t\ts := &c.shards[run]\n",
+		"\t\tatomic.AddUint64(&c.windows, 1)\n\t\tposted := c.posted\n\t\ts := &c.shards[run]\n"},
 		also:  []edit{{"internal/sim/cluster.go", "import \"fmt\"\n", "import (\n\t\"fmt\"\n\t\"sync/atomic\"\n)\n"}},
 		fires: []string{"simdet: sync/atomic.AddUint64"}},
 }

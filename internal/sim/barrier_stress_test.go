@@ -12,7 +12,7 @@ import (
 // of everything observable: per-shard event traces with timestamps, event
 // totals and cross-shard post counts. The workload mixes local schedule
 // churn, PriData ring posts, and side posts — every third at priLate — that
-// land on a shard at the same instant as the ring's, so same-timestamp inbox
+// land on a shard at the same instant as the ring's, so same-timestamp post
 // ties across sources and priorities, and same-timestamp events on several
 // shards, all occur. With declareEdges the same traffic runs with every edge
 // declared, Post's check armed.

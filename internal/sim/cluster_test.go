@@ -210,6 +210,26 @@ func TestClusterStepMatchesRun(t *testing.T) {
 	}
 }
 
+// TestClusterForeignScheduleBounds: an event that schedules straight onto
+// another shard, without Post, bounds the running shard like a post does.
+// Shard 0 runs alone from time 0 with events at 1 through 10 queued; its
+// first event puts one on shard 1 at 5, which must run between shard 0's
+// events at 5 and 6.
+func TestClusterForeignScheduleBounds(t *testing.T) {
+	c := NewCluster(2, 1, 1)
+	s0, s1 := c.Shard(0), c.Shard(1)
+	log := &eventLog{}
+	s0.Schedule(0, func() {
+		log.note(s0)
+		s1.Schedule(5, func() { log.note(s1) })
+	})
+	for at := Time(1); at <= 10; at++ {
+		s0.Schedule(at, func() { log.note(s0) })
+	}
+	c.Run()
+	checkGlobalOrder(t, "foreign schedule", c, *log)
+}
+
 // TestClusterPostBelowLookaheadPanics: the conservative bound is enforced,
 // not assumed.
 // The message names the edge and its minimum, not the cluster lookahead.
@@ -326,8 +346,8 @@ func TestEdgeClosure(t *testing.T) {
 				c.Shard(0).Post(c.Shard(2), lookahead, PriData, func(any) {}, nil)
 			})
 		}
-		// With direct insertion a self-post would write the inbox it is
-		// being consumed from; After is how a shard reaches itself.
+		// A post is a hand-off between shards and carries a hand-off's
+		// rank and latency; After is how a shard reaches itself.
 		wantPanic(fmt.Sprintf("self-post, edges declared: %v", declare), "post to own shard; use After", func() {
 			c.Shard(1).Post(c.Shard(1), lookahead, PriData, func(any) {}, nil)
 		})

@@ -9,15 +9,24 @@
 // real; sim only decides *when* each step happens and how much virtual CPU
 // it consumes.
 //
+// Every engine is a shard of a Cluster — a standalone engine is the one
+// shard of a one-shard cluster — and every event, local or posted from
+// another shard, is an entry in its shard's heap under one ordering key:
+// (timestamp, rank, source shard, insertion). The cluster runs its shards
+// in one exact global order, (timestamp, shard) and then the key
+// (cluster.go).
+//
 // The event queue is the hottest data structure in the repository: every
 // frame, segment, and wakeup of every experiment passes through it, so
 // events-per-second of this engine bounds the throughput of the whole
 // evaluation suite. It is therefore built for zero steady-state allocation:
-// events are plain values in a slice-backed 4-ary min-heap (no boxing, no
-// per-event heap object, no interface conversions), and popped slots are
-// recycled in place — the slice's spare capacity acts as the event
-// free-list, so Schedule/Step allocate only when the queue grows past its
-// high-water mark.
+// events are plain 24-byte values in a slice-backed 4-ary min-heap (no
+// boxing, no per-event heap object, no interface conversions), and popped
+// slots are recycled in place — the slice's spare capacity acts as the
+// event free-list, so Schedule/Step allocate only when the queue grows past
+// its high-water mark. A post's handler and argument ride a recycled slot
+// (postSlot), so posting does not allocate either once the slots in flight
+// reach their high-water mark.
 package sim
 
 import "fmt"
@@ -59,16 +68,27 @@ func (t Time) String() string {
 // Go heap on its own.
 type event struct {
 	at  Time
-	seq uint64 // tie-break so equal-time events run FIFO
+	key uint64 // rank<<rankShift | src<<srcShift | seq: the order within a timestamp
 	fn  func()
 }
 
-// before is the heap order: earliest time first, FIFO within a timestamp.
+// The key's fields. rank is 0 for a shard's own events and 1+pri for a
+// post, so at one instant a shard's own work runs before foreign hand-offs,
+// and posts run by priority; src is the posting shard (NewCluster caps a
+// cluster at 1<<(rankShift-srcShift) shards); seq is the engine's insertion
+// count, shared by both kinds, so events of one rank and source run FIFO.
+// 2^47 insertions on one shard are out of reach, so seq never carries.
+const (
+	rankShift = 55
+	srcShift  = 47
+)
+
+// before is the heap order: earliest time first, then the key.
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
-	return e.seq < o.seq
+	return e.key < o.key
 }
 
 // arity is the fan-out of the d-ary heap. Four children per node keeps the
@@ -78,53 +98,36 @@ func (e *event) before(o *event) bool {
 // all hit the same lines.
 const arity = 4
 
-// Engine is a single-threaded discrete-event scheduler. It is not safe for
+// Engine is one shard of a Cluster: a clock and a heap. It is not safe for
 // concurrent use; one whole simulation runs on one goroutine, which is what
-// makes runs bit-for-bit deterministic. Distinct Engine instances share no
-// state at all, so independent simulations may run on concurrent goroutines
-// (the parallel experiment runner relies on exactly this).
+// makes runs bit-for-bit deterministic. Distinct clusters share no state at
+// all, so independent simulations may run on concurrent goroutines (the
+// parallel experiment runner relies on exactly this).
 //
-// An Engine may also be one shard of a Cluster (see cluster.go): the whole
-// cluster then runs on that one goroutine, and all cross-shard traffic flows
-// through Post, which puts it straight into the destination's inbox.
-// Run/Step and friends on a clustered engine drive the whole cluster.
+// NewEngine returns the one shard of a one-shard cluster; a sharded
+// simulation gets its engines from NewCluster, and cross-shard traffic flows
+// through Post. Either way Run/Step and friends drive the whole cluster.
 type Engine struct {
 	now       Time
 	heap      []event // slice-backed 4-ary min-heap, values not pointers
-	seq       uint64
+	seq       uint64  // insertions, ever: the key's last field
 	processed uint64
-
-	// Sharding state (nil/zero for a standalone engine; see cluster.go).
 	cluster   *Cluster
 	shard     int
-	postSeq   uint64    // posts made, ever: the inbox order's last tie-break
-	inbox     []postRec // posts from other shards, kept in postRec.before order, consumed front to back
-	inboxHead int
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return NewCluster(1, 1, 0).Shard(0) }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed returns the number of events executed so far (useful as a
-// livelock guard in tests); cluster-wide when sharded.
-func (e *Engine) Processed() uint64 {
-	if e.cluster != nil {
-		return e.cluster.Processed()
-	}
-	return e.processed
-}
+// Processed returns the number of events the cluster executed so far (useful
+// as a livelock guard in tests); ProcessedLocal counts this shard's alone.
+func (e *Engine) Processed() uint64 { return e.cluster.Processed() }
 
-// Pending returns the number of scheduled-but-unexecuted events
-// (cluster-wide when sharded).
-func (e *Engine) Pending() int {
-	if e.cluster != nil {
-		return e.cluster.Pending()
-	}
-	return len(e.heap)
-}
+// Pending returns the number of scheduled-but-unexecuted events, cluster-wide.
+func (e *Engine) Pending() int { return e.cluster.Pending() }
 
 // Schedule runs fn at virtual time at. Scheduling in the past is a
 // programming error and panics: it would silently reorder causality.
@@ -137,9 +140,7 @@ func (e *Engine) Schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	e.seq++
-	e.heap = append(e.heap, event{at: at, seq: e.seq, fn: fn})
-	e.siftUp(len(e.heap) - 1)
+	e.push(at, 0, fn)
 }
 
 // After runs fn d nanoseconds from now. Negative d panics.
@@ -148,6 +149,17 @@ func (e *Engine) After(d Time, fn func()) {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	e.Schedule(e.now+d, fn)
+}
+
+// push inserts fn at time at with the key's rank and source fields already
+// in tag. An event on a shard other than the running one bounds the run.
+func (e *Engine) push(at Time, tag uint64, fn func()) {
+	e.seq++
+	e.heap = append(e.heap, event{at: at, key: tag | e.seq, fn: fn})
+	e.siftUp(len(e.heap) - 1)
+	if c := e.cluster; e.shard != c.run {
+		c.bound(e.shard, at)
+	}
 }
 
 func (e *Engine) siftUp(i int) {
@@ -192,50 +204,12 @@ func (e *Engine) siftDown(i int) {
 	h[i] = ev
 }
 
-// Step executes the single earliest pending event, advancing the clock to
-// its timestamp. It reports whether an event was executed. On a clustered
-// engine it steps the whole cluster (globally earliest event).
-func (e *Engine) Step() bool {
-	if e.cluster != nil {
-		return e.cluster.Step()
-	}
-	if len(e.heap) == 0 {
-		return false
-	}
-	e.stepHeap()
-	return true
-}
+// Step executes the cluster's single earliest pending event, advancing its
+// shard's clock to its timestamp. It reports whether an event was executed.
+func (e *Engine) Step() bool { return e.cluster.Step() }
 
-// stepHeap pops and runs the heap root; the heap must be non-empty.
-func (e *Engine) stepHeap() {
-	n := len(e.heap)
-	root := e.heap[0]
-	n--
-	if n > 0 {
-		e.heap[0] = e.heap[n]
-	}
-	// Drop the closure reference from the vacated slot so the spare
-	// capacity (the free-list) does not pin dead callbacks; the slot's
-	// memory itself is recycled by the next Schedule.
-	e.heap[n].fn = nil
-	e.heap = e.heap[:n]
-	if n > 1 {
-		e.siftDown(0)
-	}
-	e.now = root.at
-	e.processed++
-	root.fn()
-}
-
-// Run executes events until none remain (cluster-wide when sharded).
-func (e *Engine) Run() {
-	if e.cluster != nil {
-		e.cluster.Run()
-		return
-	}
-	for e.Step() {
-	}
-}
+// Run executes events until none remain anywhere in the cluster.
+func (e *Engine) Run() { e.cluster.Run() }
 
 // RunUntil executes every event with timestamp <= t and then advances the
 // clock to exactly t (even if the queue drained earlier or further events
@@ -244,14 +218,7 @@ func (e *Engine) RunUntil(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, e.now))
 	}
-	if e.cluster != nil {
-		e.cluster.RunUntil(t)
-		return
-	}
-	for len(e.heap) > 0 && e.heap[0].at <= t {
-		e.Step()
-	}
-	e.now = t
+	e.cluster.RunUntil(t)
 }
 
 // RunFor executes events for the next d nanoseconds of virtual time.
@@ -260,11 +227,4 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // RunCapped runs until the queue drains or maxEvents have been processed,
 // reporting whether the queue drained (Pending()==0, also when the last
 // event the budget allows empties it). It guards tests against livelock.
-func (e *Engine) RunCapped(maxEvents uint64) bool {
-	if e.cluster != nil {
-		return e.cluster.RunCapped(maxEvents)
-	}
-	for n := uint64(0); n < maxEvents && e.Step(); n++ {
-	}
-	return len(e.heap) == 0
-}
+func (e *Engine) RunCapped(maxEvents uint64) bool { return e.cluster.RunCapped(maxEvents) }

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -11,108 +11,144 @@ import (
 // keep posting at two ranks to hold its place in the order.
 const priLate uint8 = 200
 
-// mergeHarness posts through Engine.Post and holds the reference model: per
-// destination, every post made and not yet consumed. There is no barrier to
-// wait for — a post lands in its destination's inbox as it is made — so after
-// every post each inbox from inboxHead on must equal the model fully sorted
-// by postRec.before.
-type mergeHarness struct {
-	t       *testing.T
-	c       *Cluster
-	pending [][]postRec // per destination, in post order until check sorts it
-	ran     []postRec   // handler log: key of each consumed post
+// mergeRec is one executed handler: the time its shard's clock read, and
+// the order key the harness expects it under — its shard, its rank (0 for a
+// local Schedule, 1+pri for a post), its source shard (0 for a local event,
+// whose order does not read it) and its place among the insertions into
+// its shard, counted by the harness itself.
+type mergeRec struct {
+	at    Time
+	shard int
+	rank  int
+	src   int
+	ins   int
 }
 
+func (r mergeRec) less(o mergeRec) bool {
+	switch {
+	case r.at != o.at:
+		return r.at < o.at
+	case r.shard != o.shard:
+		return r.shard < o.shard
+	case r.rank != o.rank:
+		return r.rank < o.rank
+	case r.src != o.src:
+		return r.src < o.src
+	}
+	return r.ins < o.ins
+}
+
+// mergeHarness inserts events into a cluster through Post and Schedule,
+// steps it, and logs every handler that runs. The reference is a
+// brute-force sort of that log: the scheduler must have run everything in
+// (timestamp, shard, rank, source, insertion) order.
+type mergeHarness struct {
+	t        *testing.T
+	c        *Cluster
+	ins      []int // insertions per shard
+	inserted int
+	ran      []mergeRec
+}
+
+// mergeTag rides an event: its expected key, and how many follow-ups its
+// handler inserts from inside the run.
 type mergeTag struct {
-	h   *mergeHarness
-	key postRec
+	h    *mergeHarness
+	rec  mergeRec
+	hops int
+	late bool
 }
 
 func newMergeHarness(t *testing.T, shards int) *mergeHarness {
-	return &mergeHarness{t: t, c: NewCluster(shards, 1, 1), pending: make([][]postRec, shards)}
+	return &mergeHarness{t: t, c: NewCluster(shards, 1, 1), ins: make([]int, shards)}
 }
 
-func onData(a any) {
-	tag := a.(*mergeTag)
-	tag.h.ran = append(tag.h.ran, tag.key)
-}
-
-// post makes one post the way a handler running on src at time now would,
-// then checks every inbox.
-func (h *mergeHarness) post(src, dst int, now, delay Time, late bool) {
-	h.t.Helper()
-	e := h.c.Shard(src)
-	if now > e.now {
-		e.now = now // a shard's clock only moves forward
+// fired logs tag's event as run now, then makes its follow-up: from a
+// handler on shard x at t, alternately a post to x+1 at the minimum delay
+// and a direct Schedule onto x+1 at t+1, each of which must bound x's run
+// at once.
+func (tag *mergeTag) fired() {
+	h := tag.h
+	e := h.c.Shard(tag.rec.shard)
+	rec := tag.rec
+	rec.at = e.Now()
+	h.ran = append(h.ran, rec)
+	if tag.hops == 0 {
+		return
 	}
-	tag := &mergeTag{h: h}
+	next := (rec.shard + 1) % h.c.Shards()
+	if tag.hops%2 == 1 {
+		h.post(rec.shard, next, 1, tag.late, tag.hops-1)
+	} else {
+		h.schedule(next, e.Now()+1, tag.late, tag.hops-1)
+	}
+}
+
+func onData(a any) { a.(*mergeTag).fired() }
+
+// post makes one post from src to dst after delay.
+func (h *mergeHarness) post(src, dst int, delay Time, late bool, hops int) {
 	pri := PriData
 	if late {
 		pri = priLate
 	}
-	e.Post(h.c.Shard(dst), delay, pri, onData, tag)
-	tag.key = postRec{at: e.now + delay, pri: pri, src: uint16(src), seq: e.postSeq}
-	h.pending[dst] = append(h.pending[dst], tag.key)
-	h.check()
+	h.ins[dst]++
+	h.inserted++
+	tag := &mergeTag{h: h, rec: mergeRec{shard: dst, rank: 1 + int(pri), src: src, ins: h.ins[dst]}, hops: hops, late: late}
+	h.c.Shard(src).Post(h.c.Shard(dst), delay, pri, onData, tag)
 }
 
-func sameKey(a, b *postRec) bool {
-	return a.at == b.at && a.pri == b.pri && a.src == b.src && a.seq == b.seq
+// schedule puts a local event on shard at time at.
+func (h *mergeHarness) schedule(shard int, at Time, late bool, hops int) {
+	h.ins[shard]++
+	h.inserted++
+	tag := &mergeTag{h: h, rec: mergeRec{shard: shard, ins: h.ins[shard]}, hops: hops, late: late}
+	h.c.Shard(shard).Schedule(at, tag.fired)
 }
 
-// check holds every inbox to the model: the unconsumed part in full-sort
-// order, the consumed prefix holding no reference.
+// step runs up to n events and checks the budget was exact.
+func (h *mergeHarness) step(n int) {
+	h.t.Helper()
+	before := h.c.Processed()
+	drained := h.c.RunCapped(uint64(n))
+	if ran := h.c.Processed() - before; ran != uint64(n) && !drained {
+		h.t.Fatalf("stepping %d events ran %d without draining", n, ran)
+	}
+}
+
+// check drains the cluster and holds the whole log to its own sort.
 func (h *mergeHarness) check() {
 	t := h.t
 	t.Helper()
-	for di, dst := range h.c.shards {
-		want := h.pending[di]
-		sort.Slice(want, func(i, j int) bool { return want[i].before(&want[j]) })
-		got := dst.inbox[dst.inboxHead:]
-		if len(got) != len(want) {
-			t.Fatalf("shard %d inbox holds %d posts, want %d", di, len(got), len(want))
+	h.c.Run()
+	if len(h.ran) != h.inserted {
+		t.Fatalf("%d handlers ran, %d events inserted", len(h.ran), h.inserted)
+	}
+	want := slices.Clone(h.ran)
+	slices.SortFunc(want, func(a, b mergeRec) int {
+		switch {
+		case a.less(b):
+			return -1
+		case b.less(a):
+			return 1
 		}
-		for i := range want {
-			if !sameKey(&got[i], &want[i]) {
-				t.Fatalf("shard %d inbox[%d] = (at %d pri %d src %d seq %d), want (at %d pri %d src %d seq %d)",
-					di, i, got[i].at, got[i].pri, got[i].src, got[i].seq, want[i].at, want[i].pri, want[i].src, want[i].seq)
-			}
-		}
-		for i := 0; i < dst.inboxHead; i++ {
-			if dst.inbox[i].fn != nil || dst.inbox[i].arg != nil {
-				t.Fatalf("shard %d consumed inbox slot %d still holds a reference", di, i)
-			}
+		return 0
+	})
+	for i := range want {
+		if h.ran[i] != want[i] {
+			t.Fatalf("event %d ran as %+v; the key order puts %+v there", i, h.ran[i], want[i])
 		}
 	}
 }
 
-// consume runs up to n posts of dst's inbox through the real consumer and
-// checks they come off in model order.
-func (h *mergeHarness) consume(dst, n int) {
-	t := h.t
-	t.Helper()
-	e := h.c.Shard(dst)
-	want := h.pending[dst] // sorted by the last check
-	if n > len(want) {
-		n = len(want)
-	}
-	h.ran = h.ran[:0]
-	for i := 0; i < n; i++ {
-		if !e.stepLocal(timeMax) {
-			t.Fatalf("shard %d: inbox ran dry after %d of %d posts", dst, i, n)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if !sameKey(&h.ran[i], &want[i]) {
-			t.Fatalf("shard %d consumed post %d out of order", dst, i)
-		}
-	}
-	h.pending[dst] = append(want[:0], want[n:]...)
-}
-
-// runMergeProgram interprets prog as rounds of (posts..., consumption). Byte layout per round: a post count, three bytes per post
-// (source and destination, clock advance and delay, flags — the top flag bit
-// posts at priLate), then one byte saying how much of which inbox to consume.
+// runMergeProgram interprets prog as rounds of (inserts..., steps). Byte
+// layout per round: an insert count, three bytes per insert (source and
+// destination; clock advance and delay; flags: 0x80 posts at priLate, 0x40
+// makes a local Schedule on the source instead of a post, bits 2-3 count
+// the follow-ups its handler inserts, bits 0-1 shorten the delay), then one
+// byte k: step the cluster k events. The harness clock only moves forward
+// and never lags the cluster's, so every insert lands after everything
+// already run, as one from a handler at that instant would.
 func runMergeProgram(t *testing.T, prog []byte) {
 	if len(prog) == 0 {
 		return
@@ -131,32 +167,35 @@ func runMergeProgram(t *testing.T, prog []byte) {
 			if dst == src {
 				dst = (dst + 1) % shards
 			}
-			now += Time(b >> 6)              // 0..3: equal timestamps across sources are common
-			delay := 1 + Time(b&0x3f)>>(f&3) // varied delays put a source's own posts out of order
-			h.post(src, dst, now, delay, f&0x80 != 0)
+			now += Time(b >> 6) // 0..3: equal timestamps across sources are common
+			for s := range h.c.shards {
+				now = max(now, h.c.shards[s].now)
+			}
+			h.c.RunUntil(now)
+			delay := 1 + Time(b&0x3f)>>(f&3) // varied delays put a source's own inserts out of order
+			late, hops := f&0x80 != 0, int(f>>2&3)
+			if f&0x40 != 0 {
+				h.schedule(src, now+delay, late, hops)
+			} else {
+				h.post(src, dst, delay, late, hops)
+			}
 		}
 		if pc < len(prog) {
-			k := prog[pc]
+			h.step(int(prog[pc]))
 			pc++
-			// Mostly shard 0, so its consumed prefix crosses the 64-slot
-			// compaction threshold in long programs.
-			dst := 0
-			if k&0x80 != 0 {
-				dst = int(k>>4) % shards
-			}
-			h.consume(dst, int(k&0x7f))
-			h.check()
 		}
 	}
+	h.check()
 }
 
-// mergeSeeds are programs built to reach the insertion's corners; the fuzz
+// mergeSeeds are programs built to reach the order's corners; the fuzz
 // corpus in testdata/fuzz/FuzzMergeOrder holds further ones (a reversed
 // single source, all-equal timestamps, priLate posts only, fuzzer finds).
 func mergeSeeds() [][]byte {
 	var seeds [][]byte
 	// Five sources interleaving at equal timestamps into shard 0, priLate
-	// posts mixed in, then partial consumption on either side of 64 slots.
+	// posts, local events and follow-ups mixed in, stepped by varied
+	// amounts between rounds.
 	for _, eat := range []byte{10, 63, 64, 65, 100} {
 		p := []byte{3} // 5 shards
 		for round := 0; round < 3; round++ {
@@ -166,6 +205,12 @@ func mergeSeeds() [][]byte {
 				flags := byte(i % 4)
 				if i%7 == 0 {
 					flags |= 0x80
+				}
+				if i%5 == 0 {
+					flags |= 0x40
+				}
+				if i%3 == 0 {
+					flags |= 0x08
 				}
 				p = append(p, src, byte(i*37), flags)
 			}
@@ -182,10 +227,9 @@ func mergeSeeds() [][]byte {
 		}
 		seeds = append(seeds, p)
 	}
-	// A post that sorts before every unconsumed entry lands at inboxHead: a
-	// hundred posts from shard 1 mature at t=64, part of them is consumed
-	// (short of the compaction threshold, then past it), and shard 2, whose
-	// clock is still at zero, posts for t=1.
+	// An insert that sorts before every pending event: a hundred posts from
+	// shard 1 mature at t=64, part of them run, and shard 2 posts for the
+	// next tick.
 	for _, eat := range []byte{10, 70} {
 		p := []byte{3, 100} // 5 shards
 		for i := 0; i < 100; i++ {
@@ -196,9 +240,9 @@ func mergeSeeds() [][]byte {
 	return seeds
 }
 
-// TestMergeOrderProperty: whatever the sources posted and however much of
-// an inbox was already consumed, every post leaves each inbox exactly as a
-// full sort by postRec.before would.
+// TestMergeOrderProperty: whatever was posted and scheduled, from the
+// harness between steps or from handlers mid-run, every event runs in the
+// (timestamp, shard, rank, source, insertion) order.
 func TestMergeOrderProperty(t *testing.T) {
 	for i, p := range mergeSeeds() {
 		t.Run(fmt.Sprint(i), func(t *testing.T) { runMergeProgram(t, p) })

@@ -121,8 +121,10 @@ func (hv *Hypervisor) MapGrant(mapper *Domain, owner DomID, ref GrantRef) (*Mapp
 }
 
 // MapGrantOn is MapGrant with the cost charged to a pinned vCPU, for
-// callers running on a cluster shard (grant-table reads are safe from any
-// shard once handshakes froze the tables; only the vCPU pick is not).
+// callers running on a cluster shard. A pick from the domain's vCPU pool
+// would be as exact from a shard (the cluster runs in one global order);
+// the pinned charge stays because switching to the pool pick would move
+// the model (see chargeOn).
 func (hv *Hypervisor) MapGrantOn(mapper *Domain, cpu *sim.CPU, owner DomID, ref GrantRef) (*Mapping, error) {
 	mapper.chargeOn(cpu, hv.Costs.Base+hv.Costs.GrantMapPage)
 	return hv.mapGrantCharged(mapper, owner, ref)
