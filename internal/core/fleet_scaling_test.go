@@ -4,12 +4,14 @@ import (
 	"testing"
 
 	"kite/internal/netstack"
+	"kite/internal/sim"
 )
 
 // fleetCounts is what a run of one-frame-per-tenant waves cost in the
-// exact counts of the event core.
+// exact counts of the event core, and the simulated time it took.
 type fleetCounts struct {
 	frames, posts, events, rounds uint64
+	elapsed                       sim.Time
 }
 
 // countFleetWaves warms a fleet of the given size, then drives waves of one
@@ -41,12 +43,13 @@ func countFleetWaves(t *testing.T, guests, waves int) fleetCounts {
 		wave(w)
 	}
 	delivered = 0
-	c := fleetCounts{posts: sys.Cluster.Posted(), events: sys.Eng.Processed(), rounds: rounds()}
+	c := fleetCounts{posts: sys.Cluster.Posted(), events: sys.Eng.Processed(), rounds: rounds(), elapsed: sys.Eng.Now()}
 	for w := 0; w < waves; w++ {
 		wave(w)
 	}
 	c = fleetCounts{frames: delivered, posts: sys.Cluster.Posted() - c.posts,
-		events: sys.Eng.Processed() - c.events, rounds: rounds() - c.rounds}
+		events: sys.Eng.Processed() - c.events, rounds: rounds() - c.rounds,
+		elapsed: sys.Eng.Now() - c.elapsed}
 	if c.frames != uint64(guests*waves) {
 		t.Fatalf("%d guests: delivered %d of %d frames", guests, c.frames, guests*waves)
 	}
@@ -106,5 +109,20 @@ func TestFleetPerFrameCostHasNoTenantTerm(t *testing.T) {
 			t.Errorf("%s per added frame: %.4f from 16 to 64 guests, %.4f from 64 to 256 (%+.1f%%, want within 2%%)",
 				m.name, m.lo, m.hi, 100*d)
 		}
+	}
+}
+
+// TestFleetVirtualCostIsFlat is the O(active) gate in simulated time: the
+// driver-domain time one tenant's frame costs at 1024 tenants stays within
+// 1.25x of what it costs at 64 (it reads about 501 ns against 558: a
+// lane round's fixed cost spreads over more frames). Simulated time, so the
+// ratio is the same on any host.
+func TestFleetVirtualCostIsFlat(t *testing.T) {
+	const waves = 32
+	perFrame := func(c fleetCounts) float64 { return float64(c.elapsed) / float64(c.frames) }
+	small, big := perFrame(countFleetWaves(t, 64, waves)), perFrame(countFleetWaves(t, 1024, waves))
+	t.Logf("simulated ns per frame: %.1f at 64 tenants, %.1f at 1024 (ratio %.3f)", small, big, big/small)
+	if big > 1.25*small {
+		t.Errorf("a frame costs %.1f simulated ns at 1024 tenants, above 1.25x the %.1f at 64", big, small)
 	}
 }

@@ -8,31 +8,60 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
+	"strings"
 	"testing"
 
 	"kite/internal/netstack"
 )
 
-// heapBytesPerRun reports the average heap bytes allocated per call to f,
-// with the collector paused so TotalAlloc deltas are exact. AllocsPerRun
-// counts objects; this counts bytes, which catches amortized growth
-// (free-list doubling, high-water creep) that rounds to zero
-// objects per op but still bleeds kilobytes across a sweep.
+// heapBytesPerRun reports the average heap bytes the workload allocates
+// per call to f. AllocsPerRun counts objects; this counts bytes, which
+// catches amortized growth (free-list doubling, high-water creep) that
+// rounds to zero objects per op but still bleeds kilobytes across a sweep.
+// Every allocation is profiled for the window, and only those made under a
+// function of this module count: the runtime allocates on its own account
+// in any window (timer heaps, a new M's records), and those bytes are not
+// the workload's.
 func heapBytesPerRun(runs int, f func()) float64 {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	f() // settle any first-call growth outside the measured window
-	var before, after runtime.MemStats
-	// Restarting the world after ReadMemStats may start an OS thread, whose
-	// ~5 KB of runtime records would count as the workload's: one stop
-	// before the measured one lets the runtime do that outside the window.
-	runtime.ReadMemStats(&before)
-	runtime.ReadMemStats(&before)
+	before := moduleAllocBytes()
 	for i := 0; i < runs; i++ {
 		f()
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	return float64(moduleAllocBytes()-before) / float64(runs)
+}
+
+// moduleAllocBytes sums the bytes the heap profile records as allocated
+// under a kite/ function, leaving out its own (the profile buffer, the
+// frame walk). A record is published a cycle after its allocation, so two
+// collections run first.
+func moduleAllocBytes() (total int64) {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		panic("heap profile grew past its buffer")
+	}
+	for i := range recs[:n] {
+		module := false
+		for frames, more := runtime.CallersFrames(recs[i].Stack()), true; more; {
+			var fr runtime.Frame
+			fr, more = frames.Next()
+			if strings.HasSuffix(fr.Function, ".moduleAllocBytes") {
+				module, more = false, false
+			} else if strings.HasPrefix(fr.Function, "kite/") {
+				module = true
+			}
+		}
+		if module {
+			total += recs[i].AllocBytes
+		}
+	}
+	return total
 }
 
 // TestForwardPathZeroAlloc asserts the tentpole property: after warmup
@@ -44,18 +73,21 @@ func TestForwardPathZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig.Client.Stack.BindUDP(9000, func(p netstack.UDPPacket) {})
-	rig.Guest.Stack.BindUDP(9001, func(p netstack.UDPPacket) {})
+	var sent, delivered int
+	rig.Client.Stack.BindUDP(9000, func(p netstack.UDPPacket) { delivered++ })
+	rig.Guest.Stack.BindUDP(9001, func(p netstack.UDPPacket) { delivered++ })
 	payload := pattern(1400)
 	eng := rig.System.Eng
 
 	tx := func() {
 		rig.Guest.Stack.SendUDP(rig.ClientIP, 9000, 9001, payload)
 		eng.Run()
+		sent++
 	}
 	rx := func() {
 		rig.Client.Stack.SendUDP(rig.GuestIP, 9001, 9000, payload)
 		eng.Run()
+		sent++
 	}
 	// 300 > 256: the frontend cycles its posted Rx buffers round-robin, so
 	// the warm-up wraps the ring once and every Rx page has had its first
@@ -70,6 +102,9 @@ func TestForwardPathZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, rx); allocs != 0 {
 		t.Errorf("Rx direction: %.1f allocs per forwarded frame, want 0", allocs)
+	}
+	if delivered != sent {
+		t.Errorf("delivered %d of %d frames", delivered, sent)
 	}
 	if n := rig.System.Pool.Outstanding(); n != 0 {
 		t.Fatalf("%d frame buffers leaked", n)
@@ -156,6 +191,41 @@ func TestForwardPathZeroAllocMQ(t *testing.T) {
 	}
 }
 
+// TestForwardPathZeroAllocFleet asserts the property for the fleet data
+// path at every size from 16 to 1024 tenants: once eight waves have warmed
+// the pools, slots, FDB and lane lists, a wave of one 128 B datagram per
+// tenant through the shared DRR lanes allocates nothing.
+func TestForwardPathZeroAllocFleet(t *testing.T) {
+	for _, guests := range []int{16, 64, 256, 1024} {
+		t.Run(fmt.Sprintf("guests=%d", guests), func(t *testing.T) {
+			rig, err := NewFleetRig(FleetConfig{Guests: guests, Lanes: 4, Seed: 0xf1ee7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			delivered := 0
+			rig.Client.Stack.BindUDP(9000, func(netstack.UDPPacket) { delivered++ })
+			payload := pattern(128)
+			w := 0
+			wave := func() {
+				for _, g := range rig.Guests {
+					g.Stack.SendUDP(rig.ClientIP, 9000, uint16(9001+w%64), payload)
+				}
+				rig.System.Eng.Run()
+				w++
+			}
+			for w < 8 {
+				wave()
+			}
+			if allocs := testing.AllocsPerRun(20, wave); allocs != 0 {
+				t.Errorf("%.1f allocs per wave of %d frames, want 0", allocs, guests)
+			}
+			if delivered != w*guests {
+				t.Fatalf("delivered %d of %d frames", delivered, w*guests)
+			}
+		})
+	}
+}
+
 // TestBlockPathZeroAlloc asserts the storage tentpole property: once pools,
 // persistent grants, and the NVMe sparse store are warm, a 256 KiB write
 // and a 256 KiB read through the full PV storage pipeline allocate nothing
@@ -170,23 +240,28 @@ func TestBlockPathZeroAlloc(t *testing.T) {
 	const ioBytes = 256 << 10
 	payload := pattern(ioBytes)
 	eng := rig.System.Eng
+	var issued, completed int
 	wcb := func(err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		completed++
 	}
 	rcb := func(data []byte, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		completed++
 	}
 	write := func() {
 		rig.Guest.Disk.WriteSectors(0, payload, wcb)
 		eng.Run()
+		issued++
 	}
 	read := func() {
 		rig.Guest.Disk.ReadSectors(0, ioBytes, rcb)
 		eng.Run()
+		issued++
 	}
 	for i := 0; i < 100; i++ { // warm pools, grants, and the sparse store
 		write()
@@ -198,6 +273,9 @@ func TestBlockPathZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
 		t.Errorf("read path: %.1f allocs per 256 KiB read, want 0", allocs)
+	}
+	if completed != issued {
+		t.Errorf("completed %d of %d operations", completed, issued)
 	}
 	if n := rig.System.BlkPool.Outstanding(); n != 0 {
 		t.Fatalf("%d sector buffers leaked", n)

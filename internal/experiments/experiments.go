@@ -2,10 +2,10 @@
 // evaluation (§5) on the simulated testbed. Each experiment builds fresh
 // Linux-baseline and Kite rigs from the same seed, drives the same
 // workload over both, and returns rows ready for rendering plus the
-// quantities the benchmark suite asserts on (who wins, by what factor).
+// quantities shape_test.go's table asserts on (who wins, by what factor).
 //
-// Scale selects run sizes: Quick keeps virtual durations and request
-// counts small enough for CI benchmarks; Full approaches the paper's
+// Scale selects run sizes: Quick, kitebench's default, keeps virtual
+// durations and request counts small; Full approaches the paper's
 // parameters (minutes of virtual time — still seconds of wall clock).
 package experiments
 
@@ -42,7 +42,7 @@ type Scale struct {
 	pool *fanout.Pool
 }
 
-// Quick returns the CI-friendly scale.
+// Quick returns kitebench's default scale.
 func Quick() Scale {
 	return Scale{
 		Name:         "quick",

@@ -12,8 +12,8 @@ import (
 // construction: the RSS steering and extent striping change only *when*
 // frames and requests move, never *what* arrives — so the printed lines
 // are byte-identical for any -queues (and, like the rest of the summary,
-// for any -parallel). Timing and scaling numbers deliberately live in the
-// MQ benchmarks and BENCH_*.json, not here.
+// for any -parallel). Scaling numbers deliberately live in internal/core's
+// TestNetMQScaling and TestBlkMQScaling, not here.
 type MQStats struct {
 	// Network leg: UDP datagrams pushed both ways over a Kite vif.
 	NetFrames   uint64
