@@ -15,7 +15,7 @@
 // queues, striped vbd hardware queues) on rigs with N queues per device;
 // its summary prints only queue-invariant totals and checksums, so the
 // whole output stays byte-identical for any -parallel x -queues choice
-// (scaling numbers live in the MQ benchmarks and BENCH_*.json instead).
+// (scaling is measured by benchmark/'s net_mq4 and blk_mixed workloads).
 // -guests N runs the fleet workload: N single-queue tenants on shared DRR
 // service lanes; every line it prints is a timeline fact, byte-identical for
 // any -parallel.

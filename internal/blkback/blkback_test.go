@@ -8,6 +8,7 @@ import (
 	"kite/internal/blkif"
 	"kite/internal/nvme"
 	"kite/internal/pvback"
+	"kite/internal/pvfront"
 	"kite/internal/sim"
 	"kite/internal/xen"
 	"kite/internal/xenbus"
@@ -54,9 +55,9 @@ func buildRig(t *testing.T, costs Costs) *rig {
 		Type: "vbd", FrontDom: xenbus.DomID(guest.ID), BackDom: xenbus.DomID(dd.ID),
 		DevID: 51712, BackExtra: map[string]string{"params": "2048:2097152"},
 	})
-	front := blkfront.New(eng, blkfront.Config{
+	front := blkfront.New(eng, blkfront.Config{Config: pvfront.Config{
 		Dom: guest, Bus: bus, Registry: reg, DevID: 51712, BackDom: dd.ID,
-	})
+	}})
 	r := &rig{eng: eng, hv: hv, bus: bus, reg: reg, dd: dd, guest: guest,
 		dev: dev, drv: drv, front: front}
 	if !eng.RunCapped(100000) {

@@ -1,52 +1,51 @@
 // Package blkfront implements the paravirtual block frontend driver used
 // by DomU guests: a virtual disk whose reads and writes travel the blkif
 // ring to a blkback instance in the storage driver domain. It negotiates
-// and uses the same optimizations the paper implements in Kite's blkback —
+// and uses the optimizations the paper implements in Kite's blkback —
 // persistent grant references and indirect segments (§3.3, §4.4) — and
 // splits large I/O into as few ring requests as the negotiated limits
-// allow.
+// allow. The xenbus handshake, the backend watch and teardown are
+// pvfront's; this package supplies the vbd's rings, keys and data path
+// through its hooks.
 //
-// The transport is multi-queue (blk-mq over blkif, xen-blkfront's
-// multi-queue protocol): the frontend reads the backend's
-// "multi-queue-max-queues" advertisement, answers with
-// "multi-queue-num-queues", and publishes one ring + event channel per
-// queue under "queue-N/" keys (flat legacy keys when single-queue).
-// Requests are steered by extent: the virtual disk is striped in 512 KiB
-// chunks and each stripe belongs to one queue, so a sequential stream
-// stays mergeable within its queue and same-sector requests stay ordered.
-// Each queue owns its persistent-grant page pool, keeping grant refs
-// queue-affine for the backend's per-queue mapping caches.
+// The transport is multi-queue (blk-mq over blkif): requests are steered by
+// extent, the virtual disk striped in 512 KiB chunks each owned by one
+// queue, so a sequential stream stays mergeable within its queue and
+// same-sector requests stay ordered. Each queue owns its persistent-grant
+// page pool, keeping grant refs queue-affine for the backend's caches.
 //
-// Read completions borrow a refcounted buffer from a blkpool: the slice
-// handed to a ReadSectors callback is valid only for the duration of the
-// callback and is recycled afterwards (DESIGN.md §8). Callers that need
-// the data longer either copy it or use ReadSectorsInto with their own
-// destination. Every whole page of a read's destination is lent to the
-// granted page that carries it (xen.Domain.LendGrant) from submission to
-// completion, so the backend's device lands the data in its final place
-// and the persistent-grant bounce copy is charged but not performed.
-// Caller ops, ring-request parts, and the ring-full backlog are all
-// pooled/struct-based so the steady-state data path performs no heap
-// allocation.
+// Read completions borrow a refcounted buffer from a blkpool, valid only
+// for the duration of a ReadSectors callback (DESIGN.md §8); ReadSectorsInto
+// takes the caller's own destination. Every whole page of a read's
+// destination is lent to the granted page that carries it
+// (xen.Domain.LendGrant) from submission to completion, so the backend's
+// device lands the data in its final place and the persistent-grant bounce
+// copy is charged but not performed. Caller ops, ring-request parts and the
+// ring-full backlog are pooled, so the steady-state data path allocates
+// nothing.
+//
+// When the backend goes, every in-flight request ends its loans and is
+// parked with the backlog; the next backend's Connected resubmits them
+// (Linux's blkif_recover), and Close fails them.
 package blkfront
 
 import (
 	"fmt"
+	"slices"
 
 	"kite/internal/blkif"
 	"kite/internal/blkpool"
 	"kite/internal/mem"
 	"kite/internal/pvback"
+	"kite/internal/pvfront"
 	"kite/internal/sim"
 	"kite/internal/xen"
-	"kite/internal/xenbus"
 	"kite/internal/xenstore"
 )
 
-// stripeSectors is the extent-striping granularity (1024 sectors = 512
-// KiB): coarse enough that a maximal 128 KiB indirect request never
-// spans queues, so blkback's merge policy still folds consecutive
-// requests within a queue.
+// stripeSectors is the extent-striping granularity (512 KiB): a maximal
+// 128 KiB indirect request never spans queues, so blkback still merges
+// consecutive requests within a queue.
 const stripeSectors = 1024
 
 // Costs models the guest-side software path per request.
@@ -77,12 +76,12 @@ type poolPage struct {
 	own []byte
 }
 
-// reqPart tracks one in-flight ring request belonging to a caller op.
-// Parts are pooled; every slice keeps its capacity across recycles. segs
-// and indRefs must live on the part (not device scratch) because the ring
-// slot shares their backing arrays until the backend consumes the request.
+// reqPart is one in-flight ring request: the pending op it was built from
+// (what a replay resubmits) and its granted pages. Parts are pooled; segs
+// and indRefs live on the part because the ring slot shares their arrays
+// until the backend consumes the request.
 type reqPart struct {
-	op       blkif.Op
+	pendingOp
 	q        *queue // the hardware queue the part rides (pages return there)
 	pages    []poolPage
 	indirect []poolPage // descriptor pages (granted, freed after response)
@@ -91,13 +90,11 @@ type reqPart struct {
 	readDst  []byte // for reads: destination slice for this part
 	// lent counts the leading pages whose grant carries their page of readDst
 	// on loan (every whole page of a read); 0 once the loans end.
-	lent   int
-	parent *callerOp
+	lent int
 }
 
-// callerOp is one ReadSectors/WriteSectors/Flush invocation. Pooled.
-// Exactly one of doneRead/doneErr is set, so write and flush callbacks
-// need no allocating adapter closure.
+// callerOp is one ReadSectors/WriteSectors/Flush invocation. Pooled;
+// exactly one of doneRead/doneErr is set, so no adapter closure allocates.
 type callerOp struct {
 	remaining int
 	err       error
@@ -107,8 +104,8 @@ type callerOp struct {
 	doneErr   func(err error)
 }
 
-// pendingOp is one backlogged submission waiting for ring space; the
-// struct queue replaces a []func() bool closure backlog.
+// pendingOp is one ring request's worth of a caller op (a flush: OpFlush
+// at sector 0) waiting for ring space or for the next backend.
 type pendingOp struct {
 	op        blkif.Op
 	sector    int64
@@ -116,15 +113,11 @@ type pendingOp struct {
 	writeData []byte
 	readOff   int
 	caller    *callerOp
-	flush     bool
 }
 
-// queue is one hardware queue: its ring, event channel, persistent-grant
-// page pool, and ring-full backlog — the per-queue state xen-blkfront
-// keeps in struct blkfront_ring_info.
+// queue is one hardware queue (xen-blkfront's struct blkfront_ring_info).
 type queue struct {
 	d    *Device
-	id   int
 	ring *blkif.Ring
 	port xen.Port
 
@@ -136,23 +129,12 @@ type queue struct {
 
 // Device is one vbd frontend.
 type Device struct {
-	eng     *sim.Engine
-	dom     *xen.Domain
-	cpus    *sim.CPUPool // vCPUs the device runs on: Config.CPUs, else all of dom's
-	bus     *xenbus.Bus
-	reg     *pvback.Registry
-	devid   int
-	backDom xen.DomID
-	costs   Costs
+	pvfront.Device
+	eng   *sim.Engine
+	cpus  *sim.CPUPool // vCPUs the device runs on: Config.CPUs, else all of dom's
+	costs Costs
 
-	frontPath string
-	backPath  string
-	// backWatch follows the backend's state for the device's lifetime;
-	// Close cancels it.
-	backWatch *xenstore.Watch
-
-	wantQueues int
-	queues     []*queue
+	queues []*queue
 
 	persistent  bool
 	maxIndirect int
@@ -161,45 +143,33 @@ type Device struct {
 
 	bufs *blkpool.Pool // read staging
 	// inflight is a slot-indexed shadow table (like Linux blkfront's):
-	// request IDs are slot+1 and recycle through freeIDs, so the table
-	// grows to the in-flight high-water mark (bounded by ring capacity)
-	// and never churns — a map keyed by an ever-increasing ID slowly
-	// accretes overflow buckets and bleeds heap bytes forever.
+	// request IDs are slot+1 and recycle through freeIDs, so it grows to
+	// the in-flight high-water mark and never churns.
 	inflight []*reqPart
 	freeIDs  []uint64
+	// parked is what a lost backend left unanswered, for the next one.
+	parked []pendingOp
 
 	partFree   []*reqPart
 	callerFree []*callerOp
-
-	ready   bool
-	onReady func()
 
 	stats Stats
 }
 
 // Config describes the frontend to create.
 type Config struct {
-	Dom      *xen.Domain
-	Bus      *xenbus.Bus
-	Registry *pvback.Registry
-	DevID    int
-	BackDom  xen.DomID
-	Costs    Costs
-	Pool     *blkpool.Pool // read-buffer pool; private pool when nil
-	// CPUs confines the device to a sub-pool of the guest's vCPUs: request
-	// costs are charged there and queue q's event channel is bound to
-	// CPUs.CPU(q mod Len). Required when other vCPUs of the guest are pinned
-	// to cluster shards the device's engine does not own (a sharded vif's
-	// queue vCPUs); nil means the whole domain, ports unbound.
+	pvfront.Config
+	Costs Costs
+	Pool  *blkpool.Pool // read-buffer pool; private pool when nil
+	// CPUs confines the device to a sub-pool of the guest's vCPUs (costs,
+	// and queue q's event channel on CPUs.CPU(q mod Len)); required when
+	// other vCPUs are pinned to shards the device's engine does not own.
+	// nil means the whole domain, ports unbound.
 	CPUs *sim.CPUPool
-	// Queues requests a hardware-queue count; the handshake negotiates
-	// min(Queues, backend's multi-queue-max-queues). 0 means 1.
-	Queues  int
-	OnReady func()
 }
 
-// New creates the frontend for a toolstack-created vbd and starts
-// negotiation.
+// New creates the frontend for a toolstack-created vbd and starts the
+// handshake.
 func New(eng *sim.Engine, cfg Config) *Device {
 	costs := cfg.Costs
 	if costs.PerRequest == 0 {
@@ -213,128 +183,106 @@ func New(eng *sim.Engine, cfg Config) *Device {
 	if cpus == nil {
 		cpus = cfg.Dom.CPUs
 	}
-	wantQueues := cfg.Queues
-	if wantQueues < 1 {
-		wantQueues = 1
-	}
-	if wantQueues > blkif.MaxQueues {
-		wantQueues = blkif.MaxQueues
-	}
-	d := &Device{
-		eng: eng, dom: cfg.Dom, cpus: cpus, bus: cfg.Bus, reg: cfg.Registry,
-		devid: cfg.DevID, backDom: cfg.BackDom, costs: costs,
-		frontPath:  xenbus.FrontendPath(xenbus.DomID(cfg.Dom.ID), xenstore.DevVbd, cfg.DevID),
-		backPath:   xenbus.BackendPath(xenbus.DomID(cfg.BackDom), xenstore.DevVbd, xenbus.DomID(cfg.Dom.ID), cfg.DevID),
-		wantQueues: wantQueues,
-		bufs:       bufs,
-		onReady:    cfg.OnReady,
-	}
-	d.backWatch = d.bus.OnStateChange(d.backPath, func(s xenbus.State) {
-		switch s {
-		case xenbus.StateInitWait:
-			if len(d.queues) == 0 {
-				d.init()
-			}
-		case xenbus.StateConnected:
-			if !d.ready && len(d.queues) > 0 {
-				d.connect()
-			}
-		case xenbus.StateClosing, xenbus.StateClosed:
-			d.ready = false
-		}
-	})
+	d := &Device{eng: eng, cpus: cpus, costs: costs, bufs: bufs}
+	d.Start(cfg.Config, xenstore.DevVbd, blkif.MaxQueues, (*hooks)(d))
 	return d
 }
 
-// init reads the backend's advertised features, negotiates the queue
-// count, and publishes the rings.
-func (d *Device) init() {
-	st := d.bus.Store()
-	d.persistent = d.bus.ReadFeature(d.backPath, xenstore.KeyFeaturePersistent)
-	d.flushOK = d.bus.ReadFeature(d.backPath, xenstore.KeyFeatureFlushCache)
-	if v, ok := st.ReadInt(d.backPath + "/" + xenstore.KeyFeatureMaxIndirect); ok {
-		d.maxIndirect = int(v)
-		if d.maxIndirect > blkif.MaxSegsIndirect {
-			d.maxIndirect = blkif.MaxSegsIndirect
-		}
-	}
-	if v, ok := st.ReadInt(d.backPath + "/" + xenstore.KeySectors); ok {
-		d.sectors = v
-	}
+// hooks is the vbd's pvfront.Class: the Device as the handshake sees it.
+type hooks Device
 
-	nq := d.wantQueues
-	if max := d.bus.ReadNumQueues(d.backPath, xenstore.KeyMultiQueueMaxQueues); nq > max {
-		nq = max
-	}
+// Rings reads the backend's features and builds one ring per queue.
+func (h *hooks) Rings(backPath string, nq int) pvback.Channel {
+	d := (*Device)(h)
+	st := d.Bus.Store()
+	d.persistent = d.Bus.ReadFeature(backPath, xenstore.KeyFeaturePersistent)
+	d.flushOK = d.Bus.ReadFeature(backPath, xenstore.KeyFeatureFlushCache)
+	maxIndirect, _ := st.ReadInt(backPath + "/" + xenstore.KeyFeatureMaxIndirect)
+	d.maxIndirect = min(int(maxIndirect), blkif.MaxSegsIndirect)
+	d.sectors, _ = st.ReadInt(backPath + "/" + xenstore.KeySectors)
 	ch := blkif.NewChannel(nq)
 	d.queues = make([]*queue, nq)
-	for i := 0; i < nq; i++ {
-		q := &queue{d: d, id: i, ring: ch.Rings.Queue(i)}
-		q.port = d.dom.AllocUnbound(d.backDom)
-		if err := d.dom.SetHandler(q.port, q.onEvent); err != nil {
-			panic(fmt.Sprintf("blkfront: %v", err))
-		}
-		if d.cpus != d.dom.CPUs {
-			// Confined to a sub-pool: the upcall must not pick from vCPUs
-			// that belong to other shards.
-			if err := d.dom.BindPortCPU(q.port, d.cpus.CPU(i%d.cpus.Len())); err != nil {
-				panic(fmt.Sprintf("blkfront: %v", err))
-			}
-		}
-		d.queues[i] = q
+	for i := range d.queues {
+		d.queues[i] = &queue{d: d, ring: ch.Rings.Queue(i)}
 	}
-	d.reg.Publish(d.dom.ID, d.devid, ch)
-
-	if nq == 1 {
-		// Legacy flat keys, exactly like a single-queue blkfront.
-		st.Writef(d.frontPath+"/"+xenstore.KeyRingRef, "%d", d.devid+100)
-		st.Writef(d.frontPath+"/"+xenstore.KeyEventChannel, "%d", d.queues[0].port)
-	} else {
-		d.bus.WriteNumQueues(d.frontPath, nq)
-		for i, q := range d.queues {
-			qp := xenbus.QueuePath(d.frontPath, i)
-			st.Writef(qp+"/"+xenstore.KeyRingRef, "%d", d.devid+100+i)
-			st.Writef(qp+"/"+xenstore.KeyEventChannel, "%d", q.port)
-		}
-	}
-	st.Write(d.frontPath+"/"+xenstore.KeyProtocol, "x86_64-abi")
-	d.bus.WriteFeature(d.frontPath, xenstore.KeyFeaturePersistent, d.persistent)
-	if err := d.bus.SwitchState(d.frontPath, xenbus.StateInitialised); err != nil {
-		panic(fmt.Sprintf("blkfront: %v", err))
-	}
+	return ch
 }
 
-func (d *Device) connect() {
-	d.ready = true
-	if err := d.bus.SwitchState(d.frontPath, xenbus.StateConnected); err != nil {
-		panic(fmt.Sprintf("blkfront: %v", err))
+// Queue binds a confined device's upcalls inside its sub-pool.
+func (h *hooks) Queue(i int, port xen.Port) (func(), *sim.CPU) {
+	q := h.queues[i]
+	q.port = port
+	if h.cpus != h.Dom.CPUs {
+		return q.onEvent, h.cpus.CPU(i % h.cpus.Len())
 	}
-	if d.onReady != nil {
-		d.onReady()
-	}
+	return q.onEvent, nil
 }
 
-// Close detaches the device from the guest's side: it stops accepting I/O,
-// stops following the backend — a closed device must not pin a watch in the
-// store — and announces Closed, on which the backend tears its instance
-// down.
-//
-// Reads still in flight take their loans back first: the backend being
-// torn down keeps its mappings of the granted pages, and through them it
-// reaches only those pages' own bytes from here on, never the caller's.
-func (d *Device) Close() {
-	d.ready = false
+// RingRefs writes queue i's ring ref.
+func (h *hooks) RingRefs(dir string, i int) {
+	h.Bus.Store().Writef(dir+"/"+xenstore.KeyRingRef, "%d", h.DevID+100+i)
+}
+
+// Keys writes the ABI and whether persistent grants are in use.
+func (h *hooks) Keys(frontPath string) {
+	h.Bus.Store().Write(frontPath+"/"+xenstore.KeyProtocol, "x86_64-abi")
+	h.Bus.WriteFeature(frontPath, xenstore.KeyFeaturePersistent, h.persistent)
+}
+
+// Connect resubmits what a lost backend left unanswered (blkif_recover);
+// a part keeps its size, so a backend with smaller limits fails it.
+func (h *hooks) Connect() {
+	d := (*Device)(h)
+	for _, p := range d.parked {
+		d.queueFor(p.sector).submitOrQueue(p)
+	}
+	d.parked = nil
+}
+
+// Lost parks every in-flight request (loans ended, pages pooled), then the
+// backlog.
+func (h *hooks) Lost() {
+	d := (*Device)(h)
 	for _, part := range d.inflight {
-		if part != nil {
-			d.endLoans(part)
+		if part == nil {
+			continue
 		}
+		d.endLoans(part)
+		part.q.pool = append(part.q.pool, part.pages...)
+		part.q.pool = append(part.q.pool, part.indirect...)
+		d.parked = append(d.parked, part.pendingOp)
+		d.putPart(part)
 	}
-	d.bus.Store().Unwatch(d.backWatch)
-	_ = d.bus.SwitchState(d.frontPath, xenbus.StateClosed)
+	clear(d.inflight)
+	d.inflight, d.freeIDs = d.inflight[:0], d.freeIDs[:0]
+	for _, q := range d.queues {
+		d.parked = append(d.parked, q.pending[q.pendHead:]...)
+		q.pending, q.pendHead = nil, 0
+	}
 }
 
-// Ready reports whether the device is connected.
-func (d *Device) Ready() bool { return d.ready }
+// Release ends every pooled grant, unless a live backend may still map
+// them; a closed device fails its parked requests.
+func (h *hooks) Release(live bool) bool {
+	d := (*Device)(h)
+	if d.Closed() {
+		for _, p := range d.parked {
+			p.caller.err = d.notConnected()
+			d.finish(p.caller)
+		}
+		d.parked = nil
+	}
+	if live && slices.ContainsFunc(d.queues, func(q *queue) bool { return len(q.pool) > 0 }) {
+		return false
+	}
+	for _, q := range d.queues {
+		for _, pp := range q.pool {
+			d.EndGrant(pp.ref, pp.page)
+		}
+	}
+	d.queues = nil
+	return true
+}
 
 // Engine returns the simulation engine the device runs on.
 func (d *Device) Engine() *sim.Engine { return d.eng }
@@ -348,15 +296,10 @@ func (d *Device) Persistent() bool { return d.persistent }
 // MaxIndirect returns the negotiated indirect segment limit (0 = none).
 func (d *Device) MaxIndirect() int { return d.maxIndirect }
 
-// NumQueues returns the negotiated hardware-queue count (0 before
-// negotiation).
-func (d *Device) NumQueues() int { return len(d.queues) }
-
 // Stats returns a snapshot of the counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// BufPool returns the read-buffer pool, for leak accounting: its
-// Outstanding() must be zero when no read callback is on the stack.
+// BufPool returns the read-buffer pool, for leak accounting.
 func (d *Device) BufPool() *blkpool.Pool { return d.bufs }
 
 // maxBytesPerRequest returns the largest single ring request payload.
@@ -375,8 +318,7 @@ func (d *Device) queueFor(sector int64) *queue {
 	return d.queues[int((sector/stripeSectors)%int64(len(d.queues)))]
 }
 
-// getPage hands out a granted page: from the queue's persistent pool when
-// negotiated (grant stays live across requests), else freshly granted.
+// getPage hands out a granted page: pooled when persistent, else fresh.
 func (q *queue) getPage() poolPage {
 	d := q.d
 	if d.persistent {
@@ -386,21 +328,21 @@ func (q *queue) getPage() poolPage {
 			return p
 		}
 	}
-	page := d.dom.Arena.MustAlloc()
-	ref := d.dom.GrantAccess(d.backDom, page, false)
+	page := d.Dom.Arena.MustAlloc()
+	ref := d.Dom.GrantAccess(d.BackDom, page, false)
 	return poolPage{page: page, ref: ref}
 }
 
-// putPage returns a page after response — its loan, if any, already
-// ended — to the queue's pool (persistent) or revoked and freed.
+// putPage takes back a page, its loan ended: pooled when persistent, else
+// revoked and freed.
 func (q *queue) putPage(p poolPage) {
 	d := q.d
 	if d.persistent {
 		q.pool = append(q.pool, p)
 		return
 	}
-	if err := d.dom.EndAccess(p.ref); err == nil {
-		d.dom.Arena.Free(p.page)
+	if err := d.Dom.EndAccess(p.ref); err == nil {
+		d.Dom.Arena.Free(p.page)
 	}
 }
 
@@ -420,7 +362,7 @@ func (d *Device) putPart(p *reqPart) {
 	p.segs = p.segs[:0]
 	p.indRefs = p.indRefs[:0]
 	p.readDst = nil
-	p.parent = nil
+	p.pendingOp = pendingOp{}
 	d.partFree = append(d.partFree, p)
 }
 
@@ -442,9 +384,8 @@ func (d *Device) putCaller(c *callerOp) {
 	d.callerFree = append(d.callerFree, c)
 }
 
-// ReadSectors reads n bytes (sector-aligned) starting at sector. The data
-// slice passed to cb is backed by a pooled buffer and is valid only during
-// the callback; copy it (or use ReadSectorsInto) to keep it.
+// ReadSectors reads n sector-aligned bytes at sector; the slice passed to
+// cb is pooled and valid only during the callback.
 func (d *Device) ReadSectors(sector int64, n int, cb func(data []byte, err error)) {
 	if err := d.validate(sector, n); err != nil {
 		d.eng.After(0, func() { cb(nil, err) })
@@ -459,8 +400,7 @@ func (d *Device) ReadSectors(sector int64, n int, cb func(data []byte, err error
 	d.split(blkif.OpRead, sector, nil, op)
 }
 
-// ReadSectorsInto reads n=len(dst) bytes (sector-aligned) starting at
-// sector directly into dst, avoiding the pooled intermediate entirely.
+// ReadSectorsInto reads len(dst) sector-aligned bytes at sector into dst.
 //
 //kite:hotpath
 func (d *Device) ReadSectorsInto(sector int64, dst []byte, cb func(err error)) {
@@ -492,11 +432,10 @@ func (d *Device) WriteSectors(sector int64, data []byte, cb func(err error)) {
 	d.split(blkif.OpWrite, sector, data, op)
 }
 
-// Flush issues a cache-flush barrier on queue 0 (the device flush drains
-// every hardware queue, so one barrier request suffices — blk-mq flushes
-// through a single hctx the same way).
+// Flush issues a cache-flush barrier on queue 0: the device flush drains
+// every hardware queue, as blk-mq flushes through a single hctx.
 func (d *Device) Flush(cb func(err error)) {
-	if !d.ready {
+	if !d.Ready() {
 		err := d.notConnected()
 		d.eng.After(0, func() { cb(err) })
 		return
@@ -505,11 +444,11 @@ func (d *Device) Flush(cb func(err error)) {
 	op := d.getCaller()
 	op.remaining = 1
 	op.doneErr = cb
-	d.queues[0].submitOrQueue(pendingOp{flush: true, caller: op})
+	d.queues[0].submitOrQueue(pendingOp{op: blkif.OpFlush, caller: op})
 }
 
 func (d *Device) validate(sector int64, n int) error {
-	if !d.ready {
+	if !d.Ready() {
 		return d.notConnected()
 	}
 	if n%blkif.SectorSize != 0 || n <= 0 {
@@ -525,13 +464,12 @@ func (d *Device) validate(sector int64, n int) error {
 //
 //kite:coldpath builds the refusal; a connected device never takes it
 func (d *Device) notConnected() error {
-	return fmt.Errorf("blkfront: device %d not connected", d.devid)
+	return fmt.Errorf("blkfront: device %d not connected", d.DevID)
 }
 
-// chunkBytes returns how many bytes the request starting at byte offset
-// off into the op may carry: capped by the negotiated per-request limit
-// and (multi-queue) by the distance to the next stripe boundary, so every
-// request sits entirely within one queue's stripe.
+// chunkBytes returns how many bytes the request at byte offset off may
+// carry: the negotiated limit, and (multi-queue) no further than the next
+// stripe boundary.
 func (d *Device) chunkBytes(sector int64, off, n, maxB int) int {
 	size := n - off
 	if size > maxB {
@@ -579,9 +517,8 @@ func (d *Device) split(op blkif.Op, sector int64, data []byte, caller *callerOp)
 	}
 }
 
-// submitOrQueue tries the submission now, or backlogs it until ring space
-// frees up. Order is preserved per queue: nothing jumps a non-empty
-// backlog.
+// submitOrQueue submits now or backlogs until ring space frees up;
+// nothing jumps a non-empty backlog.
 func (q *queue) submitOrQueue(p pendingOp) {
 	if q.pendHead == len(q.pending) && q.trySubmit(p) {
 		return
@@ -591,10 +528,10 @@ func (q *queue) submitOrQueue(p pendingOp) {
 }
 
 func (q *queue) trySubmit(p pendingOp) bool {
-	if p.flush {
-		return q.pushFlush(p.caller)
+	if p.op == blkif.OpFlush {
+		return q.pushFlush(p)
 	}
-	return q.pushRequest(p.op, p.sector, p.size, p.writeData, p.readOff, p.caller)
+	return q.pushRequest(p)
 }
 
 func (q *queue) pumpPending() {
@@ -638,15 +575,16 @@ func (d *Device) takeInflight(id uint64) *reqPart {
 // pushRequest builds and pushes one ring request; false if the ring is
 // full. A read lends each whole page of its destination to the granted
 // page that carries it before the request goes on the ring.
-func (q *queue) pushRequest(op blkif.Op, sector int64, size int, writeData []byte, readOff int, caller *callerOp) bool {
+func (q *queue) pushRequest(p pendingOp) bool {
 	d := q.d
+	op, size, writeData := p.op, p.size, p.writeData
 	nsegs := (size + mem.PageSize - 1) / mem.PageSize
 	indirect := nsegs > blkif.MaxSegsDirect
 	if q.ring.Full() {
 		return false
 	}
 	part := d.getPart()
-	part.op, part.parent, part.q = op, caller, q
+	part.pendingOp, part.q = p, q
 	id := d.allocID(part)
 
 	for i := 0; i < nsegs; i++ {
@@ -666,15 +604,15 @@ func (q *queue) pushRequest(op blkif.Op, sector int64, size int, writeData []byt
 		})
 	}
 	if op == blkif.OpRead {
-		part.readDst = caller.readBuf[readOff : readOff+size]
+		part.readDst = p.caller.readBuf[p.readOff : p.readOff+size]
 		part.lent = size / mem.PageSize
 		for i := range part.pages[:part.lent] {
 			pp := &part.pages[i]
-			pp.own = d.dom.LendGrant(pp.ref, part.readDst[i*mem.PageSize:(i+1)*mem.PageSize])
+			pp.own = d.Dom.LendGrant(pp.ref, part.readDst[i*mem.PageSize:(i+1)*mem.PageSize])
 		}
 	}
 
-	req := blkif.Request{ID: id, Op: op, Sector: sector}
+	req := blkif.Request{ID: id, Op: op, Sector: p.sector}
 	cost := d.costs.PerRequest
 	if op == blkif.OpWrite && d.persistent {
 		cost += sim.Time(size) * d.costs.PerKBCopy / 1024
@@ -705,23 +643,23 @@ func (q *queue) pushRequest(op blkif.Op, sector int64, size int, writeData []byt
 		panic("blkfront: ring full despite check")
 	}
 	if q.ring.PushRequestsAndCheckNotify() {
-		d.dom.Notify(q.port)
+		d.Dom.Notify(q.port)
 	}
 	return true
 }
 
-func (q *queue) pushFlush(caller *callerOp) bool {
+func (q *queue) pushFlush(p pendingOp) bool {
 	d := q.d
 	if q.ring.Full() {
 		return false
 	}
 	part := d.getPart()
-	part.op, part.parent, part.q = blkif.OpFlush, caller, q
+	part.pendingOp, part.q = p, q
 	id := d.allocID(part)
 	q.ring.PushRequest(blkif.Request{ID: id, Op: blkif.OpFlush})
 	d.stats.RingRequests++
 	if q.ring.PushRequestsAndCheckNotify() {
-		d.dom.Notify(q.port)
+		d.Dom.Notify(q.port)
 	}
 	return true
 }
@@ -748,36 +686,27 @@ func (q *queue) onEvent() {
 	q.pumpPending()
 }
 
-// endLoans takes back every page of a read's destination lent to its
-// granted pages. After it no view the backend holds of those pages
-// reaches the caller's bytes.
+// endLoans takes a read's lent destination pages out of the backend's reach.
 func (d *Device) endLoans(part *reqPart) {
 	for i := range part.pages[:part.lent] {
 		pp := &part.pages[i]
-		d.dom.EndLoan(pp.ref, pp.own)
+		d.Dom.EndLoan(pp.ref, pp.own)
 		pp.own = nil
 	}
 	part.lent = 0
 }
 
-// completePart answers one ring request. The read's loans end before
-// anything else — before its pages go back and before the caller's
-// callback can reuse the destination — and only the pages that were not
-// lent (a sub-page tail) are copied out; a read answered after Close
-// fails. The model's bounce copy is charged in full on every OK read.
+// completePart answers one ring request. A read's loans end first, before
+// its pages go back or the caller reuses the destination; only a sub-page
+// tail is copied out, while the bounce copy is charged in full.
 func (d *Device) completePart(part *reqPart, status int8) {
-	caller := part.parent
+	caller := part.caller
 	q := part.q
 	lent := part.lent
 	d.endLoans(part)
 	switch {
 	case status != blkif.StatusOK:
 		caller.err = fmt.Errorf("blkfront: backend reported error %d", status) //kite:alloc-ok backend-error path
-	case part.op == blkif.OpRead && !d.ready:
-		// Close took the loans back: the destination may already hold
-		// what the device gathered into it, and the pages' own bytes are
-		// the backend's to write. Deliver neither.
-		caller.err = d.notConnected()
 	case part.op == blkif.OpRead:
 		for i, pp := range part.pages[lent:] {
 			copy(part.readDst[(lent+i)*mem.PageSize:], pp.page.Bytes())
@@ -791,12 +720,15 @@ func (d *Device) completePart(part *reqPart, status int8) {
 		q.putPage(ip)
 	}
 	d.putPart(part)
+	d.finish(caller)
+}
+
+// finish counts an answered part; the last delivers and recycles the op.
+func (d *Device) finish(caller *callerOp) {
 	caller.remaining--
 	if caller.remaining != 0 {
 		return
 	}
-	// Deliver the completion, then recycle: a pooled read buffer is valid
-	// only while the callback runs.
 	if caller.doneRead != nil {
 		caller.doneRead(caller.readBuf, caller.err)
 	} else if caller.doneErr != nil {

@@ -7,6 +7,7 @@ import (
 	"kite/internal/blkif"
 	"kite/internal/mem"
 	"kite/internal/pvback"
+	"kite/internal/pvfront"
 	"kite/internal/sim"
 	"kite/internal/xen"
 	"kite/internal/xenbus"
@@ -66,7 +67,7 @@ func newUnconnectedRig(t *testing.T) *rig {
 	_, r.backPath = r.bus.AddDevice(xenbus.DeviceSpec{
 		Type: xenstore.DevVbd, FrontDom: xenbus.DomID(r.guest.ID), BackDom: xenbus.DomID(r.back.ID), DevID: rigDevID,
 	})
-	r.dev = New(r.eng, Config{Dom: r.guest, Bus: r.bus, Registry: r.reg, DevID: rigDevID, BackDom: r.back.ID})
+	r.dev = New(r.eng, Config{Config: pvfront.Config{Dom: r.guest, Bus: r.bus, Registry: r.reg, DevID: rigDevID, BackDom: r.back.ID}})
 	return r
 }
 
@@ -85,7 +86,7 @@ func (r *rig) handshake() {
 		t.Fatal(err)
 	}
 	r.eng.Run()
-	frontPort, ok := st.ReadInt(r.dev.frontPath + "/" + xenstore.KeyEventChannel)
+	frontPort, ok := st.ReadInt(r.dev.FrontPath() + "/" + xenstore.KeyEventChannel)
 	if !ok {
 		t.Fatal("frontend never published its event channel")
 	}
@@ -427,8 +428,8 @@ func TestCloseCancelsBackendWatch(t *testing.T) {
 	if st.Watches() != watches-1 {
 		t.Fatalf("store holds %d watches after Close, %d before", st.Watches(), watches)
 	}
-	if r.dev.Ready() || r.bus.State(r.dev.frontPath) != xenbus.StateClosed {
-		t.Fatalf("after Close: ready=%v, frontend state %v", r.dev.Ready(), r.bus.State(r.dev.frontPath))
+	if r.dev.Ready() || r.bus.State(r.dev.FrontPath()) != xenbus.StateClosed {
+		t.Fatalf("after Close: ready=%v, frontend state %v", r.dev.Ready(), r.bus.State(r.dev.FrontPath()))
 	}
 	var got error
 	r.dev.WriteSectors(0, make([]byte, blkif.SectorSize), func(err error) { got = err })
@@ -437,12 +438,59 @@ func TestCloseCancelsBackendWatch(t *testing.T) {
 		t.Fatal("write to a closed device succeeded")
 	}
 	// The backend going Connected again (a stale write) must not revive it.
-	if err := r.bus.SwitchState(r.dev.backPath, xenbus.StateClosed); err != nil {
+	if err := r.bus.SwitchState(r.backPath, xenbus.StateClosed); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.Run()
 	if r.dev.Ready() {
 		t.Fatal("closed device came back")
+	}
+}
+
+// TestCloseReleasesOnBackendClosed: a closed device keeps the pages its
+// backend still maps, and its watch, until the backend tears down; once the
+// backend reaches Closed every grant has ended and every page is back in
+// the arena — as before the device connected — and no watch is left.
+func TestCloseReleasesOnBackendClosed(t *testing.T) {
+	r := newUnconnectedRig(t)
+	grants, pages := r.guest.LiveGrants(), r.guest.Arena.InUse()
+	st := r.bus.Store()
+	watches := st.Watches()
+	r.handshake()
+	for i := 0; i < 8; i++ {
+		r.dev.WriteSectors(int64(i)*512, pattern(byte(i), 256<<10), func(err error) {
+			if err != nil {
+				t.Errorf("write %d: %v", i, err)
+			}
+		})
+	}
+	r.eng.Run()
+	if r.guest.LiveGrants() == grants {
+		t.Fatal("the writes granted nothing")
+	}
+	r.dev.Close()
+	r.eng.Run()
+	if r.guest.LiveGrants() == grants || st.Watches() != watches {
+		t.Fatalf("with the backend still up: %d grants (%d before connect), %d watches (%d)",
+			r.guest.LiveGrants(), grants, st.Watches(), watches)
+	}
+	// The backend's teardown: unmap, then Closed.
+	for _, m := range r.maps {
+		if m.Live() {
+			if err := r.hv.UnmapGrant(r.back, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := r.bus.SwitchState(r.backPath, xenbus.StateClosed); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.Run()
+	if n, p := r.guest.LiveGrants(), r.guest.Arena.InUse(); n != grants || p != pages {
+		t.Fatalf("after the backend closed: %d grants and %d pages, %d and %d before connect", n, p, grants, pages)
+	}
+	if st.Watches() != watches-1 {
+		t.Fatalf("store holds %d watches after the release, %d with the device", st.Watches(), watches)
 	}
 }
 
@@ -561,8 +609,8 @@ func TestHostileBackendAfterLoan(t *testing.T) {
 		r.dev.ReadSectors(sector, n, func(got []byte, err error) { pooled, errs = got, append(errs, err) })
 		r.eng.Run()
 		for _, part := range r.dev.inflight {
-			if part != nil && part.parent.buf != nil {
-				pooled = part.parent.readBuf
+			if part != nil && part.caller.buf != nil {
+				pooled = part.caller.readBuf
 			}
 		}
 

@@ -167,7 +167,7 @@ func TestFleetTenantChurnMidTraffic(t *testing.T) {
 	// The departed tenants reconnect onto their original lanes and carry
 	// traffic again; the ledger and lane membership return to full.
 	for _, i := range churned {
-		if err := rig.Guests[i].ReattachNet(sys, nd); err != nil {
+		if err := rig.Guests[i].Reattach(sys, nd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,14 +219,16 @@ func TestFleetTenantChurnMidTraffic(t *testing.T) {
 	// warm, further detach/reattach cycles of the same tenants must not grow
 	// the store's watch index (the backend's retry and teardown watches, the
 	// frontend's backend watch), the ring registries (a dead frontend's
-	// rings) or the driver's retry map by anything per cycle.
+	// rings) or the driver's retry map by anything per cycle — nor a
+	// tenant's live grants or guest pages: each reattach grants fresh pages
+	// once the old set has ended.
 	cycle := func() {
 		for _, i := range churned {
 			rig.Guests[i].CloseNet(sys)
 		}
 		sys.Eng.Run()
 		for _, i := range churned {
-			if err := rig.Guests[i].ReattachNet(sys, nd); err != nil {
+			if err := rig.Guests[i].Reattach(sys, nd); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -239,8 +241,19 @@ func TestFleetTenantChurnMidTraffic(t *testing.T) {
 	}
 	st := sys.Bus.Store()
 	watches, netRings, blkRings, watched := st.Watches(), sys.NetReg.Len(), sys.BlkReg.Len(), nd.Driver.Watched()
+	grants, pages := make([]int, guests), make([]int, guests)
+	for _, i := range churned {
+		grants[i], pages[i] = rig.Guests[i].Dom.LiveGrants(), rig.Guests[i].Dom.Arena.InUse()
+	}
 	for c := 0; c < 16; c++ {
 		cycle()
+	}
+	for _, i := range churned {
+		dom := rig.Guests[i].Dom
+		if n, p := dom.LiveGrants(), dom.Arena.InUse(); n != grants[i] || p != pages[i] {
+			t.Errorf("tenant %d holds %d grants and %d pages after 16 more churn cycles, %d and %d before",
+				i, n, p, grants[i], pages[i])
+		}
 	}
 	if n := st.Watches(); n != watches {
 		t.Errorf("store holds %d live watches after 16 more churn cycles, %d before", n, watches)

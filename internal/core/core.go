@@ -40,6 +40,7 @@ import (
 	"kite/internal/nic"
 	"kite/internal/nvme"
 	"kite/internal/pvback"
+	"kite/internal/pvfront"
 	"kite/internal/sim"
 	"kite/internal/xen"
 	"kite/internal/xenbus"
@@ -454,13 +455,36 @@ type Guest struct {
 	Pool    *bufpool.Pool
 	FS      *fsim.FS
 
-	devID    int
-	netDevID int
-	// fleet tenancy survives reattach: a replugged vif must land back on
-	// the same service lane (and cluster shard) it was pinned to.
-	fleet     bool
+	// fleetLane (-1: none) and vbdParams are what the toolstack's entries
+	// for the vif and the vbd carry besides the two domains; Reattach
+	// re-adds the devices with them.
 	fleetLane int
+	vbdParams string
 }
+
+// vifSpec is the toolstack's entry for the guest's vif on domain back.
+func (g *Guest) vifSpec(back xen.DomID) xenbus.DeviceSpec {
+	backExtra := map[string]string{xenstore.KeyBridge: "xenbr0"}
+	if g.fleetLane >= 0 {
+		backExtra[xenstore.KeyTenantLane] = fmt.Sprintf("%d", g.fleetLane)
+	}
+	return xenbus.DeviceSpec{
+		Type: xenstore.DevVif, FrontDom: xenbus.DomID(g.Dom.ID), BackDom: xenbus.DomID(back),
+		FrontExtra: map[string]string{xenstore.KeyMac: netpkt.XenMAC(uint16(g.Dom.ID), 0).String()},
+		BackExtra:  backExtra,
+	}
+}
+
+// vbdSpec is the toolstack's entry for the guest's vbd on domain back.
+func (g *Guest) vbdSpec(back xen.DomID) xenbus.DeviceSpec {
+	return xenbus.DeviceSpec{
+		Type: xenstore.DevVbd, FrontDom: xenbus.DomID(g.Dom.ID), BackDom: xenbus.DomID(back),
+		DevID: vbdDevID, BackExtra: map[string]string{"params": g.vbdParams},
+	}
+}
+
+// vbdDevID is xvda's device id.
+const vbdDevID = 51712
 
 // Ready reports whether all attached frontends are connected.
 func (g *Guest) Ready() bool {
@@ -494,20 +518,13 @@ func (s *System) CreateGuest(cfg GuestConfig) (*Guest, error) {
 		Name: cfg.Name, VCPUs: vcpus,
 		MemBytes: profile.MemBytes, IRQLatency: profile.IRQLatency,
 	})
-	g := &Guest{Dom: dom, Profile: profile, fleet: cfg.Fleet, fleetLane: cfg.FleetLane}
+	g := &Guest{Dom: dom, Profile: profile, fleetLane: -1}
+	if cfg.Fleet {
+		g.fleetLane = cfg.FleetLane
+	}
 
 	if cfg.Net != nil {
-		mac := netpkt.XenMAC(uint16(dom.ID), 0)
-		backExtra := map[string]string{xenstore.KeyBridge: "xenbr0"}
-		if cfg.Fleet {
-			backExtra[xenstore.KeyTenantLane] = fmt.Sprintf("%d", cfg.FleetLane)
-		}
-		s.Bus.AddDevice(xenbus.DeviceSpec{
-			Type: xenstore.DevVif, FrontDom: xenbus.DomID(dom.ID),
-			BackDom: xenbus.DomID(cfg.Net.Dom.ID), DevID: 0,
-			FrontExtra: map[string]string{xenstore.KeyMac: mac.String()},
-			BackExtra:  backExtra,
-		})
+		s.Bus.AddDevice(g.vifSpec(cfg.Net.Dom.ID))
 		var netShards []*sim.Engine
 		stackCPUs := dom.CPUs
 		if qs := s.QueueShards(); qs != nil && cfg.NetQueues > 1 {
@@ -520,12 +537,9 @@ func (s *System) CreateGuest(cfg GuestConfig) (*Guest, error) {
 			netShards = []*sim.Engine{qs[cfg.FleetLane%len(qs)]}
 			stackCPUs = dom.CPUs.Slice(1, dom.CPUs.Len())
 		}
-		g.Net = netfront.New(s.Eng, netfront.Config{
-			Dom: dom, Bus: s.Bus, Registry: s.NetReg, DevID: 0,
-			BackDom: cfg.Net.Dom.ID, MAC: mac, Pool: s.Pool,
-			Queues: cfg.NetQueues, HashSeed: cfg.Seed ^ s.seed,
-			Shards: netShards,
-		})
+		g.Net = netfront.New(s.Eng, netfront.Config{Config: pvfront.Config{Dom: dom, Bus: s.Bus,
+			Registry: s.NetReg, BackDom: cfg.Net.Dom.ID, Queues: cfg.NetQueues},
+			MAC: netpkt.XenMAC(uint16(dom.ID), 0), Pool: s.Pool, HashSeed: cfg.Seed ^ s.seed, Shards: netShards})
 		stackCosts := netstack.LinuxGuestCosts()
 		if profile.Family == guestos.FamilyNetBSD {
 			stackCosts = netstack.RumprunCosts()
@@ -547,13 +561,8 @@ func (s *System) CreateGuest(cfg GuestConfig) (*Guest, error) {
 			return nil, fmt.Errorf("core: nvme device exhausted")
 		}
 		s.nextVbdBase = base + sectors
-		devid := 51712 // xvda
-		g.devID = devid
-		s.Bus.AddDevice(xenbus.DeviceSpec{
-			Type: xenstore.DevVbd, FrontDom: xenbus.DomID(dom.ID),
-			BackDom: xenbus.DomID(cfg.Storage.Dom.ID), DevID: devid,
-			BackExtra: map[string]string{"params": fmt.Sprintf("%d:%d", base, sectors)},
-		})
+		g.vbdParams = fmt.Sprintf("%d:%d", base, sectors)
+		s.Bus.AddDevice(g.vbdSpec(cfg.Storage.Dom.ID))
 		cache := cfg.CacheBytes
 		if cache == 0 {
 			cache = 64 << 20
@@ -571,13 +580,16 @@ func (s *System) CreateGuest(cfg GuestConfig) (*Guest, error) {
 			blkCPUs = dom.CPUs.Slice(pinned, dom.CPUs.Len())
 			vbdCPUs = blkCPUs
 		}
-		// The filesystem mounts once the vbd handshake reports the disk
-		// size (blkfront learns its sector count from the backend).
-		g.Disk = blkfront.New(s.Eng, blkfront.Config{
-			Dom: dom, Bus: s.Bus, Registry: s.BlkReg, DevID: devid,
-			BackDom: cfg.Storage.Dom.ID, Pool: s.BlkPool,
-			Queues: cfg.BlkQueues, CPUs: vbdCPUs,
+		// The filesystem mounts once the first vbd handshake reports the
+		// disk size (blkfront learns its sector count from the backend); a
+		// reattached vbd keeps its cache and filesystem.
+		g.Disk = blkfront.New(s.Eng, blkfront.Config{Pool: s.BlkPool, CPUs: vbdCPUs, Config: pvfront.Config{
+			Dom: dom, Bus: s.Bus, Registry: s.BlkReg, DevID: vbdDevID,
+			BackDom: cfg.Storage.Dom.ID, Queues: cfg.BlkQueues,
 			OnReady: func() {
+				if g.FS != nil {
+					return
+				}
 				g.Pool = bufpool.New(s.Eng, g.Disk, bufpool.Config{
 					CapacityBytes: cache,
 					CPUs:          blkCPUs,
@@ -586,7 +598,7 @@ func (s *System) CreateGuest(cfg GuestConfig) (*Guest, error) {
 				})
 				g.FS = fsim.New(s.Eng, g.Pool, blkCPUs, fsim.DefaultCosts())
 			},
-		})
+		}})
 	}
 	return g, nil
 }
@@ -598,41 +610,35 @@ func (g *Guest) CloseNet(s *System) {
 	}
 }
 
-// ReattachNet replugs the guest's network onto a (new) driver domain —
-// the recovery path after a driver domain crash + restart (§5.2 motivates
-// fast boots with exactly this scenario). The stack keeps its address and
-// sockets; only the vif underneath changes.
-func (g *Guest) ReattachNet(s *System, nd *NetworkDomain) error {
-	if g.Stack == nil {
-		return fmt.Errorf("core: guest %s has no network stack", g.Dom.Name)
+// DriverDomain is a network or storage driver domain: what Guest.Reattach
+// replugs a device onto.
+type DriverDomain interface {
+	// backend returns the domain and the device type it serves.
+	backend() (*xen.Domain, string)
+}
+
+func (nd *NetworkDomain) backend() (*xen.Domain, string) { return nd.Dom, xenstore.DevVif }
+func (sd *StorageDomain) backend() (*xen.Domain, string) { return sd.Dom, xenstore.DevVbd }
+
+// Reattach replugs the guest's device of dd's class onto dd, whose old
+// backend is closed or dead — the recovery path after a driver domain
+// crash + restart that §5.2 motivates fast boots with. The toolstack
+// re-adds the device and the same frontend re-runs its handshake in place:
+// a vif keeps its MAC, queues, shards and stack; a vbd keeps its params
+// window, cache and filesystem, and resubmits what the old backend left
+// unanswered.
+func (g *Guest) Reattach(s *System, dd DriverDomain) error {
+	back, typ := dd.backend()
+	switch {
+	case typ == xenstore.DevVif && g.Net != nil:
+		s.Bus.AddDevice(g.vifSpec(back.ID))
+		g.Net.Reattach(back.ID)
+	case typ == xenstore.DevVbd && g.Disk != nil:
+		s.Bus.AddDevice(g.vbdSpec(back.ID))
+		g.Disk.Reattach(back.ID)
+	default:
+		return fmt.Errorf("core: guest %s has no %s", g.Dom.Name, typ)
 	}
-	g.CloseNet(s)
-	g.netDevID++
-	mac := netpkt.XenMAC(uint16(g.Dom.ID), byte(g.netDevID))
-	backExtra := map[string]string{xenstore.KeyBridge: "xenbr0"}
-	if g.fleet {
-		// Republish the lane hint so the driver assigns the replugged vif
-		// to the tenant's original service lane, not the round-robin cursor.
-		backExtra[xenstore.KeyTenantLane] = fmt.Sprintf("%d", g.fleetLane)
-	}
-	s.Bus.AddDevice(xenbus.DeviceSpec{
-		Type: xenstore.DevVif, FrontDom: xenbus.DomID(g.Dom.ID),
-		BackDom: xenbus.DomID(nd.Dom.ID), DevID: g.netDevID,
-		FrontExtra: map[string]string{xenstore.KeyMac: mac.String()},
-		BackExtra:  backExtra,
-	})
-	var netShards []*sim.Engine
-	if qs := s.QueueShards(); qs != nil && g.fleet {
-		// Fleet tenant: keep the single queue on its lane's shard (see
-		// CreateGuest) so ring events never cross shards.
-		netShards = []*sim.Engine{qs[g.fleetLane%len(qs)]}
-	}
-	g.Net = netfront.New(s.Eng, netfront.Config{
-		Dom: g.Dom, Bus: s.Bus, Registry: s.NetReg, DevID: g.netDevID,
-		BackDom: nd.Dom.ID, MAC: mac, Pool: s.Pool,
-		Shards: netShards,
-	})
-	g.Stack.SetIface(g.Net)
 	return nil
 }
 

@@ -239,7 +239,7 @@ func TestDriverDomainRestartScenario(t *testing.T) {
 	if !sys.RunReady(nd2.Ready, 1_000_000) {
 		t.Fatal("replacement domain never booted")
 	}
-	if err := rig.Guest.ReattachNet(sys, nd2); err != nil {
+	if err := rig.Guest.Reattach(sys, nd2); err != nil {
 		t.Fatal(err)
 	}
 	if !sys.RunReady(rig.Guest.Ready, 500000) {

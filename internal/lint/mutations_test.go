@@ -156,13 +156,13 @@ var mutations = []mutation{
 			"hotpath: allocation (make) in onEvent", "hotpath: closure allocation in onEvent"},
 		caught: []string{"TestForwardPathZeroAlloc"}},
 	// xskeys:
-	{id: "X1-key-typo-read", edit: edit{"internal/netfront/netfront.go",
-		"\t\tst.Writef(d.frontPath+\"/\"+xenstore.KeyEventChannel, \"%d\", d.queues[0].port)",
-		"\t\tst.Writef(d.frontPath+\"/\"+\"event-chanel\", \"%d\", d.queues[0].port)"},
+	{id: "X1-key-typo-read", edit: edit{"internal/pvfront/pvfront.go",
+		"\td.Bus.Store().Writef(dir+\"/\"+xenstore.KeyEventChannel, \"%d\", d.ports[i])",
+		"\td.Bus.Store().Writef(dir+\"/\"+\"event-chanel\", \"%d\", d.ports[i])"},
 		caught: []string{"TestNetworkRigBothKinds", "TestFacadeQuickstartFlow"}},
 	{id: "X2-key-typo-unread", edit: edit{"internal/blkfront/blkfront.go",
-		"\td.bus.WriteFeature(d.frontPath, xenstore.KeyFeaturePersistent, d.persistent)",
-		"\td.bus.WriteFeature(d.frontPath, \"feature-persistant\", d.persistent)"}},
+		"\th.Bus.WriteFeature(frontPath, xenstore.KeyFeaturePersistent, h.persistent)",
+		"\th.Bus.WriteFeature(frontPath, \"feature-persistant\", h.persistent)"}},
 	// shardsafe:
 	{id: "SS1-global-counter", edit: edit{netbackGo,
 		"func (q *vifQueue) rxEnqueue(frame *framepool.Buf) {\n\tv := q.v\n",

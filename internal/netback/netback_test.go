@@ -12,6 +12,7 @@ import (
 	"kite/internal/netstack"
 	"kite/internal/nic"
 	"kite/internal/pvback"
+	"kite/internal/pvfront"
 	"kite/internal/sim"
 	"kite/internal/xen"
 	"kite/internal/xenbus"
@@ -75,7 +76,7 @@ func buildRig(t *testing.T, costs Costs) *rig {
 		DevID: 0, FrontExtra: map[string]string{"mac": mac.String()},
 	})
 	front := netfront.New(eng, netfront.Config{
-		Dom: guest, Bus: bus, Registry: reg, DevID: 0, BackDom: dd.ID, MAC: mac,
+		Config: pvfront.Config{Dom: guest, Bus: bus, Registry: reg, DevID: 0, BackDom: dd.ID}, MAC: mac,
 	})
 	gstack := netstack.New(eng, netstack.Config{
 		Name: "domU", CPUs: guest.CPUs, Iface: front,
@@ -292,7 +293,7 @@ func TestMultipleGuestsShareNIC(t *testing.T) {
 		DevID: 0, FrontExtra: map[string]string{"mac": mac2.String()},
 	})
 	front2 := netfront.New(r.eng, netfront.Config{
-		Dom: g2, Bus: r.bus, Registry: r.reg, DevID: 0, BackDom: r.dd.ID, MAC: mac2,
+		Config: pvfront.Config{Dom: g2, Bus: r.bus, Registry: r.reg, DevID: 0, BackDom: r.dd.ID}, MAC: mac2,
 	})
 	g2stack := netstack.New(r.eng, netstack.Config{
 		Name: "domU2", CPUs: g2.CPUs, Iface: front2,

@@ -10,6 +10,7 @@ import (
 	"kite/internal/netpkt"
 	"kite/internal/netstack"
 	"kite/internal/pvback"
+	"kite/internal/pvfront"
 	"kite/internal/sim"
 	"kite/internal/xen"
 	"kite/internal/xenbus"
@@ -68,7 +69,7 @@ func newRig(t *testing.T) *rig {
 		FrontExtra: map[string]string{xenstore.KeyMac: mac.String()},
 	})
 	r.backPath = backPath
-	r.dev = New(eng, Config{Dom: guest, Bus: bus, Registry: reg, BackDom: back.ID, MAC: mac,
+	r.dev = New(eng, Config{Config: pvfront.Config{Dom: guest, Bus: bus, Registry: reg, BackDom: back.ID}, MAC: mac,
 		Pool: pool, Shards: []*sim.Engine{cl.Shard(1)}})
 
 	// The backend's half of the handshake, as netback.Driver.tryPair does it.

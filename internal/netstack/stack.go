@@ -200,19 +200,16 @@ func New(eng *sim.Engine, cfg Config) *Stack {
 	}
 	s.txFlush = sim.NewBatch(eng, s.flushTx)
 	s.rxFlush = sim.NewBatch(eng, s.flushRx)
-	s.setBatch(cfg.Iface)
+	if bs, ok := cfg.Iface.(BatchSender); ok && bs.BatchCapable() {
+		s.batch = bs // the device's batched send, when it has one
+	}
 	cfg.Iface.SetRecv(s.rxFrame)
-	s.setLinkDown(cfg.Iface)
-	return s
-}
-
-// setLinkDown subscribes to the device's carrier-loss notification, if it
-// offers one, so the stack can flush its neighbour state when the link
-// dies under it (a vif whose backend disappeared mid-traffic).
-func (s *Stack) setLinkDown(dev NetIf) {
-	if ld, ok := dev.(interface{ SetOnDown(func()) }); ok {
+	// A device that reports carrier loss (a vif whose backend went) gets
+	// the stack's neighbour state flushed with it.
+	if ld, ok := cfg.Iface.(interface{ SetOnDown(func()) }); ok {
 		ld.SetOnDown(s.linkDown)
 	}
+	return s
 }
 
 // linkDown is the carrier-loss handler: like a real kernel dropping its
@@ -229,14 +226,6 @@ func (s *Stack) linkDown() {
 		}
 	}
 	s.arpPending = make(map[netpkt.IP][]*framepool.Buf)
-}
-
-// setBatch caches the device's batched-send capability, if any.
-func (s *Stack) setBatch(dev NetIf) {
-	s.batch = nil
-	if bs, ok := dev.(BatchSender); ok && bs.BatchCapable() {
-		s.batch = bs
-	}
 }
 
 // IP returns the stack's address.
@@ -259,18 +248,6 @@ func (s *Stack) Stats() Stats { return s.stats }
 
 // SeedARP pre-populates the ARP table (static neighbour entry).
 func (s *Stack) SeedARP(ip netpkt.IP, mac netpkt.MAC) { s.arp[ip] = mac }
-
-// SetIface swaps the underlying device (a vif replugged after a driver
-// domain restart). The ARP cache is flushed: the bridge behind the new
-// backend has no state for us. Packets queued on unresolved entries are
-// dropped and their buffers released.
-func (s *Stack) SetIface(dev NetIf) {
-	s.ifc = dev
-	s.setBatch(dev)
-	dev.SetRecv(s.rxFrame)
-	s.setLinkDown(dev)
-	s.linkDown()
-}
 
 func (s *Stack) dataCost(n int) sim.Time {
 	// A few percent of per-packet jitter (cache/TLB luck) so repeated runs

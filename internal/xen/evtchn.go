@@ -119,8 +119,13 @@ func (d *Domain) BindPortCPU(port Port, cpu *sim.CPU) error {
 // Notify sends an event on a connected local port (EVTCHNOP_send). The
 // hypercall is charged to the calling domain; delivery to the peer's
 // handler happens after the peer's IRQ latency. Notifying a closed channel
-// is a silent no-op, as on real Xen where the peer may have gone away.
+// is a silent no-op, as on real Xen where the peer may have gone away; so is
+// a dead domain's notify — work it scheduled before it died still runs, on
+// ports its death closed, and is charged nothing.
 func (d *Domain) Notify(port Port) {
+	if d.dead {
+		return
+	}
 	ch := d.port(port)
 	if ch == nil {
 		panic(fmt.Sprintf("xen: notify on unknown port %d in %s", port, d.Name))

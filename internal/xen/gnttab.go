@@ -40,7 +40,7 @@ func (d *Domain) GrantAccess(remote DomID, page *mem.Page, readonly bool) GrantR
 	}
 	d.nextRef++
 	for int(d.nextRef) >= len(d.grants) {
-		d.grants = append(d.grants, grantEntry{}) //kite:alloc-ok grant table grows once per domain lifetime
+		d.grants = append(d.grants, grantEntry{}) //kite:alloc-ok grows past what a connect reserved; refs are never reused
 	}
 	d.grants[d.nextRef] = grantEntry{page: page, remote: remote, readonly: readonly, live: true}
 	d.liveGrants++
@@ -131,6 +131,9 @@ func (hv *Hypervisor) MapGrantOn(mapper *Domain, cpu *sim.CPU, owner DomID, ref 
 }
 
 func (hv *Hypervisor) mapGrantCharged(mapper *Domain, owner DomID, ref GrantRef) (*Mapping, error) {
+	if mapper.dead {
+		return nil, fmt.Errorf("xen: map grant by dead domain %d", mapper.ID)
+	}
 	od := hv.Domain(owner)
 	if od == nil {
 		return nil, fmt.Errorf("xen: map grant from dead domain %d", owner)
@@ -155,8 +158,8 @@ func (hv *Hypervisor) MapGrantBatch(mapper *Domain, owner DomID, refs []GrantRef
 		return nil, nil
 	}
 	od := hv.Domain(owner)
-	if od == nil {
-		return nil, fmt.Errorf("xen: map grant from dead domain %d", owner)
+	if od == nil || mapper.dead {
+		return nil, fmt.Errorf("xen: map grant between domains %d and %d, one dead", owner, mapper.ID)
 	}
 	mapper.charge(hv.Costs.Base + sim.Time(len(refs))*hv.Costs.GrantMapPage)
 	out := make([]*Mapping, 0, len(refs))
@@ -203,7 +206,9 @@ func (hv *Hypervisor) unmapLocked(m *Mapping) error {
 	hv.stats.GrantUnmaps++
 	od := hv.domainAt(m.owner) // owner may be dead; entry may be gone
 	if od != nil {
-		if g := od.grant(m.ref); g != nil {
+		// A dead mapper's mappings were released at its death: the count
+		// is already down by its share.
+		if g := od.grant(m.ref); g != nil && g.mapCount > 0 {
 			g.mapCount--
 		}
 	}

@@ -152,9 +152,11 @@ func (hv *Hypervisor) Domains() []*Domain {
 // DestroyDomain tears a domain down: all its event channels close (peers
 // see the close), grants are revoked and their loans end, its memory goes
 // back (the arena drops its pages; a backend's live mapping keeps the one
-// page it holds, and a page lent at the time comes back zeroed), and the
-// domain stops receiving events. Other domains are untouched — the isolation property driver
-// domains exist to provide.
+// page it holds, and a page lent at the time comes back zeroed), the
+// mappings it held of other domains' grants are released
+// (gnttab_release_mappings), so their owners can end those grants, and the
+// domain stops receiving events. Other domains are untouched — the
+// isolation property driver domains exist to provide.
 func (hv *Hypervisor) DestroyDomain(id DomID) error {
 	d := hv.domainAt(id)
 	if d == nil || d.dead {
@@ -177,6 +179,13 @@ func (hv *Hypervisor) DestroyDomain(id DomID) error {
 	d.grants = nil
 	d.liveGrants = 0
 	d.Arena.Release()
+	for _, od := range hv.domains {
+		for i := range od.grants {
+			if g := &od.grants[i]; g.live && g.remote == id {
+				g.mapCount = 0
+			}
+		}
+	}
 	for bdf, owner := range hv.pci { //kite:orderok deletes every entry of the dead domain
 		if owner == id {
 			delete(hv.pci, bdf)

@@ -156,6 +156,67 @@ func TestNotifyAfterPeerDestroyIsNoop(t *testing.T) {
 	eng.Run()
 }
 
+// TestDeadDomainNotifyIsNoop: work a driver domain scheduled before it died
+// still runs, and its notifies land on ports its death closed; they return
+// without charging or counting anything, and deliver nothing.
+func TestDeadDomainNotifyIsNoop(t *testing.T) {
+	eng, hv, dom0 := newHV(t)
+	dd := hv.CreateDomain(DomainConfig{Name: "dd", VCPUs: 1, MemBytes: 1 << 20})
+	unbound := dom0.AllocUnbound(dd.ID)
+	lport, err := dd.BindInterdomain(dom0.ID, unbound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom0.SetHandler(unbound, func() { t.Fatal("a dead domain's notify was delivered") })
+	if err := hv.DestroyDomain(dd.ID); err != nil {
+		t.Fatal(err)
+	}
+	before := hv.Stats()
+	dd.Notify(lport) // the port died with the domain: no panic
+	eng.Run()
+	if hv.Stats() != before {
+		t.Fatalf("a dead domain's notify moved the hypercall counters: %+v -> %+v", before, hv.Stats())
+	}
+}
+
+// TestDestroyReleasesMappings: a driver domain that dies holding mappings
+// of a guest's grants lets go of them (gnttab_release_mappings), so the
+// guest can end those grants; a late unmap of one, or a map attempted by
+// the dead domain's leftover work, changes nothing.
+func TestDestroyReleasesMappings(t *testing.T) {
+	_, hv, _ := newHV(t)
+	du := hv.CreateDomain(DomainConfig{Name: "domU", VCPUs: 1, MemBytes: 1 << 20})
+	dd := hv.CreateDomain(DomainConfig{Name: "dd", VCPUs: 1, MemBytes: 1 << 20})
+	refs := []GrantRef{
+		du.GrantAccess(dd.ID, du.Arena.MustAlloc(), false),
+		du.GrantAccess(dd.ID, du.Arena.MustAlloc(), false),
+	}
+	ms, err := hv.MapGrantBatch(dd, du.ID, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := du.EndAccess(refs[0]); err == nil {
+		t.Fatal("EndAccess succeeded while mapped")
+	}
+	if err := hv.DestroyDomain(dd.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := hv.UnmapGrant(dd, ms[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hv.MapGrant(dd, du.ID, refs[0]); err == nil {
+		t.Fatal("a dead domain mapped a grant")
+	}
+	for _, ref := range refs {
+		if err := du.EndAccess(ref); err != nil {
+			t.Fatalf("grant %d after its mapper died: %v", ref, err)
+		}
+	}
+	if n := du.LiveGrants(); n != 0 {
+		t.Fatalf("%d grants live after ending both", n)
+	}
+}
+
 func TestCloseUnknownPortErrors(t *testing.T) {
 	_, _, dom0 := newHV(t)
 	if err := dom0.Close(42); err == nil {
