@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"kite/internal/mem"
 	"kite/internal/netpkt"
 )
 
@@ -31,8 +32,27 @@ type FleetRig struct {
 	Guests []*Guest
 }
 
+// fleetTenantBytes is the heap a net-only tenant is budgeted, set-up and
+// one wave: TestFleetFootprint's 96 MiB gate for 1024 tenants, ÷ 1024.
+// NewFleetRig reserves this much per tenant on 2 MiB pages, and the test
+// holds the fleet's growth inside the reservation.
+const fleetTenantBytes = 96 << 10
+
+// fleetVbdBytes is what a storage fleet adds a tenant: its vbd's rings,
+// grants and cache set-up (14 KiB measured at 1024 tenants) and one block
+// round trip's cache chunk and persistent grant (23 KiB more), rounded up.
+// It is not the cache's 1 MiB: that is a bound the cache fills on demand,
+// and reserving it would ask for 1 GiB of heap beside 1024 tenants and
+// 8 GiB beside 8192, nearly all of it never touched.
+const fleetVbdBytes = 48 << 10
+
+// maxFleetGuests is how many tenants fleetGuestIP can number: the third
+// octet runs from 2 to 255, so tenant 65,024 would wrap to 10.0.0.0 and
+// tenant 65,026 to the client's 10.0.0.2.
+const maxFleetGuests = (256 - 2) << 8
+
 // fleetGuestIP returns tenant i's address: 10.0.2.0 onward, clear of the
-// testbed's 10.0.0.x addresses.
+// testbed's 10.0.0.x addresses, for i < maxFleetGuests.
 func fleetGuestIP(i int) netpkt.IP {
 	return netpkt.IPv4(10, 0, byte(2+i>>8), byte(i))
 }
@@ -44,6 +64,12 @@ func (r *FleetRig) GuestIPOf(i int) netpkt.IP { return fleetGuestIP(i) }
 // per service lane) and drives every handshake to completion. Tenant i is
 // pinned to lane i mod Lanes on both ring ends, so ring events never cross
 // shards.
+//
+// Before anything is built it reserves the fleet's heap on 2 MiB pages
+// (mem.ReserveHuge, fleetTenantBytes a tenant): a wave touches every
+// tenant's own pages and structs, a thousand tenants' worth of them miss
+// a 4 KiB TLB on nearly every touch, and one 2 MiB entry covers about
+// twenty tenants (DESIGN §14.6).
 func NewFleetRig(cfg FleetConfig) (*FleetRig, error) {
 	lanes := cfg.Lanes
 	if lanes == 0 {
@@ -52,6 +78,14 @@ func NewFleetRig(cfg FleetConfig) (*FleetRig, error) {
 	if cfg.Guests <= 0 {
 		return nil, fmt.Errorf("core: fleet needs at least one guest")
 	}
+	if cfg.Guests > maxFleetGuests {
+		return nil, fmt.Errorf("core: fleet of %d guests: tenant addresses run out at %d", cfg.Guests, maxFleetGuests)
+	}
+	perTenant := int64(fleetTenantBytes)
+	if cfg.Storage {
+		perTenant += fleetVbdBytes
+	}
+	mem.ReserveHuge(int64(cfg.Guests) * perTenant)
 	tb := NewTestbedSharded(cfg.Seed, lanes)
 	nd, err := tb.System.CreateNetworkDomain(NetworkDomainConfig{
 		Kind: KindKite, NIC: tb.ServerNIC, Fleet: true,

@@ -3,8 +3,32 @@ package core
 import (
 	"testing"
 
+	"kite/internal/netpkt"
 	"kite/internal/netstack"
 )
+
+// TestFleetAddressesDoNotWrap checks the fleet's address plan without
+// building a tenant: every tenant NewFleetRig accepts has its own address
+// outside the testbed's 10.0.0.x and 10.0.1.x, and one tenant more — whose
+// address would wrap to 10.0.0.0 — is refused before anything is built.
+func TestFleetAddressesDoNotWrap(t *testing.T) {
+	seen := make(map[netpkt.IP]int, maxFleetGuests)
+	for i := 0; i < maxFleetGuests; i++ {
+		ip := fleetGuestIP(i)
+		if ip[0] != 10 || ip[1] != 0 || ip[2] < 2 {
+			t.Fatalf("tenant %d: address %v outside 10.0.2.0-10.0.255.255", i, ip)
+		}
+		if j, dup := seen[ip]; dup {
+			t.Fatalf("tenants %d and %d share %v", j, i, ip)
+		}
+		seen[ip] = i
+	}
+	for _, guests := range []int{0, maxFleetGuests + 1, maxFleetGuests + 2} {
+		if rig, err := NewFleetRig(FleetConfig{Guests: guests}); err == nil || rig != nil {
+			t.Errorf("NewFleetRig accepted %d guests", guests)
+		}
+	}
+}
 
 // TestFleetRigServesTenants builds a small fleet and checks the whole
 // multi-tenant path: every tenant's vif lands on its hinted lane, the

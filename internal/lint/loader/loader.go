@@ -14,6 +14,7 @@ package loader
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -160,11 +161,10 @@ func (l *Loader) Load(path string) (*Package, error) {
 	}
 	var files []*ast.File
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !goSource(dir, e) {
 			continue
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("loader: %w", err)
 		}
@@ -242,10 +242,22 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+		if goSource(dir, e) {
 			return true
 		}
 	}
 	return false
+}
+
+// goSource reports whether e is a non-test Go file of dir that the host's
+// build compiles: its name's _GOOS/_GOARCH suffix and its //go:build line
+// match (a file that says //go:build !linux is another platform's stub). A
+// file whose constraint cannot be read is kept, so the parser reports it.
+func goSource(dir string, e os.DirEntry) bool {
+	name := e.Name()
+	if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return ok || err != nil
 }
