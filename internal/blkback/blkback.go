@@ -401,38 +401,46 @@ func (q *ioQueue) Serve(budget int) (used int, more bool) {
 	return used, more
 }
 
-// parse validates, translates, and resolves one ring request. On error the
-// pooled record goes straight back to the free list.
+// parse validates, translates, and resolves one ring request. Like
+// xen-blkback it rejects a malformed request before mapping anything: an
+// op other than flush, read or write (an indirect one wraps a read or a
+// write); a read or write whose segment count is not 1..the limit; an
+// indirect request that does not list exactly one descriptor page per
+// SegsPerIndirectPage segments. On a later error the pooled record goes
+// straight back to the free list.
 func (q *ioQueue) parse(req blkif.Request) (*ioReq, error) {
 	inst := q.inst
-	io := q.getIO()
-	io.id, io.op = req.ID, req.Op
-	segs := req.Segs
+	op, segs, nseg, limit := req.Op, req.Segs, len(req.Segs), blkif.MaxSegsDirect
+	switch {
+	case op == blkif.OpFlush:
+		io := q.getIO()
+		io.id, io.op = req.ID, op
+		return io, nil
+	case op == blkif.OpIndirect && !inst.costs.Indirect:
+		return nil, fmt.Errorf("blkback: indirect not negotiated")
+	case op == blkif.OpIndirect:
+		op, nseg, limit = req.Imm, req.IndirectSegs, blkif.MaxSegsIndirect
+	}
+	if op != blkif.OpRead && op != blkif.OpWrite {
+		return nil, fmt.Errorf("blkback: unsupported op %d", op)
+	}
+	if nseg < 1 || nseg > limit {
+		return nil, fmt.Errorf("blkback: %d segments, want 1..%d", nseg, limit)
+	}
 	if req.Op == blkif.OpIndirect {
-		if !inst.costs.Indirect {
-			q.putIO(io)
-			return nil, fmt.Errorf("blkback: indirect not negotiated")
+		pages := (nseg + blkif.SegsPerIndirectPage - 1) / blkif.SegsPerIndirectPage
+		if len(req.IndirectRefs) != pages {
+			return nil, fmt.Errorf("blkback: %d indirect pages for %d segments, want %d",
+				len(req.IndirectRefs), nseg, pages)
 		}
-		if req.IndirectSegs > blkif.MaxSegsIndirect {
-			q.putIO(io)
-			return nil, fmt.Errorf("blkback: %d indirect segments exceed limit", req.IndirectSegs)
-		}
-		io.op = req.Imm
-		parsed, err := q.parseIndirect(req)
-		if err != nil {
-			q.putIO(io)
+		var err error
+		if segs, err = q.parseIndirect(req); err != nil {
 			return nil, err
 		}
-		segs = parsed
-	} else if len(segs) > blkif.MaxSegsDirect {
-		q.putIO(io)
-		return nil, fmt.Errorf("blkback: %d direct segments exceed limit", len(segs))
 	}
 
-	if io.op == blkif.OpFlush {
-		return io, nil
-	}
-
+	io := q.getIO()
+	io.id, io.op = req.ID, op
 	total, err := q.resolve(segs, io)
 	if err != nil {
 		q.putIO(io)
@@ -440,7 +448,7 @@ func (q *ioQueue) parse(req blkif.Request) (*ioReq, error) {
 	}
 	io.bytes = total
 	nsect := int64(total / blkif.SectorSize)
-	if req.Sector < 0 || req.Sector+nsect > inst.size {
+	if req.Sector < 0 || req.Sector > inst.size-nsect {
 		q.releaseSegs(io.segs)
 		q.putIO(io)
 		return nil, fmt.Errorf("blkback: i/o beyond vbd (sector %d + %d)", req.Sector, nsect)
@@ -596,8 +604,6 @@ func (q *ioQueue) submit(op *deviceOp) {
 		} else {
 			inst.dev.ReadVecQ(q.sq, op.sector, op.iov, op.onDone)
 		}
-	default:
-		q.complete(op, fmt.Errorf("blkback: unknown op %d", op.op)) //kite:alloc-ok error arm: parse passes any op code through, so only a frontend that sends an unknown one takes it
 	}
 }
 

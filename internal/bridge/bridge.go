@@ -63,9 +63,8 @@ type Bridge struct {
 }
 
 // delivery is a forwarded frame waiting for its charge to complete. The
-// FIFO holds one buffer reference per entry.
+// line holds one buffer reference per entry.
 type delivery struct {
-	at    sim.Time
 	to    Port
 	frame *framepool.Buf
 }
@@ -245,19 +244,16 @@ func (b *Bridge) Input(from Port, frame *framepool.Buf) {
 type Lane struct {
 	b   *Bridge
 	cpu *sim.CPU // nil: whichever vCPU of the bridge's pool is free first
-	// outq holds forwarded frames until their CPU charge completes; one
-	// armed Batch event per burst instead of one closure per frame. lastOut
-	// is the watermark that keeps the FIFO time-ordered even though charge
-	// completion times across different CPUs are not monotonic.
-	outq    sim.FIFO[delivery]
-	deliver *sim.Batch
-	lastOut sim.Time
+	// outq holds forwarded frames until their CPU charge completes. Its
+	// watermark keeps the lane in order even though charge completion
+	// times across different CPUs are not monotonic.
+	outq *sim.Line[delivery]
 }
 
 // NewLane creates a forwarding lane pinned to cpu (nil: the shared pool).
 func (b *Bridge) NewLane(cpu *sim.CPU) *Lane {
 	l := &Lane{b: b, cpu: cpu}
-	l.deliver = sim.NewBatch(b.eng, l.flush)
+	l.outq = sim.NewLine(b.eng, deliver)
 	return l
 }
 
@@ -266,7 +262,7 @@ func (b *Bridge) NewLane(cpu *sim.CPU) *Lane {
 // at must be nondecreasing across calls — the lane models one FIFO queue.
 //
 // It is the learn/forward/flood core: forwarding cost chains on the lane's
-// CPU starting no earlier than at, and delivery rides the lane's FIFO.
+// CPU starting no earlier than at, and delivery rides the lane's line.
 func (l *Lane) InputAt(from Port, frame *framepool.Buf, at sim.Time) {
 	b := l.b
 	pkt := frame.Bytes()
@@ -302,7 +298,7 @@ func (l *Lane) InputAt(from Port, frame *framepool.Buf, at sim.Time) {
 				return
 			}
 			b.stats.Forwarded++
-			l.enqueue(done, out, frame)
+			l.outq.Push(done, delivery{to: out, frame: frame})
 			return
 		}
 	}
@@ -321,7 +317,7 @@ func (l *Lane) InputAt(from Port, frame *framepool.Buf, at sim.Time) {
 			frame.Retain() // one extra reference per additional flood target
 		}
 		sent = true
-		l.enqueue(done, p, frame)
+		l.outq.Push(done, delivery{to: p, frame: frame})
 	}
 	if sent {
 		b.stats.Flooded++
@@ -331,26 +327,5 @@ func (l *Lane) InputAt(from Port, frame *framepool.Buf, at sim.Time) {
 	}
 }
 
-// enqueue queues one delivery for charge-completion time at. The watermark
-// clamp keeps the FIFO ordered and preserves per-lane frame ordering.
-func (l *Lane) enqueue(at sim.Time, to Port, frame *framepool.Buf) {
-	if at < l.lastOut {
-		at = l.lastOut
-	}
-	l.lastOut = at
-	l.outq.Push(delivery{at: at, to: to, frame: frame})
-	l.deliver.Arm(at)
-}
-
-// flush hands every matured frame on this lane to its egress port and
-// re-arms for the next pending one.
-func (l *Lane) flush() {
-	now := l.b.eng.Now()
-	for l.outq.Len() > 0 && l.outq.Peek().at <= now {
-		d := l.outq.Pop()
-		d.to.Deliver(d.frame)
-	}
-	if p := l.outq.Peek(); p != nil {
-		l.deliver.Arm(p.at)
-	}
-}
+// deliver hands one matured frame to its egress port.
+func deliver(_ sim.Time, d delivery) { d.to.Deliver(d.frame) }

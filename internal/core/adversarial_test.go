@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"kite/internal/blkif"
+	"kite/internal/mem"
 	"kite/internal/netif"
 	"kite/internal/sim"
 	"kite/internal/xen"
@@ -74,46 +76,73 @@ func TestBlkbackSurvivesHostileRequests(t *testing.T) {
 		t.Fatal("honest guest never ready")
 	}
 	evil := attachEvilBlk(t, tb.System, sd)
-
-	// Attack 1: bogus grant references.
-	evil.push(blkif.Request{ID: 1, Op: blkif.OpWrite, Sector: 0,
-		Segs: []blkif.Segment{{Ref: 0xdeadbeef, FirstSect: 0, LastSect: 7}}})
-	// Attack 2: out-of-range sector with a real grant.
-	page := evil.dom.Arena.MustAlloc()
-	ref := evil.dom.GrantAccess(sd.Dom.ID, page, false)
-	evil.push(blkif.Request{ID: 2, Op: blkif.OpRead, Sector: 1 << 60,
-		Segs: []blkif.Segment{{Ref: ref, FirstSect: 0, LastSect: 7}}})
-	// Attack 3: oversized direct segment list.
-	var segs []blkif.Segment
-	for i := 0; i < blkif.MaxSegsDirect+5; i++ {
-		p := evil.dom.Arena.MustAlloc()
-		segs = append(segs, blkif.Segment{Ref: evil.dom.GrantAccess(sd.Dom.ID, p, false),
-			FirstSect: 0, LastSect: 7})
+	grant := func() xen.GrantRef {
+		return evil.dom.GrantAccess(sd.Dom.ID, evil.dom.Arena.MustAlloc(), false)
 	}
-	evil.push(blkif.Request{ID: 3, Op: blkif.OpWrite, Sector: 0, Segs: segs})
-	// Attack 4: corrupt segment geometry.
-	evil.push(blkif.Request{ID: 4, Op: blkif.OpWrite, Sector: 0,
-		Segs: []blkif.Segment{{Ref: ref, FirstSect: 6, LastSect: 2}}})
-	// Attack 5: indirect request claiming more segments than allowed.
-	evil.push(blkif.Request{ID: 5, Op: blkif.OpIndirect, Imm: blkif.OpWrite,
-		IndirectSegs: blkif.MaxSegsIndirect * 4, IndirectRefs: []xen.GrantRef{ref}})
+	ref := grant()
+	var wide []blkif.Segment // more direct segments than a slot holds
+	for i := 0; i < blkif.MaxSegsDirect+5; i++ {
+		wide = append(wide, blkif.Segment{Ref: grant(), FirstSect: 0, LastSect: 7})
+	}
+	// A descriptor page naming one good segment, then 63 more granted pages.
+	descPage := evil.dom.Arena.MustAlloc()
+	blkif.PutSegment(descPage, 0, blkif.Segment{Ref: ref, FirstSect: 0, LastSect: 7})
+	descRefs := []xen.GrantRef{evil.dom.GrantAccess(sd.Dom.ID, descPage, false)}
+	for len(descRefs) < 64 {
+		descRefs = append(descRefs, grant())
+	}
+	good := []blkif.Segment{{Ref: ref, FirstSect: 0, LastSect: 7}}
 
-	// All five must be answered (with error status), not wedge the thread.
-	answered := 0
-	if !tb.System.RunReady(func() bool {
-		for {
-			rsp, ok := evil.ring.TakeResponse()
-			if !ok {
-				break
+	// Every hostile request is answered with an error, not left to wedge
+	// the thread, and maps at most maxMaps grants on its way to the error.
+	// The last four are rejected before blkback maps anything.
+	hostile := []struct {
+		name    string
+		req     blkif.Request
+		maxMaps uint64
+	}{
+		{"bogus grant ref", blkif.Request{Op: blkif.OpWrite,
+			Segs: []blkif.Segment{{Ref: 0xdeadbeef, FirstSect: 0, LastSect: 7}}}, 1},
+		{"sector out of range", blkif.Request{Op: blkif.OpRead, Sector: 1 << 60, Segs: good}, 1},
+		{"sector wrapping past the int64 limit", blkif.Request{Op: blkif.OpRead,
+			Sector: math.MaxInt64 - 3, Segs: good}, 1},
+		{"oversized direct segment list", blkif.Request{Op: blkif.OpWrite, Segs: wide}, 0},
+		{"corrupt segment geometry", blkif.Request{Op: blkif.OpWrite,
+			Segs: []blkif.Segment{{Ref: ref, FirstSect: 6, LastSect: 2}}}, 0},
+		{"indirect over the segment limit", blkif.Request{Op: blkif.OpIndirect, Imm: blkif.OpWrite,
+			IndirectSegs: blkif.MaxSegsIndirect * 4, IndirectRefs: descRefs[:1]}, 0},
+		{"indirect with surplus descriptor pages", blkif.Request{Op: blkif.OpIndirect, Imm: blkif.OpRead,
+			IndirectSegs: 1, IndirectRefs: descRefs}, 0},
+		{"indirect with negative segment count", blkif.Request{Op: blkif.OpIndirect, Imm: blkif.OpRead,
+			IndirectSegs: -3, IndirectRefs: descRefs[:1]}, 0},
+		{"indirect without descriptor pages", blkif.Request{Op: blkif.OpIndirect, Imm: blkif.OpRead,
+			IndirectSegs: 8}, 0},
+		{"direct read without segments", blkif.Request{Op: blkif.OpRead}, 0},
+	}
+	hv := tb.System.HV
+	for i, h := range hostile {
+		t.Run(h.name, func(t *testing.T) {
+			id := uint64(i + 1)
+			h.req.ID = id
+			maps := hv.Stats().GrantMaps
+			evil.push(h.req)
+			var got []blkif.Response
+			tb.System.RunReady(func() bool {
+				for {
+					rsp, ok := evil.ring.TakeResponse()
+					if !ok {
+						return len(got) > 0
+					}
+					got = append(got, rsp)
+				}
+			}, 2_000_000)
+			if len(got) != 1 || got[0].ID != id || got[0].Status != blkif.StatusError {
+				t.Fatalf("responses %+v, want one error for request %d", got, id)
 			}
-			if rsp.Status != blkif.StatusError {
-				t.Fatalf("hostile request %d succeeded", rsp.ID)
+			if n := hv.Stats().GrantMaps - maps; n > h.maxMaps {
+				t.Fatalf("%d grant maps, want at most %d", n, h.maxMaps)
 			}
-			answered++
-		}
-		return answered >= 5
-	}, 2_000_000) {
-		t.Fatalf("backend answered only %d of 5 hostile requests", answered)
+		})
 	}
 
 	// The backend recorded the errors and stayed alive.
@@ -121,8 +150,8 @@ func TestBlkbackSurvivesHostileRequests(t *testing.T) {
 	for _, inst := range sd.Driver.Instances() {
 		total += inst.Stats().Errors
 	}
-	if total < 5 {
-		t.Fatalf("backend errors = %d, want >= 5", total)
+	if total < uint64(len(hostile)) {
+		t.Fatalf("backend errors = %d, want >= %d", total, len(hostile))
 	}
 
 	// The honest guest still works.
@@ -131,6 +160,111 @@ func TestBlkbackSurvivesHostileRequests(t *testing.T) {
 	if !tb.System.RunReady(func() bool { return ok }, 1_000_000) {
 		t.Fatal("honest guest I/O failed after the attack")
 	}
+}
+
+// FuzzBlkbackRequest decodes its input into a short program of blkif
+// requests from the hostile frontend, five bytes a request: op and wrapped
+// op; segment count (signed, for indirect); sector (small, beyond the disk,
+// negative, or near the int64 limit); how many segments or descriptor
+// pages; which granted pages they name, bogus ref and sector geometry
+// included. The requests go one at a time over two descriptor pages (512
+// good descriptors each) and four data pages. blkback must not panic, must
+// answer every request exactly once, and must map no more grants for one
+// than its legal descriptor pages plus segments.
+func FuzzBlkbackRequest(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 2, 0, 3, 3, 4, 1, 0, 2, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tb := NewTestbed(41)
+		sd, err := tb.System.CreateStorageDomain(StorageDomainConfig{Kind: KindKite, Device: tb.NVMe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		evil := attachEvilBlk(t, tb.System, sd)
+		var refs []xen.GrantRef // two descriptor pages, then four data pages
+		var desc []*mem.Page
+		for i := 0; i < 6; i++ {
+			p := evil.dom.Arena.MustAlloc()
+			if i < 2 {
+				desc = append(desc, p)
+			}
+			refs = append(refs, evil.dom.GrantAccess(sd.Dom.ID, p, false))
+		}
+		for _, p := range desc {
+			for j := 0; j < blkif.SegsPerIndirectPage; j++ {
+				blkif.PutSegment(p, j, blkif.Segment{Ref: refs[2+j%4], FirstSect: j % 8, LastSect: 7})
+			}
+		}
+		hv := tb.System.HV
+		answered := map[uint64]int{}
+		for id := uint64(1); len(data) >= 5 && id <= 8; id++ {
+			b := data[:5]
+			data = data[5:]
+			req := blkif.Request{ID: id, Op: blkif.Op(b[0] % 6), Imm: blkif.Op(b[0] / 6 % 6),
+				IndirectSegs: int(int8(b[1]))}
+			switch b[2] % 4 {
+			case 0:
+				req.Sector = int64(b[2]>>2) * 8
+			case 1:
+				req.Sector = 1 << 60
+			case 2:
+				req.Sector = -8
+			case 3:
+				req.Sector = math.MaxInt64 - int64(b[2]>>2)
+			}
+			pick := func(i int) xen.GrantRef {
+				if b[4]&0x80 != 0 && i == 0 {
+					return 0xbad
+				}
+				return refs[(int(b[4]&7)+i)%len(refs)]
+			}
+			bound := 0
+			if req.Op == blkif.OpIndirect {
+				for i := 0; i < int(b[3]%70); i++ {
+					req.IndirectRefs = append(req.IndirectRefs, pick(i))
+				}
+				n := min(max(req.IndirectSegs, 0), blkif.MaxSegsIndirect)
+				bound = n + (n+blkif.SegsPerIndirectPage-1)/blkif.SegsPerIndirectPage
+			} else {
+				for i := 0; i < int(b[3]%16); i++ {
+					req.Segs = append(req.Segs, blkif.Segment{Ref: pick(i),
+						FirstSect: int(b[4]>>3) & 7, LastSect: (int(b[4]>>3) + i) & 7})
+				}
+				if req.Op != blkif.OpFlush {
+					bound = min(len(req.Segs), blkif.MaxSegsDirect)
+				}
+			}
+			maps := hv.Stats().GrantMaps
+			evil.push(req)
+			if !tb.System.RunReady(func() bool {
+				for {
+					rsp, ok := evil.ring.TakeResponse()
+					if !ok {
+						return answered[id] > 0
+					}
+					answered[rsp.ID]++
+				}
+			}, 200_000) {
+				t.Fatalf("request %+v never answered", req)
+			}
+			if n := hv.Stats().GrantMaps - maps; n > uint64(bound) {
+				t.Fatalf("request %+v: %d grant maps, want at most %d", req, n, bound)
+			}
+		}
+		tb.System.RunReady(func() bool {
+			for {
+				rsp, ok := evil.ring.TakeResponse()
+				if !ok {
+					return false
+				}
+				answered[rsp.ID]++
+			}
+		}, 200_000)
+		for id, n := range answered {
+			if n != 1 {
+				t.Fatalf("request %d answered %d times", id, n)
+			}
+		}
+	})
 }
 
 // TestNetbackSurvivesHostileTxRequests drives bogus netif Tx descriptors

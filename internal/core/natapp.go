@@ -20,7 +20,6 @@ import (
 // rewrites headers in place and forwarding re-stamps the Ethernet header
 // in the same buffer, so the NAT hop copies no payload bytes.
 type natRouter struct {
-	eng  *sim.Engine
 	dom  *xen.Domain
 	tr   *nat.Translator
 	pool *framepool.Pool
@@ -45,18 +44,14 @@ type natRouter struct {
 	outARP     map[netpkt.IP]netpkt.MAC
 	outPending map[netpkt.IP][]*framepool.Buf
 
-	// outq holds routed frames until their per-frame CPU charge completes;
-	// one Batch event per burst. lastOut is the monotonic watermark.
-	outq    sim.FIFO[routed]
-	flush   *sim.Batch
-	lastOut sim.Time
+	// outq holds routed frames until their per-frame CPU charge completes.
+	outq *sim.Line[routed]
 }
 
 // routed is one charged frame awaiting forwarding; inward frames go to the
-// inside bridge, outward ones to the physical NIC. The FIFO holds one
+// inside bridge, outward ones to the physical NIC. The line holds one
 // buffer reference per entry.
 type routed struct {
-	at     sim.Time
 	frame  *framepool.Buf
 	inward bool
 }
@@ -71,7 +66,7 @@ func newNATRouter(eng *sim.Engine, dom *xen.Domain, inside *bridge.Bridge,
 		pool = framepool.New()
 	}
 	r := &natRouter{
-		eng: eng, dom: dom,
+		dom:        dom,
 		tr:         nat.New(eng, dom.CPUs, gateway),
 		pool:       pool,
 		mac:        netpkt.MAC{0x00, 0x16, 0x3e, 0xaa, 0x00, 0x01},
@@ -84,7 +79,7 @@ func newNATRouter(eng *sim.Engine, dom *xen.Domain, inside *bridge.Bridge,
 		outARP:     make(map[netpkt.IP]netpkt.MAC),
 		outPending: make(map[netpkt.IP][]*framepool.Buf),
 	}
-	r.flush = sim.NewBatch(eng, r.flushRouted)
+	r.outq = sim.NewLine(eng, r.forward)
 	inside.AddPort(r)
 	nic.SetRecv(r.fromOutside)
 	return r
@@ -130,28 +125,15 @@ func (r *natRouter) Deliver(frame *framepool.Buf) {
 // route queues one translated frame for forwarding when its per-frame CPU
 // charge completes.
 func (r *natRouter) route(frame *framepool.Buf, inward bool) {
-	at := r.dom.CPUs.Charge(r.perFrame)
-	if at < r.lastOut {
-		at = r.lastOut
-	}
-	r.lastOut = at
-	r.outq.Push(routed{at: at, frame: frame, inward: inward})
-	r.flush.Arm(at)
+	r.outq.Push(r.dom.CPUs.Charge(r.perFrame), routed{frame: frame, inward: inward})
 }
 
-// flushRouted forwards every matured frame and re-arms for the rest.
-func (r *natRouter) flushRouted() {
-	now := r.eng.Now()
-	for r.outq.Len() > 0 && r.outq.Peek().at <= now {
-		d := r.outq.Pop()
-		if d.inward {
-			r.inside.Input(r, d.frame)
-		} else {
-			r.sendOutside(d.frame)
-		}
-	}
-	if p := r.outq.Peek(); p != nil {
-		r.flush.Arm(p.at)
+// forward sends one matured frame on its way.
+func (r *natRouter) forward(_ sim.Time, d routed) {
+	if d.inward {
+		r.inside.Input(r, d.frame)
+	} else {
+		r.sendOutside(d.frame)
 	}
 }
 

@@ -176,18 +176,16 @@ type vifQueue struct {
 	ds *drainState
 
 	// txPending holds bridge-bound frames whose hypervisor copy has been
-	// issued; txDone flushes them when the copy matures. One coalesced
-	// event covers a whole pusher burst instead of one event per frame.
-	// Unsharded only: a sharded drain stages into ds's carrier instead.
-	txPending sim.FIFO[timedFrame]
-	txDone    *sim.Batch
+	// issued until the copy matures. Unsharded only: a sharded drain
+	// stages into ds's carrier instead.
+	txPending *sim.Line[*framepool.Buf]
 
 	stats Stats
 }
 
-// timedFrame is a frame due for bridge input at a virtual time, holding
-// one buffer reference. from names the source VIF in carrier entries (a
-// lane's carrier mixes tenants); a queue's own txPending leaves it nil.
+// timedFrame is a carrier entry: a frame due for bridge input at a virtual
+// time, holding one buffer reference. from names the source VIF (a lane's
+// carrier mixes tenants).
 type timedFrame struct {
 	at    sim.Time
 	frame *framepool.Buf
@@ -334,7 +332,7 @@ func (v *VIF) bindQueue(q *vifQueue, frontPort xen.Port) error {
 		return fmt.Errorf("netback: %s: %w", v.name, err)
 	}
 	q.port = port
-	q.txDone = sim.NewBatch(q.eng, q.flushTx)
+	q.txPending = sim.NewLine(q.eng, q.toBridge)
 	v.queues[q.id] = q
 	return v.dom.SetHandler(port, q.onEvent)
 }
@@ -535,7 +533,8 @@ func (v *VIF) Shutdown() {
 			q.rxQueue.Pop().Release()
 		}
 		for q.txPending.Len() > 0 {
-			q.txPending.Pop().frame.Release()
+			_, frame := q.txPending.Pop()
+			frame.Release()
 		}
 		q.pgrants.Drain(v.dom)
 	}
@@ -658,12 +657,8 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 		// ready after k+1 packet costs, not when the whole batch retires.
 		// Lumping the charge would stall the bridge (and the next upcall,
 		// which waits for the vCPU to drain) behind the full haul.
-		var firstDone sim.Time
 		for i, req := range reqs {
 			done := q.cpu.Charge(v.costs.PerPacketTx)
-			if i == 0 {
-				firstDone = done
-			}
 			status := int8(netif.StatusOK)
 			b := bufs[i]
 			if b == nil || err != nil {
@@ -680,7 +675,7 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 					// bridge-arrival time; the caller's one post moves it.
 					ds.stageTx(v, done+shardHandoff, b)
 				} else {
-					q.txPending.Push(timedFrame{at: done, frame: b})
+					q.txPending.Push(done, b)
 				}
 			}
 			q.tx.PushResponse(netif.TxResponse{ID: req.ID, Status: status})
@@ -688,11 +683,6 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 		ds.ops = ops[:0]
 		ds.bufs = bufs[:0]
 		clearBufs(bufs)
-		// Unsharded: wake the bridge hand-off at the first maturity;
-		// flushTx re-arms itself for the rest of the burst as frames ripen.
-		if q.txPending.Len() > 0 {
-			q.txDone.Arm(firstDone)
-		}
 		if q.tx.PushResponsesAndCheckNotify() {
 			q.notifyFront()
 		}
@@ -722,20 +712,10 @@ func clearBufs(bufs []*framepool.Buf) {
 	}
 }
 
-// flushTx hands every matured guest frame to the bridge in FIFO order and
-// re-arms for the next burst still in flight.
-func (q *vifQueue) flushTx() {
-	v := q.v
-	if v.dead {
-		return
-	}
-	now := q.eng.Now()
-	for q.txPending.Len() > 0 && q.txPending.Peek().at <= now {
-		v.br.Input(v, q.txPending.Pop().frame)
-	}
-	if p := q.txPending.Peek(); p != nil {
-		q.txDone.Arm(p.at)
-	}
+// toBridge hands one matured guest frame to the bridge. Shutdown empties
+// the line, so a frame reaches here only while the VIF is alive.
+func (q *vifQueue) toBridge(_ sim.Time, frame *framepool.Buf) {
+	q.v.br.Input(q.v, frame)
 }
 
 // copyGrant issues the batched hypervisor copy, charging the queue's pinned

@@ -130,29 +130,18 @@ type Stack struct {
 	// connection. Defaults to 64 KiB.
 	TCPWindow int
 
-	// Frames wait in per-direction FIFOs until their CPU charge completes;
-	// one armed Batch per direction replaces a closure-carrying engine
-	// event per frame. The watermarks force completion times monotonic per
-	// direction (a real NIC queue and a real softirq queue never reorder
-	// frames of one flow) even when per-frame costs differ.
-	txq, rxq         sim.FIFO[timedBuf]
-	txFlush, rxFlush *sim.Batch
-	txLast, rxLast   sim.Time
+	// Frames wait in one line per direction until their CPU charge
+	// completes; a line never reorders the frames of one flow even when
+	// per-frame costs differ.
+	txq, rxq *sim.Line[*framepool.Buf]
 
 	// batch is the device's batched-send capability (nil without one); when
-	// set, flushTx drains the whole Tx queue as one stamped burst through
+	// set, sendTx drains the whole Tx line as one stamped burst through
 	// txScratch, a reused staging slice.
 	batch     BatchSender
 	txScratch []TimedFrame
 
 	stats Stats
-}
-
-// timedBuf is a frame waiting for its CPU charge to complete; the FIFO
-// holds one buffer reference per entry.
-type timedBuf struct {
-	at  sim.Time
-	buf *framepool.Buf
 }
 
 type pingWaiter struct {
@@ -198,8 +187,8 @@ func New(eng *sim.Engine, cfg Config) *Stack {
 		nextPort:   33000,
 		TCPWindow:  64 << 10,
 	}
-	s.txFlush = sim.NewBatch(eng, s.flushTx)
-	s.rxFlush = sim.NewBatch(eng, s.flushRx)
+	s.txq = sim.NewLine(eng, s.sendTx)
+	s.rxq = sim.NewLine(eng, s.recvRx)
 	if bs, ok := cfg.Iface.(BatchSender); ok && bs.BatchCapable() {
 		s.batch = bs // the device's batched send, when it has one
 	}
@@ -268,40 +257,29 @@ func (s *Stack) l4(n int) []byte {
 // queueTx holds frame until the Tx charge completes, then hands its
 // reference to the device.
 func (s *Stack) queueTx(cost sim.Time, frame *framepool.Buf) {
-	at := s.cpus.Charge(cost)
-	if at < s.txLast {
-		at = s.txLast
-	}
-	s.txLast = at
-	s.txq.Push(timedBuf{at: at, buf: frame})
-	s.txFlush.Arm(at)
+	s.txq.Push(s.cpus.Charge(cost), frame)
 }
 
-func (s *Stack) flushTx() {
-	if s.batch != nil {
-		// Batch-capable device: drain the whole Tx queue as one stamped
-		// burst — the device honours each frame's completion stamp, so no
-		// per-frame pacing event is needed here.
-		for s.txq.Len() > 0 {
-			e := s.txq.Pop()
-			s.txScratch = append(s.txScratch, TimedFrame{At: e.at, Frame: e.buf}) //kite:alloc-ok scratch grows to the burst high-water mark, then recycles
-		}
-		if len(s.txScratch) > 0 {
-			s.batch.SendBatch(s.txScratch)
-			for i := range s.txScratch {
-				s.txScratch[i] = TimedFrame{} // drop frame refs from spare slots
-			}
-			s.txScratch = s.txScratch[:0]
-		}
+// sendTx hands one due frame to the device. A batch-capable device gets it
+// with the rest of the Tx line as one stamped burst: the device honours
+// each frame's completion stamp, so no per-frame pacing event is needed.
+func (s *Stack) sendTx(at sim.Time, frame *framepool.Buf) {
+	if s.batch == nil {
+		s.ifc.Send(frame)
 		return
 	}
-	now := s.eng.Now()
-	for s.txq.Len() > 0 && s.txq.Peek().at <= now {
-		s.ifc.Send(s.txq.Pop().buf)
+	for {
+		s.txScratch = append(s.txScratch, TimedFrame{At: at, Frame: frame}) //kite:alloc-ok scratch grows to the burst high-water mark, then recycles
+		if s.txq.Len() == 0 {
+			break
+		}
+		at, frame = s.txq.Pop()
 	}
-	if p := s.txq.Peek(); p != nil {
-		s.txFlush.Arm(p.at)
+	s.batch.SendBatch(s.txScratch)
+	for i := range s.txScratch {
+		s.txScratch[i] = TimedFrame{} // drop frame refs from spare slots
 	}
+	s.txScratch = s.txScratch[:0]
 }
 
 // sendIP routes one IP payload: fragments it into pooled frame buffers,
@@ -381,25 +359,13 @@ func (s *Stack) sendARPRequest(target netpkt.IP) {
 func (s *Stack) rxFrame(frame *framepool.Buf) {
 	s.stats.RxPackets++
 	s.stats.RxBytes += uint64(frame.Len())
-	at := s.cpus.Charge(s.dataCost(frame.Len()))
-	if at < s.rxLast {
-		at = s.rxLast
-	}
-	s.rxLast = at
-	s.rxq.Push(timedBuf{at: at, buf: frame})
-	s.rxFlush.Arm(at)
+	s.rxq.Push(s.cpus.Charge(s.dataCost(frame.Len())), frame)
 }
 
-func (s *Stack) flushRx() {
-	now := s.eng.Now()
-	for s.rxq.Len() > 0 && s.rxq.Peek().at <= now {
-		b := s.rxq.Pop().buf
-		s.handleFrame(b.Bytes())
-		b.Release()
-	}
-	if p := s.rxq.Peek(); p != nil {
-		s.rxFlush.Arm(p.at)
-	}
+// recvRx runs protocol processing on one frame whose Rx charge completed.
+func (s *Stack) recvRx(_ sim.Time, frame *framepool.Buf) {
+	s.handleFrame(frame.Bytes())
+	frame.Release()
 }
 
 func (s *Stack) handleFrame(raw []byte) {

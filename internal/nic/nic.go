@@ -58,18 +58,9 @@ type NIC struct {
 	stats       Stats
 
 	// inbound holds frames serialized onto the wire toward this NIC, each
-	// stamped with its arrival time (transmit end + propagation). Arrival
-	// times are monotonic per link, so a FIFO plus one armed event replaces
-	// a closure-carrying engine event per frame.
-	inbound sim.FIFO[wireFrame]
-	arrive  *sim.Batch
-}
-
-// wireFrame is a frame in flight toward a NIC. The FIFO holds one buffer
-// reference per queued frame.
-type wireFrame struct {
-	at    sim.Time
-	frame *framepool.Buf
+	// due at its arrival time (transmit end + propagation), one buffer
+	// reference per frame.
+	inbound *sim.Line[*framepool.Buf]
 }
 
 type link struct {
@@ -79,7 +70,7 @@ type link struct {
 // New creates a NIC with the given name, MAC, and PCI BDF.
 func New(eng *sim.Engine, name string, mac netpkt.MAC, bdf string) *NIC {
 	n := &NIC{eng: eng, name: name, mac: mac, bdf: bdf}
-	n.arrive = sim.NewBatch(eng, n.deliverArrived)
+	n.inbound = sim.NewLine(eng, n.deliverArrived)
 	return n
 }
 
@@ -147,26 +138,17 @@ func (n *NIC) Send(frame *framepool.Buf) bool {
 	n.stats.TxFrames++
 	n.stats.TxBytes += uint64(frame.Len())
 
-	n.peer.inbound.Push(wireFrame{at: done + n.cfg.PropDelay, frame: frame})
-	n.peer.arrive.Arm(done + n.cfg.PropDelay)
+	n.peer.inbound.Push(done+n.cfg.PropDelay, frame)
 	return true
 }
 
-// deliverArrived raises every frame whose wire time has passed and re-arms
-// for the next one still serializing.
-func (n *NIC) deliverArrived() {
-	now := n.eng.Now()
-	for n.inbound.Len() > 0 && n.inbound.Peek().at <= now {
-		frame := n.inbound.Pop().frame
-		n.stats.RxFrames++
-		n.stats.RxBytes += uint64(frame.Len())
-		if n.recv != nil {
-			n.recv(frame)
-		} else {
-			frame.Release()
-		}
-	}
-	if p := n.inbound.Peek(); p != nil {
-		n.arrive.Arm(p.at)
+// deliverArrived raises one frame whose wire time has passed.
+func (n *NIC) deliverArrived(_ sim.Time, frame *framepool.Buf) {
+	n.stats.RxFrames++
+	n.stats.RxBytes += uint64(frame.Len())
+	if n.recv != nil {
+		n.recv(frame)
+	} else {
+		frame.Release()
 	}
 }

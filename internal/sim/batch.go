@@ -2,11 +2,9 @@ package sim
 
 // This file is the coalesced-wake API: FIFO, an allocation-free ring
 // queue for burst payloads, and Batch, which keeps at most one engine
-// event pending no matter how many items are waiting behind it. Together
-// they let a producer that used to schedule one closure-carrying event per
-// frame or segment (netback's pusher/soft_start, the NIC's wire model,
-// blkback's completion path) enqueue payloads for free and pay for a
-// single wake per burst.
+// event pending no matter how many items are waiting behind it. Line
+// (line.go) puts the two together for the common case; a producer
+// enqueues payloads for free and pays for a single wake per burst.
 
 // FIFO is a growable ring-buffer queue. Push and Pop are O(1) and
 // allocation-free once the buffer has reached its high-water mark — the
@@ -50,15 +48,6 @@ func (q *FIFO[T]) Peek() *T {
 		return nil
 	}
 	return &q.buf[q.head]
-}
-
-// Clear drops all queued items, releasing their references.
-func (q *FIFO[T]) Clear() {
-	var zero T
-	for i := 0; i < q.n; i++ {
-		q.buf[(q.head+i)%len(q.buf)] = zero
-	}
-	q.head, q.n = 0, 0
 }
 
 func (q *FIFO[T]) grow() {

@@ -45,6 +45,27 @@ func TestBatchArmZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestLineZeroAllocs verifies a delay line's push-and-flush cycle stays
+// allocation-free once its queue has reached its high-water mark: pushes
+// behind the armed one are free, and the flush reuses the cached closures.
+func TestLineZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	l := NewLine(e, func(Time, int) {})
+	for i := 0; i < 64; i++ {
+		l.Push(e.Now()+Time(i), i)
+	}
+	e.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		l.Push(e.Now()+5, 1)
+		l.Push(e.Now()+1, 2) // earlier than the previous push: held to it
+		l.Push(e.Now()+9, 3)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Line Push+flush allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 // TestTaskWakeZeroAllocs verifies a task wake cycle (the pusher/soft_start
 // wake path) does not allocate in steady state.
 func TestTaskWakeZeroAllocs(t *testing.T) {
