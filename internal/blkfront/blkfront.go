@@ -277,7 +277,7 @@ func (h *hooks) Release(live bool) bool {
 	}
 	for _, q := range d.queues {
 		for _, pp := range q.pool {
-			d.EndGrant(pp.ref, pp.page)
+			d.EndGrant(pp.ref)
 		}
 	}
 	d.queues = nil

@@ -112,9 +112,6 @@ type Response struct {
 // multi-queue negotiation a device carries one per hardware queue).
 type Ring = ring.Ring[Request, Response]
 
-// NewRing allocates a standard blkif ring.
-func NewRing() *Ring { return ring.New[Request, Response](RingSize) }
-
 // Rings is the multi-queue transport: N independent blkif rings, one per
 // negotiated hardware queue (blk-mq's one-ring-per-hctx layout).
 type Rings = ring.MultiRing[Request, Response]

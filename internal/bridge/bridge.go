@@ -8,6 +8,7 @@ package bridge
 
 import (
 	"fmt"
+	"slices"
 
 	"kite/internal/flowtab"
 	"kite/internal/framepool"
@@ -75,6 +76,7 @@ func New(eng *sim.Engine, cpus *sim.CPUPool, name string) *Bridge {
 		eng: eng, cpus: cpus, name: name,
 		PerFrameCost: 300 * sim.Nanosecond,
 		fdb:          flowtab.New[netpkt.MAC, Port](fdbSeed),
+		iso:          make(map[Port]bool),
 	}
 	b.shared = b.NewLane(nil)
 	return b
@@ -97,22 +99,31 @@ func (b *Bridge) AddPort(p Port) {
 		}
 	}
 	b.ports = append(b.ports, p)
-	b.rebuildTrunk()
+	if !b.iso[p] {
+		b.trunk = append(b.trunk, p)
+	}
 }
 
 // SetIsolated marks or clears port isolation (the bridge-port "isolated"
 // flag): frames from an isolated port are never flooded to other isolated
 // ports, only to trunk ports. Known-unicast forwarding is unaffected.
+// Isolating a port takes it out of the trunk, scanning from the tail,
+// where fleet bring-up has just attached it; only clearing isolation
+// re-derives the trunk.
 func (b *Bridge) SetIsolated(p Port, iso bool) {
-	if iso {
-		if b.iso == nil {
-			b.iso = make(map[Port]bool)
-		}
+	switch {
+	case iso && !b.iso[p]:
 		b.iso[p] = true
-	} else {
+		for i := len(b.trunk) - 1; i >= 0; i-- {
+			if b.trunk[i] == p {
+				b.trunk = slices.Delete(b.trunk, i, i+1)
+				break
+			}
+		}
+	case !iso && b.iso[p]:
 		delete(b.iso, p)
+		b.rebuildTrunk()
 	}
-	b.rebuildTrunk()
 }
 
 // rebuildTrunk re-derives the non-isolated port list in attach order

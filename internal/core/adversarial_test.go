@@ -454,3 +454,112 @@ func TestNetfrontSurvivesHostileRxResponses(t *testing.T) {
 		t.Fatalf("%d frame buffers leaked", n)
 	}
 }
+
+// FuzzNetbackTxRequest decodes its input into a program of up to 32 netif
+// Tx requests from a hand-rolled frontend that skips netfront's checks,
+// five bytes a request: the ref's kind (granted to the backend, bogus,
+// granted to another domain, revoked) in the low two bits, the request id
+// in the next five (so ids repeat) and, in the top bit, a kick that lets
+// the backend answer what is pushed so far (otherwise requests share a
+// batch with what follows); then Offset and Len, each the full 16 bits. netback must not panic, must
+// answer every request exactly once, must never accept one whose ref is
+// not a live grant to it or whose bytes leave the page, must count what it
+// accepted and refused, and must leak no frame buffer once the vif goes.
+func FuzzNetbackTxRequest(f *testing.F) {
+	// TestNetbackSurvivesHostileTxRequests' four rows, one a request.
+	f.Add([]byte{0x05, 0x00, 0x00, 0x00, 0x64, 0x09, 0x0f, 0xa0, 0x13, 0x88, 0x0c, 0x00, 0x00, 0xff, 0xff, 0x10, 0x00, 0x01, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tb := NewTestbed(42)
+		sys := tb.System
+		nd, err := sys.CreateNetworkDomain(NetworkDomainConfig{Kind: KindKite, NIC: tb.ServerNIC})
+		if err != nil {
+			t.Fatal(err)
+		}
+		evil := sys.HV.CreateDomain(xen.DomainConfig{Name: "evil", VCPUs: 1,
+			MemBytes: 64 << 20, IRQLatency: 6 * sim.Microsecond})
+		sys.Bus.AddDevice(xenbus.DeviceSpec{
+			Type: "vif", FrontDom: xenbus.DomID(evil.ID), BackDom: xenbus.DomID(nd.Dom.ID), DevID: 0,
+		})
+		ch := netif.NewChannel(1)
+		tx := ch.Tx.Queue(0)
+		sys.NetReg.Publish(evil.ID, 0, ch)
+		port := evil.AllocUnbound(nd.Dom.ID)
+		evil.SetHandler(port, func() {})
+		fp := xenbus.FrontendPath(xenbus.DomID(evil.ID), "vif", 0)
+		sys.Store.Writef(fp+"/event-channel", "%d", port)
+		if err := sys.Bus.SwitchState(fp, xenbus.StateInitialised); err != nil {
+			t.Fatal(err)
+		}
+		if !sys.RunReady(func() bool { return len(nd.Driver.VIFs()) == 1 }, 500000) {
+			t.Fatal("evil vif never paired")
+		}
+		vif := nd.Driver.VIFs()[0]
+
+		page := evil.Arena.MustAlloc()
+		copy(page.Bytes(), pattern(mem.PageSize))
+		revoked := evil.GrantAccess(nd.Dom.ID, evil.Arena.MustAlloc(), true)
+		if err := evil.EndAccess(revoked); err != nil {
+			t.Fatal(err)
+		}
+		refs := [4]xen.GrantRef{
+			evil.GrantAccess(nd.Dom.ID, page, true),
+			0xbad,
+			evil.GrantAccess(0, page, true), // foreign: granted to Dom0
+			revoked,
+		}
+		// legal[id] counts the requests under id the backend may accept.
+		var legal [32]int
+		sent, answered, ok := 0, 0, 0
+		drain := func() {
+			for {
+				rsp, more := tx.TakeResponse()
+				if !more {
+					return
+				}
+				answered++
+				if rsp.Status == netif.StatusOK {
+					if ok++; legal[rsp.ID] == 0 {
+						t.Fatalf("netback accepted a hostile request under id %d", rsp.ID)
+					}
+					legal[rsp.ID]--
+				}
+			}
+		}
+		// settle kicks the backend and runs until it has answered every
+		// request pushed so far.
+		settle := func() {
+			if tx.PushRequestsAndCheckNotify() {
+				evil.Notify(port)
+			}
+			if !sys.RunReady(func() bool { drain(); return answered >= sent }, 1_000_000) {
+				t.Fatalf("netback answered %d of %d requests", answered, sent)
+			}
+		}
+		for ; len(data) >= 5 && sent < 32; data = data[5:] {
+			b := data[:5]
+			req := netif.TxRequest{Ref: refs[b[0]&3], ID: uint16(b[0] >> 2 & 31),
+				Offset: uint16(b[1])<<8 | uint16(b[2]), Len: uint16(b[3])<<8 | uint16(b[4])}
+			if b[0]&3 == 0 && int(req.Offset)+int(req.Len) <= mem.PageSize {
+				legal[req.ID]++
+			}
+			tx.PushRequest(req) // 32 requests never fill the 256-slot ring
+			sent++
+			if b[0]&0x80 != 0 {
+				settle()
+			}
+		}
+		settle()
+		sys.Eng.Run()
+		drain()
+		if answered != sent {
+			t.Fatalf("netback answered %d times for %d requests", answered, sent)
+		}
+		if st := vif.Stats(); st.TxFrames != uint64(ok) || st.TxErrors != uint64(sent-ok) {
+			t.Fatalf("vif counted %d Tx frames and %d errors, answered %d OK of %d", st.TxFrames, st.TxErrors, ok, sent)
+		}
+		vif.Shutdown()
+		if n := sys.Pool.Outstanding(); n != 0 {
+			t.Fatalf("%d frame buffers leaked", n)
+		}
+	})
+}

@@ -33,9 +33,9 @@ type FleetRig struct {
 }
 
 // fleetTenantBytes is the heap a net-only tenant is budgeted, set-up and
-// one wave: TestFleetFootprint's 96 MiB gate for 1024 tenants, ÷ 1024.
-// NewFleetRig reserves this much per tenant on 2 MiB pages, and the test
-// holds the fleet's growth inside the reservation.
+// one wave: about a third above the 71 KiB a 1024-tenant fleet grows by a
+// tenant. NewFleetRig reserves this much per tenant on 2 MiB pages, and
+// TestFleetFootprint holds the fleet's growth inside the reservation.
 const fleetTenantBytes = 96 << 10
 
 // fleetVbdBytes is what a storage fleet adds a tenant: its vbd's rings,

@@ -170,39 +170,54 @@ const (
 	mb = 1 << 20
 )
 
+// A profile's tables are shared by every profile of its kind — a fleet
+// builds one Ubuntu guest profile per tenant — so they are read, never
+// written.
+var (
+	ubuntuComponents = []Component{
+		{Name: "vmlinuz-5.0.0-23", Kind: KindKernel, SizeBytes: 8 * mb, CodeBytes: 17 * mb},
+		{Name: "modules-5.0.0-23", Kind: KindModule, SizeBytes: 35 * mb, CodeBytes: 28 * mb},
+		{Name: "glibc", Kind: KindLib, SizeBytes: 12 * mb, CodeBytes: 8 * mb},
+		{Name: "systemd", Kind: KindTool, SizeBytes: 9 * mb, CodeBytes: 6 * mb},
+		{Name: "bash", Kind: KindTool, SizeBytes: 1 * mb, CodeBytes: 900 * kb},
+		{Name: "coreutils", Kind: KindTool, SizeBytes: 7 * mb, CodeBytes: 5 * mb},
+		{Name: "python3", Kind: KindTool, SizeBytes: 48 * mb, CodeBytes: 4 * mb},
+		{Name: "openssl", Kind: KindLib, SizeBytes: 3 * mb, CodeBytes: 2 * mb},
+		{Name: "xen-utils", Kind: KindTool, SizeBytes: 6 * mb, CodeBytes: 4 * mb},
+		{Name: "libxl", Kind: KindLib, SizeBytes: 3 * mb, CodeBytes: 2 * mb},
+		{Name: "udev", Kind: KindTool, SizeBytes: 2 * mb, CodeBytes: 1 * mb},
+		{Name: "hotplug-scripts", Kind: KindScript, SizeBytes: 256 * kb},
+	}
+	ubuntuBootPhases = []BootPhase{
+		{"bios+grub", 3 * sim.Second},
+		{"kernel+initramfs", 14 * sim.Second},
+		{"udev coldplug", 9 * sim.Second},
+		{"mount+fsck", 6 * sim.Second},
+		{"systemd units", 22 * sim.Second},
+		{"networking.service", 8 * sim.Second},
+		{"xen-utils/xl devd", 9 * sim.Second},
+		{"getty/login ready", 4 * sim.Second},
+	}
+	kiteBootPhases = []BootPhase{
+		{"hvm boot+image load", 1500 * sim.Millisecond},
+		{"rumprun init", 900 * sim.Millisecond},
+		{"device driver attach", 2800 * sim.Millisecond},
+		{"xenbus+backend ready", 1200 * sim.Millisecond},
+		{"configuration app", 600 * sim.Millisecond},
+	}
+)
+
 // UbuntuDriverDomain is the baseline: Ubuntu 18.04.3, kernel
 // 5.0.0-23-generic, with the xen-utils toolstack (§5 setup). Kernel plus
 // modules come to ~43 MB — about 10x Kite's image (Fig 4b) — and boot
 // takes ~75 s (Fig 4c).
 func UbuntuDriverDomain() *Profile {
 	return &Profile{
-		Name:   "ubuntu-dd",
-		Family: FamilyLinux,
-		Components: []Component{
-			{Name: "vmlinuz-5.0.0-23", Kind: KindKernel, SizeBytes: 8 * mb, CodeBytes: 17 * mb},
-			{Name: "modules-5.0.0-23", Kind: KindModule, SizeBytes: 35 * mb, CodeBytes: 28 * mb},
-			{Name: "glibc", Kind: KindLib, SizeBytes: 12 * mb, CodeBytes: 8 * mb},
-			{Name: "systemd", Kind: KindTool, SizeBytes: 9 * mb, CodeBytes: 6 * mb},
-			{Name: "bash", Kind: KindTool, SizeBytes: 1 * mb, CodeBytes: 900 * kb},
-			{Name: "coreutils", Kind: KindTool, SizeBytes: 7 * mb, CodeBytes: 5 * mb},
-			{Name: "python3", Kind: KindTool, SizeBytes: 48 * mb, CodeBytes: 4 * mb},
-			{Name: "openssl", Kind: KindLib, SizeBytes: 3 * mb, CodeBytes: 2 * mb},
-			{Name: "xen-utils", Kind: KindTool, SizeBytes: 6 * mb, CodeBytes: 4 * mb},
-			{Name: "libxl", Kind: KindLib, SizeBytes: 3 * mb, CodeBytes: 2 * mb},
-			{Name: "udev", Kind: KindTool, SizeBytes: 2 * mb, CodeBytes: 1 * mb},
-			{Name: "hotplug-scripts", Kind: KindScript, SizeBytes: 256 * kb},
-		},
-		Syscalls: UbuntuDriverDomainSyscalls,
-		BootPhases: []BootPhase{
-			{"bios+grub", 3 * sim.Second},
-			{"kernel+initramfs", 14 * sim.Second},
-			{"udev coldplug", 9 * sim.Second},
-			{"mount+fsck", 6 * sim.Second},
-			{"systemd units", 22 * sim.Second},
-			{"networking.service", 8 * sim.Second},
-			{"xen-utils/xl devd", 9 * sim.Second},
-			{"getty/login ready", 4 * sim.Second},
-		},
+		Name:       "ubuntu-dd",
+		Family:     FamilyLinux,
+		Components: ubuntuComponents,
+		Syscalls:   UbuntuDriverDomainSyscalls,
+		BootPhases: ubuntuBootPhases,
 		VCPUs:      1,
 		MemBytes:   2 << 30,              // 2 GB (§5)
 		IRQLatency: 95 * sim.Microsecond, // idle-vCPU wake through Xen + softirq
@@ -231,14 +246,8 @@ func kiteBase(name string, app Component, drivers Component, syscalls []string) 
 			{Name: "libc-subset", Kind: KindLib, SizeBytes: 600 * kb, CodeBytes: 400 * kb},
 			app,
 		},
-		Syscalls: syscalls,
-		BootPhases: []BootPhase{
-			{"hvm boot+image load", 1500 * sim.Millisecond},
-			{"rumprun init", 900 * sim.Millisecond},
-			{"device driver attach", 2800 * sim.Millisecond},
-			{"xenbus+backend ready", 1200 * sim.Millisecond},
-			{"configuration app", 600 * sim.Millisecond},
-		},
+		Syscalls:   syscalls,
+		BootPhases: kiteBootPhases,
 		VCPUs:      1,
 		MemBytes:   1 << 30,              // 1 GB (§5: rumprun needs less)
 		IRQLatency: 30 * sim.Microsecond, // idle wake straight into the BMK handler

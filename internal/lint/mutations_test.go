@@ -121,10 +121,10 @@ var mutations = []mutation{
 		"\tout := make([]I, 0, len(d.byPath))\n\tfor _, a := range d.byPath {\n\t\tout = append(out, a.inst)\n"},
 		fires:  []string{"simdet: map iteration order is nondeterministic"},
 		caught: []string{"TestFleetSummaryDeterministicAcrossCores"}},
-	{id: "S1-list-unsorted", edit: edit{"internal/xenstore/xenstore.go",
-		"\tsort.Strings(out)\n\treturn out\n}\n\n// Watch registers",
-		"\t_ = sort.Strings\n\treturn out\n}\n\n// Watch registers"},
-		caught: []string{"TestListSorted"}},
+	{id: "S1-txn-unsorted", edit: edit{"internal/xenstore/txn.go",
+		"\tsort.Strings(readPaths)\n",
+		"\t_ = sort.Strings\n"},
+		caught: []string{"TestTxnConflictNamesAFixedPath"}},
 
 	// What the deleted analyzers checked, and the tests that hold it now.
 	// ringlink:

@@ -45,14 +45,16 @@ type Page struct {
 // Arena is a domain's memory: an allocator handing out fixed-size pages up
 // to a configured maximum (the domain's RAM assignment). Growth carves page
 // headers only, one exact-size slab of them per request, so bringing up a
-// 512-page device costs one heap object per AllocN. A page's bytes are
+// 512-page device costs one heap object per AllocN, and the arena keeps
+// the slab, not a pointer per page. A page's bytes are
 // allocated at its first touch and then stay with it: Free keeps the
 // backing, so a driver that recycles pages per request (blkfront) allocates
 // nothing in steady state, and reuse has only ever-touched pages to clear.
 type Arena struct {
 	name     string
 	maxPages int
-	pages    []*Page // every page ever carved; pages[id-1].ID == id
+	carved   int      // headers carved so far, IDs 1..carved
+	slabs    [][]Page // every header ever carved, one slab per grow, in ID order
 	free     []*Page
 
 	allocs uint64
@@ -79,7 +81,7 @@ func (a *Arena) Name() string { return a.name }
 func (a *Arena) Capacity() int { return a.maxPages }
 
 // InUse returns the number of currently allocated pages.
-func (a *Arena) InUse() int { return len(a.pages) - len(a.free) }
+func (a *Arena) InUse() int { return a.carved - len(a.free) }
 
 // Allocs returns the lifetime allocation count: pages handed out, plus one
 // per request refused for lack of memory.
@@ -91,9 +93,11 @@ func (a *Arena) Allocs() uint64 { return a.allocs }
 // arena; it is for tests and footprint reports.
 func (a *Arena) Backed() int {
 	n := 0
-	for _, p := range a.pages {
-		if p.data != nil && !p.lent {
-			n++
+	for _, slab := range a.slabs {
+		for i := range slab {
+			if p := &slab[i]; p.data != nil && !p.lent {
+				n++
+			}
 		}
 	}
 	return n
@@ -105,8 +109,8 @@ func (a *Arena) Backed() int {
 // so it hands out no more. Lookup finds nothing afterwards, and a Free that
 // arrives late is counted and dropped.
 func (a *Arena) Release() {
-	a.pages, a.free = nil, nil
-	a.maxPages = 0
+	a.slabs, a.free = nil, nil
+	a.carved, a.maxPages = 0, 0
 }
 
 // Alloc returns a zeroed page, or an error if the arena is exhausted —
@@ -116,7 +120,7 @@ func (a *Arena) Alloc() (*Page, error) {
 	if p := a.reuse(); p != nil {
 		return p, nil
 	}
-	if len(a.pages) >= a.maxPages {
+	if a.carved >= a.maxPages {
 		return nil, a.outOfMemory()
 	}
 	return &a.grow(1)[0], nil
@@ -136,7 +140,7 @@ func (a *Arena) MustAlloc() *Page {
 // order. A request the arena cannot meet in full takes nothing.
 func (a *Arena) AllocN(n int) ([]*Page, error) {
 	fresh := n - len(a.free)
-	if fresh > a.maxPages-len(a.pages) {
+	if fresh > a.maxPages-a.carved {
 		a.allocs++
 		return nil, a.outOfMemory()
 	}
@@ -183,11 +187,10 @@ func (a *Arena) reuse() *Page {
 func (a *Arena) grow(n int) []Page {
 	slab := make([]Page, n) //kite:alloc-ok arena growth on free-list miss; pages recycle
 	for i := range slab {
-		p := &slab[i]
-		p.ID = PageID(len(a.pages) + 1)
-		p.arena = a
-		a.pages = append(a.pages, p) //kite:alloc-ok arena growth on free-list miss
+		slab[i] = Page{arena: a, ID: PageID(a.carved + 1 + i)}
 	}
+	a.carved += n
+	a.slabs = append(a.slabs, slab) //kite:alloc-ok one entry per slab
 	return slab
 }
 
@@ -212,13 +215,16 @@ func (a *Arena) Free(p *Page) {
 	a.free = append(a.free, p)
 }
 
-// Lookup returns the live page with the given ID, or nil.
+// Lookup returns the live page with the given ID, or nil. It walks the
+// slabs; it is for tests and diagnostics.
 func (a *Arena) Lookup(id PageID) *Page {
-	if id == 0 || id > PageID(len(a.pages)) {
-		return nil
-	}
-	if p := a.pages[id-1]; !p.freed {
-		return p
+	for _, slab := range a.slabs {
+		if i := int(id) - int(slab[0].ID); i >= 0 && i < len(slab) {
+			if p := &slab[i]; !p.freed {
+				return p
+			}
+			return nil
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -554,4 +555,50 @@ func TestPageHeaderSize(t *testing.T) {
 	if got := unsafe.Sizeof(Page{}); got != 24 {
 		t.Fatalf("sizeof(Page) = %d, want 24", got)
 	}
+}
+
+// TestCarvingCostsHeadersOnly: the arena keeps what it carves as slabs, so
+// carving N pages costs the N 24 B headers plus a bounded amount per slab,
+// not a pointer per page beside each header. Eight AllocNs of 512 pages
+// carve eight 12 KiB slabs, each with its allocation header and size-class
+// rounding (13,568 B a slab), and a slab list of eight entries; a per-page
+// index would add 32 KiB and its append ladder's copies on top. The heap
+// profile attributes each allocation to the function that made it, so the
+// []*Page each AllocN hands its caller is not counted.
+func TestCarvingCostsHeadersOnly(t *testing.T) {
+	const slabs, per = 8, 512
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	a := NewArena("d0", slabs*per*PageSize)
+	before := growBytes()
+	for range slabs {
+		if _, err := a.AllocN(per); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := growBytes() - before
+	headers := int64(slabs * per * unsafe.Sizeof(Page{}))
+	if perSlab := int64(2 << 10); got < headers || got > headers+slabs*perSlab {
+		t.Fatalf("carving %d pages allocated %d B, want their %d B of headers plus at most %d B a slab", slabs*per, got, headers, perSlab)
+	}
+	if a.InUse() != slabs*per || a.Lookup(slabs*per) == nil || a.Lookup(slabs*per+1) != nil {
+		t.Fatalf("InUse %d, Lookup of the last page %v, want %d and found", a.InUse(), a.Lookup(slabs*per), slabs*per)
+	}
+}
+
+// growBytes returns the bytes the heap profile records as allocated by
+// Arena.grow itself. A record is published a cycle after its allocation,
+// so two collections run first.
+func growBytes() (total int64) {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	for i := range recs[:n] {
+		if fr, _ := runtime.CallersFrames(recs[i].Stack()).Next(); fr.Function == "kite/internal/mem.(*Arena).grow" {
+			total += recs[i].AllocBytes
+		}
+	}
+	return total
 }

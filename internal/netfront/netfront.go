@@ -61,22 +61,6 @@ type Stats struct {
 	RxErrors uint64
 }
 
-// txSlot is a persistently granted Tx page, reused across frames. data
-// aliases the page's bytes, filled by the slot's first send (which first
-// touches the page); an array pointer keeps the slot at 24 B, and every
-// tenant holds 256.
-type txSlot struct {
-	data     *[mem.PageSize]byte
-	page     *mem.Page
-	ref      xen.GrantRef
-	inFlight bool
-}
-
-type rxBuf struct {
-	page *mem.Page
-	ref  xen.GrantRef
-}
-
 // queue is one Tx/Rx ring pair and its state (Linux's struct
 // netfront_queue).
 type queue struct {
@@ -87,13 +71,19 @@ type queue struct {
 	rx   *netif.RxRing
 	port xen.Port
 
-	// txSlots[1..RingSize] are the Tx pages granted at connect.
-	txSlots [netif.RingSize + 1]txSlot
-	txFree  []uint16
+	// txRefs[id] (id 1..RingSize) and rxRefs[id] are the Tx and Rx pages
+	// granted at connect, reused for as long as the backend lasts. A slot
+	// is its grant ref and nothing else: the page and its bytes are the
+	// guest's own grant entry's (xen.Domain.GrantedBytes), and every
+	// tenant holds 512 slots. txBusy has bit id set while Tx request id is
+	// in flight.
+	txRefs [netif.RingSize + 1]xen.GrantRef
+	txBusy [netif.RingSize/64 + 1]uint64
+	txFree []uint16
+	rxRefs [netif.RingSize]xen.GrantRef
 	// txBacklog is the per-queue qdisc while the ring is full; reapTx
 	// drains it. Each entry holds one buffer reference.
 	txBacklog sim.FIFO[*framepool.Buf]
-	rxBufs    [netif.RingSize]rxBuf
 
 	// landF is the cached cross-shard qdisc hand-off target (land).
 	landF func(any)
@@ -253,7 +243,7 @@ func (h *hooks) Connect() {
 	for _, q := range d.queues {
 		q.preallocTx()
 		for i, page := range d.allocPages(netif.RingSize) {
-			q.rxBufs[i] = rxBuf{page: page, ref: d.Dom.GrantAccess(d.BackDom, page, false)}
+			q.rxRefs[i] = d.Dom.GrantAccess(d.BackDom, page, false)
 		}
 	}
 	for _, q := range d.queues {
@@ -283,17 +273,17 @@ func (h *hooks) Lost() {
 // Release ends every Tx and Rx grant, and drops what is still handed off
 // to a queue; a live backend's rings still name a connected vif's pages.
 func (h *hooks) Release(live bool) bool {
-	if live && len(h.queues) > 0 && h.queues[0].rxBufs[0].page != nil {
+	if live && len(h.queues) > 0 && h.queues[0].rxRefs[0] != 0 {
 		return false
 	}
 	for _, q := range h.queues {
 		q.gone = true
 		q.dropPending()
-		for id := 1; id <= netif.RingSize; id++ {
-			h.EndGrant(q.txSlots[id].ref, q.txSlots[id].page)
+		for _, ref := range q.txRefs[1:] {
+			h.EndGrant(ref)
 		}
-		for _, b := range q.rxBufs {
-			h.EndGrant(b.ref, b.page)
+		for _, ref := range q.rxRefs {
+			h.EndGrant(ref)
 		}
 	}
 	h.queues, h.rss = nil, nil
@@ -306,7 +296,7 @@ func (q *queue) postInitialRx() {
 		return // released within the hand-off
 	}
 	for i := 0; i < netif.RingSize; i++ {
-		if !q.rx.PushRequest(netif.RxRequest{ID: uint16(i), Ref: q.rxBufs[i].ref}) {
+		if !q.rx.PushRequest(netif.RxRequest{ID: uint16(i), Ref: q.rxRefs[i]}) {
 			panic("netfront: fresh rx ring full")
 		}
 	}
@@ -331,7 +321,7 @@ func (q *queue) preallocTx() {
 	q.txFree = make([]uint16, 0, netif.RingSize)
 	for i, page := range d.allocPages(netif.RingSize) {
 		id := netif.RingSize - i
-		q.txSlots[id] = txSlot{page: page, ref: d.Dom.GrantAccess(d.BackDom, page, true)}
+		q.txRefs[id] = d.Dom.GrantAccess(d.BackDom, page, true)
 		q.txFree = append(q.txFree, uint16(id))
 	}
 }
@@ -464,37 +454,31 @@ func (q *queue) enqueue(frame *framepool.Buf) bool {
 	return true
 }
 
-// pushTx copies a frame into a Tx slot and pushes its request, consuming
-// the reference; the caller batches the notify check.
+// pushTx copies a frame into a free Tx slot's page and pushes its request,
+// consuming the reference; the caller batches the notify check. The grant
+// is gone only once the guest's own domain is (work it scheduled before
+// its death still runs): the frame is then dropped.
 func (q *queue) pushTx(frame *framepool.Buf) bool {
-	slot, id, ok := q.allocTxSlot()
-	if !ok {
+	n := len(q.txFree)
+	var data *[mem.PageSize]byte
+	if n > 0 {
+		data = q.d.Dom.GrantedBytes(q.txRefs[q.txFree[n-1]])
+	}
+	if data == nil {
 		q.stats.TxErrors++
 		frame.Release()
 		return false
 	}
-	n := frame.Len() // at most mem.PageSize: enqueue checked
-	if slot.data == nil {
-		slot.data = (*[mem.PageSize]byte)(slot.page.Bytes())
-	}
-	copy(slot.data[:], frame.Bytes())
-	slot.inFlight = true
-	frame.Release()
-	q.tx.PushRequest(netif.TxRequest{ID: id, Ref: slot.ref, Offset: 0, Len: uint16(n)})
-	q.stats.TxFrames++
-	q.stats.TxBytes += uint64(n)
-	return true
-}
-
-// allocTxSlot pops a free persistent Tx slot (preallocated at connect).
-func (q *queue) allocTxSlot() (*txSlot, uint16, bool) {
-	n := len(q.txFree)
-	if n == 0 {
-		return nil, 0, false
-	}
 	id := q.txFree[n-1]
 	q.txFree = q.txFree[:n-1]
-	return &q.txSlots[id], id, true
+	size := frame.Len() // at most mem.PageSize: enqueue checked
+	copy(data[:], frame.Bytes())
+	q.txBusy[id/64] |= 1 << (id % 64)
+	frame.Release()
+	q.tx.PushRequest(netif.TxRequest{ID: id, Ref: q.txRefs[id], Offset: 0, Len: uint16(size)})
+	q.stats.TxFrames++
+	q.stats.TxBytes += uint64(size)
+	return true
 }
 
 // onEvent is the queue's interrupt handler.
@@ -518,12 +502,13 @@ func (q *queue) reapTx() {
 		if rsp.ID == 0 || int(rsp.ID) > netif.RingSize {
 			continue // backend answered an unknown id; ignore
 		}
-		slot := &q.txSlots[rsp.ID]
-		if !slot.inFlight {
+		busy := &q.txBusy[rsp.ID/64]
+		bit := uint64(1) << (rsp.ID % 64)
+		if *busy&bit == 0 {
 			continue
 		}
 		// The slot's page and grant persist; only the id is recycled.
-		slot.inFlight = false
+		*busy &^= bit
 		q.txFree = append(q.txFree, rsp.ID)
 		if rsp.Status != netif.StatusOK {
 			q.stats.TxErrors++
@@ -542,7 +527,7 @@ func (q *queue) reapRx() {
 			}
 			break
 		}
-		buf := q.rxBufs[rsp.ID%netif.RingSize]
+		ref := q.rxRefs[rsp.ID%netif.RingSize]
 		// The backend is untrusted: bound its offset and length in int,
 		// where Offset+Len cannot wrap as it would in 16 bits.
 		off, n := int(rsp.Offset), int(rsp.Len)
@@ -553,7 +538,8 @@ func (q *queue) reapRx() {
 			q.stats.RxBytes += uint64(n)
 			if d.recv != nil {
 				b := d.pool.Get()
-				copy(b.Extend(n), buf.page.Bytes()[off:off+n])
+				// The grant lives as long as the queue's port does.
+				copy(b.Extend(n), d.Dom.GrantedBytes(ref)[off:off+n])
 				if q.eng != d.eng {
 					// Deliver to the stack's shard (softirq dispatch).
 					q.eng.Post(d.eng, shardHandoff, sim.PriData, d.recvF, b)
@@ -563,7 +549,7 @@ func (q *queue) reapRx() {
 			}
 		}
 		// Recycle the same granted page (Linux netfront's page reuse).
-		if d.Ready() && q.rx.PushRequest(netif.RxRequest{ID: rsp.ID, Ref: buf.ref}) {
+		if d.Ready() && q.rx.PushRequest(netif.RxRequest{ID: rsp.ID, Ref: ref}) {
 			posted++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"kite/internal/framepool"
 	"kite/internal/netif"
@@ -355,4 +356,14 @@ func TestBacklogAndBackendGoneLeakNothing(t *testing.T) {
 		}
 	}
 	r.noLeak()
+}
+
+// TestQueueSize: every fleet tenant holds one queue, so a ring slot is its
+// grant ref (the page and its bytes are the guest's grant entry's) and a
+// Tx slot's in-flight flag is one bit: 2,312 B, in the allocator's 2,688 B
+// size class. A field per slot shows in every tenant's heap.
+func TestQueueSize(t *testing.T) {
+	if got := unsafe.Sizeof(queue{}); got != 2312 {
+		t.Fatalf("sizeof(queue) = %d, want 2312", got)
+	}
 }

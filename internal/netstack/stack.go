@@ -235,9 +235,6 @@ func (s *Stack) Pool() *framepool.Pool { return s.pool }
 // Stats returns a snapshot of the counters.
 func (s *Stack) Stats() Stats { return s.stats }
 
-// SeedARP pre-populates the ARP table (static neighbour entry).
-func (s *Stack) SeedARP(ip netpkt.IP, mac netpkt.MAC) { s.arp[ip] = mac }
-
 func (s *Stack) dataCost(n int) sim.Time {
 	// A few percent of per-packet jitter (cache/TLB luck) so repeated runs
 	// under different seeds show the small RSDs of Table 4.

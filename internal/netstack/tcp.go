@@ -75,33 +75,16 @@ type Conn struct {
 	retransmits uint64
 	fastRetrans uint64
 	rtoRetrans  uint64
-	bytesSent   uint64
-	bytesRecv   uint64
 }
-
-// RemoteIP returns the peer address.
-func (c *Conn) RemoteIP() netpkt.IP { return c.key.remote }
-
-// LocalPort returns the local port.
-func (c *Conn) LocalPort() uint16 { return c.key.localPort }
 
 // Retransmits returns how many go-back-N recoveries the sender performed.
 func (c *Conn) Retransmits() uint64 { return c.retransmits }
-
-// BytesSent returns payload bytes accepted from the application.
-func (c *Conn) BytesSent() uint64 { return c.bytesSent }
-
-// BytesReceived returns payload bytes delivered to the application.
-func (c *Conn) BytesReceived() uint64 { return c.bytesRecv }
 
 // OnData installs the receive callback.
 func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
 
 // OnClose installs the close/error callback (fires once).
 func (c *Conn) OnClose(fn func(err error)) { c.onClose = fn }
-
-// Established reports whether the connection is open for data.
-func (c *Conn) Established() bool { return c.state == stateEstablished }
 
 func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
 func seqLE(a, b uint32) bool { return int32(a-b) <= 0 }
@@ -145,7 +128,6 @@ func (c *Conn) Send(data []byte) {
 	s := c.stack
 	s.cpus.Charge(s.costs.Syscall + sim.Time(len(data))*s.costs.PerKB/1024)
 	c.sendQ = append(c.sendQ, data...)
-	c.bytesSent += uint64(len(data))
 	c.pump()
 }
 
@@ -440,7 +422,6 @@ func (c *Conn) handleSegment(t *netpkt.TCPHeader, payload []byte) {
 		switch {
 		case t.Seq == c.rcvNxt:
 			c.rcvNxt += uint32(len(payload))
-			c.bytesRecv += uint64(len(payload))
 			s.cpus.Charge(s.costs.Syscall + sim.Time(len(payload))*s.costs.PerKB/1024)
 			if c.onData != nil {
 				c.onData(payload)
@@ -552,30 +533,6 @@ func (c *Conn) teardown(err error) {
 		c.dialCB = nil
 		cb(nil, err)
 	}
-}
-
-// DebugConns renders each live connection's sender/receiver state; used
-// by tests to diagnose stalls.
-func (s *Stack) DebugConns() []string {
-	var out []string
-	for k, c := range s.conns { //kite:orderok diagnostic dump for a failing test; line order is not compared
-		out = append(out, fmt.Sprintf(
-			"%s: lport=%d rport=%d state=%d inflight=%d sendQ=%d finQ=%v finSent=%v finAcked=%v peerFin=%v rto=%v retrans=%d",
-			k.remote, k.localPort, k.remotePort, c.state,
-			int(c.sndNxt-c.sndUna), len(c.sendQ), c.finQueued, c.finSent,
-			c.finAcked, c.peerFin, c.rtoArmed, c.retransmits))
-	}
-	return out
-}
-
-// TotalRetransmits sums retransmissions across live connections (stale
-// closed connections are not counted).
-func (s *Stack) TotalRetransmits() uint64 {
-	var total uint64
-	for _, c := range s.conns { //kite:orderok sum
-		total += c.retransmits
-	}
-	return total
 }
 
 // RetransBreakdown returns (fast, rto) retransmission counts.

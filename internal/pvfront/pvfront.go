@@ -15,7 +15,6 @@ package pvfront
 import (
 	"fmt"
 
-	"kite/internal/mem"
 	"kite/internal/pvback"
 	"kite/internal/sim"
 	"kite/internal/xen"
@@ -197,10 +196,10 @@ func (d *Device) release() {
 	}
 }
 
-// EndGrant ends a grant and frees its page (nil: never granted), once the
+// EndGrant ends a grant and frees its page (0: never granted), once the
 // backend is Closed (it unmapped first) or dead (its mappings died too).
-func (d *Device) EndGrant(ref xen.GrantRef, page *mem.Page) {
-	if page != nil && d.Dom.EndAccess(ref) == nil {
+func (d *Device) EndGrant(ref xen.GrantRef) {
+	if page := d.Dom.GrantedPage(ref); page != nil && d.Dom.EndAccess(ref) == nil {
 		d.Dom.Arena.Free(page)
 	}
 }

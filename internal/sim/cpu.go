@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // CPU models one virtual CPU of a simulated machine or Xen domain. Work is
 // charged to a CPU with Charge; concurrent charges serialize behind each
@@ -9,7 +12,8 @@ import "fmt"
 // utilization over a measurement interval (Figure 10b).
 type CPU struct {
 	eng  *Engine
-	name string
+	name string // a pool CPU's is the pool's prefix: see Name
+	idx  int32  // index in its pool; -1 outside one
 
 	busyUntil Time // when currently queued work finishes
 	busyTotal Time // lifetime busy nanoseconds
@@ -20,11 +24,19 @@ type CPU struct {
 
 // NewCPU returns a CPU attached to eng. The name appears in diagnostics.
 func NewCPU(eng *Engine, name string) *CPU {
-	return &CPU{eng: eng, name: name, windowStart: eng.Now()}
+	return &CPU{eng: eng, name: name, idx: -1, windowStart: eng.Now()}
 }
 
-// Name returns the identifier given at construction.
-func (c *CPU) Name() string { return c.name }
+// Name returns the identifier given at construction; a pool's CPU i is
+// named prefix/i, made when asked, so a pool keeps no string per CPU.
+//
+//kite:coldpath diagnostics only: names the CPU in a panic or a report
+func (c *CPU) Name() string {
+	if c.idx < 0 {
+		return c.name
+	}
+	return c.name + "/" + strconv.Itoa(int(c.idx))
+}
 
 // Engine returns the engine this CPU is attached to.
 func (c *CPU) Engine() *Engine { return c.eng }
@@ -60,7 +72,7 @@ func (c *CPU) Charge(cost Time) Time {
 // executing event's timestamp.
 func (c *CPU) ChargeAt(at, cost Time) Time {
 	if cost < 0 {
-		panic(fmt.Sprintf("sim: negative cpu cost %v on %s", cost, c.name))
+		panic(fmt.Sprintf("sim: negative cpu cost %v on %s", cost, c.Name()))
 	}
 	start := c.eng.Now()
 	if at > start {
@@ -129,9 +141,9 @@ func NewCPUPool(eng *Engine, prefix string, n int) *CPUPool {
 	if n <= 0 {
 		panic("sim: CPU pool needs at least one CPU")
 	}
-	p := &CPUPool{lastCharge: -1 << 60} // sentinel: never charged
-	for i := 0; i < n; i++ {
-		p.cpus = append(p.cpus, NewCPU(eng, fmt.Sprintf("%s/%d", prefix, i)))
+	p := &CPUPool{cpus: make([]*CPU, n), lastCharge: -1 << 60} // sentinel: never charged
+	for i := range p.cpus {
+		p.cpus[i] = &CPU{eng: eng, name: prefix, idx: int32(i), windowStart: eng.Now()}
 	}
 	return p
 }

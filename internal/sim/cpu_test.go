@@ -50,6 +50,25 @@ func TestCPUNegativeChargePanics(t *testing.T) {
 	c.Charge(-1)
 }
 
+// TestCPUNames: a pool's CPU i is named prefix/i, in its name and in the
+// negative-charge panic, as a standalone CPU keeps the name it was given.
+func TestCPUNames(t *testing.T) {
+	e := NewEngine()
+	p := NewCPUPool(e, "ubuntu-guest-7", 23)
+	if got := p.CPU(12).Name(); got != "ubuntu-guest-7/12" {
+		t.Fatalf("pool CPU 12 named %q", got)
+	}
+	if got := NewCPU(e, "nic").Name(); got != "nic" {
+		t.Fatalf("standalone CPU named %q", got)
+	}
+	defer func() {
+		if r := recover(); r != "sim: negative cpu cost -1ns on ubuntu-guest-7/0" {
+			t.Fatalf("negative charge panicked with %q", r)
+		}
+	}()
+	p.CPU(0).Charge(-1)
+}
+
 func TestCPUExecRunsAtCompletion(t *testing.T) {
 	e := NewEngine()
 	c := NewCPU(e, "test")

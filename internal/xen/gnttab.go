@@ -32,6 +32,37 @@ type grantEntry struct {
 	live     bool // false in never-issued and revoked slots
 }
 
+// bytes returns the granted page's bytes through data, filling it at the
+// first call (the page's first touch, if nobody touched it before).
+func (g *grantEntry) bytes() *[mem.PageSize]byte {
+	if g.data == nil {
+		g.data = (*[mem.PageSize]byte)(g.page.Bytes())
+	}
+	return g.data
+}
+
+// GrantedBytes returns the bytes of the page behind d's own live grant
+// ref, nil if ref is not live. A frontend keeps only the refs of its
+// persistently granted buffers and reaches their bytes through here: one
+// entry serves both the frontend and the backend's copies.
+//
+//kite:hotpath
+func (d *Domain) GrantedBytes(ref GrantRef) *[mem.PageSize]byte {
+	if g := d.grant(ref); g != nil {
+		return g.bytes()
+	}
+	return nil
+}
+
+// GrantedPage returns the page behind d's own live grant ref, nil if ref
+// is not live.
+func (d *Domain) GrantedPage(ref GrantRef) *mem.Page {
+	if g := d.grant(ref); g != nil {
+		return g.page
+	}
+	return nil
+}
+
 // GrantAccess publishes page to remote. Writing one's own grant table is
 // not a hypercall, so no cost is charged here.
 func (d *Domain) GrantAccess(remote DomID, page *mem.Page, readonly bool) GrantRef {
@@ -311,8 +342,5 @@ func (hv *Hypervisor) resolveCopyPtr(caller *Domain, p CopyPtr, write bool) ([]b
 	if write && g.readonly {
 		return nil, fmt.Errorf("write through read-only grant %d of domain %d", p.Ref, p.Dom)
 	}
-	if g.data == nil {
-		g.data = (*[mem.PageSize]byte)(g.page.Bytes())
-	}
-	return g.data[:], nil
+	return g.bytes()[:], nil
 }

@@ -277,9 +277,6 @@ func (d *Domain) setPort(p Port, ch *channel) {
 // Hypervisor returns the owning hypervisor.
 func (d *Domain) Hypervisor() *Hypervisor { return d.hv }
 
-// Dead reports whether the domain has been destroyed.
-func (d *Domain) Dead() bool { return d.dead }
-
 // charge bills a hypercall of the given cost to one of the domain's vCPUs
 // and returns completion time.
 func (d *Domain) charge(cost sim.Time) sim.Time {

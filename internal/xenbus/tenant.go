@@ -12,12 +12,6 @@ func TenantPath(backDom, frontDom DomID) string {
 	return fmt.Sprintf("/local/domain/%d/%s/%d", backDom, xenstore.KeyTenantRoot, frontDom)
 }
 
-// TenantRoot returns the directory holding every tenant subtree of a
-// driver domain.
-func TenantRoot(backDom DomID) string {
-	return fmt.Sprintf("/local/domain/%d/%s", backDom, xenstore.KeyTenantRoot)
-}
-
 // Tenant is the control-plane view of one guest a driver domain serves:
 // how many VIF and VBD instances are live, and which fleet service lane
 // carries its traffic (-1 when unassigned — dedicated-worker mode).

@@ -247,7 +247,8 @@ func (h *watchHarness) run(prog []byte) {
 }
 
 // countWatches walks the whole index, checking that no empty leaf survived
-// pruning and that every watch sits on the node it names.
+// pruning, that children are held in strict name order and that every
+// watch sits on the node it names.
 func countWatches(n *watchNode, t *testing.T) int {
 	total := len(n.watches)
 	for _, w := range n.watches {
@@ -255,12 +256,15 @@ func countWatches(n *watchNode, t *testing.T) int {
 			t.Fatalf("watch on %s filed under node %q (dead=%v)", w.path, n.name, w.dead)
 		}
 	}
-	for name, c := range n.children { // order-insensitive count
-		if c.parent != n || c.name != name {
-			t.Fatalf("index node %q mis-linked", name)
+	for i, c := range n.children {
+		if c.parent != n {
+			t.Fatalf("index node %q mis-linked", c.name)
+		}
+		if i > 0 && n.children[i-1].name >= c.name {
+			t.Fatalf("index children %q, %q out of name order", n.children[i-1].name, c.name)
 		}
 		if len(c.watches) == 0 && len(c.children) == 0 {
-			t.Fatalf("empty index node %q not pruned", name)
+			t.Fatalf("empty index node %q not pruned", c.name)
 		}
 		total += countWatches(c, t)
 	}

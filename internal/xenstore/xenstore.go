@@ -16,7 +16,7 @@ package xenstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -26,14 +26,18 @@ import (
 // DomID mirrors xen.DomID without importing it (xenstore is lower-level).
 type DomID uint16
 
+// node is one path segment of the data tree. Children are held sorted by
+// name: a store holds one small directory per device key, and a slice
+// costs a pointer a child where a map costs a table per directory.
 type node struct {
-	children map[string]*node
+	name     string
+	children []*node
 	value    string
-	hasValue bool
 	version  uint64
-	owner    DomID
-	hasPerms bool           // SetPerms was called on this node
 	readers  map[DomID]bool // nil means world-readable
+	owner    DomID
+	hasValue bool
+	hasPerms bool // SetPerms was called on this node
 }
 
 // Watch is a registered watch; the callback receives the path that changed
@@ -47,17 +51,26 @@ type Watch struct {
 	seq     uint64     // registration sequence number: the fire order
 	dead    bool
 	pending int
-	fires   uint64
 }
 
 // watchNode is one path segment of the watch index. The index is a trie of
 // its own rather than a field of the data nodes, so a watch on a path that
 // does not exist yet — or whose node is removed — stays registered.
+// Children are held sorted by name, as the data tree's are.
 type watchNode struct {
 	parent   *watchNode
 	name     string
-	children map[string]*watchNode
+	children []*watchNode
 	watches  []*Watch // registered exactly here, in registration order
+}
+
+func (n *node) key() string      { return n.name }
+func (n *watchNode) key() string { return n.name }
+
+// child finds name among kids, sorted by name: its index if found, else
+// where it would go.
+func child[T interface{ key() string }](kids []T, name string) (int, bool) {
+	return slices.BinarySearchFunc(kids, name, func(k T, name string) int { return strings.Compare(k.key(), name) })
 }
 
 // Store is the xenstored database.
@@ -132,9 +145,11 @@ func normalize(path string) string {
 func (s *Store) lookup(path string) *node {
 	n := s.root
 	for seg, rest := nextSeg(path); seg != ""; seg, rest = nextSeg(rest) {
-		if n = n.children[seg]; n == nil {
+		i, ok := child(n.children, seg)
+		if !ok {
 			return nil
 		}
+		n = n.children[i]
 	}
 	return n
 }
@@ -142,15 +157,11 @@ func (s *Store) lookup(path string) *node {
 func (s *Store) ensure(path string) *node {
 	n := s.root
 	for seg, rest := nextSeg(path); seg != ""; seg, rest = nextSeg(rest) {
-		child := n.children[seg]
-		if child == nil {
-			if n.children == nil {
-				n.children = make(map[string]*node)
-			}
-			child = &node{}
-			n.children[seg] = child
+		i, ok := child(n.children, seg)
+		if !ok {
+			n.children = slices.Insert(n.children, i, &node{name: seg})
 		}
-		n = child
+		n = n.children[i]
 	}
 	return n
 }
@@ -207,19 +218,19 @@ func (s *Store) Exists(path string) bool { return s.lookup(path) != nil }
 func (s *Store) Remove(path string) error {
 	s.ops++
 	var parent *node
-	var leaf string
+	var at int
 	n := s.root
 	for seg, rest := nextSeg(path); seg != ""; seg, rest = nextSeg(rest) {
-		child := n.children[seg]
-		if child == nil {
+		i, ok := child(n.children, seg)
+		if !ok {
 			return fmt.Errorf("xenstore: remove of missing path %s", path)
 		}
-		parent, n, leaf = n, child, seg
+		parent, n, at = n, n.children[i], i
 	}
 	if parent == nil {
 		return fmt.Errorf("xenstore: refusing to remove root")
 	}
-	delete(parent.children, leaf)
+	parent.children = slices.Delete(parent.children, at, at+1)
 	s.version++
 	s.fireWatches(normalize(path))
 	return nil
@@ -232,11 +243,10 @@ func (s *Store) List(path string) []string {
 	if n == nil {
 		return nil
 	}
-	out := make([]string, 0, len(n.children))
-	for name := range n.children { //kite:orderok names are sorted before return
-		out = append(out, name)
+	out := make([]string, len(n.children))
+	for i, c := range n.children {
+		out[i] = c.name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -245,15 +255,11 @@ func (s *Store) List(path string) []string {
 func (s *Store) Watch(path, token string, fn func(path, token string)) *Watch {
 	at := &s.watchRoot
 	for seg, rest := nextSeg(path); seg != ""; seg, rest = nextSeg(rest) {
-		child := at.children[seg]
-		if child == nil {
-			if at.children == nil {
-				at.children = make(map[string]*watchNode)
-			}
-			child = &watchNode{parent: at, name: seg}
-			at.children[seg] = child
+		i, ok := child(at.children, seg)
+		if !ok {
+			at.children = slices.Insert(at.children, i, &watchNode{parent: at, name: seg})
 		}
-		at = child
+		at = at.children[i]
 	}
 	s.watchSeq++
 	w := &Watch{path: normalize(path), token: token, fn: fn, store: s, at: at, seq: s.watchSeq}
@@ -284,13 +290,12 @@ func (s *Store) Unwatch(w *Watch) {
 		}
 	}
 	for at.parent != nil && len(at.watches) == 0 && len(at.children) == 0 {
-		delete(at.parent.children, at.name)
-		at = at.parent
+		up := at.parent
+		i, _ := child(up.children, at.name)
+		up.children = slices.Delete(up.children, i, i+1)
+		at = up
 	}
 }
-
-// Fires returns how many times the watch callback actually ran.
-func (w *Watch) Fires() uint64 { return w.fires }
 
 // fireWatches fires every watch at, above or below the changed path, in
 // registration order. Cost is O(depth + hits): the descent collects the
@@ -308,9 +313,11 @@ func (s *Store) fireWatches(changed string) {
 			hits = s.collectBelow(at, hits)
 			break
 		}
-		if at = at.children[seg]; at == nil {
+		i, ok := child(at.children, seg)
+		if !ok {
 			break
 		}
+		at = at.children[i]
 	}
 	// Insertion sort: each node's watches are already in order and hits are
 	// few, so this is near-linear and allocates nothing.
@@ -331,10 +338,10 @@ func (s *Store) fireWatches(changed string) {
 
 // collectBelow appends every watch registered strictly beneath at.
 func (s *Store) collectBelow(at *watchNode, hits []*Watch) []*Watch {
-	for _, child := range at.children { //kite:orderok fireWatches sorts the hits by registration seq before firing
+	for _, c := range at.children {
 		s.trieVisits++
-		hits = append(hits, child.watches...)
-		hits = s.collectBelow(child, hits)
+		hits = append(hits, c.watches...)
+		hits = s.collectBelow(c, hits)
 	}
 	return hits
 }
@@ -346,7 +353,6 @@ func (s *Store) fire(w *Watch, path string) {
 		if w.dead {
 			return
 		}
-		w.fires++
 		w.fn(path, w.token)
 	})
 }
@@ -417,10 +423,11 @@ func (s *Store) permsFor(path string) (DomID, map[DomID]bool) {
 	var owner DomID
 	var readers map[DomID]bool
 	for seg, rest := nextSeg(path); seg != ""; seg, rest = nextSeg(rest) {
-		n = n.children[seg]
-		if n == nil {
+		i, ok := child(n.children, seg)
+		if !ok {
 			break
 		}
+		n = n.children[i]
 		if n.hasPerms {
 			owner = n.owner
 			readers = n.readers
