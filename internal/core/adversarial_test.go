@@ -7,6 +7,7 @@ import (
 	"kite/internal/blkif"
 	"kite/internal/mem"
 	"kite/internal/netif"
+	"kite/internal/netpkt"
 	"kite/internal/sim"
 	"kite/internal/xen"
 	"kite/internal/xenbus"
@@ -268,7 +269,7 @@ func FuzzBlkbackRequest(f *testing.F) {
 }
 
 // TestNetbackSurvivesHostileTxRequests drives bogus netif Tx descriptors
-// (bad grants, oversized lengths) into a VIF and verifies the pusher
+// (bad grants, oversized lengths, runts) into a VIF and verifies the pusher
 // thread keeps serving the honest guest.
 func TestNetbackSurvivesHostileTxRequests(t *testing.T) {
 	tb := NewTestbed(32)
@@ -309,7 +310,9 @@ func TestNetbackSurvivesHostileTxRequests(t *testing.T) {
 	// Bad grant ref and oversized length; then, through a real grant, the
 	// widest length the 16-bit field holds, alone and with an offset that
 	// wraps Offset+Len to 0 in 16 bits — a bound computed there would pass
-	// it and stage a 64 KiB copy into a 4 KiB frame buffer.
+	// it and stage a 64 KiB copy into a 4 KiB frame buffer; last, runts
+	// shorter than an Ethernet header, which netback refuses rather than
+	// hand the bridge to drop.
 	page := evil.Arena.MustAlloc()
 	ref := evil.GrantAccess(nd.Dom.ID, page, true)
 	hostile := []netif.TxRequest{
@@ -317,28 +320,33 @@ func TestNetbackSurvivesHostileTxRequests(t *testing.T) {
 		{ID: 2, Ref: 0xbad, Offset: 4000, Len: 5000},
 		{ID: 3, Ref: ref, Offset: 0, Len: 0xffff},
 		{ID: 4, Ref: ref, Offset: 1, Len: 0xffff},
+		{ID: 5, Ref: ref, Offset: 0, Len: 0},
+		{ID: 6, Ref: ref, Offset: 0, Len: netpkt.EthHeaderLen - 1},
 	}
-	for _, req := range hostile {
-		tx.PushRequest(req)
-	}
-	if tx.PushRequestsAndCheckNotify() {
-		evil.Notify(port)
-	}
+	// Each request is a batch of its own, so none is refused for sharing a
+	// batch with a bad one.
+	dropped := nd.Bridge.Stats().Dropped
 	answered := 0
-	if !tb.System.RunReady(func() bool {
-		for {
-			rsp, ok := tx.TakeResponse()
-			if !ok {
-				break
-			}
-			if rsp.Status == netif.StatusOK {
-				t.Fatalf("hostile tx request %d succeeded", rsp.ID)
-			}
-			answered++
+	for i, req := range hostile {
+		tx.PushRequest(req)
+		if tx.PushRequestsAndCheckNotify() {
+			evil.Notify(port)
 		}
-		return answered >= len(hostile)
-	}, 1_000_000) {
-		t.Fatalf("netback answered only %d of %d hostile requests", answered, len(hostile))
+		if !tb.System.RunReady(func() bool {
+			for {
+				rsp, ok := tx.TakeResponse()
+				if !ok {
+					break
+				}
+				if rsp.Status == netif.StatusOK {
+					t.Fatalf("hostile tx request %d succeeded", rsp.ID)
+				}
+				answered++
+			}
+			return answered > i
+		}, 1_000_000) {
+			t.Fatalf("netback answered only %d of %d hostile requests", answered, len(hostile))
+		}
 	}
 	for _, v := range nd.Driver.VIFs() {
 		if v.FrontDom() == evil.ID {
@@ -361,6 +369,9 @@ func TestNetbackSurvivesHostileTxRequests(t *testing.T) {
 	// so the broadcast ARP flooded to its vif waits in the guest-bound queue
 	// until that vif is torn down.
 	tb.System.Eng.Run()
+	if n := nd.Bridge.Stats().Dropped - dropped; n != 0 {
+		t.Fatalf("the bridge dropped %d frames, want 0: a runt reached it", n)
+	}
 	for _, v := range nd.Driver.VIFs() {
 		if v.FrontDom() == evil.ID {
 			v.Shutdown()
@@ -461,10 +472,12 @@ func TestNetfrontSurvivesHostileRxResponses(t *testing.T) {
 // granted to another domain, revoked) in the low two bits, the request id
 // in the next five (so ids repeat) and, in the top bit, a kick that lets
 // the backend answer what is pushed so far (otherwise requests share a
-// batch with what follows); then Offset and Len, each the full 16 bits. netback must not panic, must
-// answer every request exactly once, must never accept one whose ref is
-// not a live grant to it or whose bytes leave the page, must count what it
-// accepted and refused, and must leak no frame buffer once the vif goes.
+// batch with what follows); then Offset and Len, each the full 16 bits.
+// netback must not panic, must answer every request exactly once, must
+// accept exactly the legal ones — a live grant to it, bytes inside the page,
+// at least an Ethernet header long — whatever shares their batch, must count
+// what it accepted and refused, and must leak no frame buffer once the vif
+// goes.
 func FuzzNetbackTxRequest(f *testing.F) {
 	// TestNetbackSurvivesHostileTxRequests' four rows, one a request.
 	f.Add([]byte{0x05, 0x00, 0x00, 0x00, 0x64, 0x09, 0x0f, 0xa0, 0x13, 0x88, 0x0c, 0x00, 0x00, 0xff, 0xff, 0x10, 0x00, 0x01, 0xff, 0xff})
@@ -539,7 +552,7 @@ func FuzzNetbackTxRequest(f *testing.F) {
 			b := data[:5]
 			req := netif.TxRequest{Ref: refs[b[0]&3], ID: uint16(b[0] >> 2 & 31),
 				Offset: uint16(b[1])<<8 | uint16(b[2]), Len: uint16(b[3])<<8 | uint16(b[4])}
-			if b[0]&3 == 0 && int(req.Offset)+int(req.Len) <= mem.PageSize {
+			if b[0]&3 == 0 && req.Len >= netpkt.EthHeaderLen && int(req.Offset)+int(req.Len) <= mem.PageSize {
 				legal[req.ID]++
 			}
 			tx.PushRequest(req) // 32 requests never fill the 256-slot ring
@@ -553,6 +566,11 @@ func FuzzNetbackTxRequest(f *testing.F) {
 		drain()
 		if answered != sent {
 			t.Fatalf("netback answered %d times for %d requests", answered, sent)
+		}
+		for id, n := range legal {
+			if n != 0 {
+				t.Fatalf("netback refused %d legal requests under id %d", n, id)
+			}
 		}
 		if st := vif.Stats(); st.TxFrames != uint64(ok) || st.TxErrors != uint64(sent-ok) {
 			t.Fatalf("vif counted %d Tx frames and %d errors, answered %d OK of %d", st.TxFrames, st.TxErrors, ok, sent)

@@ -33,7 +33,7 @@ type FleetRig struct {
 }
 
 // fleetTenantBytes is the heap a net-only tenant is budgeted, set-up and
-// one wave: about a third above the 71 KiB a 1024-tenant fleet grows by a
+// one wave: about half again the 62 KiB a 1024-tenant fleet grows by a
 // tenant. NewFleetRig reserves this much per tenant on 2 MiB pages, and
 // TestFleetFootprint holds the fleet's growth inside the reservation.
 const fleetTenantBytes = 96 << 10

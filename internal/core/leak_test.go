@@ -20,7 +20,7 @@ import (
 // junkFrame takes a buffer from the system pool and fills it with n bytes
 // no guest stack will accept.
 func junkFrame(pool *framepool.Pool, n int) *framepool.Buf {
-	b := pool.Get()
+	b := pool.GetLen(n)
 	clear(b.Extend(n))
 	return b
 }

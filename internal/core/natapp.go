@@ -144,7 +144,7 @@ func (r *natRouter) exclusive(frame *framepool.Buf) *framepool.Buf {
 	if frame.Refs() == 1 {
 		return frame
 	}
-	cp := r.pool.Get()
+	cp := r.pool.GetLen(frame.Len())
 	copy(cp.Extend(frame.Len()), frame.Bytes())
 	frame.Release()
 	return cp
@@ -152,7 +152,7 @@ func (r *natRouter) exclusive(frame *framepool.Buf) *framepool.Buf {
 
 // arpFrame builds a pooled Ethernet+ARP frame.
 func (r *natRouter) arpFrame(a netpkt.ARP, dst, src netpkt.MAC) *framepool.Buf {
-	b := r.pool.Get()
+	b := r.pool.GetLen(netpkt.ARPLen)
 	a.MarshalInto(b.Extend(netpkt.ARPLen))
 	f := netpkt.Frame{Dst: dst, Src: src, EtherType: netpkt.EtherTypeARP}
 	f.HeaderInto(b.Prepend(netpkt.EthHeaderLen))

@@ -2,7 +2,9 @@ package framepool
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"kite/internal/sim"
 )
@@ -149,5 +151,101 @@ func TestReleaseRecyclesInPlaceAcrossShards(t *testing.T) {
 	held.Release()
 	if p.Outstanding() != 0 || p.Gets() != p.Recycled() {
 		t.Fatalf("Outstanding = %d, gets %d, recycled %d after the run", p.Outstanding(), p.Gets(), p.Recycled())
+	}
+}
+
+// The class sizes are worked out from the header's size; a field added to
+// Buf moves every class across its Go size class unless they follow.
+func TestHeaderSize(t *testing.T) {
+	if got := unsafe.Sizeof(Buf{}); got != headerSize {
+		t.Fatalf("Buf header is %d B, the classes are sized for %d B", got, headerSize)
+	}
+}
+
+// classCap is each class's capacity, smallest first.
+var classCap = [numClasses]int{SmallFrame, MTUFrame, MaxFrame}
+
+// Each class's first Get allocates exactly one object that fills its Go size
+// class: the header and bytes in one allocation, nothing rounded up past it.
+func TestClassAllocBytes(t *testing.T) {
+	const n = 256
+	for c, want := range [numClasses]uint64{384, 2304, 4864} {
+		p := New()
+		held := make([]*Buf, 0, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			held = append(held, p.GetLen(classCap[c]))
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per != want {
+			t.Errorf("class %d (capacity %d B): %d B allocated a first Get, want %d", c, classCap[c], per, want)
+		}
+		for _, b := range held {
+			b.Release()
+		}
+	}
+}
+
+// Every payload length from 0 to MaxFrame gets the smallest class that holds
+// it, and the buffer takes that payload and a full Headroom of headers.
+func TestGetLenPicksSmallestClass(t *testing.T) {
+	p := New()
+	for n := 0; n <= MaxFrame; n++ {
+		b := p.GetLen(n)
+		c := int(b.class)
+		if b.Cap() != classCap[c] || b.Cap() < n || (c > 0 && classCap[c-1] >= n) {
+			t.Fatalf("GetLen(%d) gave class %d (capacity %d B)", n, c, b.Cap())
+		}
+		b.Extend(n)
+		b.Prepend(Headroom)
+		if b.Len() != n+Headroom {
+			t.Fatalf("GetLen(%d): payload %d B after Extend and Prepend", n, b.Len())
+		}
+		b.Release()
+	}
+	if p.Outstanding() != 0 {
+		t.Fatalf("outstanding = %d, want 0", p.Outstanding())
+	}
+}
+
+// Extend past a class's capacity panics in every class.
+func TestExtendPastClassPanics(t *testing.T) {
+	p := New()
+	for _, capacity := range classCap {
+		b := p.GetLen(capacity)
+		b.Extend(capacity)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Extend one byte past a %d B class did not panic", capacity)
+				}
+			}()
+			b.Extend(1)
+		}()
+		b.Release()
+	}
+}
+
+// A buffer goes back on its own class's list: a release of one class is not
+// handed out for another.
+func TestReleaseReturnsToOwnClass(t *testing.T) {
+	p := New()
+	small := p.GetLen(64)
+	small.Release()
+	if page := p.GetLen(MaxFrame); page == small {
+		t.Fatal("a page-class Get recycled the small buffer just released")
+	} else {
+		page.Release()
+	}
+	if again := p.GetLen(SmallFrame); again != small {
+		t.Fatal("a small-class Get did not recycle the small buffer just released")
+	} else {
+		again.Release()
+	}
+	if mtu := p.GetLen(SmallFrame + 1); mtu.Cap() != MTUFrame {
+		t.Fatalf("GetLen(%d) capacity %d B, want the MTU class's %d", SmallFrame+1, mtu.Cap(), MTUFrame)
+	} else {
+		mtu.Release()
 	}
 }

@@ -42,9 +42,10 @@ var Poolref = &analysis.Analyzer{
 
 // poolGetFuncs are the acquisition points that return an owned *Buf.
 var poolGetFuncs = map[string]bool{
-	"(*kite/internal/framepool.Pool).Get":  true,
-	"(*kite/internal/framepool.Pool).From": true,
-	"(*kite/internal/blkpool.Pool).Get":    true,
+	"(*kite/internal/framepool.Pool).Get":    true,
+	"(*kite/internal/framepool.Pool).GetLen": true,
+	"(*kite/internal/framepool.Pool).From":   true,
+	"(*kite/internal/blkpool.Pool).Get":      true,
 }
 
 func runPoolref(pass *analysis.Pass) error {

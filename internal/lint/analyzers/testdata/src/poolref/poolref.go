@@ -16,6 +16,15 @@ func leakOnEarlyReturn(p *framepool.Pool, n int) {
 	b.Release()
 }
 
+// leakByLength drops a buffer taken by length when the frame is a runt.
+func leakByLength(p *framepool.Pool, n int) {
+	b := p.GetLen(n) // want `not released or handed off on every path`
+	if n < 14 {
+		return
+	}
+	b.Release()
+}
+
 // doubleRelease releases twice on the n<0 path.
 func doubleRelease(p *framepool.Pool, n int) {
 	b := p.Get()

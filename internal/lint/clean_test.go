@@ -78,7 +78,7 @@ func TestHotPathCoverage(t *testing.T) {
 		{"kite/internal/blkfront", "onEvent"},
 		{"kite/internal/blkback", "onEvent"},
 		{"kite/internal/blkback", "complete"},
-		{"kite/internal/framepool", "Get"},
+		{"kite/internal/framepool", "GetLen"},
 		{"kite/internal/framepool", "Release"},
 		{"kite/internal/blkpool", "Get"},
 		{"kite/internal/blkpool", "Release"},

@@ -70,8 +70,8 @@ var mutations = []mutation{
 
 	// poolref: a Get bound to a local that one path forgets.
 	{id: "P1-arp-early-return", edit: edit{"internal/netstack/stack.go",
-		"\ta := netpkt.ARP{Op: netpkt.ARPRequest, SenderMAC: s.ifc.MAC(), SenderIP: s.ip, TargetIP: target}\n\tb := s.pool.Get()\n",
-		"\tb := s.pool.Get()\n\tif target == s.ip {\n\t\treturn\n\t}\n\ta := netpkt.ARP{Op: netpkt.ARPRequest, SenderMAC: s.ifc.MAC(), SenderIP: s.ip, TargetIP: target}\n"},
+		"\ta := netpkt.ARP{Op: netpkt.ARPRequest, SenderMAC: s.ifc.MAC(), SenderIP: s.ip, TargetIP: target}\n\tb := s.pool.GetLen(netpkt.ARPLen)\n",
+		"\tb := s.pool.GetLen(netpkt.ARPLen)\n\tif target == s.ip {\n\t\treturn\n\t}\n\ta := netpkt.ARP{Op: netpkt.ARPRequest, SenderMAC: s.ifc.MAC(), SenderIP: s.ip, TargetIP: target}\n"},
 		fires: []string{"poolref: buffer acquired here is not released"}},
 	// A frame received as a parameter is outside what poolref tracks; the
 	// leak tests hold these three branches.
@@ -84,8 +84,8 @@ var mutations = []mutation{
 		"\tv := q.v\n\tif v.dead || v.down {\n"},
 		caught: []string{"TestRxDropBranchesReleaseFrames/down_before_the_hand-off_lands", "TestRxDropBranchesReleaseFrames/dead_before_the_hand-off_lands"}},
 	{id: "P5-leak-tx-error", edit: edit{netbackGo,
-		"\t\t\t\tif b != nil {\n\t\t\t\t\tb.Release()\n\t\t\t\t}\n",
-		""},
+		"\t\t\t\tif ops[op].Status != xen.CopyOkay {\n\t\t\t\t\tb.Release()\n",
+		"\t\t\t\tif ops[op].Status != xen.CopyOkay {\n"},
 		caught: []string{"TestNetbackSurvivesHostileTxRequests"}},
 
 	// simdet, one row per clause. D1-D4 sit in code no determinism test runs

@@ -632,19 +632,21 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 			break
 		}
 		// One batched hypervisor copy for the whole run of requests, each
-		// landing in its own pooled buffer. bufs[i] is nil for a request
-		// rejected up front: one whose bytes leave its granted page, which
-		// netif.h forbids and which also bounds it by a frame buffer. The
-		// bound is computed in int, where a hostile Offset+Len cannot wrap.
+		// landing in its own pooled buffer sized to it. bufs[i] is nil for a
+		// request refused up front, as Linux netback refuses it: one shorter
+		// than an Ethernet header, or one whose bytes leave its granted
+		// page, which netif.h forbids and which also bounds it by a frame
+		// buffer. The bound is computed in int, where a hostile Offset+Len
+		// cannot wrap.
 		ops := ds.ops[:0]
 		bufs := ds.bufs[:0]
 		for _, req := range reqs {
 			off, n := int(req.Offset), int(req.Len)
-			if off+n > mem.PageSize {
+			if n < netpkt.EthHeaderLen || off+n > mem.PageSize {
 				bufs = append(bufs, nil)
 				continue
 			}
-			b := v.pool.Get()
+			b := v.pool.GetLen(n)
 			ops = append(ops, xen.CopyOp{
 				Src: xen.CopyPtr{Dom: v.frontDom, Ref: req.Ref, Offset: off},
 				Dst: xen.CopyPtr{Data: b.Extend(n)},
@@ -652,21 +654,27 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 			})
 			bufs = append(bufs, b)
 		}
-		err := q.copyGrant(hv, ops)
+		_ = q.copyGrant(hv, ops) // every op carries its own status, read below
 		// Charge per frame so maturities spread across the haul: frame k is
 		// ready after k+1 packet costs, not when the whole batch retires.
 		// Lumping the charge would stall the bridge (and the next upcall,
-		// which waits for the vCPU to drain) behind the full haul.
+		// which waits for the vCPU to drain) behind the full haul. Each
+		// request is answered by its own op's status.
+		op := 0
 		for i, req := range reqs {
 			done := q.cpu.Charge(v.costs.PerPacketTx)
 			status := int8(netif.StatusOK)
 			b := bufs[i]
-			if b == nil || err != nil {
+			if b != nil {
+				if ops[op].Status != xen.CopyOkay {
+					b.Release()
+					b = nil
+				}
+				op++
+			}
+			if b == nil {
 				status = netif.StatusError
 				q.stats.TxErrors++
-				if b != nil {
-					b.Release()
-				}
 			} else {
 				q.stats.TxFrames++
 				q.stats.TxBytes += uint64(req.Len)

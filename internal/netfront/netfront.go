@@ -537,7 +537,7 @@ func (q *queue) reapRx() {
 			q.stats.RxFrames++
 			q.stats.RxBytes += uint64(n)
 			if d.recv != nil {
-				b := d.pool.Get()
+				b := d.pool.GetLen(n)
 				// The grant lives as long as the queue's port does.
 				copy(b.Extend(n), d.Dom.GrantedBytes(ref)[off:off+n])
 				if q.eng != d.eng {

@@ -156,7 +156,7 @@ func (r *rig) at(t sim.Time, fn func()) { r.eng.Schedule(t, fn) }
 
 // frame returns a pooled 64-byte frame whose first word is id.
 func (r *rig) frame(id uint32) *framepool.Buf {
-	b := r.pool.Get()
+	b := r.pool.GetLen(64)
 	binary.BigEndian.PutUint32(b.Extend(64), id)
 	return b
 }

@@ -312,7 +312,7 @@ func (s *Stack) sendFragment(h *netpkt.IPv4Header, dst netpkt.IP, chunk []byte, 
 		h.Flags = 0
 	}
 	h.FragOff = uint16(off / 8)
-	b := s.pool.Get()
+	b := s.pool.GetLen(len(chunk))
 	copy(b.Extend(len(chunk)), chunk)
 	h.HeaderInto(b.Prepend(netpkt.IPHeaderLen), len(chunk))
 	s.sendIPBuf(dst, b)
@@ -344,8 +344,8 @@ func (s *Stack) sendIPBuf(dst netpkt.IP, pkt *framepool.Buf) {
 func (s *Stack) sendARPRequest(target netpkt.IP) {
 	s.stats.ARPRequests++
 	a := netpkt.ARP{Op: netpkt.ARPRequest, SenderMAC: s.ifc.MAC(), SenderIP: s.ip, TargetIP: target}
-	b := s.pool.Get()
-	a.MarshalInto(b.Extend(28))
+	b := s.pool.GetLen(netpkt.ARPLen)
+	a.MarshalInto(b.Extend(netpkt.ARPLen))
 	f := netpkt.Frame{Dst: netpkt.Broadcast, Src: s.ifc.MAC(), EtherType: netpkt.EtherTypeARP}
 	f.HeaderInto(b.Prepend(netpkt.EthHeaderLen))
 	s.queueTx(s.costs.PerPacket, b)
@@ -395,8 +395,8 @@ func (s *Stack) handleARP(body []byte) {
 			Op: netpkt.ARPReply, SenderMAC: s.ifc.MAC(), SenderIP: s.ip,
 			TargetMAC: a.SenderMAC, TargetIP: a.SenderIP,
 		}
-		b := s.pool.Get()
-		reply.MarshalInto(b.Extend(28))
+		b := s.pool.GetLen(netpkt.ARPLen)
+		reply.MarshalInto(b.Extend(netpkt.ARPLen))
 		f := netpkt.Frame{Dst: a.SenderMAC, Src: s.ifc.MAC(), EtherType: netpkt.EtherTypeARP}
 		f.HeaderInto(b.Prepend(netpkt.EthHeaderLen))
 		s.queueTx(s.costs.PerPacket, b)

@@ -13,7 +13,7 @@ var testPool = framepool.New()
 
 // buf wraps raw bytes in a pooled frame buffer.
 func buf(b []byte) *framepool.Buf {
-	f := testPool.Get()
+	f := testPool.GetLen(len(b))
 	copy(f.Extend(len(b)), b)
 	return f
 }

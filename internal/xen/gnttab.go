@@ -265,16 +265,48 @@ type CopyPtr struct {
 	Offset int
 }
 
+// CopyStatus is one copy op's outcome, GNTTABOP_copy's per-op status field
+// with Xen's GNTST_* values.
+type CopyStatus int16
+
+const (
+	CopyOkay      CopyStatus = 0   // GNTST_okay
+	CopyBadDomain CopyStatus = -2  // GNTST_bad_domain: the domain is gone
+	CopyBadRef    CopyStatus = -3  // GNTST_bad_gntref: no such grant
+	CopyDenied    CopyStatus = -8  // GNTST_permission_denied: granted elsewhere, or read-only
+	CopyBadArg    CopyStatus = -10 // GNTST_bad_copy_arg: the length leaves a side
+)
+
+func (s CopyStatus) String() string {
+	switch s {
+	case CopyOkay:
+		return "okay"
+	case CopyBadDomain:
+		return "bad domain"
+	case CopyBadRef:
+		return "bad grant ref"
+	case CopyDenied:
+		return "permission denied"
+	case CopyBadArg:
+		return "copy overflows a buffer"
+	}
+	return fmt.Sprintf("status %d", int16(s))
+}
+
 // CopyOp is one GNTTABOP_copy operation; Len must fit within both sides.
+// The copy writes Status, as Xen does: a failed op copies nothing and the
+// batch carries on past it.
 type CopyOp struct {
 	Src, Dst CopyPtr
 	Len      int
+	Status   CopyStatus
 }
 
 // CopyGrant performs a batch of hypervisor-side copies on behalf of caller
 // (GNTTABOP_copy). This is the fast data path used by netback/netfront.
 // The base hypercall cost is charged once per batch; each op adds a fixed
-// per-op cost plus a byte-proportional memcpy cost.
+// per-op cost plus a byte-proportional memcpy cost. Every op gets its own
+// Status; the error reports the first failed op, nil when all succeeded.
 func (hv *Hypervisor) CopyGrant(caller *Domain, ops []CopyOp) error {
 	if len(ops) == 0 {
 		return nil
@@ -302,45 +334,55 @@ func (hv *Hypervisor) copyCost(ops []CopyOp) sim.Time {
 }
 
 func (hv *Hypervisor) copyCharged(caller *Domain, ops []CopyOp) error {
-	for i, op := range ops {
-		src, err := hv.resolveCopyPtr(caller, op.Src, false)
-		if err != nil {
-			return fmt.Errorf("xen: copy op %d src: %w", i, err)
+	failed := -1
+	for i := range ops {
+		op := &ops[i]
+		if op.Status = hv.copyOne(caller, op); op.Status != CopyOkay && failed < 0 {
+			failed = i
 		}
-		dst, err := hv.resolveCopyPtr(caller, op.Dst, true)
-		if err != nil {
-			return fmt.Errorf("xen: copy op %d dst: %w", i, err)
-		}
-		if op.Len < 0 || op.Src.Offset+op.Len > len(src) || op.Dst.Offset+op.Len > len(dst) {
-			return fmt.Errorf("xen: copy op %d overflows a buffer", i)
-		}
-		copy(dst[op.Dst.Offset:op.Dst.Offset+op.Len], src[op.Src.Offset:op.Src.Offset+op.Len])
-		hv.stats.GrantCopies++
-		hv.stats.CopiedBytes += uint64(op.Len)
+	}
+	if failed >= 0 {
+		return fmt.Errorf("xen: copy op %d of %d: %v", failed, len(ops), ops[failed].Status)
 	}
 	return nil
 }
 
-func (hv *Hypervisor) resolveCopyPtr(caller *Domain, p CopyPtr, write bool) ([]byte, error) {
+// copyOne performs one op and returns its status.
+func (hv *Hypervisor) copyOne(caller *Domain, op *CopyOp) CopyStatus {
+	src, st := hv.resolveCopyPtr(caller, op.Src, false)
+	if st != CopyOkay {
+		return st
+	}
+	dst, st := hv.resolveCopyPtr(caller, op.Dst, true)
+	if st != CopyOkay {
+		return st
+	}
+	if op.Len < 0 || op.Src.Offset+op.Len > len(src) || op.Dst.Offset+op.Len > len(dst) {
+		return CopyBadArg
+	}
+	copy(dst[op.Dst.Offset:op.Dst.Offset+op.Len], src[op.Src.Offset:op.Src.Offset+op.Len])
+	hv.stats.GrantCopies++
+	hv.stats.CopiedBytes += uint64(op.Len)
+	return CopyOkay
+}
+
+func (hv *Hypervisor) resolveCopyPtr(caller *Domain, p CopyPtr, write bool) ([]byte, CopyStatus) {
 	if p.Data != nil {
-		return p.Data, nil
+		return p.Data, CopyOkay
 	}
 	if p.Local != nil {
-		return p.Local.Bytes(), nil
+		return p.Local.Bytes(), CopyOkay
 	}
 	od := hv.Domain(p.Dom)
 	if od == nil {
-		return nil, fmt.Errorf("dead domain %d", p.Dom)
+		return nil, CopyBadDomain
 	}
 	g := od.grant(p.Ref)
 	if g == nil {
-		return nil, fmt.Errorf("bad grant %d in domain %d", p.Ref, p.Dom)
+		return nil, CopyBadRef
 	}
-	if g.remote != caller.ID {
-		return nil, fmt.Errorf("grant %d of domain %d not granted to %d", p.Ref, p.Dom, caller.ID)
+	if g.remote != caller.ID || (write && g.readonly) {
+		return nil, CopyDenied
 	}
-	if write && g.readonly {
-		return nil, fmt.Errorf("write through read-only grant %d of domain %d", p.Ref, p.Dom)
-	}
-	return g.bytes()[:], nil
+	return g.bytes()[:], CopyOkay
 }

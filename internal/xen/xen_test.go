@@ -340,6 +340,44 @@ func TestGrantCopyBoundsChecked(t *testing.T) {
 	}
 }
 
+// A failed op fails alone, as GNTTABOP_copy's per-op status has it: every
+// op gets its own status, the ops on both sides of a bad one are copied, and
+// the error names the first failure.
+func TestGrantCopyStatusPerOp(t *testing.T) {
+	_, hv, dom0 := newHV(t)
+	du := hv.CreateDomain(DomainConfig{Name: "domU", VCPUs: 1, MemBytes: 1 << 20})
+	page := du.Arena.MustAlloc()
+	page.CopyInto(0, []byte("abcdefgh"))
+	ref := du.GrantAccess(dom0.ID, page, true)
+	foreign := du.GrantAccess(du.ID+1, page, true)
+	dst := make([][]byte, 6)
+	ops := make([]CopyOp, len(dst))
+	for i := range ops {
+		dst[i] = make([]byte, 4)
+		ops[i] = CopyOp{Src: CopyPtr{Dom: du.ID, Ref: ref, Offset: i}, Dst: CopyPtr{Data: dst[i]}, Len: 4}
+	}
+	ops[1].Src.Ref = 0xbad
+	ops[2].Src.Dom = du.ID + 7
+	ops[3].Src.Ref = foreign
+	ops[4].Len = 5
+	err := hv.CopyGrant(dom0, ops)
+	if err == nil {
+		t.Fatal("a batch with four bad ops reported no error")
+	}
+	want := []CopyStatus{CopyOkay, CopyBadRef, CopyBadDomain, CopyDenied, CopyBadArg, CopyOkay}
+	for i, op := range ops {
+		if op.Status != want[i] {
+			t.Errorf("op %d: status %v, want %v", i, op.Status, want[i])
+		}
+	}
+	if string(dst[0]) != "abcd" || string(dst[5]) != "fgh\x00" {
+		t.Errorf("the good ops copied %q and %q", dst[0], dst[5])
+	}
+	if st := hv.Stats(); st.GrantCopies != 2 || st.CopiedBytes != 8 {
+		t.Errorf("stats copies=%d bytes=%d, want 2 and 8", st.GrantCopies, st.CopiedBytes)
+	}
+}
+
 func TestHypercallsChargeCPU(t *testing.T) {
 	_, hv, dom0 := newHV(t)
 	du := hv.CreateDomain(DomainConfig{Name: "domU", VCPUs: 1, MemBytes: 1 << 20})
