@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"kite/internal/blkif"
 	"kite/internal/mem"
+	"kite/internal/netback"
 	"kite/internal/netif"
 	"kite/internal/netpkt"
 	"kite/internal/sim"
@@ -287,25 +289,8 @@ func TestNetbackSurvivesHostileTxRequests(t *testing.T) {
 		t.Fatal("honest guest never ready")
 	}
 
-	// Hand-rolled hostile netfront.
-	evil := tb.System.HV.CreateDomain(xen.DomainConfig{Name: "evil", VCPUs: 1,
-		MemBytes: 64 << 20, IRQLatency: 6 * sim.Microsecond})
-	tb.System.Bus.AddDevice(xenbus.DeviceSpec{
-		Type: "vif", FrontDom: xenbus.DomID(evil.ID), BackDom: xenbus.DomID(nd.Dom.ID), DevID: 0,
-	})
-	evilCh := netif.NewChannel(1)
+	evil, evilCh, port, vif := attachEvilVIF(t, tb.System, nd)
 	tx := evilCh.Tx.Queue(0)
-	tb.System.NetReg.Publish(evil.ID, 0, evilCh)
-	port := evil.AllocUnbound(nd.Dom.ID)
-	evil.SetHandler(port, func() {})
-	fp := xenbus.FrontendPath(xenbus.DomID(evil.ID), "vif", 0)
-	tb.System.Store.Writef(fp+"/event-channel", "%d", port)
-	if err := tb.System.Bus.SwitchState(fp, xenbus.StateInitialised); err != nil {
-		t.Fatal(err)
-	}
-	if !tb.System.RunReady(func() bool { return len(nd.Driver.VIFs()) == 2 }, 500000) {
-		t.Fatal("evil vif never paired")
-	}
 
 	// Bad grant ref and oversized length; then, through a real grant, the
 	// widest length the 16-bit field holds, alone and with an offset that
@@ -348,13 +333,9 @@ func TestNetbackSurvivesHostileTxRequests(t *testing.T) {
 			t.Fatalf("netback answered only %d of %d hostile requests", answered, len(hostile))
 		}
 	}
-	for _, v := range nd.Driver.VIFs() {
-		if v.FrontDom() == evil.ID {
-			if st := v.Stats(); st.TxErrors != uint64(len(hostile)) || st.TxFrames != 0 {
-				t.Fatalf("evil vif counted %d Tx errors and forwarded %d frames, want %d and 0",
-					st.TxErrors, st.TxFrames, len(hostile))
-			}
-		}
+	if st := vif.Stats(); st.TxErrors != uint64(len(hostile)) || st.TxFrames != 0 {
+		t.Fatalf("evil vif counted %d Tx errors and forwarded %d frames, want %d and 0",
+			st.TxErrors, st.TxFrames, len(hostile))
 	}
 
 	// The honest guest's data path still works.
@@ -372,14 +353,96 @@ func TestNetbackSurvivesHostileTxRequests(t *testing.T) {
 	if n := nd.Bridge.Stats().Dropped - dropped; n != 0 {
 		t.Fatalf("the bridge dropped %d frames, want 0: a runt reached it", n)
 	}
-	for _, v := range nd.Driver.VIFs() {
-		if v.FrontDom() == evil.ID {
-			v.Shutdown()
-		}
-	}
+	vif.Shutdown()
 	if n := tb.System.Pool.Outstanding(); n != 0 {
 		t.Fatalf("%d frame buffers leaked", n)
 	}
+}
+
+// TestNetbackAnswersHostileRxRequestsPerOp posts one Rx request whose ref
+// is bogus and one through a real grant, then delivers two broadcast
+// frames: the bogus request must fail alone, and the good one must be
+// answered OK with its frame in the page.
+func TestNetbackAnswersHostileRxRequestsPerOp(t *testing.T) {
+	tb := NewTestbed(34)
+	nd, err := tb.System.CreateNetworkDomain(NetworkDomainConfig{Kind: KindKite, NIC: tb.ServerNIC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil, ch, port, vif := attachEvilVIF(t, tb.System, nd)
+	rx := ch.Rx.Queue(0)
+	page := evil.Arena.MustAlloc()
+	rx.PushRequest(netif.RxRequest{ID: 1, Ref: 0xbad})
+	rx.PushRequest(netif.RxRequest{ID: 2, Ref: evil.GrantAccess(nd.Dom.ID, page, true)})
+	if rx.PushRequestsAndCheckNotify() {
+		evil.Notify(port)
+	}
+	frame := pattern(64)
+	copy(frame, netpkt.Broadcast[:])
+	for range 2 {
+		b := tb.System.Pool.GetLen(len(frame))
+		copy(b.Extend(len(frame)), frame)
+		vif.Deliver(b)
+	}
+	status := map[uint16]int8{}
+	if !tb.System.RunReady(func() bool {
+		for {
+			rsp, ok := rx.TakeResponse()
+			if !ok {
+				return len(status) == 2
+			}
+			status[rsp.ID] = rsp.Status
+		}
+	}, 1_000_000) {
+		t.Fatalf("netback answered %d of 2 Rx requests", len(status))
+	}
+	if status[1] != netif.StatusError || status[2] != netif.StatusOK {
+		t.Fatalf("Rx statuses %v, want 1 failed and 2 OK", status)
+	}
+	if st := vif.Stats(); st.RxFrames != 1 {
+		t.Fatalf("RxFrames %d, want 1", st.RxFrames)
+	}
+	if !bytes.Equal(page.Bytes()[:len(frame)], frame) {
+		t.Fatal("the good request's page does not hold the frame")
+	}
+	vif.Shutdown()
+	tb.System.Eng.Run()
+	if n := tb.System.Pool.Outstanding(); n != 0 {
+		t.Fatalf("%d frame buffers leaked", n)
+	}
+}
+
+// attachEvilVIF hand-rolls the vif handshake for a hostile netfront, which
+// can then push ring requests that netfront would never build. It returns
+// the frontend's domain, rings and event port, and the backend's VIF.
+func attachEvilVIF(t testing.TB, sys *System, nd *NetworkDomain) (*xen.Domain, *netif.Channel, xen.Port, *netback.VIF) {
+	t.Helper()
+	evil := sys.HV.CreateDomain(xen.DomainConfig{Name: "evil", VCPUs: 1,
+		MemBytes: 64 << 20, IRQLatency: 6 * sim.Microsecond})
+	sys.Bus.AddDevice(xenbus.DeviceSpec{
+		Type: "vif", FrontDom: xenbus.DomID(evil.ID), BackDom: xenbus.DomID(nd.Dom.ID), DevID: 0,
+	})
+	ch := netif.NewChannel(1)
+	sys.NetReg.Publish(evil.ID, 0, ch)
+	port := evil.AllocUnbound(nd.Dom.ID)
+	evil.SetHandler(port, func() {})
+	fp := xenbus.FrontendPath(xenbus.DomID(evil.ID), "vif", 0)
+	sys.Store.Writef(fp+"/event-channel", "%d", port)
+	if err := sys.Bus.SwitchState(fp, xenbus.StateInitialised); err != nil {
+		t.Fatal(err)
+	}
+	var vif *netback.VIF
+	if !sys.RunReady(func() bool {
+		for _, v := range nd.Driver.VIFs() {
+			if v.FrontDom() == evil.ID {
+				vif = v
+			}
+		}
+		return vif != nil
+	}, 500000) {
+		t.Fatal("evil vif never paired")
+	}
+	return evil, ch, port, vif
 }
 
 // TestNetfrontSurvivesHostileRxResponses plays a hostile backend against a
@@ -488,25 +551,8 @@ func FuzzNetbackTxRequest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		evil := sys.HV.CreateDomain(xen.DomainConfig{Name: "evil", VCPUs: 1,
-			MemBytes: 64 << 20, IRQLatency: 6 * sim.Microsecond})
-		sys.Bus.AddDevice(xenbus.DeviceSpec{
-			Type: "vif", FrontDom: xenbus.DomID(evil.ID), BackDom: xenbus.DomID(nd.Dom.ID), DevID: 0,
-		})
-		ch := netif.NewChannel(1)
+		evil, ch, port, vif := attachEvilVIF(t, sys, nd)
 		tx := ch.Tx.Queue(0)
-		sys.NetReg.Publish(evil.ID, 0, ch)
-		port := evil.AllocUnbound(nd.Dom.ID)
-		evil.SetHandler(port, func() {})
-		fp := xenbus.FrontendPath(xenbus.DomID(evil.ID), "vif", 0)
-		sys.Store.Writef(fp+"/event-channel", "%d", port)
-		if err := sys.Bus.SwitchState(fp, xenbus.StateInitialised); err != nil {
-			t.Fatal(err)
-		}
-		if !sys.RunReady(func() bool { return len(nd.Driver.VIFs()) == 1 }, 500000) {
-			t.Fatal("evil vif never paired")
-		}
-		vif := nd.Driver.VIFs()[0]
 
 		page := evil.Arena.MustAlloc()
 		copy(page.Bytes(), pattern(mem.PageSize))

@@ -34,10 +34,9 @@ func ddThroughput(knobs core.TuningKnobs, bytes int64, bs int) (mbps float64, gr
 	})
 	hv := rig.Testbed.System.HV
 	maps0 := hv.Stats().GrantMaps
-	var out workload.DDResult
-	got := false
-	workload.DDWrite(rig.Guest.Disk, bytes, bs, func(r workload.DDResult) { out = r; got = true })
-	drive(rig.Testbed.System, func() bool { return got }, 60_000_000)
+	out := await(rig.Testbed.System, 60_000_000, func(done func(workload.DDResult)) {
+		workload.DDWrite(rig.Guest.Disk, bytes, bs, done)
+	})
 	inst := rig.SD.Driver.Instances()[0]
 	return out.MBps, hv.Stats().GrantMaps - maps0,
 		inst.Stats().DeviceOps, inst.Stats().RingRequests

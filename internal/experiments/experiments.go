@@ -161,6 +161,16 @@ func mustStorRig(cfg core.StorageRigConfig) *core.StorageRig {
 	return rig
 }
 
+// await starts a generator with its report callback and drives sys until
+// it reports, under drive's cap; it returns the report.
+func await[T any](sys *core.System, cap uint64, start func(done func(T))) T {
+	var out T
+	got := false
+	start(func(r T) { out, got = r, true })
+	drive(sys, func() bool { return got }, cap)
+	return out
+}
+
 // drive runs a rig's engine until done() or the cap; panics on livelock so
 // experiments fail loudly. Retired events feed the process-wide telemetry
 // behind EventsProcessed.

@@ -17,12 +17,9 @@ func Fig6Nuttcp(s Scale) *Result {
 	res := newResult("FIG6", "nuttcp UDP throughput (8KB datagrams)")
 	run := func(kind core.DriverKind) workload.NuttcpResult {
 		rig := mustNetRig(kind, 0xF16)
-		var out workload.NuttcpResult
-		got := false
-		workload.Nuttcp(rig.Client, rig.Guest.Stack, 7.05, 8192, s.NuttcpDur,
-			func(r workload.NuttcpResult) { out = r; got = true })
-		drive(rig.Testbed.System, func() bool { return got }, 30_000_000)
-		return out
+		return await(rig.Testbed.System, 30_000_000, func(done func(workload.NuttcpResult)) {
+			workload.Nuttcp(rig.Client, rig.Guest.Stack, 7.05, 8192, s.NuttcpDur, done)
+		})
 	}
 	linux, kite := bothKinds(s, run)
 	res.AddPair("throughput", linux.AchievedGbps, kite.AchievedGbps, "Gbps")
@@ -103,13 +100,9 @@ func Fig8Apache(s Scale) *Result {
 			panic(err)
 		}
 		srv.AddRandomFile("/f", size, uint64(size))
-		var out workload.ABResult
-		got := false
-		conc := 16
-		workload.ApacheBench(rig.Client, rig.GuestIP, 80, "/f", s.ABRequests, conc,
-			func(r workload.ABResult) { out = r; got = true })
-		drive(rig.Testbed.System, func() bool { return got }, 60_000_000)
-		return out
+		return await(rig.Testbed.System, 60_000_000, func(done func(workload.ABResult)) {
+			workload.ApacheBench(rig.Client, rig.GuestIP, 80, "/f", s.ABRequests, 16, done)
+		})
 	}
 	for _, size := range sizes {
 		size := size
@@ -163,12 +156,9 @@ func Fig9Redis(s Scale) *Result {
 		if _, err := apps.NewKVServer(rig.Guest.Stack, 6379); err != nil {
 			panic(err)
 		}
-		var out workload.RedisBenchResult
-		got := false
-		workload.RedisBench(rig.Client, rig.GuestIP, 6379, op, th, 500, s.RedisOps, 128,
-			func(r workload.RedisBenchResult) { out = r; got = true })
-		drive(rig.Testbed.System, func() bool { return got }, 60_000_000)
-		return out
+		return await(rig.Testbed.System, 60_000_000, func(done func(workload.RedisBenchResult)) {
+			workload.RedisBench(rig.Client, rig.GuestIP, 6379, op, th, 500, s.RedisOps, 128, done)
+		})
 	}
 	for _, th := range threads {
 		th := th
@@ -203,12 +193,10 @@ func Fig10MySQL(s Scale) *Result {
 		if _, err := apps.NewSQLServer(rig.Guest.Stack, 3306, db); err != nil {
 			panic(err)
 		}
-		var out workload.OLTPResult
-		got := false
-		workload.OLTPNetwork(rig.Client, rig.GuestIP, 3306, rig.Guest.Dom.CPUs,
-			10, 1_000_000, th, s.OLTPDur, func(r workload.OLTPResult) { out = r; got = true })
-		drive(rig.Testbed.System, func() bool { return got }, 80_000_000)
-		return out
+		return await(rig.Testbed.System, 80_000_000, func(done func(workload.OLTPResult)) {
+			workload.OLTPNetwork(rig.Client, rig.GuestIP, 3306, rig.Guest.Dom.CPUs,
+				10, 1_000_000, th, s.OLTPDur, done)
+		})
 	}
 	for _, th := range threads {
 		th := th
@@ -249,11 +237,9 @@ func DHCPLatency(s Scale) *Result {
 			panic(err)
 		}
 		drive(tb.System, vm.Guest.Ready, 500000)
-		var out workload.PerfDHCPResult
-		got := false
-		workload.PerfDHCP(tb.Client, s.PingCount, func(r workload.PerfDHCPResult) { out = r; got = true })
-		drive(tb.System, func() bool { return got }, 10_000_000)
-		return out
+		return await(tb.System, 10_000_000, func(done func(workload.PerfDHCPResult)) {
+			workload.PerfDHCP(tb.Client, s.PingCount, done)
+		})
 	}
 	// The paper's comparison is rumprun-vs-Linux hosting of the daemon; we
 	// compare the daemon VM behind Kite and Linux network domains.

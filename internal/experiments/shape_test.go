@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -277,7 +281,10 @@ func pairs(t *testing.T, res *Result, names ...string) {
 
 // TestShapes runs every row of the shape table at tiny() scale, and fails
 // if an experiment of the registry has no row or a row names neither an
-// experiment nor an ablation.
+// experiment nor an ablation. It also pins each experiment's rendered
+// table to testdata/<ID>.txt, so a change that moves a figure's values
+// shows them in its diff: delete the files and run the test to rewrite
+// them.
 func TestShapes(t *testing.T) {
 	specs := map[string]Spec{}
 	for _, sp := range Registry() {
@@ -311,6 +318,28 @@ func TestShapes(t *testing.T) {
 				res = sp.Run(tiny())
 			}
 			row.check(t, res)
+			if res != nil {
+				pinned(t, filepath.Join("testdata", row.id+".txt"), render(res))
+			}
 		})
+	}
+}
+
+// pinned fails unless got equals the file at path. A missing file is
+// written from got, and the test fails once so that the new file is seen.
+func pinned(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote %s; run again", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("table differs from %s (delete it and re-run to accept)\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }

@@ -114,14 +114,12 @@ func Fig12FileIO(s Scale) *Result {
 		rig := mustStorRig(core.StorageRigConfig{
 			Kind: kind, Seed: 0xF1C, DiskBytes: 8 << 30, CacheBytes: 24 << 20,
 		})
-		var out workload.FileIOResult
-		got := false
-		workload.SysbenchFileIO(rig.Testbed.System.Eng, rig.Guest.FS, workload.FileIOConfig{
-			Files: 16, TotalBytes: s.FileIOBytes, BlockSize: bs,
-			Threads: threads, Duration: s.FileIODur, Seed: uint64(threads*7 + bs),
-		}, func(r workload.FileIOResult) { out = r; got = true })
-		drive(rig.Testbed.System, func() bool { return got }, 120_000_000)
-		return out
+		return await(rig.Testbed.System, 120_000_000, func(done func(workload.FileIOResult)) {
+			workload.SysbenchFileIO(rig.Testbed.System.Eng, rig.Guest.FS, workload.FileIOConfig{
+				Files: 16, TotalBytes: s.FileIOBytes, BlockSize: bs,
+				Threads: threads, Duration: s.FileIODur, Seed: uint64(threads*7 + bs),
+			}, done)
+		})
 	}
 	// 12a: thread sweep at 256 KB.
 	for _, th := range []int{1, 5, 20, 60, 100} {
@@ -164,12 +162,10 @@ func Fig13MySQLStorage(s Scale) *Result {
 		if err != nil {
 			panic(err)
 		}
-		var out workload.OLTPResult
-		got := false
-		workload.OLTPLocal(db, rig.Guest.Dom.CPUs, rig.Testbed.System.Eng,
-			10, 1_000_000, th, s.OLTPDur, func(r workload.OLTPResult) { out = r; got = true })
-		drive(rig.Testbed.System, func() bool { return got }, 120_000_000)
-		return out
+		return await(rig.Testbed.System, 120_000_000, func(done func(workload.OLTPResult)) {
+			workload.OLTPLocal(db, rig.Guest.Dom.CPUs, rig.Testbed.System.Eng,
+				10, 1_000_000, th, s.OLTPDur, done)
+		})
 	}
 	for _, th := range []int{1, 5, 20, 60, 100} {
 		th := th
@@ -194,15 +190,13 @@ func Fig14Fileserver(s Scale) *Result {
 		rig := mustStorRig(core.StorageRigConfig{
 			Kind: kind, Seed: 0xF1E, DiskBytes: 8 << 30, CacheBytes: 8 << 20,
 		})
-		var out workload.FilebenchResult
-		got := false
-		workload.Fileserver(rig.Testbed.System.Eng, rig.Guest.FS, workload.FileserverConfig{
-			Files: 120, MeanFile: 128 << 10, AppendSz: 1 << 10, IOSize: ioSize,
-			Threads: 10, Duration: s.FilebenchDur, Seed: uint64(ioSize),
-			CPUs: rig.Guest.Dom.CPUs,
-		}, func(r workload.FilebenchResult) { out = r; got = true })
-		drive(rig.Testbed.System, func() bool { return got }, 120_000_000)
-		return out
+		return await(rig.Testbed.System, 120_000_000, func(done func(workload.FilebenchResult)) {
+			workload.Fileserver(rig.Testbed.System.Eng, rig.Guest.FS, workload.FileserverConfig{
+				Files: 120, MeanFile: 128 << 10, AppendSz: 1 << 10, IOSize: ioSize,
+				Threads: 10, Duration: s.FilebenchDur, Seed: uint64(ioSize),
+				CPUs: rig.Guest.Dom.CPUs,
+			}, done)
+		})
 	}
 	for _, io := range []int{16 << 10, 64 << 10, 256 << 10, 1 << 20, 8 << 20} {
 		io := io
@@ -225,14 +219,11 @@ func Fig15Mongo(s Scale) *Result {
 		rig := mustStorRig(core.StorageRigConfig{
 			Kind: kind, Seed: 0xF1F, DiskBytes: 8 << 30, CacheBytes: 32 << 20,
 		})
-		var out workload.FilebenchResult
-		got := false
-		workload.Mongo(rig.Testbed.System.Eng, rig.Guest.FS, rig.Guest.Dom.CPUs,
-			workload.MongoConfig{Docs: 12, DocSize: 4 << 20, Users: 1,
-				Duration: s.FilebenchDur, Seed: 0x30},
-			func(r workload.FilebenchResult) { out = r; got = true })
-		drive(rig.Testbed.System, func() bool { return got }, 120_000_000)
-		return out
+		return await(rig.Testbed.System, 120_000_000, func(done func(workload.FilebenchResult)) {
+			workload.Mongo(rig.Testbed.System.Eng, rig.Guest.FS, rig.Guest.Dom.CPUs,
+				workload.MongoConfig{Docs: 12, DocSize: 4 << 20, Users: 1,
+					Duration: s.FilebenchDur, Seed: 0x30}, done)
+		})
 	}
 	l, k := bothKinds(s, run)
 	res.AddPair("throughput", l.MBps*8, k.MBps*8, "Mbps")
@@ -251,15 +242,13 @@ func Fig16Webserver(s Scale) *Result {
 		rig := mustStorRig(core.StorageRigConfig{
 			Kind: kind, Seed: 0xF20, DiskBytes: 8 << 30, CacheBytes: 6 << 20,
 		})
-		var out workload.FilebenchResult
-		got := false
-		workload.Webserver(rig.Testbed.System.Eng, rig.Guest.FS, workload.WebserverConfig{
-			Files: 200, MeanFile: 64 << 10, AppendSz: 16 << 10, IOSize: 64 << 10,
-			Threads: 10, Duration: s.FilebenchDur, Seed: 0x3b,
-			CPUs: rig.Guest.Dom.CPUs,
-		}, func(r workload.FilebenchResult) { out = r; got = true })
-		drive(rig.Testbed.System, func() bool { return got }, 120_000_000)
-		return out
+		return await(rig.Testbed.System, 120_000_000, func(done func(workload.FilebenchResult)) {
+			workload.Webserver(rig.Testbed.System.Eng, rig.Guest.FS, workload.WebserverConfig{
+				Files: 200, MeanFile: 64 << 10, AppendSz: 16 << 10, IOSize: 64 << 10,
+				Threads: 10, Duration: s.FilebenchDur, Seed: 0x3b,
+				CPUs: rig.Guest.Dom.CPUs,
+			}, done)
+		})
 	}
 	l, k := bothKinds(s, run)
 	res.AddPair("throughput", l.MBps*8, k.MBps*8, "Mbps")

@@ -67,11 +67,6 @@ type Costs struct {
 	// the event handler itself — the design the paper rejects (§3.2); kept
 	// as an ablation knob.
 	InHandler bool
-	// PersistentRx caches grant mappings of the frontend's (recycled) Rx
-	// pages so steady-state guest-bound copies are plain memcpys instead of
-	// grant-copy hypercalls — the §3.3 persistent-grant idea applied to the
-	// network Rx path. Enabled in both profiles (like blkback's cache).
-	PersistentRx bool
 	// RxQueueFrames bounds each queue's guest-bound queue; overflow drops
 	// (this is where UDP overload loss materializes).
 	RxQueueFrames int
@@ -86,7 +81,6 @@ func KiteCosts() Costs {
 		PerPacketTx:   450 * sim.Nanosecond,
 		PerPacketRx:   450 * sim.Nanosecond,
 		WakeLatency:   2 * sim.Microsecond,
-		PersistentRx:  true,
 		RxQueueFrames: 2048,
 	}
 }
@@ -99,7 +93,6 @@ func LinuxCosts() Costs {
 		PerPacketTx:   470 * sim.Nanosecond,
 		PerPacketRx:   470 * sim.Nanosecond,
 		WakeLatency:   9 * sim.Microsecond,
-		PersistentRx:  true,
 		RxQueueFrames: 2048,
 	}
 }
@@ -211,6 +204,9 @@ type drainState struct {
 	rxReqs []netif.RxRequest
 	ops    []xen.CopyOp
 	bufs   []*framepool.Buf
+	// rxCopied[i] is set when Rx request i of the batch is served by a
+	// grant copy rather than through its persistent mapping.
+	rxCopied []bool
 
 	// Sharded, matured frames ride to the bridge in txBatch carriers: one
 	// cross-shard post per pusher haul or per lane round, each entry
@@ -835,11 +831,14 @@ func (q *vifQueue) drainRxBudget(budget int) (used int, more bool) {
 		}
 		// Copy each frame into its guest page: through the persistent
 		// mapping when cached (plain memcpy), falling back to a batched
-		// grant copy for uncached refs.
+		// grant copy for a ref that cannot be mapped.
 		ops := ds.ops[:0]
+		copied := ds.rxCopied[:0]
 		var memcpyBytes int
 		for i, frame := range batch {
-			if m := q.rxMapping(reqs[i].Ref); m != nil {
+			m := q.rxMapping(reqs[i].Ref)
+			copied = append(copied, m == nil)
+			if m != nil {
 				copy(m.Page.Bytes()[:frame.Len()], frame.Bytes())
 				memcpyBytes += frame.Len()
 				continue
@@ -850,15 +849,23 @@ func (q *vifQueue) drainRxBudget(budget int) (used int, more bool) {
 				Len: frame.Len(),
 			})
 		}
-		err := q.copyGrant(hv, ops)
+		ds.rxCopied = copied[:0]
+		_ = q.copyGrant(hv, ops) // every op carries its own status, read below
 		cost := sim.Time(len(reqs)) * v.costs.PerPacketRx
 		cost += sim.Time(memcpyBytes) * hv.Costs.CopyBytePerKB / 1024
 		q.cpu.Charge(cost)
+		// Each request is answered by its own op's status; a memcpy
+		// through a mapping cannot fail.
+		op := 0
 		for i, req := range reqs {
 			status := int8(netif.StatusOK)
-			if err != nil {
-				status = netif.StatusError
-			} else {
+			if copied[i] {
+				if ops[op].Status != xen.CopyOkay {
+					status = netif.StatusError
+				}
+				op++
+			}
+			if status == netif.StatusOK {
 				q.stats.RxFrames++
 				q.stats.RxBytes += uint64(batch[i].Len())
 			}
@@ -883,13 +890,9 @@ func (q *vifQueue) drainRxBudget(budget int) (used int, more bool) {
 // rxMapping resolves an Rx grant ref through the queue's persistent cache,
 // mirroring blkback's mapRef: a hit costs nothing (the page stays mapped),
 // a miss pays one map hypercall and populates the cache. Returns nil when
-// persistence is disabled or the map fails (caller falls back to a grant
-// copy).
+// the map fails (caller falls back to a grant copy).
 func (q *vifQueue) rxMapping(ref xen.GrantRef) *xen.Mapping {
 	v := q.v
-	if !v.costs.PersistentRx {
-		return nil
-	}
 	if m := q.pgrants.Lookup(ref); m != nil {
 		q.stats.RxPersistHits++
 		return m

@@ -108,7 +108,7 @@ type Stack struct {
 	pool  *framepool.Pool
 
 	arp        map[netpkt.IP]netpkt.MAC
-	arpPending map[netpkt.IP][]*framepool.Buf // queued IP packets (refs held) awaiting resolution
+	arpPending []parked // IP packets (refs held) awaiting resolution, in push order
 	reasm      *netpkt.Reassembler
 	ipID       uint16
 
@@ -169,23 +169,22 @@ func New(eng *sim.Engine, cfg Config) *Stack {
 		pool = framepool.New()
 	}
 	s := &Stack{
-		Name:       cfg.Name,
-		eng:        eng,
-		cpus:       cfg.CPUs,
-		ifc:        cfg.Iface,
-		ip:         cfg.IP,
-		costs:      cfg.Costs,
-		rng:        sim.NewRand(cfg.Seed ^ 0x57ac),
-		pool:       pool,
-		arp:        make(map[netpkt.IP]netpkt.MAC),
-		arpPending: make(map[netpkt.IP][]*framepool.Buf),
-		reasm:      netpkt.NewReassembler(),
-		udpBinds:   make(map[uint16]func(UDPPacket)),
-		pingWait:   make(map[uint16]pingWaiter),
-		listeners:  make(map[uint16]func(*Conn)),
-		conns:      make(map[connKey]*Conn),
-		nextPort:   33000,
-		TCPWindow:  64 << 10,
+		Name:      cfg.Name,
+		eng:       eng,
+		cpus:      cfg.CPUs,
+		ifc:       cfg.Iface,
+		ip:        cfg.IP,
+		costs:     cfg.Costs,
+		rng:       sim.NewRand(cfg.Seed ^ 0x57ac),
+		pool:      pool,
+		arp:       make(map[netpkt.IP]netpkt.MAC),
+		reasm:     netpkt.NewReassembler(),
+		udpBinds:  make(map[uint16]func(UDPPacket)),
+		pingWait:  make(map[uint16]pingWaiter),
+		listeners: make(map[uint16]func(*Conn)),
+		conns:     make(map[connKey]*Conn),
+		nextPort:  33000,
+		TCPWindow: 64 << 10,
 	}
 	s.txq = sim.NewLine(eng, s.sendTx)
 	s.rxq = sim.NewLine(eng, s.recvRx)
@@ -209,12 +208,10 @@ func New(eng *sim.Engine, cfg Config) *Stack {
 // the old link are stale on whatever replaces it.
 func (s *Stack) linkDown() {
 	s.arp = make(map[netpkt.IP]netpkt.MAC)
-	for _, queued := range s.arpPending { //kite:orderok every parked frame is released; pooled buffers are interchangeable
-		for _, b := range queued {
-			b.Release()
-		}
+	for _, p := range s.arpPending {
+		p.pkt.Release()
 	}
-	s.arpPending = make(map[netpkt.IP][]*framepool.Buf)
+	s.arpPending = nil
 }
 
 // IP returns the stack's address.
@@ -328,7 +325,7 @@ func (s *Stack) sendIPBuf(dst netpkt.IP, pkt *framepool.Buf) {
 	} else {
 		mac, ok := s.arp[dst]
 		if !ok {
-			s.arpPending[dst] = append(s.arpPending[dst], pkt)
+			s.arpPending = append(s.arpPending, parked{dst, pkt})
 			s.sendARPRequest(dst)
 			return
 		}
@@ -403,15 +400,25 @@ func (s *Stack) handleARP(body []byte) {
 	}
 }
 
+// parked is an IP packet waiting for its next hop's MAC.
+type parked struct {
+	ip  netpkt.IP
+	pkt *framepool.Buf
+}
+
+// flushARPPending sends, in push order, the packets parked for ip, which
+// has just resolved: sendIPBuf finds its MAC and parks none of them again.
 func (s *Stack) flushARPPending(ip netpkt.IP) {
-	queued := s.arpPending[ip]
-	if len(queued) == 0 {
-		return
+	rest := s.arpPending[:0]
+	for _, p := range s.arpPending {
+		if p.ip == ip {
+			s.sendIPBuf(ip, p.pkt)
+		} else {
+			rest = append(rest, p)
+		}
 	}
-	delete(s.arpPending, ip)
-	for _, pkt := range queued {
-		s.sendIPBuf(ip, pkt)
-	}
+	clear(s.arpPending[len(rest):])
+	s.arpPending = rest
 }
 
 func (s *Stack) handleIPv4(body []byte) {

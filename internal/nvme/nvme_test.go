@@ -3,6 +3,7 @@ package nvme
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -429,19 +430,19 @@ func TestFarSectorFootprint(t *testing.T) {
 	sector := bytes.Repeat([]byte{0x5A}, SectorSize)
 	last := d.CapacitySectors() - 1
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := moduleAllocBytes()
 	d.Write(last, sector, func(err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	eng.Run()
-	runtime.ReadMemStats(&after)
 
 	const slack = 4096
-	budget := uint64(slabBlocks*blockSize) + uint64(unsafe.Sizeof(extent{})) + slack
-	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+	budget := int64(slabBlocks*blockSize) + int64(unsafe.Sizeof(extent{})) + slack
+	if got := moduleAllocBytes() - before; got > budget {
 		t.Errorf("far single-sector write allocated %d bytes, budget %d", got, budget)
 	}
 	resident := 0
@@ -460,11 +461,42 @@ func TestFarSectorFootprint(t *testing.T) {
 	}
 	// A second far sector in the same slab's reach costs a directory, not a
 	// second slab.
-	runtime.ReadMemStats(&before)
+	before = moduleAllocBytes()
 	d.Write(last/2, sector, func(error) {})
 	eng.Run()
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(unsafe.Sizeof(extent{}))+slack {
+	if got := moduleAllocBytes() - before; got > int64(unsafe.Sizeof(extent{}))+slack {
 		t.Errorf("second far write allocated %d bytes: it should carve from the first slab", got)
 	}
+}
+
+// moduleAllocBytes sums the bytes the heap profile records as allocated
+// under a kite/ function, leaving out its own, so allocations the runtime
+// or the test binary make meanwhile do not count. A record is published a
+// cycle after its allocation, so two collections run first. The caller
+// sets runtime.MemProfileRate to 1 so that every allocation is recorded.
+func moduleAllocBytes() (total int64) {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		panic("heap profile grew past its buffer")
+	}
+	for i := range recs[:n] {
+		module := false
+		for frames, more := runtime.CallersFrames(recs[i].Stack()), true; more; {
+			var fr runtime.Frame
+			fr, more = frames.Next()
+			if strings.HasSuffix(fr.Function, ".moduleAllocBytes") {
+				module, more = false, false
+			} else if strings.HasPrefix(fr.Function, "kite/") {
+				module = true
+			}
+		}
+		if module {
+			total += recs[i].AllocBytes
+		}
+	}
+	return total
 }

@@ -37,16 +37,11 @@ type FileserverConfig struct {
 
 // Fileserver prepares the file set and runs the op mix.
 func Fileserver(eng *sim.Engine, fs *fsim.FS, cfg FileserverConfig, done func(FilebenchResult)) {
-	prepare(eng, fs, "fsrv", cfg.Files, cfg.MeanFile, func(names []string) {
-		start := eng.Now()
-		cpu0 := busyOf(cfg.CPUs)
-		var ops uint64
-		var bytesMoved int64
-		var latSum sim.Time
+	names := fileNames("fsrv.%05d", cfg.Files)
+	prepare(fs, names, cfg.MeanFile, func([]*fsim.File) {
 		nextNew := cfg.Files
-		finished := 0
-
-		worker := func(idx int) {
+		l := newFilebench(eng, "fileserver", cfg.Threads, cfg.CPUs, done)
+		l.run(func(idx int) {
 			// Per-worker RNG: op sequences stay identical across runs even
 			// when completion interleavings differ (Linux vs Kite rigs
 			// must execute comparable workloads).
@@ -54,26 +49,21 @@ func Fileserver(eng *sim.Engine, fs *fsim.FS, cfg FileserverConfig, done func(Fi
 			var cycle func()
 			step := 0
 			var cur *fsim.File
-			opStart := eng.Now()
+			var t0 sim.Time
 			fin := func(moved int) {
-				bytesMoved += int64(moved)
-				latSum += eng.Now() - opStart
-				ops++
+				l.done(t0, moved)
 				cycle()
 			}
 			cycle = func() {
-				if eng.Now()-start >= cfg.Duration {
-					finished++
-					if finished == cfg.Threads {
-						emit(eng, "fileserver", start, ops, bytesMoved, latSum,
-							busyOf(cfg.CPUs)-cpu0, done)
-					}
+				if l.elapsed() >= cfg.Duration {
+					l.exit()
 					return
 				}
-				opStart = eng.Now()
-				switch step % 5 {
+				t0 = l.eng.Now()
+				op := step % 5
+				step++
+				switch op {
 				case 0: // create + write a whole new file
-					step++
 					name := fmt.Sprintf("fsrv.new.%d", nextNew)
 					nextNew++
 					f, err := fs.Create(name)
@@ -81,34 +71,27 @@ func Fileserver(eng *sim.Engine, fs *fsim.FS, cfg FileserverConfig, done func(Fi
 						f, _ = fs.Open(name)
 					}
 					cur = f
-					writeWhole(fs, f, cfg.MeanFile, cfg.IOSize, func(n int) { fin(n) })
+					writeWhole(fs, f, cfg.MeanFile, cfg.IOSize, fin)
 				case 1: // open + read an existing file fully
-					step++
 					f, err := fs.Open(names[rng.Intn(len(names))])
 					if err != nil {
 						fin(0)
 						return
 					}
-					readWhole(fs, f, cfg.IOSize, func(n int) { fin(n) })
+					readWhole(fs, f, cfg.IOSize, fin)
 				case 2: // append
-					step++
 					fs.Append(cur, make([]byte, cfg.AppendSz), func(error) { fin(cfg.AppendSz) })
 				case 3: // stat
-					step++
 					fs.Stat(names[rng.Intn(len(names))])
 					fin(0)
 				case 4: // delete the created file
-					step++
 					fs.Delete(cur.Name())
 					fin(0)
 				}
 			}
 			cycle()
-		}
-		for i := 0; i < cfg.Threads; i++ {
-			worker(i)
-		}
-	}, done)
+		})
+	}, func() { done(FilebenchResult{}) })
 }
 
 // WebserverConfig shapes the webserver personality (Fig 16): threads
@@ -126,32 +109,23 @@ type WebserverConfig struct {
 
 // Webserver prepares the file set and runs the op mix.
 func Webserver(eng *sim.Engine, fs *fsim.FS, cfg WebserverConfig, done func(FilebenchResult)) {
-	prepare(eng, fs, "web", cfg.Files, cfg.MeanFile, func(names []string) {
+	names := fileNames("web.%05d", cfg.Files)
+	prepare(fs, names, cfg.MeanFile, func([]*fsim.File) {
 		log, err := fs.Create("weblog")
 		if err != nil {
 			log, _ = fs.Open("weblog")
 		}
-		start := eng.Now()
-		cpu0 := busyOf(cfg.CPUs)
-		var ops uint64
-		var bytesMoved int64
-		var latSum sim.Time
-		finished := 0
-
-		worker := func(idx int) {
+		l := newFilebench(eng, "webserver", cfg.Threads, cfg.CPUs, done)
+		l.run(func(idx int) {
 			rng := sim.NewRand(cfg.Seed ^ 0x3eb ^ uint64(idx)*0x9e37)
 			var cycle func()
 			reads := 0
 			cycle = func() {
-				if eng.Now()-start >= cfg.Duration {
-					finished++
-					if finished == cfg.Threads {
-						emit(eng, "webserver", start, ops, bytesMoved, latSum,
-							busyOf(cfg.CPUs)-cpu0, done)
-					}
+				if l.elapsed() >= cfg.Duration {
+					l.exit()
 					return
 				}
-				opStart := eng.Now()
+				t0 := l.eng.Now()
 				if reads < 10 {
 					reads++
 					f, err := fs.Open(names[rng.Intn(len(names))])
@@ -160,27 +134,20 @@ func Webserver(eng *sim.Engine, fs *fsim.FS, cfg WebserverConfig, done func(File
 						return
 					}
 					readWhole(fs, f, cfg.IOSize, func(n int) {
-						bytesMoved += int64(n)
-						latSum += eng.Now() - opStart
-						ops++
+						l.done(t0, n)
 						cycle()
 					})
 					return
 				}
 				reads = 0
 				fs.Append(log, make([]byte, cfg.AppendSz), func(error) {
-					bytesMoved += int64(cfg.AppendSz)
-					latSum += eng.Now() - opStart
-					ops++
+					l.done(t0, cfg.AppendSz)
 					cycle()
 				})
 			}
 			cycle()
-		}
-		for i := 0; i < cfg.Threads; i++ {
-			worker(i)
-		}
-	}, done)
+		})
+	}, func() { done(FilebenchResult{}) })
 }
 
 // MongoConfig shapes the MongoDB personality (Fig 15): one user, large
@@ -200,83 +167,94 @@ func Mongo(eng *sim.Engine, fs *fsim.FS, cpus *sim.CPUPool, cfg MongoConfig, don
 	// Preload the collection.
 	var load func(i int)
 	load = func(i int) {
-		if i == cfg.Docs {
-			fs.Sync(func(error) {
-				fs.Pool().DropCaches()
-				run(eng, cpus, ds, cfg, done)
-			})
+		if i < cfg.Docs {
+			ds.Insert(i, cfg.DocSize, func(error) { load(i + 1) })
 			return
 		}
-		ds.Insert(i, cfg.DocSize, func(error) { load(i + 1) })
+		fs.Sync(func(error) {
+			fs.Pool().DropCaches()
+			l := newFilebench(eng, "mongo", cfg.Users, cpus, done)
+			l.run(func(idx int) {
+				rng := sim.NewRand(cfg.Seed ^ 0x3070 ^ uint64(idx)*0x9e37)
+				var cycle func()
+				n := 0
+				cycle = func() {
+					if l.elapsed() >= cfg.Duration {
+						l.exit()
+						return
+					}
+					t0 := l.eng.Now()
+					n++
+					fin := func(moved int) {
+						l.done(t0, moved)
+						cycle()
+					}
+					switch {
+					case n%8 == 0: // periodic insert
+						ds.Insert(rng.Intn(cfg.Docs), cfg.DocSize, func(error) { fin(cfg.DocSize) })
+					case n%16 == 0: // journal sync
+						ds.SyncJournal(func(error) { fin(0) })
+					default:
+						ds.Read(rng.Intn(cfg.Docs), func(doc []byte, _ error) { fin(len(doc)) })
+					}
+				}
+				cycle()
+			})
+		})
 	}
 	load(0)
 }
 
-func run(eng *sim.Engine, cpus *sim.CPUPool, ds *apps.DocStore, cfg MongoConfig, done func(FilebenchResult)) {
-	start := eng.Now()
+// newFilebench starts a personality's loop; its report divides the guest
+// CPU time the run took by its ops (the us/op metric).
+func newFilebench(eng *sim.Engine, personality string, n int, cpus *sim.CPUPool,
+	done func(FilebenchResult)) *loop {
+
 	cpu0 := busyOf(cpus)
-	var ops uint64
-	var bytesMoved int64
-	var latSum sim.Time
-	finished := 0
-	worker := func(idx int) {
-		rng := sim.NewRand(cfg.Seed ^ 0x3070 ^ uint64(idx)*0x9e37)
-		var cycle func()
-		n := 0
-		cycle = func() {
-			if eng.Now()-start >= cfg.Duration {
-				finished++
-				if finished == cfg.Users {
-					emit(eng, "mongo", start, ops, bytesMoved, latSum,
-						busyOf(cpus)-cpu0, done)
-				}
-				return
-			}
-			opStart := eng.Now()
-			n++
-			fin := func(moved int) {
-				bytesMoved += int64(moved)
-				latSum += eng.Now() - opStart
-				ops++
-				cycle()
-			}
-			switch {
-			case n%8 == 0: // periodic insert
-				ds.Insert(rng.Intn(cfg.Docs), cfg.DocSize, func(error) { fin(cfg.DocSize) })
-			case n%16 == 0: // journal sync
-				ds.SyncJournal(func(error) { fin(0) })
-			default:
-				ds.Read(rng.Intn(cfg.Docs), func(doc []byte, _ error) { fin(len(doc)) })
-			}
+	return newLoop(eng, n, func(l *loop) {
+		res := FilebenchResult{
+			Personality: personality,
+			Ops:         uint64(l.ops),
+			Bytes:       l.bytes,
+			MBps:        mbps(l.bytes, l.elapsed()),
+			AvgLatency:  l.avg(),
 		}
-		cycle()
-	}
-	for i := 0; i < cfg.Users; i++ {
-		worker(i)
-	}
+		if l.ops > 0 {
+			res.CPUPerOp = (busyOf(cpus) - cpu0) / sim.Time(l.ops)
+		}
+		done(res)
+	})
 }
 
-// prepare creates count files of size bytes named prefix.N, syncs and
-// drops caches (a cold start, §5.4), then calls next with their names.
-func prepare(eng *sim.Engine, fs *fsim.FS, prefix string, count, size int,
-	next func(names []string), done func(FilebenchResult)) {
+// fileNames returns n file names, format applied to 0..n-1.
+func fileNames(format string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf(format, i)
+	}
+	return names
+}
 
-	names := make([]string, count)
+// prepare creates a file of size bytes under each name, then syncs and
+// drops caches (a cold start, §5.4) and calls next with the files; fail
+// runs instead if a create fails.
+func prepare(fs *fsim.FS, names []string, size int, next func([]*fsim.File), fail func()) {
+	files := make([]*fsim.File, len(names))
 	var mk func(i int)
 	mk = func(i int) {
-		if i == count {
+		if i == len(names) {
 			fs.Sync(func(error) {
 				fs.Pool().DropCaches()
-				next(names)
+				next(files)
 			})
 			return
 		}
-		names[i] = fmt.Sprintf("%s.%05d", prefix, i)
 		f, err := fs.Create(names[i])
 		if err != nil {
-			done(FilebenchResult{})
+			fail()
 			return
 		}
+		files[i] = f
 		writeWhole(fs, f, size, 1<<20, func(int) { mk(i + 1) })
 	}
 	mk(0)
@@ -284,40 +262,30 @@ func prepare(eng *sim.Engine, fs *fsim.FS, prefix string, count, size int,
 
 // writeWhole writes size bytes to f in ioSize chunks.
 func writeWhole(fs *fsim.FS, f *fsim.File, size, ioSize int, cb func(written int)) {
-	var off int
-	var step func()
-	step = func() {
-		if off >= size {
-			cb(size)
-			return
-		}
-		n := ioSize
-		if n > size-off {
-			n = size - off
-		}
-		fs.Write(f, int64(off), make([]byte, n), func(error) {
-			off += n
-			step()
-		})
-	}
-	step()
+	chunks(size, ioSize, func(off int64, n int, next func()) {
+		fs.Write(f, off, make([]byte, n), func(error) { next() })
+	}, cb)
 }
 
 // readWhole reads f fully in ioSize chunks.
 func readWhole(fs *fsim.FS, f *fsim.File, ioSize int, cb func(read int)) {
-	size := int(f.Size())
-	var off int
+	chunks(int(f.Size()), ioSize, func(off int64, n int, next func()) {
+		fs.Read(f, off, n, func([]byte, error) { next() })
+	}, cb)
+}
+
+// chunks walks size bytes in ioSize pieces, one io at a time, then calls
+// cb(size).
+func chunks(size, ioSize int, io func(off int64, n int, next func()), cb func(int)) {
+	off := 0
 	var step func()
 	step = func() {
 		if off >= size {
 			cb(size)
 			return
 		}
-		n := ioSize
-		if n > size-off {
-			n = size - off
-		}
-		fs.Read(f, int64(off), n, func([]byte, error) {
+		n := min(ioSize, size-off)
+		io(int64(off), n, func() {
 			off += n
 			step()
 		})
@@ -331,22 +299,4 @@ func busyOf(p *sim.CPUPool) sim.Time {
 		return 0
 	}
 	return p.BusyTotal()
-}
-
-// emit finalizes a filebench result.
-func emit(eng *sim.Engine, personality string, start sim.Time,
-	ops uint64, bytesMoved int64, latSum, cpuBusy sim.Time, done func(FilebenchResult)) {
-
-	dur := eng.Now() - start
-	res := FilebenchResult{
-		Personality: personality,
-		Ops:         ops,
-		Bytes:       bytesMoved,
-		MBps:        mbps(bytesMoved, dur),
-	}
-	if ops > 0 {
-		res.AvgLatency = latSum / sim.Time(ops)
-		res.CPUPerOp = cpuBusy / sim.Time(ops)
-	}
-	done(res)
 }

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"kite/internal/blkfront"
 	"kite/internal/fsim"
 	"kite/internal/sim"
@@ -119,115 +117,50 @@ func SysbenchFileIO(eng *sim.Engine, fs *fsim.FS, cfg FileIOConfig, done func(Fi
 	if fileSize < int64(cfg.BlockSize) {
 		fileSize = int64(cfg.BlockSize)
 	}
-	files := make([]*fsim.File, cfg.Files)
-
-	// Prepare phase: create the files (sysbench prepare). Writing in
-	// large chunks keeps setup fast; data content is irrelevant.
-	prepChunk := 1 << 20
-	if prepChunk > int(fileSize) {
-		prepChunk = int(fileSize)
-	}
-	var prepFile func(i int)
-	run := func() {
-		start := eng.Now()
+	// sysbench prepare creates the files; the run starts cold.
+	prepare(fs, fileNames("sbtest.%d", cfg.Files), int(fileSize), func(files []*fsim.File) {
 		reads, writes := 0, 0
-		var bytesMoved int64
-		var latSum sim.Time
-		ops := 0
-		finished := 0
-		worker := func(idx int) {
+		l := newLoop(eng, cfg.Threads, func(l *loop) {
+			done(FileIOResult{
+				Threads: cfg.Threads, BlockSize: cfg.BlockSize,
+				Reads: reads, Writes: writes, Bytes: l.bytes,
+				MBps: mbps(l.bytes, l.elapsed()), AvgLatency: l.avg(),
+			})
+		})
+		l.run(func(idx int) {
 			rng := sim.NewRand((cfg.Seed | 1) ^ uint64(idx)*0x9e37)
-			var step func()
 			writesSinceSync := 0
+			var step func()
 			step = func() {
-				if eng.Now()-start >= cfg.Duration {
-					finished++
-					if finished == cfg.Threads {
-						dur := eng.Now() - start
-						res := FileIOResult{
-							Threads: cfg.Threads, BlockSize: cfg.BlockSize,
-							Reads: reads, Writes: writes, Bytes: bytesMoved,
-							MBps: mbps(bytesMoved, dur),
-						}
-						if ops > 0 {
-							res.AvgLatency = latSum / sim.Time(ops)
-						}
-						done(res)
-					}
+				if l.elapsed() >= cfg.Duration {
+					l.exit()
 					return
 				}
 				f := files[rng.Intn(len(files))]
-				maxOff := f.Size() - int64(cfg.BlockSize)
-				if maxOff < 0 {
-					maxOff = 0
-				}
+				maxOff := max(f.Size()-int64(cfg.BlockSize), 0)
 				off := rng.Int63n(maxOff/int64(cfg.BlockSize)+1) * int64(cfg.BlockSize)
-				opStart := eng.Now()
+				t0 := l.eng.Now()
 				fin := func() {
-					latSum += eng.Now() - opStart
-					ops++
-					bytesMoved += int64(cfg.BlockSize)
+					l.done(t0, cfg.BlockSize)
 					step()
 				}
 				if rng.Intn(5) < 3 { // 3:2 read:write
 					reads++
 					fs.Read(f, off, cfg.BlockSize, func([]byte, error) { fin() })
-				} else {
-					writes++
-					writesSinceSync++
-					if writesSinceSync >= 100 {
-						// sysbench's default --file-fsync-freq=100.
-						writesSinceSync = 0
-						fs.Write(f, off, make([]byte, cfg.BlockSize), func(error) {
-							fs.Sync(func(error) { fin() })
-						})
-						return
-					}
-					fs.Write(f, off, make([]byte, cfg.BlockSize), func(error) { fin() })
+					return
 				}
+				writes++
+				if writesSinceSync++; writesSinceSync >= 100 {
+					// sysbench's default --file-fsync-freq=100.
+					writesSinceSync = 0
+					fs.Write(f, off, make([]byte, cfg.BlockSize), func(error) {
+						fs.Sync(func(error) { fin() })
+					})
+					return
+				}
+				fs.Write(f, off, make([]byte, cfg.BlockSize), func(error) { fin() })
 			}
 			step()
-		}
-		for i := 0; i < cfg.Threads; i++ {
-			worker(i)
-		}
-	}
-	// Between prepare and run: sync dirty data, then flush the read
-	// buffer (§5.4's drop_caches), so the run starts cold.
-	startRun := func() {
-		fs.Sync(func(error) {
-			fs.Pool().DropCaches()
-			run()
 		})
-	}
-	prepFile = func(i int) {
-		if i == cfg.Files {
-			startRun()
-			return
-		}
-		f, err := fs.Create(fmt.Sprintf("sbtest.%d", i))
-		if err != nil {
-			done(FileIOResult{})
-			return
-		}
-		files[i] = f
-		var off int64
-		var fill func()
-		fill = func() {
-			if off >= fileSize {
-				prepFile(i + 1)
-				return
-			}
-			n := int64(prepChunk)
-			if n > fileSize-off {
-				n = fileSize - off
-			}
-			fs.Write(f, off, make([]byte, n), func(error) {
-				off += n
-				fill()
-			})
-		}
-		fill()
-	}
-	prepFile(0)
+	}, func() { done(FileIOResult{}) })
 }

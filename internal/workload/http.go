@@ -26,76 +26,41 @@ type ABResult struct {
 func ApacheBench(client *netstack.Host, serverIP netpkt.IP, port uint16,
 	path string, totalRequests, concurrency int, done func(ABResult)) {
 
-	eng := client.Stack.Engine()
-	start := eng.Now()
-	issued := 0
-	completed := 0
-	errors := 0
-	finishedConns := 0
-	var bodyBytes uint64
-	var latencySum sim.Time
-
+	issued, errors := 0, 0
 	req := []byte("GET " + path + " HTTP/1.1\r\nHost: server\r\n\r\n")
-
-	finishConn := func() {
-		finishedConns++
-		if finishedConns < concurrency {
-			return
-		}
-		total := eng.Now() - start
-		res := ABResult{
-			Requests: completed, Concurrency: concurrency,
-			TotalTime: total, BodyBytes: bodyBytes, Errors: errors,
-		}
-		if total > 0 {
-			res.RequestsPerSec = float64(completed) / total.Seconds()
-			res.ThroughputMBps = float64(bodyBytes) / total.Seconds() / (1 << 20)
-		}
-		if completed > 0 {
-			res.AvgLatency = latencySum / sim.Time(completed)
-		}
-		done(res)
-	}
-
-	worker := func() {
-		client.Stack.Dial(serverIP, port, func(c *netstack.Conn, err error) {
-			if err != nil {
-				errors++
-				finishConn()
+	l := newLoop(client.Stack.Engine(), concurrency, func(l *loop) {
+		done(ABResult{
+			Requests: l.ops, Concurrency: concurrency,
+			TotalTime: l.elapsed(), BodyBytes: uint64(l.bytes), Errors: errors,
+			RequestsPerSec: l.perSec(float64(l.ops)),
+			ThroughputMBps: l.perSec(float64(l.bytes)) / (1 << 20),
+			AvgLatency:     l.avg(),
+		})
+	})
+	l.run(func(int) {
+		var sentAt sim.Time
+		next := func(c *netstack.Conn) {
+			if issued >= totalRequests {
+				c.Close()
+				l.exit()
 				return
 			}
-			var buf []byte
-			var sentAt sim.Time
-			next := func() {
-				if issued >= totalRequests {
-					c.Close()
-					finishConn()
-					return
-				}
-				issued++
-				sentAt = eng.Now()
-				c.Send(req)
-			}
-			c.OnData(func(b []byte) {
-				buf = append(buf, b...)
-				for {
-					n, body, ok := consumeHTTPResponse(buf)
-					if !ok {
-						return
-					}
-					buf = buf[n:]
-					bodyBytes += uint64(body)
-					latencySum += eng.Now() - sentAt
-					completed++
-					next()
-				}
-			})
-			next()
-		})
-	}
-	for i := 0; i < concurrency; i++ {
-		worker()
-	}
+			issued++
+			sentAt = l.eng.Now()
+			c.Send(req)
+		}
+		dial(client, serverIP, port, httpFrame, next, func(c *netstack.Conn, msg []byte) {
+			_, body, _ := consumeHTTPResponse(msg)
+			l.done(sentAt, body)
+			next(c)
+		}, func() { errors++; l.exit() })
+	})
+}
+
+// httpFrame is consumeHTTPResponse as a dial frame.
+func httpFrame(buf []byte) int {
+	n, _, _ := consumeHTTPResponse(buf)
+	return n
 }
 
 // consumeHTTPResponse returns the total length of one complete HTTP
@@ -136,27 +101,21 @@ type WgetResult struct {
 func Wget(client *netstack.Host, serverIP netpkt.IP, port uint16, path string,
 	done func(WgetResult)) {
 
-	eng := client.Stack.Engine()
-	start := eng.Now()
-	client.Stack.Dial(serverIP, port, func(c *netstack.Conn, err error) {
-		if err != nil {
+	l := newLoop(client.Stack.Engine(), 1, func(l *loop) {
+		if l.ops == 0 {
 			done(WgetResult{})
 			return
 		}
-		var buf []byte
-		c.OnData(func(b []byte) {
-			buf = append(buf, b...)
-			if n, body, ok := consumeHTTPResponse(buf); ok {
-				_ = n
-				dur := eng.Now() - start
-				res := WgetResult{Bytes: body, Duration: dur}
-				if dur > 0 {
-					res.MBps = float64(body) / dur.Seconds() / (1 << 20)
-				}
-				c.Close()
-				done(res)
-			}
-		})
-		c.Send([]byte("GET " + path + " HTTP/1.1\r\nHost: server\r\n\r\n"))
+		done(WgetResult{Bytes: int(l.bytes), Duration: l.elapsed(), MBps: mbps(l.bytes, l.elapsed())})
+	})
+	l.run(func(int) {
+		dial(client, serverIP, port, httpFrame, func(c *netstack.Conn) {
+			c.Send([]byte("GET " + path + " HTTP/1.1\r\nHost: server\r\n\r\n"))
+		}, func(c *netstack.Conn, msg []byte) {
+			_, body, _ := consumeHTTPResponse(msg)
+			l.done(l.start, body)
+			c.Close()
+			l.exit()
+		}, l.exit)
 	})
 }

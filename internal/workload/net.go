@@ -7,6 +7,9 @@
 package workload
 
 import (
+	"bytes"
+	"strconv"
+
 	"kite/internal/apps"
 	"kite/internal/netpkt"
 	"kite/internal/netstack"
@@ -165,123 +168,52 @@ type MemtierResult struct {
 func Memtier(client *netstack.Host, serverIP netpkt.IP, port uint16,
 	ops, valueBytes int, conns int, done func(MemtierResult)) {
 
-	eng := client.Stack.Engine()
 	value := make([]byte, valueBytes)
 	sim.NewRand(0x3317).Bytes(value)
-
-	var total sim.Time
-	completed := 0
 	issued := 0
-	finished := 0
-
-	runConn := func() {
-		client.Stack.Dial(serverIP, port, func(c *netstack.Conn, err error) {
-			if err != nil {
-				finished++
+	l := newLoop(client.Stack.Engine(), conns, func(l *loop) {
+		done(MemtierResult{Ops: l.ops, AvgLatency: l.avg()})
+	})
+	l.run(func(int) {
+		var sentAt sim.Time
+		opIndex := 0
+		set := func(c *netstack.Conn) { c.Send(apps.EncodeSet("memtier-key", value)) }
+		// Seed the key first so GETs hit; its reply starts the loop.
+		dial(client, serverIP, port, consumeKVReply, set, func(c *netstack.Conn, _ []byte) {
+			// One reply per op: OK line, VALUE+body, or NIL.
+			if opIndex > 0 {
+				l.done(sentAt, 0)
+			}
+			if issued >= ops {
+				l.exit()
 				return
 			}
-			var sentAt sim.Time
-			var buf []byte
-			seeded := false
-			opIndex := 0
-			next := func() {
-				if issued >= ops {
-					finished++
-					if finished == conns {
-						res := MemtierResult{Ops: completed}
-						if completed > 0 {
-							res.AvgLatency = total / sim.Time(completed)
-						}
-						done(res)
-					}
-					return
-				}
-				issued++
-				opIndex++
-				sentAt = eng.Now()
-				if opIndex%11 == 0 { // 1 SET per 10 GETs
-					c.Send(apps.EncodeSet("memtier-key", value))
-				} else {
-					c.Send(apps.EncodeGet("memtier-key"))
-				}
+			issued++
+			opIndex++
+			sentAt = l.eng.Now()
+			if opIndex%11 == 0 { // 1 SET per 10 GETs
+				set(c)
+			} else {
+				c.Send(apps.EncodeGet("memtier-key"))
 			}
-			c.OnData(func(b []byte) {
-				buf = append(buf, b...)
-				// One reply per op: OK line, VALUE+body, or NIL.
-				for {
-					consumed := consumeKVReply(buf)
-					if consumed == 0 {
-						return
-					}
-					buf = buf[consumed:]
-					if !seeded {
-						seeded = true
-					} else {
-						total += eng.Now() - sentAt
-						completed++
-					}
-					next()
-				}
-			})
-			// Seed the key first so GETs hit; its reply starts the loop.
-			c.Send(apps.EncodeSet("memtier-key", value))
-		})
-	}
-	for i := 0; i < conns; i++ {
-		runConn()
-	}
+		}, l.exit)
+	})
 }
 
 // consumeKVReply returns the byte length of one complete KV reply at the
 // start of buf, or 0 if incomplete.
 func consumeKVReply(buf []byte) int {
-	nl := indexCRLF(buf)
+	nl := bytes.Index(buf, []byte("\r\n"))
 	if nl < 0 {
 		return 0
 	}
-	line := string(buf[:nl])
-	switch {
-	case line == "OK" || line == "NIL" || len(line) > 3 && line[:3] == "ERR":
-		return nl + 2
-	case len(line) > 6 && line[:6] == "VALUE ":
-		var n int
-		if _, err := sscanInt(line[6:], &n); err != nil {
-			return nl + 2
-		}
-		total := nl + 2 + n + 2
-		if len(buf) < total {
+	if v, ok := bytes.CutPrefix(buf[:nl], []byte("VALUE ")); ok {
+		if n, err := strconv.Atoi(string(v)); err == nil && n >= 0 {
+			if total := nl + 2 + n + 2; len(buf) >= total {
+				return total
+			}
 			return 0
 		}
-		return total
-	default:
-		return nl + 2
 	}
+	return nl + 2
 }
-
-func indexCRLF(b []byte) int {
-	for i := 0; i+1 < len(b); i++ {
-		if b[i] == '\r' && b[i+1] == '\n' {
-			return i
-		}
-	}
-	return -1
-}
-
-func sscanInt(s string, out *int) (int, error) {
-	n := 0
-	i := 0
-	for ; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
-		n = n*10 + int(s[i]-'0')
-	}
-	*out = n
-	if i == 0 {
-		return 0, errNoDigits
-	}
-	return i, nil
-}
-
-var errNoDigits = errDigits{}
-
-type errDigits struct{}
-
-func (errDigits) Error() string { return "workload: no digits" }

@@ -65,13 +65,3 @@ func TestConsumeSQLReply(t *testing.T) {
 		t.Fatalf("no newline = %d, want 0", got)
 	}
 }
-
-func TestSscanInt(t *testing.T) {
-	var v int
-	if n, err := sscanInt("1234xyz", &v); err != nil || n != 4 || v != 1234 {
-		t.Fatalf("n=%d v=%d err=%v", n, v, err)
-	}
-	if _, err := sscanInt("xyz", &v); err == nil {
-		t.Fatal("non-digit parsed")
-	}
-}

@@ -24,79 +24,26 @@ type RedisBenchResult struct {
 func RedisBench(client *netstack.Host, serverIP netpkt.IP, port uint16,
 	op string, threads, pipeline, totalOps, valueBytes int, done func(RedisBenchResult)) {
 
-	eng := client.Stack.Engine()
 	value := make([]byte, valueBytes)
 	sim.NewRand(0x4ed5).Bytes(value)
 
-	start := eng.Now()
-	issued := 0
-	completed := 0
-	finished := 0
-
-	preload := func(then func()) {
-		// redis-benchmark GET runs against existing keys: seed the
-		// keyspace first (one connection, pipelined).
-		client.Stack.Dial(serverIP, port, func(c *netstack.Conn, err error) {
-			if err != nil {
-				then()
-				return
-			}
-			var batch []byte
-			total := 0
-			for id := 0; id < threads; id++ {
-				for k := 0; k < 1000; k++ {
-					batch = append(batch, apps.EncodeSet(fmt.Sprintf("key:%d:%d", id, k), value)...)
-					total++
-				}
-			}
-			var buf []byte
-			got := 0
-			c.OnData(func(b []byte) {
-				buf = append(buf, b...)
-				for {
-					n := consumeKVReply(buf)
-					if n == 0 {
-						break
-					}
-					buf = buf[n:]
-					got++
-				}
-				if got == total {
-					c.Close()
-					then()
-				}
-			})
-			c.Send(batch)
+	run := func() {
+		issued := 0
+		l := newLoop(client.Stack.Engine(), threads, func(l *loop) {
+			done(RedisBenchResult{Op: op, Threads: threads, Pipeline: pipeline,
+				Ops: l.ops, OpsPerSec: l.perSec(float64(l.ops))})
 		})
-	}
-
-	worker := func(id int) {
-		client.Stack.Dial(serverIP, port, func(c *netstack.Conn, err error) {
-			if err != nil {
-				finished++
-				return
-			}
-			var buf []byte
-			pendingReplies := 0
-			var pump func()
-			pump = func() {
+		l.run(func(id int) {
+			pending := 0
+			var sentAt sim.Time
+			// pump sends the next pipeline batch once the last one is
+			// answered.
+			pump := func(c *netstack.Conn) {
 				if issued >= totalOps {
-					if pendingReplies == 0 {
-						c.Close()
-						finished++
-						if finished == threads {
-							dur := eng.Now() - start
-							res := RedisBenchResult{Op: op, Threads: threads,
-								Pipeline: pipeline, Ops: completed}
-							if dur > 0 {
-								res.OpsPerSec = float64(completed) / dur.Seconds()
-							}
-							done(res)
-						}
-					}
+					c.Close()
+					l.exit()
 					return
 				}
-				// Fill one pipeline batch.
 				var batch []byte
 				for i := 0; i < pipeline && issued < totalOps; i++ {
 					key := fmt.Sprintf("key:%d:%d", id, issued%1000)
@@ -106,37 +53,38 @@ func RedisBench(client *netstack.Host, serverIP netpkt.IP, port uint16,
 						batch = append(batch, apps.EncodeGet(key)...)
 					}
 					issued++
-					pendingReplies++
+					pending++
 				}
+				sentAt = l.eng.Now()
 				c.Send(batch)
 			}
-			c.OnData(func(b []byte) {
-				buf = append(buf, b...)
-				for {
-					consumed := consumeKVReply(buf)
-					if consumed == 0 {
-						break
-					}
-					buf = buf[consumed:]
-					pendingReplies--
-					completed++
+			dial(client, serverIP, port, consumeKVReply, pump, func(c *netstack.Conn, _ []byte) {
+				l.done(sentAt, 0)
+				if pending--; pending == 0 {
+					pump(c)
 				}
-				if pendingReplies == 0 {
-					pump()
-				}
-			})
-			pump()
+			}, l.exit)
 		})
 	}
-	run := func() {
-		start = eng.Now()
-		for i := 0; i < threads; i++ {
-			worker(i)
-		}
-	}
-	if op == "GET" {
-		preload(run)
-	} else {
+	if op != "GET" {
 		run()
+		return
 	}
+	// redis-benchmark GET runs against existing keys: seed the keyspace
+	// first (one connection, pipelined).
+	loaded := 0
+	dial(client, serverIP, port, consumeKVReply, func(c *netstack.Conn) {
+		var batch []byte
+		for id := 0; id < threads; id++ {
+			for k := 0; k < 1000; k++ {
+				batch = append(batch, apps.EncodeSet(fmt.Sprintf("key:%d:%d", id, k), value)...)
+			}
+		}
+		c.Send(batch)
+	}, func(c *netstack.Conn, _ []byte) {
+		if loaded++; loaded == threads*1000 {
+			c.Close()
+			run()
+		}
+	}, run)
 }

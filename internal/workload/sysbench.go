@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"bytes"
+	"strconv"
+
 	"kite/internal/apps"
 	"kite/internal/netpkt"
 	"kite/internal/netstack"
@@ -34,93 +37,17 @@ func OLTPNetwork(client *netstack.Host, serverIP netpkt.IP, port uint16,
 	guestCPUs *sim.CPUPool, tables int, rows int64,
 	threads int, dur sim.Time, done func(OLTPResult)) {
 
-	eng := client.Stack.Engine()
 	rng := sim.NewRand(uint64(threads)*7919 + 17)
-	start := eng.Now()
-	guestCPUs.ResetWindows()
-
-	totalTx := 0
-	totalQ := 0
-	var latSum sim.Time
-	finished := 0
-
-	finish := func() {
-		finished++
-		if finished < threads {
-			return
-		}
-		res := OLTPResult{
-			Threads: threads, Transactions: totalTx, Queries: totalQ,
-			GuestCPUUtil: guestCPUs.WindowUtilization(),
-		}
-		elapsed := (eng.Now() - start).Seconds()
-		if elapsed > 0 {
-			res.TPS = float64(totalTx) / elapsed
-			res.QPS = float64(totalQ) / elapsed
-		}
-		if totalTx > 0 {
-			res.AvgLatency = latSum / sim.Time(totalTx)
-		}
-		done(res)
-	}
-
-	worker := func() {
-		client.Stack.Dial(serverIP, port, func(c *netstack.Conn, err error) {
-			if err != nil {
-				finish()
-				return
-			}
-			var buf []byte
-			queriesLeft := 0
-			var txStart sim.Time
-			var beginTx func()
-			step := func() {
-				if queriesLeft == 0 {
-					latSum += eng.Now() - txStart
-					totalTx++
-					if eng.Now()-start >= dur {
-						c.Close()
-						finish()
-						return
-					}
-					beginTx()
-					return
-				}
-				queriesLeft--
-				totalQ++
-				table := rng.Intn(tables)
-				row := rng.Int63n(rows)
-				if queriesLeft < oltpRangesPerTx { // last 4 are ranges
-					if row > rows-oltpRangeRows {
-						row = rows - oltpRangeRows
-					}
-					c.Send([]byte(sqlRange(table, row, oltpRangeRows)))
-				} else {
-					c.Send([]byte(sqlPoint(table, row)))
-				}
-			}
-			beginTx = func() {
-				txStart = eng.Now()
-				queriesLeft = oltpPointsPerTx + oltpRangesPerTx
-				step()
-			}
-			c.OnData(func(b []byte) {
-				buf = append(buf, b...)
-				for {
-					n := consumeSQLReply(buf)
-					if n == 0 {
-						return
-					}
-					buf = buf[n:]
-					step()
-				}
-			})
-			beginTx()
-		})
-	}
-	for i := 0; i < threads; i++ {
-		worker()
-	}
+	o := newOLTP(client.Stack.Engine(), guestCPUs, rng, tables, rows, threads, dur, done)
+	o.run(func(int) {
+		var step func()
+		dial(client, serverIP, port, consumeSQLReply, func(c *netstack.Conn) {
+			step = o.worker(func(table int, row int64, rangeRows int) {
+				c.Send([]byte(sqlQuery(table, row, rangeRows)))
+			}, func() { c.Close(); o.exit() })
+			step()
+		}, func(*netstack.Conn, []byte) { step() }, o.exit)
+	})
 }
 
 // OLTPLocal drives a SQLDB directly inside the guest with the given
@@ -130,118 +57,100 @@ func OLTPLocal(db *apps.SQLDB, guestCPUs *sim.CPUPool, eng *sim.Engine,
 	tables int, rows int64, threads int, dur sim.Time, done func(OLTPResult)) {
 
 	rng := sim.NewRand(uint64(threads)*104729 + 23)
-	start := eng.Now()
-	guestCPUs.ResetWindows()
-
-	totalTx := 0
-	totalQ := 0
-	var latSum sim.Time
-	finished := 0
-
-	finish := func() {
-		finished++
-		if finished < threads {
-			return
-		}
-		res := OLTPResult{
-			Threads: threads, Transactions: totalTx, Queries: totalQ,
-			GuestCPUUtil: guestCPUs.WindowUtilization(),
-		}
-		elapsed := (eng.Now() - start).Seconds()
-		if elapsed > 0 {
-			res.TPS = float64(totalTx) / elapsed
-			res.QPS = float64(totalQ) / elapsed
-		}
-		if totalTx > 0 {
-			res.AvgLatency = latSum / sim.Time(totalTx)
-		}
-		done(res)
-	}
-
-	worker := func() {
-		queriesLeft := 0
-		var txStart sim.Time
+	o := newOLTP(eng, guestCPUs, rng, tables, rows, threads, dur, done)
+	o.run(func(int) {
 		var step func()
-		var beginTx func()
-		step = func() {
-			if queriesLeft == 0 {
-				latSum += eng.Now() - txStart
-				totalTx++
-				if eng.Now()-start >= dur {
-					finish()
-					return
-				}
-				beginTx()
+		reply := func([]byte, error) { step() }
+		step = o.worker(func(table int, row int64, rangeRows int) {
+			if rangeRows > 0 {
+				db.RangeSelect(table, row, rangeRows, reply)
+			} else {
+				db.PointSelect(table, row, reply)
+			}
+		}, o.exit)
+		step()
+	})
+}
+
+// oltp is one sysbench run: its workers share one RNG, and each op of the
+// loop is one transaction.
+type oltp struct {
+	*loop
+	rng     *sim.Rand
+	tables  int
+	rows    int64
+	dur     sim.Time
+	queries int
+}
+
+func newOLTP(eng *sim.Engine, guestCPUs *sim.CPUPool, rng *sim.Rand, tables int, rows int64,
+	threads int, dur sim.Time, done func(OLTPResult)) *oltp {
+
+	guestCPUs.ResetWindows()
+	o := &oltp{rng: rng, tables: tables, rows: rows, dur: dur}
+	o.loop = newLoop(eng, threads, func(l *loop) {
+		done(OLTPResult{
+			Threads: threads, Transactions: l.ops, Queries: o.queries,
+			TPS: l.perSec(float64(l.ops)), QPS: l.perSec(float64(o.queries)),
+			AvgLatency:   l.avg(),
+			GuestCPUUtil: guestCPUs.WindowUtilization(),
+		})
+	})
+	return o
+}
+
+// worker returns one worker's step: each call issues the next query of its
+// transaction through query (rangeRows 0 for a point select) and expects
+// to be called again on the reply. At a transaction's end it records it,
+// then begins the next, or calls stop once dur has passed.
+func (o *oltp) worker(query func(table int, row int64, rangeRows int), stop func()) func() {
+	t0 := o.eng.Now()
+	left := oltpPointsPerTx + oltpRangesPerTx
+	return func() {
+		if left == 0 {
+			o.done(t0, 0)
+			if o.elapsed() >= o.dur {
+				stop()
 				return
 			}
-			queriesLeft--
-			totalQ++
-			table := rng.Intn(tables)
-			row := rng.Int63n(rows)
-			if queriesLeft < oltpRangesPerTx {
-				if row > rows-oltpRangeRows {
-					row = rows - oltpRangeRows
-				}
-				db.RangeSelect(table, row, oltpRangeRows, func([]byte, error) { step() })
-			} else {
-				db.PointSelect(table, row, func([]byte, error) { step() })
-			}
+			t0, left = o.eng.Now(), oltpPointsPerTx+oltpRangesPerTx
 		}
-		beginTx = func() {
-			txStart = eng.Now()
-			queriesLeft = oltpPointsPerTx + oltpRangesPerTx
-			step()
+		left--
+		o.queries++
+		table := o.rng.Intn(o.tables)
+		row := o.rng.Int63n(o.rows)
+		if left >= oltpRangesPerTx {
+			query(table, row, 0)
+			return
 		}
-		beginTx()
-	}
-	for i := 0; i < threads; i++ {
-		worker()
+		// The last oltpRangesPerTx queries are ranges.
+		query(table, min(row, o.rows-oltpRangeRows), oltpRangeRows)
 	}
 }
 
-func sqlPoint(table int, row int64) string {
-	return "P " + itoa(int64(table)) + " " + itoa(row) + "\n"
-}
-
-func sqlRange(table int, row int64, count int) string {
-	return "R " + itoa(int64(table)) + " " + itoa(row) + " " + itoa(int64(count)) + "\n"
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
+// sqlQuery is the wire form of a point select, or of a range select of
+// rangeRows rows.
+func sqlQuery(table int, row int64, rangeRows int) string {
+	q := strconv.Itoa(table) + " " + strconv.FormatInt(row, 10)
+	if rangeRows > 0 {
+		return "R " + q + " " + strconv.Itoa(rangeRows) + "\n"
 	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
+	return "P " + q + "\n"
 }
 
 // consumeSQLReply returns the length of one complete SQL reply ("D
 // <len>\n<bytes>" or "E ...\n") at the start of buf, or 0 if incomplete.
 func consumeSQLReply(buf []byte) int {
-	nl := -1
-	for i, c := range buf {
-		if c == '\n' {
-			nl = i
-			break
-		}
-	}
+	nl := bytes.IndexByte(buf, '\n')
 	if nl < 0 {
 		return 0
 	}
-	if len(buf) >= 2 && buf[0] == 'D' {
-		var n int
-		if _, err := sscanInt(string(buf[2:nl]), &n); err == nil {
-			total := nl + 1 + n
-			if len(buf) < total {
-				return 0
+	if nl >= 2 && buf[0] == 'D' {
+		if n, err := strconv.Atoi(string(buf[2:nl])); err == nil && n >= 0 {
+			if total := nl + 1 + n; len(buf) >= total {
+				return total
 			}
-			return total
+			return 0
 		}
 	}
 	return nl + 1

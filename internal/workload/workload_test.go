@@ -361,3 +361,49 @@ func TestOLTPLocalStorage(t *testing.T) {
 		t.Fatal("disk-mode OLTP produced no cache misses")
 	}
 }
+
+// TestRefusedDialReports dials a port nobody listens on with every TCP
+// generator: each must still report, with no completed ops, rather than
+// leave the experiment running to its event cap.
+func TestRefusedDialReports(t *testing.T) {
+	const port = 4444
+	cases := []struct {
+		name string
+		run  func(rig *core.NetworkRig, done func(ops int))
+	}{
+		{"apachebench", func(rig *core.NetworkRig, done func(int)) {
+			ApacheBench(rig.Client, rig.GuestIP, port, "/", 10, 2, func(r ABResult) { done(r.Requests) })
+		}},
+		{"wget", func(rig *core.NetworkRig, done func(int)) {
+			Wget(rig.Client, rig.GuestIP, port, "/", func(r WgetResult) { done(r.Bytes) })
+		}},
+		{"netperf", func(rig *core.NetworkRig, done func(int)) {
+			NetperfRR(rig.Client, rig.GuestIP, port, 10, 100*sim.Microsecond,
+				func(r NetperfResult) { done(r.Transactions) })
+		}},
+		{"memtier", func(rig *core.NetworkRig, done func(int)) {
+			Memtier(rig.Client, rig.GuestIP, port, 10, 128, 2, func(r MemtierResult) { done(r.Ops) })
+		}},
+		{"redis", func(rig *core.NetworkRig, done func(int)) {
+			RedisBench(rig.Client, rig.GuestIP, port, "SET", 2, 10, 100, 128,
+				func(r RedisBenchResult) { done(r.Ops) })
+		}},
+		{"oltp", func(rig *core.NetworkRig, done func(int)) {
+			OLTPNetwork(rig.Client, rig.GuestIP, port, rig.Guest.Dom.CPUs, 10, 1000, 2,
+				20*sim.Millisecond, func(r OLTPResult) { done(r.Transactions) })
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rig := netRig(t, core.KindKite)
+			reports, ops := 0, 0
+			c.run(rig, func(n int) { reports++; ops = n })
+			if !rig.Testbed.System.RunReady(func() bool { return reports > 0 }, 2_000_000) {
+				t.Fatal("no report after a refused dial")
+			}
+			if reports != 1 || ops != 0 {
+				t.Fatalf("%d reports, %d ops; want 1 and 0", reports, ops)
+			}
+		})
+	}
+}
