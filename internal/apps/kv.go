@@ -46,9 +46,6 @@ func NewKVServer(stack *netstack.Stack, port uint16) (*KVServer, error) {
 // Counts returns (sets, gets, misses).
 func (s *KVServer) Counts() (sets, gets, misses uint64) { return s.sets, s.gets, s.misses }
 
-// Keys returns the number of stored keys.
-func (s *KVServer) Keys() int { return len(s.data) }
-
 func (s *KVServer) accept(c *netstack.Conn) {
 	var buf []byte
 	c.OnData(func(data []byte) {

@@ -225,27 +225,13 @@ func NewInstance(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int
 				return nil, fmt.Errorf("blkback: %s: %w", inst.name, err)
 			}
 		} else {
-			name := inst.name + "/req-thread"
-			if nq > 1 {
-				name = fmt.Sprintf("%s/req-thread-q%d", inst.name, i)
-			}
-			q.thread = sim.NewTask(eng, q.cpu, name, costs.WakeLatency, q.drain)
+			q.thread = sim.NewTask(eng, q.cpu, costs.WakeLatency, q.drain)
 		}
 		q.notify = sim.NewBatch(eng, q.Flush)
 		inst.queues[i] = q
 	}
 	return inst, nil
 }
-
-// Lane returns the fleet service lane serving the instance, or nil for a
-// dedicated-worker instance.
-func (inst *Instance) Lane() *pvback.Lane { return inst.queues[0].lane }
-
-// FrontDom returns the tenant guest's domain ID.
-func (inst *Instance) FrontDom() xen.DomID { return inst.frontDom }
-
-// Name returns vbd<dom>.<dev>.
-func (inst *Instance) Name() string { return inst.name }
 
 // NumQueues returns the instance's worker-shard count.
 func (inst *Instance) NumQueues() int { return len(inst.queues) }

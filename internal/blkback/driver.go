@@ -50,7 +50,7 @@ const laneReqQuantum = 32
 func (d *Driver) SetFleet(n int) {
 	lanes := make([]*pvback.Lane, n)
 	for i := range lanes {
-		lanes[i] = pvback.NewLane("blkback", i, d.dom, d.eng,
+		lanes[i] = pvback.NewLane(i, d.dom, d.eng,
 			d.dom.CPUs.CPU(i%d.dom.CPUs.Len()), d.costs.WakeLatency, laneReqQuantum, nil)
 	}
 	d.Driver.SetFleet(lanes)

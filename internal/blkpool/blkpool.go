@@ -59,9 +59,6 @@ func (b *Buf) Len() int { return b.n }
 // Cap returns the buffer's class capacity.
 func (b *Buf) Cap() int { return len(b.data) }
 
-// Refs returns the current reference count.
-func (b *Buf) Refs() int { return b.refs }
-
 // Retain adds a reference and returns b for chaining. Each extra reference
 // requires its own Release.
 //

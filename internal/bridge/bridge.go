@@ -181,6 +181,7 @@ func (b *Bridge) learn(mac netpkt.MAC, port Port, now sim.Time) bool {
 	}
 	e, _ := b.fdb.Insert(h, mac, now)
 	e.Val = port
+	b.AgeFDB(fdbMaxIdle)
 	return true
 }
 
@@ -197,9 +198,16 @@ func (b *Bridge) Lookup(mac netpkt.MAC) Port {
 // FDBLen returns the number of learned MAC entries.
 func (b *Bridge) FDBLen() int { return b.fdb.Len() }
 
-// AgeFDB evicts entries idle longer than maxIdle and returns the count —
-// the periodic sweep the network application runs so departed guests do
-// not pin table space (brconfig's address timeout).
+// fdbMaxIdle is how long a learned MAC outlives its last frame: NetBSD
+// brconfig's default address timeout, 1200 s.
+const fdbMaxIdle = 1200 * sim.Second
+
+// AgeFDB evicts entries idle longer than maxIdle and returns the count, so
+// departed guests do not pin table space. learn runs it with fdbMaxIdle on
+// each new entry, with no timer to keep an idle simulation alive. A new
+// MAC is warmup: steady state re-learns the ones it knows.
+//
+//kite:coldpath
 func (b *Bridge) AgeFDB(maxIdle sim.Time) int {
 	n := b.fdb.Expire(b.eng.Now(), maxIdle, nil)
 	b.stats.Aged += uint64(n)

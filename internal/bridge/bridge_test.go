@@ -22,8 +22,11 @@ func (p *fakePort) Deliver(frame *framepool.Buf) {
 }
 
 func frame(dst, src netpkt.MAC, body string) *framepool.Buf {
-	f := netpkt.Frame{Dst: dst, Src: src, EtherType: netpkt.EtherTypeIPv4, Payload: []byte(body)}
-	return testPool.From(f.Marshal())
+	f := netpkt.Frame{Dst: dst, Src: src, EtherType: netpkt.EtherTypeIPv4}
+	b := testPool.GetLen(netpkt.EthHeaderLen + len(body))
+	copy(b.Extend(len(body)), body)
+	f.HeaderInto(b.Prepend(netpkt.EthHeaderLen))
+	return b
 }
 
 var (
@@ -222,5 +225,30 @@ func TestFDBSeenIndependentOfCarriage(t *testing.T) {
 		if at != arrival(i) {
 			t.Fatalf("source %d seen at %v, arrived at %v", i, at, arrival(i))
 		}
+	}
+}
+
+// TestLearnAgesIdleEntries pins the FDB aging the bridge runs itself: an
+// entry idle longer than fdbMaxIdle is gone after the next new learn, and
+// aging arms no timer, so an idle bridge's Run still returns.
+func TestLearnAgesIdleEntries(t *testing.T) {
+	eng, b, p1, p2, _ := newBridge()
+	b.Input(p1, frame(macB, macA, "a"))
+	eng.Run()
+	eng.RunUntil(fdbMaxIdle + sim.Second)
+	if b.Lookup(macA) == nil {
+		t.Fatal("entry aged out with no new learn")
+	}
+
+	b.Input(p2, frame(macA, macB, "b"))
+	eng.Run()
+	if b.Lookup(macA) != nil {
+		t.Fatal("entry idle past fdbMaxIdle survived the next new learn")
+	}
+	if b.Lookup(macB) != p2 || b.Stats().Aged != 1 {
+		t.Fatalf("Lookup(B)=%v Aged=%d, want vif1.0 and 1", b.Lookup(macB), b.Stats().Aged)
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("aging left %d events pending", eng.Pending())
 	}
 }

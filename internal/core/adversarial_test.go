@@ -359,6 +359,57 @@ func TestNetbackSurvivesHostileTxRequests(t *testing.T) {
 	}
 }
 
+// TestNetbackCountsAcceptedTxBytes pushes one batch of Tx requests with
+// distinct lengths, two of them refused (a bogus grant, a runt): the VIF's
+// TxFrames must count the accepted requests and its TxBytes the sum of
+// their lengths.
+func TestNetbackCountsAcceptedTxBytes(t *testing.T) {
+	tb := NewTestbed(35)
+	nd, err := tb.System.CreateNetworkDomain(NetworkDomainConfig{Kind: KindKite, NIC: tb.ServerNIC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil, ch, port, vif := attachEvilVIF(t, tb.System, nd)
+	tx := ch.Tx.Queue(0)
+	ref := evil.GrantAccess(nd.Dom.ID, evil.Arena.MustAlloc(), true)
+	reqs := []netif.TxRequest{
+		{ID: 1, Ref: ref, Len: 60},
+		{ID: 2, Ref: 0xbad, Len: 500},
+		{ID: 3, Ref: ref, Offset: 100, Len: 1400},
+		{ID: 4, Ref: ref, Len: netpkt.EthHeaderLen - 1},
+		{ID: 5, Ref: ref, Len: 333},
+	}
+	lens := map[uint16]uint64{}
+	for _, r := range reqs {
+		lens[r.ID] = uint64(r.Len)
+		tx.PushRequest(r)
+	}
+	if tx.PushRequestsAndCheckNotify() {
+		evil.Notify(port)
+	}
+	var frames, bytes uint64
+	answered := 0
+	if !tb.System.RunReady(func() bool {
+		for {
+			rsp, ok := tx.TakeResponse()
+			if !ok {
+				return answered == len(reqs)
+			}
+			answered++
+			if rsp.Status == netif.StatusOK {
+				frames++
+				bytes += lens[rsp.ID]
+			}
+		}
+	}, 1_000_000) {
+		t.Fatalf("netback answered %d of %d requests", answered, len(reqs))
+	}
+	if st := vif.Stats(); frames != 3 || st.TxFrames != frames || st.TxBytes != bytes {
+		t.Fatalf("%d accepted: vif counted %d frames and %d bytes, want %d and %d",
+			frames, st.TxFrames, st.TxBytes, frames, bytes)
+	}
+}
+
 // TestNetbackAnswersHostileRxRequestsPerOp posts one Rx request whose ref
 // is bogus and one through a real grant, then delivers two broadcast
 // frames: the bogus request must fail alone, and the good one must be

@@ -59,6 +59,9 @@ func TestFleetRigServesTenants(t *testing.T) {
 		if v.Lane() == nil {
 			t.Fatalf("vif %d has no service lane", i)
 		}
+		if wakes, runs := v.PusherRuns(); wakes != 0 || runs != 0 {
+			t.Fatalf("lane-served vif %d reports pusher wakes=%d runs=%d, want none", i, wakes, runs)
+		}
 	}
 	for i, lane := range rig.ND.Driver.Lanes() {
 		if lane.Members() == 0 {

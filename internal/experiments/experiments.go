@@ -88,9 +88,6 @@ type Pair struct {
 	Unit   string
 }
 
-// Ratio returns Kite/Linux.
-func (p Pair) Ratio() float64 { return metrics.Ratio(p.Kite, p.Linux) }
-
 // Parity reports whether the two sides agree within factor f.
 func (p Pair) Parity(f float64) bool { return metrics.WithinFactor(p.Kite, p.Linux, f) }
 

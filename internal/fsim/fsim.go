@@ -100,13 +100,6 @@ func (f *File) Name() string { return f.name }
 // Size returns the file's logical size.
 func (f *File) Size() int64 { return f.size }
 
-// Stats counts filesystem operations.
-type Stats struct {
-	Creates, Deletes, Opens, Closes uint64
-	Reads, Writes, Appends, Stats   uint64
-	BytesRead, BytesWritten         uint64
-}
-
 // FS is one mounted filesystem.
 type FS struct {
 	eng   *sim.Engine
@@ -116,7 +109,6 @@ type FS struct {
 
 	files map[string]*File
 	alloc *allocator
-	stats Stats
 }
 
 // Costs models the filesystem's software path (namei, extent lookup).
@@ -136,9 +128,6 @@ func New(eng *sim.Engine, pool *bufpool.Pool, cpus *sim.CPUPool, costs Costs) *F
 	}
 }
 
-// Stats returns a snapshot of the counters.
-func (fs *FS) Stats() Stats { return fs.stats }
-
 // FreeBytes returns unallocated disk space.
 func (fs *FS) FreeBytes() int64 { return fs.alloc.freeBytes() }
 
@@ -151,7 +140,6 @@ func (fs *FS) charge() {
 // Create makes an empty file.
 func (fs *FS) Create(name string) (*File, error) {
 	fs.charge()
-	fs.stats.Creates++
 	if _, exists := fs.files[name]; exists {
 		return nil, fmt.Errorf("fsim: %s exists", name)
 	}
@@ -163,7 +151,6 @@ func (fs *FS) Create(name string) (*File, error) {
 // Open looks a file up.
 func (fs *FS) Open(name string) (*File, error) {
 	fs.charge()
-	fs.stats.Opens++
 	f := fs.files[name]
 	if f == nil {
 		return nil, fmt.Errorf("fsim: %s does not exist", name)
@@ -171,16 +158,9 @@ func (fs *FS) Open(name string) (*File, error) {
 	return f, nil
 }
 
-// Close releases a handle (bookkeeping only; kept for workload fidelity).
-func (fs *FS) Close(f *File) {
-	fs.charge()
-	fs.stats.Closes++
-}
-
 // Stat returns a file's size.
 func (fs *FS) Stat(name string) (int64, bool) {
 	fs.charge()
-	fs.stats.Stats++
 	f := fs.files[name]
 	if f == nil {
 		return 0, false
@@ -202,7 +182,6 @@ func (fs *FS) List() []string {
 // Delete removes a file and frees its extents.
 func (fs *FS) Delete(name string) error {
 	fs.charge()
-	fs.stats.Deletes++
 	f := fs.files[name]
 	if f == nil {
 		return fmt.Errorf("fsim: %s does not exist", name)
@@ -271,8 +250,6 @@ func (f *File) runs(off, n int64) []extent {
 // Write stores data at offset off, growing the file as needed.
 func (fs *FS) Write(f *File, off int64, data []byte, cb func(err error)) {
 	fs.charge()
-	fs.stats.Writes++
-	fs.stats.BytesWritten += uint64(len(data))
 	end := off + int64(len(data))
 	if err := fs.grow(f, end); err != nil {
 		fs.eng.After(0, func() { cb(err) })
@@ -306,14 +283,12 @@ func (fs *FS) Write(f *File, off int64, data []byte, cb func(err error)) {
 
 // Append adds data at the end of the file.
 func (fs *FS) Append(f *File, data []byte, cb func(err error)) {
-	fs.stats.Appends++
 	fs.Write(f, f.size, data, cb)
 }
 
 // Read returns n bytes from offset off (short reads at EOF).
 func (fs *FS) Read(f *File, off int64, n int, cb func(data []byte, err error)) {
 	fs.charge()
-	fs.stats.Reads++
 	if off >= f.size {
 		fs.eng.After(0, func() { cb(nil, nil) })
 		return
@@ -321,7 +296,6 @@ func (fs *FS) Read(f *File, off int64, n int, cb func(data []byte, err error)) {
 	if off+int64(n) > f.size {
 		n = int(f.size - off)
 	}
-	fs.stats.BytesRead += uint64(n)
 	runs := f.runs(off, int64(n))
 	out := make([]byte, n)
 	remaining := len(runs)

@@ -19,18 +19,6 @@ const (
 	FamilyWindows // only in the CVE statistics (Fig 1a)
 )
 
-func (f Family) String() string {
-	switch f {
-	case FamilyLinux:
-		return "Linux"
-	case FamilyNetBSD:
-		return "NetBSD"
-	case FamilyWindows:
-		return "Windows"
-	}
-	return "?"
-}
-
 // ComponentKind categorizes image components.
 type ComponentKind int
 
@@ -94,15 +82,6 @@ func (p *Profile) KernelImageBytes() int64 {
 			(p.Family == FamilyNetBSD) { // the unikernel image is one binary
 			total += c.SizeBytes
 		}
-	}
-	return total
-}
-
-// CodeBytes returns the executable text visible to a gadget scan.
-func (p *Profile) CodeBytes() int64 {
-	var total int64
-	for _, c := range p.Components {
-		total += c.CodeBytes
 	}
 	return total
 }

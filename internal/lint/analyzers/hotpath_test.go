@@ -3,10 +3,9 @@ package analyzers_test
 import (
 	"testing"
 
-	"kite/internal/lint/analysistest"
 	"kite/internal/lint/analyzers"
 )
 
 func TestHotpath(t *testing.T) {
-	analysistest.Run(t, "kite/fixtures/hotpath", "testdata/src/hotpath", analyzers.Hotpath)
+	runFixture(t, "kite/fixtures/hotpath", "testdata/src/hotpath", analyzers.Hotpath)
 }

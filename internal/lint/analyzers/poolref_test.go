@@ -3,10 +3,9 @@ package analyzers_test
 import (
 	"testing"
 
-	"kite/internal/lint/analysistest"
 	"kite/internal/lint/analyzers"
 )
 
 func TestPoolref(t *testing.T) {
-	analysistest.Run(t, "kite/fixtures/poolref", "testdata/src/poolref", analyzers.Poolref)
+	runFixture(t, "kite/fixtures/poolref", "testdata/src/poolref", analyzers.Poolref)
 }

@@ -3,12 +3,11 @@ package analyzers_test
 import (
 	"testing"
 
-	"kite/internal/lint/analysistest"
 	"kite/internal/lint/analyzers"
 )
 
 // The fixture is registered under internal/: simdet's scope is the import
 // path, not an annotation.
 func TestSimdet(t *testing.T) {
-	analysistest.Run(t, "kite/internal/fixtures/simdet", "testdata/src/simdet", analyzers.Simdet)
+	runFixture(t, "kite/internal/fixtures/simdet", "testdata/src/simdet", analyzers.Simdet)
 }

@@ -27,7 +27,7 @@ func TestLintCleanTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
-	diags, err := lint.Run(mod, lint.All())
+	diags, _, err := lint.RunTimed(mod, lint.All())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -37,16 +37,11 @@ type Timing struct {
 	Elapsed time.Duration
 }
 
-// Run executes the given analyzers over every package of the module and
-// returns the findings sorted by position. Findings that landed on the
-// same position from different passes (a shared callee reached from hot
-// roots in two packages) are reported once.
-func Run(mod *analysis.Module, as []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	diags, _, err := RunTimed(mod, as)
-	return diags, err
-}
-
-// RunTimed is Run plus per-analyzer wall-clock, for `kitelint -v`.
+// RunTimed executes the given analyzers over every package of the module
+// and returns the findings sorted by position, with each analyzer's
+// wall-clock for `kitelint -v`. Findings that landed on the same position
+// from different passes (a shared callee reached from hot roots in two
+// packages) are reported once.
 func RunTimed(mod *analysis.Module, as []*analysis.Analyzer) ([]analysis.Diagnostic, []Timing, error) {
 	type key struct {
 		analyzer string

@@ -313,7 +313,7 @@ func TestMutationsCaught(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load mutated module: %v", err)
 	}
-	diags, err := lint.Run(mod, lint.All())
+	diags, _, err := lint.RunTimed(mod, lint.All())
 	if err != nil {
 		t.Fatal(err)
 	}

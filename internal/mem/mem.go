@@ -74,9 +74,6 @@ func NewArena(name string, maxBytes int64) *Arena {
 	return &Arena{name: name, maxPages: int(maxBytes / PageSize)}
 }
 
-// Name returns the arena's name (the owning domain).
-func (a *Arena) Name() string { return a.name }
-
 // Capacity returns the maximum number of pages.
 func (a *Arena) Capacity() int { return a.maxPages }
 

@@ -11,18 +11,12 @@ import (
 	"strings"
 )
 
-// Series is an append-only collection of float64 samples.
+// Series is an append-only collection of float64 samples; the zero value
+// is empty and ready to use.
 type Series struct {
-	name    string
 	samples []float64
 	sorted  bool
 }
-
-// NewSeries returns an empty series with a display name.
-func NewSeries(name string) *Series { return &Series{name: name} }
-
-// Name returns the series' display name.
-func (s *Series) Name() string { return s.name }
 
 // Add appends one sample.
 func (s *Series) Add(v float64) {

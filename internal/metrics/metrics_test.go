@@ -10,7 +10,7 @@ import (
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestSeriesBasics(t *testing.T) {
-	s := NewSeries("x")
+	s := &Series{}
 	for _, v := range []float64{1, 2, 3, 4} {
 		s.Add(v)
 	}
@@ -23,14 +23,14 @@ func TestSeriesBasics(t *testing.T) {
 }
 
 func TestEmptySeriesSafe(t *testing.T) {
-	s := NewSeries("empty")
+	s := &Series{}
 	if s.Mean() != 0 || s.StdDev() != 0 || s.RSD() != 0 || s.Percentile(50) != 0 {
 		t.Fatal("empty series returned non-zero stats")
 	}
 }
 
 func TestStdDevKnown(t *testing.T) {
-	s := NewSeries("x")
+	s := &Series{}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(v)
 	}
@@ -43,7 +43,7 @@ func TestStdDevKnown(t *testing.T) {
 }
 
 func TestPercentiles(t *testing.T) {
-	s := NewSeries("x")
+	s := &Series{}
 	for i := 1; i <= 100; i++ {
 		s.Add(float64(i))
 	}
@@ -62,7 +62,7 @@ func TestPercentiles(t *testing.T) {
 }
 
 func TestPercentileUnsortedInput(t *testing.T) {
-	s := NewSeries("x")
+	s := &Series{}
 	for _, v := range []float64{9, 1, 5, 3, 7} {
 		s.Add(v)
 	}
@@ -154,7 +154,7 @@ func TestRatioGuards(t *testing.T) {
 // Property: mean is always within [min, max], and RSD is non-negative.
 func TestSeriesInvariants(t *testing.T) {
 	prop := func(vals []float64) bool {
-		s := NewSeries("p")
+		s := &Series{}
 		for _, v := range vals {
 			// Measurements are physical quantities; bound magnitudes so the
 			// sum-of-squares in StdDev cannot overflow.

@@ -49,7 +49,7 @@ func TestPortExhaustionAndRecovery(t *testing.T) {
 	}
 	// Public path: the packet is dropped, not translated.
 	pkt := udpPacket(netpkt.IPv4(10, 2, 0, 2), remoteIP, 1234, 53, "x")
-	if tr.TranslateOutbound(pkt) != nil {
+	if tr.RewriteOutbound(pkt) {
 		t.Fatal("outbound translated past port exhaustion")
 	}
 	if tr.Stats().PortExhausted != 2 {
@@ -120,12 +120,40 @@ func TestDropGuestMidTrafficReleasesPorts(t *testing.T) {
 
 	// The tenant reconnects mid-traffic: a fresh outbound packet gets a
 	// fresh flow (possibly recycling a just-released port).
-	out := tr.TranslateOutbound(udpPacket(guestA, remoteIP, 1000, 53, "back"))
-	if out == nil {
+	if !tr.RewriteOutbound(udpPacket(guestA, remoteIP, 1000, 53, "back")) {
 		t.Fatal("reconnected tenant's outbound dropped")
 	}
 	if tr.Flows() != flowsEach+1 || tr.dynPorts != flowsEach+1 {
 		t.Fatalf("flows=%d dynPorts=%d after reconnect, want %d each",
 			tr.Flows(), tr.dynPorts, flowsEach+1)
+	}
+}
+
+// TestFullPortSpaceAgesOutIdleFlow fills the dynamic port space, lets every
+// flow but one sit idle past flowMaxIdle, and checks that a new flow gets a
+// port with no Expire call: flowFor reclaims idle flows when allocPort
+// finds the space full, and the flow that stayed busy keeps its port.
+func TestFullPortSpaceAgesOutIdleFlow(t *testing.T) {
+	eng, tr := newT()
+	for i := 0; i < portSpan; i++ {
+		if tr.flowFor(netpkt.ProtoUDP, churnIP(i), 7777) == nil {
+			t.Fatalf("flow %d refused before exhaustion", i)
+		}
+	}
+	eng.RunUntil(flowMaxIdle)
+	busy := tr.flowFor(netpkt.ProtoUDP, churnIP(0), 7777).Val.extPort
+	eng.RunUntil(flowMaxIdle + 2*sim.Second)
+
+	if !tr.RewriteOutbound(udpPacket(netpkt.IPv4(10, 2, 0, 1), remoteIP, 1234, 53, "x")) {
+		t.Fatal("new flow refused while idle flows hold the port space")
+	}
+	if st := tr.Stats(); st.FlowsExpired != portSpan-1 || st.PortExhausted != 0 {
+		t.Fatalf("FlowsExpired=%d PortExhausted=%d, want %d and 0", st.FlowsExpired, st.PortExhausted, portSpan-1)
+	}
+	if tr.Flows() != 2 || tr.dynPorts != 2 {
+		t.Fatalf("flows=%d dynPorts=%d, want 2 each", tr.Flows(), tr.dynPorts)
+	}
+	if ip, _, ok := tr.matchInbound(netpkt.ProtoUDP, busy); !ok || ip != churnIP(0) {
+		t.Fatal("the busy flow lost its port to aging")
 	}
 }

@@ -170,7 +170,8 @@ func (t *Translator) allocPort() (uint16, bool) {
 // guest endpoint that is the target of a static forward keeps the
 // forward's external port, so replies of redirected connections translate
 // back symmetrically. Returns nil when the dynamic port space is
-// exhausted — the caller drops the packet.
+// exhausted even after idle flows are reclaimed — the caller drops the
+// packet.
 //
 //kite:hotpath
 func (t *Translator) flowFor(proto uint8, guest netpkt.IP, guestPort uint16) *flow {
@@ -196,6 +197,10 @@ func (t *Translator) flowFor(proto uint8, guest netpkt.IP, guestPort uint16) *fl
 	if ext == 0 {
 		var ok bool
 		ext, ok = t.allocPort()
+		if !ok {
+			t.Expire(flowMaxIdle)
+			ext, ok = t.allocPort()
+		}
 		if !ok {
 			t.stats.PortExhausted++
 			return nil
@@ -327,27 +332,6 @@ func reICMPChecksum(msg []byte) {
 	binary.BigEndian.PutUint16(msg[2:4], netpkt.Checksum(msg))
 }
 
-// TranslateOutbound is the copying form of RewriteOutbound, kept for tests
-// and cold paths: it returns a rewritten copy or nil.
-func (t *Translator) TranslateOutbound(pkt []byte) []byte {
-	cp := append([]byte(nil), pkt...)
-	if !t.RewriteOutbound(cp) {
-		return nil
-	}
-	return cp
-}
-
-// TranslateInbound is the copying form of RewriteInbound: it returns a
-// rewritten copy and the guest address, or nil.
-func (t *Translator) TranslateInbound(pkt []byte) ([]byte, netpkt.IP) {
-	cp := append([]byte(nil), pkt...)
-	dst, ok := t.RewriteInbound(cp)
-	if !ok {
-		return nil, netpkt.IP{}
-	}
-	return cp, dst
-}
-
 // matchInbound resolves an inbound destination port via flows then static
 // forwards.
 //
@@ -372,9 +356,17 @@ func (t *Translator) release(f *flow) {
 	}
 }
 
-// Expire drops flows idle for longer than maxIdle (the translator's GC,
-// called periodically by the network application), in the table's
-// deterministic aging order.
+// flowMaxIdle is how long a flow outlives its last packet before a full
+// port space may reclaim it: RFC 5382 REQ-5's floor for an established TCP
+// mapping, 2 h 4 min, which also clears RFC 4787 REQ-5's two minutes for
+// UDP.
+const flowMaxIdle = 7440 * sim.Second
+
+// Expire drops flows idle for longer than maxIdle, in the table's
+// deterministic aging order. flowFor runs it with flowMaxIdle when the
+// dynamic port space is full, then retries the allocation once.
+//
+//kite:coldpath
 func (t *Translator) Expire(maxIdle sim.Time) int {
 	dropped := t.flows.Expire(t.eng.Now(), maxIdle, t.release)
 	t.stats.FlowsExpired += uint64(dropped)

@@ -92,7 +92,7 @@ func (d *Driver) SetFleet(shards []*sim.Engine) {
 		cpu.SetEngine(sh)
 		ds := newDrainState(sh, d.eng, d.br.NewLane(d.dom.CPUs.CPU(fwd)))
 		d.laneDS[i] = ds
-		lanes[i] = pvback.NewLane("netback", i, d.dom, sh, cpu, d.costs.WakeLatency, laneQuantum, ds.postTx)
+		lanes[i] = pvback.NewLane(i, d.dom, sh, cpu, d.costs.WakeLatency, laneQuantum, ds.postTx)
 	}
 	d.Driver.SetFleet(lanes)
 }

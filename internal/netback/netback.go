@@ -404,12 +404,8 @@ func NewVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 		if sharded {
 			dom.BindPortCPU(q.port, q.cpu)
 		}
-		name := v.name
-		if nq > 1 {
-			name = fmt.Sprintf("%s-q%d", v.name, i)
-		}
-		q.pusher = sim.NewTask(q.eng, q.cpu, name+"/pusher", costs.WakeLatency, q.drainTx)
-		q.softStart = sim.NewTask(q.eng, q.cpu, name+"/soft_start", costs.WakeLatency, q.drainRx)
+		q.pusher = sim.NewTask(q.eng, q.cpu, costs.WakeLatency, q.drainTx)
+		q.softStart = sim.NewTask(q.eng, q.cpu, costs.WakeLatency, q.drainRx)
 	}
 	return v, nil
 }

@@ -73,12 +73,6 @@ type TxRings = ring.MultiRing[TxRequest, TxResponse]
 // RxRings is the multi-queue set of Rx rings.
 type RxRings = ring.MultiRing[RxRequest, RxResponse]
 
-// NewTxRing allocates a Tx ring of the standard size.
-func NewTxRing() *TxRing { return ring.New[TxRequest, TxResponse](RingSize) }
-
-// NewRxRing allocates an Rx ring of the standard size.
-func NewRxRing() *RxRing { return ring.New[RxRequest, RxResponse](RingSize) }
-
 // NewTxRings allocates n standard-size Tx rings.
 func NewTxRings(n int) *TxRings { return ring.NewMulti[TxRequest, TxResponse](n, RingSize) }
 

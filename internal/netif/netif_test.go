@@ -6,7 +6,7 @@ import (
 )
 
 func TestRingConstructorsSize(t *testing.T) {
-	if NewTxRing().Size() != RingSize || NewRxRing().Size() != RingSize {
+	if NewTxRings(1).Queue(0).Size() != RingSize || NewRxRings(1).Queue(0).Size() != RingSize {
 		t.Fatal("ring constructors produce wrong sizes")
 	}
 }

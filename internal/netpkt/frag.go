@@ -1,41 +1,5 @@
 package netpkt
 
-import "fmt"
-
-// FragmentIPv4 splits an IP payload into MTU-sized IPv4 packets sharing
-// one identification value. Payloads that fit return a single packet.
-// Fragment offsets are in 8-byte units per RFC 791, so the per-fragment
-// payload is rounded down to a multiple of 8.
-//
-// This allocating form is kept for tests and cold paths; the netstack hot
-// path fragments directly into pooled buffers.
-func FragmentIPv4(h IPv4Header, payload []byte, mtu int) [][]byte {
-	maxData := (mtu - IPHeaderLen) &^ 7
-	if maxData <= 0 {
-		panic(fmt.Sprintf("netpkt: mtu %d cannot carry ipv4", mtu))
-	}
-	if len(payload) <= mtu-IPHeaderLen {
-		hh := h
-		hh.Flags = 0
-		hh.FragOff = 0
-		return [][]byte{hh.Marshal(payload)}
-	}
-	var out [][]byte
-	for off := 0; off < len(payload); off += maxData {
-		end := off + maxData
-		more := uint8(FlagMoreFragments)
-		if end >= len(payload) {
-			end = len(payload)
-			more = 0
-		}
-		hh := h
-		hh.Flags = more
-		hh.FragOff = uint16(off / 8)
-		out = append(out, hh.Marshal(payload[off:end]))
-	}
-	return out
-}
-
 type fragKey struct {
 	src, dst IP
 	id       uint16
@@ -72,9 +36,6 @@ type Reassembler struct {
 func NewReassembler() *Reassembler {
 	return &Reassembler{pending: make(map[fragKey]*fragBuf)}
 }
-
-// PendingCount returns how many partially reassembled datagrams are held.
-func (r *Reassembler) PendingCount() int { return len(r.pending) }
 
 // Push offers one IPv4 packet. If it completes a datagram (or was never
 // fragmented) the full payload is returned with done=true. The returned

@@ -78,24 +78,6 @@ type Frame struct {
 	Payload   []byte
 }
 
-// Marshal serializes the frame. Allocating wrapper over HeaderInto; hot
-// paths build frames in pooled buffers instead.
-func (f *Frame) Marshal() []byte {
-	b := make([]byte, EthHeaderLen+len(f.Payload))
-	f.HeaderInto(b)
-	copy(b[EthHeaderLen:], f.Payload)
-	return b
-}
-
-// ParseFrame deserializes an Ethernet frame.
-func ParseFrame(b []byte) (*Frame, error) {
-	f, ok := DecodeFrame(b)
-	if !ok {
-		return nil, fmt.Errorf("netpkt: frame too short (%d bytes)", len(b))
-	}
-	return &f, nil
-}
-
 // Checksum computes the Internet checksum (RFC 1071) over b.
 func Checksum(b []byte) uint16 {
 	var sum uint32
@@ -127,22 +109,6 @@ const (
 	ARPReply   = 2
 )
 
-// Marshal serializes the ARP body (without Ethernet header).
-func (a *ARP) Marshal() []byte {
-	b := make([]byte, 28)
-	a.MarshalInto(b)
-	return b
-}
-
-// ParseARP deserializes an ARP body.
-func ParseARP(b []byte) (*ARP, error) {
-	a, ok := DecodeARP(b)
-	if !ok {
-		return nil, fmt.Errorf("netpkt: arp too short (%d bytes)", len(b))
-	}
-	return &a, nil
-}
-
 // IPv4Header is a parsed option-less IPv4 header.
 type IPv4Header struct {
 	TotalLen uint16
@@ -157,47 +123,10 @@ type IPv4Header struct {
 // MoreFragments flag bit.
 const FlagMoreFragments = 1
 
-// Marshal serializes the header followed by payload, computing checksum
-// and total length.
-func (h *IPv4Header) Marshal(payload []byte) []byte {
-	b := make([]byte, IPHeaderLen+len(payload))
-	h.HeaderInto(b, len(payload))
-	copy(b[IPHeaderLen:], payload)
-	return b
-}
-
-// ParseIPv4 deserializes an IPv4 packet, verifying the header checksum,
-// and returns the header and payload.
-func ParseIPv4(b []byte) (*IPv4Header, []byte, error) {
-	h, payload, ok := DecodeIPv4(b)
-	if !ok {
-		return nil, nil, fmt.Errorf("netpkt: invalid ipv4 packet (%d bytes)", len(b))
-	}
-	return &h, payload, nil
-}
-
 // UDPHeader is a parsed UDP header.
 type UDPHeader struct {
 	SrcPort, DstPort uint16
 	Length           uint16
-}
-
-// Marshal serializes header + payload (checksum omitted, as permitted for
-// IPv4 UDP).
-func (u *UDPHeader) Marshal(payload []byte) []byte {
-	b := make([]byte, UDPHeaderLen+len(payload))
-	u.HeaderInto(b, len(payload))
-	copy(b[UDPHeaderLen:], payload)
-	return b
-}
-
-// ParseUDP deserializes a UDP datagram.
-func ParseUDP(b []byte) (*UDPHeader, []byte, error) {
-	u, payload, ok := DecodeUDP(b)
-	if !ok {
-		return nil, nil, fmt.Errorf("netpkt: invalid udp datagram (%d bytes)", len(b))
-	}
-	return &u, payload, nil
 }
 
 // TCP flag bits.
@@ -217,23 +146,6 @@ type TCPHeader struct {
 	Window           uint16
 }
 
-// Marshal serializes header + payload.
-func (t *TCPHeader) Marshal(payload []byte) []byte {
-	b := make([]byte, TCPHeaderLen+len(payload))
-	t.HeaderInto(b)
-	copy(b[TCPHeaderLen:], payload)
-	return b
-}
-
-// ParseTCP deserializes a TCP segment.
-func ParseTCP(b []byte) (*TCPHeader, []byte, error) {
-	t, payload, ok := DecodeTCP(b)
-	if !ok {
-		return nil, nil, fmt.Errorf("netpkt: invalid tcp segment (%d bytes)", len(b))
-	}
-	return &t, payload, nil
-}
-
 // ICMP echo types.
 const (
 	ICMPEchoRequest = 8
@@ -244,21 +156,4 @@ const (
 type ICMPEcho struct {
 	Type    uint8
 	ID, Seq uint16
-}
-
-// Marshal serializes the echo message with a valid checksum.
-func (e *ICMPEcho) Marshal(payload []byte) []byte {
-	b := make([]byte, ICMPHeaderLen+len(payload))
-	copy(b[ICMPHeaderLen:], payload)
-	e.MarshalInto(b)
-	return b
-}
-
-// ParseICMPEcho deserializes and checksum-verifies an echo message.
-func ParseICMPEcho(b []byte) (*ICMPEcho, []byte, error) {
-	e, payload, ok := DecodeICMPEcho(b)
-	if !ok {
-		return nil, nil, fmt.Errorf("netpkt: invalid icmp echo (%d bytes)", len(b))
-	}
-	return &e, payload, nil
 }

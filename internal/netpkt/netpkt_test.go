@@ -25,99 +25,151 @@ func TestXenMACUnique(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	f := &Frame{Dst: Broadcast, Src: XenMAC(1, 0), EtherType: EtherTypeIPv4, Payload: []byte("data")}
-	b := f.Marshal()
-	g, err := ParseFrame(b)
-	if err != nil {
-		t.Fatal(err)
+// The builders below encode through HeaderInto/MarshalInto into one
+// buffer, the way the netstack fills a pooled frame.
+
+func ether(f Frame) []byte {
+	b := make([]byte, EthHeaderLen+len(f.Payload))
+	f.HeaderInto(b)
+	copy(b[EthHeaderLen:], f.Payload)
+	return b
+}
+
+func arp(a ARP) []byte {
+	b := make([]byte, ARPLen)
+	a.MarshalInto(b)
+	return b
+}
+
+func ipv4(h IPv4Header, payload []byte) []byte {
+	b := make([]byte, IPHeaderLen+len(payload))
+	h.HeaderInto(b, len(payload))
+	copy(b[IPHeaderLen:], payload)
+	return b
+}
+
+func udp(u UDPHeader, payload []byte) []byte {
+	b := make([]byte, UDPHeaderLen+len(payload))
+	u.HeaderInto(b, len(payload))
+	copy(b[UDPHeaderLen:], payload)
+	return b
+}
+
+func tcp(h TCPHeader, payload []byte) []byte {
+	b := make([]byte, TCPHeaderLen+len(payload))
+	h.HeaderInto(b)
+	copy(b[TCPHeaderLen:], payload)
+	return b
+}
+
+func icmpEcho(e ICMPEcho, payload []byte) []byte {
+	b := make([]byte, ICMPHeaderLen+len(payload))
+	copy(b[ICMPHeaderLen:], payload)
+	e.MarshalInto(b)
+	return b
+}
+
+// fragment splits an IP payload into MTU-sized IPv4 packets sharing h's
+// identification; offsets are in 8-byte units (RFC 791), so each
+// fragment's payload is a multiple of 8 bytes.
+func fragment(h IPv4Header, payload []byte, mtu int) [][]byte {
+	if len(payload) <= mtu-IPHeaderLen {
+		h.Flags, h.FragOff = 0, 0
+		return [][]byte{ipv4(h, payload)}
 	}
-	if g.Dst != f.Dst || g.Src != f.Src || g.EtherType != f.EtherType || !bytes.Equal(g.Payload, f.Payload) {
+	maxData := (mtu - IPHeaderLen) &^ 7
+	var out [][]byte
+	for off := 0; off < len(payload); off += maxData {
+		end := min(off+maxData, len(payload))
+		h.Flags, h.FragOff = FlagMoreFragments, uint16(off/8)
+		if end == len(payload) {
+			h.Flags = 0
+		}
+		out = append(out, ipv4(h, payload[off:end]))
+	}
+	return out
+}
+
+// push decodes one fragment and offers it to r.
+func push(t *testing.T, r *Reassembler, pkt []byte) (IPv4Header, []byte, bool) {
+	t.Helper()
+	h, pl, ok := DecodeIPv4(pkt)
+	if !ok {
+		t.Fatal("fragment does not decode")
+	}
+	full, done := r.Push(&h, pl)
+	return h, full, done
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	f := Frame{Dst: Broadcast, Src: XenMAC(1, 0), EtherType: EtherTypeIPv4, Payload: []byte("data")}
+	g, ok := DecodeFrame(ether(f))
+	if !ok || g.Dst != f.Dst || g.Src != f.Src || g.EtherType != f.EtherType || !bytes.Equal(g.Payload, f.Payload) {
 		t.Fatalf("round trip mismatch: %+v", g)
 	}
 }
 
 func TestFrameTooShort(t *testing.T) {
-	if _, err := ParseFrame(make([]byte, 5)); err == nil {
+	if _, ok := DecodeFrame(make([]byte, 5)); ok {
 		t.Fatal("short frame parsed")
 	}
 }
 
 func TestARPRoundTrip(t *testing.T) {
-	a := &ARP{Op: ARPRequest, SenderMAC: XenMAC(1, 0), SenderIP: IPv4(10, 0, 0, 1), TargetIP: IPv4(10, 0, 0, 2)}
-	g, err := ParseARP(a.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Op != ARPRequest || g.SenderIP != a.SenderIP || g.TargetIP != a.TargetIP || g.SenderMAC != a.SenderMAC {
+	a := ARP{Op: ARPRequest, SenderMAC: XenMAC(1, 0), SenderIP: IPv4(10, 0, 0, 1), TargetIP: IPv4(10, 0, 0, 2)}
+	g, ok := DecodeARP(arp(a))
+	if !ok || g != a {
 		t.Fatalf("arp mismatch: %+v", g)
 	}
 }
 
 func TestIPv4RoundTripAndChecksum(t *testing.T) {
-	h := &IPv4Header{ID: 7, TTL: 64, Proto: ProtoUDP, Src: IPv4(10, 0, 0, 1), Dst: IPv4(10, 0, 0, 2)}
-	pkt := h.Marshal([]byte("payload"))
-	g, payload, err := ParseIPv4(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Src != h.Src || g.Dst != h.Dst || g.Proto != ProtoUDP || string(payload) != "payload" {
+	h := IPv4Header{ID: 7, TTL: 64, Proto: ProtoUDP, Src: IPv4(10, 0, 0, 1), Dst: IPv4(10, 0, 0, 2)}
+	pkt := ipv4(h, []byte("payload"))
+	g, payload, ok := DecodeIPv4(pkt)
+	if !ok || g.Src != h.Src || g.Dst != h.Dst || g.Proto != ProtoUDP || string(payload) != "payload" {
 		t.Fatalf("ipv4 mismatch: %+v %q", g, payload)
 	}
 	// Corrupt a header byte: checksum must catch it.
 	pkt[9] ^= 0xff
-	if _, _, err := ParseIPv4(pkt); err == nil {
+	if _, _, ok := DecodeIPv4(pkt); ok {
 		t.Fatal("corrupted ipv4 header parsed")
 	}
 }
 
 func TestIPv4TrailingBytesIgnored(t *testing.T) {
 	// Ethernet minimum padding adds trailing bytes beyond TotalLen.
-	h := &IPv4Header{TTL: 64, Proto: ProtoUDP, Src: IPv4(1, 1, 1, 1), Dst: IPv4(2, 2, 2, 2)}
-	pkt := append(h.Marshal([]byte("abc")), 0, 0, 0, 0)
-	_, payload, err := ParseIPv4(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(payload) != "abc" {
+	h := IPv4Header{TTL: 64, Proto: ProtoUDP, Src: IPv4(1, 1, 1, 1), Dst: IPv4(2, 2, 2, 2)}
+	pkt := append(ipv4(h, []byte("abc")), 0, 0, 0, 0)
+	_, payload, ok := DecodeIPv4(pkt)
+	if !ok || string(payload) != "abc" {
 		t.Fatalf("payload with padding = %q", payload)
 	}
 }
 
 func TestUDPRoundTrip(t *testing.T) {
-	u := &UDPHeader{SrcPort: 1234, DstPort: 53}
-	g, payload, err := ParseUDP(u.Marshal([]byte("q")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.SrcPort != 1234 || g.DstPort != 53 || string(payload) != "q" {
+	g, payload, ok := DecodeUDP(udp(UDPHeader{SrcPort: 1234, DstPort: 53}, []byte("q")))
+	if !ok || g.SrcPort != 1234 || g.DstPort != 53 || string(payload) != "q" {
 		t.Fatalf("udp mismatch: %+v %q", g, payload)
 	}
 }
 
 func TestTCPRoundTrip(t *testing.T) {
-	h := &TCPHeader{SrcPort: 80, DstPort: 5555, Seq: 100, Ack: 200, Flags: TCPAck | TCPPsh, Window: 65535}
-	g, payload, err := ParseTCP(h.Marshal([]byte("body")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *g != *h || string(payload) != "body" {
+	h := TCPHeader{SrcPort: 80, DstPort: 5555, Seq: 100, Ack: 200, Flags: TCPAck | TCPPsh, Window: 65535}
+	g, payload, ok := DecodeTCP(tcp(h, []byte("body")))
+	if !ok || g != h || string(payload) != "body" {
 		t.Fatalf("tcp mismatch: %+v", g)
 	}
 }
 
 func TestICMPEchoRoundTripAndChecksum(t *testing.T) {
-	e := &ICMPEcho{Type: ICMPEchoRequest, ID: 9, Seq: 3}
-	b := e.Marshal([]byte("ping-data"))
-	g, payload, err := ParseICMPEcho(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Type != ICMPEchoRequest || g.ID != 9 || g.Seq != 3 || string(payload) != "ping-data" {
+	b := icmpEcho(ICMPEcho{Type: ICMPEchoRequest, ID: 9, Seq: 3}, []byte("ping-data"))
+	g, payload, ok := DecodeICMPEcho(b)
+	if !ok || g.Type != ICMPEchoRequest || g.ID != 9 || g.Seq != 3 || string(payload) != "ping-data" {
 		t.Fatalf("icmp mismatch: %+v %q", g, payload)
 	}
 	b[8] ^= 0x55
-	if _, _, err := ParseICMPEcho(b); err == nil {
+	if _, _, ok := DecodeICMPEcho(b); ok {
 		t.Fatal("corrupted icmp parsed")
 	}
 }
@@ -136,7 +188,7 @@ func TestChecksumKnownVector(t *testing.T) {
 
 func TestFragmentSmallPayloadUnfragmented(t *testing.T) {
 	h := IPv4Header{TTL: 64, Proto: ProtoUDP, Src: IPv4(1, 0, 0, 1), Dst: IPv4(1, 0, 0, 2)}
-	pkts := FragmentIPv4(h, make([]byte, 100), MTU)
+	pkts := fragment(h, make([]byte, 100), MTU)
 	if len(pkts) != 1 {
 		t.Fatalf("small payload produced %d fragments", len(pkts))
 	}
@@ -148,18 +200,14 @@ func TestFragmentReassembleRoundTrip(t *testing.T) {
 		payload[i] = byte(i * 7)
 	}
 	h := IPv4Header{ID: 42, TTL: 64, Proto: ProtoUDP, Src: IPv4(1, 0, 0, 1), Dst: IPv4(1, 0, 0, 2)}
-	pkts := FragmentIPv4(h, payload, MTU)
+	pkts := fragment(h, payload, MTU)
 	if len(pkts) < 6 {
 		t.Fatalf("8KB over 1500 MTU produced only %d fragments", len(pkts))
 	}
 	r := NewReassembler()
 	var got []byte
 	for i, pkt := range pkts {
-		hh, pl, err := ParseIPv4(pkt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, done := r.Push(hh, pl)
+		_, full, done := push(t, r, pkt)
 		if done && i != len(pkts)-1 {
 			t.Fatal("reassembly completed early")
 		}
@@ -170,7 +218,7 @@ func TestFragmentReassembleRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("reassembled payload mismatch")
 	}
-	if r.PendingCount() != 0 {
+	if len(r.pending) != 0 {
 		t.Fatal("reassembler leaked state")
 	}
 }
@@ -181,13 +229,12 @@ func TestReassembleOutOfOrder(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	h := IPv4Header{ID: 9, TTL: 64, Proto: ProtoUDP, Src: IPv4(1, 0, 0, 1), Dst: IPv4(1, 0, 0, 2)}
-	pkts := FragmentIPv4(h, payload, MTU)
+	pkts := fragment(h, payload, MTU)
 	r := NewReassembler()
 	var got []byte
 	// Deliver in reverse.
 	for i := len(pkts) - 1; i >= 0; i-- {
-		hh, pl, _ := ParseIPv4(pkts[i])
-		if full, done := r.Push(hh, pl); done {
+		if _, full, done := push(t, r, pkts[i]); done {
 			got = full
 		}
 	}
@@ -199,18 +246,17 @@ func TestReassembleOutOfOrder(t *testing.T) {
 func TestReassembleMissingFragmentIncomplete(t *testing.T) {
 	payload := make([]byte, 5000)
 	h := IPv4Header{ID: 9, TTL: 64, Proto: ProtoUDP, Src: IPv4(1, 0, 0, 1), Dst: IPv4(1, 0, 0, 2)}
-	pkts := FragmentIPv4(h, payload, MTU)
+	pkts := fragment(h, payload, MTU)
 	r := NewReassembler()
 	for i, pkt := range pkts {
 		if i == 1 {
 			continue // drop one fragment
 		}
-		hh, pl, _ := ParseIPv4(pkt)
-		if _, done := r.Push(hh, pl); done {
+		if _, _, done := push(t, r, pkt); done {
 			t.Fatal("reassembly completed despite missing fragment")
 		}
 	}
-	if r.PendingCount() != 1 {
+	if len(r.pending) != 1 {
 		t.Fatal("incomplete datagram not retained")
 	}
 }
@@ -220,15 +266,14 @@ func TestInterleavedDatagramsReassemble(t *testing.T) {
 	h2 := IPv4Header{ID: 2, TTL: 64, Proto: ProtoUDP, Src: IPv4(1, 0, 0, 1), Dst: IPv4(1, 0, 0, 2)}
 	p1 := bytes.Repeat([]byte{0xAA}, 4000)
 	p2 := bytes.Repeat([]byte{0xBB}, 4000)
-	f1 := FragmentIPv4(h1, p1, MTU)
-	f2 := FragmentIPv4(h2, p2, MTU)
+	f1 := fragment(h1, p1, MTU)
+	f2 := fragment(h2, p2, MTU)
 	r := NewReassembler()
 	completed := 0
 	for i := 0; i < len(f1) || i < len(f2); i++ {
 		for _, set := range [][][]byte{f1, f2} {
 			if i < len(set) {
-				hh, pl, _ := ParseIPv4(set[i])
-				if full, done := r.Push(hh, pl); done {
+				if hh, full, done := push(t, r, set[i]); done {
 					completed++
 					want := byte(0xAA)
 					if hh.ID == 2 {
@@ -261,12 +306,12 @@ func TestFragmentReassembleProperty(t *testing.T) {
 			Src: IPv4(10, 0, 0, 1), Dst: IPv4(10, 0, 0, 2)}
 		r := NewReassembler()
 		var got []byte
-		for _, pkt := range FragmentIPv4(h, payload, MTU) {
-			hh, pl, err := ParseIPv4(pkt)
-			if err != nil {
+		for _, pkt := range fragment(h, payload, MTU) {
+			hh, pl, ok := DecodeIPv4(pkt)
+			if !ok {
 				return false
 			}
-			if full, done := r.Push(hh, pl); done {
+			if full, done := r.Push(&hh, pl); done {
 				got = full
 			}
 		}

@@ -31,9 +31,8 @@ func TestToeplitzKnownVectors(t *testing.T) {
 func udpFrame(src, dst IP, srcPort, dstPort uint16) []byte {
 	u := UDPHeader{SrcPort: srcPort, DstPort: dstPort}
 	ip := IPv4Header{TTL: 64, Proto: ProtoUDP, Src: src, Dst: dst}
-	f := Frame{Dst: MAC{1}, Src: MAC{2}, EtherType: EtherTypeIPv4,
-		Payload: ip.Marshal(u.Marshal([]byte("payload")))}
-	return f.Marshal()
+	return ether(Frame{Dst: MAC{1}, Src: MAC{2}, EtherType: EtherTypeIPv4,
+		Payload: ipv4(ip, udp(u, []byte("payload")))})
 }
 
 func TestRSSDeterministicAndFlowAffine(t *testing.T) {
@@ -78,9 +77,9 @@ func TestRSSSpreadsFlows(t *testing.T) {
 
 func TestRSSNonIPGoesToQueueZero(t *testing.T) {
 	r := NewRSS(0x5eed)
-	arp := Frame{Dst: Broadcast, Src: MAC{2}, EtherType: EtherTypeARP,
-		Payload: (&ARP{Op: ARPRequest}).Marshal()}
-	if q := r.Queue(arp.Marshal(), 8); q != 0 {
+	req := ether(Frame{Dst: Broadcast, Src: MAC{2}, EtherType: EtherTypeARP,
+		Payload: arp(ARP{Op: ARPRequest})})
+	if q := r.Queue(req, 8); q != 0 {
 		t.Fatalf("ARP steered to queue %d, want 0", q)
 	}
 	if _, ok := r.FrameHash([]byte{1, 2, 3}); ok {

@@ -7,8 +7,7 @@ import "encoding/binary"
 // windows (typically framepool.Buf.Prepend slices) so Ethernet+IP+L4
 // encapsulation fills one buffer once; the Decode* functions return header
 // values (not pointers) with payload sub-slices aliasing the input, so
-// nothing escapes to the heap. The original Marshal/Parse* APIs in
-// netpkt.go remain as thin allocating wrappers for tests and cold paths.
+// nothing escapes to the heap.
 
 // HeaderInto writes the 14-byte Ethernet header into hdr.
 func (f *Frame) HeaderInto(hdr []byte) {
@@ -94,7 +93,7 @@ func DecodeIPv4(b []byte) (h IPv4Header, payload []byte, ok bool) {
 	h.TotalLen = binary.BigEndian.Uint16(b[2:4])
 	h.ID = binary.BigEndian.Uint16(b[4:6])
 	ff := binary.BigEndian.Uint16(b[6:8])
-	h.Flags = uint8(ff >> 13)
+	h.Flags = uint8(ff>>13) & FlagMoreFragments // DF and the reserved bit are not modelled
 	h.FragOff = ff & 0x1fff
 	h.TTL = b[8]
 	h.Proto = b[9]

@@ -223,12 +223,6 @@ func (s *Stack) Engine() *sim.Engine { return s.eng }
 // CPUs returns the vCPU pool the stack charges.
 func (s *Stack) CPUs() *sim.CPUPool { return s.cpus }
 
-// Costs returns the stack's cost model (apps charge Syscall through it).
-func (s *Stack) Costs() Costs { return s.costs }
-
-// Pool returns the stack's frame pool.
-func (s *Stack) Pool() *framepool.Pool { return s.pool }
-
 // Stats returns a snapshot of the counters.
 func (s *Stack) Stats() Stats { return s.stats }
 
@@ -309,8 +303,7 @@ func (s *Stack) sendFragment(h *netpkt.IPv4Header, dst netpkt.IP, chunk []byte, 
 		h.Flags = 0
 	}
 	h.FragOff = uint16(off / 8)
-	b := s.pool.GetLen(len(chunk))
-	copy(b.Extend(len(chunk)), chunk)
+	b := s.pool.From(chunk)
 	h.HeaderInto(b.Prepend(netpkt.IPHeaderLen), len(chunk))
 	s.sendIPBuf(dst, b)
 }

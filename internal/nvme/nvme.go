@@ -159,9 +159,6 @@ func New(eng *sim.Engine, cfg Config, bdf string) *Device {
 // BDF returns the PCI address for passthrough assignment.
 func (d *Device) BDF() string { return d.bdf }
 
-// Name returns the device name.
-func (d *Device) Name() string { return d.cfg.Name }
-
 // CapacitySectors returns the number of logical sectors.
 func (d *Device) CapacitySectors() int64 { return d.cfg.CapacityBytes / SectorSize }
 

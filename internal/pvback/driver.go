@@ -136,8 +136,7 @@ func NewDriver[I any](eng *sim.Engine, dom *xen.Domain, bus *xenbus.Bus,
 }
 
 func (d *Driver[I]) pinInvoker(cpu int) {
-	d.thread = sim.NewTask(d.eng, d.dom.CPUs.CPU(cpu),
-		d.dom.Name+"/"+d.class.Type()+"-invoker", d.wake, d.scan)
+	d.thread = sim.NewTask(d.eng, d.dom.CPUs.CPU(cpu), d.wake, d.scan)
 }
 
 // MoveInvoker moves the backend-invocation thread to the domain's last

@@ -252,7 +252,7 @@ func TestFleetLaneAssignment(t *testing.T) {
 	r := newDriverRig()
 	lanes := make([]*Lane, 2)
 	for i := range lanes {
-		lanes[i] = NewLane("test", i, r.dd, r.eng, r.dd.CPUs.CPU(0), sim.Microsecond, 1, nil)
+		lanes[i] = NewLane(i, r.dd, r.eng, r.dd.CPUs.CPU(0), sim.Microsecond, 1, nil)
 	}
 	r.drv.SetFleet(lanes)
 	connect := func(dom xenbus.DomID, hint string, queues int) *Lane {

@@ -11,8 +11,6 @@
 package pvback
 
 import (
-	"fmt"
-
 	"kite/internal/sim"
 	"kite/internal/xen"
 )
@@ -105,15 +103,15 @@ type member struct {
 	next, prev int32
 }
 
-// NewLane creates fleet lane id of a backend class in dom: its worker,
-// named class/lane<id>, pinned to cpu on shard eng and dispatched (like its
-// doorbell scans) at the wake latency; quantum and endRound as on Lane.
-func NewLane(class string, id int, dom *xen.Domain, eng *sim.Engine, cpu *sim.CPU,
+// NewLane creates fleet lane id in dom: its worker, pinned to cpu on shard
+// eng and dispatched (like its doorbell scans) at the wake latency; quantum
+// and endRound as on Lane.
+func NewLane(id int, dom *xen.Domain, eng *sim.Engine, cpu *sim.CPU,
 	wake sim.Time, quantum int, endRound func()) *Lane {
 
 	l := &Lane{id: id, cpu: cpu, quantum: quantum, endRound: endRound, head: -1}
 	l.demux = dom.NewDemux(cpu, wake)
-	l.worker = sim.NewTask(eng, cpu, fmt.Sprintf("%s/lane%d", class, id), wake, l.round)
+	l.worker = sim.NewTask(eng, cpu, wake, l.round)
 	return l
 }
 

@@ -26,7 +26,7 @@ func newLaneRig(quantum int) *laneRig {
 	hv.CreateDomain(xen.DomainConfig{Name: "dom0", VCPUs: 1, MemBytes: 16 << 20, Privileged: true})
 	r.dd = hv.CreateDomain(xen.DomainConfig{Name: "dd", VCPUs: 1, MemBytes: 16 << 20})
 	r.guest = hv.CreateDomain(xen.DomainConfig{Name: "domU", VCPUs: 1, MemBytes: 16 << 20})
-	r.l = NewLane("test", 0, r.dd, r.eng, r.dd.CPUs.CPU(0), sim.Microsecond, quantum,
+	r.l = NewLane(0, r.dd, r.eng, r.dd.CPUs.CPU(0), sim.Microsecond, quantum,
 		func() { r.log = append(r.log, "end") })
 	return r
 }

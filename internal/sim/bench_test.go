@@ -71,7 +71,7 @@ func TestLineZeroAllocs(t *testing.T) {
 func TestTaskWakeZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	cpu := NewCPU(e, "c0")
-	task := NewTask(e, cpu, "t", Microsecond, func() {})
+	task := NewTask(e, cpu, Microsecond, func() {})
 	task.Wake()
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -143,7 +143,7 @@ func BenchmarkStepDrain(b *testing.B) {
 func BenchmarkTaskWake(b *testing.B) {
 	e := NewEngine()
 	cpu := NewCPU(e, "c0")
-	task := NewTask(e, cpu, "t", Microsecond, func() {})
+	task := NewTask(e, cpu, Microsecond, func() {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -220,9 +220,6 @@ func (p *CPUPool) RecentlyActive(now, window Time) bool {
 	return p.lastCharge+window >= now
 }
 
-// Exec charges cost on the earliest-free CPU and schedules fn at completion.
-func (p *CPUPool) Exec(cost Time, fn func()) { p.Pick().Exec(cost, fn) }
-
 // ResetWindows resets the utilization window on every CPU.
 func (p *CPUPool) ResetWindows() {
 	for _, c := range p.cpus {

@@ -158,7 +158,7 @@ func TestTaskCoalescesWakes(t *testing.T) {
 	e := NewEngine()
 	c := NewCPU(e, "test")
 	runs := 0
-	task := NewTask(e, c, "worker", 10, func() { runs++ })
+	task := NewTask(e, c, 10, func() { runs++ })
 	task.Wake()
 	task.Wake()
 	task.Wake()
@@ -176,7 +176,7 @@ func TestTaskRewakeDuringRun(t *testing.T) {
 	c := NewCPU(e, "test")
 	var task *Task
 	runs := 0
-	task = NewTask(e, c, "worker", 0, func() {
+	task = NewTask(e, c, 0, func() {
 		runs++
 		if runs == 1 {
 			task.Wake() // work arrived while we were running
@@ -193,7 +193,7 @@ func TestTaskWakeLatencyDelays(t *testing.T) {
 	e := NewEngine()
 	c := NewCPU(e, "test")
 	var ranAt Time = -1
-	task := NewTask(e, c, "worker", 10*Microsecond, func() { ranAt = e.Now() })
+	task := NewTask(e, c, 10*Microsecond, func() { ranAt = e.Now() })
 	task.Wake()
 	e.Run()
 	if ranAt != 10*Microsecond {
@@ -213,7 +213,7 @@ func TestTaskNilBodyPanics(t *testing.T) {
 			t.Fatal("nil body did not panic")
 		}
 	}()
-	NewTask(e, c, "bad", 0, nil)
+	NewTask(e, c, 0, nil)
 }
 
 func TestTaskDrainsQueueExactlyOnce(t *testing.T) {
@@ -223,8 +223,8 @@ func TestTaskDrainsQueueExactlyOnce(t *testing.T) {
 	c := NewCPU(e, "dd")
 	var queue []int
 	var got []int
-	task := NewTask(e, c, "pusher", 5, func() {})
-	*task = *NewTask(e, c, "pusher", 5, func() {
+	task := NewTask(e, c, 5, func() {})
+	*task = *NewTask(e, c, 5, func() {
 		for len(queue) > 0 {
 			got = append(got, queue[0])
 			queue = queue[1:]

@@ -10,7 +10,6 @@ package sim
 type Task struct {
 	eng  *Engine
 	cpu  *CPU
-	name string
 	body func()
 	runF func() // cached t.run method value; scheduling it never allocates
 
@@ -26,20 +25,14 @@ type Task struct {
 // NewTask creates a task whose body runs on cpu each time it is woken.
 // wakeLatency is the scheduling delay between Wake and the body starting
 // (dispatch/IPI/scheduler cost of the hosting OS).
-func NewTask(eng *Engine, cpu *CPU, name string, wakeLatency Time, body func()) *Task {
+func NewTask(eng *Engine, cpu *CPU, wakeLatency Time, body func()) *Task {
 	if body == nil {
 		panic("sim: task needs a body")
 	}
-	t := &Task{eng: eng, cpu: cpu, name: name, body: body, wakeLatency: wakeLatency}
+	t := &Task{eng: eng, cpu: cpu, body: body, wakeLatency: wakeLatency}
 	t.runF = t.run
 	return t
 }
-
-// Name returns the task's name.
-func (t *Task) Name() string { return t.name }
-
-// CPU returns the CPU the task runs on.
-func (t *Task) CPU() *CPU { return t.cpu }
 
 // Wakes returns how many times Wake was called.
 func (t *Task) Wakes() uint64 { return t.wakes }

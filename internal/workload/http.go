@@ -89,33 +89,3 @@ func consumeHTTPResponse(buf []byte) (n, bodyLen int, ok bool) {
 	}
 	return total, cl, true
 }
-
-// WgetResult reports a single-file fetch.
-type WgetResult struct {
-	Bytes    int
-	Duration sim.Time
-	MBps     float64
-}
-
-// Wget fetches one file and reports transfer time and rate.
-func Wget(client *netstack.Host, serverIP netpkt.IP, port uint16, path string,
-	done func(WgetResult)) {
-
-	l := newLoop(client.Stack.Engine(), 1, func(l *loop) {
-		if l.ops == 0 {
-			done(WgetResult{})
-			return
-		}
-		done(WgetResult{Bytes: int(l.bytes), Duration: l.elapsed(), MBps: mbps(l.bytes, l.elapsed())})
-	})
-	l.run(func(int) {
-		dial(client, serverIP, port, httpFrame, func(c *netstack.Conn) {
-			c.Send([]byte("GET " + path + " HTTP/1.1\r\nHost: server\r\n\r\n"))
-		}, func(c *netstack.Conn, msg []byte) {
-			_, body, _ := consumeHTTPResponse(msg)
-			l.done(l.start, body)
-			c.Close()
-			l.exit()
-		}, l.exit)
-	})
-}

@@ -70,8 +70,9 @@ func (l *loop) avg() sim.Time {
 // dial opens a TCP connection whose replies are framed: frame returns the
 // length of the complete reply at the start of its input, 0 while it is
 // incomplete. ready runs once connected (it sends the first request), and
-// reply gets each complete reply in order; fail runs instead if the dial
-// is refused.
+// reply gets each complete reply in order (msg is valid only during the
+// call: the buffer compacts in place behind it); fail runs instead if the
+// dial is refused.
 func dial(client *netstack.Host, ip netpkt.IP, port uint16, frame func([]byte) int,
 	ready func(*netstack.Conn), reply func(c *netstack.Conn, msg []byte), fail func()) {
 
@@ -83,15 +84,12 @@ func dial(client *netstack.Host, ip netpkt.IP, port uint16, frame func([]byte) i
 		var buf []byte
 		c.OnData(func(b []byte) {
 			buf = append(buf, b...)
-			for {
-				n := frame(buf)
-				if n == 0 {
-					return
-				}
-				msg := buf[:n]
-				buf = buf[n:]
-				reply(c, msg)
+			off := 0
+			for n := frame(buf[off:]); n > 0; n = frame(buf[off:]) {
+				reply(c, buf[off:off+n])
+				off += n
 			}
+			buf = buf[:copy(buf, buf[off:])]
 		})
 		ready(c)
 	})

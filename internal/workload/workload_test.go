@@ -135,21 +135,6 @@ func TestApacheBench(t *testing.T) {
 	}
 }
 
-func TestWget(t *testing.T) {
-	rig := netRig(t, core.KindKite)
-	srv, _ := apps.NewHTTPServer(rig.Guest.Stack, 80)
-	srv.AddRandomFile("/one", 64<<10, 9)
-	var res WgetResult
-	got := false
-	Wget(rig.Client, rig.GuestIP, 80, "/one", func(r WgetResult) { res = r; got = true })
-	if !rig.Testbed.System.RunReady(func() bool { return got }, 2_000_000) {
-		t.Fatal("wget livelocked")
-	}
-	if res.Bytes != 64<<10 || res.MBps <= 0 {
-		t.Fatalf("wget = %+v", res)
-	}
-}
-
 func TestRedisBenchPipeline(t *testing.T) {
 	rig := netRig(t, core.KindKite)
 	if _, err := apps.NewKVServer(rig.Guest.Stack, 6379); err != nil {
@@ -373,9 +358,6 @@ func TestRefusedDialReports(t *testing.T) {
 	}{
 		{"apachebench", func(rig *core.NetworkRig, done func(int)) {
 			ApacheBench(rig.Client, rig.GuestIP, port, "/", 10, 2, func(r ABResult) { done(r.Requests) })
-		}},
-		{"wget", func(rig *core.NetworkRig, done func(int)) {
-			Wget(rig.Client, rig.GuestIP, port, "/", func(r WgetResult) { done(r.Bytes) })
 		}},
 		{"netperf", func(rig *core.NetworkRig, done func(int)) {
 			NetperfRR(rig.Client, rig.GuestIP, port, 10, 100*sim.Microsecond,

@@ -182,33 +182,6 @@ func (hv *Hypervisor) mapGrantCharged(mapper *Domain, owner DomID, ref GrantRef)
 	return &Mapping{Page: g.page, owner: owner, ref: ref, mapper: mapper.ID, live: true}, nil //kite:alloc-ok callers cache mappings; misses are warmup-only
 }
 
-// MapGrantBatch maps several refs in one hypercall-equivalent batch,
-// charging the base cost once.
-func (hv *Hypervisor) MapGrantBatch(mapper *Domain, owner DomID, refs []GrantRef) ([]*Mapping, error) {
-	if len(refs) == 0 {
-		return nil, nil
-	}
-	od := hv.Domain(owner)
-	if od == nil || mapper.dead {
-		return nil, fmt.Errorf("xen: map grant between domains %d and %d, one dead", owner, mapper.ID)
-	}
-	mapper.charge(hv.Costs.Base + sim.Time(len(refs))*hv.Costs.GrantMapPage)
-	out := make([]*Mapping, 0, len(refs))
-	for _, ref := range refs {
-		hv.stats.GrantMaps++
-		g := od.grant(ref)
-		if g == nil || g.remote != mapper.ID {
-			for _, m := range out {
-				hv.unmapLocked(m)
-			}
-			return nil, fmt.Errorf("xen: bad grant ref %d in batch from domain %d", ref, owner)
-		}
-		g.mapCount++
-		out = append(out, &Mapping{Page: g.page, owner: owner, ref: ref, mapper: mapper.ID, live: true})
-	}
-	return out, nil
-}
-
 // UnmapGrant releases a mapping (GNTTABOP_unmap_grant_ref).
 func (hv *Hypervisor) UnmapGrant(mapper *Domain, m *Mapping) error {
 	mapper.charge(hv.Costs.Base + hv.Costs.GrantUnmapPage)

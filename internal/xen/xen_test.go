@@ -191,9 +191,13 @@ func TestDestroyReleasesMappings(t *testing.T) {
 		du.GrantAccess(dd.ID, du.Arena.MustAlloc(), false),
 		du.GrantAccess(dd.ID, du.Arena.MustAlloc(), false),
 	}
-	ms, err := hv.MapGrantBatch(dd, du.ID, refs)
-	if err != nil {
-		t.Fatal(err)
+	var ms []*Mapping
+	for _, ref := range refs {
+		m, err := hv.MapGrant(dd, du.ID, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
 	}
 	if err := du.EndAccess(refs[0]); err == nil {
 		t.Fatal("EndAccess succeeded while mapped")
@@ -266,20 +270,6 @@ func TestGrantTargetsWrongDomain(t *testing.T) {
 	ref := du.GrantAccess(dd.ID, page, false) // granted to dd, not dom0
 	if _, err := hv.MapGrant(dom0, du.ID, ref); err == nil {
 		t.Fatal("map by non-target domain succeeded")
-	}
-}
-
-func TestGrantBatchRollsBackOnBadRef(t *testing.T) {
-	_, hv, dom0 := newHV(t)
-	du := hv.CreateDomain(DomainConfig{Name: "domU", VCPUs: 1, MemBytes: 1 << 20})
-	p1 := du.Arena.MustAlloc()
-	good := du.GrantAccess(dom0.ID, p1, false)
-	if _, err := hv.MapGrantBatch(dom0, du.ID, []GrantRef{good, 9999}); err == nil {
-		t.Fatal("batch with bad ref succeeded")
-	}
-	// The good ref must have been rolled back so EndAccess works.
-	if err := du.EndAccess(good); err != nil {
-		t.Fatalf("EndAccess after failed batch: %v", err)
 	}
 }
 
@@ -493,9 +483,6 @@ func TestFlatGrantTableRefusals(t *testing.T) {
 		}
 		if _, err := hv.MapGrant(dom0, du.ID, ref); err == nil {
 			t.Errorf("MapGrant mapped a %s ref", name)
-		}
-		if _, err := hv.MapGrantBatch(dom0, du.ID, []GrantRef{good, ref}); err == nil {
-			t.Errorf("MapGrantBatch mapped a %s ref", name)
 		}
 	}
 

@@ -95,7 +95,6 @@ type Store struct {
 	Quota int
 
 	owned map[DomID]int
-	ops   uint64
 }
 
 // New creates an empty store.
@@ -108,9 +107,6 @@ func New(eng *sim.Engine) *Store {
 		owned:     make(map[DomID]int),
 	}
 }
-
-// Ops returns the number of store operations performed.
-func (s *Store) Ops() uint64 { return s.ops }
 
 // nextSeg returns the first non-empty segment of path and what follows it;
 // seg is "" once the path is exhausted. Walking a path this way allocates
@@ -168,7 +164,6 @@ func (s *Store) ensure(path string) *node {
 
 // Write stores value at path, creating intermediate directories.
 func (s *Store) Write(path, value string) {
-	s.ops++
 	s.version++
 	n := s.ensure(path)
 	n.value = value
@@ -184,7 +179,6 @@ func (s *Store) Writef(path, format string, args ...any) {
 
 // Read returns the value at path and whether it exists.
 func (s *Store) Read(path string) (string, bool) {
-	s.ops++
 	n := s.lookup(path)
 	if n == nil || !n.hasValue {
 		return "", false
@@ -204,7 +198,6 @@ func (s *Store) ReadInt(path string) (int64, bool) {
 
 // Mkdir creates an empty directory node.
 func (s *Store) Mkdir(path string) {
-	s.ops++
 	s.version++
 	s.ensure(path).version = s.version
 	s.fireWatches(normalize(path))
@@ -216,7 +209,6 @@ func (s *Store) Exists(path string) bool { return s.lookup(path) != nil }
 // Remove deletes the subtree at path. Removing a missing path is an error,
 // as in xenstored.
 func (s *Store) Remove(path string) error {
-	s.ops++
 	var parent *node
 	var at int
 	n := s.root
@@ -238,7 +230,6 @@ func (s *Store) Remove(path string) error {
 
 // List returns the sorted child names of a directory (empty for missing).
 func (s *Store) List(path string) []string {
-	s.ops++
 	n := s.lookup(path)
 	if n == nil {
 		return nil

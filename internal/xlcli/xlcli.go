@@ -37,9 +37,6 @@ func New(seed uint64, out io.Writer) *Interp {
 	}
 }
 
-// Testbed exposes the underlying testbed (tests peek at it).
-func (st *Interp) Testbed() *core.Testbed { return st.tb }
-
 // RunScript executes every line of a script, stopping at the first error.
 func (st *Interp) RunScript(r io.Reader) error {
 	scanner := bufio.NewScanner(r)
