@@ -607,16 +607,14 @@ func FuzzNetbackTxRequest(f *testing.F) {
 
 		page := evil.Arena.MustAlloc()
 		copy(page.Bytes(), pattern(mem.PageSize))
+		good := evil.GrantAccess(nd.Dom.ID, page, true)
+		foreign := evil.GrantAccess(0, page, true) // granted to Dom0
+		// Revoked after the others are issued: the next grant would reuse it.
 		revoked := evil.GrantAccess(nd.Dom.ID, evil.Arena.MustAlloc(), true)
 		if err := evil.EndAccess(revoked); err != nil {
 			t.Fatal(err)
 		}
-		refs := [4]xen.GrantRef{
-			evil.GrantAccess(nd.Dom.ID, page, true),
-			0xbad,
-			evil.GrantAccess(0, page, true), // foreign: granted to Dom0
-			revoked,
-		}
+		refs := [4]xen.GrantRef{good, 0xbad, foreign, revoked}
 		// legal[id] counts the requests under id the backend may accept.
 		var legal [32]int
 		sent, answered, ok := 0, 0, 0

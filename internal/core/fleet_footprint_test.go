@@ -79,10 +79,10 @@ func fleetHeapAfterWave(t *testing.T, guests int) (rig *FleetRig, heap, growth u
 // pages at connect (2 MiB if they were backed: 2.18 GB of heap at 1024
 // tenants); after a wave it has touched one Tx slot — the free stack is
 // LIFO — and the Rx buffer its ARP reply landed in. What it holds besides
-// is headers and tables: 24 B page headers and grant entries, netif ring
+// is headers and tables: 16 B page headers and grant entries, netif ring
 // entries at netif.h widths, ring slots that are a grant ref each, and two
 // frames of the frame pool's small class. The 1024-tenant fleet reads
-// 62 MiB, the 8192-tenant one 492 MiB; the gates sit about 10 % above.
+// 55 MiB, the 8192-tenant one 432 MiB; the gates sit about 10 % above.
 //
 // NewFleetRig reserves fleetTenantBytes a tenant on 2 MiB pages, and what
 // outgrows the reservation lands on 4 KiB pages, so the 1024-tenant case
@@ -93,10 +93,10 @@ func TestFleetFootprint(t *testing.T) {
 	t.Run("guests=1024", func(t *testing.T) {
 		rig, heap, growth := fleetHeapAfterWave(t, 1024)
 		logResident(t, heap, growth)
-		// A race-detector build holds about a tenth more (69 MiB).
-		limit := uint64(68 << 20)
+		// A race-detector build holds a little more (59 MiB).
+		limit := uint64(61 << 20)
 		if raceEnabled {
-			limit = 76 << 20
+			limit = 65 << 20
 		}
 		if heap > limit {
 			t.Errorf("HeapInuse above %d MiB", limit>>20)
@@ -117,12 +117,12 @@ func TestFleetFootprint(t *testing.T) {
 	})
 	t.Run("guests=8192", func(t *testing.T) {
 		if testing.Short() || raceEnabled {
-			t.Skip("brings up 8192 tenants: seconds and ~490 MiB")
+			t.Skip("brings up 8192 tenants: seconds and ~430 MiB")
 		}
 		_, heap, growth := fleetHeapAfterWave(t, 8192)
 		logResident(t, heap, growth)
-		if heap > 541<<20 {
-			t.Errorf("HeapInuse above 541 MiB")
+		if heap > 475<<20 {
+			t.Errorf("HeapInuse above 475 MiB")
 		}
 	})
 }

@@ -12,7 +12,8 @@ import (
 // and must unmap it when the request completes or is refused: the
 // hypervisor's map and unmap counts must meet after mixed 4 KiB and
 // 256 KiB traffic, and again after each refused request shape that maps a
-// segment before it is refused.
+// segment before it is refused, a map the hypervisor refuses (a bogus ref,
+// a ref granted to another domain) counting as none.
 func TestNonPersistentBlkbackUnmapsEveryGrant(t *testing.T) {
 	rig, err := NewStorageRig(StorageRigConfig{Kind: KindKite, Seed: 0xa9, DiskBytes: 64 << 20,
 		Tuning: &TuningKnobs{Persistent: false, Indirect: true, Batch: true}})
@@ -64,6 +65,11 @@ func TestNonPersistentBlkbackUnmapsEveryGrant(t *testing.T) {
 			{Ref: grant(), FirstSect: 0, LastSect: 7}, {Ref: grant(), FirstSect: 6, LastSect: 2}}}},
 		{"sector past the vbd in parse", blkif.Request{Op: blkif.OpRead, Sector: 1 << 40, Segs: []blkif.Segment{
 			{Ref: grant(), FirstSect: 0, LastSect: 7}, {Ref: grant(), FirstSect: 0, LastSect: 7}}}},
+		{"bogus ref in resolve", blkif.Request{Op: blkif.OpWrite, Segs: []blkif.Segment{
+			{Ref: grant(), FirstSect: 0, LastSect: 7}, {Ref: 0xbad, FirstSect: 0, LastSect: 7}}}},
+		{"foreign ref in resolve", blkif.Request{Op: blkif.OpWrite, Segs: []blkif.Segment{
+			{Ref: grant(), FirstSect: 0, LastSect: 7},
+			{Ref: evil.dom.GrantAccess(0, evil.dom.Arena.MustAlloc(), false), FirstSect: 0, LastSect: 7}}}},
 	}
 	for i, r := range refused {
 		r.req.ID = uint64(100 + i)

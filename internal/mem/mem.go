@@ -28,15 +28,15 @@ type PageID uint32
 // Page is one 4 KiB frame of simulated guest memory.
 //
 // Page headers are carved by the hundred thousand (fleet guests), so the
-// header is held to 24 B: the bytes as an array pointer, not a slice
-// header, and the fields ordered so nothing pads. The loan adds one flag
-// beside freed and no other field.
+// header is held to 16 B, so that a 256-page slab and its allocation header
+// fill the 4,864 B size class: the bytes as an array pointer, not a slice
+// header, and no pointer to the arena. Which arena a page belongs to is
+// asked of the arena (Owns), on the grant and free paths only.
 type Page struct {
 	// data is what Bytes returns: the page's own backing (nil until the
 	// first Bytes(), then for good), or, while lent is set, a loan standing
 	// in for it; the lender holds the backing meanwhile.
 	data  *[PageSize]byte
-	arena *Arena
 	ID    PageID
 	freed bool
 	lent  bool
@@ -184,7 +184,7 @@ func (a *Arena) reuse() *Page {
 func (a *Arena) grow(n int) []Page {
 	slab := make([]Page, n) //kite:alloc-ok arena growth on free-list miss; pages recycle
 	for i := range slab {
-		slab[i] = Page{arena: a, ID: PageID(a.carved + 1 + i)}
+		slab[i] = Page{ID: PageID(a.carved + 1 + i)}
 	}
 	a.carved += n
 	a.slabs = append(a.slabs, slab) //kite:alloc-ok one entry per slab
@@ -194,8 +194,11 @@ func (a *Arena) grow(n int) []Page {
 // Free returns a page to the arena. Freeing a foreign, already-freed or
 // lent page panics: all three indicate memory-safety bugs in a driver (the
 // last would let reuse clear, and the next owner write, the lender's bytes).
+// A released arena has forgotten its pages, so a Free that arrives after
+// Release is counted and dropped without the ownership check.
 func (a *Arena) Free(p *Page) {
-	if p.arena != a {
+	released := a.maxPages == 0
+	if !released && !a.Owns(p) {
 		panic(fmt.Sprintf("mem: page %d freed to wrong arena %q", p.ID, a.name))
 	}
 	if p.freed {
@@ -206,28 +209,47 @@ func (a *Arena) Free(p *Page) {
 	}
 	p.freed = true
 	a.frees++
-	if a.maxPages == 0 { // released: nothing to recycle into
+	if released { // nothing to recycle into
 		return
 	}
 	a.free = append(a.free, p)
 }
 
-// Lookup returns the live page with the given ID, or nil. It walks the
-// slabs; it is for tests and diagnostics.
+// Owns reports whether p is one of the arena's pages, allocated or free;
+// false for every page once the arena is released.
+func (a *Arena) Owns(p *Page) bool {
+	slab := a.slabOf(p.ID)
+	return slab != nil && &slab[p.ID-slab[0].ID] == p
+}
+
+// slabOf returns the slab holding the header with the given ID, nil if the
+// arena never carved it. The slabs are in ID order, so it is a binary
+// search: O(log n) in an arena grown one page at a time (blkfront's).
+func (a *Arena) slabOf(id PageID) []Page {
+	lo, hi := 0, len(a.slabs) // the slab sought is the last starting at or below id
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); a.slabs[m][0].ID <= id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == 0 || int(id-a.slabs[lo-1][0].ID) >= len(a.slabs[lo-1]) {
+		return nil
+	}
+	return a.slabs[lo-1]
+}
+
+// Lookup returns the live page with the given ID, or nil. It is for tests
+// and diagnostics.
 func (a *Arena) Lookup(id PageID) *Page {
-	for _, slab := range a.slabs {
-		if i := int(id) - int(slab[0].ID); i >= 0 && i < len(slab) {
-			if p := &slab[i]; !p.freed {
-				return p
-			}
-			return nil
+	if slab := a.slabOf(id); slab != nil {
+		if p := &slab[id-slab[0].ID]; !p.freed {
+			return p
 		}
 	}
 	return nil
 }
-
-// Owner returns the arena a page belongs to.
-func (p *Page) Owner() *Arena { return p.arena }
 
 // Freed reports whether the page has been returned to its arena.
 func (p *Page) Freed() bool { return p.freed }

@@ -209,7 +209,7 @@ func TestAllocNSlabPages(t *testing.T) {
 		if p.ID != first.ID+PageID(i)+1 {
 			t.Fatalf("page %d has ID %d, want %d", i, p.ID, first.ID+PageID(i)+1)
 		}
-		if p.Owner() != a || p.Freed() || a.Lookup(p.ID) != p {
+		if !a.Owns(p) || p.Freed() || a.Lookup(p.ID) != p {
 			t.Fatalf("page %d: owner/freed/lookup wrong", i)
 		}
 		for j, b := range p.Bytes() {
@@ -548,20 +548,40 @@ func TestRestoreChecksLength(t *testing.T) {
 }
 
 // TestPageHeaderSize: page headers are carved by the hundred thousand (512
-// per fleet tenant), so the header is an array pointer, the arena, a 32-bit
-// ID and two flags, with no padding; a field more shows in every fleet
-// guest's heap.
+// per fleet tenant), so the header is an array pointer, a 32-bit ID and two
+// flags: 16 B; a field more shows in every fleet guest's heap.
 func TestPageHeaderSize(t *testing.T) {
-	if got := unsafe.Sizeof(Page{}); got != 24 {
-		t.Fatalf("sizeof(Page) = %d, want 24", got)
+	if got := unsafe.Sizeof(Page{}); got != 16 {
+		t.Fatalf("sizeof(Page) = %d, want 16", got)
+	}
+}
+
+// TestSlabClass: a fleet tenant's netfront carves its Tx and Rx rings'
+// pages 256 at a time, and a 256-page slab with its 8 B allocation header
+// lands in the 4,864 B size class, not the next.
+func TestSlabClass(t *testing.T) {
+	const n, want = 64, 4864
+	arenas := make([]*Arena, n)
+	for i := range arenas {
+		arenas[i] = NewArena("d", 256*PageSize)
+		arenas[i].slabs = make([][]Page, 0, 1) // count the slab alone
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, a := range arenas {
+		a.grow(256)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per != want {
+		t.Errorf("a 256-page slab allocated %d B, want %d", per, want)
 	}
 }
 
 // TestCarvingCostsHeadersOnly: the arena keeps what it carves as slabs, so
-// carving N pages costs the N 24 B headers plus a bounded amount per slab,
+// carving N pages costs the N 16 B headers plus a bounded amount per slab,
 // not a pointer per page beside each header. Eight AllocNs of 512 pages
-// carve eight 12 KiB slabs, each with its allocation header and size-class
-// rounding (13,568 B a slab), and a slab list of eight entries; a per-page
+// carve eight 8 KiB slabs, each with its allocation header and size-class
+// rounding (9,472 B a slab), and a slab list of eight entries; a per-page
 // index would add 32 KiB and its append ladder's copies on top. The heap
 // profile attributes each allocation to the function that made it, so the
 // []*Page each AllocN hands its caller is not counted.
@@ -578,7 +598,7 @@ func TestCarvingCostsHeadersOnly(t *testing.T) {
 	}
 	got := growBytes() - before
 	headers := int64(slabs * per * unsafe.Sizeof(Page{}))
-	if perSlab := int64(2 << 10); got < headers || got > headers+slabs*perSlab {
+	if perSlab := int64(1536); got < headers || got > headers+slabs*perSlab {
 		t.Fatalf("carving %d pages allocated %d B, want their %d B of headers plus at most %d B a slab", slabs*per, got, headers, perSlab)
 	}
 	if a.InUse() != slabs*per || a.Lookup(slabs*per) == nil || a.Lookup(slabs*per+1) != nil {

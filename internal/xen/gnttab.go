@@ -12,33 +12,23 @@ import (
 type GrantRef uint32
 
 // grantEntry is one grant-table slot, stored by value and indexed by ref.
-// data aliases the granted page's bytes, so resolving a copy pointer is
-// domain -> entry -> bytes with no *mem.Page in between. It is filled by
-// the first copy the grant admits, not by GrantAccess: granting a page does
-// not touch it, so a granted page nobody copies to or from stays unbacked.
-// A loan (LendGrant, EndLoan) swaps the bytes behind the page and so
-// drops data, to be filled afresh. page serves that resolve and the (cold)
-// mapping path, which hands the page itself to the mapper.
+// page is the granted page, nil in never-issued and revoked slots. Every
+// use reaches the page through it without a lookup: a copy takes its bytes
+// (Page.Bytes fills them at the first touch, so granting a page does not
+// back it), a loan swaps the bytes behind it, a map hands it to the mapper.
 //
 // Every tenant's table holds an entry per ring page, so the entry is held
-// to 24 B: data is an array pointer, not a slice header, and mapCount
-// counts the mappings of one page in 32 bits.
+// to 16 B, which lands a 513-entry table and its allocation header in the
+// 9,472 B size class: one pointer, a 32-bit count, the remote domain and
+// one flag.
 type grantEntry struct {
-	data     *[mem.PageSize]byte
-	page     *mem.Page
+	page *mem.Page
+	// mapCount counts a live entry's mappings. A revoked entry holds the
+	// next revoked ref there instead (0 ends the list): the table's free
+	// list threads through its dead entries, as Xen's gnttab_free_head does.
 	mapCount int32
 	remote   DomID
 	readonly bool
-	live     bool // false in never-issued and revoked slots
-}
-
-// bytes returns the granted page's bytes through data, filling it at the
-// first call (the page's first touch, if nobody touched it before).
-func (g *grantEntry) bytes() *[mem.PageSize]byte {
-	if g.data == nil {
-		g.data = (*[mem.PageSize]byte)(g.page.Bytes())
-	}
-	return g.data
 }
 
 // GrantedBytes returns the bytes of the page behind d's own live grant
@@ -49,7 +39,7 @@ func (g *grantEntry) bytes() *[mem.PageSize]byte {
 //kite:hotpath
 func (d *Domain) GrantedBytes(ref GrantRef) *[mem.PageSize]byte {
 	if g := d.grant(ref); g != nil {
-		return g.bytes()
+		return (*[mem.PageSize]byte)(g.page.Bytes())
 	}
 	return nil
 }
@@ -64,30 +54,42 @@ func (d *Domain) GrantedPage(ref GrantRef) *mem.Page {
 }
 
 // GrantAccess publishes page to remote. Writing one's own grant table is
-// not a hypercall, so no cost is charged here.
+// not a hypercall, so no cost is charged here. The most recently revoked
+// ref is issued first; a table with none revoked grows by one.
 func (d *Domain) GrantAccess(remote DomID, page *mem.Page, readonly bool) GrantRef {
-	if page.Owner() != d.Arena {
+	if !d.Arena.Owns(page) {
 		panic(fmt.Sprintf("xen: %s granting a page it does not own", d.Name))
 	}
-	d.nextRef++
-	for int(d.nextRef) >= len(d.grants) {
-		d.grants = append(d.grants, grantEntry{}) //kite:alloc-ok grows past what a connect reserved; refs are never reused
+	ref := d.freeRef
+	if ref != 0 {
+		d.freeRef = GrantRef(d.grants[ref].mapCount)
+	} else {
+		ref = GrantRef(max(len(d.grants), 1)) // ref 0 is never issued
+		for int(ref) >= len(d.grants) {
+			d.grants = append(d.grants, grantEntry{}) //kite:alloc-ok grows past what a connect reserved and revocations freed
+		}
 	}
-	d.grants[d.nextRef] = grantEntry{page: page, remote: remote, readonly: readonly, live: true}
+	d.grants[ref] = grantEntry{page: page, remote: remote, readonly: readonly}
 	d.liveGrants++
-	return d.nextRef
+	return ref
 }
 
 // ReserveGrants sizes the grant table for n more GrantAccess calls, so a
 // caller that knows how many pages it is about to grant (a frontend's ring
 // buffers at connect) pays one table allocation instead of append's
-// doubling ladder and its doubled final capacity.
+// doubling ladder and its doubled final capacity. Revoked refs are reused
+// first, so only the rest need room.
 func (d *Domain) ReserveGrants(n int) {
-	d.grants = slices.Grow(d.grants, int(d.nextRef)+1+n-len(d.grants))
+	size := max(len(d.grants), 1) // ref 0 is never issued
+	revoked := size - 1 - d.liveGrants
+	if grow := size + n - revoked - len(d.grants); grow > 0 {
+		d.grants = slices.Grow(d.grants, grow)
+	}
 }
 
-// EndAccess revokes a grant. It fails while a foreign mapping is still
-// live, matching gnttab_end_foreign_access semantics.
+// EndAccess revokes a grant and puts its ref on the free list. It fails
+// while a foreign mapping is still live, matching gnttab_end_foreign_access
+// semantics.
 func (d *Domain) EndAccess(ref GrantRef) error {
 	g := d.grant(ref)
 	if g == nil {
@@ -96,7 +98,8 @@ func (d *Domain) EndAccess(ref GrantRef) error {
 	if g.mapCount > 0 {
 		return fmt.Errorf("xen: grant %d in %s still mapped %d times", ref, d.Name, g.mapCount)
 	}
-	*g = grantEntry{}
+	*g = grantEntry{mapCount: int32(d.freeRef)}
+	d.freeRef = ref
 	d.liveGrants--
 	return nil
 }
@@ -115,7 +118,6 @@ func (d *Domain) LendGrant(ref GrantRef, b []byte) (own []byte) {
 	if g == nil {
 		panic(fmt.Sprintf("xen: %s lending to unknown grant %d", d.Name, ref))
 	}
-	g.data = nil
 	return g.page.Lend(b)
 }
 
@@ -126,7 +128,6 @@ func (d *Domain) LendGrant(ref GrantRef, b []byte) (own []byte) {
 func (d *Domain) EndLoan(ref GrantRef, own []byte) {
 	if g := d.grant(ref); g != nil {
 		g.page.Restore(own)
-		g.data = nil
 	}
 }
 
@@ -170,7 +171,6 @@ func (hv *Hypervisor) mapGrantCharged(mapper *Domain, owner DomID, ref GrantRef)
 		return nil, fmt.Errorf("xen: map grant from dead domain %d", owner)
 	}
 	g := od.grant(ref)
-	hv.stats.GrantMaps++
 	if g == nil {
 		return nil, fmt.Errorf("xen: bad grant ref %d in domain %d", ref, owner)
 	}
@@ -178,6 +178,7 @@ func (hv *Hypervisor) mapGrantCharged(mapper *Domain, owner DomID, ref GrantRef)
 		return nil, fmt.Errorf("xen: grant %d of domain %d is for domain %d, not %d",
 			ref, owner, g.remote, mapper.ID)
 	}
+	hv.stats.GrantMaps++
 	g.mapCount++
 	return &Mapping{Page: g.page, owner: owner, ref: ref, mapper: mapper.ID, live: true}, nil //kite:alloc-ok callers cache mappings; misses are warmup-only
 }
@@ -208,11 +209,15 @@ func (hv *Hypervisor) unmapLocked(m *Mapping) error {
 	}
 	m.live = false
 	hv.stats.GrantUnmaps++
-	od := hv.domainAt(m.owner) // owner may be dead; entry may be gone
-	if od != nil {
-		// A dead mapper's mappings were released at its death: the count
-		// is already down by its share.
-		if g := od.grant(m.ref); g != nil && g.mapCount > 0 {
+	// A dead mapper's mappings were released at its death: the count is
+	// already down by its share, and the owner may since have revoked the
+	// ref and issued it again. A live mapper's mapping keeps its grant
+	// live, unless the owner died.
+	if md := hv.domainAt(m.mapper); md.dead {
+		return nil
+	}
+	if od := hv.domainAt(m.owner); od != nil {
+		if g := od.grant(m.ref); g != nil {
 			g.mapCount--
 		}
 	}
@@ -357,5 +362,5 @@ func (hv *Hypervisor) resolveCopyPtr(caller *Domain, p CopyPtr, write bool) ([]b
 	if g.remote != caller.ID || (write && g.readonly) {
 		return nil, CopyDenied
 	}
-	return g.bytes()[:], CopyOkay
+	return g.page.Bytes(), CopyOkay
 }

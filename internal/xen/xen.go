@@ -172,16 +172,16 @@ func (hv *Hypervisor) DestroyDomain(id DomID) error {
 		}
 	}
 	for i := range d.grants {
-		if g := &d.grants[i]; g.live {
+		if g := &d.grants[i]; g.page != nil {
 			g.page.Restore(nil) // its own backing is with the lender, which died here
 		}
 	}
-	d.grants = nil
+	d.grants, d.freeRef = nil, 0
 	d.liveGrants = 0
 	d.Arena.Release()
 	for _, od := range hv.domains {
 		for i := range od.grants {
-			if g := &od.grants[i]; g.live && g.remote == id {
+			if g := &od.grants[i]; g.page != nil && g.remote == id {
 				g.mapCount = 0
 			}
 		}
@@ -231,14 +231,15 @@ type Domain struct {
 
 	hv   *Hypervisor
 	dead bool
-	// grants and ports are indexed by ref/port number: both are allocated
-	// sequentially and never reused, so the per-packet resolutions
-	// (resolveCopyPtr, Notify) are bounds checks instead of map probes.
-	// Grant entries are stored by value (revoked ones leave a dead slot);
-	// closed ports leave nil holes.
+	// grants and ports are indexed by ref/port number, so the per-packet
+	// resolutions (resolveCopyPtr, Notify) are bounds checks instead of map
+	// probes. Grant entries are stored by value; a revoked one is a dead
+	// slot on the free list headed by freeRef, which the next GrantAccess
+	// reuses. Ports are allocated sequentially and never reused; closed
+	// ones leave nil holes.
 	grants     []grantEntry
 	liveGrants int
-	nextRef    GrantRef
+	freeRef    GrantRef
 	ports      []*channel
 	nextPort   Port
 }
@@ -249,7 +250,7 @@ type Domain struct {
 //
 //kite:hotpath
 func (d *Domain) grant(ref GrantRef) *grantEntry {
-	if int(ref) >= len(d.grants) || !d.grants[ref].live {
+	if int(ref) >= len(d.grants) || d.grants[ref].page == nil {
 		return nil
 	}
 	return &d.grants[ref]

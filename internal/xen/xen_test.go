@@ -486,14 +486,18 @@ func TestFlatGrantTableRefusals(t *testing.T) {
 		}
 	}
 
-	// A revoked slot stays dead when the table grows past it, and a ref
-	// issued later does not resurrect it.
-	later := grant(dom0.ID, false)
-	if later == revoked {
-		t.Fatal("a revoked ref was reissued")
+	// A revoked slot is the next one issued, and reissued it carries the
+	// new grant's remote and mode, not the old one's; the table grows only
+	// once no revoked slot is left.
+	later := grant(dd.ID, true)
+	if later != revoked {
+		t.Fatalf("GrantAccess issued ref %d, want the revoked ref %d", later, revoked)
 	}
-	if err := read(revoked); err == nil {
-		t.Error("revoked ref readable after the table grew")
+	if err := read(later); err == nil {
+		t.Error("reissued ref readable by the domain it was granted to before")
+	}
+	if fresh := grant(dom0.ID, false); fresh != never {
+		t.Errorf("GrantAccess with no revoked slot issued ref %d, want %d", fresh, never)
 	}
 
 	// Mapped entries count their mappings in place: EndAccess refuses until
@@ -765,10 +769,87 @@ func TestDestroyEndsLoans(t *testing.T) {
 }
 
 // TestGrantEntrySize: a fleet tenant's grant table holds an entry per ring
-// page (513 of them), so the entry is two pointers, a 32-bit map count and
-// a remote domain and two flags beside it: 24 B, with no padding.
+// page (513 of them), so the entry is one pointer with a 32-bit map count,
+// a remote domain and a flag beside it: 16 B.
 func TestGrantEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(grantEntry{}); got != 24 {
-		t.Fatalf("sizeof(grantEntry) = %d, want 24", got)
+	if got := unsafe.Sizeof(grantEntry{}); got != 16 {
+		t.Fatalf("sizeof(grantEntry) = %d, want 16", got)
+	}
+}
+
+// TestRevokedRefsReused: revoked refs go on a free list threaded through
+// their dead entries and come back most recently revoked first; only an
+// empty list grows the table, so a grant-and-revoke churn keeps it at its
+// peak. A reserve counts the revoked refs it will reuse.
+func TestRevokedRefsReused(t *testing.T) {
+	_, hv, dom0 := newHV(t)
+	du := hv.CreateDomain(DomainConfig{Name: "domU", VCPUs: 1, MemBytes: 1 << 20})
+	refs := make([]GrantRef, 4)
+	for i := range refs {
+		refs[i] = du.GrantAccess(dom0.ID, du.Arena.MustAlloc(), false)
+	}
+	for _, ref := range []GrantRef{refs[1], refs[3], refs[0]} {
+		if err := du.EndAccess(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []GrantRef{refs[0], refs[3], refs[1], refs[3] + 1} {
+		if got := du.GrantAccess(dom0.ID, du.Arena.MustAlloc(), false); got != want {
+			t.Fatalf("GrantAccess issued ref %d, want %d", got, want)
+		}
+	}
+	page := du.Arena.MustAlloc()
+	for range 1000 {
+		ref := du.GrantAccess(dom0.ID, page, false)
+		if err := du.EndAccess(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(du.grants) != 7 || du.LiveGrants() != 5 {
+		t.Fatalf("after churn: table of %d entries, %d live, want 7 and 5", len(du.grants), du.LiveGrants())
+	}
+	c := cap(du.grants)
+	du.ReserveGrants(1 + c - len(du.grants)) // the one revoked ref, then to capacity
+	if cap(du.grants) != c {
+		t.Fatalf("a reserve the revoked ref and spare capacity cover grew the table to %d", cap(du.grants))
+	}
+}
+
+// TestDeadMapperUnmapAfterReuse: a mapper's death releases its mappings,
+// so the owner may revoke the ref and issue it to another domain; the dead
+// mapper's late unmap must leave the new grant's map count alone.
+func TestDeadMapperUnmapAfterReuse(t *testing.T) {
+	_, hv, dom0 := newHV(t)
+	du := hv.CreateDomain(DomainConfig{Name: "domU", VCPUs: 1, MemBytes: 1 << 20})
+	dd := hv.CreateDomain(DomainConfig{Name: "dd", VCPUs: 1, MemBytes: 1 << 20})
+	ref := du.GrantAccess(dd.ID, du.Arena.MustAlloc(), false)
+	stale, err := hv.MapGrant(dd, du.ID, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hv.DestroyDomain(dd.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := du.EndAccess(ref); err != nil {
+		t.Fatalf("EndAccess after the mapper died: %v", err)
+	}
+	if again := du.GrantAccess(dom0.ID, du.Arena.MustAlloc(), false); again != ref {
+		t.Fatalf("reissued ref %d, want %d", again, ref)
+	}
+	m, err := hv.MapGrant(dom0, du.ID, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hv.UnmapGrant(dom0, stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := du.EndAccess(ref); err == nil {
+		t.Fatal("a dead mapper's late unmap released the new grant's mapping")
+	}
+	if err := hv.UnmapGrant(dom0, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := du.EndAccess(ref); err != nil {
+		t.Fatal(err)
 	}
 }
