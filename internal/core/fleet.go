@@ -71,9 +71,8 @@ func (r *FleetRig) GuestIPOf(i int) netpkt.IP { return fleetGuestIP(i) }
 // a 4 KiB TLB on nearly every touch, and one 2 MiB entry covers about
 // twenty tenants (DESIGN §14.6).
 func NewFleetRig(cfg FleetConfig) (*FleetRig, error) {
-	lanes := cfg.Lanes
-	if lanes == 0 {
-		lanes = 4
+	if cfg.Lanes == 0 {
+		cfg.Lanes = 4
 	}
 	if cfg.Guests <= 0 {
 		return nil, fmt.Errorf("core: fleet needs at least one guest")
@@ -86,7 +85,12 @@ func NewFleetRig(cfg FleetConfig) (*FleetRig, error) {
 		perTenant += fleetVbdBytes
 	}
 	mem.ReserveHuge(int64(cfg.Guests) * perTenant)
-	tb := NewTestbedSharded(cfg.Seed, lanes)
+	return buildFleetRig(NewTestbedSharded(cfg.Seed, cfg.Lanes), cfg)
+}
+
+// buildFleetRig builds the fleet on tb, which has one shard per lane.
+func buildFleetRig(tb *Testbed, cfg FleetConfig) (*FleetRig, error) {
+	lanes := cfg.Lanes
 	nd, err := tb.System.CreateNetworkDomain(NetworkDomainConfig{
 		Kind: KindKite, NIC: tb.ServerNIC, Fleet: true,
 	})

@@ -89,19 +89,20 @@ type NetworkRigConfig struct {
 // and queue i of both ring ends is pinned to shard 1+i. Single-queue rigs
 // keep the classic single-heap engine, byte-for-byte.
 func NewNetworkRigCfg(cfg NetworkRigConfig) (*NetworkRig, error) {
-	sharded := cfg.Queues > 1
-	var tb *Testbed
+	if cfg.Queues > 1 {
+		return buildNetworkRig(NewTestbedSharded(cfg.Seed, cfg.Queues), cfg)
+	}
+	return buildNetworkRig(NewTestbed(cfg.Seed), cfg)
+}
+
+// buildNetworkRig builds the rig on tb: sharded for a multi-queue cfg.
+func buildNetworkRig(tb *Testbed, cfg NetworkRigConfig) (*NetworkRig, error) {
 	vcpus := cfg.VCPUs
-	if sharded {
-		tb = NewTestbedSharded(cfg.Seed, cfg.Queues)
-		if vcpus == 0 {
-			// One pinned vCPU per queue worker plus the same width again
-			// for the bridge/misc path, so the bridge capacity scales with
-			// the queue count exactly like the legacy Pick-anywhere rig.
-			vcpus = 2 * cfg.Queues
-		}
-	} else {
-		tb = NewTestbed(cfg.Seed)
+	if vcpus == 0 && cfg.Queues > 1 {
+		// One pinned vCPU per queue worker plus the same width again
+		// for the bridge/misc path, so the bridge capacity scales with
+		// the queue count exactly like the legacy Pick-anywhere rig.
+		vcpus = 2 * cfg.Queues
 	}
 	nd, err := tb.System.CreateNetworkDomain(NetworkDomainConfig{
 		Kind: cfg.Kind, NIC: tb.ServerNIC, VCPUs: vcpus,
@@ -153,7 +154,11 @@ type TuningKnobs struct {
 
 // NewStorageRig builds the §5.4 setup.
 func NewStorageRig(cfg StorageRigConfig) (*StorageRig, error) {
-	tb := NewTestbed(cfg.Seed)
+	return buildStorageRig(NewTestbed(cfg.Seed), cfg)
+}
+
+// buildStorageRig builds the rig on tb.
+func buildStorageRig(tb *Testbed, cfg StorageRigConfig) (*StorageRig, error) {
 	vcpus := cfg.VCPUs
 	if vcpus == 0 && cfg.Queues > 1 {
 		vcpus = cfg.Queues

@@ -74,7 +74,7 @@ type queue struct {
 	// txRefs[id] (id 1..RingSize) and rxRefs[id] are the Tx and Rx pages
 	// granted at connect, reused for as long as the backend lasts. A slot
 	// is its grant ref and nothing else: the page and its bytes are the
-	// guest's own grant entry's (xen.Domain.GrantedBytes), and every
+	// guest's own grant entry's (xen.Domain.GrantedPage), and every
 	// tenant holds 512 slots. txBusy has bit id set while Tx request id is
 	// in flight.
 	txRefs [netif.RingSize + 1]xen.GrantRef
@@ -460,11 +460,11 @@ func (q *queue) enqueue(frame *framepool.Buf) bool {
 // its death still runs): the frame is then dropped.
 func (q *queue) pushTx(frame *framepool.Buf) bool {
 	n := len(q.txFree)
-	var data *[mem.PageSize]byte
+	var page *mem.Page
 	if n > 0 {
-		data = q.d.Dom.GrantedBytes(q.txRefs[q.txFree[n-1]])
+		page = q.d.Dom.GrantedPage(q.txRefs[q.txFree[n-1]])
 	}
-	if data == nil {
+	if page == nil {
 		q.stats.TxErrors++
 		frame.Release()
 		return false
@@ -472,7 +472,7 @@ func (q *queue) pushTx(frame *framepool.Buf) bool {
 	id := q.txFree[n-1]
 	q.txFree = q.txFree[:n-1]
 	size := frame.Len() // at most mem.PageSize: enqueue checked
-	copy(data[:], frame.Bytes())
+	copy(page.Bytes(), frame.Bytes())
 	q.txBusy[id/64] |= 1 << (id % 64)
 	frame.Release()
 	q.tx.PushRequest(netif.TxRequest{ID: id, Ref: q.txRefs[id], Offset: 0, Len: uint16(size)})
@@ -539,7 +539,7 @@ func (q *queue) reapRx() {
 			if d.recv != nil {
 				b := d.pool.GetLen(n)
 				// The grant lives as long as the queue's port does.
-				copy(b.Extend(n), d.Dom.GrantedBytes(ref)[off:off+n])
+				copy(b.Extend(n), d.Dom.GrantedPage(ref).Bytes()[off:off+n])
 				if q.eng != d.eng {
 					// Deliver to the stack's shard (softirq dispatch).
 					q.eng.Post(d.eng, shardHandoff, sim.PriData, d.recvF, b)

@@ -11,10 +11,9 @@ import (
 // log every event is noted in, and a function rendering a byte-exact summary
 // of everything observable: per-shard event traces with timestamps, event
 // totals and cross-shard post counts. The workload mixes local schedule
-// churn, PriData ring posts, and side posts — every third at priLate — that
-// land on a shard at the same instant as the ring's, so same-timestamp post
-// ties across sources and priorities, and same-timestamp events on several
-// shards, all occur. With declareEdges the same traffic runs with every edge
+// churn, ring posts, and side posts that land on a shard at the same
+// instant as the ring's, so same-timestamp post ties across sources, and
+// same-timestamp events on several shards, all occur. With declareEdges the same traffic runs with every edge
 // declared, Post's check armed.
 //
 // Window and fusion counts stay out of the summary: they say how a run was
@@ -62,11 +61,7 @@ func barrierStress(declareEdges bool) (*Cluster, *eventLog, func() string) {
 			}
 			e.Post(c.Shard((i+1)%shards), 1, PriData, handlers[(i+1)%shards], hop+1)
 			j := (i*3 + 1) % shards
-			pri := PriData
-			if hop%3 == 0 {
-				pri = priLate
-			}
-			e.Post(c.Shard(j), 2, pri, sides[j], hop)
+			e.Post(c.Shard(j), 2, PriData, sides[j], hop)
 		}
 	}
 	// Seed several shards at staggered times so runs start with real

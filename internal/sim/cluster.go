@@ -3,8 +3,9 @@ package sim
 // This file is the sharded deterministic event core: a Cluster partitions
 // one simulation into per-shard Engines (one heap each) and executes them
 // in one exact global order — the cluster's earliest pending event next,
-// ties going to the lowest shard, and within a shard the heap's own
-// (timestamp, rank, source, insertion) key (engine.go):
+// ties going to the lowest shard, and within a shard the heap's
+// (timestamp, insertion) key (engine.go). Neither tie rule is part of the
+// model: ReverseTies flips both for the test that holds it to that.
 //
 //   - Every cross-shard interaction travels as a *post* with an explicit
 //     delay >= the cluster lookahead. Physical latencies (NIC wire +
@@ -13,10 +14,9 @@ package sim
 //     hand-off delays rather than artificial slack; the scheduler does not
 //     need the bound, Post checks it.
 //   - A post is an event: Post pushes it onto the destination shard's heap
-//     under a key that ranks it after that shard's own events at the same
-//     instant, then by priority and source shard. Nothing is staged and no
-//     barrier merges: one goroutine runs the whole cluster, so the
-//     destination is never running while a post arrives.
+//     like any other insertion. Nothing is staged and no barrier merges:
+//     one goroutine runs the whole cluster, so the destination is never
+//     running while a post arrives.
 //   - One loop (runLoop) runs the shard holding the earliest event until
 //     another shard's next event comes first, so shard-local stretches run
 //     as one batch on a heap-only inner loop, and Step is the same loop
@@ -36,16 +36,11 @@ package sim
 // reopen the question). What sharding buys is the model: every shard keeps
 // its own clock and a heap a fraction of the size, and hand-offs carry their
 // physical latency.
-//
-// Each shard also owns a partitioned RNG (splitmix-derived from the cluster
-// seed and the shard index), so stochastic elements bound to a shard draw
-// from a stream that is independent of how other shards interleave.
 
 import "fmt"
 
-// PriData is the equal-timestamp rank every post in the tree carries (lower
-// runs first). The rank stays in Post's signature and in the heap key
-// because benchmark/ — frozen — passes it (ROADMAP, Housekeeping).
+// PriData is what every post passes as Post's ignored pri argument: both
+// remain because benchmark/ — frozen — passes them (ROADMAP item 1).
 const PriData uint8 = 100
 
 // postSlot carries one post's handler and argument through the destination
@@ -76,8 +71,9 @@ const timeMax = Time(1<<63 - 1)
 // drives the whole cluster.
 type Cluster struct {
 	shards    []Engine
-	rngs      []*Rand
 	lookahead Time
+
+	tie int // 0, or -1 under ReverseTies: XORed into event keys and shard order
 
 	// Declared edges (flattened n x n, src-major): the minimum delay a post
 	// from src to dst may carry, timeMax for a pair nobody declared. Only
@@ -100,14 +96,11 @@ type Cluster struct {
 }
 
 // NewCluster builds n shard engines sharing one virtual clock, with the
-// given conservative lookahead (the minimum cross-shard post delay) and a
-// seed for the partitioned per-shard RNGs.
-func NewCluster(n int, lookahead Time, seed uint64) *Cluster {
+// given conservative lookahead (the minimum cross-shard post delay). The
+// seed is ignored: benchmark/ — frozen — still passes one (ROADMAP item 1).
+func NewCluster(n int, lookahead Time, _ uint64) *Cluster {
 	if n < 1 {
 		panic("sim: cluster needs at least one shard")
-	}
-	if n > 1<<(rankShift-srcShift) {
-		panic(fmt.Sprintf("sim: cluster of %d shards; the event key holds %d", n, 1<<(rankShift-srcShift)))
 	}
 	if lookahead <= 0 {
 		panic("sim: cluster lookahead must be positive")
@@ -115,10 +108,6 @@ func NewCluster(n int, lookahead Time, seed uint64) *Cluster {
 	c := &Cluster{lookahead: lookahead, shards: make([]Engine, n)}
 	for i := range c.shards {
 		c.shards[i].cluster, c.shards[i].shard = c, i
-		// Partitioned RNG: each shard's stream is derived from (seed, shard)
-		// through the splitmix increment, so streams are decorrelated and
-		// stable no matter how many shards run or in what order.
-		c.rngs = append(c.rngs, NewRand(seed^(uint64(i+1)*0x9e3779b97f4a7c15)))
 	}
 	return c
 }
@@ -128,9 +117,6 @@ func (c *Cluster) Shards() int { return len(c.shards) }
 
 // Shard returns shard i's engine.
 func (c *Cluster) Shard(i int) *Engine { return &c.shards[i] }
-
-// Rand returns shard i's partitioned RNG.
-func (c *Cluster) Rand(i int) *Rand { return c.rngs[i] }
 
 // Windows returns how many windows have run, a window being one
 // uninterrupted run of one shard.
@@ -192,10 +178,10 @@ func (c *Cluster) SetWorkers(int) {}
 // runLoop is the one scheduler behind Run, RunUntil, RunCapped and Step: it
 // executes up to budget events timestamped before limit, in the global order,
 // and returns how many ran. Each pass picks the shard holding the earliest
-// pending event, ties going to the lowest index, and runs it up to the
-// runner-up's next event (bound). While it runs, every event pushed onto
-// another shard lowers that horizon too. A shard alone with pending events
-// runs to limit.
+// pending event, ties to the lowest index (the scan runs backwards under
+// ReverseTies), and runs it up to the runner-up's next event (bound), which
+// every event pushed onto another shard meanwhile lowers too. A shard alone
+// with pending events runs to limit.
 //
 //kite:hotpath
 func (c *Cluster) runLoop(limit Time, budget uint64) uint64 {
@@ -203,7 +189,11 @@ func (c *Cluster) runLoop(limit Time, budget uint64) uint64 {
 	for done < budget {
 		run, next := -1, -1
 		rt, nt := limit, limit
-		for i := range c.shards {
+		first, step := 0, 1
+		if c.tie != 0 {
+			first, step = len(c.shards)-1, -1
+		}
+		for i := first; uint(i) < uint(len(c.shards)); i += step {
 			s := &c.shards[i]
 			if len(s.heap) == 0 {
 				continue
@@ -252,15 +242,25 @@ func (c *Cluster) runLoop(limit Time, budget uint64) uint64 {
 }
 
 // bound lowers the running shard's exclusive horizon to an event at time at
-// on another shard: at t on a lower shard the runner stops before t, on a
-// higher one after its own events at t, so one integer carries the tie rule.
+// on another shard: the runner stops before t if that shard wins the tie
+// (the lower index, XORed with tie), else after its own events at t.
 func (c *Cluster) bound(shard int, at Time) {
 	if at < c.horizon {
 		c.horizon = at
-		if shard > c.run {
+		if shard^c.tie > c.run^c.tie {
 			c.horizon++
 		}
 	}
+}
+
+// ReverseTies reverses both tie rules of e's cluster before anything is
+// scheduled: the highest shard wins a cross-shard tie, and same-instant
+// events run newest first. A figure that moves under it reads a tie.
+func (e *Engine) ReverseTies() {
+	if e.Pending() != 0 {
+		panic("sim: ReverseTies with events pending")
+	}
+	e.cluster.tie = -1
 }
 
 // Run executes events until none remain anywhere.
@@ -310,13 +310,12 @@ func (c *Cluster) Processed() uint64 {
 }
 
 // Post queues fn(arg) to run on dst — another shard; a shard reaches itself
-// with After — after delay, carrying pri as the equal-timestamp rank: the
-// whole cross-shard mechanism. delay must be at least the declared (src,dst)
-// edge latency — the cluster lookahead when no edges are declared — so a
-// hand-off carries its physical latency. Posting is allocation-free in
-// steady state: the post rides a recycled postSlot, fn should be a
-// long-lived func value, and arg a pointer (pointer-to-interface
-// conversions do not allocate).
+// with After — after delay: the whole cross-shard mechanism. pri is ignored
+// (PriData). delay must be at least the declared (src,dst) edge latency —
+// the cluster lookahead when no edges are declared — so a hand-off carries
+// its physical latency. Posting is allocation-free in steady state: the
+// post rides a recycled postSlot, fn should be a long-lived func value, and
+// arg a pointer (pointer-to-interface conversions do not allocate).
 //
 //kite:hotpath
 func (e *Engine) Post(dst *Engine, delay Time, pri uint8, fn func(any), arg any) {
@@ -347,7 +346,7 @@ func (e *Engine) Post(dst *Engine, delay Time, pri uint8, fn func(any), arg any)
 		s.fire = s.run
 	}
 	s.fn, s.arg = fn, arg
-	dst.push(e.now+delay, uint64(1+pri)<<rankShift|uint64(e.shard)<<srcShift, s.fire)
+	dst.push(e.now+delay, s.fire)
 }
 
 // ProcessedLocal returns the events executed by this engine alone — the

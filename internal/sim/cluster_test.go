@@ -52,7 +52,7 @@ func checkGlobalOrder(t *testing.T, what string, c *Cluster, log eventLog) {
 
 // buildPingPong wires a deterministic cross-shard workload: each shard runs
 // a local event chain and posts tokens to the next shard with varying
-// delays and priorities. Each shard records its own trace (shards share no
+// delays. Each shard records its own trace (shards share no
 // mutable state but by posts — the same rule the real data paths obey);
 // the flattened per-shard traces are the determinism witness, and every
 // event is noted in the returned log. With declareEdges the ring's hops are
@@ -67,6 +67,10 @@ func buildPingPong(shards, tokens int, declareEdges bool) (*Cluster, [][]string,
 	}
 	traces := make([][]string, shards)
 	log := &eventLog{}
+	rngs := make([]*Rand, shards)
+	for i := range rngs {
+		rngs[i] = NewRand(uint64(i + 1))
+	}
 
 	type token struct {
 		id   int
@@ -86,8 +90,8 @@ func buildPingPong(shards, tokens int, declareEdges bool) (*Cluster, [][]string,
 			}
 			t.hops--
 			next := (i + 1) % shards
-			// Vary the delay deterministically from the shard RNG.
-			delay := lookahead + Time(c.Rand(i).Intn(3))*50*Nanosecond
+			// Vary the delay deterministically from the shard's own stream.
+			delay := lookahead + Time(rngs[i].Intn(3))*50*Nanosecond
 			e.Post(c.Shard(next), delay, PriData, hop(next), t)
 		}
 	}
@@ -159,8 +163,8 @@ func TestClusterSerialParallelIdentical(t *testing.T) {
 // buildEcho is the lone shard's test: shard 0 ticks alone — nothing else is
 // pending, so it runs with no other shard to bound it — and twice asks idle
 // shard 1 for an echo that lands back between two of its later ticks. Each
-// request has to bound shard 0 at once — whatever its rank: the second goes
-// out at priLate — or the echo arrives in shard 0's past.
+// request has to bound shard 0 at once, or the echo arrives in shard 0's
+// past.
 func buildEcho() (*Cluster, *[]string) {
 	const lookahead = 5 * Nanosecond
 	c := NewCluster(2, lookahead, 1)
@@ -176,7 +180,7 @@ func buildEcho() (*Cluster, *[]string) {
 		case 10:
 			s0.Post(s1, lookahead, PriData, reflect, n)
 		case 40:
-			s0.Post(s1, lookahead, priLate, reflect, n)
+			s0.Post(s1, lookahead, PriData, reflect, n)
 		}
 		if n < 100 {
 			s0.After(3*Nanosecond, tick)
@@ -246,36 +250,31 @@ func TestClusterPostBelowLookaheadPanics(t *testing.T) {
 }
 
 // TestClusterMergeOrdering: posts landing at one timestamp on one shard run
-// in (priority, source shard, source seq) order regardless of post order,
-// each as an event of the destination shard.
+// in the order they arrived, whatever their source shard, and a local event
+// scheduled for that instant takes its place among them; each runs as an
+// event of the destination shard.
 func TestClusterMergeOrdering(t *testing.T) {
 	c := NewCluster(3, 100*Nanosecond, 1)
 	var got []string
 	rec := func(tag string) func(any) {
 		return func(any) { got = append(got, tag) }
 	}
-	// All three posts mature at t=100 on shard 0; post them in an order that
-	// differs from the deterministic key order.
-	c.Shard(2).Post(c.Shard(0), 100*Nanosecond, priLate, rec("s2-late"), nil)
-	c.Shard(2).Post(c.Shard(0), 100*Nanosecond, PriData, rec("s2-data"), nil)
-	c.Shard(1).Post(c.Shard(0), 100*Nanosecond, PriData, rec("s1-data"), nil)
-	// At the same instant a shard's own heap event runs before any post.
-	c.Shard(0).Schedule(100*Nanosecond, func() { got = append(got, "s0-local") })
+	// Everything matures at t=100 on shard 0; arrival order alternates
+	// sources, so neither the source nor the kind of event sorts it.
+	c.Shard(2).Post(c.Shard(0), 100*Nanosecond, PriData, rec("s2-first"), nil)
+	c.Shard(1).Post(c.Shard(0), 100*Nanosecond, PriData, rec("s1-second"), nil)
+	c.Shard(0).Schedule(100*Nanosecond, func() { got = append(got, "s0-third") })
+	c.Shard(2).Post(c.Shard(0), 100*Nanosecond, PriData, rec("s2-fourth"), nil)
 	c.Shard(0).Run()
-	want := []string{"s0-local", "s1-data", "s2-data", "s2-late"}
-	if len(got) != len(want) {
+	want := []string{"s2-first", "s1-second", "s0-third", "s2-fourth"}
+	if !slices.Equal(got, want) {
 		t.Fatalf("ran %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order %v, want %v", got, want)
-		}
 	}
 	// Shard 0 executed its own local event plus the three posts.
 	if got, want := c.Posted(), uint64(3); got != want {
 		t.Fatalf("posted %d, want %d", got, want)
 	}
-	if got, want := c.Shard(0).Processed(), uint64(4); got != want {
+	if got, want := c.Shard(0).ProcessedLocal(), uint64(4); got != want {
 		t.Fatalf("shard 0 processed %d events, want %d", got, want)
 	}
 }
@@ -307,20 +306,6 @@ func TestClusterRunUntil(t *testing.T) {
 	}
 }
 
-// TestClusterPartitionedRand: per-shard streams are stable and distinct.
-func TestClusterPartitionedRand(t *testing.T) {
-	a := NewCluster(3, 100*Nanosecond, 7)
-	b := NewCluster(3, 100*Nanosecond, 7)
-	for i := 0; i < 3; i++ {
-		if a.Rand(i).Uint64() != b.Rand(i).Uint64() {
-			t.Fatalf("shard %d stream not reproducible", i)
-		}
-	}
-	if a.Rand(0).Uint64() == a.Rand(1).Uint64() {
-		t.Fatal("shard streams correlated")
-	}
-}
-
 // TestEdgeClosure covers what declared edges are for — a check, nothing the
 // scheduler reads. A pair with no declared edge cannot be posted on, a declared
 // pair not under its minimum (TestClusterPostBelowLookaheadPanics), no shard
@@ -347,7 +332,7 @@ func TestEdgeClosure(t *testing.T) {
 			})
 		}
 		// A post is a hand-off between shards and carries a hand-off's
-		// rank and latency; After is how a shard reaches itself.
+		// latency; After is how a shard reaches itself.
 		wantPanic(fmt.Sprintf("self-post, edges declared: %v", declare), "post to own shard; use After", func() {
 			c.Shard(1).Post(c.Shard(1), lookahead, PriData, func(any) {}, nil)
 		})

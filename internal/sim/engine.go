@@ -12,9 +12,10 @@
 // Every engine is a shard of a Cluster — a standalone engine is the one
 // shard of a one-shard cluster — and every event, local or posted from
 // another shard, is an entry in its shard's heap under one ordering key:
-// (timestamp, rank, source shard, insertion). The cluster runs its shards
-// in one exact global order, (timestamp, shard) and then the key
-// (cluster.go).
+// (timestamp, insertion). The cluster runs its shards in one exact global
+// order, (timestamp, shard) and then the key (cluster.go). No mechanism may
+// read which of two same-instant events runs first: core's
+// TestTieOrderInvariance reverses every tie and holds the figures still.
 //
 // The event queue is the hottest data structure in the repository: every
 // frame, segment, and wakeup of every experiment passes through it, so
@@ -68,20 +69,9 @@ func (t Time) String() string {
 // Go heap on its own.
 type event struct {
 	at  Time
-	key uint64 // rank<<rankShift | src<<srcShift | seq: the order within a timestamp
+	key uint64 // the insertion count, XOR the cluster's tie mask: the order within a timestamp
 	fn  func()
 }
-
-// The key's fields. rank is 0 for a shard's own events and 1+pri for a
-// post, so at one instant a shard's own work runs before foreign hand-offs,
-// and posts run by priority; src is the posting shard (NewCluster caps a
-// cluster at 1<<(rankShift-srcShift) shards); seq is the engine's insertion
-// count, shared by both kinds, so events of one rank and source run FIFO.
-// 2^47 insertions on one shard are out of reach, so seq never carries.
-const (
-	rankShift = 55
-	srcShift  = 47
-)
 
 // before is the heap order: earliest time first, then the key.
 func (e *event) before(o *event) bool {
@@ -110,7 +100,7 @@ const arity = 4
 type Engine struct {
 	now       Time
 	heap      []event // slice-backed 4-ary min-heap, values not pointers
-	seq       uint64  // insertions, ever: the key's last field
+	seq       uint64  // insertions, ever: the key
 	processed uint64
 	cluster   *Cluster
 	shard     int
@@ -140,7 +130,7 @@ func (e *Engine) Schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	e.push(at, 0, fn)
+	e.push(at, fn)
 }
 
 // After runs fn d nanoseconds from now. Negative d panics.
@@ -151,13 +141,14 @@ func (e *Engine) After(d Time, fn func()) {
 	e.Schedule(e.now+d, fn)
 }
 
-// push inserts fn at time at with the key's rank and source fields already
-// in tag. An event on a shard other than the running one bounds the run.
-func (e *Engine) push(at Time, tag uint64, fn func()) {
+// push inserts fn at time at, keyed by its insertion count (FIFO, LIFO under
+// ReverseTies). An event on a shard other than the running one bounds the run.
+func (e *Engine) push(at Time, fn func()) {
+	c := e.cluster
 	e.seq++
-	e.heap = append(e.heap, event{at: at, key: tag | e.seq, fn: fn})
+	e.heap = append(e.heap, event{at: at, key: e.seq ^ uint64(c.tie), fn: fn})
 	e.siftUp(len(e.heap) - 1)
-	if c := e.cluster; e.shard != c.run {
+	if e.shard != c.run {
 		c.bound(e.shard, at)
 	}
 }

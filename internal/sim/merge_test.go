@@ -6,45 +6,36 @@ import (
 	"testing"
 )
 
-// priLate is a second rank, used by tests only: the tree posts PriData
-// everywhere, but priority is still part of the order's key, so the tests
-// keep posting at two ranks to hold its place in the order.
-const priLate uint8 = 200
-
 // mergeRec is one executed handler: the time its shard's clock read, and
-// the order key the harness expects it under — its shard, its rank (0 for a
-// local Schedule, 1+pri for a post), its source shard (0 for a local event,
-// whose order does not read it) and its place among the insertions into
-// its shard, counted by the harness itself.
+// the order key the harness expects it under — its shard and its place
+// among the insertions into that shard, counted by the harness itself,
+// whether it came as a post or a local Schedule.
 type mergeRec struct {
 	at    Time
 	shard int
-	rank  int
-	src   int
 	ins   int
 }
 
-func (r mergeRec) less(o mergeRec) bool {
+// less is the cluster's order: (timestamp, shard, insertion), or with
+// reversed ties (timestamp, shard descending, insertion descending).
+func (r mergeRec) less(o mergeRec, reversed bool) bool {
 	switch {
 	case r.at != o.at:
 		return r.at < o.at
 	case r.shard != o.shard:
-		return r.shard < o.shard
-	case r.rank != o.rank:
-		return r.rank < o.rank
-	case r.src != o.src:
-		return r.src < o.src
+		return r.shard < o.shard != reversed
 	}
-	return r.ins < o.ins
+	return r.ins < o.ins != reversed
 }
 
 // mergeHarness inserts events into a cluster through Post and Schedule,
 // steps it, and logs every handler that runs. The reference is a
 // brute-force sort of that log: the scheduler must have run everything in
-// (timestamp, shard, rank, source, insertion) order.
+// (timestamp, shard, insertion) order, each tie reversed under ReverseTies.
 type mergeHarness struct {
 	t        *testing.T
 	c        *Cluster
+	reversed bool
 	ins      []int // insertions per shard
 	inserted int
 	ran      []mergeRec
@@ -56,11 +47,14 @@ type mergeTag struct {
 	h    *mergeHarness
 	rec  mergeRec
 	hops int
-	late bool
 }
 
-func newMergeHarness(t *testing.T, shards int) *mergeHarness {
-	return &mergeHarness{t: t, c: NewCluster(shards, 1, 1), ins: make([]int, shards)}
+func newMergeHarness(t *testing.T, shards int, reversed bool) *mergeHarness {
+	h := &mergeHarness{t: t, c: NewCluster(shards, 1, 1), reversed: reversed, ins: make([]int, shards)}
+	if reversed {
+		h.c.Shard(0).ReverseTies()
+	}
+	return h
 }
 
 // fired logs tag's event as run now, then makes its follow-up: from a
@@ -78,31 +72,27 @@ func (tag *mergeTag) fired() {
 	}
 	next := (rec.shard + 1) % h.c.Shards()
 	if tag.hops%2 == 1 {
-		h.post(rec.shard, next, 1, tag.late, tag.hops-1)
+		h.post(rec.shard, next, 1, tag.hops-1)
 	} else {
-		h.schedule(next, e.Now()+1, tag.late, tag.hops-1)
+		h.schedule(next, e.Now()+1, tag.hops-1)
 	}
 }
 
 func onData(a any) { a.(*mergeTag).fired() }
 
 // post makes one post from src to dst after delay.
-func (h *mergeHarness) post(src, dst int, delay Time, late bool, hops int) {
-	pri := PriData
-	if late {
-		pri = priLate
-	}
+func (h *mergeHarness) post(src, dst int, delay Time, hops int) {
 	h.ins[dst]++
 	h.inserted++
-	tag := &mergeTag{h: h, rec: mergeRec{shard: dst, rank: 1 + int(pri), src: src, ins: h.ins[dst]}, hops: hops, late: late}
-	h.c.Shard(src).Post(h.c.Shard(dst), delay, pri, onData, tag)
+	tag := &mergeTag{h: h, rec: mergeRec{shard: dst, ins: h.ins[dst]}, hops: hops}
+	h.c.Shard(src).Post(h.c.Shard(dst), delay, PriData, onData, tag)
 }
 
 // schedule puts a local event on shard at time at.
-func (h *mergeHarness) schedule(shard int, at Time, late bool, hops int) {
+func (h *mergeHarness) schedule(shard int, at Time, hops int) {
 	h.ins[shard]++
 	h.inserted++
-	tag := &mergeTag{h: h, rec: mergeRec{shard: shard, ins: h.ins[shard]}, hops: hops, late: late}
+	tag := &mergeTag{h: h, rec: mergeRec{shard: shard, ins: h.ins[shard]}, hops: hops}
 	h.c.Shard(shard).Schedule(at, tag.fired)
 }
 
@@ -127,34 +117,41 @@ func (h *mergeHarness) check() {
 	want := slices.Clone(h.ran)
 	slices.SortFunc(want, func(a, b mergeRec) int {
 		switch {
-		case a.less(b):
+		case a.less(b, h.reversed):
 			return -1
-		case b.less(a):
+		case b.less(a, h.reversed):
 			return 1
 		}
 		return 0
 	})
 	for i := range want {
 		if h.ran[i] != want[i] {
-			t.Fatalf("event %d ran as %+v; the key order puts %+v there", i, h.ran[i], want[i])
+			t.Fatalf("reversed ties %v: event %d ran as %+v; the key order puts %+v there", h.reversed, i, h.ran[i], want[i])
 		}
 	}
 }
 
-// runMergeProgram interprets prog as rounds of (inserts..., steps). Byte
-// layout per round: an insert count, three bytes per insert (source and
-// destination; clock advance and delay; flags: 0x80 posts at priLate, 0x40
-// makes a local Schedule on the source instead of a post, bits 2-3 count
-// the follow-ups its handler inserts, bits 0-1 shorten the delay), then one
-// byte k: step the cluster k events. The harness clock only moves forward
-// and never lags the cluster's, so every insert lands after everything
-// already run, as one from a handler at that instant would.
+// runMergeProgram interprets prog as rounds of (inserts..., steps), once in
+// the default order and once with every tie reversed. Byte layout per
+// round: an insert count, three bytes per insert (source and destination;
+// clock advance and delay; flags: 0x40 makes a local Schedule on the
+// source instead of a post, bits 2-3 count the follow-ups its handler
+// inserts, bits 0-1 shorten the delay, 0x80 is unused), then one byte k:
+// step the cluster k events. The harness clock only moves forward and
+// never lags the cluster's, so every insert lands after everything already
+// run, as one from a handler at that instant would.
 func runMergeProgram(t *testing.T, prog []byte) {
 	if len(prog) == 0 {
 		return
 	}
+	for _, reversed := range []bool{false, true} {
+		runMergeOnce(t, prog, reversed)
+	}
+}
+
+func runMergeOnce(t *testing.T, prog []byte, reversed bool) {
 	shards := 2 + int(prog[0])%5
-	h := newMergeHarness(t, shards)
+	h := newMergeHarness(t, shards, reversed)
 	now := Time(0)
 	for pc := 1; pc < len(prog); {
 		posts := int(prog[pc])
@@ -173,11 +170,11 @@ func runMergeProgram(t *testing.T, prog []byte) {
 			}
 			h.c.RunUntil(now)
 			delay := 1 + Time(b&0x3f)>>(f&3) // varied delays put a source's own inserts out of order
-			late, hops := f&0x80 != 0, int(f>>2&3)
+			hops := int(f >> 2 & 3)
 			if f&0x40 != 0 {
-				h.schedule(src, now+delay, late, hops)
+				h.schedule(src, now+delay, hops)
 			} else {
-				h.post(src, dst, delay, late, hops)
+				h.post(src, dst, delay, hops)
 			}
 		}
 		if pc < len(prog) {
@@ -190,12 +187,12 @@ func runMergeProgram(t *testing.T, prog []byte) {
 
 // mergeSeeds are programs built to reach the order's corners; the fuzz
 // corpus in testdata/fuzz/FuzzMergeOrder holds further ones (a reversed
-// single source, all-equal timestamps, priLate posts only, fuzzer finds).
+// single source, all-equal timestamps, fuzzer finds).
 func mergeSeeds() [][]byte {
 	var seeds [][]byte
-	// Five sources interleaving at equal timestamps into shard 0, priLate
-	// posts, local events and follow-ups mixed in, stepped by varied
-	// amounts between rounds.
+	// Five sources interleaving at equal timestamps into shard 0, local
+	// events and follow-ups mixed in, stepped by varied amounts between
+	// rounds.
 	for _, eat := range []byte{10, 63, 64, 65, 100} {
 		p := []byte{3} // 5 shards
 		for round := 0; round < 3; round++ {
@@ -242,7 +239,7 @@ func mergeSeeds() [][]byte {
 
 // TestMergeOrderProperty: whatever was posted and scheduled, from the
 // harness between steps or from handlers mid-run, every event runs in the
-// (timestamp, shard, rank, source, insertion) order.
+// (timestamp, shard, insertion) order, and in its mirror under ReverseTies.
 func TestMergeOrderProperty(t *testing.T) {
 	for i, p := range mergeSeeds() {
 		t.Run(fmt.Sprint(i), func(t *testing.T) { runMergeProgram(t, p) })

@@ -58,16 +58,6 @@ func (r *Rand) ExpFloat64() float64 {
 	return -math.Log(u)
 }
 
-// NormFloat64 returns a standard normal value (Box-Muller).
-func (r *Rand) NormFloat64() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // Jitter returns base scaled by a uniform factor in [1-f, 1+f]. It is used
 // to add bounded run-to-run noise to cost constants so repeated experiment
 // runs produce realistic (small) relative standard deviations like Table 4.
@@ -95,15 +85,4 @@ func (r *Rand) Bytes(b []byte) {
 			v >>= 8
 		}
 	}
-}
-
-// Perm returns a random permutation of [0,n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

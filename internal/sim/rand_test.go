@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRandDeterministic(t *testing.T) {
@@ -90,22 +89,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRand(17)
-	var sum, sq float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	if math.Abs(mean) > 0.05 || math.Abs(variance-1) > 0.1 {
-		t.Fatalf("normal mean=%v var=%v, want ~0/~1", mean, variance)
-	}
-}
-
 func TestJitterBounds(t *testing.T) {
 	r := NewRand(19)
 	base := Time(1000)
@@ -136,24 +119,6 @@ func TestBytesFillsEverything(t *testing.T) {
 				t.Fatalf("Bytes(%d) left %d zero bytes, looks unfilled", n, zeros)
 			}
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	prop := func(seed uint64) bool {
-		r := NewRand(seed)
-		p := r.Perm(50)
-		seen := make([]bool, 50)
-		for _, v := range p {
-			if v < 0 || v >= 50 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -31,21 +31,10 @@ type grantEntry struct {
 	readonly bool
 }
 
-// GrantedBytes returns the bytes of the page behind d's own live grant
-// ref, nil if ref is not live. A frontend keeps only the refs of its
-// persistently granted buffers and reaches their bytes through here: one
-// entry serves both the frontend and the backend's copies.
-//
-//kite:hotpath
-func (d *Domain) GrantedBytes(ref GrantRef) *[mem.PageSize]byte {
-	if g := d.grant(ref); g != nil {
-		return (*[mem.PageSize]byte)(g.page.Bytes())
-	}
-	return nil
-}
-
 // GrantedPage returns the page behind d's own live grant ref, nil if ref
-// is not live.
+// is not live. A frontend keeps only the refs of its persistently granted
+// buffers and reaches their bytes through here: one entry serves both the
+// frontend and the backend's copies.
 func (d *Domain) GrantedPage(ref GrantRef) *mem.Page {
 	if g := d.grant(ref); g != nil {
 		return g.page
