@@ -303,11 +303,13 @@ func (l *Lane) InputAt(from Port, frame *framepool.Buf, at sim.Time) {
 		}
 	}
 
+	// Only pinned lanes replay future arrivals; the shared lane is reached
+	// through Input, at the executing event's time.
 	var done sim.Time
 	if l.cpu != nil {
 		done = l.cpu.ChargeAt(at, b.PerFrameCost)
 	} else {
-		done = b.cpus.ChargeAt(at, b.PerFrameCost)
+		done = b.cpus.Charge(b.PerFrameCost)
 	}
 	if dst != netpkt.Broadcast {
 		if out := b.Lookup(dst); out != nil {

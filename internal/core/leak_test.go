@@ -47,7 +47,7 @@ func TestRxDropBranchesReleaseFrames(t *testing.T) {
 	t.Run("queue full", func(t *testing.T) {
 		rig, vif := vifOf(t, 1)
 		const over = 64
-		for i := 0; i < netback.KiteCosts().RxQueueFrames+over; i++ {
+		for i := 0; i < netback.RxQueueFrames+over; i++ {
 			vif.Deliver(junkFrame(rig.System.Pool, 64))
 		}
 		settled(t, rig)

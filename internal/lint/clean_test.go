@@ -85,7 +85,7 @@ func TestHotPathCoverage(t *testing.T) {
 		// Fleet O(active) fast paths: the shared lane's active ring (its
 		// round reaches both classes' Serve and Flush through the Member
 		// interface), the keyed table under the FDB and the NAT flows, the
-		// two-level doorbell bitmap, and the idle-aging timer wheel.
+		// doorbell bitmap, and the timer wheel benchmark/ still times.
 		{"kite/internal/pvback", "Activate"},
 		{"kite/internal/pvback", "link"},
 		{"kite/internal/pvback", "unlink"},

@@ -55,8 +55,8 @@ var mutations = []mutation{
 		fires:  []string{"hotpath: allocation (make) in rxEnqueue"},
 		caught: []string{"TestForwardPathZeroAlloc"}},
 	{id: "H2-rx-drop-branch", edit: edit{netbackGo,
-		"\tif q.rxQueue.Len() >= v.costs.RxQueueFrames {\n",
-		"\tif q.rxQueue.Len() >= v.costs.RxQueueFrames {\n\t\tdropProbe := make([]byte, frame.Len())\n\t\tq.stats.RxQueueDrops += uint64(dropProbe[0])\n"},
+		"\tif q.rxQueue.Len() >= RxQueueFrames {\n",
+		"\tif q.rxQueue.Len() >= RxQueueFrames {\n\t\tdropProbe := make([]byte, frame.Len())\n\t\tq.stats.RxQueueDrops += uint64(dropProbe[0])\n"},
 		fires: []string{"hotpath: allocation (make) in rxEnqueue"}},
 	{id: "H3-blk-serve", edit: edit{"internal/blkback/blkback.go",
 		"\t\t\tused++\n\t\t\tq.stats.RingRequests++",
@@ -64,8 +64,8 @@ var mutations = []mutation{
 		fires:  []string{"hotpath: allocation (make) in Serve"},
 		caught: []string{"TestBlockPathZeroAlloc"}},
 	{id: "H4-flowtab-insert", edit: edit{"internal/flowtab/flowtab.go",
-		"\tref := Ref(int32(si)<<24 | (pos + 1))\n",
-		"\tinsProbe := make([]int32, pos+1)\n\tref := Ref(int32(si)<<24 | (pos + 1 + insProbe[0]))\n"},
+		"\te := &t.slab[pos]\n",
+		"\tinsProbe := make([]int32, pos+1)\n\te := &t.slab[pos+insProbe[0]]\n"},
 		fires: []string{"hotpath: allocation (make) in Insert"}},
 
 	// poolref: a Get bound to a local that one path forgets.
@@ -139,7 +139,7 @@ var mutations = []mutation{
 	{id: "RL3-add-no-link", edit: edit{wheelGo,
 		"\tw.key[h] = key\n\tw.link(h, seen)\n",
 		"\tw.key[h] = key\n"},
-		caught: []string{"TestWheelMatchesSweep", "TestFlowtabAgainstMap"}},
+		caught: []string{"TestWheelMatchesSweep"}},
 	{id: "RL4-double-unlink", edit: edit{laneGo,
 		"\t\t\tl.unlink(s)\n\t\t\tm.deficit = 0",
 		"\t\t\tl.unlink(s)\n\t\t\tl.unlink(s)\n\t\t\tm.deficit = 0"},

@@ -362,9 +362,9 @@ func (t *Translator) release(f *flow) {
 // UDP.
 const flowMaxIdle = 7440 * sim.Second
 
-// Expire drops flows idle for longer than maxIdle, in the table's
-// deterministic aging order. flowFor runs it with flowMaxIdle when the
-// dynamic port space is full, then retries the allocation once.
+// Expire drops flows idle for longer than maxIdle, in the table's slab
+// order. flowFor runs it with flowMaxIdle when the dynamic port space is
+// full, then retries the allocation once.
 //
 //kite:coldpath
 func (t *Translator) Expire(maxIdle sim.Time) int {

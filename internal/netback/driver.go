@@ -120,21 +120,13 @@ func (d *Driver) Connect(p pvback.Pairing) (*VIF, error) {
 	if !ok {
 		return nil, fmt.Errorf("netback: vif%d.%d: published rings are not netif rings", p.FrontDom, p.DevID)
 	}
-	var vif *VIF
-	var err error
-	if p.Lane != nil {
-		vif, err = NewVIFOnLane(d.eng, d.dom, p.FrontDom, p.DevID, ch,
-			p.Ports, d.br, d.costs, d.pool, p.Lane, d.laneDS[p.Lane.ID()])
-	} else {
-		var rssSeed int64
-		if len(p.Ports) > 1 {
-			if rssSeed, ok = d.bus.Store().ReadInt(p.FrontPath + "/" + xenstore.KeyMultiQueueHashSeed); !ok {
-				return nil, fmt.Errorf("netback: vif%d.%d: multi-queue frontend published no steering seed", p.FrontDom, p.DevID)
-			}
+	var rssSeed int64
+	if p.Lane == nil && len(p.Ports) > 1 {
+		if rssSeed, ok = d.bus.Store().ReadInt(p.FrontPath + "/" + xenstore.KeyMultiQueueHashSeed); !ok {
+			return nil, fmt.Errorf("netback: vif%d.%d: multi-queue frontend published no steering seed", p.FrontDom, p.DevID)
 		}
-		vif, err = NewVIF(d.eng, d.dom, p.FrontDom, p.DevID, ch,
-			p.Ports, d.br, d.costs, d.pool, uint64(rssSeed), d.shards)
 	}
+	vif, err := d.newVIF(p, ch, uint64(rssSeed))
 	if err != nil {
 		return nil, err
 	}

@@ -58,18 +58,15 @@ const shardHandoff = 2 * sim.Microsecond
 // Tx bound check relies on it, and this fails to compile if it stops holding.
 const _ uint = framepool.MaxFrame - mem.PageSize
 
+// RxQueueFrames bounds each queue's guest-bound queue; overflow drops
+// (this is where UDP overload loss materializes).
+const RxQueueFrames = 2048
+
 // Costs parameterizes the backend's software path per OS.
 type Costs struct {
 	PerPacketTx sim.Time // guest→world processing per frame (beyond copies)
 	PerPacketRx sim.Time // world→guest processing per frame (beyond copies)
 	WakeLatency sim.Time // handler→worker-thread dispatch latency
-	// InHandler disables the dedicated threads and processes rings inside
-	// the event handler itself — the design the paper rejects (§3.2); kept
-	// as an ablation knob.
-	InHandler bool
-	// RxQueueFrames bounds each queue's guest-bound queue; overflow drops
-	// (this is where UDP overload loss materializes).
-	RxQueueFrames int
 }
 
 // KiteCosts returns the rumprun backend profile: cheap cooperative thread
@@ -78,10 +75,9 @@ func KiteCosts() Costs {
 	return Costs{
 		// Per-frame path tuned so a single-vCPU domain forwards ~7.3 Gbps
 		// of MTU frames — the bottleneck Figure 6 measures.
-		PerPacketTx:   450 * sim.Nanosecond,
-		PerPacketRx:   450 * sim.Nanosecond,
-		WakeLatency:   2 * sim.Microsecond,
-		RxQueueFrames: 2048,
+		PerPacketTx: 450 * sim.Nanosecond,
+		PerPacketRx: 450 * sim.Nanosecond,
+		WakeLatency: 2 * sim.Microsecond,
 	}
 }
 
@@ -90,10 +86,9 @@ func KiteCosts() Costs {
 // hooks, qdisc, skb management).
 func LinuxCosts() Costs {
 	return Costs{
-		PerPacketTx:   470 * sim.Nanosecond,
-		PerPacketRx:   470 * sim.Nanosecond,
-		WakeLatency:   9 * sim.Microsecond,
-		RxQueueFrames: 2048,
+		PerPacketTx: 470 * sim.Nanosecond,
+		PerPacketRx: 470 * sim.Nanosecond,
+		WakeLatency: 9 * sim.Microsecond,
 	}
 }
 
@@ -128,6 +123,10 @@ type VIF struct {
 
 	dead bool
 	down bool // administratively down (ifconfig vifX.Y down)
+	// inHandler processes rings inside the event handler itself instead of
+	// waking the worker threads — the design the paper rejects (§3.2);
+	// kept as an ablation switch (SetInHandler).
+	inHandler bool
 }
 
 // vifQueue is one queue's shard: its ring pair, event channel, worker
@@ -299,81 +298,69 @@ func (ds *drainState) inputBatch(a any) {
 	ds.txOutFree = append(ds.txOutFree, bt)
 }
 
-// newVIF builds the instance shell shared by both constructors.
-func newVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
-	ch *netif.Channel, br *bridge.Bridge, costs Costs, pool *framepool.Pool) *VIF {
-
-	if pool == nil {
-		pool = framepool.New()
-	}
-	return &VIF{
-		eng:      eng,
-		dom:      dom,
-		frontDom: frontDom,
-		name:     fmt.Sprintf("vif%d.%d", frontDom, devid),
-		costs:    costs,
-		pool:     pool,
-		ch:       ch,
-		br:       br,
-		queues:   make([]*vifQueue, ch.NumQueues()),
-	}
-}
-
-// bindQueue binds queue i's event channel to the frontend's port and wires
-// the queue's handlers; the caller has set the queue's engine.
-func (v *VIF) bindQueue(q *vifQueue, frontPort xen.Port) error {
-	q.rxEnqueueF = func(a any) { q.rxEnqueue(a.(*framepool.Buf)) }
-	port, err := v.dom.BindInterdomain(v.frontDom, frontPort)
-	if err != nil {
-		return fmt.Errorf("netback: %s: %w", v.name, err)
-	}
-	q.port = port
-	q.txPending = sim.NewLine(q.eng, q.toBridge)
-	v.queues[q.id] = q
-	return v.dom.SetHandler(port, q.onEvent)
-}
-
-// NewVIF creates a connected netback instance. The caller (the backend
-// driver) has already read the per-queue ring refs and event channels from
-// xenstore; here the ring pages are mapped (hypercalls charged), event
-// channels are bound, and per-queue workers are pinned round-robin across
-// the driver domain's vCPUs starting at the frontend's home CPU. rssSeed
-// is the frontend's published steering seed (ignored for one queue).
-func NewVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
-	ch *netif.Channel, frontPorts []xen.Port, br *bridge.Bridge, costs Costs,
-	pool *framepool.Pool, rssSeed uint64, shards []*sim.Engine) (*VIF, error) {
-
+// newVIF creates the connected netback instance for pairing p, whose
+// per-queue ring refs and event channels the driver has already read from
+// xenstore: here the ring pages are mapped (hypercalls charged), event
+// channels are bound, and each queue gets its worker. With a nil p.Lane
+// every queue gets dedicated pusher/soft_start threads, pinned round-robin
+// across the driver domain's vCPUs from the frontend's home CPU, or queue i
+// to vCPU i on shard i when the driver is sharded; rssSeed is the
+// frontend's published steering seed (ignored for one queue). With a fleet
+// lane the (single) queue lives on the lane's shard and vCPU, drains on the
+// lane's drain state, its doorbell joins the lane's demux group, and the
+// lane's DRR rounds drain its rings: this is how one driver domain serves
+// hundreds of guests with a fixed number of worker threads.
+func (d *Driver) newVIF(p pvback.Pairing, ch *netif.Channel, rssSeed uint64) (*VIF, error) {
 	nq := ch.NumQueues()
-	sharded := len(shards) > 0
-	if sharded && (nq > len(shards) || dom.CPUs.Len() < nq+1) {
+	lane := p.Lane
+	sharded := lane == nil && len(d.shards) > 0
+	switch {
+	case lane != nil && nq != 1:
+		return nil, fmt.Errorf("netback: vif%d.%d: fleet lanes serve single-queue frontends (%d queues)",
+			p.FrontDom, p.DevID, nq)
+	case sharded && (nq > len(d.shards) || d.dom.CPUs.Len() < nq+1):
 		return nil, fmt.Errorf("netback: vif%d.%d: %d queues need %d shards and %d vCPUs (have %d, %d)",
-			frontDom, devid, nq, nq, nq+1, len(shards), dom.CPUs.Len())
-	}
-	if len(frontPorts) != nq {
+			p.FrontDom, p.DevID, nq, nq, nq+1, len(d.shards), d.dom.CPUs.Len())
+	case len(p.Ports) != nq:
 		return nil, fmt.Errorf("netback: vif%d.%d: %d event channels for %d queues",
-			frontDom, devid, len(frontPorts), nq)
+			p.FrontDom, p.DevID, len(p.Ports), nq)
 	}
-	v := newVIF(eng, dom, frontDom, devid, ch, br, costs, pool)
+	v := &VIF{
+		eng:      d.eng,
+		dom:      d.dom,
+		frontDom: p.FrontDom,
+		name:     fmt.Sprintf("vif%d.%d", p.FrontDom, p.DevID),
+		costs:    d.costs,
+		pool:     d.pool,
+		ch:       ch,
+		br:       d.br,
+		queues:   make([]*vifQueue, nq),
+	}
 	if nq > 1 {
 		rss := netpkt.NewRSS(rssSeed)
 		v.rss = &rss
 	}
 	// Map every queue's two ring pages (2 map hypercalls per queue, charged
-	// to the backend; on the misc vCPU when the queue vCPUs are pinned).
-	mapCost := dom.Hypervisor().Costs.Base +
-		sim.Time(2*nq)*dom.Hypervisor().Costs.GrantMapPage
-	if sharded {
-		dom.CPUs.CPU(dom.CPUs.Len() - 1).Charge(mapCost)
-	} else {
-		dom.CPUs.Charge(mapCost)
+	// to the backend: on the lane's vCPU in fleet mode — the lane owns this
+	// tenant's hypercall work end to end — and on the misc vCPU when the
+	// queue vCPUs are pinned).
+	mapCost := d.dom.Hypervisor().Costs.Base +
+		sim.Time(2*nq)*d.dom.Hypervisor().Costs.GrantMapPage
+	switch {
+	case lane != nil:
+		lane.CPU().Charge(mapCost)
+	case sharded:
+		d.dom.CPUs.CPU(d.dom.CPUs.Len() - 1).Charge(mapCost)
+	default:
+		d.dom.CPUs.Charge(mapCost)
 	}
 
 	for i := 0; i < nq; i++ {
 		q := &vifQueue{
 			v:       v,
 			id:      i,
-			eng:     eng,
-			sharded: sharded,
+			eng:     d.eng,
+			sharded: lane != nil || sharded,
 			tx:      ch.Tx.Queue(i),
 			rx:      ch.Rx.Queue(i),
 		}
@@ -382,69 +369,45 @@ func NewVIF(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
 		// multi-queue, to several queues of one guest). Sharded, queue i is
 		// pinned to vCPU i on shard i — the same shard as its frontend peer,
 		// so each ring pair has exactly one owning shard.
-		if sharded {
-			q.eng = shards[i]
-			q.cpu = dom.CPUs.CPU(i)
+		switch {
+		case lane != nil:
+			q.ds, q.lane, q.cpu = d.laneDS[lane.ID()], lane, lane.CPU()
+			q.eng = q.ds.eng
+		case sharded:
+			q.eng = d.shards[i]
+			q.cpu = d.dom.CPUs.CPU(i)
 			q.cpu.SetEngine(q.eng)
 			// Forwarding thread for this queue: vCPU nq+i of the driver
 			// domain (the width beyond the queue workers), degrading to the
 			// last vCPU when the domain is narrower.
-			fwd := nq + i
-			if fwd >= dom.CPUs.Len() {
-				fwd = dom.CPUs.Len() - 1
-			}
-			q.ds = newDrainState(q.eng, eng, br.NewLane(dom.CPUs.CPU(fwd)))
-		} else {
-			q.cpu = dom.CPUs.CPU((int(frontDom) + i) % dom.CPUs.Len())
-			q.ds = newDrainState(eng, eng, nil)
+			fwd := min(nq+i, d.dom.CPUs.Len()-1)
+			q.ds = newDrainState(q.eng, d.eng, d.br.NewLane(d.dom.CPUs.CPU(fwd)))
+		default:
+			q.cpu = d.dom.CPUs.CPU((int(p.FrontDom) + i) % d.dom.CPUs.Len())
+			q.ds = newDrainState(d.eng, d.eng, nil)
 		}
-		if err := v.bindQueue(q, frontPorts[i]); err != nil {
+		q.rxEnqueueF = func(a any) { q.rxEnqueue(a.(*framepool.Buf)) }
+		port, err := d.dom.BindInterdomain(p.FrontDom, p.Ports[i])
+		if err != nil {
+			return nil, fmt.Errorf("netback: %s: %w", v.name, err)
+		}
+		q.port = port
+		q.txPending = sim.NewLine(q.eng, q.toBridge)
+		v.queues[i] = q
+		if err := d.dom.SetHandler(port, q.onEvent); err != nil {
 			return nil, err
 		}
-		if sharded {
-			dom.BindPortCPU(q.port, q.cpu)
+		if lane != nil {
+			if q.laneSlot, err = lane.Join(q.port, q); err != nil {
+				return nil, fmt.Errorf("netback: %s: %w", v.name, err)
+			}
+			continue
 		}
-		q.pusher = sim.NewTask(q.eng, q.cpu, costs.WakeLatency, q.drainTx)
-		q.softStart = sim.NewTask(q.eng, q.cpu, costs.WakeLatency, q.drainRx)
-	}
-	return v, nil
-}
-
-// NewVIFOnLane creates a single-queue netback instance served by a shared
-// fleet service lane instead of dedicated pusher/soft_start threads: the
-// queue lives on the lane's shard and vCPU, drains on ds (the lane's drain
-// state), its doorbell joins the lane's demux group, and its rings are
-// drained by the lane's DRR rounds. This is how one driver domain serves
-// hundreds of guests with a fixed number of worker threads.
-func NewVIFOnLane(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int,
-	ch *netif.Channel, frontPorts []xen.Port, br *bridge.Bridge, costs Costs,
-	pool *framepool.Pool, lane *pvback.Lane, ds *drainState) (*VIF, error) {
-
-	if ch.NumQueues() != 1 || len(frontPorts) != 1 {
-		return nil, fmt.Errorf("netback: vif%d.%d: fleet lanes serve single-queue frontends (%d queues)",
-			frontDom, devid, ch.NumQueues())
-	}
-	v := newVIF(eng, dom, frontDom, devid, ch, br, costs, pool)
-	// Both ring pages map on the lane's vCPU (the lane owns this tenant's
-	// hypercall work end to end).
-	lane.CPU().Charge(dom.Hypervisor().Costs.Base + 2*dom.Hypervisor().Costs.GrantMapPage)
-
-	q := &vifQueue{
-		v:       v,
-		eng:     ds.eng,
-		sharded: true,
-		tx:      ch.Tx.Queue(0),
-		rx:      ch.Rx.Queue(0),
-		ds:      ds,
-		lane:    lane,
-		cpu:     lane.CPU(),
-	}
-	if err := v.bindQueue(q, frontPorts[0]); err != nil {
-		return nil, err
-	}
-	var err error
-	if q.laneSlot, err = lane.Join(q.port, q); err != nil {
-		return nil, fmt.Errorf("netback: %s: %w", v.name, err)
+		if sharded {
+			d.dom.BindPortCPU(q.port, q.cpu)
+		}
+		q.pusher = sim.NewTask(q.eng, q.cpu, d.costs.WakeLatency, q.drainTx)
+		q.softStart = sim.NewTask(q.eng, q.cpu, d.costs.WakeLatency, q.drainRx)
 	}
 	return v, nil
 }
@@ -487,7 +450,7 @@ func (v *VIF) Stats() Stats {
 func (v *VIF) QueueStats(i int) Stats { return v.queues[i].stats }
 
 // SetInHandler toggles the in-handler processing ablation on a live VIF.
-func (v *VIF) SetInHandler(on bool) { v.costs.InHandler = on }
+func (v *VIF) SetInHandler(on bool) { v.inHandler = on }
 
 // SetUp sets the interface's administrative state (ifconfig up/down): a
 // downed VIF forwards no traffic in either direction.
@@ -550,7 +513,7 @@ func (q *vifQueue) onEvent() {
 		}
 		return
 	}
-	if q.v.costs.InHandler {
+	if q.v.inHandler {
 		q.drainTx()
 		q.drainRx()
 		return
@@ -763,7 +726,7 @@ func (q *vifQueue) rxEnqueue(frame *framepool.Buf) {
 		frame.Release()
 		return
 	}
-	if q.rxQueue.Len() >= v.costs.RxQueueFrames {
+	if q.rxQueue.Len() >= RxQueueFrames {
 		q.stats.RxQueueDrops++
 		frame.Release()
 		return
@@ -773,7 +736,7 @@ func (q *vifQueue) rxEnqueue(frame *framepool.Buf) {
 		q.lane.Activate(q.laneSlot)
 		return
 	}
-	if v.costs.InHandler {
+	if v.inHandler {
 		q.drainRx()
 		return
 	}

@@ -363,9 +363,8 @@ func TestKiteLatencyBeatsLinux(t *testing.T) {
 }
 
 func TestInHandlerAblationStillWorks(t *testing.T) {
-	costs := KiteCosts()
-	costs.InHandler = true
-	r := buildRig(t, costs)
+	r := buildRig(t, KiteCosts())
+	r.drv.VIFs()[0].SetInHandler(true)
 	var got string
 	r.gstack.BindUDP(7, func(p netstack.UDPPacket) { got = string(p.Data) })
 	r.client.Stack.SendUDP(r.gstack.IP(), 7, 5000, []byte("in-handler"))

@@ -170,19 +170,13 @@ func (p *CPUPool) Slice(lo, hi int) *CPUPool {
 // is taken immediately — scanning on is pointless since no CPU can be freer
 // than idle — which keeps the common underloaded case O(1).
 func (p *CPUPool) Pick() *CPU {
-	return p.pickAt(p.cpus[0].eng.Now())
-}
-
-// pickAt is Pick with an explicit "idle" threshold: a CPU free by at counts
-// as idle. ChargeAt uses it so batched arrivals select the same CPU their
-// individual arrival events would have.
-func (p *CPUPool) pickAt(at Time) *CPU {
+	now := p.cpus[0].eng.Now()
 	best := p.cpus[0]
-	if best.busyUntil <= at {
+	if best.busyUntil <= now {
 		return best
 	}
 	for _, c := range p.cpus[1:] {
-		if c.busyUntil <= at {
+		if c.busyUntil <= now {
 			return c
 		}
 		if c.busyUntil < best.busyUntil {
@@ -195,17 +189,6 @@ func (p *CPUPool) pickAt(at Time) *CPU {
 // Charge places cost on the earliest-free CPU and returns completion time.
 func (p *CPUPool) Charge(cost Time) Time {
 	end := p.Pick().Charge(cost)
-	if end > p.lastCharge {
-		p.lastCharge = end
-	}
-	return end
-}
-
-// ChargeAt places cost that cannot begin before at on the CPU that its
-// arrival event would have picked (see CPU.ChargeAt), returning completion
-// time.
-func (p *CPUPool) ChargeAt(at, cost Time) Time {
-	end := p.pickAt(at).ChargeAt(at, cost)
 	if end > p.lastCharge {
 		p.lastCharge = end
 	}

@@ -33,13 +33,6 @@ type Demux struct {
 	// info pending bitsel. Every writer runs on the group's own shard: a
 	// cross-shard notify arrives as an event there before it marks.
 	pending []uint64
-	// summary is the second bitmap level: bit w of summary[w>>6] is set
-	// exactly when pending[w] != 0. A scan walks only summary words with
-	// bits set and jumps straight to the non-empty pending words, so the
-	// cost of a scan is proportional to the number of signalled members,
-	// not the fleet size — a 1024-member group with one doorbell touches
-	// two words, not seventeen.
-	summary []uint64
 
 	scanF    func()
 	armed    bool
@@ -81,9 +74,6 @@ func (g *Demux) Join(port Port) error {
 	if len(g.pending)*64 < len(g.members) {
 		g.pending = append(g.pending, 0)
 	}
-	if len(g.summary)*64 < len(g.pending) {
-		g.summary = append(g.summary, 0)
-	}
 	return nil
 }
 
@@ -118,25 +108,6 @@ func (g *Demux) Leave(port Port) {
 	if want := (len(g.members) + 63) / 64; len(g.pending) > want {
 		g.pending = g.pending[:want]
 	}
-	// Re-derive the summary level for every word the collapse touched
-	// (word w and everything above it; words below kept their contents).
-	for j := w; j < len(g.pending); j++ {
-		sb := uint64(1) << (uint(j) & 63)
-		if g.pending[j] != 0 {
-			g.summary[j>>6] |= sb
-		} else {
-			g.summary[j>>6] &^= sb
-		}
-	}
-	if want := (len(g.pending) + 63) / 64; len(g.summary) > want {
-		g.summary = g.summary[:want]
-	} else if len(g.pending) > 0 {
-		// Clear summary bits for pending words that no longer exist in the
-		// (possibly shortened) last summary word.
-		last := len(g.summary) - 1
-		used := uint(len(g.pending)-1)&63 + 1
-		g.summary[last] &= ^uint64(0) >> (64 - used)
-	}
 	// A Leave below a live scan's position shifts the not-yet-visited bits
 	// down one; move the cursor with them so no pending member is skipped
 	// or double-delivered.
@@ -159,9 +130,7 @@ func (g *Demux) Stats() (scans, marks uint64) { return g.scans, g.marks }
 //
 //kite:hotpath
 func (g *Demux) mark(idx int) {
-	w := idx >> 6
-	g.pending[w] |= 1 << (uint(idx) & 63)
-	g.summary[w>>6] |= 1 << (uint(w) & 63)
+	g.pending[idx>>6] |= 1 << (uint(idx) & 63)
 	g.marks++
 	if g.armed {
 		return
@@ -184,15 +153,13 @@ func (g *Demux) mark(idx int) {
 }
 
 // scan is the batched upcall: deliver every signalled channel in member
-// order, jumping between doorbells through the summary level. Idle members
-// cost nothing — a scan's work is proportional to the doorbells it
-// absorbs, not to the group size. The scan reads the live bitmap one bit
-// at a time (no word snapshots), so handlers that Join or Leave members
-// mid-scan stay consistent: compaction shifts the unvisited bits and the
-// cursor together. Bits set at or above the cursor by handlers during the
-// scan are drained in the same pass; bits below it re-arm a fresh scan at
-// least a quantum later, so one scan's work is bounded by the member
-// count.
+// order, skipping idle members a pending word (64 members) at a time. The
+// scan reads the live bitmap one bit at a time (no word snapshots), so
+// handlers that Join or Leave members mid-scan stay consistent: compaction
+// shifts the unvisited bits and the cursor together. Bits set at or above
+// the cursor by handlers during the scan are drained in the same pass;
+// bits below it re-arm a fresh scan at least a quantum later, so one
+// scan's work is bounded by the member count.
 //
 //kite:hotpath
 func (g *Demux) scan() {
@@ -206,42 +173,27 @@ func (g *Demux) scan() {
 			break
 		}
 		g.cursor = idx + 1
-		w := idx >> 6
-		g.pending[w] &^= 1 << (uint(idx) & 63)
-		if g.pending[w] == 0 {
-			g.summary[w>>6] &^= 1 << (uint(w) & 63)
-		}
+		g.pending[idx>>6] &^= 1 << (uint(idx) & 63)
 		g.members[idx].deliverDemux()
 	}
 	g.cursor = -1
 }
 
 // nextPending returns the lowest pending member index at or above the scan
-// cursor, or -1. The first (partial) word is probed directly; everything
-// beyond it goes through the summary, so runs of idle members are skipped
-// 4096 at a time.
+// cursor, or -1: the cursor's word masked below the cursor, then each later
+// word in turn.
 //
 //kite:hotpath
 func (g *Demux) nextPending() int {
-	w := g.cursor >> 6
-	if w < len(g.pending) {
-		b := uint(g.cursor) & 63
-		if word := g.pending[w] >> b << b; word != 0 {
+	for w := g.cursor >> 6; w < len(g.pending); w++ {
+		word := g.pending[w]
+		if w == g.cursor>>6 {
+			b := uint(g.cursor) & 63
+			word = word >> b << b
+		}
+		if word != 0 {
 			return w<<6 + bits.TrailingZeros64(word)
 		}
-		w++
-	}
-	for sw := w >> 6; sw < len(g.summary); sw++ {
-		sword := g.summary[sw]
-		if sw == w>>6 {
-			sb := uint(w) & 63
-			sword = sword >> sb << sb
-		}
-		if sword == 0 {
-			continue
-		}
-		pw := sw<<6 + bits.TrailingZeros64(sword)
-		return pw<<6 + bits.TrailingZeros64(g.pending[pw])
 	}
 	return -1
 }

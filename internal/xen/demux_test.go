@@ -77,8 +77,8 @@ func (r *demuxRig) post(id int) {
 // TestDemuxChurnAgainstReference drives randomized join/leave/post churn
 // through a demux group and checks, wave by wave, that the group delivers
 // exactly the posted members in join order — the behaviour of a naive
-// "ordered list plus pending set" model — regardless of how the two-level
-// bitmap grows, shrinks, and compacts underneath.
+// "ordered list plus pending set" model — regardless of how the bitmap
+// grows, shrinks, and compacts underneath.
 func TestDemuxChurnAgainstReference(t *testing.T) {
 	r := newDemuxRig(t, 0)
 	rng := uint64(0xDE11_4B17)
@@ -133,7 +133,7 @@ func TestDemuxChurnAgainstReference(t *testing.T) {
 
 // TestDemuxLeaveMidScan makes handlers tear members out of the group while
 // the scan that should deliver them is executing: leaving a member below
-// the scan point compacts both bitmap levels and shifts every unvisited
+// the scan point compacts the bitmap and shifts every unvisited
 // bit down one, and leaving a pending member above the scan point must
 // cancel its delivery. The surviving members still deliver in join order.
 func TestDemuxLeaveMidScan(t *testing.T) {
