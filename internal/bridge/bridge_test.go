@@ -22,10 +22,9 @@ func (p *fakePort) Deliver(frame *framepool.Buf) {
 }
 
 func frame(dst, src netpkt.MAC, body string) *framepool.Buf {
-	f := netpkt.Frame{Dst: dst, Src: src, EtherType: netpkt.EtherTypeIPv4}
 	b := testPool.GetLen(netpkt.EthHeaderLen + len(body))
 	copy(b.Extend(len(body)), body)
-	f.HeaderInto(b.Prepend(netpkt.EthHeaderLen))
+	netpkt.EthHeaderInto(b.Prepend(netpkt.EthHeaderLen), dst, src, netpkt.EtherTypeIPv4)
 	return b
 }
 
@@ -151,7 +150,9 @@ func TestDoubleAddPanics(t *testing.T) {
 
 func TestRuntFrameDropped(t *testing.T) {
 	eng, b, p1, _, _ := newBridge()
-	b.Input(p1, testPool.From([]byte{1, 2, 3}))
+	runt := testPool.GetLen(3)
+	copy(runt.Extend(3), []byte{1, 2, 3})
+	b.Input(p1, runt)
 	eng.Run()
 	if b.Stats().Dropped != 1 {
 		t.Fatal("runt frame not dropped")

@@ -154,8 +154,7 @@ func (r *natRouter) exclusive(frame *framepool.Buf) *framepool.Buf {
 func (r *natRouter) arpFrame(a netpkt.ARP, dst, src netpkt.MAC) *framepool.Buf {
 	b := r.pool.GetLen(netpkt.ARPLen)
 	a.MarshalInto(b.Extend(netpkt.ARPLen))
-	f := netpkt.Frame{Dst: dst, Src: src, EtherType: netpkt.EtherTypeARP}
-	f.HeaderInto(b.Prepend(netpkt.EthHeaderLen))
+	netpkt.EthHeaderInto(b.Prepend(netpkt.EthHeaderLen), dst, src, netpkt.EtherTypeARP)
 	return b
 }
 
@@ -204,8 +203,7 @@ func (r *natRouter) sendOutside(frame *framepool.Buf) {
 		return
 	}
 	if mac, ok := r.outARP[h.Dst]; ok {
-		f := netpkt.Frame{Dst: mac, Src: r.nicMAC, EtherType: netpkt.EtherTypeIPv4}
-		f.HeaderInto(raw[:netpkt.EthHeaderLen])
+		netpkt.EthHeaderInto(raw[:netpkt.EthHeaderLen], mac, r.nicMAC, netpkt.EtherTypeIPv4)
 		r.nic.Send(frame)
 		return
 	}
@@ -244,8 +242,7 @@ func (r *natRouter) fromOutside(frame *framepool.Buf) {
 			frame.Release()
 			return // guest never spoke; nothing to deliver to
 		}
-		ef := netpkt.Frame{Dst: mac, Src: r.mac, EtherType: netpkt.EtherTypeIPv4}
-		ef.HeaderInto(raw[:netpkt.EthHeaderLen])
+		netpkt.EthHeaderInto(raw[:netpkt.EthHeaderLen], mac, r.mac, netpkt.EtherTypeIPv4)
 		r.route(frame, true)
 	default:
 		frame.Release()

@@ -284,16 +284,6 @@ func (p *Pool) grow(c int) *Buf {
 	return b
 }
 
-// From returns a Buf whose payload is a copy of pkt. Convenience for tests
-// and cold paths (ARP, control traffic).
-//
-//kite:hotpath
-func (p *Pool) From(pkt []byte) *Buf {
-	b := p.GetLen(len(pkt))
-	copy(b.Extend(len(pkt)), pkt)
-	return b
-}
-
 // Outstanding returns the number of buffers currently held by callers. It
 // must be zero at simulation teardown.
 func (p *Pool) Outstanding() int { return p.outstanding }

@@ -97,15 +97,6 @@ func TestPrependUnderflowPanics(t *testing.T) {
 	b.Prepend(Headroom + 1)
 }
 
-func TestFrom(t *testing.T) {
-	p := New()
-	b := p.From([]byte("payload"))
-	if !bytes.Equal(b.Bytes(), []byte("payload")) {
-		t.Fatalf("From payload = %q", b.Bytes())
-	}
-	b.Release()
-}
-
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	p := New()
 	// Warm the free list.

@@ -38,7 +38,7 @@ func tcpPacket(src, dst netpkt.IP, sport, dport uint16, body string) []byte {
 
 func echoPacket(src, dst netpkt.IP, e netpkt.ICMPEcho) []byte {
 	h := netpkt.IPv4Header{TTL: 64, Proto: netpkt.ProtoICMP, Src: src, Dst: dst}
-	return ipPacket(h, netpkt.ICMPHeaderLen, e.MarshalInto, nil)
+	return ipPacket(h, netpkt.ICMPHeaderLen, func(b []byte) { e.HeaderInto(b, nil) }, nil)
 }
 
 // decodeUDP splits a translated packet into its IPv4 and UDP headers.

@@ -273,7 +273,9 @@ func TestDriverDomainCrashIsolation(t *testing.T) {
 	}
 	// Guest I/O now fails gracefully rather than corrupting state.
 	pool := framepool.New()
-	sent := r.front.Send(pool.From([]byte("into the void")))
+	f := pool.GetLen(13)
+	copy(f.Extend(13), "into the void")
+	sent := r.front.Send(f)
 	_ = sent // Send may still queue into the ring; what matters is no panic
 	r.eng.RunCapped(100000)
 	// xenstore still answers.

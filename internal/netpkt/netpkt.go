@@ -79,18 +79,42 @@ type Frame struct {
 }
 
 // Checksum computes the Internet checksum (RFC 1071) over b.
-func Checksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+func Checksum(b []byte) uint16 { return ^fold(sum(b)) }
+
+// sum adds b as big-endian 16-bit words with the carries deferred, which
+// RFC 1071 §2 allows at any word width: each 8-byte load is added as its
+// two 32-bit halves, then the 4-, 2- and 1-byte tails (an odd last byte is
+// the high half of a word). The uint64 cannot overflow below 16 GiB of
+// input. fold reduces the total to the 16-bit one's-complement sum.
+func sum(b []byte) uint64 {
+	var s uint64
+	for ; len(b) >= 8; b = b[8:] {
+		v := binary.BigEndian.Uint64(b)
+		s += v>>32 + v&0xffffffff
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	if len(b) >= 4 {
+		s += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
 	}
-	for sum > 0xffff {
-		sum = (sum & 0xffff) + (sum >> 16)
+	if len(b) >= 2 {
+		s += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
 	}
-	return ^uint16(sum)
+	if len(b) == 1 {
+		s += uint64(b[0]) << 8
+	}
+	return s
+}
+
+// fold adds the carries of s back in until it fits 16 bits. Each step
+// keeps s modulo 0xffff and keeps it nonzero if it was; four steps take
+// any uint64 below 0x10000.
+func fold(s uint64) uint16 {
+	s = s&0xffffffff + s>>32
+	s = s&0xffff + s>>16
+	s = s&0xffff + s>>16
+	s = s&0xffff + s>>16
+	return uint16(s)
 }
 
 // ARPLen is the serialized size of an IPv4-over-Ethernet ARP body.

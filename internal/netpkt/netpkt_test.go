@@ -25,12 +25,12 @@ func TestXenMACUnique(t *testing.T) {
 	}
 }
 
-// The builders below encode through HeaderInto/MarshalInto into one
-// buffer, the way the netstack fills a pooled frame.
+// The builders below encode through the HeaderInto/MarshalInto writers
+// into one buffer, the way the netstack fills a pooled frame.
 
 func ether(f Frame) []byte {
 	b := make([]byte, EthHeaderLen+len(f.Payload))
-	f.HeaderInto(b)
+	EthHeaderInto(b, f.Dst, f.Src, f.EtherType)
 	copy(b[EthHeaderLen:], f.Payload)
 	return b
 }
@@ -65,7 +65,7 @@ func tcp(h TCPHeader, payload []byte) []byte {
 func icmpEcho(e ICMPEcho, payload []byte) []byte {
 	b := make([]byte, ICMPHeaderLen+len(payload))
 	copy(b[ICMPHeaderLen:], payload)
-	e.MarshalInto(b)
+	e.HeaderInto(b, payload)
 	return b
 }
 

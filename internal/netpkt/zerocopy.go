@@ -9,12 +9,14 @@ import "encoding/binary"
 // values (not pointers) with payload sub-slices aliasing the input, so
 // nothing escapes to the heap.
 
-// HeaderInto writes the 14-byte Ethernet header into hdr.
-func (f *Frame) HeaderInto(hdr []byte) {
+// EthHeaderInto writes the 14-byte Ethernet header into hdr. It takes the
+// fields, not a Frame: a Frame literal built only to be written out costs
+// a store-forwarding stall when the compiler copies it with wide loads.
+func EthHeaderInto(hdr []byte, dst, src MAC, etherType uint16) {
 	_ = hdr[EthHeaderLen-1]
-	copy(hdr[0:6], f.Dst[:])
-	copy(hdr[6:12], f.Src[:])
-	binary.BigEndian.PutUint16(hdr[12:14], f.EtherType)
+	copy(hdr[0:6], dst[:])
+	copy(hdr[6:12], src[:])
+	binary.BigEndian.PutUint16(hdr[12:14], etherType)
 }
 
 // DecodeFrame parses an Ethernet frame without allocating. Payload aliases b.
@@ -57,22 +59,23 @@ func DecodeARP(b []byte) (a ARP, ok bool) {
 }
 
 // HeaderInto writes the 20-byte IPv4 header (with checksum) into hdr for a
-// packet carrying payloadLen payload bytes, updating h.TotalLen.
+// packet carrying payloadLen payload bytes, updating h.TotalLen. The header
+// is built as three big-endian words and checksummed in registers, so no
+// byte is read back from hdr.
 func (h *IPv4Header) HeaderInto(hdr []byte, payloadLen int) {
 	_ = hdr[IPHeaderLen-1]
 	h.TotalLen = uint16(IPHeaderLen + payloadLen)
-	hdr[0] = 0x45 // v4, ihl 5
-	hdr[1] = 0
-	binary.BigEndian.PutUint16(hdr[2:4], h.TotalLen)
-	binary.BigEndian.PutUint16(hdr[4:6], h.ID)
 	ff := uint16(h.Flags&FlagMoreFragments)<<13 | (h.FragOff & 0x1fff)
-	binary.BigEndian.PutUint16(hdr[6:8], ff)
-	hdr[8] = h.TTL
-	hdr[9] = h.Proto
-	hdr[10], hdr[11] = 0, 0
-	copy(hdr[12:16], h.Src[:])
-	copy(hdr[16:20], h.Dst[:])
-	binary.BigEndian.PutUint16(hdr[10:12], Checksum(hdr[:IPHeaderLen]))
+	// Bytes 0-7: version 4 and IHL 5, TOS 0, total length, ID, flags and
+	// fragment offset. Bytes 8-15: TTL, protocol, checksum, source.
+	// Bytes 16-19: destination.
+	w0 := 0x45<<56 | uint64(h.TotalLen)<<32 | uint64(h.ID)<<16 | uint64(ff)
+	w1 := uint64(h.TTL)<<56 | uint64(h.Proto)<<48 | uint64(binary.BigEndian.Uint32(h.Src[:]))
+	w2 := binary.BigEndian.Uint32(h.Dst[:])
+	csum := ^fold(w0>>32 + w0&0xffffffff + w1>>32 + w1&0xffffffff + uint64(w2))
+	binary.BigEndian.PutUint64(hdr[0:8], w0)
+	binary.BigEndian.PutUint64(hdr[8:16], w1|uint64(csum)<<32)
+	binary.BigEndian.PutUint32(hdr[16:20], w2)
 }
 
 // DecodeIPv4 parses and checksum-verifies an IPv4 packet without
@@ -161,17 +164,16 @@ func DecodeTCP(b []byte) (t TCPHeader, payload []byte, ok bool) {
 	return t, b[off:], true
 }
 
-// MarshalInto writes the 8-byte ICMP echo header at the start of b and
-// checksums the whole message. The caller must have placed the payload at
-// b[8:] already (or zeroed it).
-func (e *ICMPEcho) MarshalInto(b []byte) {
-	_ = b[ICMPHeaderLen-1]
-	b[0] = e.Type
-	b[1] = 0
-	b[2], b[3] = 0, 0
-	binary.BigEndian.PutUint16(b[4:6], e.ID)
-	binary.BigEndian.PutUint16(b[6:8], e.Seq)
-	binary.BigEndian.PutUint16(b[2:4], Checksum(b))
+// HeaderInto writes the 8-byte ICMP echo header into hdr, its checksum
+// taken over the header and the payload that follows it.
+func (e *ICMPEcho) HeaderInto(hdr, payload []byte) {
+	_ = hdr[ICMPHeaderLen-1]
+	hdr[0] = e.Type
+	hdr[1] = 0
+	hdr[2], hdr[3] = 0, 0
+	binary.BigEndian.PutUint16(hdr[4:6], e.ID)
+	binary.BigEndian.PutUint16(hdr[6:8], e.Seq)
+	binary.BigEndian.PutUint16(hdr[2:4], ^fold(sum(hdr[:ICMPHeaderLen])+sum(payload)))
 }
 
 // DecodeICMPEcho parses and checksum-verifies an echo message without

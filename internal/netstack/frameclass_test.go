@@ -30,8 +30,7 @@ func (c *captureIf) Send(f *framepool.Buf) bool {
 func arpFrame(pool *framepool.Pool, a netpkt.ARP, dst netpkt.MAC) *framepool.Buf {
 	b := pool.GetLen(netpkt.ARPLen)
 	a.MarshalInto(b.Extend(netpkt.ARPLen))
-	f := netpkt.Frame{Dst: dst, Src: a.SenderMAC, EtherType: netpkt.EtherTypeARP}
-	f.HeaderInto(b.Prepend(netpkt.EthHeaderLen))
+	netpkt.EthHeaderInto(b.Prepend(netpkt.EthHeaderLen), dst, a.SenderMAC, netpkt.EtherTypeARP)
 	return b
 }
 

@@ -110,6 +110,26 @@ func TestPingRTT(t *testing.T) {
 	}
 }
 
+// A ping whose payload exceeds the MTU leaves as three fragments each way,
+// and a reply arrives: the echo header's checksum, taken over the header
+// and the payload each fragment copies separately, verifies on the
+// reassembled request and reply alike, or DecodeICMPEcho drops them.
+func TestPingFragmented(t *testing.T) {
+	eng, a, b := twoHosts(t)
+	var rtt sim.Time = -1
+	a.Stack.Ping(b.Stack.IP(), 3000, func(d sim.Time) { rtt = d })
+	eng.Run()
+	if rtt <= 0 {
+		t.Fatal("no reply to a fragmented ping")
+	}
+	if got := a.Stack.Stats().TxPackets; got != 3 {
+		t.Fatalf("the request left as %d IP packets, want 3 fragments", got)
+	}
+	if got := b.Stack.Stats().TxPackets; got != 3 {
+		t.Fatalf("the reply left as %d IP packets, want 3 fragments", got)
+	}
+}
+
 func TestTCPHandshakeAndData(t *testing.T) {
 	eng, a, b := twoHosts(t)
 	var serverGot []byte

@@ -11,10 +11,11 @@
 // struct.
 //
 // Frames travel as pooled buffers (framepool.Buf): the stack builds each
-// outgoing frame once — L4 scratch, then IP and Ethernet headers prepended
-// into the buffer's headroom — and hands exactly one reference to the
-// device. Received frames arrive as one reference the stack owns and
-// releases after synchronous protocol processing.
+// outgoing frame once — the L4 header and payload copied straight into the
+// buffer, then IP and Ethernet headers prepended into its headroom — and
+// hands exactly one reference to the device. Received frames arrive as one
+// reference the stack owns and releases after synchronous protocol
+// processing.
 package netstack
 
 import (
@@ -111,12 +112,6 @@ type Stack struct {
 	arpPending []parked // IP packets (refs held) awaiting resolution, in push order
 	reasm      *netpkt.Reassembler
 	ipID       uint16
-
-	// l4buf is scratch for assembling one L4 datagram (header + payload)
-	// before it is copied into per-fragment pooled buffers. sendIP consumes
-	// it synchronously, so a single buffer suffices; it grows to the
-	// largest datagram ever sent and then never allocates again.
-	l4buf []byte
 
 	udpBinds map[uint16]func(UDPPacket)
 	pingWait map[uint16]pingWaiter
@@ -233,15 +228,6 @@ func (s *Stack) dataCost(n int) sim.Time {
 	return s.rng.Jitter(base, 0.04)
 }
 
-// l4 returns the shared L4 scratch buffer with length n. Its contents are
-// consumed synchronously by sendIP, so one buffer serves all senders.
-func (s *Stack) l4(n int) []byte {
-	if cap(s.l4buf) < n {
-		s.l4buf = make([]byte, n)
-	}
-	return s.l4buf[:n]
-}
-
 // queueTx holds frame until the Tx charge completes, then hands its
 // reference to the device.
 func (s *Stack) queueTx(cost sim.Time, frame *framepool.Buf) {
@@ -270,41 +256,41 @@ func (s *Stack) sendTx(at sim.Time, frame *framepool.Buf) {
 	s.txScratch = s.txScratch[:0]
 }
 
-// sendIP routes one IP payload: fragments it into pooled frame buffers,
-// ARP-resolves, and transmits. The payload (often the l4 scratch) is copied
-// into the pooled buffers before sendIP returns.
-func (s *Stack) sendIP(proto uint8, dst netpkt.IP, payload []byte) {
+// sendIP routes one IP datagram, the L4 header hdr followed by payload: it
+// cuts the datagram into fragments, ARP-resolves, and transmits. Each byte
+// is copied once, into its fragment's pooled buffer, before sendIP returns.
+func (s *Stack) sendIP(proto uint8, dst netpkt.IP, hdr, payload []byte) {
 	s.ipID++
-	h := netpkt.IPv4Header{ID: s.ipID, TTL: 64, Proto: proto, Src: s.ip, Dst: dst}
-	if len(payload) <= netpkt.MTU-netpkt.IPHeaderLen {
-		s.sendFragment(&h, dst, payload, 0, false)
-		return
-	}
-	// Fragment offsets are in 8-byte units per RFC 791, so the per-fragment
-	// payload is rounded down to a multiple of 8.
+	// Field by field: a composite literal is built in a temporary and
+	// copied out with wide loads that stall on its narrow stores.
+	var h netpkt.IPv4Header
+	h.ID, h.TTL, h.Proto, h.Src, h.Dst = s.ipID, 64, proto, s.ip, dst
+	// Fragment offsets are in 8-byte units per RFC 791, so every fragment
+	// but the last carries a multiple of 8 bytes. A datagram that fits the
+	// MTU is one fragment at offset 0 with no more to follow.
 	maxData := (netpkt.MTU - netpkt.IPHeaderLen) &^ 7
-	for off := 0; off < len(payload); off += maxData {
-		end := off + maxData
-		more := true
-		if end >= len(payload) {
-			end = len(payload)
-			more = false
-		}
-		s.sendFragment(&h, dst, payload[off:end], off, more)
+	n := len(hdr) + len(payload)
+	for off := 0; off < n; off += maxData {
+		s.sendFragment(&h, dst, hdr, payload, off, min(off+maxData, n))
 	}
 }
 
-// sendFragment builds one IP packet in a pooled buffer: payload first, then
-// the IP header prepended into headroom.
-func (s *Stack) sendFragment(h *netpkt.IPv4Header, dst netpkt.IP, chunk []byte, off int, more bool) {
-	if more {
+// sendFragment builds bytes [off, end) of the datagram hdr+payload as one IP
+// packet in a pooled buffer: the bytes copied from the two pieces, then the
+// IP header prepended into headroom.
+func (s *Stack) sendFragment(h *netpkt.IPv4Header, dst netpkt.IP, hdr, payload []byte, off, end int) {
+	h.Flags = 0
+	if end < len(hdr)+len(payload) {
 		h.Flags = netpkt.FlagMoreFragments
-	} else {
-		h.Flags = 0
 	}
 	h.FragOff = uint16(off / 8)
-	b := s.pool.From(chunk)
-	h.HeaderInto(b.Prepend(netpkt.IPHeaderLen), len(chunk))
+	b := s.pool.GetLen(end - off)
+	w := b.Extend(end - off)
+	if off < len(hdr) {
+		w = w[copy(w, hdr[off:]):]
+	}
+	copy(w, payload[max(off-len(hdr), 0):])
+	h.HeaderInto(b.Prepend(netpkt.IPHeaderLen), end-off)
 	s.sendIPBuf(dst, b)
 }
 
@@ -324,8 +310,7 @@ func (s *Stack) sendIPBuf(dst netpkt.IP, pkt *framepool.Buf) {
 		}
 		dmac = mac
 	}
-	f := netpkt.Frame{Dst: dmac, Src: s.ifc.MAC(), EtherType: netpkt.EtherTypeIPv4}
-	f.HeaderInto(pkt.Prepend(netpkt.EthHeaderLen))
+	netpkt.EthHeaderInto(pkt.Prepend(netpkt.EthHeaderLen), dmac, s.ifc.MAC(), netpkt.EtherTypeIPv4)
 	s.stats.TxPackets++
 	s.stats.TxBytes += uint64(pkt.Len())
 	s.queueTx(s.dataCost(pkt.Len()), pkt)
@@ -336,8 +321,7 @@ func (s *Stack) sendARPRequest(target netpkt.IP) {
 	a := netpkt.ARP{Op: netpkt.ARPRequest, SenderMAC: s.ifc.MAC(), SenderIP: s.ip, TargetIP: target}
 	b := s.pool.GetLen(netpkt.ARPLen)
 	a.MarshalInto(b.Extend(netpkt.ARPLen))
-	f := netpkt.Frame{Dst: netpkt.Broadcast, Src: s.ifc.MAC(), EtherType: netpkt.EtherTypeARP}
-	f.HeaderInto(b.Prepend(netpkt.EthHeaderLen))
+	netpkt.EthHeaderInto(b.Prepend(netpkt.EthHeaderLen), netpkt.Broadcast, s.ifc.MAC(), netpkt.EtherTypeARP)
 	s.queueTx(s.costs.PerPacket, b)
 }
 
@@ -387,8 +371,7 @@ func (s *Stack) handleARP(body []byte) {
 		}
 		b := s.pool.GetLen(netpkt.ARPLen)
 		reply.MarshalInto(b.Extend(netpkt.ARPLen))
-		f := netpkt.Frame{Dst: a.SenderMAC, Src: s.ifc.MAC(), EtherType: netpkt.EtherTypeARP}
-		f.HeaderInto(b.Prepend(netpkt.EthHeaderLen))
+		netpkt.EthHeaderInto(b.Prepend(netpkt.EthHeaderLen), a.SenderMAC, s.ifc.MAC(), netpkt.EtherTypeARP)
 		s.queueTx(s.costs.PerPacket, b)
 	}
 }
@@ -444,10 +427,9 @@ func (s *Stack) handleICMP(h *netpkt.IPv4Header, body []byte) {
 	switch e.Type {
 	case netpkt.ICMPEchoRequest:
 		reply := netpkt.ICMPEcho{Type: netpkt.ICMPEchoReply, ID: e.ID, Seq: e.Seq}
-		b := s.l4(netpkt.ICMPHeaderLen + len(payload))
-		copy(b[netpkt.ICMPHeaderLen:], payload)
-		reply.MarshalInto(b)
-		s.sendIP(netpkt.ProtoICMP, h.Src, b)
+		var hdr [netpkt.ICMPHeaderLen]byte
+		reply.HeaderInto(hdr[:], payload)
+		s.sendIP(netpkt.ProtoICMP, h.Src, hdr[:], payload)
 	case netpkt.ICMPEchoReply:
 		if w, ok := s.pingWait[e.ID]; ok {
 			delete(s.pingWait, e.ID)
@@ -456,18 +438,22 @@ func (s *Stack) handleICMP(h *netpkt.IPv4Header, body []byte) {
 	}
 }
 
-// Ping sends an ICMP echo request with a payload of the given size and
-// invokes cb with the round-trip time when the reply arrives.
+// echoZeros is the all-zero payload of every echo request, as long as the
+// largest one an IPv4 datagram carries.
+var echoZeros [0xffff - netpkt.IPHeaderLen - netpkt.ICMPHeaderLen]byte
+
+// Ping sends an ICMP echo request with an all-zero payload of the given
+// size and invokes cb with the round-trip time when the reply arrives.
 func (s *Stack) Ping(dst netpkt.IP, payloadSize int, cb func(rtt sim.Time)) {
 	s.nextPing++
 	id := s.nextPing
 	s.pingWait[id] = pingWaiter{sentAt: s.eng.Now(), cb: cb}
 	e := netpkt.ICMPEcho{Type: netpkt.ICMPEchoRequest, ID: id, Seq: 1}
 	s.cpus.Charge(s.costs.Syscall)
-	b := s.l4(netpkt.ICMPHeaderLen + payloadSize)
-	clear(b[netpkt.ICMPHeaderLen:])
-	e.MarshalInto(b)
-	s.sendIP(netpkt.ProtoICMP, dst, b)
+	var hdr [netpkt.ICMPHeaderLen]byte
+	payload := echoZeros[:payloadSize]
+	e.HeaderInto(hdr[:], payload)
+	s.sendIP(netpkt.ProtoICMP, dst, hdr[:], payload)
 }
 
 func (s *Stack) handleUDP(h *netpkt.IPv4Header, body []byte) {
@@ -501,10 +487,9 @@ func (s *Stack) UnbindUDP(port uint16) { delete(s.udpBinds, port) }
 func (s *Stack) SendUDP(dst netpkt.IP, dstPort, srcPort uint16, payload []byte) {
 	s.cpus.Charge(s.costs.Syscall)
 	u := netpkt.UDPHeader{SrcPort: srcPort, DstPort: dstPort}
-	b := s.l4(netpkt.UDPHeaderLen + len(payload))
-	u.HeaderInto(b, len(payload))
-	copy(b[netpkt.UDPHeaderLen:], payload)
-	s.sendIP(netpkt.ProtoUDP, dst, b)
+	var hdr [netpkt.UDPHeaderLen]byte
+	u.HeaderInto(hdr[:], len(payload))
+	s.sendIP(netpkt.ProtoUDP, dst, hdr[:], payload)
 }
 
 // EphemeralPort returns a fresh local port.

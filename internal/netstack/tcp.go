@@ -275,11 +275,9 @@ func (c *Conn) sendSegment(flags uint8, seq uint32, payload []byte) {
 		Flags:   flags,
 		Window:  c.advertWindow(),
 	}
-	s := c.stack
-	b := s.l4(netpkt.TCPHeaderLen + len(payload))
-	h.HeaderInto(b)
-	copy(b[netpkt.TCPHeaderLen:], payload)
-	s.sendIP(netpkt.ProtoTCP, c.key.remote, b)
+	var hdr [netpkt.TCPHeaderLen]byte
+	h.HeaderInto(hdr[:])
+	c.stack.sendIP(netpkt.ProtoTCP, c.key.remote, hdr[:], payload)
 }
 
 func (c *Conn) advertWindow() uint16 {
@@ -369,9 +367,9 @@ func (s *Stack) sendRST(key connKey, t *netpkt.TCPHeader) {
 		SrcPort: key.localPort, DstPort: key.remotePort,
 		Seq: t.Ack, Ack: t.Seq + 1, Flags: netpkt.TCPRst | netpkt.TCPAck,
 	}
-	b := s.l4(netpkt.TCPHeaderLen)
-	h.HeaderInto(b)
-	s.sendIP(netpkt.ProtoTCP, key.remote, b)
+	var hdr [netpkt.TCPHeaderLen]byte
+	h.HeaderInto(hdr[:])
+	s.sendIP(netpkt.ProtoTCP, key.remote, hdr[:], nil)
 }
 
 func (c *Conn) handleSegment(t *netpkt.TCPHeader, payload []byte) {

@@ -24,7 +24,7 @@ func (q *FIFO[T]) Push(v T) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
 }
 
@@ -36,7 +36,7 @@ func (q *FIFO[T]) Pop() T {
 	var zero T
 	v := q.buf[q.head]
 	q.buf[q.head] = zero // release references held by the recycled slot
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return v
 }
@@ -50,6 +50,8 @@ func (q *FIFO[T]) Peek() *T {
 	return &q.buf[q.head]
 }
 
+// grow doubles the ring from 16 slots, so its length is always a power of
+// two and Push and Pop index it with a mask.
 func (q *FIFO[T]) grow() {
 	size := 2 * len(q.buf)
 	if size == 0 {
@@ -57,7 +59,7 @@ func (q *FIFO[T]) grow() {
 	}
 	buf := make([]T, size) //kite:alloc-ok amortized doubling; capacity is monotone
 	for i := 0; i < q.n; i++ {
-		buf[i] = q.buf[(q.head+i)%len(q.buf)]
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}
 	q.buf = buf
 	q.head = 0

@@ -65,11 +65,11 @@ func (c *CPU) Charge(cost Time) Time {
 }
 
 // ChargeAt queues cost nanoseconds of work that cannot begin before the
-// virtual time at: the work starts at max(now, at, busyUntil). It exists so
-// a batched event can charge for several arrivals in one execution while
-// reproducing exactly the busy-time trace the per-arrival events would have
-// produced — at is each item's true arrival time, which may lie beyond the
-// executing event's timestamp.
+// virtual time at: the work starts at the latest of now, at, and the end of
+// the work already queued. It exists so a batched event can charge for
+// several arrivals in one execution while reproducing exactly the busy-time
+// trace the per-arrival events would have produced — at is each item's true
+// arrival time, which may lie beyond the executing event's timestamp.
 func (c *CPU) ChargeAt(at, cost Time) Time {
 	if cost < 0 {
 		panic(fmt.Sprintf("sim: negative cpu cost %v on %s", cost, c.Name()))
@@ -166,24 +166,26 @@ func (p *CPUPool) Slice(lo, hi int) *CPUPool {
 	return &CPUPool{cpus: p.cpus[lo:hi:hi], lastCharge: p.lastCharge}
 }
 
-// Pick returns the CPU that will become free earliest. An already-idle CPU
-// is taken immediately — scanning on is pointless since no CPU can be freer
-// than idle — which keeps the common underloaded case O(1).
+// Pick returns the CPU that will become free earliest: the lowest-index
+// idle CPU, or else the lowest index at the minimum busy-until time. The
+// scan stops at the first idle CPU, since none can be freer; until then it
+// keeps the minimum without a branch, and a second pass finds the first CPU
+// at it.
 func (p *CPUPool) Pick() *CPU {
-	now := p.cpus[0].eng.Now()
-	best := p.cpus[0]
-	if best.busyUntil <= now {
-		return best
-	}
-	for _, c := range p.cpus[1:] {
+	cpus := p.cpus
+	now := cpus[0].eng.Now()
+	m := cpus[0].busyUntil
+	for _, c := range cpus {
 		if c.busyUntil <= now {
 			return c
 		}
-		if c.busyUntil < best.busyUntil {
-			best = c
-		}
+		m = min(m, c.busyUntil)
 	}
-	return best
+	i := 0
+	for cpus[i].busyUntil != m {
+		i++
+	}
+	return cpus[i]
 }
 
 // Charge places cost on the earliest-free CPU and returns completion time.
