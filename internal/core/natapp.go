@@ -187,7 +187,8 @@ func (r *natRouter) insideARP(f *netpkt.Frame) {
 }
 
 func (r *natRouter) learnGuest(f *netpkt.Frame) {
-	if h, _, ok := netpkt.DecodeIPv4(f.Payload); ok {
+	var h netpkt.IPv4Header
+	if _, ok := h.Decode(f.Payload); ok {
 		r.guestMACs[h.Src] = f.Src
 	}
 }
@@ -197,8 +198,8 @@ func (r *natRouter) learnGuest(f *netpkt.Frame) {
 // reference.
 func (r *natRouter) sendOutside(frame *framepool.Buf) {
 	raw := frame.Bytes()
-	h, _, ok := netpkt.DecodeIPv4(raw[netpkt.EthHeaderLen:])
-	if !ok {
+	var h netpkt.IPv4Header
+	if _, ok := h.Decode(raw[netpkt.EthHeaderLen:]); !ok {
 		frame.Release()
 		return
 	}

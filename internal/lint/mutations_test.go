@@ -42,7 +42,7 @@ const (
 	netbackGo = "internal/netback/netback.go"
 	laneGo    = "internal/pvback/lane.go"
 	wheelGo   = "internal/timewheel/timewheel.go"
-	onEvent   = "func (q *vifQueue) onEvent() {\n\tif q.v.dead {\n\t\treturn\n\t}\n"
+	onEvent   = "func (q *vifQueue) onEvent() {\n\tif q.dead {\n\t\treturn\n\t}\n"
 	rxHandoff = "\t\tv.eng.Post(q.eng, shardHandoff, sim.PriData, q.rxEnqueueF, frame)\n"
 )
 

@@ -222,7 +222,8 @@ func (t *Translator) flowFor(proto uint8, guest netpkt.IP, guestPort uint16) *fl
 // packet translated (false means drop).
 func (t *Translator) RewriteOutbound(pkt []byte) bool {
 	t.cpus.Charge(t.PerPacketCost)
-	h, payload, ok := netpkt.DecodeIPv4(pkt)
+	var h netpkt.IPv4Header
+	payload, ok := h.Decode(pkt)
 	if !ok {
 		t.stats.Dropped++
 		return false
@@ -270,7 +271,8 @@ func (t *Translator) RewriteOutbound(pkt []byte) bool {
 // forward matched (false means drop — NAT's implicit firewall).
 func (t *Translator) RewriteInbound(pkt []byte) (netpkt.IP, bool) {
 	t.cpus.Charge(t.PerPacketCost)
-	h, payload, ok := netpkt.DecodeIPv4(pkt)
+	var h netpkt.IPv4Header
+	payload, ok := h.Decode(pkt)
 	if !ok || h.Dst != t.Gateway {
 		t.stats.Dropped++
 		return netpkt.IP{}, false

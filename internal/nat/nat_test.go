@@ -44,7 +44,8 @@ func echoPacket(src, dst netpkt.IP, e netpkt.ICMPEcho) []byte {
 // decodeUDP splits a translated packet into its IPv4 and UDP headers.
 func decodeUDP(t *testing.T, pkt []byte) (netpkt.IPv4Header, netpkt.UDPHeader, []byte) {
 	t.Helper()
-	h, payload, ok := netpkt.DecodeIPv4(pkt)
+	var h netpkt.IPv4Header
+	payload, ok := h.Decode(pkt)
 	u, body, ok2 := netpkt.DecodeUDP(payload)
 	if !ok || !ok2 {
 		t.Fatal("translated packet does not decode")
@@ -54,7 +55,7 @@ func decodeUDP(t *testing.T, pkt []byte) (netpkt.IPv4Header, netpkt.UDPHeader, [
 
 func decodeTCP(t *testing.T, pkt []byte) netpkt.TCPHeader {
 	t.Helper()
-	_, payload, ok := netpkt.DecodeIPv4(pkt)
+	payload, ok := new(netpkt.IPv4Header).Decode(pkt)
 	th, _, ok2 := netpkt.DecodeTCP(payload)
 	if !ok || !ok2 {
 		t.Fatal("translated packet does not decode")
@@ -64,7 +65,7 @@ func decodeTCP(t *testing.T, pkt []byte) netpkt.TCPHeader {
 
 func decodeEcho(t *testing.T, pkt []byte) netpkt.ICMPEcho {
 	t.Helper()
-	_, payload, ok := netpkt.DecodeIPv4(pkt)
+	payload, ok := new(netpkt.IPv4Header).Decode(pkt)
 	e, _, ok2 := netpkt.DecodeICMPEcho(payload)
 	if !ok || !ok2 {
 		t.Fatal("translated packet does not decode")
@@ -127,7 +128,7 @@ func TestRoundTripTCP(t *testing.T) {
 	if dst, ok := tr.RewriteInbound(in); !ok || dst != guestIP {
 		t.Fatal("tcp round trip failed")
 	}
-	_, p2, _ := netpkt.DecodeIPv4(in)
+	p2, _ := new(netpkt.IPv4Header).Decode(in)
 	t2, body, _ := netpkt.DecodeTCP(p2)
 	if t2.DstPort != 50000 || !bytes.Equal(body, []byte("200")) {
 		t.Fatal("tcp inbound rewrite wrong")

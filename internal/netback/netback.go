@@ -142,6 +142,9 @@ type vifQueue struct {
 	rx      *netif.RxRing
 	port    xen.Port
 	cpu     *sim.CPU
+	// dead is the VIF's dead flag, copied at Shutdown so that a doorbell
+	// (onEvent) reads the queue alone.
+	dead bool
 
 	// rxEnqueueF is the cached cross-shard post target for guest-bound
 	// frames steered to this queue by Deliver.
@@ -480,6 +483,7 @@ func (v *VIF) Shutdown() {
 	}
 	v.dead = true
 	for _, q := range v.queues {
+		q.dead = true
 		if q.lane != nil {
 			q.lane.Detach(q.port, q.laneSlot)
 		}
@@ -502,7 +506,7 @@ func (v *VIF) Shutdown() {
 //
 //kite:hotpath
 func (q *vifQueue) onEvent() {
-	if q.v.dead {
+	if q.dead {
 		return
 	}
 	if q.lane != nil {

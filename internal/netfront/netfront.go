@@ -65,6 +65,7 @@ type Stats struct {
 // netfront_queue).
 type queue struct {
 	d    *Device
+	dom  *xen.Domain // the guest, d.Dom: the queue's own hops need not load d
 	eng  *sim.Engine // this queue's shard engine (the device engine unsharded)
 	cpu  *sim.CPU    // pinned guest vCPU when sharded, nil otherwise
 	tx   *netif.TxRing
@@ -93,10 +94,6 @@ type queue struct {
 	pending framepool.Chain
 	replay  *sim.Batch
 
-	// stage chains one SendBatch call's frames for this queue (device
-	// shard only).
-	stage framepool.Chain
-
 	// gone is set when the queue is released: a hand-off still in flight
 	// to it drops its frames on landing.
 	gone bool
@@ -104,15 +101,21 @@ type queue struct {
 	stats Stats
 }
 
-// Device is one vif frontend instance.
+// Device is one vif frontend instance. Its first fields and the ready flag
+// that pvfront.Device puts first are all that a single-queue SendBatch and
+// the stack's MAC reads touch, one cache line: queue 0's shard and hand-off
+// target are copied in at Queue, so a burst crosses to the queue without
+// loading it.
 type Device struct {
+	eng     *sim.Engine
+	rss     *netpkt.RSS // nil with one queue: nothing to steer
+	q0eng   *sim.Engine // queue 0's engine
+	q0landF func(any)   // queue 0's landF
+	mac     netpkt.MAC
 	pvfront.Device
-	eng  *sim.Engine
-	mac  netpkt.MAC
-	pool *framepool.Pool
 
+	pool     *framepool.Pool
 	hashSeed uint64
-	rss      *netpkt.RSS // nil with one queue: nothing to steer
 	queues   []*queue
 	shards   []*sim.Engine
 
@@ -195,7 +198,7 @@ func (h *hooks) Rings(_ string, nq int) pvback.Channel {
 	ch := netif.NewChannel(nq)
 	d.queues = make([]*queue, nq)
 	for i := range d.queues {
-		d.queues[i] = &queue{d: d, eng: d.eng, tx: ch.Tx.Queue(i), rx: ch.Rx.Queue(i)}
+		d.queues[i] = &queue{d: d, dom: d.Dom, eng: d.eng, tx: ch.Tx.Queue(i), rx: ch.Rx.Queue(i)}
 	}
 	return ch
 }
@@ -212,6 +215,9 @@ func (h *hooks) Queue(i int, port xen.Port) (func(), *sim.CPU) {
 	}
 	q.landF = q.land
 	q.port = port
+	if i == 0 {
+		h.q0eng, h.q0landF = q.eng, q.landF
+	}
 	return q.onEvent, q.cpu
 }
 
@@ -286,7 +292,7 @@ func (h *hooks) Release(live bool) bool {
 			h.EndGrant(ref)
 		}
 	}
-	h.queues, h.rss = nil, nil
+	h.queues, h.rss, h.q0eng, h.q0landF = nil, nil, nil, nil
 	return true
 }
 
@@ -301,7 +307,7 @@ func (q *queue) postInitialRx() {
 		}
 	}
 	if q.rx.PushRequestsAndCheckNotify() {
-		q.d.Dom.Notify(q.port)
+		q.dom.Notify(q.port)
 	}
 }
 
@@ -372,35 +378,57 @@ func (d *Device) BatchCapable() bool { return len(d.shards) > 0 }
 //
 //kite:hotpath
 func (d *Device) SendBatch(frames []netstack.TimedFrame) {
+	if !d.Ready() {
+		for i := range frames {
+			frames[i].Frame.Release()
+		}
+		return
+	}
+	if d.rss == nil && d.q0eng != d.eng {
+		// One queue, on another shard: read from the device alone.
+		var burst framepool.Chain
+		for i := range frames {
+			b := frames[i].Frame
+			b.At = frames[i].At + shardHandoff
+			burst.Push(b)
+		}
+		d.handOff(d.q0eng, d.q0landF, burst.Take())
+		return
+	}
+	var stage [netif.MaxQueues]framepool.Chain
 	for i := range frames {
 		f := &frames[i]
-		if !d.Ready() {
-			f.Frame.Release()
-			continue
-		}
-		q := d.queues[0]
+		qi := 0
 		if d.rss != nil {
-			q = d.queues[d.rss.Queue(f.Frame.Bytes(), len(d.queues))]
+			qi = d.rss.Queue(f.Frame.Bytes(), len(d.queues))
 		}
+		q := d.queues[qi]
 		if q.eng == d.eng {
 			q.enqueue(f.Frame)
 			continue
 		}
 		b := f.Frame
 		b.At = f.At + shardHandoff
-		q.stage.Push(b)
+		stage[qi].Push(b)
 	}
-	for _, q := range d.queues {
-		head := q.stage.Take()
-		if head == nil {
-			continue
-		}
-		delay := head.At - d.eng.Now()
-		if delay < shardHandoff {
-			delay = shardHandoff
-		}
-		d.eng.Post(q.eng, delay, sim.PriData, q.landF, head)
+	for qi, q := range d.queues {
+		d.handOff(q.eng, q.landF, stage[qi].Take())
 	}
+}
+
+// handOff posts a stamped chain to land on a queue's shard when its head's
+// own per-frame post would have; an empty chain (nil) posts nothing.
+//
+//kite:hotpath
+func (d *Device) handOff(eng *sim.Engine, land func(any), head *framepool.Buf) {
+	if head == nil {
+		return
+	}
+	delay := head.At - d.eng.Now()
+	if delay < shardHandoff {
+		delay = shardHandoff
+	}
+	d.eng.Post(eng, delay, sim.PriData, land, head)
 }
 
 // land runs on the queue's shard when a hand-off post matures: the chain
@@ -449,7 +477,7 @@ func (q *queue) enqueue(frame *framepool.Buf) bool {
 		return false
 	}
 	if q.tx.PushRequestsAndCheckNotify() {
-		q.d.Dom.Notify(q.port)
+		q.dom.Notify(q.port)
 	}
 	return true
 }
@@ -462,7 +490,7 @@ func (q *queue) pushTx(frame *framepool.Buf) bool {
 	n := len(q.txFree)
 	var page *mem.Page
 	if n > 0 {
-		page = q.d.Dom.GrantedPage(q.txRefs[q.txFree[n-1]])
+		page = q.dom.GrantedPage(q.txRefs[q.txFree[n-1]])
 	}
 	if page == nil {
 		q.stats.TxErrors++
@@ -539,7 +567,7 @@ func (q *queue) reapRx() {
 			if d.recv != nil {
 				b := d.pool.GetLen(n)
 				// The grant lives as long as the queue's port does.
-				copy(b.Extend(n), d.Dom.GrantedPage(ref).Bytes()[off:off+n])
+				copy(b.Extend(n), q.dom.GrantedPage(ref).Bytes()[off:off+n])
 				if q.eng != d.eng {
 					// Deliver to the stack's shard (softirq dispatch).
 					q.eng.Post(d.eng, shardHandoff, sim.PriData, d.recvF, b)
@@ -554,7 +582,7 @@ func (q *queue) reapRx() {
 		}
 	}
 	if posted > 0 && q.rx.PushRequestsAndCheckNotify() {
-		d.Dom.Notify(q.port)
+		q.dom.Notify(q.port)
 	}
 }
 
@@ -567,6 +595,6 @@ func (q *queue) drainBacklog() {
 		}
 	}
 	if pushed && q.tx.PushRequestsAndCheckNotify() {
-		q.d.Dom.Notify(q.port)
+		q.dom.Notify(q.port)
 	}
 }

@@ -145,6 +145,7 @@ func newRig(t *testing.T) *rig {
 	}
 	land := q.landF
 	q.landF = func(a any) { noting(func() { land(a) })() }
+	r.dev.q0landF = q.landF // a single-queue SendBatch hands off through the device's copy
 	q.replay = sim.NewBatch(q.eng, noting(q.replayPending))
 	guest.SetHandler(q.port, noting(q.onEvent))
 	return r
@@ -360,10 +361,24 @@ func TestBacklogAndBackendGoneLeakNothing(t *testing.T) {
 
 // TestQueueSize: every fleet tenant holds one queue, so a ring slot is its
 // grant ref (the page and its bytes are the guest's grant entry's) and a
-// Tx slot's in-flight flag is one bit: 2,312 B, in the allocator's 2,688 B
+// Tx slot's in-flight flag is one bit: 2,304 B, in the allocator's 2,688 B
 // size class. A field per slot shows in every tenant's heap.
 func TestQueueSize(t *testing.T) {
-	if got := unsafe.Sizeof(queue{}); got != 2312 {
-		t.Fatalf("sizeof(queue) = %d, want 2312", got)
+	if got := unsafe.Sizeof(queue{}); got != 2304 {
+		t.Fatalf("sizeof(queue) = %d, want 2304", got)
+	}
+}
+
+// TestSendPathOneLine: a single-queue SendBatch and the stack's MAC reads
+// touch the device's first 64 bytes alone — its own send fields and the
+// ready flag that pvfront.Device keeps first — and the device fills the
+// 320 B size class, whose objects start on a cache line.
+func TestSendPathOneLine(t *testing.T) {
+	var d Device
+	if end := unsafe.Offsetof(d.Device) + unsafe.Sizeof(d.Ready()); end > 64 {
+		t.Fatalf("the send path ends at byte %d of the device, want within 64", end)
+	}
+	if got := unsafe.Sizeof(d); got != 320 {
+		t.Fatalf("sizeof(Device) = %d, want 320", got)
 	}
 }

@@ -29,9 +29,10 @@ func FuzzNetpktDecode(f *testing.F) {
 				t.Fatalf("arp %+v does not round-trip: %+v", a, g)
 			}
 		}
-		if h, p, ok := DecodeIPv4(b); ok {
-			inside(t, "DecodeIPv4", p, b)
-			if g, gp, ok := DecodeIPv4(ipv4(h, p)); !ok || g != h || !bytes.Equal(gp, p) {
+		var h, g IPv4Header
+		if p, ok := h.Decode(b); ok {
+			inside(t, "IPv4Header.Decode", p, b)
+			if gp, ok := g.Decode(ipv4(h, p)); !ok || g != h || !bytes.Equal(gp, p) {
 				t.Fatalf("ipv4 %+v does not round-trip: %+v", h, g)
 			}
 		}
@@ -59,7 +60,8 @@ func FuzzNetpktDecode(f *testing.F) {
 			n := min(int(rest[0])<<8|int(rest[1]), len(rest)-2)
 			pkt := rest[2 : 2+n]
 			rest = rest[2+n:]
-			h, p, ok := DecodeIPv4(pkt)
+			var h IPv4Header
+			p, ok := h.Decode(pkt)
 			if !ok {
 				continue
 			}

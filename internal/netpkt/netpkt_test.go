@@ -93,7 +93,8 @@ func fragment(h IPv4Header, payload []byte, mtu int) [][]byte {
 // push decodes one fragment and offers it to r.
 func push(t *testing.T, r *Reassembler, pkt []byte) (IPv4Header, []byte, bool) {
 	t.Helper()
-	h, pl, ok := DecodeIPv4(pkt)
+	var h IPv4Header
+	pl, ok := h.Decode(pkt)
 	if !ok {
 		t.Fatal("fragment does not decode")
 	}
@@ -126,13 +127,14 @@ func TestARPRoundTrip(t *testing.T) {
 func TestIPv4RoundTripAndChecksum(t *testing.T) {
 	h := IPv4Header{ID: 7, TTL: 64, Proto: ProtoUDP, Src: IPv4(10, 0, 0, 1), Dst: IPv4(10, 0, 0, 2)}
 	pkt := ipv4(h, []byte("payload"))
-	g, payload, ok := DecodeIPv4(pkt)
+	var g IPv4Header
+	payload, ok := g.Decode(pkt)
 	if !ok || g.Src != h.Src || g.Dst != h.Dst || g.Proto != ProtoUDP || string(payload) != "payload" {
 		t.Fatalf("ipv4 mismatch: %+v %q", g, payload)
 	}
 	// Corrupt a header byte: checksum must catch it.
 	pkt[9] ^= 0xff
-	if _, _, ok := DecodeIPv4(pkt); ok {
+	if _, ok := new(IPv4Header).Decode(pkt); ok {
 		t.Fatal("corrupted ipv4 header parsed")
 	}
 }
@@ -141,7 +143,7 @@ func TestIPv4TrailingBytesIgnored(t *testing.T) {
 	// Ethernet minimum padding adds trailing bytes beyond TotalLen.
 	h := IPv4Header{TTL: 64, Proto: ProtoUDP, Src: IPv4(1, 1, 1, 1), Dst: IPv4(2, 2, 2, 2)}
 	pkt := append(ipv4(h, []byte("abc")), 0, 0, 0, 0)
-	_, payload, ok := DecodeIPv4(pkt)
+	payload, ok := new(IPv4Header).Decode(pkt)
 	if !ok || string(payload) != "abc" {
 		t.Fatalf("payload with padding = %q", payload)
 	}
@@ -307,7 +309,8 @@ func TestFragmentReassembleProperty(t *testing.T) {
 		r := NewReassembler()
 		var got []byte
 		for _, pkt := range fragment(h, payload, MTU) {
-			hh, pl, ok := DecodeIPv4(pkt)
+			var hh IPv4Header
+			pl, ok := hh.Decode(pkt)
 			if !ok {
 				return false
 			}

@@ -78,22 +78,26 @@ func (h *IPv4Header) HeaderInto(hdr []byte, payloadLen int) {
 	binary.BigEndian.PutUint32(hdr[16:20], w2)
 }
 
-// DecodeIPv4 parses and checksum-verifies an IPv4 packet without
-// allocating. The payload aliases b.
-func DecodeIPv4(b []byte) (h IPv4Header, payload []byte, ok bool) {
-	if len(b) < IPHeaderLen {
-		return IPv4Header{}, nil, false
-	}
-	if b[0]>>4 != 4 {
-		return IPv4Header{}, nil, false
-	}
-	if ihl := int(b[0]&0xf) * 4; ihl != IPHeaderLen {
-		return IPv4Header{}, nil, false
+// Decode parses and checksum-verifies an IPv4 packet into h without
+// allocating; the payload aliases b. It fills the caller's variable: a
+// header returned by value is stored field by field and copied out with
+// wide loads that stall on those narrow stores. On failure h is left as
+// it was.
+//
+//kite:hotpath
+func (h *IPv4Header) Decode(b []byte) (payload []byte, ok bool) {
+	// Version 4 with a 20-byte header (IHL 5): options are not modelled.
+	if len(b) < IPHeaderLen || b[0] != 0x45 {
+		return nil, false
 	}
 	if Checksum(b[:IPHeaderLen]) != 0 {
-		return IPv4Header{}, nil, false
+		return nil, false
 	}
-	h.TotalLen = binary.BigEndian.Uint16(b[2:4])
+	total := binary.BigEndian.Uint16(b[2:4])
+	if int(total) > len(b) || total < IPHeaderLen {
+		return nil, false
+	}
+	h.TotalLen = total
 	h.ID = binary.BigEndian.Uint16(b[4:6])
 	ff := binary.BigEndian.Uint16(b[6:8])
 	h.Flags = uint8(ff>>13) & FlagMoreFragments // DF and the reserved bit are not modelled
@@ -102,10 +106,7 @@ func DecodeIPv4(b []byte) (h IPv4Header, payload []byte, ok bool) {
 	h.Proto = b[9]
 	copy(h.Src[:], b[12:16])
 	copy(h.Dst[:], b[16:20])
-	if int(h.TotalLen) > len(b) || h.TotalLen < IPHeaderLen {
-		return IPv4Header{}, nil, false
-	}
-	return h, b[IPHeaderLen:h.TotalLen], true
+	return b[IPHeaderLen:total], true
 }
 
 // HeaderInto writes the 8-byte UDP header into hdr for payloadLen payload

@@ -75,3 +75,59 @@ func TestFramesComeFromTheirClass(t *testing.T) {
 		t.Fatalf("%d frame buffers outstanding", n)
 	}
 }
+
+// dstIf is a NetIf that records the destination MAC of each frame it is
+// sent, then drops it.
+type dstIf struct {
+	mac  netpkt.MAC
+	recv func(*framepool.Buf)
+	dst  []netpkt.MAC
+}
+
+func (d *dstIf) MAC() netpkt.MAC                       { return d.mac }
+func (d *dstIf) SetRecv(fn func(frame *framepool.Buf)) { d.recv = fn }
+func (d *dstIf) Send(f *framepool.Buf) bool {
+	d.dst = append(d.dst, netpkt.MAC(f.Bytes()[:6]))
+	f.Release()
+	return true
+}
+
+// TestNextHopFollowsARP: the last resolved next hop is a cache over the
+// ARP table, never a second truth. A send after the peer's MAC changes goes
+// to the new MAC, and a send after carrier loss asks again.
+func TestNextHopFollowsARP(t *testing.T) {
+	eng := sim.NewEngine()
+	pool := framepool.New()
+	dev := &dstIf{mac: netpkt.MAC{2, 0, 0, 0, 0, 1}}
+	s := New(eng, Config{Name: "guest", CPUs: sim.NewCPUPool(eng, "guest", 1), Iface: dev,
+		IP: netpkt.IPv4(10, 0, 0, 1), Costs: LinuxGuestCosts(), Seed: 1, Pool: pool})
+	peerIP := netpkt.IPv4(10, 0, 0, 2)
+	old, moved := netpkt.MAC{2, 0, 0, 0, 0, 2}, netpkt.MAC{2, 0, 0, 0, 0, 3}
+	announce := func(mac netpkt.MAC) {
+		dev.recv(arpFrame(pool, netpkt.ARP{Op: netpkt.ARPReply, SenderMAC: mac, SenderIP: peerIP,
+			TargetMAC: dev.mac, TargetIP: s.IP()}, dev.mac))
+	}
+	step := func(want netpkt.MAC, do func()) {
+		t.Helper()
+		dev.dst = dev.dst[:0]
+		do()
+		eng.Run()
+		if len(dev.dst) != 1 || dev.dst[0] != want {
+			t.Fatalf("sent to %v, want one frame to %v", dev.dst, want)
+		}
+	}
+	send := func() { s.SendUDP(peerIP, 7, 7, make([]byte, 64)) }
+
+	step(netpkt.Broadcast, send) // parks behind an ARP request
+	step(old, func() { announce(old) })
+	step(old, send)
+	announce(moved)
+	eng.Run()
+	step(moved, send)
+	s.linkDown()
+	step(netpkt.Broadcast, send)
+	step(moved, func() { announce(moved) })
+	if n := pool.Outstanding(); n != 0 {
+		t.Fatalf("%d frame buffers outstanding", n)
+	}
+}

@@ -105,10 +105,16 @@ type Stack struct {
 	ifc   NetIf
 	ip    netpkt.IP
 	costs Costs
-	rng   *sim.Rand
+	rng   sim.Rand // by value: every frame's cost draws from it
 	pool  *framepool.Pool
 
+	// arp is the neighbour table. lastIP/lastMAC is the entry sendIPBuf
+	// last resolved from it, valid while lastOK: a send to the same next
+	// hop reads the stack alone. handleARP and linkDown clear it.
 	arp        map[netpkt.IP]netpkt.MAC
+	lastIP     netpkt.IP
+	lastMAC    netpkt.MAC
+	lastOK     bool
 	arpPending []parked // IP packets (refs held) awaiting resolution, in push order
 	reasm      *netpkt.Reassembler
 	ipID       uint16
@@ -170,7 +176,7 @@ func New(eng *sim.Engine, cfg Config) *Stack {
 		ifc:       cfg.Iface,
 		ip:        cfg.IP,
 		costs:     cfg.Costs,
-		rng:       sim.NewRand(cfg.Seed ^ 0x57ac),
+		rng:       *sim.NewRand(cfg.Seed ^ 0x57ac),
 		pool:      pool,
 		arp:       make(map[netpkt.IP]netpkt.MAC),
 		reasm:     netpkt.NewReassembler(),
@@ -203,6 +209,7 @@ func New(eng *sim.Engine, cfg Config) *Stack {
 // the old link are stale on whatever replaces it.
 func (s *Stack) linkDown() {
 	s.arp = make(map[netpkt.IP]netpkt.MAC)
+	s.lastOK = false
 	for _, p := range s.arpPending {
 		p.pkt.Release()
 	}
@@ -299,9 +306,12 @@ func (s *Stack) sendFragment(h *netpkt.IPv4Header, dst netpkt.IP, hdr, payload [
 // it on the ARP pending queue.
 func (s *Stack) sendIPBuf(dst netpkt.IP, pkt *framepool.Buf) {
 	var dmac netpkt.MAC
-	if dst == netpkt.BroadcastIP {
+	switch {
+	case dst == netpkt.BroadcastIP:
 		dmac = netpkt.Broadcast
-	} else {
+	case s.lastOK && dst == s.lastIP:
+		dmac = s.lastMAC
+	default:
 		mac, ok := s.arp[dst]
 		if !ok {
 			s.arpPending = append(s.arpPending, parked{dst, pkt})
@@ -309,6 +319,7 @@ func (s *Stack) sendIPBuf(dst netpkt.IP, pkt *framepool.Buf) {
 			return
 		}
 		dmac = mac
+		s.lastIP, s.lastMAC, s.lastOK = dst, mac, true
 	}
 	netpkt.EthHeaderInto(pkt.Prepend(netpkt.EthHeaderLen), dmac, s.ifc.MAC(), netpkt.EtherTypeIPv4)
 	s.stats.TxPackets++
@@ -362,6 +373,7 @@ func (s *Stack) handleARP(body []byte) {
 	}
 	// Opportunistic learning.
 	s.arp[a.SenderIP] = a.SenderMAC
+	s.lastOK = false
 	s.flushARPPending(a.SenderIP)
 	if a.Op == netpkt.ARPRequest && a.TargetIP == s.ip {
 		s.stats.ARPReplies++
@@ -398,7 +410,8 @@ func (s *Stack) flushARPPending(ip netpkt.IP) {
 }
 
 func (s *Stack) handleIPv4(body []byte) {
-	h, payload, ok := netpkt.DecodeIPv4(body)
+	var h netpkt.IPv4Header
+	payload, ok := h.Decode(body)
 	if !ok {
 		return
 	}

@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"errors"
 	"fmt"
 
 	"kite/internal/netpkt"
@@ -19,6 +20,18 @@ const (
 
 // delayedAckTimeout bounds how long an ACK for a single segment is held.
 const delayedAckTimeout = 2 * sim.Millisecond
+
+// A connection gives up after Linux's default number of timeout
+// retransmissions without an acknowledgement: tcp_syn_retries for a SYN,
+// tcp_retries2 once the peer has answered. The next timeout fails the dial
+// or the connection with errTimedOut.
+const (
+	synRetries = 6
+	retries2   = 15
+)
+
+// errTimedOut is the error a connection fails with when it gives up.
+var errTimedOut = errors.New("netstack: connection timed out")
 
 type connKey struct {
 	remote     netpkt.IP
@@ -56,6 +69,7 @@ type Conn struct {
 
 	rtoArmed   bool
 	rtoBackoff uint
+	rtoTries   int // timeout retransmissions since the last ACK progress
 	ackTimerOn bool
 	lastAck    uint32
 	dupAcks    int
@@ -100,7 +114,7 @@ func (s *Stack) Listen(port uint16, accept func(*Conn)) error {
 }
 
 // Dial opens a connection to dst:port; cb fires with the established
-// connection or an error (reset).
+// connection or an error (reset, or no answer after synRetries SYNs).
 func (s *Stack) Dial(dst netpkt.IP, port uint16, cb func(*Conn, error)) *Conn {
 	key := connKey{remote: dst, remotePort: port, localPort: s.EphemeralPort()}
 	c := &Conn{
@@ -301,6 +315,15 @@ func (c *Conn) armRTO() {
 		if c.sndNxt == c.sndUna && !(c.finSent && !c.finAcked) && c.state != stateSynSent {
 			return // everything acked; timer expires idle
 		}
+		limit := retries2
+		if c.state == stateSynSent {
+			limit = synRetries
+		}
+		if c.rtoTries == limit {
+			c.teardown(fmt.Errorf("%w: %s:%d", errTimedOut, c.key.remote, c.key.remotePort))
+			return
+		}
+		c.rtoTries++
 		// Go-back-N: rewind and resend from the window start with the
 		// congestion window collapsed so the head segment gets through.
 		c.retransmits++
@@ -385,6 +408,7 @@ func (c *Conn) handleSegment(t *netpkt.TCPHeader, payload []byte) {
 		if t.Flags&(netpkt.TCPSyn|netpkt.TCPAck) == netpkt.TCPSyn|netpkt.TCPAck && t.Ack == c.iss+1 {
 			c.state = stateEstablished
 			c.sndUna = t.Ack
+			c.rtoTries = 0
 			c.rcvNxt = t.Seq + 1
 			c.sendAckNow()
 			if c.dialCB != nil {
@@ -399,6 +423,7 @@ func (c *Conn) handleSegment(t *netpkt.TCPHeader, payload []byte) {
 		if t.Flags&netpkt.TCPAck != 0 && t.Ack == c.iss+1 {
 			c.state = stateEstablished
 			c.sndUna = t.Ack
+			c.rtoTries = 0
 			if c.acceptCB != nil {
 				cb := c.acceptCB
 				c.acceptCB = nil
@@ -457,6 +482,7 @@ func (c *Conn) processAck(ack uint32) {
 		}
 		c.sendQ = c.sendQ[dataAcked:]
 		c.sndUna = ack
+		c.rtoTries = 0
 		if seqLT(c.sndNxt, ack) {
 			c.sndNxt = ack // the rewound send pointer cannot trail sndUna
 		}

@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"errors"
 	"testing"
 
 	"kite/internal/framepool"
@@ -167,4 +168,62 @@ func TestSingleDelayedAckTimer(t *testing.T) {
 	if server.ackPending != 0 {
 		t.Fatalf("ackPending = %d after timeout, want 0", server.ackPending)
 	}
+}
+
+// TestUnreachablePeerGivesUp: a dial into a black hole retransmits its SYN
+// synRetries times and then fails, and a connection whose peer vanishes
+// after the handshake retransmits retries2 times and then fails; either
+// way the error reaches the caller and the engine drains.
+func TestUnreachablePeerGivesUp(t *testing.T) {
+	t.Run("syn", func(t *testing.T) {
+		eng, a, b := rtoHosts(t, nic.DefaultLink())
+		b.NIC.SetRecv(func(f *framepool.Buf) { f.Release() })
+		var got error
+		calls := 0
+		c := a.Stack.Dial(b.Stack.IP(), 80, func(c *Conn, err error) {
+			calls++
+			got = err
+			if c != nil {
+				t.Error("a dial into a black hole connected")
+			}
+		})
+		if !eng.RunCapped(1_000_000) {
+			t.Fatal("the engine did not drain")
+		}
+		if calls != 1 || !errors.Is(got, errTimedOut) {
+			t.Fatalf("dial callback ran %d times with %v, want once with errTimedOut", calls, got)
+		}
+		if n := c.Retransmits(); n != synRetries {
+			t.Fatalf("%d SYN retransmissions, want %d", n, synRetries)
+		}
+	})
+	t.Run("established", func(t *testing.T) {
+		eng, a, b := rtoHosts(t, nic.DefaultLink())
+		b.Stack.Listen(80, func(*Conn) {})
+		var conn *Conn
+		a.Stack.Dial(b.Stack.IP(), 80, func(c *Conn, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn = c
+		})
+		eng.RunFor(10 * sim.Millisecond)
+		if conn == nil {
+			t.Fatal("handshake failed")
+		}
+		var got error
+		calls := 0
+		conn.OnClose(func(err error) { calls++; got = err })
+		b.NIC.SetRecv(func(f *framepool.Buf) { f.Release() })
+		conn.Send([]byte("into the void"))
+		if !eng.RunCapped(1_000_000) {
+			t.Fatal("the engine did not drain")
+		}
+		if calls != 1 || !errors.Is(got, errTimedOut) {
+			t.Fatalf("close callback ran %d times with %v, want once with errTimedOut", calls, got)
+		}
+		if n := conn.Retransmits(); n != retries2 {
+			t.Fatalf("%d retransmissions, want %d", n, retries2)
+		}
+	})
 }

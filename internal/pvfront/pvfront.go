@@ -60,8 +60,11 @@ type Class interface {
 	Release(live bool) bool
 }
 
-// Device is the pairing state of one frontend; a class embeds it.
+// Device is the pairing state of one frontend; a class embeds it. ready
+// comes first, so a class that puts its send path just before the
+// embedding reads the flag in the same cache line.
 type Device struct {
+	ready, closed bool
 	Config
 	class     Class
 	typ       string
@@ -70,9 +73,8 @@ type Device struct {
 	backPath  string
 	watch     *xenstore.Watch
 	// ports are this handshake's event channels; nq is 0 between them.
-	ports         [8]xen.Port
-	nq            int
-	ready, closed bool
+	ports [8]xen.Port
+	nq    int
 	// backClosed: the backend is in Closed and maps nothing of ours.
 	backClosed bool
 }

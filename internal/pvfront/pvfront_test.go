@@ -2,6 +2,7 @@ package pvfront
 
 import (
 	"testing"
+	"unsafe"
 
 	"kite/internal/pvback"
 	"kite/internal/sim"
@@ -242,5 +243,13 @@ func TestBackendLossAndRestart(t *testing.T) {
 	r.backend(xenbus.StateClosing, 0)
 	if r.class.lost != 2 {
 		t.Fatalf("%d quiesces after two losses", r.class.lost)
+	}
+}
+
+// TestReadyFirst: ready is the device's first byte, so a class can keep
+// its send path in the same cache line (netfront.TestSendPathOneLine).
+func TestReadyFirst(t *testing.T) {
+	if off := unsafe.Offsetof(Device{}.ready); off != 0 {
+		t.Fatalf("ready at offset %d, want 0", off)
 	}
 }

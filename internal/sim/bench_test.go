@@ -138,6 +138,27 @@ func BenchmarkStepDrain(b *testing.B) {
 	}
 }
 
+// BenchmarkDrain1024 fills a heap with 1,024 events at random times (a
+// fleet wave's start on its busiest shard) and drains it: the pop alone,
+// reported per event.
+func BenchmarkDrain1024(b *testing.B) {
+	const n = 1024
+	fn := func() {}
+	r := NewRand(1024)
+	e := NewEngine()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		base := e.Now()
+		for j := 0; j < n; j++ {
+			e.Schedule(base+Time(r.Intn(1<<20)), fn)
+		}
+		b.StartTimer()
+		e.Run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+}
+
 // BenchmarkTaskWake measures the coalesced thread-wake cycle used by every
 // backend worker in the repository.
 func BenchmarkTaskWake(b *testing.B) {

@@ -223,11 +223,12 @@ func (c *Cluster) runLoop(limit Time, budget uint64) uint64 {
 				break
 			}
 			root := h[0]
-			h[0] = h[n]
-			h[n].fn = nil
-			s.heap = h[:n]
 			if n > 1 {
-				s.siftDown(0)
+				s.popRoot()
+			} else {
+				h[0] = h[n]
+				h[n].fn = nil
+				s.heap = h[:n]
 			}
 			s.now = root.at
 			s.processed++

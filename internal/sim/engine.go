@@ -30,7 +30,10 @@
 // reach their high-water mark.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is virtual time in nanoseconds since engine start.
 type Time int64
@@ -81,11 +84,23 @@ func (e *event) before(o *event) bool {
 	return e.key < o.key
 }
 
+// less is before as 0 or 1, without a branch, for a pick whose outcome is
+// as good as random: (at, key) compared as one 128-bit unsigned number,
+// the borrow out of the subtraction (the times' sign bits flipped, so that
+// unsigned order is signed order). Where the outcome is mostly the same —
+// a sift-up that stops at once — the branch is cheaper.
+func less(x, y *event) int {
+	const sign = 1 << 63
+	_, borrow := bits.Sub64(x.key, y.key, 0)
+	_, borrow = bits.Sub64(uint64(x.at)^sign, uint64(y.at)^sign, borrow)
+	return int(borrow)
+}
+
 // arity is the fan-out of the d-ary heap. Four children per node keeps the
 // tree half as deep as a binary heap, which matters because the dominant
-// operation is siftDown on Step: fewer levels means fewer cache lines
-// touched per pop, at the price of three extra comparisons per level that
-// all hit the same lines.
+// operation is the pop on every step: fewer levels means fewer cache lines
+// touched per pop, at the price of three comparisons per level that all
+// hit the same lines.
 const arity = 4
 
 // Engine is one shard of a Cluster: a clock and a heap. It is not safe for
@@ -146,16 +161,23 @@ func (e *Engine) After(d Time, fn func()) {
 func (e *Engine) push(at Time, fn func()) {
 	c := e.cluster
 	e.seq++
-	e.heap = append(e.heap, event{at: at, key: e.seq ^ uint64(c.tie), fn: fn})
-	e.siftUp(len(e.heap) - 1)
+	n := len(e.heap)
+	if n < cap(e.heap) {
+		e.heap = e.heap[:n+1] // the spare slot is rewritten by siftUp
+	} else {
+		e.heap = append(e.heap, event{})
+	}
+	e.siftUp(n, event{at: at, key: e.seq ^ uint64(c.tie), fn: fn})
 	if e.shard != c.run {
 		c.bound(e.shard, at)
 	}
 }
 
-func (e *Engine) siftUp(i int) {
+// siftUp places ev, bound for the vacant slot i, on the path from i to the
+// root. ev comes by value, not read back from h[i]: a 24-byte event stored
+// and at once reloaded stalls on store forwarding.
+func (e *Engine) siftUp(i int, ev event) {
 	h := e.heap
-	ev := h[i]
 	for i > 0 {
 		p := (i - 1) / arity
 		if !ev.before(&h[p]) {
@@ -167,32 +189,50 @@ func (e *Engine) siftUp(i int) {
 	h[i] = ev
 }
 
-func (e *Engine) siftDown(i int) {
+// popRoot removes the root event of a heap of three or more, which the
+// caller has already copied out (runLoop moves a smaller heap's last event
+// in line). It pops bottom-up (Wegener): the hole the root leaves walks
+// down to a leaf along the smallest child of each group, and the last
+// event, moved into that hole, sifts up. The last event was a leaf and
+// nearly always belongs near the bottom again, so this saves the
+// comparison with it that a top-down sift makes at every level, and the
+// sift-up mostly stops at once. A full group of four is compared as two
+// pairs and their winners, with no loop and no branch: which child wins is
+// as good as random, so a branch on it would mispredict about half the
+// time. Keys are unique, so any correct heap pops the same order.
+func (e *Engine) popRoot() {
 	h := e.heap
-	n := len(h)
-	ev := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n].fn = nil // the spare slot must not pin a dead callback
+	h = h[:n]
+	e.heap = h
+	i := 0
 	for {
-		first := arity*i + 1
-		if first >= n {
-			break
+		c := arity*i + 1
+		if c+arity <= n {
+			g := h[c : c+arity : c+arity]
+			a := less(&g[1], &g[0])
+			b := 2 + less(&g[3], &g[2])
+			a += (b - a) & -less(&g[b], &g[a])
+			h[i] = g[a]
+			i = c + a
+			continue
 		}
-		best := first
-		last := first + arity
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if h[c].before(&h[best]) {
-				best = c
+		if c < n {
+			// The last, partial group: its members have no children.
+			best := c
+			for j := c + 1; j < n; j++ {
+				if h[j].before(&h[best]) {
+					best = j
+				}
 			}
+			h[i] = h[best]
+			i = best
 		}
-		if !h[best].before(&ev) {
-			break
-		}
-		h[i] = h[best]
-		i = best
+		break
 	}
-	h[i] = ev
+	e.siftUp(i, last)
 }
 
 // Step executes the cluster's single earliest pending event, advancing its

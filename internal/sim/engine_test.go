@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -148,5 +149,71 @@ func TestEngineMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPopMatchesSort: pushes and steps interleaved at random on heaps of up
+// to 4,096 events pop in (at, key) order — each step runs the least pending
+// event by a plain two-field comparison — with and without ReverseTies.
+// Times come from a narrow range, so equal times are common and the key
+// decides. Every round drains to empty through every size, so the last
+// child group is both full and partial at each depth.
+func TestPopMatchesSort(t *testing.T) {
+	for _, reverse := range []bool{false, true} {
+		e := NewEngine()
+		if reverse {
+			e.ReverseTies()
+		}
+		r := NewRand(4096)
+		// want holds the pending events' (at, key), sorted descending, so
+		// the least is last; each event's handler reports it as popped.
+		var want []event
+		var popped event
+		after := func(x, y event) bool { return x.at > y.at || x.at == y.at && x.key > y.key }
+		// fills[n%arity] marks a pop that left n events: the last child
+		// group is full when n%arity is 1, partial otherwise.
+		var fills [arity]bool
+		push := func() {
+			ev := event{at: Time(r.Intn(512)), key: (e.seq + 1) ^ uint64(e.cluster.tie)}
+			e.push(ev.at, func() { popped = ev })
+			i := sort.Search(len(want), func(i int) bool { return !after(want[i], ev) })
+			want = append(want, event{})
+			copy(want[i+1:], want[i:])
+			want[i] = ev
+		}
+		pop := func() {
+			n := len(e.heap) - 1
+			fills[n%arity] = true
+			if !e.Step() {
+				t.Fatalf("reverse=%v: nothing popped from %d", reverse, n+1)
+			}
+			w := want[len(want)-1]
+			want = want[:len(want)-1]
+			if popped.at != w.at || popped.key != w.key {
+				t.Fatalf("reverse=%v: popped (%d, %#x) from %d, want (%d, %#x)", reverse, popped.at, popped.key, n+1, w.at, w.key)
+			}
+		}
+		for round := 0; round < 24; round++ {
+			top := 1 + r.Intn(4096)
+			for len(want) < top {
+				if len(want) > 0 && r.Intn(10) < 3 {
+					pop()
+				} else {
+					push()
+				}
+			}
+			for len(want) > 0 {
+				if r.Intn(10) < 2 {
+					push()
+				} else {
+					pop()
+				}
+			}
+		}
+		for fill, seen := range fills {
+			if !seen {
+				t.Fatalf("reverse=%v: no pop left %d events modulo %d", reverse, fill, arity)
+			}
+		}
 	}
 }

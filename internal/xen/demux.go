@@ -69,7 +69,7 @@ func (g *Demux) Join(port Port) error {
 	}
 	ch.demux = g
 	ch.demuxIdx = len(g.members)
-	ch.cpu = g.cpu // sends charge the scan vCPU; delivery rides the scan
+	ch.cpu, ch.eng = g.cpu, g.cpu.Engine() // sends charge the scan vCPU; delivery rides the scan
 	g.members = append(g.members, ch)
 	if len(g.pending)*64 < len(g.members) {
 		g.pending = append(g.pending, 0)
@@ -202,11 +202,11 @@ func (g *Demux) nextPending() int {
 // scan already paid the wake.
 func (c *channel) deliverDemux() {
 	c.pending = false
-	if c.dom.dead || c.state != chanConnected {
+	if c.state != chanConnected {
 		return
 	}
 	c.delivered++
-	c.lastEvent = c.cpu.Engine().Now()
+	c.lastEvent = c.eng.Now()
 	if c.handler != nil {
 		c.handler()
 	}

@@ -24,7 +24,11 @@ const (
 	chanClosed
 )
 
-// channel is one endpoint of an inter-domain event channel.
+// channel is one endpoint of an inter-domain event channel. A doorbell
+// reads the channel and its peer, and of a pinned peer's state only the
+// vCPU it charges: the engine and the domain's IRQ latency are copied in,
+// and a dead domain's channels are closed (DestroyDomain), so no hop loads
+// the domain to learn it died.
 type channel struct {
 	port    Port
 	dom     *Domain
@@ -34,10 +38,13 @@ type channel struct {
 
 	handler func()
 	// cpu, when set, pins this endpoint to one vCPU: Notify charges it on
-	// send and raise delivers to it (on its shard engine) on receive. Pinned
-	// ports are what let per-queue event channels live entirely on their
-	// queue's cluster shard.
+	// send and raise delivers to it (on its shard engine, eng) on receive.
+	// Pinned ports are what let per-queue event channels live entirely on
+	// their queue's cluster shard.
 	cpu *sim.CPU
+	eng *sim.Engine
+	// irq is the domain's IRQLatency, fixed when the domain is built.
+	irq sim.Time
 	// pending models the per-channel pending bit: upcalls coalesce while
 	// one is already in flight, exactly like Xen's level-triggered events.
 	pending bool
@@ -64,7 +71,7 @@ type channel struct {
 // xenstore.
 func (d *Domain) AllocUnbound(remote DomID) Port {
 	d.nextPort++
-	ch := &channel{port: d.nextPort, dom: d, state: chanUnbound, peerDom: remote}
+	ch := &channel{port: d.nextPort, dom: d, state: chanUnbound, peerDom: remote, irq: d.IRQLatency}
 	d.setPort(ch.port, ch)
 	return ch.port
 }
@@ -72,6 +79,10 @@ func (d *Domain) AllocUnbound(remote DomID) Port {
 // BindInterdomain connects a local port to a remote domain's advertised
 // unbound port (EVTCHNOP_bind_interdomain).
 func (d *Domain) BindInterdomain(remote DomID, remotePort Port) (Port, error) {
+	if d.dead {
+		// Its channels are all closed, and no new one may connect.
+		return 0, fmt.Errorf("xen: bind from dead domain %d", d.ID)
+	}
 	rd := d.hv.Domain(remote)
 	if rd == nil {
 		return 0, fmt.Errorf("xen: bind to dead domain %d", remote)
@@ -85,7 +96,7 @@ func (d *Domain) BindInterdomain(remote DomID, remotePort Port) (Port, error) {
 			remote, remotePort, rch.peerDom, d.ID)
 	}
 	d.nextPort++
-	lch := &channel{port: d.nextPort, dom: d, state: chanConnected, peerDom: remote, peer: rch}
+	lch := &channel{port: d.nextPort, dom: d, state: chanConnected, peerDom: remote, peer: rch, irq: d.IRQLatency}
 	d.setPort(lch.port, lch)
 	rch.state = chanConnected
 	rch.peer = lch
@@ -105,13 +116,14 @@ func (d *Domain) SetHandler(port Port, fn func()) error {
 
 // BindPortCPU pins a local port to one vCPU: sends charge that vCPU and
 // upcalls are delivered on it (through its engine, which may be a cluster
-// shard). Binding is done at connect time, before any traffic flows.
+// shard). Binding is done at connect time, before any traffic flows, and
+// after the vCPU is on its shard (sim.CPU.SetEngine).
 func (d *Domain) BindPortCPU(port Port, cpu *sim.CPU) error {
 	ch := d.port(port)
 	if ch == nil {
 		return fmt.Errorf("xen: BindPortCPU on unknown port %d", port)
 	}
-	ch.cpu = cpu
+	ch.cpu, ch.eng = cpu, cpu.Engine()
 	ch.deliverF = ch.deliver // eager: first raise may come from another shard's peer
 	return nil
 }
@@ -122,6 +134,8 @@ func (d *Domain) BindPortCPU(port Port, cpu *sim.CPU) error {
 // is a silent no-op, as on real Xen where the peer may have gone away; so is
 // a dead domain's notify — work it scheduled before it died still runs, on
 // ports its death closed, and is charged nothing.
+//
+//kite:hotpath
 func (d *Domain) Notify(port Port) {
 	if d.dead {
 		return
@@ -148,9 +162,13 @@ func (d *Domain) Notify(port Port) {
 // vCPU's state: waking an idle (halted) vCPU costs the domain's full
 // IRQLatency (hypervisor unblock + VM entry), while a running vCPU takes
 // the upcall almost immediately — the effect that makes cold request-
-// response latency much worse than streaming latency on real Xen.
+// response latency much worse than streaming latency on real Xen. Only a
+// connected peer raises, so the channel is live: its domain's death would
+// have closed it.
+//
+//kite:hotpath
 func (c *channel) raise() {
-	if c.dom.dead || c.pending {
+	if c.pending {
 		return
 	}
 	c.pending = true
@@ -159,19 +177,20 @@ func (c *channel) raise() {
 		return
 	}
 	cpu := c.cpu
-	eng := c.dom.hv.Eng
-	lat := c.dom.IRQLatency
+	lat := c.irq
+	var eng *sim.Engine
 	if cpu != nil {
 		// Pinned port: deliver on the bound vCPU's engine (its cluster
 		// shard) and judge warmth from that vCPU alone — shared-pool state
 		// is off limits from a shard.
-		eng = cpu.Engine()
+		eng = c.eng
 		now := eng.Now()
 		if cpu.RecentlyActive(now, warmWindow) ||
 			(c.lastEvent > 0 && now-c.lastEvent <= warmWindow) {
 			lat /= 16
 		}
 	} else {
+		eng = c.dom.hv.Eng
 		cpu = c.dom.CPUs.Pick()
 		if c.dom.CPUs.RecentlyActive(eng.Now(), warmWindow) {
 			lat /= 16 // vCPU running or in a shallow idle state: cheap upcall
@@ -184,14 +203,17 @@ func (c *channel) raise() {
 }
 
 // deliver is the upcall body: clear the pending bit and run the handler.
+// A channel its domain's death closed runs nothing.
+//
+//kite:hotpath
 func (c *channel) deliver() {
 	c.pending = false
-	if c.dom.dead || c.state != chanConnected {
+	if c.state != chanConnected {
 		return
 	}
 	c.delivered++
-	if c.cpu != nil {
-		c.lastEvent = c.cpu.Engine().Now()
+	if c.eng != nil {
+		c.lastEvent = c.eng.Now()
 	}
 	if c.handler != nil {
 		c.handler()

@@ -223,6 +223,7 @@ type Domain struct {
 	CPUs       *sim.CPUPool
 	Arena      *mem.Arena
 	Privileged bool
+	// IRQLatency is fixed at creation: each event channel copies it.
 	IRQLatency sim.Time
 
 	// OnDestroy runs when the hypervisor destroys the domain (used by the

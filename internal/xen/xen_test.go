@@ -179,6 +179,44 @@ func TestDeadDomainNotifyIsNoop(t *testing.T) {
 	}
 }
 
+// TestDeadDomainDoorbell: a doorbell does not load the domain to learn it
+// died — DestroyDomain closes every port, and a closed channel runs
+// nothing. An upcall already scheduled when the domain dies, and a peer's
+// notify after, run no handler: on a pinned port and on a demux member.
+func TestDeadDomainDoorbell(t *testing.T) {
+	for _, demux := range []bool{false, true} {
+		eng, hv, dom0 := newHV(t)
+		du := hv.CreateDomain(DomainConfig{Name: "domU", VCPUs: 1, MemBytes: 1 << 20,
+			IRQLatency: 5 * sim.Microsecond})
+		port := du.AllocUnbound(dom0.ID)
+		peer, err := dom0.BindInterdomain(du.ID, port)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := 0
+		du.SetHandler(port, func() { ran++ })
+		if demux {
+			if err := du.NewDemux(du.CPUs.CPU(0), 0).Join(port); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := du.BindPortCPU(port, du.CPUs.CPU(0)); err != nil {
+			t.Fatal(err)
+		}
+		dom0.Notify(peer) // the upcall (or scan) is now scheduled
+		if err := hv.DestroyDomain(du.ID); err != nil {
+			t.Fatal(err)
+		}
+		dom0.Notify(peer)
+		eng.Run()
+		if ran != 0 {
+			t.Fatalf("demux=%v: a dead domain's handler ran %d times", demux, ran)
+		}
+		if _, err := du.BindInterdomain(dom0.ID, dom0.AllocUnbound(du.ID)); err == nil {
+			t.Fatalf("demux=%v: a dead domain bound a new channel", demux)
+		}
+	}
+}
+
 // TestDestroyReleasesMappings: a driver domain that dies holding mappings
 // of a guest's grants lets go of them (gnttab_release_mappings), so the
 // guest can end those grants; a late unmap of one, or a map attempted by
