@@ -20,9 +20,9 @@ func laneMembers(rig *FleetRig) int {
 
 // TestFleetTenantChurnMidTraffic closes a quarter of a fleet's tenants
 // while their traffic is still in flight, then reconnects them, checking
-// every table the churn touches: the tenant registry ledger, the lanes'
+// every table the churn touches: the driver's VIF set, the lanes'
 // demux membership (a departed doorbell must leave its group, not pin a
-// dead member slot), the driver's VIF set, and — the leak canary — the
+// dead member slot), each returning tenant's lane, and — the leak canary — the
 // frame pool, which must drain to zero outstanding buffers even when a
 // vif dies with queued frames.
 //
@@ -32,8 +32,8 @@ func laneMembers(rig *FleetRig) int {
 // frames must be dropped at the bridge shard — the port has left the
 // bridge — and their buffers must go back to the pool.
 func TestFleetTenantChurnMidTraffic(t *testing.T) {
-	const guests = 16
-	rig, err := NewFleetRig(FleetConfig{Guests: guests, Lanes: 4, Seed: 0xc4a2})
+	const guests, lanes = 16, 4
+	rig, err := NewFleetRig(FleetConfig{Guests: guests, Lanes: lanes, Seed: 0xc4a2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +129,6 @@ func TestFleetTenantChurnMidTraffic(t *testing.T) {
 			t.Fatalf("tenant %d's MAC is learned behind %s after its vif left the bridge", i, p.PortName())
 		}
 	}
-	if n := nd.Tenants.Len(); n != guests-len(churned) {
-		t.Fatalf("registry holds %d tenants, want %d", n, guests-len(churned))
-	}
-	if att, det := nd.Tenants.Churn(); att != guests || det != uint64(len(churned)) {
-		t.Fatalf("registry churn = (%d, %d), want (%d, %d)", att, det, guests, len(churned))
-	}
 	if n := laneMembers(rig); n != guests-len(churned) {
 		t.Fatalf("lane demux members = %d after departures, want %d", n, guests-len(churned))
 	}
@@ -165,7 +159,8 @@ func TestFleetTenantChurnMidTraffic(t *testing.T) {
 	}
 
 	// The departed tenants reconnect onto their original lanes and carry
-	// traffic again; the ledger and lane membership return to full.
+	// traffic again; the driver's VIF set and lane membership return to
+	// full.
 	for _, i := range churned {
 		if err := rig.Guests[i].Reattach(sys, nd); err != nil {
 			t.Fatal(err)
@@ -182,19 +177,21 @@ func TestFleetTenantChurnMidTraffic(t *testing.T) {
 	if !sys.RunReady(ready, uint64(guests+1)*500000) {
 		t.Fatal("reattached tenants never reconnected")
 	}
-	if n := nd.Tenants.Len(); n != guests {
-		t.Fatalf("registry holds %d tenants after reattach, want %d", n, guests)
-	}
-	if att, det := nd.Tenants.Churn(); att != guests+uint64(len(churned)) || det != uint64(len(churned)) {
-		t.Fatalf("registry churn = (%d, %d) after reattach, want (%d, %d)",
-			att, det, guests+len(churned), len(churned))
+	if n := len(nd.Driver.VIFs()); n != guests {
+		t.Fatalf("driver holds %d vifs after reattach, want %d", n, guests)
 	}
 	if n := laneMembers(rig); n != guests {
 		t.Fatalf("lane demux members = %d after reattach, want %d", n, guests)
 	}
 	for _, i := range churned {
-		if lane := nd.Tenants.Tenants()[0].Lane; lane < 0 {
-			t.Fatalf("tenant %d has no lane after reattach", i)
+		var vif *netback.VIF
+		for _, v := range nd.Driver.VIFs() {
+			if v.FrontDom() == rig.Guests[i].Dom.ID {
+				vif = v
+			}
+		}
+		if vif == nil || vif.Lane() == nil || vif.Lane().ID() != i%lanes {
+			t.Fatalf("tenant %d's reattached vif is not on its lane %d", i, i%lanes)
 		}
 	}
 

@@ -92,6 +92,7 @@ type System struct {
 	// everything that is not a pinned PV queue lives.
 	Cluster *sim.Cluster
 
+	queueShards []*sim.Engine // shards 1.. of Cluster; nil when unsharded
 	seed        uint64
 	nextVbdBase int64
 }
@@ -117,18 +118,12 @@ func NewShardedSystem(seed uint64, queues int) *System {
 
 func newSystem(seed uint64, cluster *sim.Cluster) *System {
 	var eng *sim.Engine
+	var queueShards []*sim.Engine
 	if cluster != nil {
 		eng = cluster.Shard(0)
-		// The PV transports form a star: every cross-shard hand-off runs
-		// between the home shard (devices, bridge, stacks) and a queue
-		// shard, never queue-to-queue. Declaring exactly those edges turns
-		// any undeclared queue-to-queue post into an immediate panic (a
-		// check only: the scheduler reads no edge). The
-		// drivers refine these edges with their own hand-off latencies at
-		// pinning time (netback.SetShards/SetFleet, netfront queue setup).
-		for i := 1; i < cluster.Shards(); i++ {
-			cluster.DeclareEdge(0, i, ShardLookahead)
-			cluster.DeclareEdge(i, 0, ShardLookahead)
+		queueShards = make([]*sim.Engine, cluster.Shards()-1)
+		for i := range queueShards {
+			queueShards[i] = cluster.Shard(1 + i)
 		}
 	} else {
 		eng = sim.NewEngine()
@@ -143,22 +138,14 @@ func newSystem(seed uint64, cluster *sim.Cluster) *System {
 		Eng: eng, HV: hv, Store: store, Bus: xenbus.New(store),
 		NetReg: pvback.NewRegistry(), BlkReg: pvback.NewRegistry(),
 		Dom0: dom0, Pool: framepool.New(), BlkPool: blkpool.New(),
-		Cluster: cluster, seed: seed, nextVbdBase: 2048,
+		Cluster: cluster, queueShards: queueShards, seed: seed, nextVbdBase: 2048,
 	}
 }
 
 // QueueShards returns the engines reserved for PV queue pinning (shard 1
-// onward), or nil for an unsharded system.
-func (s *System) QueueShards() []*sim.Engine {
-	if s.Cluster == nil {
-		return nil
-	}
-	qs := make([]*sim.Engine, s.Cluster.Shards()-1)
-	for i := range qs {
-		qs[i] = s.Cluster.Shard(1 + i)
-	}
-	return qs
-}
+// onward), or nil for an unsharded system. The slice is the system's own:
+// callers must not modify it.
+func (s *System) QueueShards() []*sim.Engine { return s.queueShards }
 
 // RunReady drives the simulation until ready() holds (or the event cap
 // trips, returning false). It is the "wait for handshakes" helper.
@@ -208,10 +195,6 @@ type NetworkDomain struct {
 	Bridge  *bridge.Bridge
 	Driver  *netback.Driver
 	NIC     *nic.NIC
-
-	// Tenants is the driver's attach/detach ledger in fleet mode (nil
-	// otherwise).
-	Tenants *xenbus.TenantRegistry
 
 	// NATRouter is non-nil in NAT mode.
 	router *natRouter
@@ -302,8 +285,6 @@ func (s *System) CreateNetworkDomain(cfg NetworkDomainConfig) (*NetworkDomain, e
 		if qs := s.QueueShards(); qs != nil {
 			if cfg.Fleet {
 				nd.Driver.SetFleet(qs)
-				nd.Tenants = xenbus.NewTenantRegistry(s.Bus, xenbus.DomID(dom.ID))
-				nd.Driver.SetTenants(nd.Tenants)
 			} else {
 				nd.Driver.SetShards(qs)
 			}
@@ -325,9 +306,9 @@ type StorageDomainConfig struct {
 	Kind   DriverKind
 	Device *nvme.Device
 	Boot   bool
-	// Tuning exposes the blkback feature knobs for ablation benches; nil
-	// means the kind's defaults.
-	Tuning *blkback.Costs
+	// Tuning overrides the kind's blkback design choices for ablation
+	// benches; nil keeps the kind's defaults.
+	Tuning *TuningKnobs
 	// VCPUs overrides the profile's vCPU count; blkback advertises one
 	// hardware queue per vCPU, so multi-queue vbds need VCPUs > 1.
 	VCPUs int
@@ -344,10 +325,6 @@ type StorageDomain struct {
 	Kind    DriverKind
 	Driver  *blkback.Driver
 	Device  *nvme.Device
-
-	// Tenants is the driver's attach/detach ledger in fleet mode (nil
-	// otherwise).
-	Tenants *xenbus.TenantRegistry
 
 	ready bool
 }
@@ -367,8 +344,8 @@ func (s *System) CreateStorageDomain(cfg StorageDomainConfig) (*StorageDomain, e
 		profile = guestos.UbuntuDriverDomain()
 		costs = blkback.LinuxCosts()
 	}
-	if cfg.Tuning != nil {
-		costs = *cfg.Tuning
+	if t := cfg.Tuning; t != nil {
+		costs.Persistent, costs.Indirect, costs.Batch = t.Persistent, t.Indirect, t.Batch
 	}
 	vcpus := profile.VCPUs
 	if cfg.VCPUs > 0 {
@@ -390,8 +367,6 @@ func (s *System) CreateStorageDomain(cfg StorageDomainConfig) (*StorageDomain, e
 		sd.Driver = blkback.NewDriver(s.Eng, dom, s.Bus, s.BlkReg, cfg.Device, costs)
 		if cfg.FleetLanes > 0 {
 			sd.Driver.SetFleet(cfg.FleetLanes)
-			sd.Tenants = xenbus.NewTenantRegistry(s.Bus, xenbus.DomID(dom.ID))
-			sd.Driver.SetTenants(sd.Tenants)
 		}
 		sd.ready = true
 	}
@@ -401,14 +376,6 @@ func (s *System) CreateStorageDomain(cfg StorageDomainConfig) (*StorageDomain, e
 		start()
 	}
 	return sd, nil
-}
-
-// pickBlkCosts returns the blkback cost profile for a kind.
-func pickBlkCosts(kind DriverKind) blkback.Costs {
-	if kind == KindKite {
-		return blkback.KiteCosts()
-	}
-	return blkback.LinuxCosts()
 }
 
 // GuestConfig describes a DomU application VM.

@@ -82,7 +82,7 @@ func fleetHeapAfterWave(t *testing.T, guests int) (rig *FleetRig, heap, growth u
 // is headers and tables: 16 B page headers and grant entries, netif ring
 // entries at netif.h widths, ring slots that are a grant ref each, and two
 // frames of the frame pool's small class. The 1024-tenant fleet reads
-// 55 MiB, the 8192-tenant one 432 MiB; the gates sit about 10 % above.
+// 54 MiB, the 8192-tenant one 432 MiB; the gates sit about 10 % above.
 //
 // NewFleetRig reserves fleetTenantBytes a tenant on 2 MiB pages, and what
 // outgrows the reservation lands on 4 KiB pages, so the 1024-tenant case

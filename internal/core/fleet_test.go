@@ -5,6 +5,7 @@ import (
 
 	"kite/internal/netpkt"
 	"kite/internal/netstack"
+	"kite/internal/xen"
 )
 
 // TestFleetAddressesDoNotWrap checks the fleet's address plan without
@@ -31,10 +32,10 @@ func TestFleetAddressesDoNotWrap(t *testing.T) {
 }
 
 // TestFleetRigServesTenants builds a small fleet and checks the whole
-// multi-tenant path: every tenant's vif lands on its hinted lane, the
-// tenant registry mirrors the fleet, datagrams flow both ways for every
-// tenant, and (with storage) every tenant's vbd round-trips data through
-// its fleet lane.
+// multi-tenant path: every tenant's vif lands on its hinted lane (the
+// driver's pairings are the record of who is attached where), datagrams
+// flow both ways for every tenant, and (with storage) every tenant's vbd
+// round-trips data through its fleet lane.
 func TestFleetRigServesTenants(t *testing.T) {
 	const guests, lanes = 12, 4
 	rig, err := NewFleetRig(FleetConfig{
@@ -49,16 +50,21 @@ func TestFleetRigServesTenants(t *testing.T) {
 	if got := len(rig.ND.Driver.VIFs()); got != guests {
 		t.Fatalf("driver serves %d vifs, want %d", got, guests)
 	}
-	if rig.ND.Tenants.Len() != guests {
-		t.Fatalf("net tenant registry has %d tenants, want %d", rig.ND.Tenants.Len(), guests)
+	if got := len(rig.SD.Driver.Instances()); got != guests {
+		t.Fatalf("driver serves %d vbds, want %d", got, guests)
 	}
-	if rig.SD.Tenants.Len() != guests {
-		t.Fatalf("blk tenant registry has %d tenants, want %d", rig.SD.Tenants.Len(), guests)
+	hinted := make(map[xen.DomID]int, guests) // lane by tenant domain
+	for i, g := range rig.Guests {
+		hinted[g.Dom.ID] = i % lanes
 	}
 	for i, v := range rig.ND.Driver.VIFs() {
 		if v.Lane() == nil {
 			t.Fatalf("vif %d has no service lane", i)
 		}
+		if want, ok := hinted[v.FrontDom()]; !ok || v.Lane().ID() != want {
+			t.Errorf("vif %d (dom%d) on lane %d, want tenant's hinted lane %d", i, v.FrontDom(), v.Lane().ID(), want)
+		}
+		delete(hinted, v.FrontDom())
 		if wakes, runs := v.PusherRuns(); wakes != 0 || runs != 0 {
 			t.Fatalf("lane-served vif %d reports pusher wakes=%d runs=%d, want none", i, wakes, runs)
 		}
@@ -68,10 +74,8 @@ func TestFleetRigServesTenants(t *testing.T) {
 			t.Errorf("net lane %d has no members", i)
 		}
 	}
-	for _, tn := range rig.ND.Tenants.Tenants() {
-		if tn.Vifs != 1 || tn.Lane < 0 {
-			t.Errorf("tenant dom%d: vifs=%d lane=%d, want 1 vif on a lane", tn.Dom, tn.Vifs, tn.Lane)
-		}
+	if len(hinted) != 0 {
+		t.Errorf("%d tenants have no vif", len(hinted))
 	}
 
 	// Every tenant pings the client and the client answers.

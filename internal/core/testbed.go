@@ -163,15 +163,8 @@ func buildStorageRig(tb *Testbed, cfg StorageRigConfig) (*StorageRig, error) {
 	if vcpus == 0 && cfg.Queues > 1 {
 		vcpus = cfg.Queues
 	}
-	sdc := StorageDomainConfig{Kind: cfg.Kind, Device: tb.NVMe, VCPUs: vcpus}
-	if cfg.Tuning != nil {
-		costs := pickBlkCosts(cfg.Kind)
-		costs.Persistent = cfg.Tuning.Persistent
-		costs.Indirect = cfg.Tuning.Indirect
-		costs.Batch = cfg.Tuning.Batch
-		sdc.Tuning = &costs
-	}
-	sd, err := tb.System.CreateStorageDomain(sdc)
+	sd, err := tb.System.CreateStorageDomain(StorageDomainConfig{
+		Kind: cfg.Kind, Device: tb.NVMe, VCPUs: vcpus, Tuning: cfg.Tuning})
 	if err != nil {
 		return nil, err
 	}

@@ -56,16 +56,6 @@ func NewDriver(eng *sim.Engine, dom *xen.Domain, bus *xenbus.Bus,
 func (d *Driver) SetShards(shards []*sim.Engine) {
 	d.shards = shards
 	d.MoveInvoker()
-	d.declareLinks(shards)
-}
-
-// declareLinks declares the queue<->bridge edges: every dispatch between a
-// queue (or lane) shard and the bridge shard models at least shardHandoff
-// of latency, so that is the conservative edge bound.
-func (d *Driver) declareLinks(shards []*sim.Engine) {
-	for _, sh := range shards {
-		sim.DeclareLink(d.eng, sh, shardHandoff)
-	}
 }
 
 // laneQuantum is the per-tenant byte allotment per DRR round.
@@ -83,7 +73,6 @@ const laneQuantum = 16 << 10
 // bridge in one carrier post at the end of the round. Must be called before
 // any frontend connects.
 func (d *Driver) SetFleet(shards []*sim.Engine) {
-	d.declareLinks(shards)
 	lanes := make([]*pvback.Lane, len(shards))
 	d.laneDS = make([]*drainState, len(shards))
 	for i, sh := range shards {

@@ -208,7 +208,6 @@ func (h *hooks) Queue(i int, port xen.Port) (func(), *sim.CPU) {
 	q := h.queues[i]
 	if len(h.shards) > 0 {
 		q.eng = h.shards[i]
-		sim.DeclareLink(h.eng, q.eng, shardHandoff)
 		q.cpu = h.Dom.CPUs.CPU(i)
 		q.cpu.SetEngine(q.eng)
 		q.replay = sim.NewBatch(q.eng, q.replayPending)
@@ -433,6 +432,9 @@ func (d *Device) handOff(eng *sim.Engine, land func(any), head *framepool.Buf) {
 
 // land runs on the queue's shard when a hand-off post matures: the chain
 // queues behind the pending frames, and replay admits what has matured.
+// Same-instant FIFO contract: hand-offs made at one instant land at one
+// instant, and their frames reach the ring in hand-off order only because
+// the engine runs same-instant events in the order they were posted.
 func (q *queue) land(a any) {
 	q.pending.Splice(a.(*framepool.Buf))
 	if q.gone {

@@ -184,7 +184,8 @@ func (r *rig) noLeak() {
 
 // TestHandOffFormsAdmitAlike: the stack may hand a burst over as N Sends,
 // as one SendBatch of N, or as N SendBatches of one; whichever it picks,
-// the same frames enter the ring in the same order at the same times.
+// the same frames enter the ring in the same order at the same times. The
+// N Sends rely on the same-instant FIFO contract stated at queue.land.
 func TestHandOffFormsAdmitAlike(t *testing.T) {
 	const n = 24
 	run := func(hand func(r *rig, now sim.Time)) []admit {
@@ -258,7 +259,8 @@ func TestStampedBurstNeverEarly(t *testing.T) {
 
 // TestSingleFrameKeepsFIFOBehindPending: a one-frame hand-off that lands
 // while an earlier burst's tail is still waiting for its stamp queues behind
-// it instead of overtaking.
+// it instead of overtaking. Frames 2 and 3 land at one instant and rely on
+// the same-instant FIFO contract stated at queue.land.
 func TestSingleFrameKeepsFIFOBehindPending(t *testing.T) {
 	r := newRig(t)
 	now := r.eng.Now()

@@ -94,7 +94,8 @@ type attached[I any] struct {
 // watches the domain's backend/<type> subtree and a dedicated thread pairs
 // every waiting frontend with a fresh instance (§4.1 backend invocation).
 // This is the single-process replacement for Linux's `xl devd` + hotplug
-// scripts.
+// scripts. Its attach-order list of pairings is the driver domain's one
+// record of which frontends are attached and on which lane.
 type Driver[I any] struct {
 	dom   *xen.Domain
 	bus   *xenbus.Bus
@@ -106,7 +107,6 @@ type Driver[I any] struct {
 
 	lanes    []*Lane // fleet mode: shared DRR workers
 	laneNext int     // round-robin lane assignment cursor
-	tenants  *xenbus.TenantRegistry
 	thread   *sim.Task
 
 	byPath map[string]*attached[I] // by backend path
@@ -153,10 +153,6 @@ func (d *Driver[I]) SetFleet(lanes []*Lane) {
 	d.MoveInvoker()
 	d.lanes = lanes
 }
-
-// SetTenants installs the control-plane ledger the driver reports
-// attach/detach events to.
-func (d *Driver[I]) SetTenants(r *xenbus.TenantRegistry) { d.tenants = r }
 
 // Lanes returns the fleet service lanes (nil in dedicated-worker mode).
 func (d *Driver[I]) Lanes() []*Lane { return d.lanes }
@@ -256,7 +252,6 @@ func (d *Driver[I]) tryPair(backPath string, frontDom xen.DomID, devid int) {
 		BackPath: backPath, FrontPath: frontPath, FrontDom: frontDom, DevID: devid,
 		Channel: ch, Ports: ports,
 	}}
-	laneID := -1
 	if d.lanes != nil && nq == 1 {
 		// The toolstack may pin the tenant to a lane (it pinned the
 		// frontend's shard to match); otherwise assign round-robin.
@@ -266,7 +261,6 @@ func (d *Driver[I]) tryPair(backPath string, frontDom xen.DomID, devid int) {
 			a.Lane = d.lanes[d.laneNext%len(d.lanes)]
 			d.laneNext++
 		}
-		laneID = a.Lane.ID()
 	}
 	var err error
 	if a.inst, err = d.class.Connect(a.Pairing); err != nil {
@@ -275,12 +269,12 @@ func (d *Driver[I]) tryPair(backPath string, frontDom xen.DomID, devid int) {
 	}
 	d.byPath[backPath] = a
 	d.order = append(d.order, a)
-	if d.tenants != nil {
-		d.tenants.Attach(d.class.Type(), xenbus.DomID(frontDom), laneID)
-	}
 	_ = d.bus.SwitchState(backPath, xenbus.StateConnected)
 
-	// Tear the instance down when the frontend goes away.
+	// Tear the instance down when the frontend goes away. Same-instant FIFO
+	// contract: frontends that close at one instant are torn down in the
+	// order they wrote their state only because the engine runs
+	// same-instant events (these watch fires) in scheduling order.
 	a.teardown = d.bus.OnStateChange(frontPath, func(s xenbus.State) {
 		if s == xenbus.StateClosing || s == xenbus.StateClosed || s == xenbus.StateUnknown {
 			d.remove(backPath)
@@ -302,9 +296,6 @@ func (d *Driver[I]) remove(backPath string) {
 	i := slices.Index(d.order, a)
 	d.order = slices.Delete(d.order, i, i+1)
 	d.class.Detach(a.inst)
-	if d.tenants != nil {
-		d.tenants.Detach(d.class.Type(), xenbus.DomID(a.FrontDom))
-	}
 	st := d.bus.Store()
 	st.Unwatch(a.teardown)
 	if w := d.watched[a.FrontPath]; w != nil {

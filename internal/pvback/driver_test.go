@@ -181,7 +181,9 @@ func TestConnectErrorClosesDevice(t *testing.T) {
 
 // TestRemovalReleasesEverything: when frontends leave, the driver gives back
 // both watches it held on each, the retry entry and the ring publication;
-// Shutdown then tears the rest down in attach order.
+// Shutdown then tears the rest down in attach order. The two same-instant
+// departures rely on the same-instant FIFO contract stated at the teardown
+// watch in Driver.tryPair.
 func TestRemovalReleasesEverything(t *testing.T) {
 	r := newDriverRig()
 	st := r.bus.Store()

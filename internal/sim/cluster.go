@@ -23,10 +23,10 @@ package sim
 //     with a budget of one. An event pushed onto any other shard while one
 //     runs — posted or scheduled directly — lowers that bound. A shard
 //     alone with pending events runs to the end of the run (DESIGN.md §12.4).
-//   - Declared edges (DeclareEdge, DeclareLink) are a check, not an
-//     optimisation: once a cluster declares any, Post panics on an
-//     undeclared pair and on a delay under the pair's declared minimum.
-//     The scheduler does not read them (DESIGN.md §12.6).
+//   - Declared edges (DeclareEdge) are a check, not an optimisation:
+//     once a cluster declares any, Post panics on an undeclared pair and
+//     on a delay under the pair's declared minimum. The scheduler does not
+//     read them, and only benchmark/ declares any (DESIGN.md §12.6).
 //
 // A whole Cluster runs on the one goroutine that drives it, like a
 // standalone Engine (which is a one-shard Cluster): spreading shards over
@@ -136,7 +136,9 @@ func (c *Cluster) Posted() uint64 { return c.posted }
 // one panics — and a post on a declared pair panics if its delay undercuts
 // the pair's minimum, so a topology that wires a hand-off it did not
 // declare, or models a latency shorter than it said, fails loudly instead
-// of running. Declaring the same pair again keeps the minimum.
+// of running. Declaring the same pair again keeps the minimum. No rig
+// declares an edge; it remains because benchmark/ — frozen — still does
+// (ROADMAP item 1).
 func (c *Cluster) DeclareEdge(src, dst int, min Time) {
 	n := len(c.shards)
 	if src < 0 || src >= n || dst < 0 || dst >= n || src == dst {
@@ -154,19 +156,6 @@ func (c *Cluster) DeclareEdge(src, dst int, min Time) {
 	if min < c.edge[src*n+dst] {
 		c.edge[src*n+dst] = min
 	}
-}
-
-// DeclareLink declares a bidirectional edge between the shards of a and b
-// with the given minimum hand-off latency. It is a no-op when the engines
-// share a shard or a cluster does not hold both (two standalone engines),
-// so pinning code can declare its latencies unconditionally.
-func DeclareLink(a, b *Engine, min Time) {
-	c := a.cluster
-	if b.cluster != c || a.shard == b.shard {
-		return
-	}
-	c.DeclareEdge(a.shard, b.shard, min)
-	c.DeclareEdge(b.shard, a.shard, min)
 }
 
 // SetWorkers does nothing: a cluster runs on the goroutine that drives it.

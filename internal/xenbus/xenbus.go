@@ -94,6 +94,13 @@ func BackendRoot(backDom DomID, typ string) string {
 	return fmt.Sprintf("/local/domain/%d/backend/%s", backDom, typ)
 }
 
+// TenantPath returns the per-tenant subtree under a driver domain
+// (/local/domain/<backDom>/tenant/<frontDom>). Nothing in the product
+// writes it: the driver's pairings are the record of who is attached.
+func TenantPath(backDom, frontDom DomID) string {
+	return fmt.Sprintf("/local/domain/%d/%s/%d", backDom, xenstore.KeyTenantRoot, frontDom)
+}
+
 // Bus wraps a store with device-protocol helpers.
 type Bus struct {
 	store *xenstore.Store
@@ -143,6 +150,9 @@ func (b *Bus) AddDevice(spec DeviceSpec) (frontPath, backPath string) {
 
 // writeExtras writes a device directory's extra keys in sorted key order:
 // each write fires watches, so map order would leak into event order.
+// Same-instant FIFO contract: the writes' fires land at one instant and run
+// in key order only because the engine runs same-instant events in the
+// order they were scheduled.
 func (b *Bus) writeExtras(devPath string, extra map[string]string) {
 	keys := make([]string, 0, len(extra))
 	for k := range extra { //kite:orderok keys are sorted before use

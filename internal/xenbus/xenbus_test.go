@@ -193,7 +193,8 @@ func TestStateStrings(t *testing.T) {
 
 // TestAddDeviceWritesExtrasInKeyOrder pins the order of the toolstack's
 // store writes: each one fires watches, so the order is part of the event
-// timeline and may not follow map iteration.
+// timeline and may not follow map iteration. It relies on the same-instant
+// FIFO contract stated at Bus.writeExtras.
 func TestAddDeviceWritesExtrasInKeyOrder(t *testing.T) {
 	extras := map[string]string{"tenant-lane": "3", "bridge": "xenbr0", "script": "vif-bridge", "handle": "0", "type": "vif"}
 	for round := 0; round < 20; round++ {

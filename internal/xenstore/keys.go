@@ -54,23 +54,15 @@ const (
 	KeyFeatureMaxIndirect = "feature-max-indirect-segments" // indirect descriptor cap
 )
 
-// Tenant-registry keys. A driver domain serving a fleet publishes one
-// subtree per guest under /local/domain/<dd>/tenant/<domid>/ so the
-// toolstack (and the kitebench summaries) can enumerate who is attached
-// to which backend without walking every device directory: vif/vbd
-// counts, the fleet service lane serving the tenant, and a liveness
-// marker maintained across attach/detach.
+// Tenant keys. KeyTenantLane is the toolstack's lane hint in a fleet
+// tenant's backend directory: the driver serves the device on that lane
+// (mod the lane count). KeyTenantRoot and KeyTenantVifs name a per-tenant
+// path (xenbus.TenantPath) only the xenstore transaction benchmark writes.
 const (
-	KeyTenantRoot  = "tenant" // subtree root under the driver domain
-	KeyTenantVifs  = "vifs"   // live vif count for this tenant
-	KeyTenantVbds  = "vbds"   // live vbd count for this tenant
-	KeyTenantLane  = "lane"   // fleet service lane index (-1 unassigned)
-	KeyTenantState = "state"  // "attached" while any device is live
+	KeyTenantRoot = "tenant" // subtree root under the driver domain
+	KeyTenantVifs = "vifs"   // live vif count for this tenant
+	KeyTenantLane = "lane"   // fleet service lane index
 )
-
-// TenantStateAttached is the KeyTenantState value while a tenant holds at
-// least one live device on the driver domain.
-const TenantStateAttached = "attached"
 
 // Multi-queue negotiation keys, mirroring xen/io/netif.h: the backend
 // advertises KeyMultiQueueMaxQueues, the frontend answers with

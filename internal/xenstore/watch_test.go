@@ -300,6 +300,9 @@ var watchScenarios = map[string][]byte{
 	"missing-remove":    prog(opWatch, pth(""), opRemove, pth("ab"), opStep, 0, opRemove, pth("")),
 }
 
+// TestWatchDispatchScenarios runs the named programs through the harness.
+// Like the two tests below it relies on the same-instant FIFO contract at
+// Store.fireWatches: one write's fires run in registration order.
 func TestWatchDispatchScenarios(t *testing.T) {
 	for name, prog := range watchScenarios {
 		prog := prog
@@ -314,7 +317,7 @@ func TestWatchDispatchScenarios(t *testing.T) {
 }
 
 // TestWatchDispatchChurnAgainstModel runs long seeded random programs
-// through the harness.
+// through the harness (same-instant FIFO contract: Store.fireWatches).
 func TestWatchDispatchChurnAgainstModel(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		x := seed * 0x9e3779b97f4a7c15
@@ -337,7 +340,8 @@ func TestWatchDispatchChurnAgainstModel(t *testing.T) {
 }
 
 // FuzzWatchDispatch feeds arbitrary programs to the same harness. The
-// checked-in corpus lives in testdata/fuzz/FuzzWatchDispatch.
+// checked-in corpus lives in testdata/fuzz/FuzzWatchDispatch. Same-instant
+// FIFO contract: Store.fireWatches.
 func FuzzWatchDispatch(f *testing.F) {
 	for _, prog := range watchScenarios {
 		f.Add(prog)

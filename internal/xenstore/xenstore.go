@@ -294,6 +294,10 @@ func (s *Store) Unwatch(w *Watch) {
 // path (a removed or rewritten directory takes its watchers with it) is
 // collected whole. Registration order is what a flat list would give, and it
 // fixes the order of the eng.After calls — hence every fire's tie-break seq.
+//
+// Same-instant FIFO contract: the fires of one write all land OpLatency
+// later, at one instant, and run in registration order only because the
+// engine runs same-instant events in the order they were scheduled.
 func (s *Store) fireWatches(changed string) {
 	hits := s.hits[:0]
 	at := &s.watchRoot
