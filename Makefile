@@ -15,11 +15,11 @@ vet:
 
 # lint runs the kitelint analyzer suite (hotpath, poolref, simdet) over
 # the whole module; any finding fails the build. See
-# DESIGN.md §11 for what each analyzer catches that no test does.
+# DESIGN.md §14 for what each analyzer catches that no test does.
 lint:
 	$(GO) run ./cmd/kitelint .
 
-# audit is the slow half of kitelint's mutation audit (DESIGN.md §11): each
+# audit is the slow half of kitelint's mutation audit (DESIGN.md §14): each
 # row of internal/lint/mutations_test.go is seeded alone in a scratch copy
 # of the module and the whole test suite runs on it, under -race too where
 # the row asks. Tens of minutes; run it by hand when an analyzer, a rule or

@@ -81,3 +81,85 @@ func TestDesignCitationsResolve(t *testing.T) {
 		t.Fatal("found no citations at all; the pattern no longer matches how the tree cites DESIGN.md")
 	}
 }
+
+// TestDocsWithinCaps holds DESIGN.md and EXPERIMENTS.md to their caps. The
+// design record describes the tree, not its history: a run log goes to
+// CHANGES.md, and a section grows only by what the tree grew.
+func TestDocsWithinCaps(t *testing.T) {
+	for name, max := range map[string]int{"DESIGN.md": 1000, "EXPERIMENTS.md": 500} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(data), "\n"); n > max {
+			t.Errorf("%s is %d lines, over its cap of %d", name, n, max)
+		}
+	}
+}
+
+// TestDesignInventoryNamesEveryPackage requires DESIGN §3 to name, in
+// backticks, every package directory under internal/.
+func TestDesignInventoryNamesEveryPackage(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(design)
+	start := strings.Index(text, "\n## 3. ")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no §3")
+	}
+	inventory := text[start+1:]
+	if end := strings.Index(inventory, "\n## "); end >= 0 {
+		inventory = inventory[:end]
+	}
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasSuffix(path, ".go") && !strings.Contains(inventory, "`"+dir+"`") {
+			t.Errorf("DESIGN §3 does not name package %s", dir)
+			return filepath.SkipDir // one report per package
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// docPath matches a backticked path into the tree: `internal/sim`,
+// `benchmark/micro.go:577`, `internal/lint/...`.
+var docPath = regexp.MustCompile("`(?:\\./)?((?:internal|cmd|examples|benchmark)/[^`\\s]*)`")
+
+// TestDocPathsExist requires every backticked internal/, cmd/, examples/
+// or benchmark/ path in DESIGN.md, EXPERIMENTS.md and README.md to exist.
+// A line number, a trailing "/..." and a placeholder such as
+// "testdata/<ID>.txt" are cut off before the check.
+func TestDocPathsExist(t *testing.T) {
+	for _, name := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docPath.FindAllStringSubmatch(string(data), -1) {
+			p := strings.TrimSuffix(m[1], "/...")
+			if i := strings.IndexAny(p, "<*{"); i >= 0 {
+				p = p[:strings.LastIndex(p[:i], "/")+1]
+			}
+			if i := strings.IndexByte(p, ':'); i >= 0 {
+				p = p[:i]
+			}
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("%s names %s, which does not exist", name, m[1])
+			}
+		}
+	}
+}

@@ -19,7 +19,7 @@
 // merged requests are never flattened into an intermediate buffer. All
 // per-request and per-op records are pooled on per-queue free lists
 // with their completion closures created once, so the steady-state data
-// path performs no heap allocation (DESIGN.md §8).
+// path performs no heap allocation (DESIGN.md §9).
 package blkback
 
 import (

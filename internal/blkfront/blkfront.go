@@ -15,7 +15,7 @@
 // page pool, keeping grant refs queue-affine for the backend's caches.
 //
 // Read completions borrow a refcounted buffer from a blkpool, valid only
-// for the duration of a ReadSectors callback (DESIGN.md §8); ReadSectorsInto
+// for the duration of a ReadSectors callback (DESIGN.md §9.3); ReadSectorsInto
 // takes the caller's own destination. Every whole page of a read's
 // destination is lent to the granted page that carries it
 // (xen.Domain.LendGrant) from submission to completion, so the backend's

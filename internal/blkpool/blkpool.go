@@ -1,4 +1,4 @@
-// Package blkpool provides a deterministic free-list pool of refcounted,
+// Package blkpool provides a deterministic free-list pool of single-owner,
 // sector-aligned I/O buffers — the storage-path sibling of
 // internal/framepool. Network frames have one natural size (a page), but
 // block I/O ranges from a single 512-byte sector to megabyte sequential
@@ -6,7 +6,7 @@
 // instead of a single list.
 //
 // A Buf is obtained with Get, handed between pipeline stages under the
-// ownership rules documented in DESIGN.md §8 (one reference transfers at
+// ownership rules documented in DESIGN.md §9.3 (ownership transfers at
 // every hand-off, including failure paths), and returned with Release. The
 // pool keeps strict leak accounting: Outstanding() must be zero at rig
 // teardown, and the storage e2e tests assert exactly that.
@@ -46,8 +46,8 @@ type Buf struct {
 	pool  *Pool // the free lists the buffer returns to, for life
 	data  []byte
 	n     int
-	class int // -1: oversized one-off, returned to the GC on release
-	refs  int
+	class int  // -1: oversized one-off, returned to the GC on release
+	live  bool // held by its one owner, between Get and Release
 }
 
 // Bytes returns the live payload window.
@@ -59,28 +59,16 @@ func (b *Buf) Len() int { return b.n }
 // Cap returns the buffer's class capacity.
 func (b *Buf) Cap() int { return len(b.data) }
 
-// Retain adds a reference and returns b for chaining. Each extra reference
-// requires its own Release.
-//
-//kite:hotpath
-func (b *Buf) Retain() *Buf {
-	b.refs++
-	return b
-}
-
-// Release drops one reference; at zero the buffer returns to its pool's
-// free list (or to the GC for oversized one-offs). Releasing below zero
-// panics — it means an ownership rule was violated.
+// Release gives the buffer back: it returns to its pool's free list (or to
+// the GC for oversized one-offs). Releasing it twice panics — it means an
+// ownership rule was violated.
 //
 //kite:hotpath
 func (b *Buf) Release() {
-	b.refs--
-	if b.refs > 0 {
-		return
-	}
-	if b.refs < 0 {
+	if !b.live {
 		panic("blkpool: double release")
 	}
+	b.live = false
 	p := b.pool
 	p.outstanding--
 	p.recycled++
@@ -150,12 +138,12 @@ func (p *Pool) Get(n int) *Buf {
 			b := l[len(l)-1]
 			p.free[class] = l[:len(l)-1]
 			b.n = n
-			b.refs = 1
+			b.live = true
 			return b
 		}
 	}
 	p.fresh++
-	b := &Buf{pool: p, n: n, class: class, refs: 1} //kite:alloc-ok pool growth on free-list miss; steady state recycles
+	b := &Buf{pool: p, n: n, class: class, live: true} //kite:alloc-ok pool growth on free-list miss; steady state recycles
 	if class >= 0 {
 		b.data = make([]byte, 1<<(minClassShift+class)) //kite:alloc-ok pool growth on free-list miss
 	} else {

@@ -399,9 +399,6 @@ type GuestConfig struct {
 	// per driver-domain vCPU). 0 means single-queue.
 	NetQueues int
 	BlkQueues int
-	// VCPUs overrides the profile's vCPU count (sharded rigs give the guest
-	// one vCPU per queue plus one for the stack).
-	VCPUs int
 	// Fleet marks the guest as one tenant of a fleet-mode network domain
 	// (NetworkDomainConfig.Fleet): its single-queue vif is pinned to the
 	// cluster shard of service lane FleetLane, and the lane hint is
@@ -472,9 +469,7 @@ func (s *System) CreateGuest(cfg GuestConfig) (*Guest, error) {
 		profile = guestos.UbuntuGuest()
 	}
 	vcpus := profile.VCPUs
-	if cfg.VCPUs > 0 {
-		vcpus = cfg.VCPUs
-	} else if s.Cluster != nil && cfg.NetQueues > 1 {
+	if s.Cluster != nil && cfg.NetQueues > 1 {
 		// Sharded: vCPUs 0..Q-1 are pinned one-per-queue; the stack keeps
 		// the profile's own width on the rest.
 		vcpus = profile.VCPUs + cfg.NetQueues

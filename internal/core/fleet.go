@@ -69,7 +69,7 @@ func (r *FleetRig) GuestIPOf(i int) netpkt.IP { return fleetGuestIP(i) }
 // (mem.ReserveHuge, fleetTenantBytes a tenant): a wave touches every
 // tenant's own pages and structs, a thousand tenants' worth of them miss
 // a 4 KiB TLB on nearly every touch, and one 2 MiB entry covers about
-// twenty tenants (DESIGN §14.6).
+// twenty tenants (DESIGN §12.7).
 func NewFleetRig(cfg FleetConfig) (*FleetRig, error) {
 	if cfg.Lanes == 0 {
 		cfg.Lanes = 4

@@ -13,7 +13,7 @@ import (
 // These tests drive netback's guest-bound drop branches — the places a
 // frame handed to the VIF ends without reaching a guest buffer — and hold
 // each to the pool's leak counter. A frame received as a parameter is
-// outside what kitelint's poolref tracks (DESIGN §11), and none of these
+// outside what kitelint's poolref tracks (DESIGN §14), and none of these
 // branches is on the path of a healthy workload, so nothing else sees a
 // Release dropped from one of them.
 

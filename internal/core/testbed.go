@@ -76,11 +76,9 @@ type NetworkRigConfig struct {
 	Kind DriverKind
 	Seed uint64
 	// Queues requests a multi-queue vif. The backend advertises one queue
-	// per driver-domain vCPU, so Queues > 1 implies VCPUs >= Queues for
-	// full fan-out (VCPUs defaults to Queues when unset).
+	// per driver-domain vCPU, so a multi-queue rig gives the driver domain
+	// 2 × Queues vCPUs.
 	Queues int
-	// VCPUs overrides the driver domain's vCPU count.
-	VCPUs int
 }
 
 // NewNetworkRigCfg builds the rig from the full config. Multi-queue rigs
@@ -97,8 +95,8 @@ func NewNetworkRigCfg(cfg NetworkRigConfig) (*NetworkRig, error) {
 
 // buildNetworkRig builds the rig on tb: sharded for a multi-queue cfg.
 func buildNetworkRig(tb *Testbed, cfg NetworkRigConfig) (*NetworkRig, error) {
-	vcpus := cfg.VCPUs
-	if vcpus == 0 && cfg.Queues > 1 {
+	vcpus := 0
+	if cfg.Queues > 1 {
 		// One pinned vCPU per queue worker plus the same width again
 		// for the bridge/misc path, so the bridge capacity scales with
 		// the queue count exactly like the legacy Pick-anywhere rig.
@@ -140,11 +138,9 @@ type StorageRigConfig struct {
 	CacheBytes int64 // guest page cache (default 64 MiB)
 	Tuning     *TuningKnobs
 	// Queues requests a multi-queue vbd (blk-mq style). The backend
-	// advertises one hardware queue per driver-domain vCPU, so VCPUs
-	// defaults to Queues when Queues > 1.
+	// advertises one hardware queue per driver-domain vCPU, so a
+	// multi-queue rig gives the storage domain Queues vCPUs.
 	Queues int
-	// VCPUs overrides the storage domain's vCPU count.
-	VCPUs int
 }
 
 // TuningKnobs exposes blkback's design-choice toggles for ablations.
@@ -159,8 +155,8 @@ func NewStorageRig(cfg StorageRigConfig) (*StorageRig, error) {
 
 // buildStorageRig builds the rig on tb.
 func buildStorageRig(tb *Testbed, cfg StorageRigConfig) (*StorageRig, error) {
-	vcpus := cfg.VCPUs
-	if vcpus == 0 && cfg.Queues > 1 {
+	vcpus := 0
+	if cfg.Queues > 1 {
 		vcpus = cfg.Queues
 	}
 	sd, err := tb.System.CreateStorageDomain(StorageDomainConfig{

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"kite/internal/metrics"
 	"kite/internal/netpkt"
 	"kite/internal/netstack"
 	"kite/internal/sim"
@@ -53,7 +52,7 @@ type tieProbe struct {
 	name  string
 	sent  []sim.Time // send time by sequence number
 	seen  []bool
-	lat   metrics.Series
+	lat   []float64
 	bytes uint64
 	sum   uint64
 	bad   uint64
@@ -93,7 +92,7 @@ func (p *tieProbe) recv(at *netstack.Stack) func(netstack.UDPPacket) {
 			return
 		}
 		p.seen[seq] = true
-		p.lat.Add(float64(now - p.sent[seq]))
+		p.lat = append(p.lat, float64(now-p.sent[seq]))
 		p.bytes += uint64(len(pk.Data))
 		p.sum += hashBlk(pk.Data, uint64(pk.Src[3])<<16|uint64(pk.SrcPort))
 		p.last = now
@@ -117,11 +116,21 @@ func (p *tieProbe) report(f *tieFigures) {
 	f.exact[p.name+" bytes"] = p.bytes
 	f.exact[p.name+" checksum"] = p.sum
 	f.zero[p.name+" lost or bad"] = lost + p.bad
-	f.sim[p.name+" p50 ns"] = p.lat.Percentile(50)
-	f.sim[p.name+" p99 ns"] = p.lat.Percentile(99)
+	f.sim[p.name+" p50 ns"] = percentile(p.lat, 50)
+	f.sim[p.name+" p99 ns"] = percentile(p.lat, 99)
 	if p.busy > 0 {
 		f.sim[p.name+" MB/s"] = float64(p.bytes) / p.busy.Seconds() / 1e6
 	}
+}
+
+// percentile is the nearest-rank p-th percentile (0 < p < 100) of samples,
+// which it sorts in place; 0 for none.
+func percentile(samples []float64, p float64) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	slices.Sort(samples)
+	return samples[int(math.Ceil(p/100*float64(len(samples))))-1]
 }
 
 // TestTieOrderInvariance holds the model to one rule: no figure may
@@ -374,13 +383,13 @@ func tieBlkRig(t *testing.T, reversed bool) *tieFigures {
 	}
 	eng.Run()
 
-	var wLat, rLat metrics.Series
+	var wLat, rLat []float64
 	var readSum, readBytes uint64
 	var busy sim.Time
 	rng := sim.NewRand(seed)
 	for w := 0; w < tieWarm+tieRounds; w++ {
 		if w == tieWarm {
-			wLat, rLat = metrics.Series{}, metrics.Series{}
+			wLat, rLat = nil, nil
 			readSum, readBytes, busy = 0, 0, 0
 		}
 		start, last := eng.Now(), eng.Now()
@@ -396,7 +405,7 @@ func tieBlkRig(t *testing.T, reversed bool) *tieFigures {
 				if err != nil {
 					failed++
 				}
-				wLat.Add(float64(eng.Now() - at))
+				wLat = append(wLat, float64(eng.Now()-at))
 				last = max(last, eng.Now())
 			})
 		}
@@ -407,7 +416,7 @@ func tieBlkRig(t *testing.T, reversed bool) *tieFigures {
 				if err != nil || !slices.Equal(data, patternSeed(chunk, byte(c))) {
 					failed++
 				}
-				rLat.Add(float64(eng.Now() - at))
+				rLat = append(rLat, float64(eng.Now()-at))
 				readSum += hashBlk(data, uint64(c))
 				readBytes += uint64(len(data))
 				last = max(last, eng.Now())
@@ -431,10 +440,10 @@ func tieBlkRig(t *testing.T, reversed bool) *tieFigures {
 	f.exact["blk read bytes"] = readBytes
 	f.exact["blk read checksum"] = readSum
 	f.exact["blk written window checksum"] = image
-	f.sim["blk write p50 ns"] = wLat.Percentile(50)
-	f.sim["blk write p99 ns"] = wLat.Percentile(99)
-	f.sim["blk read p50 ns"] = rLat.Percentile(50)
-	f.sim["blk read p99 ns"] = rLat.Percentile(99)
+	f.sim["blk write p50 ns"] = percentile(wLat, 50)
+	f.sim["blk write p99 ns"] = percentile(wLat, 99)
+	f.sim["blk read p50 ns"] = percentile(rLat, 50)
+	f.sim["blk read p99 ns"] = percentile(rLat, 99)
 	f.sim["blk MB/s"] = float64(tieRounds*(64*block+4*chunk)) / busy.Seconds() / 1e6
 	f.leaks(rig.System, []*Guest{rig.Guest})
 	return f

@@ -4,7 +4,7 @@
 // Every simulation owns exactly one Pool, created alongside its core.System.
 // A Buf is obtained with GetLen, from the smallest class that holds the
 // payload the caller is about to write, handed between pipeline stages under
-// the ownership rules documented in DESIGN.md §7 (one reference transfers at
+// the ownership rules documented in DESIGN.md §8.1 (one reference transfers at
 // every hand-off, including failure paths), and returned with Release. The
 // pool keeps strict leak accounting: Outstanding() must be zero at
 // simulation teardown, and tests assert exactly that.

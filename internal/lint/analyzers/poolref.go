@@ -44,7 +44,6 @@ var Poolref = &analysis.Analyzer{
 var poolGetFuncs = map[string]bool{
 	"(*kite/internal/framepool.Pool).Get":    true,
 	"(*kite/internal/framepool.Pool).GetLen": true,
-	"(*kite/internal/framepool.Pool).From":   true,
 	"(*kite/internal/blkpool.Pool).Get":      true,
 }
 

@@ -18,7 +18,7 @@ import (
 // each of them; a row that names none must pass the whole suite, and under
 // -race as well when it asks. A row no test fails on is the reason its
 // analyzer exists; when such a row starts failing a test, that test has
-// taken over the catch and DESIGN §11's table wants updating.
+// taken over the catch and DESIGN §14.3's table wants updating.
 func TestAuditMutations(t *testing.T) {
 	root, tmp := moduleRoot(t), t.TempDir()
 	copyModule(t, root, tmp, true)

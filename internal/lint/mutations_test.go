@@ -11,7 +11,7 @@ import (
 	"kite/internal/lint"
 )
 
-// This file is the audit kitelint answers to (DESIGN §11). Each row seeds
+// This file is the audit kitelint answers to (DESIGN §14). Each row seeds
 // one fault in the real tree by textual replacement and says which analyzer
 // must fire on it and which tests fail on it. TestMutationsCaught checks
 // the first half on every `go test`; audit_test.go (build tag `audit`,
@@ -90,7 +90,7 @@ var mutations = []mutation{
 
 	// simdet, one row per clause. D1-D4 sit in code no determinism test runs
 	// twice (the suite diffs FIG4/6/7/11 and the fleet; these are FIG8/10/14).
-	// The map-range clause has no such row on this tree: DESIGN §11.4.
+	// The map-range clause has no such row on this tree: DESIGN §14.3.
 	{id: "D1-wall-clock", edit: edit{"internal/workload/sysbench.go",
 		"\trng := sim.NewRand(uint64(threads)*7919 + 17)\n",
 		"\trng := sim.NewRand(uint64(time.Now().UnixNano()))\n"},

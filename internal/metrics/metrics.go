@@ -1,13 +1,12 @@
 // Package metrics collects measurement series for experiments and renders
 // the fixed-width tables the benchmark harness prints. It implements the
-// statistics the paper reports: means, relative standard deviation
-// (Table 4), and latency percentiles.
+// statistics the paper reports: means and relative standard deviation
+// (Table 4).
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -15,17 +14,12 @@ import (
 // is empty and ready to use.
 type Series struct {
 	samples []float64
-	sorted  bool
 }
 
 // Add appends one sample.
 func (s *Series) Add(v float64) {
 	s.samples = append(s.samples, v)
-	s.sorted = false
 }
-
-// N returns the number of samples.
-func (s *Series) N() int { return len(s.samples) }
 
 // Sum returns the sum of all samples.
 func (s *Series) Sum() float64 {
@@ -42,34 +36,6 @@ func (s *Series) Mean() float64 {
 		return 0
 	}
 	return s.Sum() / float64(len(s.samples))
-}
-
-// Min returns the smallest sample, or 0 for an empty series.
-func (s *Series) Min() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	m := s.samples[0]
-	for _, v := range s.samples[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest sample, or 0 for an empty series.
-func (s *Series) Max() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	m := s.samples[0]
-	for _, v := range s.samples[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // StdDev returns the population standard deviation.
@@ -97,33 +63,6 @@ func (s *Series) RSD() float64 {
 	return 100 * s.StdDev() / math.Abs(mean)
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank on the sorted samples.
-func (s *Series) Percentile(p float64) float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	if !s.sorted {
-		sort.Float64s(s.samples)
-		s.sorted = true
-	}
-	if p <= 0 {
-		return s.samples[0]
-	}
-	if p >= 100 {
-		return s.samples[n-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	return s.samples[rank-1]
-}
-
-// Median returns the 50th percentile.
-func (s *Series) Median() float64 { return s.Percentile(50) }
-
 // Table renders experiment rows as a fixed-width text table, matching the
 // output style of cmd/kitebench.
 type Table struct {
@@ -147,20 +86,6 @@ func (t *Table) AddRow(cells ...string) {
 		}
 	}
 	t.rows = append(t.rows, row)
-}
-
-// AddRowf formats each cell with fmt.Sprint and appends the row.
-func (t *Table) AddRowf(cells ...any) {
-	str := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			str[i] = FormatFloat(v)
-		default:
-			str[i] = fmt.Sprint(c)
-		}
-	}
-	t.AddRow(str...)
 }
 
 // NumRows returns the number of data rows.

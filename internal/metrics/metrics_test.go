@@ -14,17 +14,14 @@ func TestSeriesBasics(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4} {
 		s.Add(v)
 	}
-	if s.N() != 4 || !almost(s.Sum(), 10) || !almost(s.Mean(), 2.5) {
-		t.Fatalf("n=%d sum=%v mean=%v", s.N(), s.Sum(), s.Mean())
-	}
-	if !almost(s.Min(), 1) || !almost(s.Max(), 4) {
-		t.Fatalf("min=%v max=%v", s.Min(), s.Max())
+	if !almost(s.Sum(), 10) || !almost(s.Mean(), 2.5) {
+		t.Fatalf("sum=%v mean=%v", s.Sum(), s.Mean())
 	}
 }
 
 func TestEmptySeriesSafe(t *testing.T) {
 	s := &Series{}
-	if s.Mean() != 0 || s.StdDev() != 0 || s.RSD() != 0 || s.Percentile(50) != 0 {
+	if s.Mean() != 0 || s.StdDev() != 0 || s.RSD() != 0 {
 		t.Fatal("empty series returned non-zero stats")
 	}
 }
@@ -39,40 +36,6 @@ func TestStdDevKnown(t *testing.T) {
 	}
 	if !almost(s.RSD(), 40) {
 		t.Fatalf("rsd = %v%%, want 40%%", s.RSD())
-	}
-}
-
-func TestPercentiles(t *testing.T) {
-	s := &Series{}
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	if got := s.Percentile(50); !almost(got, 50) {
-		t.Fatalf("p50 = %v, want 50", got)
-	}
-	if got := s.Percentile(99); !almost(got, 99) {
-		t.Fatalf("p99 = %v, want 99", got)
-	}
-	if got := s.Percentile(0); !almost(got, 1) {
-		t.Fatalf("p0 = %v, want 1", got)
-	}
-	if got := s.Percentile(100); !almost(got, 100) {
-		t.Fatalf("p100 = %v, want 100", got)
-	}
-}
-
-func TestPercentileUnsortedInput(t *testing.T) {
-	s := &Series{}
-	for _, v := range []float64{9, 1, 5, 3, 7} {
-		s.Add(v)
-	}
-	if got := s.Median(); !almost(got, 5) {
-		t.Fatalf("median = %v, want 5", got)
-	}
-	// Adding after a sorted read must still work.
-	s.Add(0)
-	if got := s.Min(); !almost(got, 0) {
-		t.Fatalf("min after re-add = %v, want 0", got)
 	}
 }
 
@@ -101,14 +64,6 @@ func TestTableRowPadding(t *testing.T) {
 	}
 	if !strings.Contains(out, "only-one") {
 		t.Fatal("short row lost its cell")
-	}
-}
-
-func TestAddRowfFormatsFloats(t *testing.T) {
-	tb := NewTable("", "v")
-	tb.AddRowf(1234.5678)
-	if !strings.Contains(tb.String(), "1235") {
-		t.Fatalf("large float not rounded: %s", tb.String())
 	}
 }
 
@@ -155,6 +110,7 @@ func TestRatioGuards(t *testing.T) {
 func TestSeriesInvariants(t *testing.T) {
 	prop := func(vals []float64) bool {
 		s := &Series{}
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range vals {
 			// Measurements are physical quantities; bound magnitudes so the
 			// sum-of-squares in StdDev cannot overflow.
@@ -162,12 +118,13 @@ func TestSeriesInvariants(t *testing.T) {
 				continue
 			}
 			s.Add(v)
+			lo, hi = min(lo, v), max(hi, v)
 		}
-		if s.N() == 0 {
+		if lo > hi {
 			return true
 		}
 		m := s.Mean()
-		return m >= s.Min()-1e-9 && m <= s.Max()+1e-9 && s.RSD() >= 0
+		return m >= lo-1e-9 && m <= hi+1e-9 && s.RSD() >= 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

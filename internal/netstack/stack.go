@@ -127,10 +127,6 @@ type Stack struct {
 	nextPort  uint16
 	nextPing  uint16
 
-	// TCPWindow is the flow-control window offered and used per
-	// connection. Defaults to 64 KiB.
-	TCPWindow int
-
 	// Frames wait in one line per direction until their CPU charge
 	// completes; a line never reorders the frames of one flow even when
 	// per-frame costs differ.
@@ -185,7 +181,6 @@ func New(eng *sim.Engine, cfg Config) *Stack {
 		listeners: make(map[uint16]func(*Conn)),
 		conns:     make(map[connKey]*Conn),
 		nextPort:  33000,
-		TCPWindow: 64 << 10,
 	}
 	s.txq = sim.NewLine(eng, s.sendTx)
 	s.rxq = sim.NewLine(eng, s.recvRx)

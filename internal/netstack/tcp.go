@@ -18,6 +18,9 @@ const (
 	rtoMax = 60 * sim.Millisecond
 )
 
+// tcpWindow is the flow-control window each connection offers and uses.
+const tcpWindow = 64 << 10
+
 // delayedAckTimeout bounds how long an ACK for a single segment is held.
 const delayedAckTimeout = 2 * sim.Millisecond
 
@@ -155,7 +158,7 @@ func (c *Conn) Close() {
 }
 
 func (c *Conn) window() int {
-	w := c.stack.TCPWindow
+	w := tcpWindow
 	if c.peerWnd < w {
 		w = c.peerWnd
 	}
@@ -226,8 +229,8 @@ func (c *Conn) onAckProgress(acked int) {
 	} else {
 		c.cwnd += MSS * MSS / c.cwnd
 	}
-	if max := c.stack.TCPWindow; c.cwnd > max {
-		c.cwnd = max
+	if c.cwnd > tcpWindow {
+		c.cwnd = tcpWindow
 	}
 }
 
@@ -287,19 +290,11 @@ func (c *Conn) sendSegment(flags uint8, seq uint32, payload []byte) {
 		Seq:     seq,
 		Ack:     c.rcvNxt,
 		Flags:   flags,
-		Window:  c.advertWindow(),
+		Window:  min(tcpWindow, 0xffff),
 	}
 	var hdr [netpkt.TCPHeaderLen]byte
 	h.HeaderInto(hdr[:])
 	c.stack.sendIP(netpkt.ProtoTCP, c.key.remote, hdr[:], payload)
-}
-
-func (c *Conn) advertWindow() uint16 {
-	w := c.stack.TCPWindow
-	if w > 0xffff {
-		w = 0xffff
-	}
-	return uint16(w)
 }
 
 func (c *Conn) armRTO() {

@@ -22,17 +22,17 @@ package sim
 //     as one batch on a heap-only inner loop, and Step is the same loop
 //     with a budget of one. An event pushed onto any other shard while one
 //     runs — posted or scheduled directly — lowers that bound. A shard
-//     alone with pending events runs to the end of the run (DESIGN.md §12.4).
+//     alone with pending events runs to the end of the run (DESIGN.md §6.3).
 //   - Declared edges (DeclareEdge) are a check, not an optimisation:
 //     once a cluster declares any, Post panics on an undeclared pair and
 //     on a delay under the pair's declared minimum. The scheduler does not
-//     read them, and only benchmark/ declares any (DESIGN.md §12.6).
+//     read them, and only benchmark/ declares any (DESIGN.md §6.6).
 //
 // A whole Cluster runs on the one goroutine that drives it, like a
 // standalone Engine (which is a one-shard Cluster): spreading shards over
 // cores measured slower than running them in turn on every host tried,
 // because a stage-partitioned pipeline drags each frame's working set across
-// cores once per hand-off (DESIGN.md §12.7 has the numbers and what would
+// cores once per hand-off (DESIGN.md §15 has the numbers and what would
 // reopen the question). What sharding buys is the model: every shard keeps
 // its own clock and a heap a fraction of the size, and hand-offs carry their
 // physical latency.
