@@ -1,6 +1,7 @@
 package kite
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -161,5 +162,145 @@ func TestDocPathsExist(t *testing.T) {
 				t.Errorf("%s names %s, which does not exist", name, m[1])
 			}
 		}
+	}
+}
+
+// docIdent matches a backticked Go identifier of the tree: `pkg.Name` with
+// Name exported, or `pkg.Type.Member`, optionally followed by type
+// parameters or a call: `sim.Line[T]`, `experiments.Registry()`. Metric
+// names such as `sim.events_per_op` are lower case after the dot and do not
+// match.
+var docIdent = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z]\\w*)(?:\\.([A-Za-z_]\\w*))?(?:\\[[^`\\]]*\\]|\\([^`]*\\))?`")
+
+// treeDecls returns the declarations of the root package (kite) and of
+// every package under internal/, by package name: each top-level name, and
+// "Type.Member" for each method, struct field and interface method.
+func treeDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	decls := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	add := func(path string) {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		names := decls[pkg]
+		if names == nil {
+			names = map[string]bool{}
+			decls[pkg] = names
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				switch r := recv.(type) {
+				case *ast.IndexExpr:
+					recv = r.X
+				case *ast.IndexListExpr:
+					recv = r.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					names[id.Name+"."+d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+						var fields []*ast.Field
+						switch ty := s.Type.(type) {
+						case *ast.StructType:
+							fields = ty.Fields.List
+						case *ast.InterfaceType:
+							fields = ty.Methods.List
+						}
+						for _, fl := range fields {
+							for _, n := range fl.Names {
+								names[s.Name.Name+"."+n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	roots, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range roots {
+		add(p)
+	}
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			add(path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decls
+}
+
+// TestDocIdentsResolve requires every backticked `pkg.Name` or
+// `pkg.Type.Member` in DESIGN.md, EXPERIMENTS.md and README.md whose pkg is
+// the root package (kite) or a package under internal/ to name a
+// declaration in the tree. Standard-library names are not checked. The
+// first column of DESIGN §15's tables is exempt: it names what was deleted.
+func TestDocIdentsResolve(t *testing.T) {
+	decls := treeDecls(t)
+	checked := 0
+	for _, name := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inDeleted := false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "## ") {
+				inDeleted = name == "DESIGN.md" && strings.HasPrefix(line, "## 15. ")
+			}
+			if inDeleted && strings.HasPrefix(line, "|") {
+				if cut := strings.Index(line[1:], "|"); cut >= 0 {
+					line = line[cut+1:]
+				}
+			}
+			for _, m := range docIdent.FindAllStringSubmatch(line, -1) {
+				names, ok := decls[m[1]]
+				if !ok {
+					continue // a standard-library or other outside package
+				}
+				checked++
+				ident := m[2]
+				if m[3] != "" {
+					ident += "." + m[3]
+				}
+				if !names[ident] {
+					t.Errorf("%s:%d names %s.%s, which nothing in the tree declares", name, i+1, m[1], ident)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("checked no identifiers; the pattern no longer matches how the docs cite Go names")
 	}
 }

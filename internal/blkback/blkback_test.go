@@ -2,6 +2,8 @@ package blkback
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"kite/internal/blkfront"
@@ -149,6 +151,69 @@ func TestLargeIOUsesIndirect(t *testing.T) {
 	// would need 3 ring requests per direction.
 	if st.RingRequests != 2 {
 		t.Fatalf("ring requests = %d, want 2 (one indirect per direction)", st.RingRequests)
+	}
+}
+
+// TestSegmentsCounted: a direct request counts its segments and an
+// indirect one counts the segments its descriptor pages list, one per
+// granted page, no more and no fewer.
+func TestSegmentsCounted(t *testing.T) {
+	r := buildRig(t, KiteCosts())
+	inst := r.drv.Instances()[0]
+	for _, c := range []struct {
+		name     string
+		bytes    int
+		indirect bool
+	}{
+		{"direct", 4 * 4096, false},
+		{"indirect", 32 * 4096, true},
+	} {
+		before, ind0 := inst.Stats(), r.front.Stats().IndirectRequests
+		done := false
+		r.front.WriteSectors(0, make([]byte, c.bytes), func(err error) {
+			if err != nil {
+				t.Fatalf("%s write: %v", c.name, err)
+			}
+			done = true
+		})
+		if !r.eng.RunCapped(1_000_000) || !done {
+			t.Fatalf("%s write incomplete", c.name)
+		}
+		after := inst.Stats()
+		if got := after.RingRequests - before.RingRequests; got != 1 {
+			t.Fatalf("%s: %d ring requests, want 1", c.name, got)
+		}
+		if got := r.front.Stats().IndirectRequests - ind0; (got == 1) != c.indirect {
+			t.Fatalf("%s: %d indirect requests", c.name, got)
+		}
+		if got, want := after.Segments-before.Segments, uint64(c.bytes/4096); got != want {
+			t.Errorf("%s: %d segments counted, want %d", c.name, got, want)
+		}
+	}
+}
+
+// TestDeviceErrorCounted: a request the device fails is answered
+// StatusError and counts one error. The driver refuses a window that does
+// not fit the device, but NewInstance does not check it: here a connected
+// instance's window is moved so that it runs past the device end, which
+// passes blkback's own range check and fails in the device.
+func TestDeviceErrorCounted(t *testing.T) {
+	r := buildRig(t, KiteCosts())
+	inst := r.drv.Instances()[0]
+	inst.base = r.dev.CapacitySectors() - inst.size + 8 // the vbd's last 8 sectors lie past the device
+	var gotErr error
+	called := false
+	r.front.ReadSectors(r.front.SectorCount()-8, 4096, func(_ []byte, err error) {
+		called, gotErr = true, err
+	})
+	if !r.eng.RunCapped(100000) || !called {
+		t.Fatal("read past the device end not answered")
+	}
+	if want := fmt.Sprintf("error %d", blkif.StatusError); gotErr == nil || !strings.Contains(gotErr.Error(), want) {
+		t.Fatalf("read past the device end: err %v, want the backend's %s", gotErr, want)
+	}
+	if st := inst.Stats(); st.Errors != 1 || st.DeviceOps != 1 {
+		t.Fatalf("errors %d over %d device ops, want 1 over 1", st.Errors, st.DeviceOps)
 	}
 }
 

@@ -55,7 +55,7 @@ type Ref int32
 // Table is the store: one slab + one open-addressing index. Index slots
 // hold slab position + 1 (0 means empty).
 type Table[K comparable, V any] struct {
-	rss      netpkt.RSS
+	rss      *netpkt.RSS
 	index    []int32
 	slab     []Entry[K, V]
 	freeHead int32

@@ -340,8 +340,7 @@ func (d *Driver) newVIF(p pvback.Pairing, ch *netif.Channel, rssSeed uint64) (*V
 		queues:   make([]*vifQueue, nq),
 	}
 	if nq > 1 {
-		rss := netpkt.NewRSS(rssSeed)
-		v.rss = &rss
+		v.rss = netpkt.NewRSS(rssSeed)
 	}
 	// Map every queue's two ring pages (2 map hypercalls per queue, charged
 	// to the backend: on the lane's vCPU in fleet mode — the lane owns this

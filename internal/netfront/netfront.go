@@ -192,8 +192,7 @@ func (h *hooks) Rings(_ string, nq int) pvback.Channel {
 			nq, len(d.shards), nq+1, d.Dom.CPUs.Len()))
 	}
 	if nq > 1 {
-		rss := netpkt.NewRSS(d.hashSeed)
-		d.rss = &rss
+		d.rss = netpkt.NewRSS(d.hashSeed)
 	}
 	ch := netif.NewChannel(nq)
 	d.queues = make([]*queue, nq)

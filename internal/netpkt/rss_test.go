@@ -99,3 +99,40 @@ func TestRSSZeroAlloc(t *testing.T) {
 	}
 	_ = sink
 }
+
+// toeplitzRef is the textbook bit-serial Toeplitz hash: for every set input
+// bit p (most significant bit of byte 0 first), XOR in the 32 key bits that
+// start at key bit p.
+func toeplitzRef(key *[16]byte, in *[12]byte) uint32 {
+	keyBit := func(q int) uint32 { return uint32(key[q/8]>>uint(7-q%8)) & 1 }
+	var h uint32
+	for p := 0; p < 96; p++ {
+		if in[p/8]>>uint(7-p%8)&1 == 0 {
+			continue
+		}
+		var w uint32
+		for j := 0; j < 32; j++ {
+			w = w<<1 | keyBit(p+j)
+		}
+		h ^= w
+	}
+	return h
+}
+
+// FuzzToeplitz holds the byte-sliced tables to the bit-serial definition
+// for any 16-byte key and 12-byte input (shorter arguments are zero-padded,
+// longer ones cut). The corpus under testdata/fuzz has the two Microsoft
+// vectors of TestToeplitzKnownVectors and one single-bit input at each
+// byte position, a different bit in each, under the Microsoft key.
+func FuzzToeplitz(f *testing.F) {
+	f.Fuzz(func(t *testing.T, key, in []byte) {
+		var r RSS
+		var tuple [12]byte
+		copy(r.key[:], key)
+		copy(tuple[:], in)
+		r.buildTables()
+		if got, want := r.toeplitz(&tuple), toeplitzRef(&r.key, &tuple); got != want {
+			t.Fatalf("key %x input %x: tables give %#x, definition %#x", r.key, tuple, got, want)
+		}
+	})
+}
