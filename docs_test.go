@@ -1,6 +1,7 @@
 package kite
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -302,5 +303,84 @@ func TestDocIdentsResolve(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("checked no identifiers; the pattern no longer matches how the docs cite Go names")
+	}
+}
+
+// docTestName matches a backticked bare test name: `TestX`, `FuzzX` or
+// `BenchmarkX`, optionally with a subtest path or a call after it
+// (`TestX/case`, `TestX()`). A name inside a command (`go test -run
+// TestX ./...`) is a pattern, not a citation, and does not match.
+var docTestName = regexp.MustCompile("`((?:Test|Fuzz|Benchmark)[A-Za-z0-9_]*)(?:/[^`\\s]*|\\(\\))?`")
+
+// testFuncs returns the name of every top-level function in a _test.go
+// file anywhere in the module, outside testdata and build output.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	funcs := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+				funcs[fd.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return funcs
+}
+
+// staleTestNames returns the backticked test names in text that funcs
+// does not hold, each with its line number.
+func staleTestNames(text string, funcs map[string]bool) (stale []string, checked int) {
+	for i, line := range strings.Split(text, "\n") {
+		for _, m := range docTestName.FindAllStringSubmatch(line, -1) {
+			checked++
+			if !funcs[m[1]] {
+				stale = append(stale, fmt.Sprintf("%d: %s", i+1, m[1]))
+			}
+		}
+	}
+	return stale, checked
+}
+
+// TestDocTestNamesResolve requires every backticked Test…, Fuzz… or
+// Benchmark… name in DESIGN.md, EXPERIMENTS.md and README.md to be a
+// function in some _test.go of the module. ROADMAP.md is not read: it
+// names tests that are planned. A planted stale name must be caught.
+func TestDocTestNamesResolve(t *testing.T) {
+	funcs := testFuncs(t)
+	if stale, _ := staleTestNames("see `TestShapes` and `TestNoSuchCheck/case`", funcs); len(stale) != 1 || stale[0] != "1: TestNoSuchCheck" {
+		t.Fatalf("a planted stale name was reported as %q, want [1: TestNoSuchCheck]", stale)
+	}
+	checked := 0
+	for _, name := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale, n := staleTestNames(string(data), funcs)
+		checked += n
+		for _, s := range stale {
+			t.Errorf("%s:%s names no test function in the tree", name, s)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("checked no test names; the pattern no longer matches how the docs cite tests")
 	}
 }

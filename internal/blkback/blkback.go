@@ -24,6 +24,7 @@ package blkback
 
 import (
 	"fmt"
+	"strconv"
 
 	"kite/internal/blkif"
 	"kite/internal/nvme"
@@ -188,7 +189,9 @@ func NewInstance(eng *sim.Engine, dom *xen.Domain, frontDom xen.DomID, devid int
 	}
 	inst := &Instance{
 		eng: eng, dom: dom, frontDom: frontDom, devid: devid,
-		name:  fmt.Sprintf("vbd%d.%d", frontDom, devid),
+		// strconv, not fmt.Sprintf, as netback names its vif: fmt's frames
+		// at this depth of the handshake grew the stack every rig build.
+		name:  "vbd" + strconv.Itoa(int(frontDom)) + "." + strconv.Itoa(devid),
 		costs: costs, dev: dev,
 		base: baseSector, size: sectors,
 	}

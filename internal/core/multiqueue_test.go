@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
+	"kite/internal/netback"
 	"kite/internal/netstack"
 	"kite/internal/sim"
 )
@@ -82,6 +84,45 @@ func TestNetMQNegotiationAndSteering(t *testing.T) {
 
 // mqNetFrames is mqNetElapsed's workload: eight waves of 512 frames.
 const mqNetFrames = 8 * 512
+
+// TestVIFStatsSumQueues: a multi-queue vif's Stats is the sum of its
+// queues' counters, field by field. Guest-bound flows spread over the
+// queues, so persistent-mapping misses land on more than one of them.
+func TestVIFStatsSumQueues(t *testing.T) {
+	rig, err := NewNetworkRigCfg(NetworkRigConfig{Kind: KindKite, Seed: 0x3a9, Queues: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	rig.Guest.Stack.BindUDP(9001, func(netstack.UDPPacket) { got++ })
+	const flows = 32
+	for f := range flows {
+		rig.Client.Stack.SendUDP(rig.GuestIP, 9001, uint16(20000+f), pattern(600))
+		rig.System.Eng.Run()
+	}
+	if got != flows {
+		t.Fatalf("client->guest delivered %d of %d", got, flows)
+	}
+	vif := rig.ND.Driver.VIFs()[0]
+	var sum netback.Stats
+	missed := 0
+	for i := range vif.NumQueues() {
+		qs := vif.QueueStats(i)
+		if qs.RxPersistMisses > 0 {
+			missed++
+		}
+		s, q := reflect.ValueOf(&sum).Elem(), reflect.ValueOf(qs)
+		for f := range s.NumField() {
+			s.Field(f).SetUint(s.Field(f).Uint() + q.Field(f).Uint())
+		}
+	}
+	if missed < 2 {
+		t.Fatalf("persistent-mapping misses on %d queues, want at least 2", missed)
+	}
+	if total := vif.Stats(); total != sum {
+		t.Fatalf("vif Stats %+v, want the queues' sum %+v", total, sum)
+	}
+}
 
 // mqNetElapsed measures the simulated time a fixed forwarding workload
 // takes on a rig with the given queue count: waves of small frames over

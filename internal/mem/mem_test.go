@@ -3,7 +3,6 @@ package mem
 import (
 	"bytes"
 	"math"
-	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -556,69 +555,42 @@ func TestPageHeaderSize(t *testing.T) {
 	}
 }
 
-// TestSlabClass: a fleet tenant's netfront carves its Tx and Rx rings'
-// pages 256 at a time, and a 256-page slab with its 8 B allocation header
-// lands in the 4,864 B size class, not the next.
-func TestSlabClass(t *testing.T) {
-	const n, want = 64, 4864
-	arenas := make([]*Arena, n)
-	for i := range arenas {
-		arenas[i] = NewArena("d", 256*PageSize)
-		arenas[i].slabs = make([][]Page, 0, 1) // count the slab alone
+// TestPlaceIsSixteenBits: a grant names its page by slab and offset, two
+// uint16s, so neither may wrap onto another page. One request past 65,535
+// pages carves a second slab rather than a slab a uint16 cannot index, and
+// an arena grown a page at a time refuses its 65,536th slab.
+func TestPlaceIsSixteenBits(t *testing.T) {
+	const n = math.MaxUint16 + 100
+	a := NewArena("big", n*PageSize)
+	pages, err := a.AllocN(n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, a := range arenas {
-		a.grow(256)
+	if len(a.slabs[0]) != math.MaxUint16 {
+		t.Fatalf("first slab holds %d headers, want %d", len(a.slabs[0]), math.MaxUint16)
 	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per != want {
-		t.Errorf("a 256-page slab allocated %d B, want %d", per, want)
-	}
-}
-
-// TestCarvingCostsHeadersOnly: the arena keeps what it carves as slabs, so
-// carving N pages costs the N 16 B headers plus a bounded amount per slab,
-// not a pointer per page beside each header. Eight AllocNs of 512 pages
-// carve eight 8 KiB slabs, each with its allocation header and size-class
-// rounding (9,472 B a slab), and a slab list of eight entries; a per-page
-// index would add 32 KiB and its append ladder's copies on top. The heap
-// profile attributes each allocation to the function that made it, so the
-// []*Page each AllocN hands its caller is not counted.
-func TestCarvingCostsHeadersOnly(t *testing.T) {
-	const slabs, per = 8, 512
-	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
-	runtime.MemProfileRate = 1
-	a := NewArena("d0", slabs*per*PageSize)
-	before := growBytes()
-	for range slabs {
-		if _, err := a.AllocN(per); err != nil {
-			t.Fatal(err)
+	for i, p := range pages {
+		slab, off, ok := a.Place(p)
+		if !ok || a.At(slab, off) != p || int(slab)*math.MaxUint16+int(off) != i {
+			t.Fatalf("page %d (ID %d) placed at %d:%d (ok %v)", i, p.ID, slab, off, ok)
 		}
 	}
-	got := growBytes() - before
-	headers := int64(slabs * per * unsafe.Sizeof(Page{}))
-	if perSlab := int64(1536); got < headers || got > headers+slabs*perSlab {
-		t.Fatalf("carving %d pages allocated %d B, want their %d B of headers plus at most %d B a slab", slabs*per, got, headers, perSlab)
+	if _, _, ok := NewArena("other", PageSize).Place(pages[0]); ok {
+		t.Fatal("an arena placed a page it does not own")
 	}
-	if a.InUse() != slabs*per || a.Lookup(slabs*per) == nil || a.Lookup(slabs*per+1) != nil {
-		t.Fatalf("InUse %d, Lookup of the last page %v, want %d and found", a.InUse(), a.Lookup(slabs*per), slabs*per)
-	}
-}
 
-// growBytes returns the bytes the heap profile records as allocated by
-// Arena.grow itself. A record is published a cycle after its allocation,
-// so two collections run first.
-func growBytes() (total int64) {
-	runtime.GC()
-	runtime.GC()
-	n, _ := runtime.MemProfile(nil, true)
-	recs := make([]runtime.MemProfileRecord, n+64)
-	n, _ = runtime.MemProfile(recs, true)
-	for i := range recs[:n] {
-		if fr, _ := runtime.CallersFrames(recs[i].Stack()).Next(); fr.Function == "kite/internal/mem.(*Arena).grow" {
-			total += recs[i].AllocBytes
-		}
+	one := NewArena("one", (math.MaxUint16+1)*PageSize)
+	var last *Page
+	for range math.MaxUint16 {
+		last = one.MustAlloc()
 	}
-	return total
+	if slab, off, _ := one.Place(last); len(one.slabs) != math.MaxUint16 || slab != math.MaxUint16-1 || off != 0 {
+		t.Fatalf("%d slabs, last page at %d:%d, want %d slabs and %d:0", len(one.slabs), slab, off, math.MaxUint16, math.MaxUint16-1)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an arena carved a slab past 65,535")
+		}
+	}()
+	one.MustAlloc()
 }

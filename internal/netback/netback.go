@@ -38,6 +38,7 @@ package netback
 
 import (
 	"fmt"
+	"strconv"
 
 	"kite/internal/bridge"
 	"kite/internal/framepool"
@@ -199,9 +200,10 @@ type drainState struct {
 	eng *sim.Engine // owning shard (the VIF engine unsharded)
 	dev *sim.Engine // the bridge's shard
 
-	// Reusable batch scratch: request/op/buffer slices grow to the burst
-	// high-water mark and are then reused forever (zero steady-state
-	// allocations per burst).
+	// Reusable batch scratch (zero steady-state allocations per burst).
+	// A batch holds at most a ring's worth of requests, so txReqs, ops and
+	// bufs, made with a ring's capacity, never grow; rxReqs and rxCopied
+	// grow once to the Rx high-water mark, and the drain stores them back.
 	txReqs []netif.TxRequest
 	rxReqs []netif.RxRequest
 	ops    []xen.CopyOp
@@ -332,12 +334,15 @@ func (d *Driver) newVIF(p pvback.Pairing, ch *netif.Channel, rssSeed uint64) (*V
 		eng:      d.eng,
 		dom:      d.dom,
 		frontDom: p.FrontDom,
-		name:     fmt.Sprintf("vif%d.%d", p.FrontDom, p.DevID),
-		costs:    d.costs,
-		pool:     d.pool,
-		ch:       ch,
-		br:       d.br,
-		queues:   make([]*vifQueue, nq),
+		// strconv, not fmt.Sprintf: this runs at the deepest point of the
+		// connect handshake, where fmt's frames grew the goroutine's stack
+		// on every rig build.
+		name:   "vif" + strconv.Itoa(int(p.FrontDom)) + "." + strconv.Itoa(p.DevID),
+		costs:  d.costs,
+		pool:   d.pool,
+		ch:     ch,
+		br:     d.br,
+		queues: make([]*vifQueue, nq),
 	}
 	if nq > 1 {
 		v.rss = netpkt.NewRSS(rssSeed)
@@ -578,7 +583,6 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 				used++ // malformed requests still consume a slot of credit
 			}
 		}
-		ds.txReqs = reqs[:0]
 		if len(reqs) == 0 {
 			if used >= budget {
 				more = q.tx.RequestAvailable()
@@ -646,8 +650,6 @@ func (q *vifQueue) drainTxBudget(budget int) (used int, more bool) {
 			}
 			q.tx.PushResponse(netif.TxResponse{ID: req.ID, Status: status})
 		}
-		ds.ops = ops[:0]
-		ds.bufs = bufs[:0]
 		clearBufs(bufs)
 		if q.tx.PushResponsesAndCheckNotify() {
 			q.notifyFront()
@@ -782,7 +784,6 @@ func (q *vifQueue) drainRxBudget(budget int) (used int, more bool) {
 		}
 		ds.rxReqs = reqs[:0]
 		if len(reqs) == 0 {
-			ds.bufs = batch[:0]
 			// No posted buffers. Re-arm the request event threshold before
 			// sleeping, or the frontend's next buffer post would suppress
 			// its notification and strand the queued frames forever.
@@ -835,8 +836,6 @@ func (q *vifQueue) drainRxBudget(budget int) (used int, more bool) {
 			q.rx.PushResponse(netif.RxResponse{ID: req.ID, Offset: 0, Len: uint16(batch[i].Len()), Status: status})
 			batch[i].Release()
 		}
-		ds.ops = ops[:0]
-		ds.bufs = batch[:0]
 		clearBufs(batch)
 		if q.rx.PushResponsesAndCheckNotify() {
 			notify = true

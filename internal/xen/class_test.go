@@ -13,10 +13,11 @@ import (
 )
 
 // TestGrantTableClass: a fleet tenant's connect reserves its 512 ring
-// grants in one table of 513 entries (ref 0 is never issued), which with
-// its 8 B allocation header lands in the 9,472 B size class, not the next.
+// grants in one table of 513 entries (ref 0 is never issued). The table
+// holds no pointer, so it has no allocation header: 4,104 B land in the
+// 4,864 B size class, not the next.
 func TestGrantTableClass(t *testing.T) {
-	const n, want = 64, 9472
+	const n, want = 64, 4864
 	_, hv, _ := newHV(t)
 	doms := make([]*Domain, n)
 	for i := range doms {
@@ -31,7 +32,7 @@ func TestGrantTableClass(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / n; per != want {
 		t.Errorf("a 513-entry table allocated %d B, want %d", per, want)
 	}
-	if got := cap(doms[0].grants); got*16+8 > want || got < 513 {
-		t.Errorf("table capacity %d entries, want 513 to %d", got, (want-8)/16)
+	if got := cap(doms[0].grants); got*8 > want || got < 513 {
+		t.Errorf("table capacity %d entries, want 513 to %d", got, want/8)
 	}
 }

@@ -11,25 +11,41 @@ import (
 // GrantRef names an entry in a domain's grant table.
 type GrantRef uint32
 
-// grantEntry is one grant-table slot, stored by value and indexed by ref.
-// page is the granted page, nil in never-issued and revoked slots. Every
-// use reaches the page through it without a lookup: a copy takes its bytes
+// grantEntry is one grant-table slot, stored by value and indexed by ref,
+// Xen's grant_entry_v1 width: 8 B, and no pointer, so the table is never
+// scanned by the garbage collector. A live entry names its page by its
+// place in the granting domain's arena (mem.Arena.At: slab, then offset),
+// which every use reaches without a search: a copy takes its bytes
 // (Page.Bytes fills them at the first touch, so granting a page does not
 // back it), a loan swaps the bytes behind it, a map hands it to the mapper.
+// A revoked entry holds the next revoked ref in slab:off instead (0 ends
+// the list): the table's free list threads through its dead entries, as
+// Xen's gnttab_free_head does.
 //
-// Every tenant's table holds an entry per ring page, so the entry is held
-// to 16 B, which lands a 513-entry table and its allocation header in the
-// 9,472 B size class: one pointer, a 32-bit count, the remote domain and
-// one flag.
+// Every tenant's table holds an entry per ring page, so a 513-entry table
+// is 4,104 B and lands in the 4,864 B size class.
 type grantEntry struct {
-	page *mem.Page
-	// mapCount counts a live entry's mappings. A revoked entry holds the
-	// next revoked ref there instead (0 ends the list): the table's free
-	// list threads through its dead entries, as Xen's gnttab_free_head does.
-	mapCount int32
-	remote   DomID
-	readonly bool
+	slab, off uint16
+	remote    DomID
+	// flags holds grantLive, grantReadonly and, from grantMapOne up, the
+	// number of live mappings: Xen's pin count in its active entry.
+	flags uint16
 }
+
+const (
+	grantLive     = 1 << 0
+	grantReadonly = 1 << 1
+	grantMapOne   = 1 << 2
+	// maxGrantMaps bounds a grant's mappings: a MapGrant past it is
+	// refused, as Xen refuses a pin count that would overflow.
+	maxGrantMaps = 1<<16/grantMapOne - 1
+)
+
+// maps returns the number of live mappings of g.
+func (g *grantEntry) maps() int { return int(g.flags / grantMapOne) }
+
+// next returns the ref after revoked entry g on the free list.
+func (g *grantEntry) next() GrantRef { return GrantRef(g.slab)<<16 | GrantRef(g.off) }
 
 // GrantedPage returns the page behind d's own live grant ref, nil if ref
 // is not live. A frontend keeps only the refs of its persistently granted
@@ -37,7 +53,7 @@ type grantEntry struct {
 // frontend and the backend's copies.
 func (d *Domain) GrantedPage(ref GrantRef) *mem.Page {
 	if g := d.grant(ref); g != nil {
-		return g.page
+		return d.Arena.At(g.slab, g.off)
 	}
 	return nil
 }
@@ -46,19 +62,24 @@ func (d *Domain) GrantedPage(ref GrantRef) *mem.Page {
 // not a hypercall, so no cost is charged here. The most recently revoked
 // ref is issued first; a table with none revoked grows by one.
 func (d *Domain) GrantAccess(remote DomID, page *mem.Page, readonly bool) GrantRef {
-	if !d.Arena.Owns(page) {
+	slab, off, ok := d.Arena.Place(page)
+	if !ok {
 		panic(fmt.Sprintf("xen: %s granting a page it does not own", d.Name))
 	}
 	ref := d.freeRef
 	if ref != 0 {
-		d.freeRef = GrantRef(d.grants[ref].mapCount)
+		d.freeRef = d.grants[ref].next()
 	} else {
 		ref = GrantRef(max(len(d.grants), 1)) // ref 0 is never issued
 		for int(ref) >= len(d.grants) {
 			d.grants = append(d.grants, grantEntry{}) //kite:alloc-ok grows past what a connect reserved and revocations freed
 		}
 	}
-	d.grants[ref] = grantEntry{page: page, remote: remote, readonly: readonly}
+	flags := uint16(grantLive)
+	if readonly {
+		flags |= grantReadonly
+	}
+	d.grants[ref] = grantEntry{slab: slab, off: off, remote: remote, flags: flags}
 	d.liveGrants++
 	return ref
 }
@@ -84,10 +105,10 @@ func (d *Domain) EndAccess(ref GrantRef) error {
 	if g == nil {
 		return fmt.Errorf("xen: end access on unknown grant %d in %s", ref, d.Name)
 	}
-	if g.mapCount > 0 {
-		return fmt.Errorf("xen: grant %d in %s still mapped %d times", ref, d.Name, g.mapCount)
+	if n := g.maps(); n > 0 {
+		return fmt.Errorf("xen: grant %d in %s still mapped %d times", ref, d.Name, n)
 	}
-	*g = grantEntry{mapCount: int32(d.freeRef)}
+	*g = grantEntry{slab: uint16(d.freeRef >> 16), off: uint16(d.freeRef)}
 	d.freeRef = ref
 	d.liveGrants--
 	return nil
@@ -107,7 +128,7 @@ func (d *Domain) LendGrant(ref GrantRef, b []byte) (own []byte) {
 	if g == nil {
 		panic(fmt.Sprintf("xen: %s lending to unknown grant %d", d.Name, ref))
 	}
-	return g.page.Lend(b)
+	return d.Arena.At(g.slab, g.off).Lend(b)
 }
 
 // EndLoan ends a loan LendGrant made on ref, handing the page back own,
@@ -116,7 +137,7 @@ func (d *Domain) LendGrant(ref GrantRef, b []byte) (own []byte) {
 // or an arena, and before the lender hands the loaned bytes on.
 func (d *Domain) EndLoan(ref GrantRef, own []byte) {
 	if g := d.grant(ref); g != nil {
-		g.page.Restore(own)
+		d.Arena.At(g.slab, g.off).Restore(own)
 	}
 }
 
@@ -167,9 +188,12 @@ func (hv *Hypervisor) mapGrantCharged(mapper *Domain, owner DomID, ref GrantRef)
 		return nil, fmt.Errorf("xen: grant %d of domain %d is for domain %d, not %d",
 			ref, owner, g.remote, mapper.ID)
 	}
+	if g.maps() == maxGrantMaps {
+		return nil, fmt.Errorf("xen: grant %d of domain %d already mapped %d times", ref, owner, maxGrantMaps)
+	}
 	hv.stats.GrantMaps++
-	g.mapCount++
-	return &Mapping{Page: g.page, owner: owner, ref: ref, mapper: mapper.ID, live: true}, nil //kite:alloc-ok callers cache mappings; misses are warmup-only
+	g.flags += grantMapOne
+	return &Mapping{Page: od.Arena.At(g.slab, g.off), owner: owner, ref: ref, mapper: mapper.ID, live: true}, nil //kite:alloc-ok callers cache mappings; misses are warmup-only
 }
 
 // UnmapGrant releases a mapping (GNTTABOP_unmap_grant_ref).
@@ -207,7 +231,7 @@ func (hv *Hypervisor) unmapLocked(m *Mapping) error {
 	}
 	if od := hv.domainAt(m.owner); od != nil {
 		if g := od.grant(m.ref); g != nil {
-			g.mapCount--
+			g.flags -= grantMapOne
 		}
 	}
 	return nil
@@ -348,8 +372,8 @@ func (hv *Hypervisor) resolveCopyPtr(caller *Domain, p CopyPtr, write bool) ([]b
 	if g == nil {
 		return nil, CopyBadRef
 	}
-	if g.remote != caller.ID || (write && g.readonly) {
+	if g.remote != caller.ID || (write && g.flags&grantReadonly != 0) {
 		return nil, CopyDenied
 	}
-	return g.page.Bytes(), CopyOkay
+	return od.Arena.At(g.slab, g.off).Bytes(), CopyOkay
 }

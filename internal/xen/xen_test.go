@@ -1,6 +1,7 @@
 package xen
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -807,11 +808,20 @@ func TestDestroyEndsLoans(t *testing.T) {
 }
 
 // TestGrantEntrySize: a fleet tenant's grant table holds an entry per ring
-// page (513 of them), so the entry is one pointer with a 32-bit map count,
-// a remote domain and a flag beside it: 16 B.
+// page (513 of them), so the entry is Xen's grant_entry_v1 width, 8 B: the
+// page's slab and offset, the remote domain and the flags. It holds no
+// pointer of any kind, so the garbage collector never scans a table.
 func TestGrantEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(grantEntry{}); got != 16 {
-		t.Fatalf("sizeof(grantEntry) = %d, want 16", got)
+	if got := unsafe.Sizeof(grantEntry{}); got != 8 {
+		t.Fatalf("sizeof(grantEntry) = %d, want 8", got)
+	}
+	typ := reflect.TypeFor[grantEntry]()
+	for i := range typ.NumField() {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Int8, reflect.Int16, reflect.Int32:
+		default:
+			t.Errorf("grantEntry.%s is a %s; the entry must hold no pointer kind", f.Name, f.Type.Kind())
+		}
 	}
 }
 
