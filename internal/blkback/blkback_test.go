@@ -431,18 +431,22 @@ func TestFrontendCloseCleansUp(t *testing.T) {
 	}
 }
 
+// TestBadParamsRejected: a vbd whose params window exceeds the device, or
+// does not parse as "<base>:<sectors>" in full, is closed, not served.
 func TestBadParamsRejected(t *testing.T) {
-	r := buildRig(t, KiteCosts())
-	// Add a vbd whose window exceeds the device.
-	r.bus.AddDevice(xenbus.DeviceSpec{
-		Type: "vbd", FrontDom: xenbus.DomID(r.guest.ID), BackDom: xenbus.DomID(r.dd.ID),
-		DevID: 51728, BackExtra: map[string]string{"params": "0:99999999999"},
-	})
-	if !r.eng.RunCapped(100000) {
-		t.Fatal("livelock")
-	}
-	bp := xenbus.BackendPath(xenbus.DomID(r.dd.ID), "vbd", xenbus.DomID(r.guest.ID), 51728)
-	if r.bus.State(bp) != xenbus.StateClosed {
-		t.Fatalf("oversized vbd state = %v, want Closed", r.bus.State(bp))
+	for i, params := range []string{"0:99999999999", "2048", "2048:x", "2048:16 ", "2048:16:1", "-1:16"} {
+		r := buildRig(t, KiteCosts())
+		devID := 51728 + 16*i
+		r.bus.AddDevice(xenbus.DeviceSpec{
+			Type: "vbd", FrontDom: xenbus.DomID(r.guest.ID), BackDom: xenbus.DomID(r.dd.ID),
+			DevID: devID, BackExtra: map[string]string{"params": params},
+		})
+		if !r.eng.RunCapped(100000) {
+			t.Fatal("livelock")
+		}
+		bp := xenbus.BackendPath(xenbus.DomID(r.dd.ID), "vbd", xenbus.DomID(r.guest.ID), devID)
+		if r.bus.State(bp) != xenbus.StateClosed {
+			t.Errorf("params %q: vbd state = %v, want Closed", params, r.bus.State(bp))
+		}
 	}
 }
