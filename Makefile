@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: verify build test race vet lint audit zeroalloc
+.PHONY: verify build test race vet lint audit zeroalloc layout
 
 # verify is the tree-must-be-green gate: vet, build everything, kitelint
 # (the repo's own invariant analyzers), the zero-allocation forward-path
-# assertion (which the race detector's instrumentation would distort, so
-# it runs in a normal build), then the full test suite under the race
+# assertion and the size-class pins of the grant table and page-header
+# slabs (which the race detector's instrumentation would distort, so they
+# run in a normal build), then the full test suite under the race
 # detector (which also exercises the parallel experiment runner's
 # determinism tests).
-verify: vet build lint zeroalloc race
+verify: vet build lint zeroalloc layout race
 
 vet:
 	$(GO) vet ./...
@@ -38,3 +39,6 @@ race:
 
 zeroalloc:
 	$(GO) test -count=1 -run 'TestForwardPathZeroAlloc|TestBlockPathZeroAlloc' ./internal/core
+
+layout:
+	$(GO) test -count=1 -run 'TestSlabClass|TestCarvingCostsHeadersOnly|TestGrantTableClass' ./internal/mem ./internal/xen
