@@ -1,13 +1,14 @@
 // Command kitesec prints the security analyses of §5.1: syscall
 // inventories, the CVE mitigation matrix (Table 3 and the toolstack CVEs),
-// the driver-CVE trend (Fig 1a), and the ROP gadget scan (Figs 1b/5). With
-// -loc it also counts this repository's lines of code per module — the
-// Table 1 analogue for the reproduction itself.
+// the driver-CVE trend (Fig 1a), and the typed ROP gadget counts (Figs
+// 1b/5). With -loc it also counts this repository's lines of code per
+// module — the Table 1 analogue for the reproduction itself.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,33 +21,38 @@ import (
 )
 
 func main() {
-	rop := flag.Bool("rop", true, "run the ROP gadget scan")
+	rop := flag.Bool("rop", true, "print the ROP gadget counts")
 	cves := flag.Bool("cves", true, "print the CVE analyses")
 	syscalls := flag.Bool("syscalls", true, "print the syscall inventories")
 	loc := flag.Bool("loc", false, "count this repository's LOC per module (Table 1 analogue)")
 	flag.Parse()
 
-	if *syscalls {
-		printSyscalls()
-	}
-	if *cves {
-		fmt.Println(experiments.Fig1aDriverCVEs().Table.String())
-		fmt.Println(experiments.Table3().Table.String())
-		printToolstackCVEs()
-	}
-	if *rop {
-		fmt.Println(experiments.Fig1bFig5ROP().Table.String())
-		printCategoryBreakdown()
-	}
+	run(os.Stdout, *syscalls, *cves, *rop)
 	if *loc {
-		if err := printLOC(); err != nil {
+		if err := printLOC(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "kitesec: %v\n", err)
 			os.Exit(1)
 		}
 	}
 }
 
-func printSyscalls() {
+// run writes the selected analyses to w.
+func run(w io.Writer, syscalls, cves, rop bool) {
+	if syscalls {
+		printSyscalls(w)
+	}
+	if cves {
+		fmt.Fprintln(w, experiments.Fig1aDriverCVEs().Table.String())
+		fmt.Fprintln(w, experiments.Table3().Table.String())
+		printToolstackCVEs(w)
+	}
+	if rop {
+		fmt.Fprintln(w, experiments.Fig1bFig5ROP().Table.String())
+		printCategoryBreakdown(w)
+	}
+}
+
+func printSyscalls(w io.Writer) {
 	t := metrics.NewTable("FIG4A: retained system calls",
 		"profile", "count", "examples")
 	rows := []struct {
@@ -61,11 +67,11 @@ func printSyscalls() {
 		ex := strings.Join(r.list[:min(5, len(r.list))], ",") + ",..."
 		t.AddRow(r.name, fmt.Sprintf("%d", len(r.list)), ex)
 	}
-	fmt.Println(t.String())
-	fmt.Printf("  full Linux syscall surface: ~%d\n\n", guestos.TotalLinuxSyscalls)
+	fmt.Fprintln(w, t.String())
+	fmt.Fprintf(w, "  full Linux syscall surface: ~%d\n\n", guestos.TotalLinuxSyscalls)
 }
 
-func printToolstackCVEs() {
+func printToolstackCVEs(w io.Writer) {
 	t := metrics.NewTable("toolstack CVEs avoided by dropping xen-utils/libxl/python",
 		"cve", "needs", "ubuntu", "kite")
 	u := guestos.UbuntuDriverDomain()
@@ -79,26 +85,25 @@ func printToolstackCVEs() {
 	for _, c := range security.ToolstackCVEs() {
 		t.AddRow(c.ID, strings.Join(c.Components, "+"), verdict(c, u), verdict(c, k))
 	}
-	fmt.Println(t.String())
-	fmt.Printf("  plus %d crafted-application and %d shell-dependent CVE classes foreclosed by the unikernel model\n\n",
+	fmt.Fprintln(w, t.String())
+	fmt.Fprintf(w, "  plus %d crafted-application and %d shell-dependent CVE classes foreclosed by the unikernel model\n\n",
 		security.CraftedAppCVECount, security.ShellCVECount)
 }
 
-func printCategoryBreakdown() {
+func printCategoryBreakdown(w io.Writer) {
 	t := metrics.NewTable("FIG5: gadget categories (Kite vs Default kernel)",
 		"category", "kite", "default", "ratio")
-	profiles := guestos.GadgetScanProfiles()
-	kite := security.GadgetCounts(profiles[0])
-	def := security.GadgetCounts(profiles[1])
+	kite := security.GadgetTable[0].Counts
+	def := security.GadgetTable[1].Counts
 	for cat := security.Category(0); cat < security.NumCategories; cat++ {
 		t.AddRow(cat.String(), fmt.Sprintf("%d", kite[cat]), fmt.Sprintf("%d", def[cat]),
 			metrics.FormatFloat(metrics.Ratio(float64(def[cat]), float64(kite[cat]))))
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 }
 
 // printLOC counts non-blank lines of Go per package directory.
-func printLOC() error {
+func printLOC(w io.Writer) error {
 	counts := map[string]int{}
 	err := filepath.Walk(".", func(path string, info os.FileInfo, err error) error {
 		if err != nil || info.IsDir() || !strings.HasSuffix(path, ".go") {
@@ -133,13 +138,6 @@ func printLOC() error {
 		total += counts[d]
 	}
 	t.AddRow("TOTAL", fmt.Sprintf("%d", total))
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

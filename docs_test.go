@@ -9,44 +9,116 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
 var (
 	// designHeading matches a numbered `##`/`###` heading of DESIGN.md and
-	// captures its number: "## 7. Frame ownership", "### 7.4 Grant-copy".
-	designHeading = regexp.MustCompile(`(?m)^#{2,3} (\d+(?:\.\d+)?)\.? `)
+	// captures its number and title: "## 7. Frame ownership", "### 7.4
+	// Grant-copy".
+	designHeading = regexp.MustCompile(`(?m)^#{2,3} (\d+(?:\.\d+)?)\.? (.*)$`)
 	// designCite matches a citation of a DESIGN.md section, wrapped or not,
 	// and captures the section number. A trailing dot is sentence
 	// punctuation, not a subsection.
 	designCite = regexp.MustCompile(`DESIGN(?:\.md)?\s+§(\d+(?:\.\d+)?)`)
+	// sentenceBreak ends a sentence: a full stop, a blank line or a list
+	// item's bullet.
+	sentenceBreak = regexp.MustCompile(`[.!?]\s|\n\s*\n|\n\s*[-*] `)
+	// citeStopWords are words a sentence and a heading may share without
+	// saying that the sentence is about the heading's subject.
+	citeStopWords = strings.Fields("the and of a an in on to for by is are was what one its it at as or with from that this not no per how where which who internal design kite only still each")
 )
 
+// citeWords returns the content words of s: lower case, three letters or
+// more, not a stop word, not a number.
+func citeWords(s string) []string {
+	var out []string
+	for _, w := range strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
+		return (r < 'a' || r > 'z') && (r < '0' || r > '9')
+	}) {
+		if len(w) >= 3 && !slices.Contains(citeStopWords, w) && strings.Trim(w, "0123456789") != "" {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// sharesWord reports whether sentence and title share a content word: two
+// words match when equal or when they share their first five letters (four
+// if one is that short), so "pages" matches "page".
+func sharesWord(sentence, title string) bool {
+	for _, a := range citeWords(sentence) {
+		for _, b := range citeWords(title) {
+			if n := min(len(a), len(b), 5); a[:n] == b[:n] && (len(a) == len(b) || n >= 4) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// staleCitations returns the DESIGN citations in text that name no
+// heading, or whose sentence shares no content word with the title of the
+// heading it names. headings maps a section number to its title.
+func staleCitations(text string, headings map[string]string) (stale []string, checked int) {
+	for _, ix := range designCite.FindAllStringSubmatchIndex(text, -1) {
+		checked++
+		sec := text[ix[2]:ix[3]]
+		title, ok := headings[sec]
+		if !ok {
+			stale = append(stale, fmt.Sprintf("§%s, which is no heading of DESIGN.md", sec))
+			continue
+		}
+		lo, hi := 0, len(text)
+		for _, m := range sentenceBreak.FindAllStringIndex(text[:ix[0]], -1) {
+			lo = m[1]
+		}
+		if m := sentenceBreak.FindStringIndex(text[ix[1]:]); m != nil {
+			hi = ix[1] + m[0]
+		}
+		if !sharesWord(text[lo:ix[0]]+" "+text[ix[1]:hi], title) {
+			stale = append(stale, fmt.Sprintf("§%s %q in a sentence that shares no word with it: %q",
+				sec, title, strings.Join(strings.Fields(text[lo:hi]), " ")))
+		}
+	}
+	return stale, checked
+}
+
 // TestDesignCitationsResolve holds every "DESIGN.md §N[.M]" or "DESIGN §N[.M]"
-// cited in a Go comment, README.md, EXPERIMENTS.md, the Makefile or CI to a
-// heading DESIGN.md has, so a section can be renumbered or deleted without
-// leaving a citation pointing at nothing.
+// cited in a Go comment, README.md, EXPERIMENTS.md, ROADMAP.md, the
+// Makefile or CI to a heading DESIGN.md has, and requires the citing
+// sentence to share a content word with that heading's title. So a
+// section can be renumbered or deleted without leaving a citation pointing
+// at nothing, or at a section that now holds something else. A planted
+// stale citation must be caught.
 func TestDesignCitationsResolve(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sections := map[string]bool{}
+	headings := map[string]string{}
 	for _, m := range designHeading.FindAllStringSubmatch(string(design), -1) {
-		sections[m[1]] = true
+		headings[m[1]] = m[2]
+	}
+	if title := headings["12.7"]; !strings.Contains(title, "pages") {
+		t.Fatalf("DESIGN §12.7 is %q; the planted citations below assume its 2 MiB pages", title)
+	}
+	planted := "The fleet's heap sits on 2 MiB pages (DESIGN §12.7). A grant entry holds no pointer\n(DESIGN §12.7)."
+	if stale, _ := staleCitations(planted, headings); len(stale) != 1 || !strings.Contains(stale[0], "grant entry") {
+		t.Fatalf("planted citations reported as %q, want only the grant entry's", stale)
 	}
 
 	cited := 0
 	check := func(where, text string) {
-		for _, m := range designCite.FindAllStringSubmatch(text, -1) {
-			cited++
-			if !sections[m[1]] {
-				t.Errorf("%s cites DESIGN §%s, which is no heading of DESIGN.md", where, m[1])
-			}
+		stale, n := staleCitations(text, headings)
+		cited += n
+		for _, s := range stale {
+			t.Errorf("%s cites DESIGN %s", where, s)
 		}
 	}
-	for _, name := range []string{"README.md", "EXPERIMENTS.md", "Makefile", ".github/workflows/ci.yml"} {
+	for _, name := range []string{"README.md", "EXPERIMENTS.md", "ROADMAP.md", "Makefile", ".github/workflows/ci.yml"} {
 		data, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
@@ -99,8 +171,8 @@ func TestDocsWithinCaps(t *testing.T) {
 	}
 }
 
-// TestDesignInventoryNamesEveryPackage requires DESIGN §3 to name, in
-// backticks, every package directory under internal/.
+// TestDesignInventoryNamesEveryPackage requires DESIGN §3's inventory to
+// name, in backticks, every package directory under internal/.
 func TestDesignInventoryNamesEveryPackage(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {

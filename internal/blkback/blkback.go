@@ -382,10 +382,6 @@ func (q *ioQueue) Serve(budget int) (used int, more bool) {
 		for _, op := range q.ops {
 			q.submit(op)
 		}
-		if used >= budget {
-			more = q.ring.RequestAvailable()
-			break
-		}
 	}
 	return used, more
 }

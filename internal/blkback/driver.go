@@ -73,12 +73,12 @@ func (d *Driver) Advertise(backPath string) error {
 		return err
 	}
 	st := d.bus.Store()
-	st.Writef(backPath+"/"+xenstore.KeySectors, "%d", sectors)
-	st.Writef(backPath+"/"+xenstore.KeySectorSize, "%d", blkif.SectorSize)
+	st.Write(backPath+"/"+xenstore.KeySectors, strconv.FormatInt(sectors, 10))
+	st.Write(backPath+"/"+xenstore.KeySectorSize, strconv.Itoa(blkif.SectorSize))
 	d.bus.WriteFeature(backPath, xenstore.KeyFeatureFlushCache, true)
 	d.bus.WriteFeature(backPath, xenstore.KeyFeaturePersistent, d.costs.Persistent)
 	if d.costs.Indirect {
-		st.Writef(backPath+"/"+xenstore.KeyFeatureMaxIndirect, "%d", blkif.MaxSegsIndirect)
+		st.Write(backPath+"/"+xenstore.KeyFeatureMaxIndirect, strconv.Itoa(blkif.MaxSegsIndirect))
 	}
 	return nil
 }

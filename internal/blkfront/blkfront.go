@@ -32,6 +32,7 @@ package blkfront
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"kite/internal/blkif"
 	"kite/internal/blkpool"
@@ -220,7 +221,7 @@ func (h *hooks) Queue(i int, port xen.Port) (func(), *sim.CPU) {
 
 // RingRefs writes queue i's ring ref.
 func (h *hooks) RingRefs(dir string, i int) {
-	h.Bus.Store().Writef(dir+"/"+xenstore.KeyRingRef, "%d", h.DevID+100+i)
+	h.Bus.Store().Write(dir+"/"+xenstore.KeyRingRef, strconv.Itoa(h.DevID+100+i))
 }
 
 // Keys writes the ABI and whether persistent grants are in use.

@@ -2,6 +2,7 @@ package blkfront
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 
 	"kite/internal/blkif"
@@ -77,11 +78,11 @@ func (r *rig) handshake() {
 	t, backPath, reg := r.t, r.backPath, r.reg
 	t.Helper()
 	st := r.bus.Store()
-	st.Writef(backPath+"/"+xenstore.KeySectors, "%d", testSectors)
+	st.Write(backPath+"/"+xenstore.KeySectors, strconv.Itoa(testSectors))
 	r.bus.WriteFeature(backPath, xenstore.KeyFeatureFlushCache, true)
 	r.bus.WriteFeature(backPath, xenstore.KeyFeaturePersistent, true)
-	st.Writef(backPath+"/"+xenstore.KeyFeatureMaxIndirect, "%d", blkif.MaxSegsIndirect)
-	st.Writef(backPath+"/"+xenstore.KeyMultiQueueMaxQueues, "%d", 1)
+	st.Write(backPath+"/"+xenstore.KeyFeatureMaxIndirect, strconv.Itoa(blkif.MaxSegsIndirect))
+	st.Write(backPath+"/"+xenstore.KeyMultiQueueMaxQueues, "1")
 	if err := r.bus.SwitchState(backPath, xenbus.StateInitWait); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // instead of a single list.
 //
 // A Buf is obtained with Get, handed between pipeline stages under the
-// ownership rules documented in DESIGN.md §9.3 (ownership transfers at
+// ownership rules for sector buffers in DESIGN.md §9.3 (ownership transfers at
 // every hand-off, including failure paths), and returned with Release. The
 // pool keeps strict leak accounting: Outstanding() must be zero at rig
 // teardown, and the storage e2e tests assert exactly that.

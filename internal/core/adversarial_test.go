@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"testing"
 
 	"kite/internal/blkif"
@@ -42,7 +43,7 @@ func attachEvilBlk(t *testing.T, sys *System, sd *StorageDomain) *evilBlkFronten
 	e.port = dom.AllocUnbound(sd.Dom.ID)
 	dom.SetHandler(e.port, func() {})
 	fp := xenbus.FrontendPath(xenbus.DomID(dom.ID), "vbd", 51712)
-	sys.Store.Writef(fp+"/event-channel", "%d", e.port)
+	sys.Store.Write(fp+"/event-channel", strconv.FormatUint(uint64(e.port), 10))
 	if err := sys.Bus.SwitchState(fp, xenbus.StateInitialised); err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +479,7 @@ func attachEvilVIF(t testing.TB, sys *System, nd *NetworkDomain) (*xen.Domain, *
 	port := evil.AllocUnbound(nd.Dom.ID)
 	evil.SetHandler(port, func() {})
 	fp := xenbus.FrontendPath(xenbus.DomID(evil.ID), "vif", 0)
-	sys.Store.Writef(fp+"/event-channel", "%d", port)
+	sys.Store.Write(fp+"/event-channel", strconv.FormatUint(uint64(port), 10))
 	if err := sys.Bus.SwitchState(fp, xenbus.StateInitialised); err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +517,7 @@ func TestNetfrontSurvivesHostileRxResponses(t *testing.T) {
 	// The backend's half of the handshake, by hand (netback.Driver.tryPair).
 	fp := xenbus.FrontendPath(xenbus.DomID(victim.Dom.ID), "vif", 0)
 	bp := xenbus.BackendPath(xenbus.DomID(back.ID), "vif", xenbus.DomID(victim.Dom.ID), 0)
-	sys.Store.Writef(bp+"/multi-queue-max-queues", "%d", 1)
+	sys.Store.Write(bp+"/multi-queue-max-queues", "1")
 	if err := sys.Bus.SwitchState(bp, xenbus.StateInitWait); err != nil {
 		t.Fatal(err)
 	}

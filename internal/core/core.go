@@ -20,6 +20,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"kite/internal/apps"
 
@@ -256,7 +257,7 @@ func (s *System) CreateNetworkDomain(cfg NetworkDomainConfig) (*NetworkDomain, e
 		}
 	}
 	dom := s.HV.CreateDomain(xen.DomainConfig{
-		Name: fmt.Sprintf("netdd-%s", cfg.Kind), VCPUs: vcpus,
+		Name: "netdd-" + cfg.Kind.String(), VCPUs: vcpus,
 		MemBytes: profile.MemBytes, IRQLatency: profile.IRQLatency,
 	})
 	if err := s.HV.AssignPCI(cfg.NIC.BDF(), dom.ID); err != nil {
@@ -354,7 +355,7 @@ func (s *System) CreateStorageDomain(cfg StorageDomainConfig) (*StorageDomain, e
 		vcpus = cfg.FleetLanes + 1
 	}
 	dom := s.HV.CreateDomain(xen.DomainConfig{
-		Name: fmt.Sprintf("blkdd-%s", cfg.Kind), VCPUs: vcpus,
+		Name: "blkdd-" + cfg.Kind.String(), VCPUs: vcpus,
 		MemBytes: profile.MemBytes, IRQLatency: profile.IRQLatency,
 	})
 	if err := s.HV.AssignPCI(cfg.Device.BDF(), dom.ID); err != nil {
@@ -430,7 +431,7 @@ type Guest struct {
 func (g *Guest) vifSpec(back xen.DomID) xenbus.DeviceSpec {
 	backExtra := map[string]string{xenstore.KeyBridge: "xenbr0"}
 	if g.fleetLane >= 0 {
-		backExtra[xenstore.KeyTenantLane] = fmt.Sprintf("%d", g.fleetLane)
+		backExtra[xenstore.KeyTenantLane] = strconv.Itoa(g.fleetLane)
 	}
 	return xenbus.DeviceSpec{
 		Type: xenstore.DevVif, FrontDom: xenbus.DomID(g.Dom.ID), BackDom: xenbus.DomID(back),
@@ -523,7 +524,7 @@ func (s *System) CreateGuest(cfg GuestConfig) (*Guest, error) {
 			return nil, fmt.Errorf("core: nvme device exhausted")
 		}
 		s.nextVbdBase = base + sectors
-		g.vbdParams = fmt.Sprintf("%d:%d", base, sectors)
+		g.vbdParams = strconv.FormatInt(base, 10) + ":" + strconv.FormatInt(sectors, 10)
 		s.Bus.AddDevice(g.vbdSpec(cfg.Storage.Dom.ID))
 		cache := cfg.CacheBytes
 		if cache == 0 {

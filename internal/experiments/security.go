@@ -26,24 +26,24 @@ func Fig1aDriverCVEs() *Result {
 	return res
 }
 
-// Fig1bFig5ROP runs the gadget scan of Figures 1b and 5: total and
-// per-category gadget counts across kernel configurations.
+// Fig1bFig5ROP renders Figures 1b and 5 from security.GadgetTable: total
+// and per-category gadget counts across kernel configurations.
 func Fig1bFig5ROP() *Result {
 	res := &Result{ID: "FIG1B/5", Title: "ROP gadgets by kernel configuration",
 		Table: metrics.NewTable("FIG1B/FIG5: ROP gadgets",
 			"config", "total", "datamove", "arith", "logic", "ctrlflow", "ret")}
 	var kiteTotal, defaultTotal, ubuntuTotal float64
-	for _, p := range guestos.GadgetScanProfiles() {
-		counts := security.GadgetCounts(p)
+	for _, row := range security.GadgetTable {
+		counts := row.Counts
 		total := security.TotalGadgets(counts)
-		res.Table.AddRow(p.Name,
+		res.Table.AddRow(row.Name,
 			fmt.Sprintf("%d", total),
 			fmt.Sprintf("%d", counts[security.CatDataMove]),
 			fmt.Sprintf("%d", counts[security.CatArithmetic]),
 			fmt.Sprintf("%d", counts[security.CatLogic]),
 			fmt.Sprintf("%d", counts[security.CatControlFlow]),
 			fmt.Sprintf("%d", counts[security.CatRET]))
-		switch p.Name {
+		switch row.Name {
 		case "Kite":
 			kiteTotal = float64(total)
 		case "Default":

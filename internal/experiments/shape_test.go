@@ -32,8 +32,8 @@ func tiny() Scale {
 // and the check that the simulation reproduces it.
 type shape struct {
 	id     string // a Registry() ID, or an ablation's A-* ID
-	design string // the DESIGN §4 rows this row covers
-	claim  string // the paper's claim, in DESIGN §4's words
+	design string // the DESIGN §4 experiment rows this row covers
+	claim  string // the paper's claim, in the words of DESIGN §4's experiment index
 	// check gets the Registry experiment's result at tiny() scale; an
 	// ablation's row gets nil and runs the ablation itself.
 	check func(t *testing.T, res *Result)

@@ -2,9 +2,9 @@
 // in the reproduction: the Ubuntu 18.04 guests and driver domains of the
 // baseline, and Kite's rumprun-based unikernel domains. A profile carries
 // the inventories the security and footprint experiments operate on —
-// retained syscalls (Fig 4a), image composition (Fig 4b), executable text
-// for gadget scanning (Figs 1b/5), boot phases (Fig 4c) — plus scheduling
-// parameters the toolstack uses when building the domain.
+// retained syscalls (Fig 4a), image composition (Fig 4b), boot phases
+// (Fig 4c) — plus scheduling parameters the toolstack uses when building
+// the domain.
 package guestos
 
 import "kite/internal/sim"
@@ -36,10 +36,8 @@ const (
 type Component struct {
 	Name string
 	Kind ComponentKind
-	// SizeBytes is the on-disk size; CodeBytes is the executable text the
-	// ROP scanner sees.
+	// SizeBytes is the on-disk size.
 	SizeBytes int64
-	CodeBytes int64
 }
 
 // BootPhase is one step of a profile's boot sequence.
@@ -81,18 +79,6 @@ func (p *Profile) KernelImageBytes() int64 {
 		if c.Kind == KindKernel || c.Kind == KindModule ||
 			(p.Family == FamilyNetBSD) { // the unikernel image is one binary
 			total += c.SizeBytes
-		}
-	}
-	return total
-}
-
-// KernelCodeBytes returns executable kernel+module text (the Fig 1b/5
-// scan target; user-space gadgets are excluded there).
-func (p *Profile) KernelCodeBytes() int64 {
-	var total int64
-	for _, c := range p.Components {
-		if c.Kind == KindKernel || c.Kind == KindModule || p.Family == FamilyNetBSD {
-			total += c.CodeBytes
 		}
 	}
 	return total
@@ -154,17 +140,17 @@ const (
 // written.
 var (
 	ubuntuComponents = []Component{
-		{Name: "vmlinuz-5.0.0-23", Kind: KindKernel, SizeBytes: 8 * mb, CodeBytes: 17 * mb},
-		{Name: "modules-5.0.0-23", Kind: KindModule, SizeBytes: 35 * mb, CodeBytes: 28 * mb},
-		{Name: "glibc", Kind: KindLib, SizeBytes: 12 * mb, CodeBytes: 8 * mb},
-		{Name: "systemd", Kind: KindTool, SizeBytes: 9 * mb, CodeBytes: 6 * mb},
-		{Name: "bash", Kind: KindTool, SizeBytes: 1 * mb, CodeBytes: 900 * kb},
-		{Name: "coreutils", Kind: KindTool, SizeBytes: 7 * mb, CodeBytes: 5 * mb},
-		{Name: "python3", Kind: KindTool, SizeBytes: 48 * mb, CodeBytes: 4 * mb},
-		{Name: "openssl", Kind: KindLib, SizeBytes: 3 * mb, CodeBytes: 2 * mb},
-		{Name: "xen-utils", Kind: KindTool, SizeBytes: 6 * mb, CodeBytes: 4 * mb},
-		{Name: "libxl", Kind: KindLib, SizeBytes: 3 * mb, CodeBytes: 2 * mb},
-		{Name: "udev", Kind: KindTool, SizeBytes: 2 * mb, CodeBytes: 1 * mb},
+		{Name: "vmlinuz-5.0.0-23", Kind: KindKernel, SizeBytes: 8 * mb},
+		{Name: "modules-5.0.0-23", Kind: KindModule, SizeBytes: 35 * mb},
+		{Name: "glibc", Kind: KindLib, SizeBytes: 12 * mb},
+		{Name: "systemd", Kind: KindTool, SizeBytes: 9 * mb},
+		{Name: "bash", Kind: KindTool, SizeBytes: 1 * mb},
+		{Name: "coreutils", Kind: KindTool, SizeBytes: 7 * mb},
+		{Name: "python3", Kind: KindTool, SizeBytes: 48 * mb},
+		{Name: "openssl", Kind: KindLib, SizeBytes: 3 * mb},
+		{Name: "xen-utils", Kind: KindTool, SizeBytes: 6 * mb},
+		{Name: "libxl", Kind: KindLib, SizeBytes: 3 * mb},
+		{Name: "udev", Kind: KindTool, SizeBytes: 2 * mb},
 		{Name: "hotplug-scripts", Kind: KindScript, SizeBytes: 256 * kb},
 	}
 	ubuntuBootPhases = []BootPhase{
@@ -219,10 +205,10 @@ func kiteBase(name string, app Component, drivers Component, syscalls []string) 
 		Name:   name,
 		Family: FamilyNetBSD,
 		Components: []Component{
-			{Name: "rumprun-bmk", Kind: KindKernel, SizeBytes: 700 * kb, CodeBytes: 500 * kb},
-			{Name: "rump-kernel-base", Kind: KindKernel, SizeBytes: 900 * kb, CodeBytes: 700 * kb},
+			{Name: "rumprun-bmk", Kind: KindKernel, SizeBytes: 700 * kb},
+			{Name: "rump-kernel-base", Kind: KindKernel, SizeBytes: 900 * kb},
 			drivers,
-			{Name: "libc-subset", Kind: KindLib, SizeBytes: 600 * kb, CodeBytes: 400 * kb},
+			{Name: "libc-subset", Kind: KindLib, SizeBytes: 600 * kb},
 			app,
 		},
 		Syscalls:   syscalls,
@@ -236,16 +222,16 @@ func kiteBase(name string, app Component, drivers Component, syscalls []string) 
 // KiteNetworkDomain is the unikernelized network driver domain.
 func KiteNetworkDomain() *Profile {
 	return kiteBase("kite-net",
-		Component{Name: "bridge-app+brconfig+ifconfig", Kind: KindApp, SizeBytes: 450 * kb, CodeBytes: 300 * kb},
-		Component{Name: "netbsd-net-drivers+tcpip", Kind: KindModule, SizeBytes: 1600 * kb, CodeBytes: 1200 * kb},
+		Component{Name: "bridge-app+brconfig+ifconfig", Kind: KindApp, SizeBytes: 450 * kb},
+		Component{Name: "netbsd-net-drivers+tcpip", Kind: KindModule, SizeBytes: 1600 * kb},
 		KiteNetworkSyscalls)
 }
 
 // KiteStorageDomain is the unikernelized storage driver domain.
 func KiteStorageDomain() *Profile {
 	return kiteBase("kite-storage",
-		Component{Name: "block-status-app+vbdconf", Kind: KindApp, SizeBytes: 400 * kb, CodeBytes: 260 * kb},
-		Component{Name: "netbsd-nvme-driver+vnode", Kind: KindModule, SizeBytes: 1700 * kb, CodeBytes: 1300 * kb},
+		Component{Name: "block-status-app+vbdconf", Kind: KindApp, SizeBytes: 400 * kb},
+		Component{Name: "netbsd-nvme-driver+vnode", Kind: KindModule, SizeBytes: 1700 * kb},
 		KiteStorageSyscalls)
 }
 
@@ -253,32 +239,10 @@ func KiteStorageDomain() *Profile {
 // ported with 16 LOC of changes).
 func KiteDHCPDomain() *Profile {
 	p := kiteBase("kite-dhcp",
-		Component{Name: "opendhcp", Kind: KindApp, SizeBytes: 350 * kb, CodeBytes: 240 * kb},
-		Component{Name: "netbsd-net-drivers+tcpip", Kind: KindModule, SizeBytes: 1600 * kb, CodeBytes: 1200 * kb},
+		Component{Name: "opendhcp", Kind: KindApp, SizeBytes: 350 * kb},
+		Component{Name: "netbsd-net-drivers+tcpip", Kind: KindModule, SizeBytes: 1600 * kb},
 		KiteNetworkSyscalls)
 	p.Name = "kite-dhcp"
 	p.MemBytes = 512 << 20
 	return p
-}
-
-// GadgetScanProfile names a kernel configuration for the Fig 1b/5 gadget
-// comparison, with the executable text the scanner generates and walks.
-type GadgetScanProfile struct {
-	Name      string
-	CodeBytes int64
-	Seed      uint64
-}
-
-// GadgetScanProfiles returns the six configurations of Figures 1b/5: Kite
-// and five Linux kernels with their modules (the default config is
-// minimal with almost no modules, yet already has ~4x Kite's gadgets).
-func GadgetScanProfiles() []GadgetScanProfile {
-	return []GadgetScanProfile{
-		{Name: "Kite", CodeBytes: KiteNetworkDomain().KernelCodeBytes(), Seed: 0x171e},
-		{Name: "Default", CodeBytes: 11 * mb, Seed: 0xdef0},
-		{Name: "CentOS", CodeBytes: 105 * mb, Seed: 0xce05},
-		{Name: "Fedora", CodeBytes: 195 * mb, Seed: 0xfed0},
-		{Name: "Debian", CodeBytes: 225 * mb, Seed: 0xdeb1},
-		{Name: "Ubuntu", CodeBytes: 245 * mb, Seed: 0x0b04},
-	}
 }

@@ -108,18 +108,6 @@ func TestProfilesHaveDistinctParameters(t *testing.T) {
 	}
 }
 
-func TestGadgetScanProfilesOrdering(t *testing.T) {
-	profiles := GadgetScanProfiles()
-	if profiles[0].Name != "Kite" {
-		t.Fatal("first scan profile must be Kite")
-	}
-	for i := 1; i < len(profiles); i++ {
-		if profiles[i].CodeBytes <= profiles[i-1].CodeBytes {
-			t.Fatalf("scan profiles not strictly increasing at %s", profiles[i].Name)
-		}
-	}
-}
-
 func TestDHCPDomainProfile(t *testing.T) {
 	p := KiteDHCPDomain()
 	if !p.HasComponent("opendhcp") {

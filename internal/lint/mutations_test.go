@@ -90,7 +90,7 @@ var mutations = []mutation{
 
 	// simdet, one row per clause. D1-D4 sit in code no determinism test runs
 	// twice (the suite diffs FIG4/6/7/11 and the fleet; these are FIG8/10/14).
-	// The map-range clause has no such row on this tree: DESIGN §14.3.
+	// The map-range clause has no such row on this tree: DESIGN §14.3's audit table.
 	{id: "D1-wall-clock", edit: edit{"internal/workload/sysbench.go",
 		"\trng := sim.NewRand(uint64(threads)*7919 + 17)\n",
 		"\trng := sim.NewRand(uint64(time.Now().UnixNano()))\n"},
@@ -157,8 +157,8 @@ var mutations = []mutation{
 		caught: []string{"TestForwardPathZeroAlloc"}},
 	// xskeys:
 	{id: "X1-key-typo-read", edit: edit{"internal/pvfront/pvfront.go",
-		"\td.Bus.Store().Writef(dir+\"/\"+xenstore.KeyEventChannel, \"%d\", d.ports[i])",
-		"\td.Bus.Store().Writef(dir+\"/\"+\"event-chanel\", \"%d\", d.ports[i])"},
+		"\td.Bus.Store().Write(dir+\"/\"+xenstore.KeyEventChannel, strconv.FormatUint(uint64(d.ports[i]), 10))",
+		"\td.Bus.Store().Write(dir+\"/\"+\"event-chanel\", strconv.FormatUint(uint64(d.ports[i]), 10))"},
 		caught: []string{"TestNetworkRigBothKinds", "TestFacadeQuickstartFlow"}},
 	{id: "X2-key-typo-unread", edit: edit{"internal/blkfront/blkfront.go",
 		"\th.Bus.WriteFeature(frontPath, xenstore.KeyFeaturePersistent, h.persistent)",

@@ -30,6 +30,7 @@ package netfront
 
 import (
 	"fmt"
+	"strconv"
 
 	"kite/internal/framepool"
 	"kite/internal/mem"
@@ -225,12 +226,12 @@ func (h *hooks) RingRefs(dir string, i int) {
 	base := h.DevID*2 + 1
 	if len(h.queues) > 1 {
 		if i == 0 {
-			st.Writef(h.FrontPath()+"/"+xenstore.KeyMultiQueueHashSeed, "%d", h.hashSeed)
+			st.Write(h.FrontPath()+"/"+xenstore.KeyMultiQueueHashSeed, strconv.FormatUint(h.hashSeed, 10))
 		}
 		base = h.DevID*16 + i*2 + 1
 	}
-	st.Writef(dir+"/"+xenstore.KeyTxRingRef, "%d", base)
-	st.Writef(dir+"/"+xenstore.KeyRxRingRef, "%d", base+1)
+	st.Write(dir+"/"+xenstore.KeyTxRingRef, strconv.Itoa(base))
+	st.Write(dir+"/"+xenstore.KeyRxRingRef, strconv.Itoa(base+1))
 }
 
 // Keys writes the vif's MAC and asks for Rx copy.

@@ -74,7 +74,7 @@ func newRig(t *testing.T) *rig {
 		Pool: pool, Shards: []*sim.Engine{cl.Shard(1)}})
 
 	// The backend's half of the handshake, as netback.Driver.tryPair does it.
-	bus.Store().Writef(backPath+"/"+xenstore.KeyMultiQueueMaxQueues, "%d", 1)
+	bus.Store().Write(backPath+"/"+xenstore.KeyMultiQueueMaxQueues, "1")
 	if err := bus.SwitchState(backPath, xenbus.StateInitWait); err != nil {
 		t.Fatal(err)
 	}

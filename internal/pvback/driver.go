@@ -3,6 +3,7 @@ package pvback
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"kite/internal/sim"
 	"kite/internal/xen"
@@ -211,8 +212,8 @@ func (d *Driver[I]) tryPair(backPath string, frontDom xen.DomID, devid int) {
 			_ = d.bus.SwitchState(backPath, xenbus.StateClosed)
 			return
 		}
-		st.Writef(backPath+"/"+xenstore.KeyMultiQueueMaxQueues, "%d",
-			min(d.dom.CPUs.Len(), d.class.MaxQueues()))
+		st.Write(backPath+"/"+xenstore.KeyMultiQueueMaxQueues,
+			strconv.Itoa(min(d.dom.CPUs.Len(), d.class.MaxQueues())))
 		_ = d.bus.SwitchState(backPath, xenbus.StateInitWait)
 	}
 

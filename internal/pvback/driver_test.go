@@ -3,6 +3,7 @@ package pvback
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"kite/internal/sim"
@@ -73,11 +74,11 @@ func (r *driverRig) publish(t *testing.T, frontPath string, dom xenbus.DomID, de
 	st := r.bus.Store()
 	r.reg.Publish(xen.DomID(dom), devid, fakeChannel(ringQueues))
 	if storeQueues == 1 {
-		st.Writef(frontPath+"/"+xenstore.KeyEventChannel, "%d", 7)
+		st.Write(frontPath+"/"+xenstore.KeyEventChannel, "7")
 	} else {
 		r.bus.WriteNumQueues(frontPath, storeQueues)
 		for q := 0; q < storeQueues; q++ {
-			st.Writef(xenbus.QueuePath(frontPath, q)+"/"+xenstore.KeyEventChannel, "%d", 7+q)
+			st.Write(xenbus.QueuePath(frontPath, q)+"/"+xenstore.KeyEventChannel, strconv.Itoa(7+q))
 		}
 	}
 	if err := r.bus.SwitchState(frontPath, xenbus.StateInitialised); err != nil {
@@ -110,7 +111,7 @@ func TestUnreadyFrontendWatchedOnce(t *testing.T) {
 	}
 	watches := r.bus.Store().Watches()
 	for i := 0; i < 5; i++ {
-		r.bus.Store().Writef(backPath+"/hotplug-status", "%d", i) // wakes the invoker
+		r.bus.Store().Write(backPath+"/hotplug-status", strconv.Itoa(i)) // wakes the invoker
 		r.settle(t)
 	}
 	if r.drv.Watched() != 1 || r.bus.Store().Watches() != watches {

@@ -14,6 +14,7 @@ package pvfront
 
 import (
 	"fmt"
+	"strconv"
 
 	"kite/internal/pvback"
 	"kite/internal/sim"
@@ -155,7 +156,7 @@ func (d *Device) initialise() {
 
 // writePort publishes queue i's event channel under dir.
 func (d *Device) writePort(dir string, i int) {
-	d.Bus.Store().Writef(dir+"/"+xenstore.KeyEventChannel, "%d", d.ports[i])
+	d.Bus.Store().Write(dir+"/"+xenstore.KeyEventChannel, strconv.FormatUint(uint64(d.ports[i]), 10))
 }
 
 // must panics on a handshake step that can only fail on a wiring bug.

@@ -1,6 +1,7 @@
 package pvfront
 
 import (
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -37,7 +38,7 @@ func (c *fakeClass) Queue(_ int, port xen.Port) (func(), *sim.CPU) {
 	return func() {}, nil
 }
 func (c *fakeClass) RingRefs(dir string, i int) {
-	c.dev.Bus.Store().Writef(dir+"/"+xenstore.KeyRingRef, "%d", 100+i)
+	c.dev.Bus.Store().Write(dir+"/"+xenstore.KeyRingRef, strconv.Itoa(100+i))
 }
 func (c *fakeClass) Keys(frontPath string) {
 	c.dev.Bus.WriteFeature(frontPath, xenstore.KeyFeaturePersistent, true)
@@ -91,7 +92,7 @@ func (r *rig) plug() {
 func (r *rig) backend(s xenbus.State, queues int) {
 	r.t.Helper()
 	if s == xenbus.StateInitWait && queues > 0 {
-		r.bus.Store().Writef(r.dev.backPath+"/"+xenstore.KeyMultiQueueMaxQueues, "%d", queues)
+		r.bus.Store().Write(r.dev.backPath+"/"+xenstore.KeyMultiQueueMaxQueues, strconv.Itoa(queues))
 	}
 	if err := r.bus.SwitchState(r.dev.backPath, s); err != nil {
 		r.t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package security implements the paper's security analyses: the CVE
-// applicability model (Table 3, §5.1.1, Fig 1a) and the ROP gadget scan
-// (Figs 1b and 5). A CVE applies to a profile only if the profile derives
-// from the vulnerable code base AND still ships every syscall and
+// applicability model (Table 3, §5.1.1, Fig 1a) and the typed ROP gadget
+// counts of Figs 1b and 5. A CVE applies to a profile only if the profile
+// derives from the vulnerable code base AND still ships every syscall and
 // component the exploit needs; Kite domains dodge whole classes either
 // way — they run NetBSD-derived code and discard unused syscalls at link
 // time.

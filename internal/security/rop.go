@@ -1,10 +1,5 @@
 package security
 
-import (
-	"kite/internal/guestos"
-	"kite/internal/sim"
-)
-
 // Category is a Follner et al. gadget class (the twelve categories of
 // Figure 5).
 type Category int
@@ -38,186 +33,25 @@ func (c Category) String() string {
 	return "?"
 }
 
-// instr describes one decodable opcode of the simplified x86-64 subset the
-// scanner understands (opcode byte -> total instruction length and class).
-type instr struct {
-	len int
-	cat Category
+// GadgetConfig is one kernel configuration of Figures 1b/5 with its ROP
+// gadget count per category.
+type GadgetConfig struct {
+	Name   string
+	Counts [NumCategories]uint64
 }
 
-// opcodeTable is the decoder. Bytes outside the table terminate a decode
-// attempt, exactly as an undecodable byte breaks a real gadget chain.
-var opcodeTable = map[byte]instr{
-	// data movement
-	0x89: {2, CatDataMove}, 0x8B: {2, CatDataMove}, 0x8D: {2, CatDataMove},
-	0x50: {1, CatDataMove}, 0x51: {1, CatDataMove}, 0x52: {1, CatDataMove},
-	0x53: {1, CatDataMove}, 0x54: {1, CatDataMove}, 0x55: {1, CatDataMove},
-	0x56: {1, CatDataMove}, 0x57: {1, CatDataMove},
-	0x58: {1, CatDataMove}, 0x59: {1, CatDataMove}, 0x5A: {1, CatDataMove},
-	0x5B: {1, CatDataMove}, 0x5C: {1, CatDataMove}, 0x5D: {1, CatDataMove},
-	0x5E: {1, CatDataMove}, 0x5F: {1, CatDataMove},
-	0xB8: {5, CatDataMove}, 0x88: {2, CatDataMove}, 0x87: {2, CatDataMove},
-	// arithmetic
-	0x01: {2, CatArithmetic}, 0x03: {2, CatArithmetic}, 0x05: {5, CatArithmetic},
-	0x29: {2, CatArithmetic}, 0x2B: {2, CatArithmetic}, 0x2D: {5, CatArithmetic},
-	0x40: {1, CatArithmetic}, 0x41: {1, CatArithmetic}, 0x6B: {3, CatArithmetic},
-	// logic
-	0x09: {2, CatLogic}, 0x0B: {2, CatLogic}, 0x21: {2, CatLogic},
-	0x23: {2, CatLogic}, 0x25: {5, CatLogic}, 0x31: {2, CatLogic},
-	0x33: {2, CatLogic}, 0x39: {2, CatLogic}, 0x3B: {2, CatLogic},
-	0x85: {2, CatLogic}, 0xF7: {2, CatLogic},
-	// control flow
-	0xE8: {5, CatControlFlow}, 0xE9: {5, CatControlFlow}, 0xEB: {2, CatControlFlow},
-	0x74: {2, CatControlFlow}, 0x75: {2, CatControlFlow}, 0x7C: {2, CatControlFlow},
-	0x7D: {2, CatControlFlow}, 0xFF: {2, CatControlFlow},
-	// shift and rotate
-	0xC1: {3, CatShiftRotate}, 0xD1: {2, CatShiftRotate}, 0xD3: {2, CatShiftRotate},
-	// flags
-	0xF5: {1, CatSettingFlags}, 0xF8: {1, CatSettingFlags}, 0xF9: {1, CatSettingFlags},
-	0xFC: {1, CatSettingFlags}, 0xFD: {1, CatSettingFlags},
-	// string ops
-	0xA4: {1, CatString}, 0xA5: {1, CatString}, 0xAA: {1, CatString},
-	0xAB: {1, CatString}, 0xAC: {1, CatString}, 0xAD: {1, CatString},
-	// floating point / SSE (0F escape, simplified to 3 bytes)
-	0x0F: {3, CatFloating}, 0xD8: {2, CatFloating}, 0xD9: {2, CatFloating},
-	// MMX-ish (66 prefix form, simplified)
-	0x66: {3, CatMMX},
-	// misc
-	0xF4: {1, CatMisc}, 0xCC: {1, CatMisc}, 0xCD: {2, CatMisc},
-	// nop
-	0x90: {1, CatNOP},
-	// returns
-	0xC3: {1, CatRET}, 0xC2: {3, CatRET},
-}
-
-// genWeights drives the synthetic code generator with a compiled-code-like
-// instruction mix. Each entry is (opcode, weight).
-var genWeights = []struct {
-	op     byte
-	weight int
-}{
-	{0x89, 90}, {0x8B, 90}, {0x8D, 40}, {0x55, 25}, {0x5D, 25}, {0x50, 20},
-	{0x58, 20}, {0xB8, 30}, {0x88, 20},
-	{0x01, 35}, {0x03, 30}, {0x05, 15}, {0x29, 20}, {0x2B, 15},
-	{0x31, 30}, {0x21, 20}, {0x09, 15}, {0x85, 35}, {0x39, 30},
-	{0xE8, 45}, {0xE9, 15}, {0xEB, 15}, {0x74, 35}, {0x75, 35}, {0xFF, 20},
-	{0xC1, 12}, {0xD3, 6},
-	{0xF8, 2}, {0xFC, 2},
-	{0xA5, 3}, {0xAB, 3},
-	{0x0F, 60}, {0xD9, 5},
-	{0x66, 18},
-	{0x90, 20}, {0xCC, 2},
-	{0xC3, 7}, {0xC2, 1},
-}
-
-// GenerateCode emits n bytes of synthetic executable text with a realistic
-// opcode mix, deterministically from seed.
-func GenerateCode(n int, seed uint64) []byte {
-	rng := sim.NewRand(seed)
-	var totalWeight int
-	for _, w := range genWeights {
-		totalWeight += w.weight
-	}
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		pick := rng.Intn(totalWeight)
-		var op byte
-		for _, w := range genWeights {
-			pick -= w.weight
-			if pick < 0 {
-				op = w.op
-				break
-			}
-		}
-		info := opcodeTable[op]
-		out = append(out, op)
-		for i := 1; i < info.len && len(out) < n; i++ {
-			out = append(out, byte(rng.Uint64()))
-		}
-	}
-	return out[:n]
-}
-
-// maxGadgetInstrs and maxGadgetBytes bound the backward search, following
-// the usual Ropper configuration of short gadgets.
-const (
-	maxGadgetInstrs = 5
-	maxGadgetBytes  = 20
-)
-
-// ScanGadgets walks code and counts ROP gadgets per category: every
-// decodable instruction sequence of 1..5 instructions ending exactly at a
-// ret, classified by its first instruction (plus the bare ret itself).
-func ScanGadgets(code []byte) [NumCategories]uint64 {
-	var counts [NumCategories]uint64
-	for pos := 0; pos < len(code); pos++ {
-		op := code[pos]
-		if op != 0xC3 && op != 0xC2 {
-			continue
-		}
-		counts[CatRET]++
-		lo := pos - maxGadgetBytes
-		if lo < 0 {
-			lo = 0
-		}
-		for start := lo; start < pos; start++ {
-			if cat, ok := decodesTo(code, start, pos); ok {
-				counts[cat]++
-			}
-		}
-	}
-	return counts
-}
-
-// decodesTo checks whether code[start:ret] decodes as 1..5 complete
-// instructions landing exactly on ret, returning the first instruction's
-// category.
-func decodesTo(code []byte, start, ret int) (Category, bool) {
-	pos := start
-	first := Category(-1)
-	for n := 0; n < maxGadgetInstrs; n++ {
-		if pos >= ret {
-			break
-		}
-		info, ok := opcodeTable[code[pos]]
-		if !ok {
-			return 0, false
-		}
-		if first < 0 {
-			first = info.cat
-		}
-		if info.cat == CatRET {
-			return 0, false // an embedded ret would have ended the gadget
-		}
-		pos += info.len
-		if pos == ret {
-			return first, true
-		}
-	}
-	return 0, false
-}
-
-// sampleBytes bounds how much synthetic text is actually scanned; density
-// is extrapolated linearly (the generator's text is statistically
-// homogeneous), keeping multi-hundred-MB kernels tractable.
-const sampleBytes = 2 << 20
-
-// GadgetCounts scans (a sample of) a kernel configuration and returns
-// extrapolated per-category totals.
-func GadgetCounts(p guestos.GadgetScanProfile) [NumCategories]uint64 {
-	n := int(p.CodeBytes)
-	scale := 1.0
-	if n > sampleBytes {
-		scale = float64(n) / float64(sampleBytes)
-		n = sampleBytes
-	}
-	counts := ScanGadgets(GenerateCode(n, p.Seed))
-	if scale != 1 {
-		for i := range counts {
-			counts[i] = uint64(float64(counts[i]) * scale)
-		}
-	}
-	return counts
+// GadgetTable lists the six configurations of Figures 1b/5, Kite first and
+// then five Linux kernels with their modules, smallest to largest. The
+// counts are typed inputs, not a measurement: they were frozen from a
+// retired synthetic scan, whose totals were a ratio of typed code sizes
+// plus seed noise. Scans of real kernel images would replace them.
+var GadgetTable = []GadgetConfig{
+	{"Kite", [NumCategories]uint64{28305, 9177, 10571, 12079, 1615, 1498, 1890, 4663, 759, 1383, 1646, 26085}},
+	{"Default", [NumCategories]uint64{102789, 33968, 36718, 44016, 6105, 5214, 6919, 17451, 2915, 4922, 5637, 95023}},
+	{"CentOS", [NumCategories]uint64{976237, 316837, 350542, 418792, 59010, 48772, 58852, 161805, 27405, 45360, 52342, 904102}},
+	{"Fedora", [NumCategories]uint64{1789710, 584025, 647595, 786337, 110077, 88530, 110760, 303712, 48360, 89407, 92820, 1681875}},
+	{"Debian", [NumCategories]uint64{2079000, 671962, 740025, 885487, 123975, 103612, 125550, 350212, 55575, 98775, 116325, 1944900}},
+	{"Ubuntu", [NumCategories]uint64{2227050, 731080, 810827, 974610, 138057, 113435, 146020, 375707, 59902, 107677, 118212, 2081397}},
 }
 
 // TotalGadgets sums a count vector.

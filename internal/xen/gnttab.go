@@ -193,6 +193,7 @@ func (hv *Hypervisor) mapGrantCharged(mapper *Domain, owner DomID, ref GrantRef)
 	}
 	hv.stats.GrantMaps++
 	g.flags += grantMapOne
+	mapper.liveMaps++
 	return &Mapping{Page: od.Arena.At(g.slab, g.off), owner: owner, ref: ref, mapper: mapper.ID, live: true}, nil //kite:alloc-ok callers cache mappings; misses are warmup-only
 }
 
@@ -226,9 +227,11 @@ func (hv *Hypervisor) unmapLocked(m *Mapping) error {
 	// already down by its share, and the owner may since have revoked the
 	// ref and issued it again. A live mapper's mapping keeps its grant
 	// live, unless the owner died.
-	if md := hv.domainAt(m.mapper); md.dead {
+	md := hv.domainAt(m.mapper)
+	if md.dead {
 		return nil
 	}
+	md.liveMaps--
 	if od := hv.domainAt(m.owner); od != nil {
 		if g := od.grant(m.ref); g != nil {
 			g.flags -= grantMapOne

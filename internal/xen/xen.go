@@ -179,10 +179,12 @@ func (hv *Hypervisor) DestroyDomain(id DomID) error {
 	d.grants, d.freeRef = nil, 0
 	d.liveGrants = 0
 	d.Arena.Release()
-	for _, od := range hv.domains {
-		for i := range od.grants {
-			if g := &od.grants[i]; g.flags&grantLive != 0 && g.remote == id {
-				g.flags &= grantMapOne - 1
+	if d.liveMaps > 0 {
+		for _, od := range hv.domains {
+			for i := range od.grants {
+				if g := &od.grants[i]; g.flags&grantLive != 0 && g.remote == id {
+					g.flags &= grantMapOne - 1
+				}
 			}
 		}
 	}
@@ -241,6 +243,9 @@ type Domain struct {
 	liveGrants int
 	ports      []*channel
 	nextPort   Port
+	// liveMaps counts the domain's live mappings of other domains' grants,
+	// so a destroy that held none skips the walk of every grant table.
+	liveMaps uint32
 	// IRQLatency is fixed at creation: each event channel copies it.
 	IRQLatency sim.Time
 

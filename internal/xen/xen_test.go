@@ -811,6 +811,14 @@ func TestDestroyEndsLoans(t *testing.T) {
 // page (513 of them), so the entry is Xen's grant_entry_v1 width, 8 B: the
 // page's slab and offset, the remote domain and the flags. It holds no
 // pointer of any kind, so the garbage collector never scans a table.
+// TestDomainSize holds a Domain to the 208 B size class: a fleet keeps one
+// per tenant.
+func TestDomainSize(t *testing.T) {
+	if got := unsafe.Sizeof(Domain{}); got > 208 {
+		t.Fatalf("sizeof(Domain) = %d, want at most 208", got)
+	}
+}
+
 func TestGrantEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(grantEntry{}); got != 8 {
 		t.Fatalf("sizeof(grantEntry) = %d, want 8", got)

@@ -15,6 +15,7 @@ package xenbus
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"kite/internal/xenstore"
 )
@@ -80,25 +81,27 @@ func validNext(from, to State) bool {
 
 // FrontendPath returns the xenstore directory of a frontend device.
 func FrontendPath(frontDom DomID, typ string, devid int) string {
-	return fmt.Sprintf("/local/domain/%d/device/%s/%d", frontDom, typ, devid)
+	return "/local/domain/" + strconv.Itoa(int(frontDom)) + "/device/" + typ + "/" + strconv.Itoa(devid)
 }
 
 // BackendPath returns the xenstore directory of a backend device instance.
 func BackendPath(backDom DomID, typ string, frontDom DomID, devid int) string {
-	return fmt.Sprintf("/local/domain/%d/backend/%s/%d/%d", backDom, typ, frontDom, devid)
+	return "/local/domain/" + strconv.Itoa(int(backDom)) + "/backend/" + typ + "/" +
+		strconv.Itoa(int(frontDom)) + "/" + strconv.Itoa(devid)
 }
 
 // BackendRoot returns the directory a backend watches for new frontends of
 // one device type (§4.1's watch path).
 func BackendRoot(backDom DomID, typ string) string {
-	return fmt.Sprintf("/local/domain/%d/backend/%s", backDom, typ)
+	return "/local/domain/" + strconv.Itoa(int(backDom)) + "/backend/" + typ
 }
 
 // TenantPath returns the per-tenant subtree under a driver domain
 // (/local/domain/<backDom>/tenant/<frontDom>). Nothing in the product
 // writes it: the driver's pairings are the record of who is attached.
 func TenantPath(backDom, frontDom DomID) string {
-	return fmt.Sprintf("/local/domain/%d/%s/%d", backDom, xenstore.KeyTenantRoot, frontDom)
+	return "/local/domain/" + strconv.Itoa(int(backDom)) + "/" + xenstore.KeyTenantRoot + "/" +
+		strconv.Itoa(int(frontDom))
 }
 
 // Bus wraps a store with device-protocol helpers.
@@ -131,15 +134,15 @@ func (b *Bus) AddDevice(spec DeviceSpec) (frontPath, backPath string) {
 	frontPath = FrontendPath(spec.FrontDom, spec.Type, spec.DevID)
 	backPath = BackendPath(spec.BackDom, spec.Type, spec.FrontDom, spec.DevID)
 
-	b.store.Writef(frontPath+"/"+xenstore.KeyBackend, "%s", backPath)
-	b.store.Writef(frontPath+"/"+xenstore.KeyBackendID, "%d", spec.BackDom)
-	b.store.Writef(frontPath+"/"+xenstore.KeyState, "%d", int(StateInitialising))
+	b.store.Write(frontPath+"/"+xenstore.KeyBackend, backPath)
+	b.store.Write(frontPath+"/"+xenstore.KeyBackendID, strconv.Itoa(int(spec.BackDom)))
+	b.store.Write(frontPath+"/"+xenstore.KeyState, strconv.Itoa(int(StateInitialising)))
 	b.writeExtras(frontPath, spec.FrontExtra)
 
-	b.store.Writef(backPath+"/"+xenstore.KeyFrontend, "%s", frontPath)
-	b.store.Writef(backPath+"/"+xenstore.KeyFrontendID, "%d", spec.FrontDom)
-	b.store.Writef(backPath+"/"+xenstore.KeyOnline, "1")
-	b.store.Writef(backPath+"/"+xenstore.KeyState, "%d", int(StateInitialising))
+	b.store.Write(backPath+"/"+xenstore.KeyFrontend, frontPath)
+	b.store.Write(backPath+"/"+xenstore.KeyFrontendID, strconv.Itoa(int(spec.FrontDom)))
+	b.store.Write(backPath+"/"+xenstore.KeyOnline, "1")
+	b.store.Write(backPath+"/"+xenstore.KeyState, strconv.Itoa(int(StateInitialising)))
 	b.writeExtras(backPath, spec.BackExtra)
 
 	// Device directories belong to their respective domains.
@@ -188,7 +191,7 @@ func (b *Bus) SwitchState(devPath string, to State) error {
 	if !validNext(from, to) {
 		return fmt.Errorf("xenbus: illegal transition %v -> %v at %s", from, to, devPath)
 	}
-	b.store.Writef(devPath+"/"+xenstore.KeyState, "%d", int(to))
+	b.store.Write(devPath+"/"+xenstore.KeyState, strconv.Itoa(int(to)))
 	return nil
 }
 
@@ -216,12 +219,12 @@ func (b *Bus) OtherEnd(devPath string) (string, bool) {
 // QueuePath returns the per-queue subdirectory of a device directory
 // ("<devPath>/queue-<q>").
 func QueuePath(devPath string, q int) string {
-	return fmt.Sprintf("%s/queue-%d", devPath, q)
+	return devPath + "/queue-" + strconv.Itoa(q)
 }
 
 // WriteNumQueues publishes the frontend's negotiated queue count.
 func (b *Bus) WriteNumQueues(devPath string, n int) {
-	b.store.Writef(devPath+"/"+xenstore.KeyMultiQueueNumQueues, "%d", n)
+	b.store.Write(devPath+"/"+xenstore.KeyMultiQueueNumQueues, strconv.Itoa(n))
 }
 
 // ReadNumQueues reads a negotiated/advertised queue-count key from a device

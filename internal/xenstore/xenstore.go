@@ -172,11 +172,6 @@ func (s *Store) Write(path, value string) {
 	s.fireWatches(normalize(path))
 }
 
-// Writef writes a formatted value.
-func (s *Store) Writef(path, format string, args ...any) {
-	s.Write(path, fmt.Sprintf(format, args...))
-}
-
 // Read returns the value at path and whether it exists.
 func (s *Store) Read(path string) (string, bool) {
 	n := s.lookup(path)

@@ -119,8 +119,9 @@ var (
 	Table3CVEs = security.Table3CVEs
 	// CVEApplies reports whether a CVE is exploitable on a profile.
 	CVEApplies = security.Applies
-	// GadgetCounts runs the ROP scan for one kernel configuration.
-	GadgetCounts = security.GadgetCounts
+	// GadgetTable is the per-category ROP gadget counts of Figs 1b/5, one
+	// row per kernel configuration (typed inputs, not a measurement).
+	GadgetTable = security.GadgetTable
 )
 
 // Time aliases the simulation clock type.
@@ -133,15 +134,3 @@ const (
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
 )
-
-// GadgetScanProfile names a kernel configuration for the ROP scan.
-type GadgetScanProfile = guestos.GadgetScanProfile
-
-// KiteNetworkDomainScanProfile returns the Kite entry of the Fig 1b/5
-// gadget comparison.
-func KiteNetworkDomainScanProfile() GadgetScanProfile {
-	return guestos.GadgetScanProfiles()[0]
-}
-
-// GadgetScanProfiles returns all six Fig 1b/5 configurations.
-var GadgetScanProfiles = guestos.GadgetScanProfiles
